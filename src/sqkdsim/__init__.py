@@ -3,8 +3,8 @@
 Two-mode Fock-space state algebra with exact basis changes, protocol
 engines for the two-way classical-Alice scheme plus one-way BB84/B92
 baselines, a library of eavesdropping attacks, and exact detection and
-leakage analysis.  Monte-Carlo round loops run on a jit backend with a
-pure-numpy fallback (``SQKDSIM_BACKEND=numpy``).
+leakage analysis.  Monte-Carlo rounds are sampled by one vectorized numpy
+walk over precomputed branch tables (``sqkdsim.kernels``).
 """
 
 from .fock import (

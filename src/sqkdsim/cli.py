@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -51,8 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="machine report format")
     run_p.add_argument("--jobs", type=int, default=1,
                        help="worker threads for round evaluation")
-    run_p.add_argument("--backend", choices=("numba", "numpy"), default=None,
-                       help="force a simulation backend")
     run_p.add_argument("--round-log", choices=("auto", "always", "never"),
                        default="auto", help="per-round records in the report")
 
@@ -67,10 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--seed", type=int, default=0)
     ver_p.add_argument("--trials", type=int, default=200,
                        help="random attacks per direction in the lemma suite")
-
-    bench_p = sub.add_parser("bench", help="time the numba and numpy backends")
-    bench_p.add_argument("--rounds", type=int, default=200_000)
-    bench_p.add_argument("--repeat", type=int, default=3)
     return parser
 
 
@@ -87,8 +80,7 @@ def _cmd_run(args) -> int:
     try:
         scenario.config.validate()
         attack = scenario.build_attack()
-        report = run_any(scenario.config, attack, jobs=args.jobs,
-                         backend=args.backend)
+        report = run_any(scenario.config, attack, jobs=args.jobs)
     except (ScenarioError, ConfigError, IsometryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -149,50 +141,13 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_FAILED
 
 
-def _cmd_bench(args) -> int:
-    # local import: keeps CLI startup light for the other commands
-    import numpy as np
-    from .attacks import tagging_attack
-    from .kernels import NUMBA_AVAILABLE, round_uniforms, simulate_ca
-    from .protocol import ProtocolConfig, build_ca_tables
-
-    config = ProtocolConfig(rounds=args.rounds, rng_seed=1, n_max=2,
-                            residual_policy="measure-resend")
-    tables, _meta = build_ca_tables(config, tagging_attack())
-    u = round_uniforms(config.rng_seed, config.rounds)
-    backends = ["numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
-    print(f"two-way protocol round walk, {args.rounds} rounds, "
-          f"best of {args.repeat}:")
-    reference = None
-    for backend in backends:
-        simulate_ca(tables, u, backend=backend)  # warm up / jit compile
-        best = min(_timed(lambda: simulate_ca(tables, u, backend=backend))
-                   for _ in range(args.repeat))
-        rec = simulate_ca(tables, u, backend=backend)
-        if reference is None:
-            reference = rec
-        agree = all(np.array_equal(reference[k], rec[k]) for k in reference)
-        rate = args.rounds / best / 1e6
-        print(f"  {backend:<6} {best * 1e3:8.1f} ms  "
-              f"({rate:6.1f} M rounds/s)  identical={agree}")
-    return EXIT_OK
-
-
-def _timed(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "attacks":
         return _cmd_attacks(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_bench(args)
+    return _cmd_verify(args)
 
 
 if __name__ == "__main__":

@@ -1,60 +1,42 @@
-"""Monte-Carlo round engines in twin numba / pure-numpy implementations.
+"""Monte-Carlo round engine: a vectorized walk over flat branch tables.
 
 The protocol layer reduces one round to a fixed sequence of categorical
 draws over precomputed tables (emission, outbound loss, Alice's action and
-branch, Eve's return behaviour, return loss, Bob's detector pattern).  The
-numba path jit-compiles a sequential loop over rounds; the numpy path
-evaluates the same stages with vectorized gathers.  Both take identical
-branch decisions from identical floats, so results match bit for bit
-across backends, chunk sizes and worker counts.
+branch, Eve's return behaviour, return loss, Bob's detector pattern).  A
+stage holds one row per parent node with the cumulative probabilities of
+its branches; a round with uniform ``x`` takes the first branch whose
+cumulative value exceeds ``x``, or the row's last branch.
 
-Backend selection: SQKDSIM_BACKEND=numpy forces the fallback, =numba
-insists on the jit path; default is numba when importable.
+Rows are non-decreasing, so that branch is the row start plus the number
+of the row's thresholds that ``x`` has passed.  Each stage is therefore
+walked as a threshold matrix, one column per parent padded with ``+inf``:
+a pick over a whole block of rounds is a few gather-compare-add passes,
+with no per-parent masks and no sorting.
+
+Rounds are walked in fixed blocks of ``BLOCK`` rounds, so temporaries stay
+O(BLOCK) per thread; ``jobs`` worker threads split the rounds into
+contiguous chunks (numpy drops the interpreter lock inside its loops).
 
 Randomness: uniform ``u[i, j]`` is the ``(i * SLOTS + j)``-th double of the
 Philox-4x64 stream keyed by the run seed, so round ``i`` owns a fixed
-counter block no matter how rounds are split over workers.
+counter block and records do not depend on blocks or worker counts.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
 SLOTS = 10
+
+#: rounds per block of the walk; temporaries are a few arrays of this length
+BLOCK = 1 << 16
 
 #: pattern codes mirrored across the two modes, code = 3*first + second
 MIRROR_CODE = np.array([3 * (c % 3) + c // 3 for c in range(9)], dtype=np.int8)
-
-
-def active_backend(override: Optional[str] = None) -> str:
-    choice = (override or os.environ.get("SQKDSIM_BACKEND", "")).strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("SQKDSIM_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice:
-        raise ValueError(f"unknown backend {choice!r} (use 'numba' or 'numpy')")
-    return "numba" if NUMBA_AVAILABLE else "numpy"
 
 
 def round_uniforms(seed: int, rounds: int) -> np.ndarray:
@@ -70,13 +52,75 @@ def _chunk_ranges(n: int, jobs: int):
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _run_chunks(worker, n: int, jobs: int) -> None:
+def _walk(block: Callable[[int, int], None], n: int, jobs: int) -> None:
+    """Call ``block(lo, hi)`` over rounds [0, n) in pieces of at most BLOCK
+    rounds, with the rounds split into ``jobs`` contiguous chunks."""
+    def worker(lo: int, hi: int) -> None:
+        for b in range(lo, hi, BLOCK):
+            block(b, min(b + BLOCK, hi))
+
     ranges = _chunk_ranges(n, jobs)
     if len(ranges) == 1:
         worker(*ranges[0])
         return
     with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
         list(pool.map(lambda r: worker(*r), ranges))
+
+
+def _records(n: int, fields, wide=()) -> Dict[str, np.ndarray]:
+    return {f: np.zeros(n, dtype=np.int16 if f in wide else np.int8)
+            for f in fields}
+
+
+@dataclass
+class Stage:
+    """One categorical stage as a threshold matrix.
+
+    A round at parent ``p`` with uniform ``x`` takes branch
+    ``start[p] + #{j : x >= thresholds[j, p]}``.  Column ``p`` holds all
+    but the last cumulative value of row ``p``, padded with ``+inf``.
+    """
+    start: np.ndarray        # (parents,) index of each row's first branch
+    thresholds: np.ndarray   # (max row width - 1, parents)
+
+    @classmethod
+    def from_rows(cls, off: np.ndarray, cum: np.ndarray) -> "Stage":
+        start = np.asarray(off[:-1], dtype=np.intp)
+        widths = np.diff(off)
+        depth = int(widths.max(initial=1)) - 1
+        thresholds = np.full((depth, start.size), np.inf)
+        for j in range(depth):
+            has = widths - 1 > j
+            thresholds[j, has] = cum[start[has] + j]
+        return cls(start, thresholds)
+
+    @classmethod
+    def interleave(cls, even: "Stage", odd: "Stage", odd_shift: int) -> "Stage":
+        """Parent ``2p`` is ``even``'s row ``p``, ``2p + 1`` is ``odd``'s,
+        whose branch indices move up by ``odd_shift``."""
+        parents = even.start.size
+        depth = max(even.thresholds.shape[0], odd.thresholds.shape[0])
+        thresholds = np.full((depth, 2 * parents), np.inf)
+        thresholds[:even.thresholds.shape[0], 0::2] = even.thresholds
+        thresholds[:odd.thresholds.shape[0], 1::2] = odd.thresholds
+        start = np.empty(2 * parents, dtype=np.intp)
+        start[0::2] = even.start
+        start[1::2] = odd.start + odd_shift
+        return cls(start, thresholds)
+
+    def pick(self, x: np.ndarray, parent: Optional[np.ndarray] = None
+             ) -> np.ndarray:
+        """Branch index of each uniform in ``x`` at its parent row; a stage
+        with one row ignores ``parent``."""
+        if self.start.size == 1:
+            k = np.full(x.shape, self.start[0])
+            for threshold in self.thresholds[:, 0]:
+                k += x >= threshold
+            return k
+        k = self.start[parent]
+        for row in self.thresholds:
+            k += x >= row[parent]
+        return k
 
 
 # ---------------------------------------------------------------------------
@@ -115,192 +159,78 @@ class CaTables:
     cross_enabled: int
 
 
-@njit(cache=True, nogil=True)
-def _ca_loop(u, start, stop,
-             emission_cum, emission_kind,
-             oloss_off, oloss_cum, oloss_node,
-             sift_off, sift_cum, sift_readout, sift_next, ctrl_next,
-             ret_off, ret_cum, ret_next, ret_guess, ret_evebit,
-             rloss_off, rloss_cum, rloss_node,
-             bobz_off, bobz_cum, bobz_pat,
-             bobx_off, bobx_cum, bobx_pat,
-             test_fraction, cross_fraction, cross_enabled,
-             out_emit, out_action, out_readout, out_basis, out_pattern,
-             out_test, out_guess, out_evebit):
-    n_emis = emission_cum.shape[0]
-    for i in range(start, stop):
-        e = 0
-        while e < n_emis - 1 and u[i, 0] >= emission_cum[e]:
-            e += 1
-        t = oloss_off[e]
-        hi = oloss_off[e + 1]
-        while t < hi - 1 and u[i, 1] >= oloss_cum[t]:
-            t += 1
-        node = oloss_node[t]
+@dataclass
+class _CaStages:
+    emission: Stage
+    oloss: Stage
+    alice: Stage             # parent 2*outbound + action (0 = CTRL, 1 = SIFT)
+    alice_next: np.ndarray   # CTRL residuals, then SIFT residuals
+    alice_readout: np.ndarray
+    ret: Stage
+    rloss: Stage
+    bob: Stage               # parent 2*measured + basis (0 = z, 1 = x)
+    bob_pat: np.ndarray      # z patterns, then x patterns
 
-        ctrl = u[i, 2] < 0.5
-        if ctrl:
-            readout = -1
-            resid = ctrl_next[node]
-        else:
-            t = sift_off[node]
-            hi = sift_off[node + 1]
-            while t < hi - 1 and u[i, 3] >= sift_cum[t]:
-                t += 1
-            readout = sift_readout[t]
-            resid = sift_next[t]
-
-        t = ret_off[resid]
-        hi = ret_off[resid + 1]
-        while t < hi - 1 and u[i, 4] >= ret_cum[t]:
-            t += 1
-        returned = ret_next[t]
-        guess = ret_guess[t]
-        evebit = ret_evebit[t]
-
-        t = rloss_off[returned]
-        hi = rloss_off[returned + 1]
-        while t < hi - 1 and u[i, 6] >= rloss_cum[t]:
-            t += 1
-        measured = rloss_node[t]
-
-        kind = emission_kind[e]
-        if kind == 0:
-            basis = 1 if ctrl else 0
-            if cross_enabled == 1 and u[i, 7] < cross_fraction:
-                basis = 1 - basis
-        else:
-            basis = 0
-
-        if basis == 1:
-            t = bobx_off[measured]
-            hi = bobx_off[measured + 1]
-            while t < hi - 1 and u[i, 8] >= bobx_cum[t]:
-                t += 1
-            pattern = bobx_pat[t]
-        else:
-            t = bobz_off[measured]
-            hi = bobz_off[measured + 1]
-            while t < hi - 1 and u[i, 8] >= bobz_cum[t]:
-                t += 1
-            pattern = bobz_pat[t]
-
-        test = 0
-        if (not ctrl) and kind == 0 and basis == 0 and u[i, 9] < test_fraction:
-            test = 1
-
-        out_emit[i] = e
-        out_action[i] = 0 if ctrl else 1
-        out_readout[i] = readout
-        out_basis[i] = basis
-        out_pattern[i] = pattern
-        out_test[i] = test
-        out_guess[i] = guess
-        out_evebit[i] = evebit
+    @classmethod
+    def build(cls, tab: CaTables) -> "_CaStages":
+        outbound = tab.ctrl_next.size
+        reflect = Stage(np.arange(outbound, dtype=np.intp),
+                        np.empty((0, outbound)))
+        return cls(
+            emission=Stage.from_rows(np.array([0, tab.emission_cum.size]),
+                                     tab.emission_cum),
+            oloss=Stage.from_rows(tab.oloss_off, tab.oloss_cum),
+            alice=Stage.interleave(
+                reflect, Stage.from_rows(tab.sift_off, tab.sift_cum), outbound),
+            alice_next=np.concatenate([tab.ctrl_next, tab.sift_next]),
+            alice_readout=np.concatenate(
+                [np.full(outbound, -1, dtype=np.int8), tab.sift_readout]),
+            ret=Stage.from_rows(tab.ret_off, tab.ret_cum),
+            rloss=Stage.from_rows(tab.rloss_off, tab.rloss_cum),
+            bob=Stage.interleave(Stage.from_rows(tab.bobz_off, tab.bobz_cum),
+                                 Stage.from_rows(tab.bobx_off, tab.bobx_cum),
+                                 tab.bobz_pat.size),
+            bob_pat=np.concatenate([tab.bobz_pat, tab.bobx_pat]))
 
 
-def _pick_flat(cum: np.ndarray, us: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cum, us, side="right")
-    return np.minimum(idx, len(cum) - 1)
-
-
-def _pick_staged(off: np.ndarray, cum: np.ndarray, parents: np.ndarray,
-                 us: np.ndarray) -> np.ndarray:
-    out = np.empty(parents.shape[0], dtype=np.int64)
-    for p in np.unique(parents):
-        m = parents == p
-        lo, hi = int(off[p]), int(off[p + 1])
-        idx = np.searchsorted(cum[lo:hi], us[m], side="right")
-        out[m] = lo + np.minimum(idx, hi - lo - 1)
-    return out
-
-
-def _ca_numpy(tab: CaTables, u: np.ndarray, start: int, stop: int, out) -> None:
-    s = slice(start, stop)
-    n = stop - start
-    e = _pick_flat(tab.emission_cum, u[s, 0])
-    node = tab.oloss_node[_pick_staged(tab.oloss_off, tab.oloss_cum, e, u[s, 1])]
-
-    ctrl = u[s, 2] < 0.5
-    readout = np.full(n, -1, dtype=np.int8)
-    resid = np.empty(n, dtype=np.int64)
-    resid[ctrl] = tab.ctrl_next[node[ctrl]]
+def _ca_block(tab: CaTables, st: _CaStages, u: np.ndarray, out, s: slice
+              ) -> None:
+    u = u[s]
+    e = st.emission.pick(u[:, 0])
+    node = tab.oloss_node[st.oloss.pick(u[:, 1], e)]
+    ctrl = u[:, 2] < 0.5
     sift = ~ctrl
-    if sift.any():
-        k = _pick_staged(tab.sift_off, tab.sift_cum, node[sift], u[s, 3][sift])
-        readout[sift] = tab.sift_readout[k]
-        resid[sift] = tab.sift_next[k]
+    a = st.alice.pick(u[:, 3], 2 * node + sift)
+    j = st.ret.pick(u[:, 4], st.alice_next[a])
+    measured = tab.rloss_node[st.rloss.pick(u[:, 6], tab.ret_next[j])]
 
-    j = _pick_staged(tab.ret_off, tab.ret_cum, resid, u[s, 4])
-    returned = tab.ret_next[j]
-    guess = tab.ret_guess[j]
-    evebit = tab.ret_evebit[j]
-
-    measured = tab.rloss_node[
-        _pick_staged(tab.rloss_off, tab.rloss_cum, returned, u[s, 6])]
-
-    kind = tab.emission_kind[e]
-    basis = np.where(ctrl, 1, 0).astype(np.int8)
+    # x pulses are measured in the basis of Alice's action, optionally
+    # swapped for a cross-basis test; the extra z states always in z
+    x_pulse = tab.emission_kind[e] == 0
+    basis = ctrl.view(np.int8)
     if tab.cross_enabled == 1:
-        flip = (kind == 0) & (u[s, 7] < tab.cross_fraction)
-        basis = np.where(flip, 1 - basis, basis).astype(np.int8)
-    basis = np.where(kind != 0, 0, basis).astype(np.int8)
+        basis = basis ^ (u[:, 7] < tab.cross_fraction)
+    basis = basis & x_pulse
+    pattern = st.bob_pat[st.bob.pick(u[:, 8], 2 * measured + basis)]
 
-    pattern = np.empty(n, dtype=np.int8)
-    xm = basis == 1
-    if xm.any():
-        k = _pick_staged(tab.bobx_off, tab.bobx_cum, measured[xm], u[s, 8][xm])
-        pattern[xm] = tab.bobx_pat[k]
-    zm = ~xm
-    if zm.any():
-        k = _pick_staged(tab.bobz_off, tab.bobz_cum, measured[zm], u[s, 8][zm])
-        pattern[zm] = tab.bobz_pat[k]
-
-    test = ((~ctrl) & (kind == 0) & (basis == 0)
-            & (u[s, 9] < tab.test_fraction)).astype(np.int8)
-
-    out["emit"][s] = e.astype(np.int16)
-    out["action"][s] = np.where(ctrl, 0, 1).astype(np.int8)
-    out["readout"][s] = readout
+    out["emit"][s] = e
+    out["action"][s] = sift
+    out["readout"][s] = st.alice_readout[a]
     out["basis"][s] = basis
     out["pattern"][s] = pattern
-    out["test"][s] = test
-    out["guess"][s] = guess
-    out["evebit"][s] = evebit
+    out["test"][s] = (sift & x_pulse & (basis == 0)
+                      & (u[:, 9] < tab.test_fraction))
+    out["guess"][s] = tab.ret_guess[j]
+    out["evebit"][s] = tab.ret_evebit[j]
 
 
-def simulate_ca(tab: CaTables, u: np.ndarray, jobs: int = 1,
-                backend: Optional[str] = None) -> Dict[str, np.ndarray]:
+def simulate_ca(tab: CaTables, u: np.ndarray, jobs: int = 1
+                ) -> Dict[str, np.ndarray]:
     n = u.shape[0]
-    out = {
-        "emit": np.zeros(n, dtype=np.int16),
-        "action": np.zeros(n, dtype=np.int8),
-        "readout": np.zeros(n, dtype=np.int8),
-        "basis": np.zeros(n, dtype=np.int8),
-        "pattern": np.zeros(n, dtype=np.int8),
-        "test": np.zeros(n, dtype=np.int8),
-        "guess": np.zeros(n, dtype=np.int8),
-        "evebit": np.zeros(n, dtype=np.int8),
-    }
-    if active_backend(backend) == "numba":
-        def worker(lo, hi):
-            _ca_loop(u, lo, hi,
-                     tab.emission_cum, tab.emission_kind,
-                     tab.oloss_off, tab.oloss_cum, tab.oloss_node,
-                     tab.sift_off, tab.sift_cum, tab.sift_readout,
-                     tab.sift_next, tab.ctrl_next,
-                     tab.ret_off, tab.ret_cum, tab.ret_next,
-                     tab.ret_guess, tab.ret_evebit,
-                     tab.rloss_off, tab.rloss_cum, tab.rloss_node,
-                     tab.bobz_off, tab.bobz_cum, tab.bobz_pat,
-                     tab.bobx_off, tab.bobx_cum, tab.bobx_pat,
-                     tab.test_fraction, tab.cross_fraction, tab.cross_enabled,
-                     out["emit"], out["action"], out["readout"], out["basis"],
-                     out["pattern"], out["test"], out["guess"], out["evebit"])
-    else:
-        def worker(lo, hi):
-            _ca_numpy(tab, u, lo, hi, out)
-    _run_chunks(worker, n, jobs)
+    out = _records(n, ("emit", "action", "readout", "basis", "pattern",
+                       "test", "guess", "evebit"), wide=("emit",))
+    st = _CaStages.build(tab)
+    _walk(lambda lo, hi: _ca_block(tab, st, u, out, slice(lo, hi)), n, jobs)
     return out
 
 
@@ -321,71 +251,25 @@ class Bb84Tables:
     meas_pat: np.ndarray         # pattern codes, bit-0 convention
 
 
-@njit(cache=True, nogil=True)
-def _bb84_loop(u, start, stop, pulse_size, forward, attack,
-               loss_off, loss_cum, loss_m,
-               meas_off, meas_cum, meas_pat, mirror,
-               out_bit, out_basis, out_bob_basis, out_pattern, out_evebit):
-    for i in range(start, stop):
-        bit = 0 if u[i, 0] < 0.5 else 1
-        basis = 0 if u[i, 1] < 0.5 else 1
-        size = pulse_size[i]
-        evebit = -1
-        if attack == 1:
-            m = 0
-            if forward[i] == 1:
-                m = 1
-                evebit = bit
-        else:
-            t = loss_off[size]
-            hi = loss_off[size + 1]
-            while t < hi - 1 and u[i, 3] >= loss_cum[t]:
-                t += 1
-            m = loss_m[t]
-        bob_basis = 0 if u[i, 4] < 0.5 else 1
-        if m == 0:
-            pattern = 0
-        else:
-            same = 1 if bob_basis == basis else 0
-            r = (m - 1) * 2 + same
-            t = meas_off[r]
-            hi = meas_off[r + 1]
-            while t < hi - 1 and u[i, 5] >= meas_cum[t]:
-                t += 1
-            pattern = meas_pat[t]
-            if bit == 1:
-                pattern = mirror[pattern]
-        out_bit[i] = bit
-        out_basis[i] = basis
-        out_bob_basis[i] = bob_basis
-        out_pattern[i] = pattern
-        out_evebit[i] = evebit
-
-
-def _bb84_numpy(tab: Bb84Tables, u: np.ndarray, start: int, stop: int, out) -> None:
-    s = slice(start, stop)
-    n = stop - start
-    bit = (u[s, 0] >= 0.5).astype(np.int8)
-    basis = (u[s, 1] >= 0.5).astype(np.int8)
-    size = tab.pulse_size[s]
-    evebit = np.full(n, -1, dtype=np.int8)
+def _bb84_block(tab: Bb84Tables, loss: Stage, meas: Stage, u: np.ndarray,
+                out, s: slice) -> None:
+    u = u[s]
+    bit = u[:, 0] >= 0.5
+    basis = u[:, 1] >= 0.5
     if tab.attack == 1:
-        m = np.where(tab.forward[s] == 1, 1, 0).astype(np.int8)
-        evebit = np.where(tab.forward[s] == 1, bit, evebit).astype(np.int8)
+        fwd = tab.forward[s] == 1
+        m = fwd.view(np.int8)
+        evebit = np.where(fwd, bit.view(np.int8), np.int8(-1))
     else:
-        k = _pick_staged(tab.loss_off, tab.loss_cum, size.astype(np.int64),
-                         u[s, 3])
-        m = tab.loss_m[k]
-    bob_basis = (u[s, 4] >= 0.5).astype(np.int8)
-    pattern = np.zeros(n, dtype=np.int8)
+        m = tab.loss_m[loss.pick(u[:, 3], tab.pulse_size[s])]
+        evebit = -1
+    bob_basis = u[:, 4] >= 0.5
+    pattern = np.zeros(m.shape, dtype=np.int8)
     hit = m >= 1
     if hit.any():
-        same = (bob_basis[hit] == basis[hit]).astype(np.int64)
-        r = (m[hit].astype(np.int64) - 1) * 2 + same
-        k = _pick_staged(tab.meas_off, tab.meas_cum, r, u[s, 5][hit])
-        pat = tab.meas_pat[k]
-        pat = np.where(bit[hit] == 1, MIRROR_CODE[pat], pat).astype(np.int8)
-        pattern[hit] = pat
+        row = (m[hit] - 1) * 2 + (bob_basis[hit] == basis[hit])
+        pat = tab.meas_pat[meas.pick(u[hit, 5], row)]
+        pattern[hit] = np.where(bit[hit], MIRROR_CODE[pat], pat)
     out["bit"][s] = bit
     out["basis"][s] = basis
     out["bob_basis"][s] = bob_basis
@@ -393,27 +277,14 @@ def _bb84_numpy(tab: Bb84Tables, u: np.ndarray, start: int, stop: int, out) -> N
     out["evebit"][s] = evebit
 
 
-def simulate_bb84(tab: Bb84Tables, u: np.ndarray, jobs: int = 1,
-                  backend: Optional[str] = None) -> Dict[str, np.ndarray]:
+def simulate_bb84(tab: Bb84Tables, u: np.ndarray, jobs: int = 1
+                  ) -> Dict[str, np.ndarray]:
     n = u.shape[0]
-    out = {
-        "bit": np.zeros(n, dtype=np.int8),
-        "basis": np.zeros(n, dtype=np.int8),
-        "bob_basis": np.zeros(n, dtype=np.int8),
-        "pattern": np.zeros(n, dtype=np.int8),
-        "evebit": np.zeros(n, dtype=np.int8),
-    }
-    if active_backend(backend) == "numba":
-        def worker(lo, hi):
-            _bb84_loop(u, lo, hi, tab.pulse_size, tab.forward, tab.attack,
-                       tab.loss_off, tab.loss_cum, tab.loss_m,
-                       tab.meas_off, tab.meas_cum, tab.meas_pat, MIRROR_CODE,
-                       out["bit"], out["basis"], out["bob_basis"],
-                       out["pattern"], out["evebit"])
-    else:
-        def worker(lo, hi):
-            _bb84_numpy(tab, u, lo, hi, out)
-    _run_chunks(worker, n, jobs)
+    out = _records(n, ("bit", "basis", "bob_basis", "pattern", "evebit"))
+    loss = Stage.from_rows(tab.loss_off, tab.loss_cum)
+    meas = Stage.from_rows(tab.meas_off, tab.meas_cum)
+    _walk(lambda lo, hi: _bb84_block(tab, loss, meas, u, out, slice(lo, hi)),
+          n, jobs)
     return out
 
 
@@ -428,59 +299,25 @@ class B92Tables:
     attack: int                  # 1 when the conclusive intercept is active
 
 
-@njit(cache=True, nogil=True)
-def _b92_loop(u, start, stop, conclusive_p, transmission, attack,
-              out_bit, out_arrived, out_bob_basis, out_conclusive,
-              out_bob_bit, out_evebit):
-    for i in range(start, stop):
-        bit = 0 if u[i, 0] < 0.5 else 1
-        evebit = -1
-        if attack == 1:
-            ebasis = 0 if u[i, 1] < 0.5 else 1
-            if ebasis != bit and u[i, 2] < conclusive_p:
-                arrived = 1
-                evebit = bit
-            else:
-                arrived = 0
-        else:
-            arrived = 1 if u[i, 3] < transmission else 0
-        bob_basis = -1
-        conclusive = 0
-        bob_bit = -1
-        if arrived == 1:
-            bob_basis = 0 if u[i, 4] < 0.5 else 1
-            if bob_basis != bit and u[i, 5] < conclusive_p:
-                conclusive = 1
-                bob_bit = 1 - bob_basis
-        out_bit[i] = bit
-        out_arrived[i] = arrived
-        out_bob_basis[i] = bob_basis
-        out_conclusive[i] = conclusive
-        out_bob_bit[i] = bob_bit
-        out_evebit[i] = evebit
-
-
-def _b92_numpy(tab: B92Tables, u: np.ndarray, start: int, stop: int, out) -> None:
-    s = slice(start, stop)
-    n = stop - start
-    bit = (u[s, 0] >= 0.5).astype(np.int8)
-    evebit = np.full(n, -1, dtype=np.int8)
+def _b92_block(tab: B92Tables, u: np.ndarray, out, s: slice) -> None:
+    u = u[s]
+    bit = u[:, 0] >= 0.5
     if tab.attack == 1:
-        ebasis = (u[s, 1] >= 0.5).astype(np.int8)
-        arrived = ((ebasis != bit) & (u[s, 2] < tab.conclusive_p)).astype(np.int8)
-        evebit = np.where(arrived == 1, bit, evebit).astype(np.int8)
+        ebasis = u[:, 1] >= 0.5
+        arrived = (ebasis != bit) & (u[:, 2] < tab.conclusive_p)
+        evebit = np.where(arrived, bit.view(np.int8), np.int8(-1))
     else:
-        arrived = (u[s, 3] < tab.transmission).astype(np.int8)
-    bob_basis = np.full(n, -1, dtype=np.int8)
-    conclusive = np.zeros(n, dtype=np.int8)
-    bob_bit = np.full(n, -1, dtype=np.int8)
-    hit = arrived == 1
-    if hit.any():
-        bb = (u[s, 4][hit] >= 0.5).astype(np.int8)
-        bob_basis[hit] = bb
-        con = (bb != bit[hit]) & (u[s, 5][hit] < tab.conclusive_p)
-        conclusive[hit] = con.astype(np.int8)
-        bob_bit[hit] = np.where(con, 1 - bb, -1).astype(np.int8)
+        arrived = u[:, 3] < tab.transmission
+        evebit = -1
+    bob_basis = np.full(arrived.shape, -1, dtype=np.int8)
+    conclusive = np.zeros(arrived.shape, dtype=bool)
+    bob_bit = np.full(arrived.shape, -1, dtype=np.int8)
+    if arrived.any():
+        bb = u[arrived, 4] >= 0.5
+        con = (bb != bit[arrived]) & (u[arrived, 5] < tab.conclusive_p)
+        bob_basis[arrived] = bb
+        conclusive[arrived] = con
+        bob_bit[arrived] = np.where(con, (~bb).view(np.int8), np.int8(-1))
     out["bit"][s] = bit
     out["arrived"][s] = arrived
     out["bob_basis"][s] = bob_basis
@@ -489,24 +326,10 @@ def _b92_numpy(tab: B92Tables, u: np.ndarray, start: int, stop: int, out) -> Non
     out["evebit"][s] = evebit
 
 
-def simulate_b92(tab: B92Tables, u: np.ndarray, jobs: int = 1,
-                 backend: Optional[str] = None) -> Dict[str, np.ndarray]:
+def simulate_b92(tab: B92Tables, u: np.ndarray, jobs: int = 1
+                 ) -> Dict[str, np.ndarray]:
     n = u.shape[0]
-    out = {
-        "bit": np.zeros(n, dtype=np.int8),
-        "arrived": np.zeros(n, dtype=np.int8),
-        "bob_basis": np.zeros(n, dtype=np.int8),
-        "conclusive": np.zeros(n, dtype=np.int8),
-        "bob_bit": np.zeros(n, dtype=np.int8),
-        "evebit": np.zeros(n, dtype=np.int8),
-    }
-    if active_backend(backend) == "numba":
-        def worker(lo, hi):
-            _b92_loop(u, lo, hi, tab.conclusive_p, tab.transmission, tab.attack,
-                      out["bit"], out["arrived"], out["bob_basis"],
-                      out["conclusive"], out["bob_bit"], out["evebit"])
-    else:
-        def worker(lo, hi):
-            _b92_numpy(tab, u, lo, hi, out)
-    _run_chunks(worker, n, jobs)
+    out = _records(n, ("bit", "arrived", "bob_basis", "conclusive",
+                       "bob_bit", "evebit"))
+    _walk(lambda lo, hi: _b92_block(tab, u, out, slice(lo, hi)), n, jobs)
     return out

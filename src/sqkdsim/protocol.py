@@ -3,9 +3,9 @@
 The two-way engine enumerates one round's full branch structure exactly
 (emission, per-leg loss, Eve's outbound map, Alice's CTRL/SIFT, Eve's
 return behaviour, Bob's detector statistics) into flat categorical tables,
-then hands the per-round sampling walk to the twin kernels.  All quantum
-amplitudes are therefore evaluated once per run; the Monte-Carlo loop only
-draws branch indices.
+then hands the per-round sampling walk to the round engine in
+``kernels``.  All quantum amplitudes are therefore evaluated once per run;
+the Monte-Carlo loop only draws branch indices.
 
 Loss is independent per-photon survival applied on each leg in transit
 (suppressed entirely when the attack substitutes a lossless channel).
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -556,8 +556,8 @@ def _ca_report(config: ProtocolConfig, attack: AttackSpec, meta: CaMeta,
                      record_fields=fields, records=records)
 
 
-def run_protocol(config: ProtocolConfig, attack: AttackSpec, jobs: int = 1,
-                 backend: Optional[str] = None) -> RunReport:
+def run_protocol(config: ProtocolConfig, attack: AttackSpec,
+                 jobs: int = 1) -> RunReport:
     """Monte-Carlo run of the two-way classical-Alice protocol."""
     config.validate()
     if config.variant not in (CLASSICAL_ALICE_FULL, CLASSICAL_ALICE_LIMITED):
@@ -565,7 +565,7 @@ def run_protocol(config: ProtocolConfig, attack: AttackSpec, jobs: int = 1,
                           f"not {config.variant!r}")
     tables, meta = build_ca_tables(config, attack)
     u = round_uniforms(config.rng_seed, config.rounds)
-    rec = simulate_ca(tables, u, jobs=jobs, backend=backend)
+    rec = simulate_ca(tables, u, jobs=jobs)
     return _ca_report(config, attack, meta, rec, config.rng_seed)
 
 
@@ -654,15 +654,15 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec,
     return tables, meta
 
 
-def run_bb84(config: ProtocolConfig, attack: AttackSpec, jobs: int = 1,
-             backend: Optional[str] = None) -> RunReport:
+def run_bb84(config: ProtocolConfig, attack: AttackSpec,
+             jobs: int = 1) -> RunReport:
     """One-way BB84 with a pulsed source; splitting attack or passive channel."""
     config.validate()
     if config.variant != BB84:
         raise ConfigError("run_bb84 requires the bb84 variant")
     u = round_uniforms(config.rng_seed, config.rounds)
     tables, meta = build_bb84_tables(config, attack, u)
-    rec = simulate_bb84(tables, u, jobs=jobs, backend=backend)
+    rec = simulate_bb84(tables, u, jobs=jobs)
 
     n = config.rounds
     pattern = rec["pattern"]
@@ -715,8 +715,8 @@ def run_bb84(config: ProtocolConfig, attack: AttackSpec, jobs: int = 1,
 B92_CATEGORIES = ("loss", "inconclusive", "conclusive_ok", "conclusive_error")
 
 
-def run_b92(config: ProtocolConfig, attack: AttackSpec, jobs: int = 1,
-            backend: Optional[str] = None) -> RunReport:
+def run_b92(config: ProtocolConfig, attack: AttackSpec,
+            jobs: int = 1) -> RunReport:
     """Two-state protocol; the conclusive-measurement intercept hides in loss."""
     config.validate()
     if config.variant != B92:
@@ -734,7 +734,7 @@ def run_b92(config: ProtocolConfig, attack: AttackSpec, jobs: int = 1,
                        transmission=config.transmission,
                        attack=1 if attempted else 0)
     u = round_uniforms(config.rng_seed, config.rounds)
-    rec = simulate_b92(tables, u, jobs=jobs, backend=backend)
+    rec = simulate_b92(tables, u, jobs=jobs)
 
     n = config.rounds
     arrived = rec["arrived"].astype(bool)
@@ -779,12 +779,12 @@ def run_b92(config: ProtocolConfig, attack: AttackSpec, jobs: int = 1,
                      record_fields=fields, records=records)
 
 
-def run(config: ProtocolConfig, attack: AttackSpec, jobs: int = 1,
-        backend: Optional[str] = None) -> RunReport:
+def run(config: ProtocolConfig, attack: AttackSpec,
+        jobs: int = 1) -> RunReport:
     """Dispatch a run to the engine matching the configured variant."""
     config.validate()
     if config.variant == BB84:
-        return run_bb84(config, attack, jobs=jobs, backend=backend)
+        return run_bb84(config, attack, jobs=jobs)
     if config.variant == B92:
-        return run_b92(config, attack, jobs=jobs, backend=backend)
-    return run_protocol(config, attack, jobs=jobs, backend=backend)
+        return run_b92(config, attack, jobs=jobs)
+    return run_protocol(config, attack, jobs=jobs)

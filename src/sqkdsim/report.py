@@ -2,7 +2,7 @@
 
 Machine reports are plain structured text with a fixed float format and no
 timestamps, hostnames or worker counts, so identical (scenario, seed) runs
-produce byte-identical files regardless of backend or parallelism.
+produce byte-identical files regardless of worker count.
 """
 
 from __future__ import annotations

@@ -1,10 +1,17 @@
-"""Twin-backend equivalence: the jit loop and the staged-numpy walk must
-produce bit-identical records from the same tables and uniforms."""
+"""The vectorized round engine against per-round reference walks.
+
+``tests/oracles.py`` walks the same branch tables one round at a time,
+scanning each row for the first cumulative threshold above the uniform.
+The engine must produce bit-identical records from the same tables and
+uniforms, hence identical metrics and categories, for any worker count and
+across its fixed-size blocks.
+"""
 
 import numpy as np
 import pytest
 
-from sqkdsim import kernels
+import oracles
+from sqkdsim import kernels, protocol
 from sqkdsim.attacks import (
     constrained_random_attack,
     identity_attack,
@@ -12,10 +19,7 @@ from sqkdsim.attacks import (
     tagging_attack,
     usd_attack_b92,
 )
-from sqkdsim.protocol import ProtocolConfig, run, run_b92, run_bb84, run_protocol
-
-pytestmark = pytest.mark.skipif(not kernels.NUMBA_AVAILABLE,
-                                reason="numba not importable")
+from sqkdsim.protocol import ProtocolConfig, run_b92, run_bb84, run_protocol
 
 
 def assert_identical(a, b):
@@ -24,6 +28,21 @@ def assert_identical(a, b):
         assert np.array_equal(a.records[key], b.records[key]), key
     assert a.metrics == b.metrics
     assert a.categories == b.categories
+
+
+def engine_and_reference(run, monkeypatch):
+    """(engine report, reference report) of ``run()``."""
+    engine = run()
+    with monkeypatch.context() as m:
+        m.setattr(protocol, "simulate_ca",
+                  lambda tab, u, jobs=1: oracles.ca_walk(tab, u))
+        m.setattr(protocol, "simulate_bb84",
+                  lambda tab, u, jobs=1: oracles.bb84_walk(
+                      tab, u, kernels.MIRROR_CODE))
+        m.setattr(protocol, "simulate_b92",
+                  lambda tab, u, jobs=1: oracles.b92_walk(tab, u))
+        reference = run()
+    return engine, reference
 
 
 CA_CASES = [
@@ -49,34 +68,60 @@ CA_CASES = [
 
 
 @pytest.mark.parametrize("name,cfg,mk", CA_CASES, ids=[c[0] for c in CA_CASES])
-def test_two_way_backends_agree(name, cfg, mk):
-    a = run_protocol(cfg, mk(), backend="numba")
-    b = run_protocol(cfg, mk(), backend="numpy")
-    assert_identical(a, b)
+def test_two_way_matches_reference_walk(name, cfg, mk, monkeypatch):
+    assert_identical(*engine_and_reference(lambda: run_protocol(cfg, mk()),
+                                           monkeypatch))
 
 
-def test_bb84_backends_agree():
+def test_bb84_matches_reference_walk(monkeypatch):
     cfg = ProtocolConfig(variant="bb84", rounds=50_000, rng_seed=27,
                          source_stats=(0.89, 0.1, 0.01), transmission=0.05)
-    assert_identical(run_bb84(cfg, pns_attack(), backend="numba"),
-                     run_bb84(cfg, pns_attack(), backend="numpy"))
-    assert_identical(run_bb84(cfg, identity_attack(), backend="numba"),
-                     run_bb84(cfg, identity_attack(), backend="numpy"))
+    for attack in (pns_attack, identity_attack):
+        assert_identical(*engine_and_reference(
+            lambda: run_bb84(cfg, attack()), monkeypatch))
 
 
-def test_b92_backends_agree():
+def test_b92_matches_reference_walk(monkeypatch):
     cfg = ProtocolConfig(variant="b92", rounds=50_000, rng_seed=28,
                          transmission=0.1, b92_overlap=0.5)
-    assert_identical(run_b92(cfg, usd_attack_b92(0.5), backend="numba"),
-                     run_b92(cfg, usd_attack_b92(0.5), backend="numpy"))
+    for attack in (lambda: usd_attack_b92(0.5), identity_attack):
+        assert_identical(*engine_and_reference(
+            lambda: run_b92(cfg, attack()), monkeypatch))
+
+
+#: several full blocks and a ragged last one
+BLOCKED_ROUNDS = 3 * (1 << 16) + 17
 
 
 @pytest.mark.parametrize("jobs", [2, 3, 7])
 def test_worker_count_does_not_change_results(jobs):
-    cfg = ProtocolConfig(rounds=9001, rng_seed=29, transmission=0.6, n_max=2)
-    base = run_protocol(cfg, identity_attack(), jobs=1, backend="numba")
-    split = run_protocol(cfg, identity_attack(), jobs=jobs, backend="numba")
+    cfg = ProtocolConfig(rounds=BLOCKED_ROUNDS, rng_seed=29, transmission=0.6,
+                         n_max=2)
+    base = run_protocol(cfg, identity_attack(), jobs=1)
+    split = run_protocol(cfg, identity_attack(), jobs=jobs)
     assert_identical(base, split)
+
+
+def test_block_edges_match_reference_walk():
+    cfg = ProtocolConfig(rounds=BLOCKED_ROUNDS, rng_seed=31, transmission=0.6,
+                         n_max=2)
+    tables, _meta = protocol.build_ca_tables(cfg, tagging_attack())
+    u = kernels.round_uniforms(cfg.rng_seed, cfg.rounds)
+    rec = kernels.simulate_ca(tables, u, jobs=2)
+    for edge in (1 << 16, 2 << 16, 3 << 16, BLOCKED_ROUNDS):
+        window = slice(edge - 40, edge + 40)
+        ref = oracles.ca_walk(tables, u[window])
+        for key in ref:
+            assert np.array_equal(rec[key][window], ref[key]), (edge, key)
+
+
+@pytest.mark.parametrize("rounds", [1, 7])
+def test_tiny_runs_match_reference_walk(rounds, monkeypatch):
+    cfg = ProtocolConfig(rounds=rounds, rng_seed=32, transmission=0.6,
+                         n_max=2, cross_basis_tests=True,
+                         extra_bob_states=True)
+    assert_identical(*engine_and_reference(
+        lambda: run_protocol(cfg, identity_attack(), jobs=3), monkeypatch))
 
 
 def test_uniforms_are_a_pure_function_of_seed():
@@ -87,21 +132,3 @@ def test_uniforms_are_a_pure_function_of_seed():
     c = kernels.round_uniforms(123, 2000)
     assert np.array_equal(a, c[:1000])
     assert not np.array_equal(a, kernels.round_uniforms(124, 1000))
-
-
-def test_backend_selection(monkeypatch):
-    assert kernels.active_backend("numpy") == "numpy"
-    assert kernels.active_backend("numba") == "numba"
-    monkeypatch.setenv("SQKDSIM_BACKEND", "numpy")
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.setenv("SQKDSIM_BACKEND", "nonsense")
-    with pytest.raises(ValueError):
-        kernels.active_backend()
-
-
-def test_env_flag_selects_fallback(monkeypatch):
-    cfg = ProtocolConfig(rounds=500, rng_seed=30, n_max=2)
-    baseline = run_protocol(cfg, identity_attack(), backend="numba")
-    monkeypatch.setenv("SQKDSIM_BACKEND", "numpy")
-    fallback = run_protocol(cfg, identity_attack())
-    assert_identical(baseline, fallback)

@@ -98,7 +98,7 @@ class TestExpectations:
         from sqkdsim.protocol import ProtocolConfig, run_protocol
         from sqkdsim.attacks import identity_attack
         rep = run_protocol(ProtocolConfig(rounds=100, n_max=2),
-                           identity_attack(), backend="numpy")
+                           identity_attack())
         with pytest.raises(KeyError, match="unknown metric"):
             evaluate_expectations(rep, [Expectation("nope", 0, "abs", 0)])
 
@@ -106,7 +106,7 @@ class TestExpectations:
         from sqkdsim.protocol import ProtocolConfig, run_protocol
         from sqkdsim.attacks import identity_attack
         rep = run_protocol(ProtocolConfig(rounds=100, n_max=2),
-                           identity_attack(), backend="numpy")
+                           identity_attack())
         rows = evaluate_expectations(
             rep, [Expectation("sifted_agreement", 1.0, "sigma", 0.01)])
         assert rows[0].passed and rows[0].deviation_sigmas == 0.0
@@ -115,7 +115,7 @@ class TestExpectations:
 class TestCli:
     def test_run_writes_reports_and_passes(self, tmp_path):
         code = cli.main(["run", scenario_path("classical-alice-ideal.scn"),
-                         "--out-dir", str(tmp_path), "--backend", "numpy"])
+                         "--out-dir", str(tmp_path)])
         assert code == 0
         report = tmp_path / "classical-alice-ideal.report.txt"
         assert report.exists()
@@ -128,46 +128,30 @@ class TestCli:
         for sub, jobs in (("a", "1"), ("b", "1"), ("c", "4")):
             out = tmp_path / sub
             code = cli.main(["run", scenario_path("classical-alice-ideal.scn"),
-                             "--out-dir", str(out), "--jobs", jobs,
-                             "--backend", "numpy"])
+                             "--out-dir", str(out), "--jobs", jobs])
             assert code == 0
             blobs.append((out / "classical-alice-ideal.report.txt").read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
-    def test_reports_identical_across_backends(self, tmp_path):
-        from sqkdsim.kernels import NUMBA_AVAILABLE
-        if not NUMBA_AVAILABLE:
-            pytest.skip("numba not importable")
-        blobs = []
-        for sub, backend in (("nb", "numba"), ("np", "numpy")):
-            out = tmp_path / sub
-            assert cli.main(["run", scenario_path("classical-alice-ideal.scn"),
-                             "--out-dir", str(out), "--backend", backend]) == 0
-            blobs.append((out / "classical-alice-ideal.report.txt").read_bytes())
-        assert blobs[0] == blobs[1]
-
     def test_seed_override_changes_rounds(self, tmp_path):
         cli.main(["run", scenario_path("classical-alice-ideal.scn"),
-                  "--out-dir", str(tmp_path / "x"), "--backend", "numpy"])
+                  "--out-dir", str(tmp_path / "x")])
         cli.main(["run", scenario_path("classical-alice-ideal.scn"),
-                  "--seed", "4242", "--out-dir", str(tmp_path / "y"),
-                  "--backend", "numpy"])
+                  "--seed", "4242", "--out-dir", str(tmp_path / "y")])
         a = (tmp_path / "x" / "classical-alice-ideal.report.txt").read_bytes()
         b = (tmp_path / "y" / "classical-alice-ideal.report.txt").read_bytes()
         assert a != b
 
     def test_rounds_override(self, tmp_path):
         code = cli.main(["run", scenario_path("classical-alice-ideal.scn"),
-                         "--rounds", "500", "--out-dir", str(tmp_path),
-                         "--backend", "numpy"])
+                         "--rounds", "500", "--out-dir", str(tmp_path)])
         assert code == 0
         text = (tmp_path / "classical-alice-ideal.report.txt").read_text()
         assert "rounds = 500" in text
 
     def test_csv_format(self, tmp_path):
         code = cli.main(["run", scenario_path("classical-alice-ideal.scn"),
-                         "--format", "csv", "--out-dir", str(tmp_path),
-                         "--backend", "numpy"])
+                         "--format", "csv", "--out-dir", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "classical-alice-ideal.metrics.csv").exists()
         assert (tmp_path / "classical-alice-ideal.comparison.csv").exists()
@@ -175,8 +159,7 @@ class TestCli:
 
     def test_round_log_never(self, tmp_path):
         cli.main(["run", scenario_path("classical-alice-ideal.scn"),
-                  "--round-log", "never", "--out-dir", str(tmp_path),
-                  "--backend", "numpy"])
+                  "--round-log", "never", "--out-dir", str(tmp_path)])
         text = (tmp_path / "classical-alice-ideal.report.txt").read_text()
         assert "[rounds]" not in text
 
@@ -185,8 +168,7 @@ class TestCli:
             "[protocol]", "rounds = 200", "n_max = 2",
             "[attack]", "name = identity",
             "[expectations]", "losses = 100 abs 0", ""]))
-        code = cli.main(["run", path, "--out-dir", str(tmp_path),
-                         "--backend", "numpy"])
+        code = cli.main(["run", path, "--out-dir", str(tmp_path)])
         assert code == 1
 
     def test_parse_error_exits_two(self, tmp_path):
@@ -201,13 +183,12 @@ class TestCli:
         path = write(tmp_path, "\n".join([
             "[protocol]", "rounds = 100", "n_max = 2",
             "[expectations]", "warp_factor = 9 abs 0", ""]))
-        assert cli.main(["run", path, "--out-dir", str(tmp_path),
-                         "--backend", "numpy"]) == 2
+        assert cli.main(["run", path, "--out-dir", str(tmp_path)]) == 2
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "env-out"))
         code = cli.main(["run", scenario_path("classical-alice-ideal.scn"),
-                         "--rounds", "200", "--backend", "numpy"])
+                         "--rounds", "200"])
         assert code == 0
         assert (tmp_path / "env-out" / "classical-alice-ideal.report.txt").exists()
 
