@@ -80,10 +80,13 @@ def report_hashes(name: str, out_dir: Path):
     return text, csv.hexdigest()
 
 
+def bundled_names():
+    return sorted(p.name[:-4] for p in SCENARIOS.iterdir()
+                  if p.name.endswith(".scn"))
+
+
 def test_every_bundled_scenario_is_pinned():
-    names = sorted(p.name[:-4] for p in SCENARIOS.iterdir()
-                   if p.name.endswith(".scn"))
-    assert names == sorted(GOLDEN)
+    assert bundled_names() == sorted(GOLDEN)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -92,10 +95,8 @@ def test_machine_reports_match_golden_hashes(name, tmp_path):
 
 
 if __name__ == "__main__":
-    names = sorted(p.name[:-4] for p in SCENARIOS.iterdir()
-                   if p.name.endswith(".scn"))
     with tempfile.TemporaryDirectory() as tmp:
-        for name in names:
+        for name in bundled_names():
             text, csv = report_hashes(name, Path(tmp) / name)
             sys.stdout.write(f'    "{name}": (\n        "{text}",\n'
                              f'        "{csv}"),\n')
