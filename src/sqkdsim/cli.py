@@ -68,6 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, not {args.jobs}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         scenario = load_scenario(args.scenario)
     except (ScenarioError, ConfigError, OSError) as exc:

@@ -13,20 +13,33 @@ walked as a threshold matrix, one column per parent padded with ``+inf``:
 a pick over a whole block of rounds is a few gather-compare-add passes,
 with no per-parent masks and no sorting.
 
-Rounds are walked in fixed blocks of ``BLOCK`` rounds, so temporaries stay
-O(BLOCK) per thread; ``jobs`` worker threads split the rounds into
-contiguous chunks (numpy drops the interpreter lock inside its loops).
+A round's outcome is one record tuple (its fields per protocol are listed
+by the ``CodeSpace`` of that protocol), packed into one mixed-radix
+``int16`` record code.  The walk returns every round's code and the
+histogram of codes; the protocol layer computes every metric from the
+histogram, since each metric is a function of the record tuple alone.
+
+Rounds are walked in fixed blocks of ``BLOCK`` rounds: each block draws its
+uniforms, walks them, packs its codes and adds their histogram, so memory
+stays O(BLOCK) per thread besides the 2-byte code of each round.  ``jobs``
+worker threads split the rounds into contiguous chunks of whole blocks
+(numpy drops the interpreter lock inside its loops), each with its own
+histogram.
 
 Randomness: uniform ``u[i, j]`` is the ``(i * SLOTS + j)``-th double of the
 Philox-4x64 stream keyed by the run seed, so round ``i`` owns a fixed
-counter block and records do not depend on blocks or worker counts.
+counter block and records do not depend on blocks or worker counts.  The
+stream is counter-based, so a chunk starting at round ``lo`` jumps straight
+to its first uniform (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11).
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -39,37 +52,113 @@ BLOCK = 1 << 16
 MIRROR_CODE = np.array([3 * (c % 3) + c // 3 for c in range(9)], dtype=np.int8)
 
 
-def round_uniforms(seed: int, rounds: int) -> np.ndarray:
-    """Counter-based per-round uniforms; row i is round i's private stream."""
-    key = np.uint64(int(seed) % 2 ** 64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random((rounds, SLOTS))
+def _stream(seed: int, lo: int) -> np.random.Generator:
+    """Generator whose next double is round ``lo``'s first uniform."""
+    bits = np.random.Philox(key=np.uint64(int(seed) % 2 ** 64))
+    # one Philox-4x64 counter step yields four doubles
+    bits.advance(SLOTS * lo // 4)
+    gen = np.random.Generator(bits)
+    gen.random(SLOTS * lo % 4)
+    return gen
+
+
+def round_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Uniforms of rounds [lo, hi); row i - lo is round i's private stream."""
+    return _stream(seed, lo).random((hi - lo, SLOTS))
+
+
+@dataclass(frozen=True)
+class CodeSpace:
+    """Mixed-radix record codes.
+
+    Field ``k`` takes the values ``low[k]`` .. ``low[k] + radix[k] - 1``;
+    the last field varies fastest.
+    """
+    fields: Tuple[str, ...]
+    radix: Tuple[int, ...]
+    low: Tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.radix)
+
+    def stride(self, field: str) -> int:
+        return math.prod(self.radix[self.fields.index(field) + 1:])
+
+    def pack(self, *values) -> np.ndarray:
+        """Codes of per-round field values (arrays or scalars), in field order."""
+        code = np.int16(0)
+        for value, radix, low in zip(values, self.radix, self.low):
+            code = code * np.int16(radix) + np.subtract(value, low,
+                                                        dtype=np.int16)
+        return code
+
+    def decode(self) -> Dict[str, np.ndarray]:
+        """Every field's value at each code 0 .. size - 1."""
+        digits = np.indices(self.radix, dtype=np.int16).reshape(
+            len(self.radix), self.size)
+        return {field: digit + low for field, digit, low in
+                zip(self.fields, digits, self.low)}
+
+
+def ca_space(emissions: int) -> CodeSpace:
+    """Two-way records; ``readout`` is -1 on CTRL rounds."""
+    return CodeSpace(
+        ("emit", "action", "readout", "basis", "pattern", "test", "guess",
+         "evebit"),
+        (emissions, 2, 10, 2, 9, 2, 3, 3),
+        (0, 0, -1, 0, 0, 0, -1, -1))
+
+
+BB84_SPACE = CodeSpace(
+    ("bit", "basis", "pulse_size", "forwarded", "bob_basis", "pattern",
+     "evebit"),
+    (2, 2, 3, 2, 2, 9, 3),
+    (0, 0, 0, 0, 0, 0, -1))
+
+B92_SPACE = CodeSpace(
+    ("bit", "arrived", "bob_basis", "conclusive", "bob_bit", "evebit"),
+    (2, 2, 3, 2, 3, 3),
+    (0, 0, -1, 0, -1, -1))
 
 
 def _chunk_ranges(n: int, jobs: int):
-    jobs = max(1, min(jobs, n)) if n else 1
-    step = -(-n // jobs)
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    """At most ``jobs`` contiguous chunks of [0, n), each of whole blocks
+    except for the ragged end of the last."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
+    blocks = -(-n // BLOCK)
+    jobs = min(jobs, blocks)
+    edges = [k * blocks // jobs * BLOCK for k in range(jobs)] + [n]
+    return list(zip(edges[:-1], edges[1:]))
 
 
-def _walk(block: Callable[[int, int], None], n: int, jobs: int) -> None:
-    """Call ``block(lo, hi)`` over rounds [0, n) in pieces of at most BLOCK
-    rounds, with the rounds split into ``jobs`` contiguous chunks."""
-    def worker(lo: int, hi: int) -> None:
+def _walk(block: Callable[[np.ndarray], np.ndarray], seed: int, n: int,
+          jobs: int, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Walk rounds [0, n) in pieces of at most BLOCK rounds, split into
+    ``jobs`` chunks; ``block(u)`` maps a piece's uniforms to its codes.
+
+    Returns every round's code and the number of rounds at each code.
+    """
+    codes = np.empty(n, dtype=np.int16)
+
+    def worker(lo: int, hi: int) -> np.ndarray:
+        gen = _stream(seed, lo)
+        u = np.empty((min(BLOCK, hi - lo), SLOTS))
+        counts = np.zeros(size, dtype=np.int64)
         for b in range(lo, hi, BLOCK):
-            block(b, min(b + BLOCK, hi))
+            m = min(BLOCK, hi - b)
+            gen.random(out=u[:m])
+            piece = block(u[:m])
+            codes[b:b + m] = piece
+            counts += np.bincount(piece, minlength=size)
+        return counts
 
     ranges = _chunk_ranges(n, jobs)
     if len(ranges) == 1:
-        worker(*ranges[0])
-        return
+        return codes, worker(*ranges[0])
     with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        list(pool.map(lambda r: worker(*r), ranges))
-
-
-def _records(n: int, fields, wide=()) -> Dict[str, np.ndarray]:
-    return {f: np.zeros(n, dtype=np.int16 if f in wide else np.int8)
-            for f in fields}
+        return codes, sum(pool.map(lambda r: worker(*r), ranges))
 
 
 @dataclass
@@ -161,21 +250,34 @@ class CaTables:
 
 @dataclass
 class _CaStages:
+    """The stages of the two-way walk, and each branch's share of the
+    record code: a round's code is the sum of the shares of its emission,
+    Alice, return and Bob branches, plus ``test_code`` on test rounds."""
     emission: Stage
     oloss: Stage
     alice: Stage             # parent 2*outbound + action (0 = CTRL, 1 = SIFT)
     alice_next: np.ndarray   # CTRL residuals, then SIFT residuals
-    alice_readout: np.ndarray
     ret: Stage
     rloss: Stage
     bob: Stage               # parent 2*measured + basis (0 = z, 1 = x)
-    bob_pat: np.ndarray      # z patterns, then x patterns
+    emit_code: np.ndarray    # emission
+    alice_code: np.ndarray   # action and readout
+    ret_code: np.ndarray     # guess and evebit
+    bob_code: np.ndarray     # basis and pattern
+    test_code: np.int16
 
     @classmethod
     def build(cls, tab: CaTables) -> "_CaStages":
         outbound = tab.ctrl_next.size
+        space = ca_space(tab.emission_cum.size)
+
+        def code(**parts) -> np.ndarray:
+            return sum(np.asarray(v, dtype=np.int64) * space.stride(f)
+                       for f, v in parts.items()).astype(np.int16)
+
         reflect = Stage(np.arange(outbound, dtype=np.intp),
                         np.empty((0, outbound)))
+        bob_pat = np.concatenate([tab.bobz_pat, tab.bobx_pat])
         return cls(
             emission=Stage.from_rows(np.array([0, tab.emission_cum.size]),
                                      tab.emission_cum),
@@ -183,19 +285,23 @@ class _CaStages:
             alice=Stage.interleave(
                 reflect, Stage.from_rows(tab.sift_off, tab.sift_cum), outbound),
             alice_next=np.concatenate([tab.ctrl_next, tab.sift_next]),
-            alice_readout=np.concatenate(
-                [np.full(outbound, -1, dtype=np.int8), tab.sift_readout]),
             ret=Stage.from_rows(tab.ret_off, tab.ret_cum),
             rloss=Stage.from_rows(tab.rloss_off, tab.rloss_cum),
             bob=Stage.interleave(Stage.from_rows(tab.bobz_off, tab.bobz_cum),
                                  Stage.from_rows(tab.bobx_off, tab.bobx_cum),
                                  tab.bobz_pat.size),
-            bob_pat=np.concatenate([tab.bobz_pat, tab.bobx_pat]))
+            emit_code=code(emit=np.arange(tab.emission_cum.size)),
+            alice_code=code(
+                action=np.repeat([0, 1], [outbound, tab.sift_readout.size]),
+                readout=np.concatenate([np.zeros(outbound),
+                                        tab.sift_readout + 1])),
+            ret_code=code(guess=tab.ret_guess + 1, evebit=tab.ret_evebit + 1),
+            bob_code=code(basis=np.arange(bob_pat.size) >= tab.bobz_pat.size,
+                          pattern=bob_pat),
+            test_code=np.int16(space.stride("test")))
 
 
-def _ca_block(tab: CaTables, st: _CaStages, u: np.ndarray, out, s: slice
-              ) -> None:
-    u = u[s]
+def _ca_block(tab: CaTables, st: _CaStages, u: np.ndarray) -> np.ndarray:
     e = st.emission.pick(u[:, 0])
     node = tab.oloss_node[st.oloss.pick(u[:, 1], e)]
     ctrl = u[:, 2] < 0.5
@@ -211,27 +317,23 @@ def _ca_block(tab: CaTables, st: _CaStages, u: np.ndarray, out, s: slice
     if tab.cross_enabled == 1:
         basis = basis ^ (u[:, 7] < tab.cross_fraction)
     basis = basis & x_pulse
-    pattern = st.bob_pat[st.bob.pick(u[:, 8], 2 * measured + basis)]
+    k = st.bob.pick(u[:, 8], 2 * measured + basis)
+    test = sift & x_pulse & (basis == 0) & (u[:, 9] < tab.test_fraction)
 
-    out["emit"][s] = e
-    out["action"][s] = sift
-    out["readout"][s] = st.alice_readout[a]
-    out["basis"][s] = basis
-    out["pattern"][s] = pattern
-    out["test"][s] = (sift & x_pulse & (basis == 0)
-                      & (u[:, 9] < tab.test_fraction))
-    out["guess"][s] = tab.ret_guess[j]
-    out["evebit"][s] = tab.ret_evebit[j]
+    code = st.emit_code[e] + st.alice_code[a]
+    code += st.ret_code[j]
+    code += st.bob_code[k]
+    code += test * st.test_code
+    return code
 
 
-def simulate_ca(tab: CaTables, u: np.ndarray, jobs: int = 1
-                ) -> Dict[str, np.ndarray]:
-    n = u.shape[0]
-    out = _records(n, ("emit", "action", "readout", "basis", "pattern",
-                       "test", "guess", "evebit"), wide=("emit",))
+def simulate_ca(tab: CaTables, seed: int, rounds: int, jobs: int = 1
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Record codes (``ca_space``) of ``rounds`` two-way rounds, and their
+    histogram."""
     st = _CaStages.build(tab)
-    _walk(lambda lo, hi: _ca_block(tab, st, u, out, slice(lo, hi)), n, jobs)
-    return out
+    return _walk(lambda u: _ca_block(tab, st, u), seed, rounds, jobs,
+                 ca_space(tab.emission_cum.size).size)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +342,9 @@ def simulate_ca(tab: CaTables, u: np.ndarray, jobs: int = 1
 
 @dataclass
 class Bb84Tables:
-    pulse_size: np.ndarray       # (N,) photons per pulse, sampled upfront
-    forward: np.ndarray          # (N,) 1 where the splitter forwards a photon
+    size_cum: np.ndarray         # (3,) cumulative pulse-size probabilities
     attack: int                  # 1 when the splitting attack is active
+    quota: int                   # two-photon pulses the splitter forwards
     loss_off: np.ndarray         # (3+1,), row per pulse size
     loss_cum: np.ndarray
     loss_m: np.ndarray           # surviving photon count per branch
@@ -251,17 +353,22 @@ class Bb84Tables:
     meas_pat: np.ndarray         # pattern codes, bit-0 convention
 
 
-def _bb84_block(tab: Bb84Tables, loss: Stage, meas: Stage, u: np.ndarray,
-                out, s: slice) -> None:
-    u = u[s]
+def _bb84_block(tab: Bb84Tables, size: Stage, loss: Stage, meas: Stage,
+                u: np.ndarray, taken: int) -> Tuple[np.ndarray, int]:
+    """Codes of one block, and the two-photon pulses taken so far: the
+    splitter forwards the first ``quota`` two-photon pulses of the run."""
     bit = u[:, 0] >= 0.5
     basis = u[:, 1] >= 0.5
+    pulse_size = size.pick(u[:, 2])
     if tab.attack == 1:
-        fwd = tab.forward[s] == 1
+        order = taken + np.cumsum(pulse_size == 2)
+        fwd = (pulse_size == 2) & (order <= tab.quota)
+        taken = int(order[-1])
         m = fwd.view(np.int8)
         evebit = np.where(fwd, bit.view(np.int8), np.int8(-1))
     else:
-        m = tab.loss_m[loss.pick(u[:, 3], tab.pulse_size[s])]
+        fwd = 0
+        m = tab.loss_m[loss.pick(u[:, 3], pulse_size)]
         evebit = -1
     bob_basis = u[:, 4] >= 0.5
     pattern = np.zeros(m.shape, dtype=np.int8)
@@ -270,22 +377,27 @@ def _bb84_block(tab: Bb84Tables, loss: Stage, meas: Stage, u: np.ndarray,
         row = (m[hit] - 1) * 2 + (bob_basis[hit] == basis[hit])
         pat = tab.meas_pat[meas.pick(u[hit, 5], row)]
         pattern[hit] = np.where(bit[hit], MIRROR_CODE[pat], pat)
-    out["bit"][s] = bit
-    out["basis"][s] = basis
-    out["bob_basis"][s] = bob_basis
-    out["pattern"][s] = pattern
-    out["evebit"][s] = evebit
+    return BB84_SPACE.pack(bit, basis, pulse_size, fwd, bob_basis, pattern,
+                           evebit), taken
 
 
-def simulate_bb84(tab: Bb84Tables, u: np.ndarray, jobs: int = 1
-                  ) -> Dict[str, np.ndarray]:
-    n = u.shape[0]
-    out = _records(n, ("bit", "basis", "bob_basis", "pattern", "evebit"))
+def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Record codes (``BB84_SPACE``) of ``rounds`` BB84 rounds, and their
+    histogram.  The splitting quota is a running count over the rounds, so
+    under the attack the rounds are walked in one chunk, in order."""
+    size = Stage.from_rows(np.array([0, tab.size_cum.size]), tab.size_cum)
     loss = Stage.from_rows(tab.loss_off, tab.loss_cum)
     meas = Stage.from_rows(tab.meas_off, tab.meas_cum)
-    _walk(lambda lo, hi: _bb84_block(tab, loss, meas, u, out, slice(lo, hi)),
-          n, jobs)
-    return out
+    taken = 0
+
+    def block(u: np.ndarray) -> np.ndarray:
+        nonlocal taken
+        code, taken = _bb84_block(tab, size, loss, meas, u, taken)
+        return code
+
+    return _walk(block, seed, rounds, 1 if tab.attack == 1 else jobs,
+                 BB84_SPACE.size)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +411,7 @@ class B92Tables:
     attack: int                  # 1 when the conclusive intercept is active
 
 
-def _b92_block(tab: B92Tables, u: np.ndarray, out, s: slice) -> None:
-    u = u[s]
+def _b92_block(tab: B92Tables, u: np.ndarray) -> np.ndarray:
     bit = u[:, 0] >= 0.5
     if tab.attack == 1:
         ebasis = u[:, 1] >= 0.5
@@ -318,18 +429,12 @@ def _b92_block(tab: B92Tables, u: np.ndarray, out, s: slice) -> None:
         bob_basis[arrived] = bb
         conclusive[arrived] = con
         bob_bit[arrived] = np.where(con, (~bb).view(np.int8), np.int8(-1))
-    out["bit"][s] = bit
-    out["arrived"][s] = arrived
-    out["bob_basis"][s] = bob_basis
-    out["conclusive"][s] = conclusive
-    out["bob_bit"][s] = bob_bit
-    out["evebit"][s] = evebit
+    return B92_SPACE.pack(bit, arrived, bob_basis, conclusive, bob_bit, evebit)
 
 
-def simulate_b92(tab: B92Tables, u: np.ndarray, jobs: int = 1
-                 ) -> Dict[str, np.ndarray]:
-    n = u.shape[0]
-    out = _records(n, ("bit", "arrived", "bob_basis", "conclusive",
-                       "bob_bit", "evebit"))
-    _walk(lambda lo, hi: _b92_block(tab, u, out, slice(lo, hi)), n, jobs)
-    return out
+def simulate_b92(tab: B92Tables, seed: int, rounds: int, jobs: int = 1
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Record codes (``B92_SPACE``) of ``rounds`` B92 rounds, and their
+    histogram."""
+    return _walk(lambda u: _b92_block(tab, u), seed, rounds, jobs,
+                 B92_SPACE.size)

@@ -7,6 +7,12 @@ then hands the per-round sampling walk to the round engine in
 ``kernels``.  All quantum amplitudes are therefore evaluated once per run;
 the Monte-Carlo loop only draws branch indices.
 
+The engine returns one record code per round and the number of rounds at
+each code.  Every metric and category is a function of the record alone,
+so each protocol computes them once per code over its decoded code space,
+weighted by those counts, with the same expressions a per-round pass
+would use.
+
 Loss is independent per-photon survival applied on each leg in transit
 (suppressed entirely when the attack substitutes a lossless channel).
 """
@@ -36,10 +42,13 @@ from .joint import (
     pattern_code,
 )
 from .kernels import (
+    B92_SPACE,
+    BB84_SPACE,
     B92Tables,
     Bb84Tables,
     CaTables,
-    round_uniforms,
+    ca_space,
+    round_uniforms,  # noqa: F401  kept importable here for run tracers
     simulate_b92,
     simulate_bb84,
     simulate_ca,
@@ -112,17 +121,27 @@ class ProtocolConfig:
 
 @dataclass
 class RunReport:
-    """Aggregate metrics, per-round records and the outcome partition."""
+    """Aggregate metrics, the outcome partition and per-round record codes.
+
+    Round ``i``'s record is code ``codes[i]``; ``code_fields[f][c]`` is the
+    value of record field ``f`` (``category`` included) at code ``c``.
+    """
     variant: str
     rounds: int
     seed: int
     metrics: Dict[str, float]
     categories: Dict[str, int]
     record_fields: Tuple[str, ...]
-    records: Dict[str, np.ndarray]
+    codes: np.ndarray
+    code_fields: Dict[str, np.ndarray]
 
     def metric(self, name: str) -> float:
         return self.metrics[name]
+
+    @property
+    def records(self) -> Dict[str, np.ndarray]:
+        """Per-round records, one array per field."""
+        return {f: self.code_fields[f][self.codes] for f in self.record_fields}
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +459,16 @@ def _bits_from_codes(codes: np.ndarray) -> Tuple[np.ndarray, ...]:
     return first, second, double, bit, vacuum
 
 
+def _count(w: np.ndarray, mask: np.ndarray) -> int:
+    """Rounds at the codes in ``mask``, given the rounds ``w`` at each code."""
+    return int(w[mask].sum())
+
+
 def _ca_report(config: ProtocolConfig, attack: AttackSpec, meta: CaMeta,
-               rec: Dict[str, np.ndarray], seed: int) -> RunReport:
-    n = rec["action"].shape[0]
+               codes: np.ndarray, w: np.ndarray, seed: int) -> RunReport:
+    """Metrics and categories over the code space, weighted by ``w``."""
+    rec = ca_space(meta.emission_kind.size).decode()
+    n = int(w.sum())
     action = rec["action"]
     readout = rec["readout"]
     basis = rec["basis"]
@@ -463,7 +489,7 @@ def _ca_report(config: ProtocolConfig, attack: AttackSpec, meta: CaMeta,
     sift = ~ctrl
     std = kind == 0
 
-    cat = np.full(n, -1, dtype=np.int8)
+    cat = np.full(w.size, -1, dtype=np.int8)
     cat[std & ctrl & (basis == 1) & ~minus_click] = 0
     cat[std & ctrl & (basis == 1) & minus_click] = 1
     cat[std & ctrl & (basis == 0)] = 2
@@ -490,21 +516,20 @@ def _ca_report(config: ProtocolConfig, attack: AttackSpec, meta: CaMeta,
     cat[extra & sift & (a_bit >= 0) & (a_bit != emit_bit)] = 13
     cat[extra & sift & (a_bit < 0)] = 14
 
-    counts = {name: int(np.count_nonzero(cat == i))
+    counts = {name: _count(w, cat == i)
               for i, name in enumerate(CA_CATEGORIES)}
 
-    nonempty_sift = int(np.count_nonzero(std_sift & ~a_vacuum))
+    nonempty_sift = _count(w, std_sift & ~a_vacuum)
     double_clicks = counts["sift_illicit"]
     key_bits = counts["key_ok"] + counts["key_mismatch"]
-    losses = int(np.count_nonzero(~b_click))
-    multiphoton = int(np.count_nonzero(
-        std_sift & ((a1 == 2) | (a0 == 2)) & ~a_double))
+    losses = _count(w, ~b_click)
+    multiphoton = _count(w, std_sift & ((a1 == 2) | (a0 == 2)) & ~a_double)
 
     metrics: Dict[str, float] = {
         "rounds": n,
         "ctrl_rounds": counts["ctrl_clean"] + counts["ctrl_error"],
         "ctrl_errors": counts["ctrl_error"],
-        "sift_rounds": int(np.count_nonzero(std_sift)),
+        "sift_rounds": _count(w, std_sift),
         "test_rounds": counts["test_ok"] + counts["test_error"] + counts["test_loss"],
         "test_errors": counts["test_error"],
         "alice_double_clicks": double_clicks,
@@ -519,21 +544,20 @@ def _ca_report(config: ProtocolConfig, attack: AttackSpec, meta: CaMeta,
         "alice_11_prob_exact": meta.alice_11_prob,
     }
 
-    guessed = guess >= 0
-    if guessed.any():
+    guessed = _count(w, guess >= 0)
+    if guessed:
         metrics["eve_guess_success"] = float(
-            np.count_nonzero(guessed & (guess == action))
-            / np.count_nonzero(guessed))
+            _count(w, (guess >= 0) & (guess == action)) / guessed)
     key_mask = (cat == 8) | (cat == 9)
     metrics["eve_known_fraction"] = (
-        float(np.count_nonzero(key_mask & (evebit == a_bit))
-              / np.count_nonzero(key_mask)) if key_mask.any() else 0.0)
+        float(_count(w, key_mask & (evebit == a_bit)) / key_bits)
+        if key_bits else 0.0)
 
     if config.cross_basis_tests:
         metrics["cross_ctrl_rounds"] = counts["cross_ctrl_z"]
-        metrics["cross_ctrl_double"] = int(np.count_nonzero((cat == 2) & b_double))
+        metrics["cross_ctrl_double"] = _count(w, (cat == 2) & b_double)
         metrics["cross_sift_rounds"] = counts["cross_sift_x"]
-        metrics["cross_sift_double"] = int(np.count_nonzero((cat == 3) & b_double))
+        metrics["cross_sift_double"] = _count(w, (cat == 3) & b_double)
     if config.extra_bob_states:
         metrics["extra_test_rounds"] = (counts["extra_test_ok"]
                                         + counts["extra_test_error"])
@@ -547,13 +571,10 @@ def _ca_report(config: ProtocolConfig, attack: AttackSpec, meta: CaMeta,
     except AttackDomainError:
         pass
 
-    records = dict(rec)
-    records["category"] = cat
-    fields = ("emit", "action", "readout", "basis", "pattern", "test",
-              "guess", "evebit", "category")
+    rec["category"] = cat
     return RunReport(variant=config.variant, rounds=n, seed=seed,
                      metrics=metrics, categories=counts,
-                     record_fields=fields, records=records)
+                     record_fields=tuple(rec), codes=codes, code_fields=rec)
 
 
 def run_protocol(config: ProtocolConfig, attack: AttackSpec,
@@ -564,9 +585,8 @@ def run_protocol(config: ProtocolConfig, attack: AttackSpec,
         raise ConfigError(f"run_protocol handles the two-way variants, "
                           f"not {config.variant!r}")
     tables, meta = build_ca_tables(config, attack)
-    u = round_uniforms(config.rng_seed, config.rounds)
-    rec = simulate_ca(tables, u, jobs=jobs)
-    return _ca_report(config, attack, meta, rec, config.rng_seed)
+    codes, w = simulate_ca(tables, config.rng_seed, config.rounds, jobs=jobs)
+    return _ca_report(config, attack, meta, codes, w, config.rng_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -587,35 +607,25 @@ def _binomial_cum(size: int, survival: float) -> Tuple[List[float], List[int]]:
     return cum, ms
 
 
-def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec,
-                      u: np.ndarray) -> Tuple[Bb84Tables, Dict[str, float]]:
+def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
+                      ) -> Tuple[Bb84Tables, Dict[str, float]]:
     config.validate()
     attack.validate()
     p0, p1, p2 = config.source_stats
-    n = config.rounds
-    size_cum = np.array([p0, p0 + p1, 1.0])
-    pulse_size = np.minimum(np.searchsorted(size_cum, u[:, 2], side="right"),
-                            2).astype(np.int8)
-
     pns = isinstance(attack.strategy, PnsStrategy)
     if not pns and attack.name != "identity":
         raise ConfigError(f"attack {attack.name!r} has no one-way BB84 form")
 
-    feas = analysis.pns_feasibility(p0, p1, p2, config.transmission, n)
+    feas = analysis.pns_feasibility(p0, p1, p2, config.transmission,
+                                    config.rounds)
     quota = int(round(feas.expected_count))
-    forward = np.zeros(n, dtype=np.int8)
     meta: Dict[str, float] = {
         "expected_received": feas.expected_count,
         "pns_threshold_ratio": feas.threshold_ratio,
         "pns_feasible": 1.0 if feas.feasible else 0.0,
     }
     if pns:
-        two = pulse_size == 2
-        order = np.cumsum(two)
-        forward = (two & (order <= quota)).astype(np.int8)
         meta["pns_quota"] = quota
-        meta["pns_forwarded"] = int(forward.sum())
-        meta["pns_quota_met"] = 1.0 if int(two.sum()) >= quota else 0.0
 
     loss_off, loss_cum, loss_m = [0], [], []
     for size in range(3):
@@ -641,9 +651,9 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec,
         meas_off.append(len(meas_cum))
 
     tables = Bb84Tables(
-        pulse_size=pulse_size,
-        forward=forward,
+        size_cum=np.array([p0, p0 + p1, 1.0]),
         attack=1 if pns else 0,
+        quota=quota,
         loss_off=np.array(loss_off, dtype=np.int64),
         loss_cum=np.array(loss_cum, dtype=np.float64),
         loss_m=np.array(loss_m, dtype=np.int8),
@@ -660,11 +670,11 @@ def run_bb84(config: ProtocolConfig, attack: AttackSpec,
     config.validate()
     if config.variant != BB84:
         raise ConfigError("run_bb84 requires the bb84 variant")
-    u = round_uniforms(config.rng_seed, config.rounds)
-    tables, meta = build_bb84_tables(config, attack, u)
-    rec = simulate_bb84(tables, u, jobs=jobs)
+    tables, meta = build_bb84_tables(config, attack)
+    codes, w = simulate_bb84(tables, config.rng_seed, config.rounds, jobs=jobs)
 
-    n = config.rounds
+    rec = BB84_SPACE.decode()
+    n = int(w.sum())
     pattern = rec["pattern"]
     bit = rec["bit"]
     basis = rec["basis"]
@@ -675,20 +685,20 @@ def run_bb84(config: ProtocolConfig, attack: AttackSpec,
     same = basis == bob_basis
     sifted = received & same & (b_bit >= 0)
 
-    cat = np.full(n, -1, dtype=np.int8)
+    cat = np.full(w.size, -1, dtype=np.int8)
     cat[~received] = 0
     cat[received & ~same] = 1
     cat[received & same & double] = 2
     cat[sifted & (b_bit == bit)] = 3
     cat[sifted & (b_bit != bit)] = 4
-    counts = {name: int(np.count_nonzero(cat == i))
+    counts = {name: _count(w, cat == i)
               for i, name in enumerate(BB84_CATEGORIES)}
 
     n_sift = counts["sift_ok"] + counts["sift_error"]
-    known = int(np.count_nonzero(sifted & (evebit == bit)))
+    known = _count(w, sifted & (evebit == bit))
     metrics: Dict[str, float] = {
         "rounds": n,
-        "received_pulses": int(np.count_nonzero(received)),
+        "received_pulses": _count(w, received),
         "sifted_bits": n_sift,
         "sifted_errors": counts["sift_error"],
         "error_rate": counts["sift_error"] / n_sift if n_sift else 0.0,
@@ -696,16 +706,15 @@ def run_bb84(config: ProtocolConfig, attack: AttackSpec,
         "eve_known_fraction": known / n_sift if n_sift else 0.0,
     }
     metrics.update(meta)
+    if tables.attack == 1:
+        metrics["pns_forwarded"] = _count(w, rec["forwarded"] == 1)
+        metrics["pns_quota_met"] = (
+            1.0 if _count(w, rec["pulse_size"] == 2) >= tables.quota else 0.0)
 
-    records = dict(rec)
-    records["pulse_size"] = tables.pulse_size
-    records["forwarded"] = tables.forward
-    records["category"] = cat
-    fields = ("bit", "basis", "pulse_size", "forwarded", "bob_basis",
-              "pattern", "evebit", "category")
+    rec["category"] = cat
     return RunReport(variant=BB84, rounds=n, seed=config.rng_seed,
                      metrics=metrics, categories=counts,
-                     record_fields=fields, records=records)
+                     record_fields=tuple(rec), codes=codes, code_fields=rec)
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +724,20 @@ def run_bb84(config: ProtocolConfig, attack: AttackSpec,
 B92_CATEGORIES = ("loss", "inconclusive", "conclusive_ok", "conclusive_error")
 
 
+def build_b92_tables(config: ProtocolConfig, attack: AttackSpec) -> B92Tables:
+    c = config.b92_overlap
+    usd = isinstance(attack.strategy, UsdStrategy)
+    if not usd and attack.name != "identity":
+        raise ConfigError(f"attack {attack.name!r} has no two-state form")
+    if usd and abs(attack.strategy.overlap - c) > 1e-12:
+        raise ConfigError("attack overlap differs from the configured states")
+    lossrate = 1.0 - config.transmission
+    attempted = usd and analysis.b92_breakable(lossrate, c)
+    return B92Tables(conclusive_p=1.0 - c * c,
+                     transmission=config.transmission,
+                     attack=1 if attempted else 0)
+
+
 def run_b92(config: ProtocolConfig, attack: AttackSpec,
             jobs: int = 1) -> RunReport:
     """Two-state protocol; the conclusive-measurement intercept hides in loss."""
@@ -722,38 +745,28 @@ def run_b92(config: ProtocolConfig, attack: AttackSpec,
     if config.variant != B92:
         raise ConfigError("run_b92 requires the b92 variant")
     c = config.b92_overlap
-    usd = isinstance(attack.strategy, UsdStrategy)
-    if not usd and attack.name != "identity":
-        raise ConfigError(f"attack {attack.name!r} has no two-state form")
-    if usd and abs(attack.strategy.overlap - c) > 1e-12:
-        raise ConfigError("attack overlap differs from the configured states")
+    tables = build_b92_tables(config, attack)
+    codes, w = simulate_b92(tables, config.rng_seed, config.rounds, jobs=jobs)
 
-    lossrate = 1.0 - config.transmission
-    attempted = usd and analysis.b92_breakable(lossrate, c)
-    tables = B92Tables(conclusive_p=1.0 - c * c,
-                       transmission=config.transmission,
-                       attack=1 if attempted else 0)
-    u = round_uniforms(config.rng_seed, config.rounds)
-    rec = simulate_b92(tables, u, jobs=jobs)
-
-    n = config.rounds
+    rec = B92_SPACE.decode()
+    n = int(w.sum())
     arrived = rec["arrived"].astype(bool)
     conclusive = rec["conclusive"].astype(bool)
     bit = rec["bit"]
     bob_bit = rec["bob_bit"]
     evebit = rec["evebit"]
 
-    cat = np.full(n, -1, dtype=np.int8)
+    cat = np.full(w.size, -1, dtype=np.int8)
     cat[~arrived] = 0
     cat[arrived & ~conclusive] = 1
     cat[conclusive & (bob_bit == bit)] = 2
     cat[conclusive & (bob_bit != bit)] = 3
-    counts = {name: int(np.count_nonzero(cat == i))
+    counts = {name: _count(w, cat == i)
               for i, name in enumerate(B92_CATEGORIES)}
 
-    delivered = int(np.count_nonzero(arrived))
+    delivered = _count(w, arrived)
     n_con = counts["conclusive_ok"] + counts["conclusive_error"]
-    known = int(np.count_nonzero(conclusive & (evebit == bit)))
+    known = _count(w, conclusive & (evebit == bit))
     metrics: Dict[str, float] = {
         "rounds": n,
         "losses": counts["loss"],
@@ -765,18 +778,15 @@ def run_b92(config: ProtocolConfig, attack: AttackSpec,
         "errors": counts["conclusive_error"],
         "error_rate": counts["conclusive_error"] / n_con if n_con else 0.0,
         "eve_known_fraction": known / n_con if n_con else 0.0,
-        "attack_attempted": 1.0 if attempted else 0.0,
+        "attack_attempted": float(tables.attack),
         "analytic_conclusive": analysis.b92_conclusive_prob(c),
         "breakable_threshold": 0.5 * (1.0 + c * c),
     }
 
-    records = dict(rec)
-    records["category"] = cat
-    fields = ("bit", "arrived", "bob_basis", "conclusive", "bob_bit",
-              "evebit", "category")
+    rec["category"] = cat
     return RunReport(variant=B92, rounds=n, seed=config.rng_seed,
                      metrics=metrics, categories=counts,
-                     record_fields=fields, records=records)
+                     record_fields=tuple(rec), codes=codes, code_fields=rec)
 
 
 def run(config: ProtocolConfig, attack: AttackSpec,

@@ -3,14 +3,20 @@
 Machine reports are plain structured text with a fixed float format and no
 timestamps, hostnames or worker counts, so identical (scenario, seed) runs
 produce byte-identical files regardless of worker count.
+
+The round log is the only part written per round: each record code's row
+is formatted once, and a round's line is its index and its code's row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
+import numpy as np
+
+from .kernels import BLOCK
 from .protocol import RunReport
 
 #: per-round records are embedded up to this many rounds unless forced
@@ -23,6 +29,19 @@ def fmt(value) -> str:
     if isinstance(value, (int,)):
         return str(value)
     return format(float(value), ".17g")
+
+
+def _round_log(report: RunReport, sep: str) -> Iterator[str]:
+    """The round log's lines, joined in pieces of up to BLOCK rounds."""
+    cols = [report.code_fields[f] for f in report.record_fields]
+    rows = np.empty(cols[0].size, dtype=object)
+    for code in np.flatnonzero(np.bincount(report.codes,
+                                           minlength=rows.size)).tolist():
+        rows[code] = sep.join(str(int(col[code])) for col in cols)
+    for lo in range(0, report.rounds, BLOCK):
+        hi = min(lo + BLOCK, report.rounds)
+        yield "\n".join(f"{i}{sep}{row}" for i, row in
+                        zip(range(lo, hi), rows[report.codes[lo:hi]].tolist()))
 
 
 @dataclass
@@ -100,9 +119,7 @@ def render_machine_report(report: RunReport, scenario_name: str,
         lines.append("")
         lines.append("[rounds]")
         lines.append("# index " + " ".join(report.record_fields))
-        cols = [report.records[f] for f in report.record_fields]
-        for i in range(report.rounds):
-            lines.append(str(i) + " " + " ".join(str(int(c[i])) for c in cols))
+        lines.extend(_round_log(report, " "))
     lines.append("")
     return "\n".join(lines)
 
@@ -132,9 +149,7 @@ def render_csv(report: RunReport, scenario_name: str,
                       or (round_log == "auto" and report.rounds <= ROUND_LOG_LIMIT))
     if include_rounds:
         rows = ["index," + ",".join(report.record_fields)]
-        cols = [report.records[f] for f in report.record_fields]
-        for i in range(report.rounds):
-            rows.append(str(i) + "," + ",".join(str(int(c[i])) for c in cols))
+        rows.extend(_round_log(report, ","))
         files["rounds.csv"] = "\n".join(rows) + "\n"
     return files
 

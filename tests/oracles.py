@@ -8,6 +8,11 @@ The round-walk oracles (``*_walk``) take one round at a time in plain
 Python: each categorical draw scans its table row until the first
 cumulative threshold above the uniform.  The vectorized engine in
 ``sqkdsim.kernels`` must reproduce their records bit for bit.
+
+The reference aggregators (``*_aggregate``) compute metrics and categories
+from per-round records with one boolean mask per quantity.  The protocol
+layer evaluates the same quantities once per record code, weighted by the
+code's round count, and must produce the same reports.
 """
 
 from __future__ import annotations
@@ -16,6 +21,15 @@ import math
 from itertools import permutations
 
 import numpy as np
+
+from sqkdsim import analysis
+from sqkdsim.attacks import AttackDomainError
+from sqkdsim.protocol import (
+    B92_CATEGORIES,
+    BB84_CATEGORIES,
+    CA_CATEGORIES,
+    _bits_from_codes,
+)
 
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)   # photon state with z amplitudes (|0>, |1>)
 MINUS = np.array([1.0, -1.0]) / math.sqrt(2.0)
@@ -141,18 +155,22 @@ def bb84_walk(tab, u, mirror):
          for k, v in vars(tab).items()}
     mirror = mirror.tolist()
     rows = []
-    for i, ui in enumerate(u.tolist()):
+    taken = 0
+    for ui in u.tolist():
         bit = 0 if ui[0] < 0.5 else 1
         basis = 0 if ui[1] < 0.5 else 1
+        size = _scan([0, 3], t["size_cum"], 0, ui[2])
         evebit = -1
+        forwarded = 0
         if t["attack"] == 1:
             m = 0
-            if t["forward"][i] == 1:
-                m = 1
-                evebit = bit
+            if size == 2:
+                taken += 1
+                if taken <= t["quota"]:
+                    forwarded = m = 1
+                    evebit = bit
         else:
-            m = t["loss_m"][_scan(t["loss_off"], t["loss_cum"],
-                                  t["pulse_size"][i], ui[3])]
+            m = t["loss_m"][_scan(t["loss_off"], t["loss_cum"], size, ui[3])]
         bob_basis = 0 if ui[4] < 0.5 else 1
         pattern = 0
         if m > 0:
@@ -161,9 +179,9 @@ def bb84_walk(tab, u, mirror):
                                           row, ui[5])]
             if bit == 1:
                 pattern = mirror[pattern]
-        rows.append((bit, basis, bob_basis, pattern, evebit))
-    return _records(rows, ("bit", "basis", "bob_basis", "pattern", "evebit"),
-                    {})
+        rows.append((bit, basis, size, forwarded, bob_basis, pattern, evebit))
+    return _records(rows, ("bit", "basis", "pulse_size", "forwarded",
+                           "bob_basis", "pattern", "evebit"), {})
 
 
 def b92_walk(tab, u):
@@ -188,3 +206,197 @@ def b92_walk(tab, u):
         rows.append((bit, arrived, bob_basis, conclusive, bob_bit, evebit))
     return _records(rows, ("bit", "arrived", "bob_basis", "conclusive",
                            "bob_bit", "evebit"), {})
+
+
+# ---------------------------------------------------------------------------
+# per-round reference aggregators over the walks' records
+
+
+def ca_aggregate(config, attack, meta, rec):
+    """(metrics, categories, per-round category) of two-way records."""
+    n = rec["action"].shape[0]
+    action = rec["action"]
+    readout = rec["readout"]
+    basis = rec["basis"]
+    pattern = rec["pattern"]
+    test = rec["test"].astype(bool)
+    guess = rec["guess"]
+    evebit = rec["evebit"]
+    kind = meta.emission_kind[rec["emit"]]
+    emit_bit = meta.emission_bit[rec["emit"]]
+
+    a1, a0, a_double, a_bit, a_vacuum = _bits_from_codes(readout)
+    b1, _b0, b_double, b_bit_raw, _ = _bits_from_codes(pattern)
+    b_click = pattern != 0
+    b_bit = np.where(basis == 0, b_bit_raw, -1)
+    minus_click = (basis == 1) & (b1 >= 1)
+
+    ctrl = action == 0
+    sift = ~ctrl
+    std = kind == 0
+
+    cat = np.full(n, -1, dtype=np.int8)
+    cat[std & ctrl & (basis == 1) & ~minus_click] = 0
+    cat[std & ctrl & (basis == 1) & minus_click] = 1
+    cat[std & ctrl & (basis == 0)] = 2
+    cat[std & sift & (basis == 1)] = 3
+    std_sift = std & sift & (basis == 0)
+    cat[std_sift & a_double] = 4
+    live = std_sift & ~a_double
+    err = (b_double
+           | ((a_bit >= 0) & (b_bit >= 0) & (a_bit != b_bit))
+           | (a_vacuum & b_click))
+    lost = ~err & (~b_click | a_vacuum)
+    cat[live & test & err] = 6
+    cat[live & test & ~err & lost] = 7
+    cat[live & test & ~err & ~lost] = 5
+    key = live & ~test
+    good = key & (a_bit >= 0) & (b_bit >= 0)
+    cat[good & (a_bit == b_bit)] = 8
+    cat[good & (a_bit != b_bit)] = 9
+    cat[key & ~good & b_double] = 11
+    cat[key & ~good & ~b_double] = 10
+    extra = ~std
+    cat[extra & ctrl] = 14
+    cat[extra & sift & (a_bit >= 0) & (a_bit == emit_bit)] = 12
+    cat[extra & sift & (a_bit >= 0) & (a_bit != emit_bit)] = 13
+    cat[extra & sift & (a_bit < 0)] = 14
+
+    counts = {name: int(np.count_nonzero(cat == i))
+              for i, name in enumerate(CA_CATEGORIES)}
+
+    nonempty_sift = int(np.count_nonzero(std_sift & ~a_vacuum))
+    double_clicks = counts["sift_illicit"]
+    key_bits = counts["key_ok"] + counts["key_mismatch"]
+    losses = int(np.count_nonzero(~b_click))
+    multiphoton = int(np.count_nonzero(
+        std_sift & ((a1 == 2) | (a0 == 2)) & ~a_double))
+
+    metrics = {
+        "rounds": n,
+        "ctrl_rounds": counts["ctrl_clean"] + counts["ctrl_error"],
+        "ctrl_errors": counts["ctrl_error"],
+        "sift_rounds": int(np.count_nonzero(std_sift)),
+        "test_rounds": counts["test_ok"] + counts["test_error"] + counts["test_loss"],
+        "test_errors": counts["test_error"],
+        "alice_double_clicks": double_clicks,
+        "alice_multiphoton_readouts": multiphoton,
+        "double_click_fraction": (double_clicks / nonempty_sift
+                                  if nonempty_sift else 0.0),
+        "losses": losses,
+        "loss_fraction": losses / n,
+        "sifted_bits": key_bits,
+        "sifted_disagreements": counts["key_mismatch"],
+        "sifted_agreement": (counts["key_ok"] / key_bits if key_bits else 1.0),
+        "alice_11_prob_exact": meta.alice_11_prob,
+    }
+
+    guessed = guess >= 0
+    if guessed.any():
+        metrics["eve_guess_success"] = float(
+            np.count_nonzero(guessed & (guess == action))
+            / np.count_nonzero(guessed))
+    key_mask = (cat == 8) | (cat == 9)
+    metrics["eve_known_fraction"] = (
+        float(np.count_nonzero(key_mask & (evebit == a_bit))
+              / np.count_nonzero(key_mask)) if key_mask.any() else 0.0)
+
+    if config.cross_basis_tests:
+        metrics["cross_ctrl_rounds"] = counts["cross_ctrl_z"]
+        metrics["cross_ctrl_double"] = int(np.count_nonzero((cat == 2) & b_double))
+        metrics["cross_sift_rounds"] = counts["cross_sift_x"]
+        metrics["cross_sift_double"] = int(np.count_nonzero((cat == 3) & b_double))
+    if config.extra_bob_states:
+        metrics["extra_test_rounds"] = (counts["extra_test_ok"]
+                                        + counts["extra_test_error"])
+        metrics["extra_test_errors"] = counts["extra_test_error"]
+
+    try:
+        leak = analysis.eve_leakage(attack, n_max=config.channel_n_max())
+        if leak.conditional_fidelity is not None:
+            metrics["eve_fidelity"] = leak.conditional_fidelity
+            metrics["eve_trace_distance"] = leak.trace_distance
+    except AttackDomainError:
+        pass
+    return metrics, counts, cat
+
+
+def bb84_aggregate(config, tables, meta, rec):
+    """(metrics, categories, per-round category) of BB84 records."""
+    n = config.rounds
+    pattern = rec["pattern"]
+    bit = rec["bit"]
+    basis = rec["basis"]
+    bob_basis = rec["bob_basis"]
+    evebit = rec["evebit"]
+    _b1, _b0, double, b_bit, _vac = _bits_from_codes(pattern)
+    received = pattern != 0
+    same = basis == bob_basis
+    sifted = received & same & (b_bit >= 0)
+
+    cat = np.full(n, -1, dtype=np.int8)
+    cat[~received] = 0
+    cat[received & ~same] = 1
+    cat[received & same & double] = 2
+    cat[sifted & (b_bit == bit)] = 3
+    cat[sifted & (b_bit != bit)] = 4
+    counts = {name: int(np.count_nonzero(cat == i))
+              for i, name in enumerate(BB84_CATEGORIES)}
+
+    n_sift = counts["sift_ok"] + counts["sift_error"]
+    known = int(np.count_nonzero(sifted & (evebit == bit)))
+    metrics = {
+        "rounds": n,
+        "received_pulses": int(np.count_nonzero(received)),
+        "sifted_bits": n_sift,
+        "sifted_errors": counts["sift_error"],
+        "error_rate": counts["sift_error"] / n_sift if n_sift else 0.0,
+        "double_clicks": counts["double_click"],
+        "eve_known_fraction": known / n_sift if n_sift else 0.0,
+    }
+    metrics.update(meta)
+    if tables.attack == 1:
+        metrics["pns_forwarded"] = int(rec["forwarded"].sum())
+        metrics["pns_quota_met"] = (
+            1.0 if int((rec["pulse_size"] == 2).sum()) >= tables.quota
+            else 0.0)
+    return metrics, counts, cat
+
+
+def b92_aggregate(config, tables, rec):
+    """(metrics, categories, per-round category) of two-state records."""
+    n = config.rounds
+    c = config.b92_overlap
+    arrived = rec["arrived"].astype(bool)
+    conclusive = rec["conclusive"].astype(bool)
+    bit = rec["bit"]
+    bob_bit = rec["bob_bit"]
+    evebit = rec["evebit"]
+
+    cat = np.full(n, -1, dtype=np.int8)
+    cat[~arrived] = 0
+    cat[arrived & ~conclusive] = 1
+    cat[conclusive & (bob_bit == bit)] = 2
+    cat[conclusive & (bob_bit != bit)] = 3
+    counts = {name: int(np.count_nonzero(cat == i))
+              for i, name in enumerate(B92_CATEGORIES)}
+
+    delivered = int(np.count_nonzero(arrived))
+    n_con = counts["conclusive_ok"] + counts["conclusive_error"]
+    known = int(np.count_nonzero(conclusive & (evebit == bit)))
+    metrics = {
+        "rounds": n,
+        "losses": counts["loss"],
+        "delivered": delivered,
+        "delivered_fraction": delivered / n,
+        "conclusive": n_con,
+        "inconclusive": counts["inconclusive"],
+        "conclusive_fraction": n_con / delivered if delivered else 0.0,
+        "errors": counts["conclusive_error"],
+        "error_rate": counts["conclusive_error"] / n_con if n_con else 0.0,
+        "eve_known_fraction": known / n_con if n_con else 0.0,
+        "attack_attempted": 1.0 if tables.attack == 1 else 0.0,
+        "analytic_conclusive": analysis.b92_conclusive_prob(c),
+        "breakable_threshold": 0.5 * (1.0 + c * c),
+    }
+    return metrics, counts, cat

@@ -1,10 +1,11 @@
 """The vectorized round engine against per-round reference walks.
 
 ``tests/oracles.py`` walks the same branch tables one round at a time,
-scanning each row for the first cumulative threshold above the uniform.
-The engine must produce bit-identical records from the same tables and
-uniforms, hence identical metrics and categories, for any worker count and
-across its fixed-size blocks.
+scanning each row for the first cumulative threshold above the uniform,
+and aggregates the records with one boolean mask per quantity.  The engine
+must produce bit-identical records from the same tables and uniforms, and
+its histogram aggregation the same metrics and categories, for any worker
+count and across its fixed-size blocks.
 """
 
 import numpy as np
@@ -19,30 +20,48 @@ from sqkdsim.attacks import (
     tagging_attack,
     usd_attack_b92,
 )
-from sqkdsim.protocol import ProtocolConfig, run_b92, run_bb84, run_protocol
+from sqkdsim.protocol import ProtocolConfig, run_protocol
 
 
 def assert_identical(a, b):
-    assert set(a.records) == set(b.records)
-    for key in a.records:
-        assert np.array_equal(a.records[key], b.records[key]), key
+    assert a.record_fields == b.record_fields
+    for key, value in a.records.items():
+        assert np.array_equal(value, b.records[key]), key
     assert a.metrics == b.metrics
     assert a.categories == b.categories
 
 
-def engine_and_reference(run, monkeypatch):
-    """(engine report, reference report) of ``run()``."""
-    engine = run()
-    with monkeypatch.context() as m:
-        m.setattr(protocol, "simulate_ca",
-                  lambda tab, u, jobs=1: oracles.ca_walk(tab, u))
-        m.setattr(protocol, "simulate_bb84",
-                  lambda tab, u, jobs=1: oracles.bb84_walk(
-                      tab, u, kernels.MIRROR_CODE))
-        m.setattr(protocol, "simulate_b92",
-                  lambda tab, u, jobs=1: oracles.b92_walk(tab, u))
-        reference = run()
-    return engine, reference
+def reference(cfg, attack):
+    """(records, metrics, categories) of the reference walk and aggregator."""
+    u = kernels.round_uniforms(cfg.rng_seed, 0, cfg.rounds)
+    if cfg.variant == "bb84":
+        tables, meta = protocol.build_bb84_tables(cfg, attack)
+        rec = oracles.bb84_walk(tables, u, kernels.MIRROR_CODE)
+        metrics, counts, cat = oracles.bb84_aggregate(cfg, tables, meta, rec)
+    elif cfg.variant == "b92":
+        tables = protocol.build_b92_tables(cfg, attack)
+        rec = oracles.b92_walk(tables, u)
+        metrics, counts, cat = oracles.b92_aggregate(cfg, tables, rec)
+    else:
+        tables, meta = protocol.build_ca_tables(cfg, attack)
+        rec = oracles.ca_walk(tables, u)
+        metrics, counts, cat = oracles.ca_aggregate(cfg, attack, meta, rec)
+    rec["category"] = cat
+    return rec, metrics, counts
+
+
+def assert_matches_reference(cfg, mk, jobs=1, expected=None):
+    report = protocol.run(cfg, mk(), jobs=jobs)
+    rec, metrics, counts = expected or reference(cfg, mk())
+    records = report.records
+    assert list(records) == list(rec)
+    for key, value in rec.items():
+        assert np.array_equal(records[key], value), key
+    # same keys in the same order, with the same Python types
+    assert ([(k, type(v), v) for k, v in report.metrics.items()]
+            == [(k, type(v), v) for k, v in metrics.items()])
+    assert report.categories == counts
+    return report
 
 
 CA_CASES = [
@@ -68,29 +87,26 @@ CA_CASES = [
 
 
 @pytest.mark.parametrize("name,cfg,mk", CA_CASES, ids=[c[0] for c in CA_CASES])
-def test_two_way_matches_reference_walk(name, cfg, mk, monkeypatch):
-    assert_identical(*engine_and_reference(lambda: run_protocol(cfg, mk()),
-                                           monkeypatch))
+def test_two_way_matches_reference_walk(name, cfg, mk):
+    assert_matches_reference(cfg, mk)
 
 
-def test_bb84_matches_reference_walk(monkeypatch):
+def test_bb84_matches_reference_walk():
     cfg = ProtocolConfig(variant="bb84", rounds=50_000, rng_seed=27,
                          source_stats=(0.89, 0.1, 0.01), transmission=0.05)
     for attack in (pns_attack, identity_attack):
-        assert_identical(*engine_and_reference(
-            lambda: run_bb84(cfg, attack()), monkeypatch))
+        assert_matches_reference(cfg, attack)
 
 
-def test_b92_matches_reference_walk(monkeypatch):
+def test_b92_matches_reference_walk():
     cfg = ProtocolConfig(variant="b92", rounds=50_000, rng_seed=28,
                          transmission=0.1, b92_overlap=0.5)
     for attack in (lambda: usd_attack_b92(0.5), identity_attack):
-        assert_identical(*engine_and_reference(
-            lambda: run_b92(cfg, attack()), monkeypatch))
+        assert_matches_reference(cfg, attack)
 
 
 #: several full blocks and a ragged last one
-BLOCKED_ROUNDS = 3 * (1 << 16) + 17
+BLOCKED_ROUNDS = 3 * kernels.BLOCK + 17
 
 
 @pytest.mark.parametrize("jobs", [2, 3, 7])
@@ -106,29 +122,72 @@ def test_block_edges_match_reference_walk():
     cfg = ProtocolConfig(rounds=BLOCKED_ROUNDS, rng_seed=31, transmission=0.6,
                          n_max=2)
     tables, _meta = protocol.build_ca_tables(cfg, tagging_attack())
-    u = kernels.round_uniforms(cfg.rng_seed, cfg.rounds)
-    rec = kernels.simulate_ca(tables, u, jobs=2)
-    for edge in (1 << 16, 2 << 16, 3 << 16, BLOCKED_ROUNDS):
-        window = slice(edge - 40, edge + 40)
-        ref = oracles.ca_walk(tables, u[window])
+    codes, counts = kernels.simulate_ca(tables, cfg.rng_seed, cfg.rounds,
+                                        jobs=2)
+    fields = kernels.ca_space(tables.emission_cum.size).decode()
+    assert np.array_equal(counts, np.bincount(codes, minlength=counts.size))
+    for edge in (kernels.BLOCK, 2 * kernels.BLOCK, 3 * kernels.BLOCK,
+                 BLOCKED_ROUNDS):
+        lo, hi = edge - 40, min(edge + 40, cfg.rounds)
+        ref = oracles.ca_walk(tables,
+                              kernels.round_uniforms(cfg.rng_seed, lo, hi))
         for key in ref:
-            assert np.array_equal(rec[key][window], ref[key]), (edge, key)
+            assert np.array_equal(fields[key][codes[lo:hi]], ref[key]), \
+                (edge, key)
 
 
 @pytest.mark.parametrize("rounds", [1, 7])
-def test_tiny_runs_match_reference_walk(rounds, monkeypatch):
+def test_tiny_runs_match_reference_walk(rounds):
     cfg = ProtocolConfig(rounds=rounds, rng_seed=32, transmission=0.6,
                          n_max=2, cross_basis_tests=True,
                          extra_bob_states=True)
-    assert_identical(*engine_and_reference(
-        lambda: run_protocol(cfg, identity_attack(), jobs=3), monkeypatch))
+    assert_matches_reference(cfg, identity_attack, jobs=3)
+
+
+#: the splitter's quota falls in the third block: every block before it
+#: forwards all its two-photon pulses, every block after it none
+PNS_CFG = ProtocolConfig(variant="bb84", rounds=BLOCKED_ROUNDS, rng_seed=33,
+                         source_stats=(0.6, 0.3, 0.1), transmission=0.2)
+
+
+@pytest.fixture(scope="module")
+def pns_reference():
+    return reference(PNS_CFG, pns_attack())
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_bb84_quota_carries_across_blocks(jobs, pns_reference):
+    report = assert_matches_reference(PNS_CFG, pns_attack, jobs=jobs,
+                                      expected=pns_reference)
+    two = np.cumsum(report.records["pulse_size"] == 2)
+    quota = report.metrics["pns_quota"]
+    assert two[kernels.BLOCK - 1] < quota <= two[-1]
+    assert report.metrics["pns_forwarded"] == quota
+    assert report.metrics["pns_quota_met"] == 1.0
 
 
 def test_uniforms_are_a_pure_function_of_seed():
-    a = kernels.round_uniforms(123, 1000)
-    b = kernels.round_uniforms(123, 1000)
-    assert np.array_equal(a, b)
-    # a longer run has the same prefix: rounds own fixed counter blocks
-    c = kernels.round_uniforms(123, 2000)
-    assert np.array_equal(a, c[:1000])
-    assert not np.array_equal(a, kernels.round_uniforms(124, 1000))
+    n = 2 * kernels.BLOCK + 50
+    full = kernels.round_uniforms(123, 0, n)
+    assert np.array_equal(full, kernels.round_uniforms(123, 0, n))
+    # any window is the same rows: rounds own fixed counter blocks, whatever
+    # the offset of the window within Philox's four-double counter steps
+    for lo in (0, 1, 2, 3, 7, 99_999, kernels.BLOCK - 1, kernels.BLOCK,
+               2 * kernels.BLOCK + 1):
+        assert np.array_equal(kernels.round_uniforms(123, lo, lo + 20),
+                              full[lo:lo + 20]), lo
+    assert not np.array_equal(full[:1000],
+                              kernels.round_uniforms(124, 0, 1000))
+
+
+def test_chunks_are_whole_blocks():
+    n = 10 ** 6
+    blocks = -(-n // kernels.BLOCK)
+    for jobs in (1, 2, 3, blocks, 10 ** 6):
+        ranges = kernels._chunk_ranges(n, jobs)
+        assert len(ranges) == min(jobs, blocks)
+        assert ranges[0][0] == 0 and ranges[-1][1] == n
+        for (_lo, hi), (lo, _hi) in zip(ranges, ranges[1:]):
+            assert hi == lo and lo % kernels.BLOCK == 0
+    with pytest.raises(ValueError):
+        kernels._chunk_ranges(n, 0)

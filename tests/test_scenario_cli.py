@@ -171,6 +171,15 @@ class TestCli:
         code = cli.main(["run", path, "--out-dir", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_nonpositive_jobs_exits_two(self, tmp_path, jobs):
+        # bb84-pns walks in one chunk whatever --jobs says, so only the
+        # command line can reject the value
+        code = cli.main(["run", scenario_path("bb84-pns.scn"),
+                         "--out-dir", str(tmp_path), "--jobs", jobs])
+        assert code == 2
+        assert not any(tmp_path.iterdir())
+
     def test_parse_error_exits_two(self, tmp_path):
         path = write(tmp_path, "[protocol]\nrounds = banana\n")
         assert cli.main(["run", path, "--out-dir", str(tmp_path)]) == 2
