@@ -400,3 +400,26 @@ def b92_aggregate(config, tables, rec):
         "breakable_threshold": 0.5 * (1.0 + c * c),
     }
     return metrics, counts, cat
+
+
+# ---------------------------------------------------------------------------
+# dense attack maps: seeded inputs and the per-entry reference loaders
+
+
+def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random unitary: QR of a complex Gaussian, phases fixed by R."""
+    z = (rng.standard_normal((dim, dim))
+         + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def write_matrix(path, matrix: np.ndarray, header: str = "") -> None:
+    """Row-major re/im float pairs, the format `general` attacks read."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header:
+            fh.write(f"# {header}\n")
+        for row in matrix:
+            fh.write(" ".join(f"{float(v.real)!r} {float(v.imag)!r}"
+                              for v in row) + "\n")

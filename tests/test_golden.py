@@ -6,6 +6,9 @@ uses two worker threads, which must not change a byte).  The SHA-256 of
 each report is pinned below.  A change that moves a hash changes what the
 simulator outputs and is a bug until explained.
 
+A seeded Haar `general` attack, written to matrix files, is pinned the same
+way (text report only).
+
 To print the current hashes (after an intended, explained change):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -19,8 +22,10 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from oracles import haar_unitary, write_matrix
 from sqkdsim import cli
 
 SCENARIOS = resources.files("sqkdsim") / "scenarios"
@@ -94,9 +99,55 @@ def test_machine_reports_match_golden_hashes(name, tmp_path):
     assert report_hashes(name, tmp_path) == GOLDEN[name]
 
 
+#: text report hash of a seeded Haar `general` attack (no bundled scenario
+#: uses one, so this is the only pin on the dense-map loaders)
+GENERAL_GOLDEN = (
+    "0ea4df70468c254b7b1a97440f24fd7856b88219818a5116def6fd8924e63bd8")
+
+GENERAL_SCENARIO = """\
+[scenario]
+name = general-haar
+seed = 20261018
+
+[protocol]
+variant = classical-alice-full
+rounds = 20000
+transmission = 0.8
+n_max = 2
+
+[attack]
+name = general
+probe_dim = 2
+outbound_file = {outbound}
+return_file = {returning}
+"""
+
+
+def general_report_hash(out_dir: Path) -> str:
+    """SHA-256 of the text report of a dim-12 Haar `general` attack run."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(4)
+    files = {}
+    for leg in ("outbound", "returning"):
+        files[leg] = out_dir / f"{leg}.mat"
+        write_matrix(files[leg], haar_unitary(rng, 2 * 6), header=leg)
+    scn = out_dir / "general-haar.scn"
+    scn.write_text(GENERAL_SCENARIO.format(**files), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", str(scn), "--out-dir", str(out_dir)])
+    assert code == cli.EXIT_OK, code
+    return hashlib.sha256(
+        (out_dir / "general-haar.report.txt").read_bytes()).hexdigest()
+
+
+def test_general_attack_report_matches_golden_hash(tmp_path):
+    assert general_report_hash(tmp_path) == GENERAL_GOLDEN
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name in bundled_names():
             text, csv = report_hashes(name, Path(tmp) / name)
             sys.stdout.write(f'    "{name}": (\n        "{text}",\n'
                              f'        "{csv}"),\n')
+        sys.stdout.write(f'general: "{general_report_hash(Path(tmp) / "g")}"\n')
