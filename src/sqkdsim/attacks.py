@@ -45,11 +45,26 @@ def _ec_scale(v: ECVec, c: complex) -> ECVec:
     return {k: c * a for k, a in v.items()}
 
 
+def _dense_columns(vecs: Sequence[ECVec], index: Mapping[ECKey, int]
+                   ) -> np.ndarray:
+    """``vecs`` as the columns of a dense (keys x vectors) array over ``index``."""
+    out = np.zeros((len(index), len(vecs)), dtype=np.complex128)
+    for j, vec in enumerate(vecs):
+        out[[index[k] for k in vec], j] = list(vec.values())
+    return out
+
+
 class ProbeChannelMap:
     """Linear map on probe x channel, acting identically for every Alice readout.
 
     Stored as orthonormal domain vectors and their images.  ``apply`` expands
     the input over the domain; any residual outside the span is an error.
+
+    For the isometry check the columns are also held as two dense
+    (keys x columns) arrays over every key any column uses: ``D`` with the
+    domain vectors and ``M`` with their images.  The map preserves inner
+    products when the Gram matrices agree, ``D^H D = M^H M``, and the domain
+    is orthonormal, ``diag(D^H D) = 1``.
     """
 
     def __init__(self, columns: Sequence[Tuple[ECVec, ECVec]],
@@ -60,6 +75,12 @@ class ProbeChannelMap:
              {k: complex(v) for k, v in img.items()})
             for dom, img in columns
         ]
+        index: Dict[ECKey, int] = {}
+        for dom, img in self.columns:
+            for key in (*dom, *img):
+                index.setdefault(key, len(index))
+        self._dom = _dense_columns([dom for dom, _ in self.columns], index)
+        self._img = _dense_columns([img for _, img in self.columns], index)
 
     @classmethod
     def identity_map(cls) -> "ProbeChannelMap":
@@ -93,30 +114,26 @@ class ProbeChannelMap:
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match probe_dim x channel "
                 f"dim = {probe_dim} x {channel.dim} = {dim}")
-        columns = []
-        for j in range(dim):
-            dom = {(j // channel.dim, channel.occupations[j % channel.dim]): 1.0 + 0j}
-            img: ECVec = {}
-            col = matrix[:, j]
-            for i in np.nonzero(np.abs(col) > AMPLITUDE_FLOOR)[0]:
-                img[(int(i) // channel.dim,
-                     channel.occupations[int(i) % channel.dim])] = complex(col[i])
-            columns.append((dom, img))
+        keys = [(i // channel.dim, channel.occupations[i % channel.dim])
+                for i in range(dim)]
+        col_of, row_of = np.nonzero(np.abs(matrix.T) > AMPLITUDE_FLOOR)
+        img_keys = [keys[i] for i in row_of.tolist()]
+        amps = matrix[row_of, col_of].tolist()
+        ends = np.cumsum(np.bincount(col_of, minlength=dim)).tolist()
+        columns = [({keys[j]: 1.0 + 0j},
+                    dict(zip(img_keys[lo:hi], amps[lo:hi])))
+                   for j, (lo, hi) in enumerate(zip([0] + ends, ends))]
         return cls(columns)
 
     def isometry_defect(self) -> float:
-        """Largest deviation of the map from inner-product preservation."""
-        if self.identity:
+        """Largest deviation from inner-product preservation:
+        ``max(max|D^H D - M^H M|, max|diag(D^H D) - 1|)``."""
+        if self.identity or not self.columns:
             return 0.0
-        worst = 0.0
-        for i, (dom_i, img_i) in enumerate(self.columns):
-            for j, (dom_j, img_j) in enumerate(self.columns):
-                want = _ec_inner(dom_i, dom_j)
-                got = _ec_inner(img_i, img_j)
-                worst = max(worst, abs(want - got))
-                if i == j:
-                    worst = max(worst, abs(want - 1.0))  # domain must be orthonormal
-        return worst
+        gram_dom = self._dom.conj().T @ self._dom
+        gram_img = self._img.conj().T @ self._img
+        return float(max(np.abs(gram_dom - gram_img).max(),
+                         np.abs(np.diagonal(gram_dom) - 1.0).max()))
 
     def apply(self, state: JointState) -> JointState:
         if self.identity:
@@ -443,18 +460,21 @@ def constrained_random_attack(seed: int, probe_dim: int = 4, n_max: int = 3,
 
 
 def load_matrix_file(path: str) -> np.ndarray:
-    """Read a dense complex matrix: whitespace floats, re/im pairs, row-major."""
-    values: List[float] = []
+    """Read a dense complex matrix: whitespace floats, re/im pairs, row-major.
+
+    Text after ``#`` on a line is a comment.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                values.extend(float(tok) for tok in line.split())
+        tokens = [tok for line in fh for tok in line.split("#", 1)[0].split()]
+    try:
+        values = np.array(tokens, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if len(values) % 2:
         raise ValueError(f"{path}: odd float count, expected re/im pairs")
     pairs = len(values) // 2
     dim = math.isqrt(pairs)
     if dim * dim != pairs:
         raise ValueError(f"{path}: {pairs} entries do not form a square matrix")
-    flat = np.array(values).reshape(-1, 2)
+    flat = values.reshape(-1, 2)
     return (flat[:, 0] + 1j * flat[:, 1]).reshape(dim, dim)

@@ -120,9 +120,15 @@ def build_attack(name: str, params: Dict[str, str],
     for key in ("outbound_file", "return_file", "probe_dim"):
         if key not in params:
             raise ScenarioError(f"general attack needs {key!r}")
+    matrices = []
+    for key in ("outbound_file", "return_file"):
+        try:
+            matrices.append(attacks_mod.load_matrix_file(params[key]))
+        except OSError as exc:
+            raise ScenarioError(
+                f"{params[key]}: {exc.strerror or exc}") from None
     return attacks_mod.general_attack(
-        attacks_mod.load_matrix_file(params["outbound_file"]),
-        attacks_mod.load_matrix_file(params["return_file"]),
+        *matrices,
         probe_dim=int(params["probe_dim"]),
         n_max=config.channel_n_max())
 

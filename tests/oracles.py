@@ -13,6 +13,11 @@ The reference aggregators (``*_aggregate``) compute metrics and categories
 from per-round records with one boolean mask per quantity.  The protocol
 layer evaluates the same quantities once per record code, weighted by the
 code's round count, and must produce the same reports.
+
+The dense-map references (``isometry_defect_reference``,
+``from_dense_columns_reference``, ``load_matrix_reference``) are the
+per-pair and per-entry loops that ``sqkdsim.attacks`` replaced with array
+operations.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import numpy as np
 
 from sqkdsim import analysis
 from sqkdsim.attacks import AttackDomainError
+from sqkdsim.fock import AMPLITUDE_FLOOR
 from sqkdsim.protocol import (
     B92_CATEGORIES,
     BB84_CATEGORIES,
@@ -423,3 +429,46 @@ def write_matrix(path, matrix: np.ndarray, header: str = "") -> None:
         for row in matrix:
             fh.write(" ".join(f"{float(v.real)!r} {float(v.imag)!r}"
                               for v in row) + "\n")
+
+
+def isometry_defect_reference(columns) -> float:
+    """Largest |<dom_i,dom_j> - <img_i,img_j>| over column pairs, and the
+    largest |<dom_i,dom_i> - 1|, from one dict inner product per pair."""
+    def inner(a, b):
+        return sum(a[k].conjugate() * b[k] for k in a.keys() & b.keys())
+
+    worst = 0.0
+    for i, (dom_i, img_i) in enumerate(columns):
+        for j, (dom_j, img_j) in enumerate(columns):
+            want = inner(dom_i, dom_j)
+            worst = max(worst, abs(want - inner(img_i, img_j)))
+            if i == j:
+                worst = max(worst, abs(want - 1.0))
+    return worst
+
+
+def from_dense_columns_reference(matrix, probe_dim, channel):
+    """(domain, image) dict columns of a dense map, one column at a time."""
+    dim = probe_dim * channel.dim
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    columns = []
+    for j in range(dim):
+        dom = {(j // channel.dim, channel.occupations[j % channel.dim]): 1.0 + 0j}
+        img = {}
+        col = matrix[:, j]
+        for i in np.nonzero(np.abs(col) > AMPLITUDE_FLOOR)[0]:
+            img[(int(i) // channel.dim,
+                 channel.occupations[int(i) % channel.dim])] = complex(col[i])
+        columns.append((dom, img))
+    return columns
+
+
+def load_matrix_reference(path) -> np.ndarray:
+    """Dense matrix from a matrix file, one ``float()`` call per token."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            values.extend(float(tok) for tok in line.split("#", 1)[0].split())
+    flat = np.array(values).reshape(-1, 2)
+    dim = math.isqrt(len(flat))
+    return (flat[:, 0] + 1j * flat[:, 1]).reshape(dim, dim)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from sqkdsim import analysis
 from sqkdsim.attacks import (
     AttackDomainError,
@@ -16,7 +17,7 @@ from sqkdsim.attacks import (
     tagging_attack,
     usd_attack_b92,
 )
-from sqkdsim.fock import X, Z, make_basis_state
+from sqkdsim.fock import AMPLITUDE_FLOOR, X, Z, make_basis_state
 from sqkdsim.joint import ChannelBasis, JointState
 
 SQRT2 = math.sqrt(2.0)
@@ -162,6 +163,93 @@ class TestGeneral:
         with pytest.raises(ValueError, match="shape"):
             general_attack(np.eye(3), np.eye(3), probe_dim=2, n_max=2)
 
+    def test_perturbed_unitary_rejected_with_deviation(self):
+        channel = ChannelBasis(4)
+        dim = 4 * channel.dim
+        q = oracles.haar_unitary(np.random.default_rng(11), dim)
+        bad = q.copy()
+        bad[3, 5] += 1e-8
+        general_attack(q, q, probe_dim=4, n_max=4)
+        with pytest.raises(IsometryError, match="deviation"):
+            general_attack(q, bad, probe_dim=4, n_max=4)
+
+    def test_from_dense_matches_per_column_reference_at_floor(self):
+        channel = ChannelBasis(2)
+        dim = 2 * channel.dim
+        rng = np.random.default_rng(5)
+        m = oracles.haar_unitary(rng, dim)
+        above = np.nextafter(AMPLITUDE_FLOOR, 1.0)
+        m[rng.random((dim, dim)) < 0.3] = 0.0
+        m[0, 0] = AMPLITUDE_FLOOR
+        m[1, 0] = above
+        m[4, 2] = -AMPLITUDE_FLOOR * 1j
+        m[7, 2] = -above
+        m[:, 3] = 0.0
+        m[11, 3] = above * 1j
+        m[:, 9] = AMPLITUDE_FLOOR
+
+        def listed(columns):
+            return [(list(dom.items()), list(img.items()))
+                    for dom, img in columns]
+
+        got = ProbeChannelMap.from_dense(m, 2, channel).columns
+        want = oracles.from_dense_columns_reference(m, 2, channel)
+        assert listed(got) == listed(want)
+        assert (0, channel.occupations[0]) not in got[0][1]
+        assert got[0][1][(0, channel.occupations[1])] == above
+        assert got[9][1] == {}
+        assert all(type(a) is complex for _, img in got for a in img.values())
+
+
+def _map_pair(spec):
+    return [m for m in (spec.outbound, spec.returning) if m is not None]
+
+
+def _haar_maps():
+    channel = ChannelBasis(4)
+    rng = np.random.default_rng(60)
+    return _map_pair(general_attack(
+        oracles.haar_unitary(rng, 4 * channel.dim),
+        oracles.haar_unitary(rng, 4 * channel.dim), probe_dim=4, n_max=4))
+
+
+_K = [(0, (0, 1)), (0, (1, 0)), (1, (0, 1)), (1, (1, 0)), (2, (0, 0))]
+_R = 1 / SQRT2
+
+#: name -> maps whose isometry defect is checked against the reference
+DEFECT_CASES = {
+    "identity": lambda: [ProbeChannelMap.identity_map()],
+    "no-columns": lambda: [ProbeChannelMap([])],
+    "pns": lambda: _map_pair(pns_attack(n_max=4)),
+    "tagging": lambda: _map_pair(tagging_attack()),
+    "constrained-random": lambda: _map_pair(
+        constrained_random_attack(3, 4, n_max=3)),
+    "single-photon-mismatch": lambda: _map_pair(constrained_random_attack(
+        7, 4, n_max=3, violation="single-photon-mismatch")),
+    "multi-photon-return": lambda: _map_pair(constrained_random_attack(
+        9, 3, n_max=3, violation="multi-photon-return", violation_level=3)),
+    "haar-dim-60": _haar_maps,
+    "half-identity": lambda: [ProbeChannelMap.from_dense(
+        0.5 * np.eye(6), 1, ChannelBasis(2))],
+    "overlapping-domains": lambda: [ProbeChannelMap([
+        ({_K[0]: 1.0}, {_K[0]: 1.0}),
+        ({_K[0]: _R, _K[1]: _R}, {_K[1]: 1.0})])],
+    "empty-image": lambda: [ProbeChannelMap([
+        ({_K[0]: 1.0}, {_K[0]: 1.0}), ({_K[1]: 1.0}, {})])],
+    "unnormalised-domain": lambda: [ProbeChannelMap([
+        ({_K[0]: 2.0}, {_K[0]: 2.0}), ({_K[1]: 1.0}, {_K[1]: 1.0})])],
+    "image-only-keys": lambda: [ProbeChannelMap([
+        ({_K[0]: 1.0}, {_K[3]: 0.6, _K[4]: 0.8j}),
+        ({_K[1]: 1.0}, {_K[2]: 1.0, _K[3]: 0.5})])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEFECT_CASES))
+def test_isometry_defect_matches_pairwise_reference(case):
+    for m in DEFECT_CASES[case]():
+        want = oracles.isometry_defect_reference(m.columns)
+        assert m.isometry_defect() == pytest.approx(want, abs=1e-12)
+
 
 class TestConstrainedRandom:
     @pytest.mark.parametrize("probe_dim", [1, 2, 3, 4])
@@ -222,6 +310,33 @@ class TestMatrixFile:
         path.write_text("\n".join(rows), encoding="utf-8")
         back = load_matrix_file(str(path))
         assert np.allclose(back, m, atol=1e-15)
+
+    def test_parses_like_float_per_token(self, tmp_path):
+        rng = np.random.default_rng(3)
+        m = oracles.haar_unitary(rng, 6) * 10.0 ** rng.integers(-300, 300, (6, 6))
+        tokens = []
+        for z in m.ravel():
+            tokens += [repr(float(z.real)), f"{z.imag:.17e}"]
+        tokens[:8] = ["-0.0", "5e-324", "1.7976931348623157E+308", "+.5",
+                      "2.", "3", "1e-320", "-2.2250738585072014e-308"]
+        lines = ["# header comment", ""]
+        for row in range(6):
+            cells = tokens[12 * row:12 * row + 12]
+            lines.append("\t".join(cells[:5]) + "  # trailing comment")
+            lines.append("   \t ")
+            lines.append("  ".join(cells[5:]) + "\t")
+        path = tmp_path / "m.txt"
+        path.write_text("\n".join(lines) + "\n#", encoding="utf-8")
+        got = load_matrix_file(str(path))
+        want = oracles.load_matrix_reference(str(path))
+        assert got.shape == (6, 6)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_bad_token_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1 0\n0 abc\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{path}: .*'abc'"):
+            load_matrix_file(str(path))
 
     def test_rejects_non_square(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from sqkdsim.attacks import (
     constrained_random_attack,
+    general_attack,
     identity_attack,
     pns_attack,
     tagging_attack,
@@ -197,6 +199,21 @@ class TestRunProtocolConstrained:
         assert rep.metrics["test_errors"] == 0
         assert rep.metrics["alice_11_prob_exact"] <= 1e-10
         assert rep.metrics["eve_fidelity"] >= 1 - 1e-9
+
+
+class TestRunProtocolGeneral:
+    def test_dense_attack_at_dim_168_runs(self):
+        # n_max 5 has 21 channel occupations; with probe_dim 8 each map
+        # is a dense 168 x 168 unitary over probe x channel
+        rng = np.random.default_rng(168)
+        outbound, returning = (oracles.haar_unitary(rng, 168) for _ in "ab")
+        attack = general_attack(outbound, returning, probe_dim=8, n_max=5)
+        cfg = ProtocolConfig(rounds=400, rng_seed=5, n_max=5,
+                             source_stats=(0.1, 0.8, 0.1), transmission=0.9)
+        rep = run(cfg, attack)
+        assert rep.rounds == 400
+        assert sum(rep.categories.values()) == rep.rounds
+        assert 0.0 < rep.metrics["alice_11_prob_exact"] < 1.0
 
 
 class TestStrengthenings:

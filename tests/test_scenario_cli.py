@@ -180,6 +180,22 @@ class TestCli:
         assert code == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("broken", ["missing", "bad-token"])
+    def test_unreadable_matrix_file_exits_two(self, tmp_path, capsys, broken):
+        good = tmp_path / "good.mat"
+        good.write_text("1 0 0 0 0 0\n0 0 1 0 0 0\n0 0 0 0 1 0\n",
+                        encoding="utf-8")
+        bad = tmp_path / "bad.mat"
+        if broken == "bad-token":
+            bad.write_text("1 0 0 0\n0 0 1 abc\n", encoding="utf-8")
+        path = write(tmp_path, "\n".join([
+            "[protocol]", "rounds = 100", "n_max = 1",
+            "[attack]", "name = general", "probe_dim = 1",
+            f"outbound_file = {good}", f"return_file = {bad}", ""]))
+        assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_parse_error_exits_two(self, tmp_path):
         path = write(tmp_path, "[protocol]\nrounds = banana\n")
         assert cli.main(["run", path, "--out-dir", str(tmp_path)]) == 2
