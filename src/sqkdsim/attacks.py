@@ -464,11 +464,12 @@ def load_matrix_file(path: str) -> np.ndarray:
 
     Text after ``#`` on a line is a comment.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = [tok for line in fh for tok in line.split("#", 1)[0].split()]
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            tokens = [tok for line in fh
+                      for tok in line.split("#", 1)[0].split()]
         values = np.array(tokens, dtype=float)
-    except ValueError as exc:
+    except ValueError as exc:  # a malformed token or undecodable bytes
         raise ValueError(f"{path}: {exc}") from None
     if len(values) % 2:
         raise ValueError(f"{path}: odd float count, expected re/im pairs")

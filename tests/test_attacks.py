@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,9 @@ DEFECT_CASES = {
         ({_K[0]: _R, _K[1]: _R}, {_K[1]: 1.0})])],
     "empty-image": lambda: [ProbeChannelMap([
         ({_K[0]: 1.0}, {_K[0]: 1.0}), ({_K[1]: 1.0}, {})])],
+    "imaginary-overlap": lambda: [ProbeChannelMap([
+        ({_K[0]: 1.0}, {_K[0]: 1.0}),
+        ({_K[1]: 1.0}, {_K[0]: 0.6j, _K[1]: 0.8})])],
     "unnormalised-domain": lambda: [ProbeChannelMap([
         ({_K[0]: 2.0}, {_K[0]: 2.0}), ({_K[1]: 1.0}, {_K[1]: 1.0})])],
     "image-only-keys": lambda: [ProbeChannelMap([
@@ -335,7 +339,7 @@ class TestMatrixFile:
     def test_bad_token_names_the_file(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 0\n0 abc\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"^{path}: .*'abc'"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'abc'"):
             load_matrix_file(str(path))
 
     def test_rejects_non_square(self, tmp_path):

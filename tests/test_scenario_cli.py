@@ -180,7 +180,7 @@ class TestCli:
         assert code == 2
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("broken", ["missing", "bad-token"])
+    @pytest.mark.parametrize("broken", ["missing", "bad-token", "binary"])
     def test_unreadable_matrix_file_exits_two(self, tmp_path, capsys, broken):
         good = tmp_path / "good.mat"
         good.write_text("1 0 0 0 0 0\n0 0 1 0 0 0\n0 0 0 0 1 0\n",
@@ -188,6 +188,8 @@ class TestCli:
         bad = tmp_path / "bad.mat"
         if broken == "bad-token":
             bad.write_text("1 0 0 0\n0 0 1 abc\n", encoding="utf-8")
+        elif broken == "binary":
+            bad.write_bytes(b"\xff\xfe1 0\n")
         path = write(tmp_path, "\n".join([
             "[protocol]", "rounds = 100", "n_max = 1",
             "[attack]", "name = general", "probe_dim = 1",
