@@ -47,7 +47,7 @@ def _ec_scale(v: ECVec, c: complex) -> ECVec:
 
 def _dense_columns(vecs: Sequence[ECVec], index: Mapping[ECKey, int]
                    ) -> np.ndarray:
-    """``vecs`` as the columns of a dense (keys x vectors) array over ``index``."""
+    """``vecs`` as the columns of a dense (keys x vectors) array."""
     out = np.zeros((len(index), len(vecs)), dtype=np.complex128)
     for j, vec in enumerate(vecs):
         out[[index[k] for k in vec], j] = list(vec.values())
@@ -127,13 +127,15 @@ class ProbeChannelMap:
 
     def isometry_defect(self) -> float:
         """Largest deviation from inner-product preservation:
-        ``max(max|D^H D - M^H M|, max|diag(D^H D) - 1|)``."""
+        ``max(max|D^H D - M^H M|, max|diag(D^H D) - 1|)``, NaN when an
+        entry is not finite."""
         if self.identity or not self.columns:
             return 0.0
-        gram_dom = self._dom.conj().T @ self._dom
-        gram_img = self._img.conj().T @ self._img
-        return float(max(np.abs(gram_dom - gram_img).max(),
-                         np.abs(np.diagonal(gram_dom) - 1.0).max()))
+        with np.errstate(invalid="ignore", over="ignore"):
+            gram_dom = self._dom.conj().T @ self._dom
+            gram_img = self._img.conj().T @ self._img
+            return float(np.max([np.abs(gram_dom - gram_img).max(),
+                                 np.abs(np.diagonal(gram_dom) - 1.0).max()]))
 
     def apply(self, state: JointState) -> JointState:
         if self.identity:
@@ -210,7 +212,7 @@ class AttackSpec:
                 continue
             defect = m.isometry_defect()
             worst = max(worst, defect)
-            if defect > tol:
+            if not defect <= tol:  # NaN from a non-finite entry fails too
                 raise IsometryError(
                     f"{label} map of attack {self.name!r} is not an isometry "
                     f"(max deviation {defect:.3e} > {tol:g})")

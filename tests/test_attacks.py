@@ -174,6 +174,14 @@ class TestGeneral:
         with pytest.raises(IsometryError, match="deviation"):
             general_attack(q, bad, probe_dim=4, n_max=4)
 
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, complex(np.nan, np.inf),
+                                       np.nan])
+    def test_non_finite_entry_rejected(self, entry):
+        m = np.eye(6, dtype=complex)
+        m[0, 0] = entry
+        with pytest.raises(IsometryError, match="deviation"):
+            general_attack(m, np.eye(6), probe_dim=1, n_max=2)
+
     def test_from_dense_matches_per_column_reference_at_floor(self):
         channel = ChannelBasis(2)
         dim = 2 * channel.dim
