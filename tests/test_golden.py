@@ -9,6 +9,11 @@ simulator outputs and is a bug until explained.
 A seeded Haar `general` attack, written to matrix files, is pinned the same
 way (text report only).
 
+Bundled scenarios embed a round log only up to 20000 rounds, so one scenario
+of each protocol is also pinned with ``--round-log always`` at 131073
+rounds: past two block edges (65536, 131072) and across the step from five-
+to six-digit round indices.
+
 To print the current hashes (after an intended, explained change):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -68,15 +73,17 @@ GOLDEN = {
 }
 
 
-def report_hashes(name: str, out_dir: Path):
-    """(text, csv) SHA-256 of scenario ``name``'s machine reports."""
+def report_hashes(name: str, out_dir: Path, extra=(), status=cli.EXIT_OK):
+    """(text, csv) SHA-256 of scenario ``name``'s machine reports, run with
+    the extra command-line arguments ``extra``; both runs must exit with
+    ``status``."""
     scn = str(SCENARIOS / f"{name}.scn")
     text_dir, csv_dir = out_dir / "text", out_dir / "csv"
     with contextlib.redirect_stdout(io.StringIO()):
-        codes = (cli.main(["run", scn, "--out-dir", str(text_dir)]),
+        codes = (cli.main(["run", scn, "--out-dir", str(text_dir), *extra]),
                  cli.main(["run", scn, "--out-dir", str(csv_dir),
-                           "--format", "csv", "--jobs", "2"]))
-    assert codes == (cli.EXIT_OK, cli.EXIT_OK), codes
+                           "--format", "csv", "--jobs", "2", *extra]))
+    assert codes == (status, status), codes
     text = hashlib.sha256(
         (text_dir / f"{name}.report.txt").read_bytes()).hexdigest()
     csv = hashlib.sha256()
@@ -97,6 +104,37 @@ def test_every_bundled_scenario_is_pinned():
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_machine_reports_match_golden_hashes(name, tmp_path):
     assert report_hashes(name, tmp_path) == GOLDEN[name]
+
+
+#: rounds of the round-log goldens
+LOGGED_ROUNDS = 131073
+
+LOGGED_ARGS = ("--rounds", str(LOGGED_ROUNDS), "--round-log", "always")
+
+#: bb84-pns expects the received pulse count of its own 1e6 rounds, so its
+#: shortened runs fail that expectation (and still write their reports)
+LOGGED_STATUS = {"bb84-pns": cli.EXIT_FAILED}
+
+#: scenario -> (text report hash, CSV reports hash) with a round log of
+#: LOGGED_ROUNDS rounds
+LOGGED_GOLDEN = {
+    "b92-usd-c05": (
+        "4d22b0152a30a1630d0c0de7305f4bc8f9caab2995e1b0e99dd22f88c63cc79d",
+        "dc9682b8b86a59fad3212b52299ef64ad257bd527854264702d9422254432cd5"),
+    "bb84-pns": (
+        "313ade7be6105ba41c1a0f5ca0a0c4a1f8cba64b8d94df80b7a89d8ad6c12a35",
+        "53914af726fc70c307682edd3baa897b9d4324dc0d854d1e77f855d0ccadc126"),
+    "classical-alice-lossy": (
+        "5f4e40734849aabcc2c67bbb5cd2181cdf7da8a105ee552644973032f0214026",
+        "ac3b0b99672791c567bcae68f66299bae2bb1a5fe78e22ae460f0184e7dc772e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOGGED_GOLDEN))
+def test_round_log_reports_match_golden_hashes(name, tmp_path):
+    status = LOGGED_STATUS.get(name, cli.EXIT_OK)
+    assert (report_hashes(name, tmp_path, LOGGED_ARGS, status)
+            == LOGGED_GOLDEN[name])
 
 
 #: text report hash of a seeded Haar `general` attack (no bundled scenario
@@ -151,3 +189,10 @@ if __name__ == "__main__":
             sys.stdout.write(f'    "{name}": (\n        "{text}",\n'
                              f'        "{csv}"),\n')
         sys.stdout.write(f'general: "{general_report_hash(Path(tmp) / "g")}"\n')
+        sys.stdout.write(f"logged at {LOGGED_ROUNDS} rounds:\n")
+        for name in sorted(LOGGED_GOLDEN):
+            text, csv = report_hashes(name, Path(tmp) / f"log-{name}",
+                                      LOGGED_ARGS,
+                                      LOGGED_STATUS.get(name, cli.EXIT_OK))
+            sys.stdout.write(f'    "{name}": (\n        "{text}",\n'
+                             f'        "{csv}"),\n')
