@@ -29,6 +29,9 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_CONFIG = 2
 
+#: characters per write of a report file
+WRITE_SLICE = 1 << 20
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -67,6 +70,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_report(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 in slices of WRITE_SLICE characters, so no
+    encoded copy of the whole report is held besides the string."""
+    with open(path, "w", encoding="utf-8") as out:
+        for lo in range(0, len(text), WRITE_SLICE):
+            out.write(text[lo:lo + WRITE_SLICE])
+
+
 def _cmd_run(args) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, not {args.jobs}",
@@ -103,16 +114,13 @@ def _cmd_run(args) -> int:
     if args.format == "csv":
         for suffix, text in render_csv(report, scenario.name, comparison,
                                        round_log=args.round_log).items():
-            (out_dir / f"{scenario.name}.{suffix}").write_text(
-                text, encoding="utf-8")
+            _write_report(out_dir / f"{scenario.name}.{suffix}", text)
     else:
         machine = render_machine_report(report, scenario.name, comparison,
                                         round_log=args.round_log)
-        (out_dir / f"{scenario.name}.report.txt").write_text(
-            machine, encoding="utf-8")
+        _write_report(out_dir / f"{scenario.name}.report.txt", machine)
     summary = render_summary(report, scenario.name, comparison)
-    (out_dir / f"{scenario.name}.summary.txt").write_text(
-        summary, encoding="utf-8")
+    _write_report(out_dir / f"{scenario.name}.summary.txt", summary)
     print(summary, end="")
 
     if comparison and not all(row.passed for row in comparison):

@@ -22,6 +22,10 @@ from .protocol import RunReport
 #: per-round records are embedded up to this many rounds unless forced
 ROUND_LOG_LIMIT = 20_000
 
+#: rounds per rendered piece of the round log; a piece's temporaries are
+#: about 50 bytes per round
+LOG_STEP = BLOCK // 4
+
 
 def fmt(value) -> str:
     if isinstance(value, bool):
@@ -32,16 +36,46 @@ def fmt(value) -> str:
 
 
 def _round_log(report: RunReport, sep: str) -> Iterator[str]:
-    """The round log's lines, joined in pieces of up to BLOCK rounds."""
+    """The round log's lines, joined in pieces of up to LOG_STEP rounds.
+
+    A piece is rendered as a byte matrix, one row per round: the index
+    digits, then the round's code row from ``_code_rows``.  Zero bytes
+    (leading zeros of the index and row padding) are dropped with one
+    boolean compress, leaving the lines in order.
+    """
     cols = [report.code_fields[f] for f in report.record_fields]
-    rows = np.empty(cols[0].size, dtype=object)
-    for code in np.flatnonzero(np.bincount(report.codes,
-                                           minlength=rows.size)).tolist():
-        rows[code] = sep.join(str(int(col[code])) for col in cols)
-    for lo in range(0, report.rounds, BLOCK):
-        hi = min(lo + BLOCK, report.rounds)
-        yield "\n".join(f"{i}{sep}{row}" for i, row in
-                        zip(range(lo, hi), rows[report.codes[lo:hi]].tolist()))
+    table = _code_rows(cols, np.bincount(report.codes,
+                                         minlength=cols[0].size), sep)
+    for lo in range(0, report.rounds, LOG_STEP):
+        hi = min(lo + LOG_STEP, report.rounds)
+        width = len(str(hi - 1))
+        text = np.empty((hi - lo, width + table.shape[1]), dtype=np.uint8)
+        index = np.arange(lo, hi, dtype=np.uint32 if hi <= 2 ** 32
+                          else np.uint64)
+        for k in range(width - 1, -1, -1):
+            quot = index // 10
+            text[:, k] = index - quot * 10 + ord("0")
+            index = quot
+        # rows before 10**(width-1-k) - lo have a leading zero in column k
+        for k in range(width - 1):
+            text[:max(0, 10 ** (width - 1 - k) - lo), k] = 0
+        text[:, width:] = table.take(report.codes[lo:hi], axis=0)
+        # the piece's last newline is the one its joiner puts back
+        yield str(text[text != 0][:-1].data, "ascii")
+
+
+def _code_rows(cols, counts: np.ndarray, sep: str) -> np.ndarray:
+    """Row ``c`` holds ``sep``, code ``c``'s fields and a newline as ASCII
+    bytes, padded with zero bytes to a common width.  Only codes with a
+    nonzero count are filled."""
+    rows = {code: (sep + sep.join(str(int(col[code])) for col in cols)
+                   + "\n").encode("ascii")
+            for code in np.flatnonzero(counts).tolist()}
+    table = np.zeros((counts.size, max(map(len, rows.values()), default=0)),
+                     dtype=np.uint8)
+    for code, row in rows.items():
+        table[code, :len(row)] = np.frombuffer(row, dtype=np.uint8)
+    return table
 
 
 @dataclass

@@ -18,6 +18,9 @@ The dense-map references (``isometry_defect_reference``,
 ``from_dense_columns_reference``, ``load_matrix_reference``) are the
 per-pair and per-entry loops that ``sqkdsim.attacks`` replaced with array
 operations.
+
+``round_log_reference`` formats the round log one line per round with an
+f-string; ``sqkdsim.report`` builds the same text from byte rows with numpy.
 """
 
 from __future__ import annotations
@@ -472,3 +475,19 @@ def load_matrix_reference(path) -> np.ndarray:
     flat = np.array(values).reshape(-1, 2)
     dim = math.isqrt(len(flat))
     return (flat[:, 0] + 1j * flat[:, 1]).reshape(dim, dim)
+
+
+# ---------------------------------------------------------------------------
+# round log: one formatted line per round
+
+
+def round_log_reference(report, sep: str) -> str:
+    """The round log's lines joined by newlines: each code's fields joined
+    once, then one f-string per round."""
+    cols = [report.code_fields[f] for f in report.record_fields]
+    rows = np.empty(cols[0].size, dtype=object)
+    for code in np.flatnonzero(np.bincount(report.codes,
+                                           minlength=rows.size)).tolist():
+        rows[code] = sep.join(str(int(col[code])) for col in cols)
+    return "\n".join(f"{i}{sep}{row}" for i, row in
+                     enumerate(rows[report.codes].tolist()))

@@ -6,6 +6,11 @@ O(block) temporaries.  A 4,000,000-round two-way run in a fresh process
 must peak below ``PEAK_MB``; materialising the run's uniforms alone would
 take 320 MB.
 
+A run with ``--round-log always`` holds its report as one string, built
+from pieces that are alive while they are joined, and writes it in fixed
+slices; so it may peak at about twice the report's size above the same run
+without the log, and no higher.
+
 Linux carries a process's peak RSS across fork and exec, so a run started
 straight from the test process would report at least the test process's
 own peak.  The run is therefore started from a small launcher process,
@@ -18,9 +23,14 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 import sqkdsim
 
 PEAK_MB = 150
+
+#: bound on (logged peak - unlogged peak) / report size
+LOG_PEAK_RATIO = 2.15
 
 LAUNCHER = """
 import resource, subprocess, sys
@@ -30,15 +40,34 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def test_large_two_way_run_stays_small(tmp_path):
+def _peak_kb(out_dir: Path, *args) -> int:
+    """Peak RSS in kilobytes of a 4,000,000-round two-way run in a fresh
+    process, with extra command-line arguments ``args``."""
     scenario = (resources.files("sqkdsim") / "scenarios"
                 / "classical-alice-lossy.scn")
     src = str(Path(sqkdsim.__file__).resolve().parents[1])
     path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     out = subprocess.run(
         [sys.executable, "-c", LAUNCHER, "run", str(scenario),
-         "--rounds", "4000000", "--jobs", "2", "--out-dir", str(tmp_path)],
+         "--rounds", "4000000", "--jobs", "2", "--out-dir", str(out_dir),
+         *args],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         capture_output=True, text=True, timeout=300, check=True)
     # ru_maxrss is in kilobytes on Linux
-    assert int(out.stdout) / 1024 < PEAK_MB
+    return int(out.stdout)
+
+
+@pytest.fixture(scope="module")
+def unlogged_peak_kb(tmp_path_factory):
+    return _peak_kb(tmp_path_factory.mktemp("unlogged"))
+
+
+def test_large_two_way_run_stays_small(unlogged_peak_kb):
+    assert unlogged_peak_kb / 1024 < PEAK_MB
+
+
+def test_round_log_run_peaks_below_twice_its_size(unlogged_peak_kb,
+                                                  tmp_path):
+    logged_kb = _peak_kb(tmp_path, "--round-log", "always")
+    size = (tmp_path / "classical-alice-lossy.report.txt").stat().st_size
+    assert (logged_kb - unlogged_peak_kb) * 1024 < LOG_PEAK_RATIO * size

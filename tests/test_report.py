@@ -1,0 +1,57 @@
+"""The round log rendered from byte rows equals one f-string per round."""
+
+import dataclasses
+import functools
+from importlib import resources
+
+import numpy as np
+import pytest
+
+from oracles import round_log_reference
+from sqkdsim.kernels import ca_space
+from sqkdsim.protocol import RunReport, run
+from sqkdsim.report import _round_log
+from sqkdsim.scenario import load_scenario
+
+SCENARIOS = resources.files("sqkdsim") / "scenarios"
+
+#: one scenario per protocol
+PROTOCOL_SCENARIOS = ("classical-alice-lossy", "bb84-pns", "b92-usd-c05")
+
+#: around the block edge and the step from five- to six-digit indices
+ROUNDS = (1, 10, 11, 65535, 65536, 65537, 100001)
+
+
+@functools.lru_cache(maxsize=None)
+def _scenario_report(name: str) -> RunReport:
+    scenario = load_scenario(str(SCENARIOS / f"{name}.scn"))
+    scenario.config.rounds = max(ROUNDS)
+    return run(scenario.config, scenario.build_attack())
+
+
+def _log(report: RunReport, sep: str) -> str:
+    return "\n".join(_round_log(report, sep))
+
+
+@pytest.mark.parametrize("sep", [" ", ","])
+@pytest.mark.parametrize("rounds", ROUNDS)
+@pytest.mark.parametrize("name", PROTOCOL_SCENARIOS)
+def test_round_log_matches_reference(name, rounds, sep):
+    full = _scenario_report(name)
+    report = dataclasses.replace(full, rounds=rounds,
+                                 codes=full.codes[:rounds])
+    assert _log(report, sep) == round_log_reference(report, sep)
+
+
+@pytest.mark.parametrize("sep", [" ", ","])
+def test_round_log_of_random_codes_matches_reference(sep):
+    """Index widths 1-7, fields of -1, and a ragged last step."""
+    space = ca_space(3)
+    rounds = 1_000_003
+    codes = np.random.default_rng(5).integers(
+        0, space.size, rounds).astype(np.int16)
+    report = RunReport(variant="synthetic", rounds=rounds, seed=0,
+                       metrics={}, categories={},
+                       record_fields=space.fields, codes=codes,
+                       code_fields=space.decode())
+    assert _log(report, sep) == round_log_reference(report, sep)
