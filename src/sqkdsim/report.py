@@ -5,7 +5,9 @@ timestamps, hostnames or worker counts, so identical (scenario, seed) runs
 produce byte-identical files regardless of worker count.
 
 The round log is the only part written per round: each record code's row
-is formatted once, and a round's line is its index and its code's row.
+is formatted once, as bytes, and a round's line is its index and its
+code's row.  Lines are rendered in numpy, a step of rounds at a time, and
+yielded as string pieces that the report joins.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .protocol import RunReport
 #: per-round records are embedded up to this many rounds unless forced
 ROUND_LOG_LIMIT = 20_000
 
-#: rounds per rendered piece of the round log; a piece's temporaries are
-#: about 50 bytes per round
+#: rounds per rendered piece of the round log; a piece's temporaries are a
+#: few arrays of about 30 bytes per round, so a few MB in all
 LOG_STEP = BLOCK // 4
 
 
@@ -39,13 +41,20 @@ def _round_log(report: RunReport, sep: str) -> Iterator[str]:
     """The round log's lines, joined in pieces of up to LOG_STEP rounds.
 
     A piece is rendered as a byte matrix, one row per round: the index
-    digits, then the round's code row from ``_code_rows``.  Zero bytes
+    digits, then the row of the round's code in ``table``.  Zero bytes
     (leading zeros of the index and row padding) are dropped with one
     boolean compress, leaving the lines in order.
     """
     cols = [report.code_fields[f] for f in report.record_fields]
-    table = _code_rows(cols, np.bincount(report.codes,
-                                         minlength=cols[0].size), sep)
+    counts = np.bincount(report.codes, minlength=cols[0].size)
+    rows = {code: (sep + sep.join(str(int(col[code])) for col in cols)
+                   + "\n").encode("ascii")
+            for code in np.flatnonzero(counts).tolist()}
+    # row c: sep, code c's fields and a newline, padded with zero bytes
+    table = np.zeros((counts.size, max(map(len, rows.values()), default=0)),
+                     dtype=np.uint8)
+    for code, row in rows.items():
+        table[code, :len(row)] = np.frombuffer(row, dtype=np.uint8)
     for lo in range(0, report.rounds, LOG_STEP):
         hi = min(lo + LOG_STEP, report.rounds)
         width = len(str(hi - 1))
@@ -62,20 +71,6 @@ def _round_log(report: RunReport, sep: str) -> Iterator[str]:
         text[:, width:] = table.take(report.codes[lo:hi], axis=0)
         # the piece's last newline is the one its joiner puts back
         yield str(text[text != 0][:-1].data, "ascii")
-
-
-def _code_rows(cols, counts: np.ndarray, sep: str) -> np.ndarray:
-    """Row ``c`` holds ``sep``, code ``c``'s fields and a newline as ASCII
-    bytes, padded with zero bytes to a common width.  Only codes with a
-    nonzero count are filled."""
-    rows = {code: (sep + sep.join(str(int(col[code])) for col in cols)
-                   + "\n").encode("ascii")
-            for code in np.flatnonzero(counts).tolist()}
-    table = np.zeros((counts.size, max(map(len, rows.values()), default=0)),
-                     dtype=np.uint8)
-    for code, row in rows.items():
-        table[code, :len(row)] = np.frombuffer(row, dtype=np.uint8)
-    return table
 
 
 @dataclass
