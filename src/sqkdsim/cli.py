@@ -17,6 +17,7 @@ from .attacks import AttackDomainError, IsometryError
 from .protocol import ConfigError, run as run_any
 from .report import (
     evaluate_expectations,
+    includes_round_log,
     render_csv,
     render_machine_report,
     render_summary,
@@ -95,7 +96,10 @@ def _cmd_run(args) -> int:
     try:
         scenario.config.validate()
         attack = scenario.build_attack()
-        report = run_any(scenario.config, attack, jobs=args.jobs)
+        keep_codes = includes_round_log(args.round_log,
+                                        scenario.config.rounds)
+        report = run_any(scenario.config, attack, jobs=args.jobs,
+                         keep_codes=keep_codes)
     except (ScenarioError, ConfigError, IsometryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

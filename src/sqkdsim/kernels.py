@@ -15,16 +15,17 @@ with no per-parent masks and no sorting.
 
 A round's outcome is one record tuple (its fields per protocol are listed
 by the ``CodeSpace`` of that protocol), packed into one mixed-radix
-``int16`` record code.  The walk returns every round's code and the
-histogram of codes; the protocol layer computes every metric from the
-histogram, since each metric is a function of the record tuple alone.
+``int16`` record code.  The walk returns the histogram of codes, and
+every round's code only when the caller keeps them for a round log; the
+protocol layer computes every metric from the histogram, since each metric
+is a function of the record tuple alone.
 
 Rounds are walked in fixed blocks of ``BLOCK`` rounds: each block draws its
 uniforms, walks them, packs its codes and adds their histogram, so memory
-stays O(BLOCK) per thread besides the 2-byte code of each round.  ``jobs``
-worker threads split the rounds into contiguous chunks of whole blocks
-(numpy drops the interpreter lock inside its loops), each with its own
-histogram.
+stays O(BLOCK) per thread whatever the round count; a walk that keeps the
+codes also holds 2 bytes per round.  ``jobs`` worker threads split the
+rounds into contiguous chunks of whole blocks (numpy drops the interpreter
+lock inside its loops), each with its own histogram.
 
 Randomness: uniform ``u[i, j]`` is the ``(i * SLOTS + j)``-th double of the
 Philox-4x64 stream keyed by the run seed, so round ``i`` owns a fixed
@@ -45,8 +46,9 @@ import numpy as np
 
 SLOTS = 10
 
-#: rounds per block of the walk; temporaries are a few arrays of this length
-BLOCK = 1 << 16
+#: rounds per block of the walk; temporaries are a few arrays of this length,
+#: and a block's (BLOCK, SLOTS) uniforms take 1.3 MB
+BLOCK = 1 << 14
 
 #: pattern codes mirrored across the two modes, code = 3*first + second
 MIRROR_CODE = np.array([3 * (c % 3) + c // 3 for c in range(9)], dtype=np.int8)
@@ -134,13 +136,15 @@ def _chunk_ranges(n: int, jobs: int):
 
 
 def _walk(block: Callable[[np.ndarray], np.ndarray], seed: int, n: int,
-          jobs: int, size: int) -> Tuple[np.ndarray, np.ndarray]:
+          jobs: int, size: int, keep_codes: bool
+          ) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """Walk rounds [0, n) in pieces of at most BLOCK rounds, split into
     ``jobs`` chunks; ``block(u)`` maps a piece's uniforms to its codes.
 
-    Returns every round's code and the number of rounds at each code.
+    Returns every round's code (None unless ``keep_codes``) and the number
+    of rounds at each code.
     """
-    codes = np.empty(n, dtype=np.int16)
+    codes = np.empty(n, dtype=np.int16) if keep_codes else None
 
     def worker(lo: int, hi: int) -> np.ndarray:
         gen = _stream(seed, lo)
@@ -150,7 +154,8 @@ def _walk(block: Callable[[np.ndarray], np.ndarray], seed: int, n: int,
             m = min(BLOCK, hi - b)
             gen.random(out=u[:m])
             piece = block(u[:m])
-            codes[b:b + m] = piece
+            if codes is not None:
+                codes[b:b + m] = piece
             counts += np.bincount(piece, minlength=size)
         return counts
 
@@ -327,13 +332,14 @@ def _ca_block(tab: CaTables, st: _CaStages, u: np.ndarray) -> np.ndarray:
     return code
 
 
-def simulate_ca(tab: CaTables, seed: int, rounds: int, jobs: int = 1
-                ) -> Tuple[np.ndarray, np.ndarray]:
-    """Record codes (``ca_space``) of ``rounds`` two-way rounds, and their
-    histogram."""
+def simulate_ca(tab: CaTables, seed: int, rounds: int, jobs: int = 1,
+                keep_codes: bool = False
+                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Record codes (``ca_space``) of ``rounds`` two-way rounds, or None
+    unless ``keep_codes``, and their histogram."""
     st = _CaStages.build(tab)
     return _walk(lambda u: _ca_block(tab, st, u), seed, rounds, jobs,
-                 ca_space(tab.emission_cum.size).size)
+                 ca_space(tab.emission_cum.size).size, keep_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +387,13 @@ def _bb84_block(tab: Bb84Tables, size: Stage, loss: Stage, meas: Stage,
                            evebit), taken
 
 
-def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Record codes (``BB84_SPACE``) of ``rounds`` BB84 rounds, and their
-    histogram.  The splitting quota is a running count over the rounds, so
-    under the attack the rounds are walked in one chunk, in order."""
+def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
+                  keep_codes: bool = False
+                  ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Record codes (``BB84_SPACE``) of ``rounds`` BB84 rounds, or None
+    unless ``keep_codes``, and their histogram.  The splitting quota is a
+    running count over the rounds, so under the attack the rounds are
+    walked in one chunk, in order."""
     size = Stage.from_rows(np.array([0, tab.size_cum.size]), tab.size_cum)
     loss = Stage.from_rows(tab.loss_off, tab.loss_cum)
     meas = Stage.from_rows(tab.meas_off, tab.meas_cum)
@@ -397,7 +405,7 @@ def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1
         return code
 
     return _walk(block, seed, rounds, 1 if tab.attack == 1 else jobs,
-                 BB84_SPACE.size)
+                 BB84_SPACE.size, keep_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +440,10 @@ def _b92_block(tab: B92Tables, u: np.ndarray) -> np.ndarray:
     return B92_SPACE.pack(bit, arrived, bob_basis, conclusive, bob_bit, evebit)
 
 
-def simulate_b92(tab: B92Tables, seed: int, rounds: int, jobs: int = 1
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Record codes (``B92_SPACE``) of ``rounds`` B92 rounds, and their
-    histogram."""
+def simulate_b92(tab: B92Tables, seed: int, rounds: int, jobs: int = 1,
+                 keep_codes: bool = False
+                 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Record codes (``B92_SPACE``) of ``rounds`` B92 rounds, or None
+    unless ``keep_codes``, and their histogram."""
     return _walk(lambda u: _b92_block(tab, u), seed, rounds, jobs,
-                 B92_SPACE.size)
+                 B92_SPACE.size, keep_codes)

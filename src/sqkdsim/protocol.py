@@ -7,8 +7,9 @@ then hands the per-round sampling walk to the round engine in
 ``kernels``.  All quantum amplitudes are therefore evaluated once per run;
 the Monte-Carlo loop only draws branch indices.
 
-The engine returns one record code per round and the number of rounds at
-each code.  Every metric and category is a function of the record alone,
+The engine returns the number of rounds at each record code, and one
+record code per round when the caller keeps them (``keep_codes``, for a
+round log).  Every metric and category is a function of the record alone,
 so each protocol computes them once per code over its decoded code space,
 weighted by those counts, with the same expressions a per-round pass
 would use.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,6 +126,7 @@ class RunReport:
 
     Round ``i``'s record is code ``codes[i]``; ``code_fields[f][c]`` is the
     value of record field ``f`` (``category`` included) at code ``c``.
+    ``codes`` is None when the run kept no per-round codes (the default).
     """
     variant: str
     rounds: int
@@ -132,7 +134,7 @@ class RunReport:
     metrics: Dict[str, float]
     categories: Dict[str, int]
     record_fields: Tuple[str, ...]
-    codes: np.ndarray
+    codes: Optional[np.ndarray]
     code_fields: Dict[str, np.ndarray]
 
     def metric(self, name: str) -> float:
@@ -141,7 +143,15 @@ class RunReport:
     @property
     def records(self) -> Dict[str, np.ndarray]:
         """Per-round records, one array per field."""
-        return {f: self.code_fields[f][self.codes] for f in self.record_fields}
+        codes = self.round_codes()
+        return {f: self.code_fields[f][codes] for f in self.record_fields}
+
+    def round_codes(self) -> np.ndarray:
+        """``codes``; a ValueError when the run kept none."""
+        if self.codes is None:
+            raise ValueError("the run kept no per-round codes; run it with "
+                             "keep_codes=True for per-round records")
+        return self.codes
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +475,8 @@ def _count(w: np.ndarray, mask: np.ndarray) -> int:
 
 
 def _ca_report(config: ProtocolConfig, attack: AttackSpec, meta: CaMeta,
-               codes: np.ndarray, w: np.ndarray, seed: int) -> RunReport:
+               codes: Optional[np.ndarray], w: np.ndarray, seed: int
+               ) -> RunReport:
     """Metrics and categories over the code space, weighted by ``w``."""
     rec = ca_space(meta.emission_kind.size).decode()
     n = int(w.sum())
@@ -578,14 +589,15 @@ def _ca_report(config: ProtocolConfig, attack: AttackSpec, meta: CaMeta,
 
 
 def run_protocol(config: ProtocolConfig, attack: AttackSpec,
-                 jobs: int = 1) -> RunReport:
+                 jobs: int = 1, keep_codes: bool = False) -> RunReport:
     """Monte-Carlo run of the two-way classical-Alice protocol."""
     config.validate()
     if config.variant not in (CLASSICAL_ALICE_FULL, CLASSICAL_ALICE_LIMITED):
         raise ConfigError(f"run_protocol handles the two-way variants, "
                           f"not {config.variant!r}")
     tables, meta = build_ca_tables(config, attack)
-    codes, w = simulate_ca(tables, config.rng_seed, config.rounds, jobs=jobs)
+    codes, w = simulate_ca(tables, config.rng_seed, config.rounds, jobs=jobs,
+                          keep_codes=keep_codes)
     return _ca_report(config, attack, meta, codes, w, config.rng_seed)
 
 
@@ -665,13 +677,14 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
 
 
 def run_bb84(config: ProtocolConfig, attack: AttackSpec,
-             jobs: int = 1) -> RunReport:
+             jobs: int = 1, keep_codes: bool = False) -> RunReport:
     """One-way BB84 with a pulsed source; splitting attack or passive channel."""
     config.validate()
     if config.variant != BB84:
         raise ConfigError("run_bb84 requires the bb84 variant")
     tables, meta = build_bb84_tables(config, attack)
-    codes, w = simulate_bb84(tables, config.rng_seed, config.rounds, jobs=jobs)
+    codes, w = simulate_bb84(tables, config.rng_seed, config.rounds, jobs=jobs,
+                            keep_codes=keep_codes)
 
     rec = BB84_SPACE.decode()
     n = int(w.sum())
@@ -739,14 +752,15 @@ def build_b92_tables(config: ProtocolConfig, attack: AttackSpec) -> B92Tables:
 
 
 def run_b92(config: ProtocolConfig, attack: AttackSpec,
-            jobs: int = 1) -> RunReport:
+            jobs: int = 1, keep_codes: bool = False) -> RunReport:
     """Two-state protocol; the conclusive-measurement intercept hides in loss."""
     config.validate()
     if config.variant != B92:
         raise ConfigError("run_b92 requires the b92 variant")
     c = config.b92_overlap
     tables = build_b92_tables(config, attack)
-    codes, w = simulate_b92(tables, config.rng_seed, config.rounds, jobs=jobs)
+    codes, w = simulate_b92(tables, config.rng_seed, config.rounds, jobs=jobs,
+                           keep_codes=keep_codes)
 
     rec = B92_SPACE.decode()
     n = int(w.sum())
@@ -790,11 +804,12 @@ def run_b92(config: ProtocolConfig, attack: AttackSpec,
 
 
 def run(config: ProtocolConfig, attack: AttackSpec,
-        jobs: int = 1) -> RunReport:
-    """Dispatch a run to the engine matching the configured variant."""
+        jobs: int = 1, keep_codes: bool = False) -> RunReport:
+    """Dispatch a run to the engine matching the configured variant; the
+    report holds per-round codes only if ``keep_codes``."""
     config.validate()
     if config.variant == BB84:
-        return run_bb84(config, attack, jobs=jobs)
+        return run_bb84(config, attack, jobs=jobs, keep_codes=keep_codes)
     if config.variant == B92:
-        return run_b92(config, attack, jobs=jobs)
-    return run_protocol(config, attack, jobs=jobs)
+        return run_b92(config, attack, jobs=jobs, keep_codes=keep_codes)
+    return run_protocol(config, attack, jobs=jobs, keep_codes=keep_codes)

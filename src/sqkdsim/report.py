@@ -18,15 +18,23 @@ from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
-from .kernels import BLOCK
 from .protocol import RunReport
 
 #: per-round records are embedded up to this many rounds unless forced
 ROUND_LOG_LIMIT = 20_000
 
 #: rounds per rendered piece of the round log; a piece's temporaries are a
-#: few arrays of about 30 bytes per round, so a few MB in all
-LOG_STEP = BLOCK // 4
+#: few arrays of about 30 bytes per round, so a few MB in all.  Only a run
+#: with a round log keeps its per-round codes.
+LOG_STEP = 1 << 14
+
+
+def includes_round_log(round_log: str, rounds: int) -> bool:
+    """Whether a report of ``rounds`` rounds carries a round log in
+    ``--round-log`` mode ``round_log``.  A run keeps its per-round codes
+    exactly then."""
+    return round_log == "always" or (round_log == "auto"
+                                     and rounds <= ROUND_LOG_LIMIT)
 
 
 def fmt(value) -> str:
@@ -43,10 +51,12 @@ def _round_log(report: RunReport, sep: str) -> Iterator[str]:
     A piece is rendered as a byte matrix, one row per round: the index
     digits, then the row of the round's code in ``table``.  Zero bytes
     (leading zeros of the index and row padding) are dropped with one
-    boolean compress, leaving the lines in order.
+    boolean compress, leaving the lines in order.  A ValueError when the
+    run kept no per-round codes.
     """
+    codes = report.round_codes()
     cols = [report.code_fields[f] for f in report.record_fields]
-    counts = np.bincount(report.codes, minlength=cols[0].size)
+    counts = np.bincount(codes, minlength=cols[0].size)
     rows = {code: (sep + sep.join(str(int(col[code])) for col in cols)
                    + "\n").encode("ascii")
             for code in np.flatnonzero(counts).tolist()}
@@ -68,7 +78,7 @@ def _round_log(report: RunReport, sep: str) -> Iterator[str]:
         # rows before 10**(width-1-k) - lo have a leading zero in column k
         for k in range(width - 1):
             text[:max(0, 10 ** (width - 1 - k) - lo), k] = 0
-        text[:, width:] = table.take(report.codes[lo:hi], axis=0)
+        text[:, width:] = table.take(codes[lo:hi], axis=0)
         # the piece's last newline is the one its joiner puts back
         yield str(text[text != 0][:-1].data, "ascii")
 
@@ -142,9 +152,7 @@ def render_machine_report(report: RunReport, scenario_name: str,
                                    fmt(row.empirical),
                                    fmt(row.deviation_sigmas),
                                    "1" if row.passed else "0"]))
-    include_rounds = (round_log == "always"
-                      or (round_log == "auto" and report.rounds <= ROUND_LOG_LIMIT))
-    if include_rounds:
+    if includes_round_log(round_log, report.rounds):
         lines.append("")
         lines.append("[rounds]")
         lines.append("# index " + " ".join(report.record_fields))
@@ -174,9 +182,7 @@ def render_csv(report: RunReport, scenario_name: str,
                                   fmt(row.empirical), fmt(row.deviation_sigmas),
                                   "1" if row.passed else "0"]))
         files["comparison.csv"] = "\n".join(rows) + "\n"
-    include_rounds = (round_log == "always"
-                      or (round_log == "auto" and report.rounds <= ROUND_LOG_LIMIT))
-    if include_rounds:
+    if includes_round_log(round_log, report.rounds):
         rows = ["index," + ",".join(report.record_fields)]
         rows.extend(_round_log(report, ","))
         files["rounds.csv"] = "\n".join(rows) + "\n"

@@ -11,8 +11,9 @@ way (text report only).
 
 Bundled scenarios embed a round log only up to 20000 rounds, so one scenario
 of each protocol is also pinned with ``--round-log always`` at 131073
-rounds: past two block edges (65536, 131072) and across the step from five-
-to six-digit round indices.
+rounds: past eight walk blocks and round-log steps of 16384 rounds (the
+last edge at 131072) and across the step from five- to six-digit round
+indices.
 
 To print the current hashes (after an intended, explained change):
 

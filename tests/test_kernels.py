@@ -8,6 +8,8 @@ its histogram aggregation the same metrics and categories, for any worker
 count and across its fixed-size blocks.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,7 @@ def reference(cfg, attack):
 
 
 def assert_matches_reference(cfg, mk, jobs=1, expected=None):
-    report = protocol.run(cfg, mk(), jobs=jobs)
+    report = protocol.run(cfg, mk(), jobs=jobs, keep_codes=True)
     rec, metrics, counts = expected or reference(cfg, mk())
     records = report.records
     assert list(records) == list(rec)
@@ -113,8 +115,8 @@ BLOCKED_ROUNDS = 3 * kernels.BLOCK + 17
 def test_worker_count_does_not_change_results(jobs):
     cfg = ProtocolConfig(rounds=BLOCKED_ROUNDS, rng_seed=29, transmission=0.6,
                          n_max=2)
-    base = run_protocol(cfg, identity_attack(), jobs=1)
-    split = run_protocol(cfg, identity_attack(), jobs=jobs)
+    base = run_protocol(cfg, identity_attack(), jobs=1, keep_codes=True)
+    split = run_protocol(cfg, identity_attack(), jobs=jobs, keep_codes=True)
     assert_identical(base, split)
 
 
@@ -123,7 +125,7 @@ def test_block_edges_match_reference_walk():
                          n_max=2)
     tables, _meta = protocol.build_ca_tables(cfg, tagging_attack())
     codes, counts = kernels.simulate_ca(tables, cfg.rng_seed, cfg.rounds,
-                                        jobs=2)
+                                        jobs=2, keep_codes=True)
     fields = kernels.ca_space(tables.emission_cum.size).decode()
     assert np.array_equal(counts, np.bincount(codes, minlength=counts.size))
     for edge in (kernels.BLOCK, 2 * kernels.BLOCK, 3 * kernels.BLOCK,
@@ -166,14 +168,33 @@ def test_bb84_quota_carries_across_blocks(jobs, pns_reference):
     assert report.metrics["pns_quota_met"] == 1.0
 
 
+@pytest.mark.parametrize("cfg", [
+    ProtocolConfig(rounds=BLOCKED_ROUNDS, rng_seed=34, transmission=0.6,
+                   n_max=2),
+    dataclasses.replace(PNS_CFG, rng_seed=35),
+    ProtocolConfig(variant="b92", rounds=BLOCKED_ROUNDS, rng_seed=36,
+                   transmission=0.1, b92_overlap=0.5),
+], ids=["two-way", "bb84-pns", "b92"])
+def test_runs_keep_codes_only_on_request(cfg):
+    attack = pns_attack if cfg.variant == "bb84" else identity_attack
+    kept = protocol.run(cfg, attack(), jobs=2, keep_codes=True)
+    bare = protocol.run(cfg, attack(), jobs=2)
+    assert kept.codes.shape == (cfg.rounds,) and bare.codes is None
+    assert bare.metrics == kept.metrics
+    assert bare.categories == kept.categories
+
+
 def test_uniforms_are_a_pure_function_of_seed():
-    n = 2 * kernels.BLOCK + 50
+    starts = (0, 1, 2, 3, 7, 99_999, kernels.BLOCK - 1, kernels.BLOCK,
+              2 * kernels.BLOCK + 1)
+    # full covers every window below
+    n = max(starts) + 50
     full = kernels.round_uniforms(123, 0, n)
     assert np.array_equal(full, kernels.round_uniforms(123, 0, n))
     # any window is the same rows: rounds own fixed counter blocks, whatever
     # the offset of the window within Philox's four-double counter steps
-    for lo in (0, 1, 2, 3, 7, 99_999, kernels.BLOCK - 1, kernels.BLOCK,
-               2 * kernels.BLOCK + 1):
+    for lo in starts:
+        assert full[lo:lo + 20].shape == (20, kernels.SLOTS), lo
         assert np.array_equal(kernels.round_uniforms(123, lo, lo + 20),
                               full[lo:lo + 20]), lo
     assert not np.array_equal(full[:1000],

@@ -1,10 +1,12 @@
 """Peak memory of a large run stays bounded.
 
 Rounds are walked in fixed blocks and aggregated from a histogram of record
-codes, so a run keeps about 2 bytes per round (its record codes) besides
-O(block) temporaries.  A 4,000,000-round two-way run in a fresh process
+codes.  A run keeps its record codes (2 bytes per round) only when it writes
+a round log, so without one it holds O(block) temporaries per thread
+whatever its round count.  A 4,000,000-round two-way run in a fresh process
 must peak below ``PEAK_MB``; materialising the run's uniforms alone would
-take 320 MB.
+take 320 MB, and its codes 8 MB.  Four times the rounds may add no more
+than ``GROWTH_MB`` to the peak.
 
 A run with ``--round-log always`` holds its report as one string, built
 from pieces that are alive while they are joined, and writes it in fixed
@@ -27,7 +29,11 @@ import pytest
 
 import sqkdsim
 
-PEAK_MB = 150
+PEAK_MB = 56
+
+#: bound on the peak of 16,000,000 rounds minus that of 4,000,000 rounds;
+#: keeping the codes would add 24 MB
+GROWTH_MB = 4
 
 #: bound on (logged peak - unlogged peak) / report size
 LOG_PEAK_RATIO = 2.15
@@ -40,16 +46,16 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def _peak_kb(out_dir: Path, *args) -> int:
-    """Peak RSS in kilobytes of a 4,000,000-round two-way run in a fresh
-    process, with extra command-line arguments ``args``."""
+def _peak_kb(out_dir: Path, *args, rounds: int = 4_000_000) -> int:
+    """Peak RSS in kilobytes of a two-way run of ``rounds`` rounds at two
+    jobs in a fresh process, with extra command-line arguments ``args``."""
     scenario = (resources.files("sqkdsim") / "scenarios"
                 / "classical-alice-lossy.scn")
     src = str(Path(sqkdsim.__file__).resolve().parents[1])
     path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     out = subprocess.run(
         [sys.executable, "-c", LAUNCHER, "run", str(scenario),
-         "--rounds", "4000000", "--jobs", "2", "--out-dir", str(out_dir),
+         "--rounds", str(rounds), "--jobs", "2", "--out-dir", str(out_dir),
          *args],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         capture_output=True, text=True, timeout=300, check=True)
@@ -64,6 +70,11 @@ def unlogged_peak_kb(tmp_path_factory):
 
 def test_large_two_way_run_stays_small(unlogged_peak_kb):
     assert unlogged_peak_kb / 1024 < PEAK_MB
+
+
+def test_peak_does_not_grow_with_rounds(unlogged_peak_kb, tmp_path):
+    peak_kb = _peak_kb(tmp_path, rounds=16_000_000)
+    assert (peak_kb - unlogged_peak_kb) / 1024 < GROWTH_MB
 
 
 def test_round_log_run_peaks_below_twice_its_size(unlogged_peak_kb,

@@ -127,7 +127,7 @@ class TestRunProtocolIdeal:
 
     def test_partition_covers_all_rounds(self):
         cfg = ProtocolConfig(rounds=5_000, transmission=0.6, rng_seed=2, n_max=2)
-        rep = run_protocol(cfg, identity_attack())
+        rep = run_protocol(cfg, identity_attack(), keep_codes=True)
         assert sum(rep.categories.values()) == rep.rounds
         assert (rep.records["category"] >= 0).all()
 

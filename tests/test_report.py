@@ -26,7 +26,7 @@ ROUNDS = (1, 10, 11, 65535, 65536, 65537, 100001)
 def _scenario_report(name: str) -> RunReport:
     scenario = load_scenario(str(SCENARIOS / f"{name}.scn"))
     scenario.config.rounds = max(ROUNDS)
-    return run(scenario.config, scenario.build_attack())
+    return run(scenario.config, scenario.build_attack(), keep_codes=True)
 
 
 def _log(report: RunReport, sep: str) -> str:
@@ -41,6 +41,15 @@ def test_round_log_matches_reference(name, rounds, sep):
     report = dataclasses.replace(full, rounds=rounds,
                                  codes=full.codes[:rounds])
     assert _log(report, sep) == round_log_reference(report, sep)
+
+
+def test_report_without_codes_raises():
+    report = dataclasses.replace(_scenario_report("classical-alice-lossy"),
+                                 codes=None)
+    with pytest.raises(ValueError, match="kept no per-round codes"):
+        report.records
+    with pytest.raises(ValueError, match="kept no per-round codes"):
+        _log(report, " ")
 
 
 @pytest.mark.parametrize("sep", [" ", ","])

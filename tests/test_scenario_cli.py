@@ -3,7 +3,7 @@ from importlib import resources
 import pytest
 
 from sqkdsim import cli
-from sqkdsim.report import Expectation, evaluate_expectations
+from sqkdsim.report import ROUND_LOG_LIMIT, Expectation, evaluate_expectations
 from sqkdsim.scenario import (
     ScenarioError,
     describe_attack,
@@ -162,6 +162,35 @@ class TestCli:
                   "--round-log", "never", "--out-dir", str(tmp_path)])
         text = (tmp_path / "classical-alice-ideal.report.txt").read_text()
         assert "[rounds]" not in text
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("rounds,logged", [(ROUND_LOG_LIMIT, True),
+                                               (ROUND_LOG_LIMIT + 1, False)])
+    def test_round_log_auto_at_the_limit(self, tmp_path, monkeypatch, fmt,
+                                         rounds, logged):
+        kept = []
+
+        def run_any(*args, **kwargs):
+            report = run(*args, **kwargs)
+            kept.append(report.codes is not None)
+            return report
+
+        run = cli.run_any
+        monkeypatch.setattr(cli, "run_any", run_any)
+        cli.main(["run", scenario_path("classical-alice-ideal.scn"),
+                  "--rounds", str(rounds), "--format", fmt,
+                  "--round-log", "auto", "--out-dir", str(tmp_path)])
+        # the run keeps per-round codes exactly when it writes the log
+        assert kept == [logged]
+        if fmt == "csv":
+            assert (tmp_path / "classical-alice-ideal.metrics.csv").exists()
+            assert ((tmp_path / "classical-alice-ideal.rounds.csv").exists()
+                    == logged)
+        else:
+            text = (tmp_path / "classical-alice-ideal.report.txt").read_text()
+            assert ("[rounds]" in text) == logged
+            if logged:
+                assert text.splitlines()[-1].startswith(f"{rounds - 1} ")
 
     def test_failed_expectation_exits_one(self, tmp_path):
         path = write(tmp_path, "\n".join([
