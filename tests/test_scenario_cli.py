@@ -169,13 +169,13 @@ class TestCli:
     def test_round_log_auto_at_the_limit(self, tmp_path, monkeypatch, fmt,
                                          rounds, logged):
         kept = []
+        run = cli.run_any
 
         def run_any(*args, **kwargs):
             report = run(*args, **kwargs)
             kept.append(report.codes is not None)
             return report
 
-        run = cli.run_any
         monkeypatch.setattr(cli, "run_any", run_any)
         cli.main(["run", scenario_path("classical-alice-ideal.scn"),
                   "--rounds", str(rounds), "--format", fmt,
