@@ -43,10 +43,7 @@ from .analysis import (
 from .protocol import (
     ProtocolConfig,
     RunReport,
-    alice_ctrl,
     alice_sift,
-    bob_measure_x,
-    bob_measure_z,
     run,
     run_b92,
     run_bb84,
@@ -67,12 +64,9 @@ __all__ = [
     "Scenario",
     "X",
     "Z",
-    "alice_ctrl",
     "alice_sift",
     "b92_breakable",
     "b92_conclusive_prob",
-    "bob_measure_x",
-    "bob_measure_z",
     "check_constraints",
     "constrained_random_attack",
     "describe_attack",

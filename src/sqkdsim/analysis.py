@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .fock import FockState, X, Z, make_basis_state, parity_state
-from .joint import JointState, THRESHOLD
+from .joint import ChannelBasis, JointState, THRESHOLD
 from .attacks import AttackSpec, constrained_random_attack
 
 EXACT_TOL = 1e-10
@@ -288,22 +288,21 @@ def _parity_decomposition_error(n_max: int, seed: int) -> float:
     """
     rng = np.random.default_rng(seed + 11)
     d = 4
+    basis = ChannelBasis(n_max)
     worst = 0.0
     for n in range(2, n_max + 1):
         a = rng.normal(size=d) + 1j * rng.normal(size=d)
         b = rng.normal(size=d) + 1j * rng.normal(size=d)
         r = 1.0 / math.sqrt(2.0)
 
-        def embed(vec: np.ndarray, channel: FockState) -> JointState:
-            probe = {e: vec[e] for e in range(d)}
-            return JointState.from_product(probe, channel, d)
+        def embed(vec: np.ndarray, channel: FockState) -> np.ndarray:
+            return np.outer(vec, basis.vector(channel))
 
-        lhs = embed(a, make_basis_state((0, n), Z, n_max)).plus(
-            embed(b, make_basis_state((n, 0), Z, n_max)))
-        rhs = embed((a + b) * r, parity_state(n, "even", Z, n_max)).plus(
-            embed((a - b) * r, parity_state(n, "odd", Z, n_max)))
-        diff = lhs.plus(rhs.scaled(-1.0))
-        worst = max(worst, diff.norm())
+        lhs = (embed(a, make_basis_state((0, n), Z, n_max))
+               + embed(b, make_basis_state((n, 0), Z, n_max)))
+        rhs = (embed((a + b) * r, parity_state(n, "even", Z, n_max))
+               + embed((a - b) * r, parity_state(n, "odd", Z, n_max)))
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
 
 

@@ -3,7 +3,8 @@
 An attack holds an outbound map (applied on the way to Alice), a return map
 (applied on the way back to Bob), and optionally a classical per-round
 strategy for attacks that measure and act adaptively.  Maps are partial
-isometries given by orthonormal domain vectors and their images; inputs the
+isometries held as two dense arrays over probe x channel: orthonormal
+domain vectors ``D`` and their images ``M``, one column each.  Inputs the
 protocol never produces are outside the domain and raise.
 """
 
@@ -11,18 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fock import AMPLITUDE_FLOOR, Occupation
-from .joint import ChannelBasis, JointState, JointKey, Pattern
+from .fock import AMPLITUDE_FLOOR, Occupation, TruncationError
+from .joint import ChannelBasis, JointState, channel_basis
 
 ISOMETRY_TOL = 1e-10
 DOMAIN_TOL = 1e-9
-
-ECKey = Tuple[int, Occupation]
-ECVec = Dict[ECKey, complex]
 
 
 class IsometryError(ValueError):
@@ -33,76 +31,77 @@ class AttackDomainError(ValueError):
     """An attack map was applied to a state outside its declared domain."""
 
 
-def _ec_norm_sq(v: ECVec) -> float:
-    return sum(abs(a) ** 2 for a in v.values())
+def _padded(arr: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """``arr`` zero-padded at the end of each axis up to ``shape``."""
+    if arr.shape == shape:
+        return arr
+    out = np.zeros(shape, dtype=arr.dtype)
+    out[tuple(slice(n) for n in arr.shape)] = arr
+    return out
 
 
-def _ec_inner(a: ECVec, b: ECVec) -> complex:
-    return sum(a[k].conjugate() * b[k] for k in a.keys() & b.keys())
+def _entry_columns(columns: Sequence[Sequence[Tuple[Tuple[int, Occupation], complex]]],
+                   probe_dim: int, n_max: int) -> np.ndarray:
+    """Columns given as summed ``((e, occupation), amplitude)`` entries, as
+    one (probe_dim, channel dim, columns) array."""
+    basis = channel_basis(n_max)
+    out = np.zeros((probe_dim, basis.dim, len(columns)), dtype=np.complex128)
+    for j, entries in enumerate(columns):
+        for (e, occ), amp in entries:
+            out[e, basis.index[occ], j] += amp
+    return out
 
 
-def _ec_scale(v: ECVec, c: complex) -> ECVec:
-    return {k: c * a for k, a in v.items()}
-
-
-def _dense_columns(vecs: Sequence[ECVec], index: Mapping[ECKey, int]
-                   ) -> np.ndarray:
-    """``vecs`` as the columns of a dense (keys x vectors) array."""
-    out = np.zeros((len(index), len(vecs)), dtype=np.complex128)
-    for j, vec in enumerate(vecs):
-        out[[index[k] for k in vec], j] = list(vec.values())
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex ``a @ b`` with every product rounded as Python's complex
+    multiply rounds it and the terms added in order of the shared index, so
+    amplitudes do not depend on how a BLAS splits or fuses the sum."""
+    ar, ai = a.real.T[:, :, None], a.imag.T[:, :, None]
+    br, bi = b.real[:, None, :], b.imag[:, None, :]
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.complex128)
+    out.real = (ar * br - ai * bi).sum(axis=0)
+    out.imag = (ar * bi + ai * br).sum(axis=0)
     return out
 
 
 class ProbeChannelMap:
     """Linear map on probe x channel, acting identically for every Alice readout.
 
-    Stored as orthonormal domain vectors and their images.  ``apply`` expands
-    the input over the domain; any residual outside the span is an error.
-
-    For the isometry check the columns are also held as two dense
-    (keys x columns) arrays over every key any column uses: ``D`` with the
-    domain vectors and ``M`` with their images.  The map preserves inner
-    products when the Gram matrices agree, ``D^H D = M^H M``, and the domain
-    is orthonormal, ``diag(D^H D) = 1``.
+    ``D`` holds orthonormal domain vectors and ``M`` their images, one column
+    each, as arrays of shape (probe_dim, channel dim, columns) over Eve's
+    probe index and the ``ChannelBasis`` order.  ``apply`` expands each
+    Alice pattern's slice ``v`` of a state over the domain, ``c = D^H v``,
+    and maps it to ``M c``; any residual outside the span is an error.  The
+    map preserves inner products when the Gram matrices agree,
+    ``D^H D = M^H M``, and the domain is orthonormal, ``diag(D^H D) = 1``.
+    Maps and states of different extents line up by zero padding.
     """
 
-    def __init__(self, columns: Sequence[Tuple[ECVec, ECVec]],
-                 identity: bool = False):
-        self.identity = identity
-        self.columns: List[Tuple[ECVec, ECVec]] = [
-            ({k: complex(v) for k, v in dom.items()},
-             {k: complex(v) for k, v in img.items()})
-            for dom, img in columns
-        ]
-        index: Dict[ECKey, int] = {}
-        for dom, img in self.columns:
-            for key in (*dom, *img):
-                index.setdefault(key, len(index))
-        self._dom = _dense_columns([dom for dom, _ in self.columns], index)
-        self._img = _dense_columns([img for _, img in self.columns], index)
-
-    @classmethod
-    def identity_map(cls) -> "ProbeChannelMap":
-        return cls([], identity=True)
+    def __init__(self, D: np.ndarray, M: np.ndarray):
+        self.D = np.asarray(D, dtype=np.complex128)
+        self.M = np.asarray(M, dtype=np.complex128)
 
     @classmethod
     def from_occupation_rules(
             cls,
-            rules: Mapping[ECKey, Sequence[Tuple[int, Occupation, complex]]],
-            identity_keys: Sequence[ECKey] = ()) -> "ProbeChannelMap":
+            rules: Mapping[Tuple[int, Occupation],
+                           Sequence[Tuple[int, Occupation, complex]]],
+            identity_keys: Sequence[Tuple[int, Occupation]] = ()) -> "ProbeChannelMap":
         """Basis-key columns: explicit rewrite rules plus pass-through keys."""
-        columns = []
+        doms, imgs = [], []
         for key in sorted(rules):
-            image: ECVec = {}
-            for (e, occ, amp) in rules[key]:
-                image[(e, tuple(occ))] = image.get((e, tuple(occ)), 0j) + complex(amp)
-            columns.append(({key: 1.0 + 0j}, image))
+            doms.append([(key, 1.0)])
+            imgs.append([((e, tuple(occ)), amp) for e, occ, amp in rules[key]])
         for key in sorted(identity_keys):
             if key in rules:
                 raise ValueError(f"key {key} both rewritten and passed through")
-            columns.append(({key: 1.0 + 0j}, {key: 1.0 + 0j}))
-        return cls(columns)
+            doms.append([(key, 1.0)])
+            imgs.append([(key, 1.0)])
+        keys = [key for col in doms + imgs for key, _ in col]
+        probe_dim = 1 + max((e for e, _ in keys), default=0)
+        n_max = max((sum(occ) for _, occ in keys), default=0)
+        return cls(_entry_columns(doms, probe_dim, n_max),
+                   _entry_columns(imgs, probe_dim, n_max))
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray, probe_dim: int,
@@ -114,52 +113,56 @@ class ProbeChannelMap:
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match probe_dim x channel "
                 f"dim = {probe_dim} x {channel.dim} = {dim}")
-        keys = [(i // channel.dim, channel.occupations[i % channel.dim])
-                for i in range(dim)]
-        col_of, row_of = np.nonzero(np.abs(matrix.T) > AMPLITUDE_FLOOR)
-        img_keys = [keys[i] for i in row_of.tolist()]
-        amps = matrix[row_of, col_of].tolist()
-        ends = np.cumsum(np.bincount(col_of, minlength=dim)).tolist()
-        columns = [({keys[j]: 1.0 + 0j},
-                    dict(zip(img_keys[lo:hi], amps[lo:hi])))
-                   for j, (lo, hi) in enumerate(zip([0] + ends, ends))]
-        return cls(columns)
+        shape = (probe_dim, channel.dim, dim)
+        image = np.where(np.abs(matrix) > AMPLITUDE_FLOOR, matrix, 0.0)
+        return cls(np.eye(dim, dtype=np.complex128).reshape(shape),
+                   image.reshape(shape))
 
     def isometry_defect(self) -> float:
         """Largest deviation from inner-product preservation:
         ``max(max|D^H D - M^H M|, max|diag(D^H D) - 1|)``, NaN when an
         entry is not finite."""
-        if self.identity or not self.columns:
+        cols = self.D.shape[-1]
+        if not cols:
             return 0.0
+        dom = self.D.reshape(-1, cols)
+        img = self.M.reshape(-1, cols)
         with np.errstate(invalid="ignore", over="ignore"):
-            gram_dom = self._dom.conj().T @ self._dom
-            gram_img = self._img.conj().T @ self._img
+            gram_dom = dom.conj().T @ dom
+            gram_img = img.conj().T @ img
             return float(np.max([np.abs(gram_dom - gram_img).max(),
                                  np.abs(np.diagonal(gram_dom) - 1.0).max()]))
 
     def apply(self, state: JointState) -> JointState:
-        if self.identity:
-            return state
-        groups: Dict[Pattern, ECVec] = {}
-        for (e, a, c), amp in state.items():
-            groups.setdefault(a, {})[(e, c)] = amp
-        out: Dict[JointKey, complex] = {}
-        for a, vec in groups.items():
-            total = _ec_norm_sq(vec)
-            captured = 0.0
-            for dom, img in self.columns:
-                coeff = _ec_inner(dom, vec)
-                if abs(coeff) <= AMPLITUDE_FLOOR:
-                    continue
-                captured += abs(coeff) ** 2
-                for (e, c), amp in img.items():
-                    key = (e, a, c)
-                    out[key] = out.get(key, 0j) + coeff * amp
-            if total - captured > DOMAIN_TOL * max(total, 1.0):
-                raise AttackDomainError(
-                    f"input component of weight {total - captured:.3e} lies outside "
-                    f"the attack map's domain")
-        return JointState(state.probe_dim, state.n_max, out)
+        """``M (D^H v)`` for each Alice pattern slice ``v`` of ``state``;
+        coefficients at or below the amplitude floor count as zero."""
+        probe_dim, patterns, dim = state.amps.shape
+        cols = self.D.shape[-1]
+        shape = (max(probe_dim, self.D.shape[0]), max(dim, self.D.shape[1]))
+        size = shape[0] * shape[1]
+        # one row per Alice pattern present, over probe-major (e, occupation) keys
+        vecs = _padded(state.amps, (shape[0], patterns, shape[1])
+                       ).transpose(1, 0, 2).reshape(patterns, size)
+        present = np.flatnonzero(vecs.any(axis=1))
+        vecs = vecs[present]
+        dom = _padded(self.D, shape + (cols,)).reshape(size, cols)
+        img = _padded(self.M, shape + (cols,)).reshape(size, cols)
+        coeffs = _product(vecs, dom.conj())
+        coeffs[~(np.abs(coeffs) > AMPLITUDE_FLOOR)] = 0.0
+        total = np.sum(np.abs(vecs) ** 2, axis=1)
+        outside = total - np.sum(np.abs(coeffs) ** 2, axis=1)
+        bad = outside > DOMAIN_TOL * np.maximum(total, 1.0)
+        if bad.any():
+            raise AttackDomainError(
+                f"input component of weight {outside[bad].max():.3e} lies outside "
+                f"the attack map's domain")
+        out = np.zeros((patterns, size), dtype=np.complex128)
+        out[present] = _product(coeffs, img.T)
+        out = out.reshape(patterns, *shape).transpose(1, 0, 2)
+        if np.any(np.abs(out[:, :, dim:]) > AMPLITUDE_FLOOR):
+            raise TruncationError(
+                f"attack map image exceeds the channel cap {state.n_max}")
+        return JointState(out[:probe_dim, :, :dim])
 
 
 @dataclass(frozen=True)
@@ -225,11 +228,6 @@ class AttackSpec:
         return state if self.returning is None else self.returning.apply(state)
 
 
-def _plus_column(probe_index: int = 0) -> ECVec:
-    r = 1.0 / math.sqrt(2.0)
-    return {(probe_index, (0, 1)): r, (probe_index, (1, 0)): r}
-
-
 def identity_attack(probe_dim: int = 1) -> AttackSpec:
     spec = AttackSpec(name="identity", probe_dim=probe_dim)
     spec.validate()
@@ -249,7 +247,7 @@ def pns_attack(n_max: int = 2) -> AttackSpec:
     probe_occupations = ((0, 0), (0, 1), (1, 0))
     vac, keep0, keep1 = 0, 1, 2
     r = 1.0 / math.sqrt(2.0)
-    rules: Dict[ECKey, list] = {
+    rules: Dict[Tuple[int, Occupation], list] = {
         (vac, (0, 2)): [(keep0, (0, 1), 1.0)],
         (vac, (2, 0)): [(keep1, (1, 0), 1.0)],
         (vac, (1, 1)): [(keep1, (0, 1), r), (keep0, (1, 0), r)],
@@ -282,13 +280,12 @@ def tagging_attack() -> AttackSpec:
     """
     d = 3
     r = 1 / math.sqrt(2.0)
-    tag_out = [
-        ({(0, occ_in): 1.0 + 0j},
-         {(store, (0, 2)): r, (store, (2, 0)): r})
-        for store, occ_in in enumerate(((0, 1), (1, 0), (0, 0)))
-    ]
-    outbound = ProbeChannelMap(tag_out)
-    rules: Dict[ECKey, list] = {}
+    outbound = ProbeChannelMap(
+        _entry_columns([[((0, occ_in), 1.0)]
+                        for occ_in in ((0, 1), (1, 0), (0, 0))], d, 2),
+        _entry_columns([[((store, (0, 2)), r), ((store, (2, 0)), r)]
+                        for store in range(d)], d, 2))
+    rules: Dict[Tuple[int, Occupation], list] = {}
     identity_keys = []
     for e in range(d):
         rules[(e, (0, 2))] = [(e, (0, 1), 1.0)]
@@ -337,19 +334,6 @@ def _orthonormal_triple(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q[:, :3].T
 
 
-def _vec_to_ec(vec: np.ndarray, occ: Occupation) -> ECVec:
-    return {(e, occ): complex(vec[e]) for e in range(len(vec))
-            if abs(vec[e]) > AMPLITUDE_FLOOR}
-
-
-def _merge(*vecs: ECVec) -> ECVec:
-    out: ECVec = {}
-    for v in vecs:
-        for k, a in v.items():
-            out[k] = out.get(k, 0j) + a
-    return out
-
-
 def constrained_random_attack(seed: int, probe_dim: int = 4, n_max: int = 3,
                               violation: Optional[str] = None,
                               violation_level: int = 2) -> AttackSpec:
@@ -393,18 +377,30 @@ def constrained_random_attack(seed: int, probe_dim: int = 4, n_max: int = 3,
     total = math.sqrt(sum(np.vdot(v, v).real for v in comps.values()))
     comps = {k: v / total for k, v in comps.items()}
 
-    outbound = ProbeChannelMap([(
-        _plus_column(),
-        _merge(*(_vec_to_ec(v, occ) for occ, v in comps.items())),
-    )])
+    basis = channel_basis(n_max)
+
+    def column(parts: Mapping[Occupation, np.ndarray]) -> np.ndarray:
+        """(d, channel dim) array with each probe vector at its occupation,
+        entries at or below the amplitude floor dropped."""
+        col = np.zeros((d, basis.dim), dtype=np.complex128)
+        for occ, vec in parts.items():
+            col[:, basis.index[occ]] = np.where(
+                np.abs(vec) > AMPLITUDE_FLOOR, vec, 0.0)
+        return col
+
+    def norm(col: np.ndarray) -> float:
+        # summed occupation by occupation, probe index fastest
+        return math.sqrt(sum(abs(a) ** 2 for a in col.T.ravel().tolist()))
+
+    r = 1.0 / math.sqrt(2.0)
+    plus = column({(0, 1): np.eye(1, d)[0] * r, (1, 0): np.eye(1, d)[0] * r})
+    outbound = ProbeChannelMap(plus[..., None], column(comps)[..., None])
 
     # return map on the three orthogonal branch states Alice can send back
-    branch0 = _merge(*(_vec_to_ec(comps[k], k) for k in bit0_keys))
-    branch1 = _merge(*(_vec_to_ec(comps[k], k) for k in bit1_keys))
-    branch_vac = _vec_to_ec(comps[(0, 0)], (0, 0))
-    n0 = math.sqrt(_ec_norm_sq(branch0))
-    n1 = math.sqrt(_ec_norm_sq(branch1))
-    nv = math.sqrt(_ec_norm_sq(branch_vac))
+    branch0 = column({k: comps[k] for k in bit0_keys})
+    branch1 = column({k: comps[k] for k in bit1_keys})
+    branch_vac = column({(0, 0): comps[(0, 0)]})
+    n0, n1, nv = norm(branch0), norm(branch1), norm(branch_vac)
 
     if d >= 3:
         h_dirs = _orthonormal_triple(rng, d)
@@ -419,7 +415,7 @@ def constrained_random_attack(seed: int, probe_dim: int = 4, n_max: int = 3,
     common = _random_unit(rng, d) * keep
     probe_bit0 = common
     probe_bit1 = common.copy()
-    leak: Dict[str, np.ndarray] = {}
+    leak = None
     if violation == "single-photon-mismatch":
         # rotate the bit-1 component away from the bit-0 one, keeping its norm
         other = _random_unit(rng, d)
@@ -432,29 +428,24 @@ def constrained_random_attack(seed: int, probe_dim: int = 4, n_max: int = 3,
         keep_adj = math.sqrt(keep ** 2 - leak_norm ** 2)
         probe_bit0 = common / keep * keep_adj
         probe_bit1 = probe_bit0
-        leak["vec"] = _random_unit(rng, d) * leak_norm
+        leak = _random_unit(rng, d) * leak_norm
 
-    img0 = _vec_to_ec(probe_bit0, (0, 1))
-    img1 = _vec_to_ec(probe_bit1, (1, 0))
-    if leak:
-        nlev = violation_level
-        img0 = _merge(img0, _vec_to_ec(leak["vec"], (0, nlev)))
-        img1 = _merge(img1, _vec_to_ec(leak["vec"], (nlev, 0)))
-    img0 = _merge(img0, _vec_to_ec(h_dirs[0] * h0, (0, 0)))
-    img1 = _merge(img1, _vec_to_ec(h_dirs[1] * h1, (0, 0)))
-
-    columns = [
-        (_ec_scale(branch0, 1.0 / n0), _ec_scale(img0, 1.0 / n0)),
-        (_ec_scale(branch1, 1.0 / n1), _ec_scale(img1, 1.0 / n1)),
-    ]
+    parts0 = {(0, 1): probe_bit0, (0, 0): h_dirs[0] * h0}
+    parts1 = {(1, 0): probe_bit1, (0, 0): h_dirs[1] * h1}
+    if leak is not None:
+        parts0[(0, violation_level)] = leak
+        parts1[(violation_level, 0)] = leak
+    doms = [branch0 * (1.0 / n0), branch1 * (1.0 / n1)]
+    imgs = [column(parts0) * (1.0 / n0), column(parts1) * (1.0 / n1)]
     if nv > AMPLITUDE_FLOOR:
-        columns.append((_ec_scale(branch_vac, 1.0 / nv),
-                        _vec_to_ec(h_dirs[2], (0, 0))))
+        doms.append(branch_vac * (1.0 / nv))
+        imgs.append(column({(0, 0): h_dirs[2]}))
 
     name = "constrained-random" if violation is None else f"violating-{violation}"
     spec = AttackSpec(
         name=name, probe_dim=d, outbound=outbound,
-        returning=ProbeChannelMap(columns), lossless_channel=True,
+        returning=ProbeChannelMap(np.stack(doms, axis=-1), np.stack(imgs, axis=-1)),
+        lossless_channel=True,
         params={"seed": seed, "n_max": n_max, "violation": violation,
                 "violation_level": violation_level})
     spec.validate()

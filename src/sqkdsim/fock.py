@@ -156,8 +156,8 @@ def transform_amplitudes(amps: Mapping[Occupation, complex],
                          n_max: int) -> Dict[Occupation, complex]:
     """Rotate a raw amplitude map between the z and x mode pairs.
 
-    Works on plain dicts so composite-state code can reuse it per factor.
-    Total photon number is conserved key by key, so the cap cannot be
+    Works on plain dicts; ``joint.ChannelBasis`` builds its dense rotation
+    matrix from it one occupation at a time.  Total photon number is conserved key by key, so the cap cannot be
     exceeded by the expansion.
     """
     out: Dict[Occupation, complex] = {}
@@ -193,12 +193,12 @@ def inner(a: FockState, b: FockState) -> complex:
 
 def to_z_basis(state: FockState) -> FockState:
     """State re-expressed over z-basis occupation keys."""
-    return state.to_z() if state.basis == X else _transform(state.to_x(), Z)
+    return state.to_z()
 
 
 def to_x_basis(state: FockState) -> FockState:
     """State re-expressed over x-basis occupation keys."""
-    return state.to_x() if state.basis == Z else _transform(state.to_z(), X)
+    return state.to_x()
 
 
 @dataclass(frozen=True)

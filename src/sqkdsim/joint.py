@@ -1,16 +1,20 @@
 """Composite states over Eve's probe, Alice's detector probe, and the channel.
 
-A key is ``(e, a, c)``: Eve probe basis index, Alice probe pattern, channel
-occupation.  Channel amplitudes are always stored over z-basis keys; Bob's
-x-basis detection converts on the fly.  Alice's probe starts in the idle
-pattern ``(0, 0)`` and is entangled with the channel only by her SIFT
-transform, which records one threshold (or counter) value per mode.
+A state is one dense complex array of shape ``(probe_dim, 9, dim)``: Eve's
+probe basis index, Alice's probe pattern code (``pattern_code``), and the
+z-basis channel occupation in ``ChannelBasis`` order.  Bob's x-basis
+detection rotates the channel axis with one matmul.  Alice's probe starts
+in the idle pattern ``(0, 0)`` and is entangled with the channel only by
+her SIFT transform, which records one threshold (or counter) value per
+mode.  Amplitudes at or below ``AMPLITUDE_FLOOR`` are zeroed after every
+operation, so a zero entry is an absent branch.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Tuple
+from functools import lru_cache
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -18,7 +22,6 @@ from .fock import (
     AMPLITUDE_FLOOR,
     FockState,
     Occupation,
-    TruncationError,
     transform_amplitudes,
     X,
 )
@@ -30,6 +33,7 @@ Pattern = Tuple[int, int]
 JointKey = Tuple[int, Pattern, Occupation]
 
 IDLE = (0, 0)
+PATTERNS = 9
 
 
 def detector_pattern(occ: Occupation, model: str) -> Pattern:
@@ -48,7 +52,11 @@ def code_pattern(code: int) -> Pattern:
 
 
 class ChannelBasis:
-    """Enumeration and index tables for the truncated two-mode space."""
+    """Enumeration and index tables for the truncated two-mode space.
+
+    Occupations are ordered by total photon number, so the basis of a lower
+    cap is a prefix of the basis of a higher one.
+    """
 
     def __init__(self, n_max: int):
         self.n_max = n_max
@@ -59,6 +67,10 @@ class ChannelBasis:
         self.occupations: Tuple[Occupation, ...] = tuple(occs)
         self.dim = len(occs)
         self.index: Dict[Occupation, int] = {o: i for i, o in enumerate(occs)}
+        self.totals = np.array([n1 + n0 for n1, n0 in occs])
+        self.codes = {model: np.array([pattern_code(detector_pattern(o, model))
+                                       for o in occs])
+                      for model in (THRESHOLD, COUNTER)}
         # involutive orthogonal mode rotation; rows and columns share indexing
         had = np.zeros((self.dim, self.dim))
         for i, occ in enumerate(occs):
@@ -74,65 +86,82 @@ class ChannelBasis:
         return out
 
 
+@lru_cache(maxsize=None)
+def channel_basis(n_max: int) -> ChannelBasis:
+    """The basis of one photon cap, built once."""
+    return ChannelBasis(n_max)
+
+
+def _floored(amps: np.ndarray) -> np.ndarray:
+    amps[~(np.abs(amps) > AMPLITUDE_FLOOR)] = 0.0
+    return amps
+
+
+def _abs_sq(amps: np.ndarray) -> np.ndarray:
+    """``abs(a) ** 2`` of every entry, rounded as Python rounds it; numpy's
+    complex ``abs`` and ``** 2`` can differ in the last bit, which would
+    move printed exact probabilities."""
+    out = np.zeros(amps.shape)
+    nonzero = np.nonzero(amps)
+    out[nonzero] = [abs(a) ** 2 for a in amps[nonzero].tolist()]
+    return out
+
+
+def _norm_sq(amps: np.ndarray) -> float:
+    """Squared norm, summed in order over pattern, occupation, then probe."""
+    return sum(_abs_sq(amps).transpose(1, 2, 0).ravel().tolist())
+
+
 class JointState:
-    """Sparse pure state on probe x Alice-probe x channel."""
+    """Pure state on probe x Alice-probe x channel as one dense array."""
 
-    __slots__ = ("probe_dim", "n_max", "_amps")
+    __slots__ = ("amps",)
 
-    def __init__(self, probe_dim: int, n_max: int,
-                 amps: Mapping[JointKey, complex]):
-        self.probe_dim = probe_dim
-        self.n_max = n_max
-        clean: Dict[JointKey, complex] = {}
-        for (e, a, c), amp in amps.items():
-            if not 0 <= e < probe_dim:
-                raise ValueError(f"probe index {e} outside dimension {probe_dim}")
-            if c[0] + c[1] > n_max:
-                raise TruncationError(f"channel occupation {c} exceeds cap {n_max}")
-            amp = complex(amp)
-            if abs(amp) > AMPLITUDE_FLOOR:
-                clean[(e, tuple(a), tuple(c))] = amp
-        self._amps = clean
+    def __init__(self, amps: np.ndarray):
+        self.amps = _floored(np.array(amps, dtype=np.complex128))
 
     @classmethod
-    def from_product(cls, probe: Mapping[int, complex] | int,
-                     channel: FockState, probe_dim: int) -> "JointState":
-        """Probe (index or amplitude map) tensored with a channel state, idle Alice probe."""
+    def from_product(cls, probe: np.ndarray | int, channel: FockState,
+                     probe_dim: int) -> "JointState":
+        """Probe (index or amplitude vector) tensored with a channel state,
+        idle Alice probe."""
         if isinstance(probe, int):
-            probe = {probe: 1.0}
-        amps: Dict[JointKey, complex] = {}
-        for occ, camp in channel.to_z().items():
-            for e, pamp in probe.items():
-                amps[(e, IDLE, occ)] = pamp * camp
-        return cls(probe_dim, channel.n_max, amps)
+            if not 0 <= probe < probe_dim:
+                raise ValueError(f"probe index {probe} outside dimension {probe_dim}")
+            probe = np.eye(1, probe_dim, probe)[0]
+        basis = channel_basis(channel.n_max)
+        amps = np.zeros((probe_dim, PATTERNS, basis.dim), dtype=np.complex128)
+        amps[:, pattern_code(IDLE), :] = np.multiply.outer(
+            np.asarray(probe, dtype=np.complex128), basis.vector(channel))
+        return cls(amps)
 
-    def items(self):
-        return iter(sorted(self._amps.items()))
+    @property
+    def probe_dim(self) -> int:
+        return self.amps.shape[0]
 
-    def __len__(self) -> int:
-        return len(self._amps)
+    @property
+    def n_max(self) -> int:
+        return (math.isqrt(8 * self.amps.shape[2] + 1) - 3) // 2
+
+    @property
+    def basis(self) -> ChannelBasis:
+        return channel_basis(self.n_max)
+
+    def items(self) -> List[Tuple[JointKey, complex]]:
+        """Nonzero amplitudes keyed ``(e, pattern, occupation)``, sorted."""
+        occs = self.basis.occupations
+        return sorted(((int(e), code_pattern(int(a)), occs[c]),
+                       complex(self.amps[e, a, c]))
+                      for e, a, c in zip(*np.nonzero(self.amps)))
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self._amps.values())
+        return _norm_sq(self.amps)
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def scaled(self, factor: complex) -> "JointState":
-        return JointState(self.probe_dim, self.n_max,
-                          {k: factor * a for k, a in self._amps.items()})
-
-    def plus(self, other: "JointState") -> "JointState":
-        if other.probe_dim != self.probe_dim:
-            raise ValueError("probe dimensions differ")
-        amps = dict(self._amps)
-        for k, a in other._amps.items():
-            amps[k] = amps.get(k, 0j) + a
-        return JointState(self.probe_dim, max(self.n_max, other.n_max), amps)
-
-    def inner(self, other: "JointState") -> complex:
-        return sum(self._amps[k].conjugate() * other._amps[k]
-                   for k in self._amps.keys() & other._amps.keys())
+    def _branch(self, mask: np.ndarray) -> Tuple[float, "JointState"]:
+        """Probability and normalized projection onto the entries ``mask`` keeps."""
+        sub = np.where(mask, self.amps, 0.0)
+        p = _norm_sq(sub)
+        return p, JointState(sub * (1.0 / math.sqrt(p)))
 
     # ---- Alice ----
 
@@ -141,24 +170,20 @@ class JointState:
 
         Requires the probe to be idle; the channel occupation is untouched.
         """
-        amps: Dict[JointKey, complex] = {}
-        for (e, a, c), amp in self._amps.items():
-            if a != IDLE:
-                raise ValueError("Alice probe must be idle before SIFT")
-            amps[(e, detector_pattern(c, model), c)] = amp
-        return JointState(self.probe_dim, self.n_max, amps)
+        idle = pattern_code(IDLE)
+        if np.any(np.delete(self.amps, idle, axis=1)):
+            raise ValueError("Alice probe must be idle before SIFT")
+        out = np.zeros_like(self.amps)
+        cols = np.arange(self.amps.shape[2])
+        out[:, self.basis.codes[model], cols] = self.amps[:, idle, :]
+        return JointState(out)
 
     def alice_branches(self) -> List[Tuple[Pattern, float, "JointState"]]:
         """Project Alice's probe: one normalized branch per readout pattern."""
-        groups: Dict[Pattern, Dict[JointKey, complex]] = {}
-        for key, amp in self._amps.items():
-            groups.setdefault(key[1], {})[key] = amp
-        branches = []
-        for pattern in sorted(groups):
-            sub = JointState(self.probe_dim, self.n_max, groups[pattern])
-            p = sub.norm_sq()
-            branches.append((pattern, p, sub.scaled(1.0 / math.sqrt(p))))
-        return branches
+        present = np.flatnonzero(self.amps.any(axis=(0, 2)))
+        return [(code_pattern(int(a)),
+                 *self._branch(np.arange(PATTERNS)[:, None] == a))
+                for a in present]
 
     def occupation_branches(self) -> List[Tuple[Occupation, float, np.ndarray]]:
         """Collapse the channel occupation completely (destructive detection).
@@ -166,78 +191,41 @@ class JointState:
         Returns ``(occupation, probability, probe amplitude vector)`` per
         outcome; the probe vector is normalized.
         """
-        groups: Dict[Occupation, np.ndarray] = {}
-        for (e, _a, c), amp in self._amps.items():
-            vec = groups.setdefault(c, np.zeros(self.probe_dim, dtype=np.complex128))
-            vec[e] += amp
+        basis = self.basis
+        present = self.amps.any(axis=(0, 1))
+        vecs = self.amps.sum(axis=1)
         branches = []
-        for occ in sorted(groups):
-            vec = groups[occ]
-            p = float(np.vdot(vec, vec).real)
-            branches.append((occ, p, vec / math.sqrt(p)))
+        for occ in sorted(basis.occupations):
+            c = basis.index[occ]
+            if present[c]:
+                vec = vecs[:, c]
+                p = float(np.vdot(vec, vec).real)
+                branches.append((occ, p, vec / math.sqrt(p)))
         return branches
 
     # ---- Eve ----
 
     def probe_component(self, occ: Occupation) -> np.ndarray:
         """Unnormalized probe vector attached to one channel occupation."""
-        out = np.zeros(self.probe_dim, dtype=np.complex128)
-        for (e, _a, c), amp in self._amps.items():
-            if c == occ:
-                out[e] += amp
-        return out
+        return self.amps[:, :, self.basis.index[occ]].sum(axis=1)
 
     def photon_count_branches(self) -> List[Tuple[int, float, "JointState"]]:
         """Nondemolition total-photon count of the channel part."""
-        groups: Dict[int, Dict[JointKey, complex]] = {}
-        for key, amp in self._amps.items():
-            groups.setdefault(key[2][0] + key[2][1], {})[key] = amp
-        branches = []
-        for count in sorted(groups):
-            sub = JointState(self.probe_dim, self.n_max, groups[count])
-            p = sub.norm_sq()
-            branches.append((count, p, sub.scaled(1.0 / math.sqrt(p))))
-        return branches
-
-    def replace_channel(self, channel: FockState) -> "JointState":
-        """Swap the channel content for a fresh state, keeping the probe.
-
-        Only defined when probe and channel are unentangled (the absorbed
-        channel factor is then a constant that can be dropped).
-        """
-        rows: Dict[Tuple[int, Pattern], int] = {}
-        cols: Dict[Occupation, int] = {}
-        for (e, a, c) in self._amps:
-            rows.setdefault((e, a), len(rows))
-            cols.setdefault(c, len(cols))
-        mat = np.zeros((len(rows), len(cols)), dtype=np.complex128)
-        for (e, a, c), amp in self._amps.items():
-            mat[rows[(e, a)], cols[c]] = amp
-        u, s, _vh = np.linalg.svd(mat, full_matrices=False)
-        if len(s) > 1 and s[1] > 1e-12 * s[0]:
-            raise ValueError("probe is entangled with the channel; "
-                             "cannot swap the channel factor out")
-        probe_vec = u[:, 0] * s[0]
-        amps: Dict[JointKey, complex] = {}
-        for occ, camp in channel.to_z().items():
-            for (e, a), row in rows.items():
-                amps[(e, a, occ)] = probe_vec[row] * camp
-        return JointState(self.probe_dim, self.n_max, amps)
+        totals = self.basis.totals
+        present = np.unique(totals[self.amps.any(axis=(0, 1))])
+        return [(int(n), *self._branch(totals == n)) for n in present]
 
     # ---- Bob ----
 
     def occupation_distribution(self, basis: str) -> Dict[Occupation, float]:
         """Channel photon-count distribution in the requested basis."""
-        probs: Dict[Occupation, float] = {}
-        groups: Dict[Tuple[int, Pattern], Dict[Occupation, complex]] = {}
-        for (e, a, c), amp in self._amps.items():
-            groups.setdefault((e, a), {})[c] = amp
-        for sub in groups.values():
-            if basis == X:
-                sub = transform_amplitudes(sub, self.n_max)
-            for occ, amp in sub.items():
-                probs[occ] = probs.get(occ, 0.0) + abs(amp) ** 2
-        return probs
+        amps = self.amps
+        if basis == X:
+            amps = _floored(amps @ self.basis.hadamard)
+        probs = _abs_sq(amps).sum(axis=(0, 1))
+        present = amps.any(axis=(0, 1))
+        return {occ: float(probs[c])
+                for c, occ in enumerate(self.basis.occupations) if present[c]}
 
     def bob_distribution(self, basis: str, model: str = THRESHOLD
                          ) -> Dict[Pattern, float]:
@@ -259,27 +247,27 @@ class JointState:
         """
         if not 0.0 <= survival <= 1.0:
             raise ValueError("survival fraction must lie in [0, 1]")
+        basis = self.basis
+        occs = [basis.occupations[c]
+                for c in np.flatnonzero(self.amps.any(axis=(0, 1)))]
         branches = []
-        max1 = max((c[0] for (_e, _a, c) in self._amps), default=0)
-        max0 = max((c[1] for (_e, _a, c) in self._amps), default=0)
-        for k1 in range(max1 + 1):
-            for k0 in range(max0 + 1):
-                amps: Dict[JointKey, complex] = {}
-                for (e, a, c), amp in self._amps.items():
-                    n1, n0 = c
+        for k1 in range(max((o[0] for o in occs), default=0) + 1):
+            for k0 in range(max((o[1] for o in occs), default=0) + 1):
+                out = np.zeros_like(self.amps)
+                for n1, n0 in occs:
                     if k1 > n1 or k0 > n0:
                         continue
                     w = (math.comb(n1, k1) * survival ** (n1 - k1) * (1 - survival) ** k1
                          * math.comb(n0, k0) * survival ** (n0 - k0) * (1 - survival) ** k0)
                     if w <= 0.0:
                         continue
-                    amps[(e, a, (n1 - k1, n0 - k0))] = amp * math.sqrt(w)
-                if not amps:
-                    continue
-                sub = JointState(self.probe_dim, self.n_max, amps)
+                    out[:, :, basis.index[(n1 - k1, n0 - k0)]] = (
+                        self.amps[:, :, basis.index[(n1, n0)]] * math.sqrt(w))
+                sub = JointState(out)
                 p = sub.norm_sq()
                 if p > AMPLITUDE_FLOOR:
-                    branches.append(((k1, k0), p, sub.scaled(1.0 / math.sqrt(p))))
+                    branches.append(((k1, k0), p,
+                                     JointState(sub.amps * (1.0 / math.sqrt(p)))))
         return branches
 
     def __repr__(self) -> str:

@@ -155,12 +155,7 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# single-round operations (also the building blocks of the tables)
-
-
-def alice_ctrl(joint: JointState) -> JointState:
-    """Reflect: the incoming state goes back untouched, probe unused."""
-    return joint
+# Alice's SIFT branches (a building block of the tables)
 
 
 SiftBranch = Tuple[Tuple[int, int], float, JointState]
@@ -185,59 +180,10 @@ def alice_sift(joint: JointState, detector_model: str = THRESHOLD,
     for occ, p, probe_vec in sifted.occupation_branches():
         readout = detector_pattern(occ, detector_model)
         resend = (min(occ[0], 1), min(occ[1], 1))
-        probe = {e: probe_vec[e] for e in range(joint.probe_dim)
-                 if abs(probe_vec[e]) > 0.0}
         resid = JointState.from_product(
-            probe, make_basis_state(resend, Z, joint.n_max), joint.probe_dim)
+            probe_vec, make_basis_state(resend, Z, joint.n_max), joint.probe_dim)
         branches.append((readout, p, resid))
     return branches
-
-
-def bob_z_distribution(state: FockState, detector_model: str = THRESHOLD
-                       ) -> Dict[Tuple[int, int], float]:
-    """Detector pattern distribution for a computational-basis measurement."""
-    probs: Dict[Tuple[int, int], float] = {}
-    for occ, p in state.to_z().items():
-        pat = detector_pattern(occ, detector_model)
-        probs[pat] = probs.get(pat, 0.0) + abs(p) ** 2
-    return probs
-
-
-def bob_x_distribution(state: FockState, detector_model: str = THRESHOLD
-                       ) -> Dict[Tuple[int, int], float]:
-    """Detector pattern distribution for a plus/minus-mode measurement."""
-    probs: Dict[Tuple[int, int], float] = {}
-    for occ, p in state.to_x().items():
-        pat = detector_pattern(occ, detector_model)
-        probs[pat] = probs.get(pat, 0.0) + abs(p) ** 2
-    return probs
-
-
-def _sample_pattern(dist: Dict[Tuple[int, int], float], rng) -> Tuple[int, int]:
-    u = rng.random()
-    acc = 0.0
-    pats = sorted(dist)
-    for pat in pats:
-        acc += dist[pat]
-        if u < acc:
-            return pat
-    return pats[-1]
-
-
-def bob_measure_z(state: FockState, rng, detector_model: str = THRESHOLD
-                  ) -> Tuple[Tuple[int, int], Dict[str, bool]]:
-    """Sample Bob's computational-basis readout; both modes firing is illicit."""
-    pat = _sample_pattern(bob_z_distribution(state, detector_model), rng)
-    flags = {"illicit": pat[0] >= 1 and pat[1] >= 1, "loss": pat == (0, 0)}
-    return pat, flags
-
-
-def bob_measure_x(state: FockState, rng, detector_model: str = THRESHOLD
-                  ) -> Tuple[Tuple[int, int], Dict[str, bool]]:
-    """Sample Bob's x readout; any minus-mode click is a reflection error."""
-    pat = _sample_pattern(bob_x_distribution(state, detector_model), rng)
-    flags = {"ctrl_error": pat[0] >= 1, "loss": pat == (0, 0)}
-    return pat, flags
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +319,8 @@ def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
                             bit = 0
                         else:
                             bit = -1
-                        probe = {e: probe_vec[e] for e in range(resid.probe_dim)
-                                 if abs(probe_vec[e]) > 0.0}
                         back = JointState.from_product(
-                            probe, make_basis_state(occ, Z, n_max),
+                            probe_vec, make_basis_state(occ, Z, n_max),
                             resid.probe_dim)
                         _push_return(acc, back, guess, bit)
         ret_off.append(len(ret_cum))

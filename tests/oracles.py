@@ -15,9 +15,12 @@ layer evaluates the same quantities once per record code, weighted by the
 code's round count, and must produce the same reports.
 
 The dense-map references (``isometry_defect_reference``,
-``from_dense_columns_reference``, ``load_matrix_reference``) are the
-per-pair and per-entry loops that ``sqkdsim.attacks`` replaced with array
-operations.
+``from_dense_columns_reference``, ``load_matrix_reference``,
+``apply_reference``) are the per-pair, per-entry and per-column dict loops
+that ``sqkdsim.attacks`` replaced with array operations.  ``joint_state``,
+``map_from_columns`` and ``columns_of`` convert between those dict forms,
+keyed ``(e, pattern, occupation)`` and ``(e, occupation)``, and the dense
+arrays.
 
 ``round_log_reference`` formats the round log one line per round with an
 f-string; ``sqkdsim.report`` builds the same text from byte rows with numpy.
@@ -31,8 +34,9 @@ from itertools import permutations
 import numpy as np
 
 from sqkdsim import analysis
-from sqkdsim.attacks import AttackDomainError
+from sqkdsim.attacks import DOMAIN_TOL, AttackDomainError, ProbeChannelMap
 from sqkdsim.fock import AMPLITUDE_FLOOR
+from sqkdsim.joint import ChannelBasis, JointState, pattern_code
 from sqkdsim.protocol import (
     B92_CATEGORIES,
     BB84_CATEGORIES,
@@ -464,6 +468,70 @@ def from_dense_columns_reference(matrix, probe_dim, channel):
                  channel.occupations[int(i) % channel.dim])] = complex(col[i])
         columns.append((dom, img))
     return columns
+
+
+def joint_state(probe_dim, n_max, amps) -> JointState:
+    """JointState holding a ``{(e, pattern, occupation): amp}`` dict."""
+    basis = ChannelBasis(n_max)
+    arr = np.zeros((probe_dim, 9, basis.dim), dtype=np.complex128)
+    for (e, pattern, occ), amp in amps.items():
+        arr[e, pattern_code(pattern), basis.index[occ]] = amp
+    return JointState(arr)
+
+
+def map_from_columns(columns, probe_dim, n_max) -> ProbeChannelMap:
+    """Dense map from ``(domain, image)`` columns keyed ``(e, occupation)``."""
+    basis = ChannelBasis(n_max)
+    shape = (probe_dim, basis.dim, len(columns))
+    dom = np.zeros(shape, dtype=np.complex128)
+    img = np.zeros(shape, dtype=np.complex128)
+    for j, column in enumerate(columns):
+        for arr, vec in zip((dom, img), column):
+            for (e, occ), amp in vec.items():
+                arr[e, basis.index[occ], j] = amp
+    return ProbeChannelMap(dom, img)
+
+
+def columns_of(m: ProbeChannelMap):
+    """``(domain, image)`` dict columns of a dense map: its nonzero entries
+    keyed ``(e, occupation)``, probe-major."""
+    n_max = 0
+    while ChannelBasis(n_max).dim < m.D.shape[1]:
+        n_max += 1
+    occs = ChannelBasis(n_max).occupations
+
+    def column(arr, j):
+        return {(int(e), occs[c]): complex(arr[e, c, j])
+                for e, c in zip(*np.nonzero(arr[:, :, j]))}
+
+    return [(column(m.D, j), column(m.M, j)) for j in range(m.D.shape[2])]
+
+
+def apply_reference(m: ProbeChannelMap, state: JointState) -> dict:
+    """``m`` applied to ``state`` as ``{(e, pattern, occupation): amp}``,
+    one dict inner product per column and pattern; raises AttackDomainError
+    for an input outside the domain as ``ProbeChannelMap.apply`` does."""
+    groups = {}
+    for (e, a, c), amp in state.items():
+        groups.setdefault(a, {})[(e, c)] = amp
+    columns = columns_of(m)
+    out = {}
+    for a, vec in groups.items():
+        total = sum(abs(x) ** 2 for x in vec.values())
+        captured = 0.0
+        for dom, img in columns:
+            coeff = sum(dom[k].conjugate() * vec[k]
+                        for k in dom.keys() & vec.keys())
+            if abs(coeff) <= AMPLITUDE_FLOOR:
+                continue
+            captured += abs(coeff) ** 2
+            for (e, c), amp in img.items():
+                out[(e, a, c)] = out.get((e, a, c), 0j) + coeff * amp
+        if total - captured > DOMAIN_TOL * max(total, 1.0):
+            raise AttackDomainError(
+                f"input component of weight {total - captured:.3e} lies "
+                f"outside the attack map's domain")
+    return {k: v for k, v in out.items() if abs(v) > AMPLITUDE_FLOOR}
 
 
 def load_matrix_reference(path) -> np.ndarray:

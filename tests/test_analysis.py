@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from sqkdsim import analysis
 from sqkdsim.analysis import (
     b92_breakable,
@@ -15,7 +16,6 @@ from sqkdsim.analysis import (
 )
 from sqkdsim.attacks import (
     AttackSpec,
-    ProbeChannelMap,
     constrained_random_attack,
     identity_attack,
     pns_attack,
@@ -31,10 +31,10 @@ def _plus_column(e=0):
 
 def minus_sender() -> AttackSpec:
     """Replaces the outbound pulse by the minus state; maximally visible."""
-    outbound = ProbeChannelMap([(
+    outbound = oracles.map_from_columns([(
         _plus_column(),
         {(0, (0, 1)): 1 / SQRT2, (0, (1, 0)): -1 / SQRT2},
-    )])
+    )], 1, 1)
     spec = AttackSpec(name="minus-sender", probe_dim=1, outbound=outbound,
                       returning=None, lossless_channel=True)
     spec.validate()
@@ -43,7 +43,8 @@ def minus_sender() -> AttackSpec:
 
 def one_sided_attack() -> AttackSpec:
     """Sends only the bit-0 photon on, so the bit-1 branch never occurs."""
-    outbound = ProbeChannelMap([(_plus_column(), {(0, (0, 1)): 1.0})])
+    outbound = oracles.map_from_columns(
+        [(_plus_column(), {(0, (0, 1)): 1.0})], 1, 1)
     spec = AttackSpec(name="one-sided", probe_dim=1, outbound=outbound,
                       returning=None, lossless_channel=True)
     spec.validate()
@@ -138,10 +139,12 @@ class TestEveLeakage:
         # so the return map's domain vectors rotate along with all images
         rotated = AttackSpec(
             name="rotated", probe_dim=3,
-            outbound=ProbeChannelMap(
-                [(dom, rotate(img)) for dom, img in base.outbound.columns]),
-            returning=ProbeChannelMap(
-                [(rotate(dom), rotate(img)) for dom, img in base.returning.columns]),
+            outbound=oracles.map_from_columns(
+                [(dom, rotate(img))
+                 for dom, img in oracles.columns_of(base.outbound)], 3, 3),
+            returning=oracles.map_from_columns(
+                [(rotate(dom), rotate(img))
+                 for dom, img in oracles.columns_of(base.returning)], 3, 3),
             lossless_channel=True)
         rotated.validate()
         a = eve_leakage(base, n_max=3).conditional_fidelity

@@ -144,13 +144,9 @@ class TestGeneral:
     def test_pns_matches_dense_form_on_two_photon_keys(self):
         channel = ChannelBasis(2)
         spec = pns_attack(n_max=2)
-        dim = 3 * channel.dim
-        dense = np.zeros((dim, dim), dtype=complex)
-        for dom, img in spec.outbound.columns:
-            (e_in, occ_in), = dom.keys()
-            j = e_in * channel.dim + channel.index[occ_in]
-            for (e_out, occ_out), amp in img.items():
-                dense[e_out * channel.dim + channel.index[occ_out], j] += amp
+        cols = spec.outbound.D.shape[-1]
+        dense = (spec.outbound.M.reshape(-1, cols)
+                 @ spec.outbound.D.reshape(-1, cols).conj().T)
         rebuilt = ProbeChannelMap.from_dense(dense, 3, channel)
         for occ in [(0, 2), (2, 0), (1, 1)]:
             j = probe_state(0, occ, Z, 2, 3)
@@ -201,7 +197,7 @@ class TestGeneral:
             return [(list(dom.items()), list(img.items()))
                     for dom, img in columns]
 
-        got = ProbeChannelMap.from_dense(m, 2, channel).columns
+        got = oracles.columns_of(ProbeChannelMap.from_dense(m, 2, channel))
         want = oracles.from_dense_columns_reference(m, 2, channel)
         assert listed(got) == listed(want)
         assert (0, channel.occupations[0]) not in got[0][1]
@@ -225,10 +221,16 @@ def _haar_maps():
 _K = [(0, (0, 1)), (0, (1, 0)), (1, (0, 1)), (1, (1, 0)), (2, (0, 0))]
 _R = 1 / SQRT2
 
+
+def _k_map(columns):
+    return oracles.map_from_columns(columns, 3, 1)
+
+
 #: name -> maps whose isometry defect is checked against the reference
 DEFECT_CASES = {
-    "identity": lambda: [ProbeChannelMap.identity_map()],
-    "no-columns": lambda: [ProbeChannelMap([])],
+    "identity": lambda: [ProbeChannelMap.from_dense(
+        np.eye(12), 2, ChannelBasis(2))],
+    "no-columns": lambda: [oracles.map_from_columns([], 1, 0)],
     "pns": lambda: _map_pair(pns_attack(n_max=4)),
     "tagging": lambda: _map_pair(tagging_attack()),
     "constrained-random": lambda: _map_pair(
@@ -240,17 +242,17 @@ DEFECT_CASES = {
     "haar-dim-60": _haar_maps,
     "half-identity": lambda: [ProbeChannelMap.from_dense(
         0.5 * np.eye(6), 1, ChannelBasis(2))],
-    "overlapping-domains": lambda: [ProbeChannelMap([
+    "overlapping-domains": lambda: [_k_map([
         ({_K[0]: 1.0}, {_K[0]: 1.0}),
         ({_K[0]: _R, _K[1]: _R}, {_K[1]: 1.0})])],
-    "empty-image": lambda: [ProbeChannelMap([
+    "empty-image": lambda: [_k_map([
         ({_K[0]: 1.0}, {_K[0]: 1.0}), ({_K[1]: 1.0}, {})])],
-    "imaginary-overlap": lambda: [ProbeChannelMap([
+    "imaginary-overlap": lambda: [_k_map([
         ({_K[0]: 1.0}, {_K[0]: 1.0}),
         ({_K[1]: 1.0}, {_K[0]: 0.6j, _K[1]: 0.8})])],
-    "unnormalised-domain": lambda: [ProbeChannelMap([
+    "unnormalised-domain": lambda: [_k_map([
         ({_K[0]: 2.0}, {_K[0]: 2.0}), ({_K[1]: 1.0}, {_K[1]: 1.0})])],
-    "image-only-keys": lambda: [ProbeChannelMap([
+    "image-only-keys": lambda: [_k_map([
         ({_K[0]: 1.0}, {_K[3]: 0.6, _K[4]: 0.8j}),
         ({_K[1]: 1.0}, {_K[2]: 1.0, _K[3]: 0.5})])],
 }
@@ -259,8 +261,76 @@ DEFECT_CASES = {
 @pytest.mark.parametrize("case", sorted(DEFECT_CASES))
 def test_isometry_defect_matches_pairwise_reference(case):
     for m in DEFECT_CASES[case]():
-        want = oracles.isometry_defect_reference(m.columns)
+        want = oracles.isometry_defect_reference(oracles.columns_of(m))
         assert m.isometry_defect() == pytest.approx(want, abs=1e-12)
+
+
+def _apply_inputs(spec, n_max):
+    """(map, input) pairs the protocol produces: every pulse it emits on the
+    outbound leg, then Alice's SIFT branches and the reflected state on the
+    return leg."""
+    pairs = []
+    for occ, basis in (((0, 1), X), ((0, 2), X), ((0, 1), Z), ((1, 0), Z),
+                       ((0, 0), Z)):
+        if occ[0] + occ[1] > n_max:
+            continue
+        start = probe_state(0, occ, basis, n_max, spec.probe_dim)
+        if spec.outbound is None:
+            psi = start
+        else:
+            try:
+                psi = spec.apply_outbound(start)
+            except AttackDomainError:
+                continue
+            pairs.append((spec.outbound, start))
+        if spec.returning is not None:
+            pairs.append((spec.returning, psi))
+            pairs += [(spec.returning, branch)
+                      for _p, _q, branch in psi.apply_sift().alice_branches()]
+    return pairs
+
+
+APPLY_CASES = {
+    "pns": lambda: (pns_attack(n_max=3), 3),
+    "tagging": lambda: (tagging_attack(), 2),
+    "constrained-random": lambda: (constrained_random_attack(3, 4, n_max=3), 3),
+    "single-photon-mismatch": lambda: (constrained_random_attack(
+        7, 4, n_max=3, violation="single-photon-mismatch"), 3),
+    "multi-photon-return": lambda: (constrained_random_attack(
+        9, 3, n_max=3, violation="multi-photon-return", violation_level=3), 3),
+    "haar-dim-60": lambda: (general_attack(
+        *(oracles.haar_unitary(np.random.default_rng(60), 60) for _ in "ab"),
+        probe_dim=4, n_max=4), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(APPLY_CASES))
+def test_apply_matches_per_column_reference(case):
+    spec, n_max = APPLY_CASES[case]()
+    pairs = _apply_inputs(spec, n_max)
+    legs = {id(m) for m, _ in pairs}
+    assert legs == {id(m) for m in _map_pair(spec)}
+    for m, state in pairs:
+        got = dict(m.apply(state).items())
+        want = oracles.apply_reference(m, state)
+        for key in set(got) | set(want):
+            assert abs(got.get(key, 0j) - want.get(key, 0j)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(APPLY_CASES))
+def test_apply_rejects_input_outside_domain(case):
+    spec, n_max = APPLY_CASES[case]()
+    m = _map_pair(spec)[-1]
+    # a probe index no protocol state reaches
+    outside = probe_state(spec.probe_dim, (0, 1), Z, n_max,
+                          spec.probe_dim + 1)
+    if case == "haar-dim-60":
+        # the dense map's domain is the whole space: a photon beyond its cap
+        outside = probe_state(0, (0, 5), Z, 5, spec.probe_dim)
+    with pytest.raises(AttackDomainError):
+        oracles.apply_reference(m, outside)
+    with pytest.raises(AttackDomainError):
+        m.apply(outside)
 
 
 class TestConstrainedRandom:

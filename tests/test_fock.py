@@ -156,6 +156,15 @@ class TestBasisChange:
         assert inner(to_x_basis(a), to_x_basis(b)) == pytest.approx(
             inner(a, b), abs=1e-10)
 
+    @pytest.mark.parametrize("basis,convert", [(Z, to_z_basis), (X, to_x_basis)])
+    def test_same_basis_returns_amplitudes_unchanged(self, basis, convert):
+        # no round trip through the other basis: the amplitudes stay bit-equal
+        for seed in range(5):
+            s = random_state(np.random.default_rng(seed), basis=basis)
+            out = convert(s)
+            assert out.basis == basis
+            assert list(out.items()) == list(s.items())
+
     @given(n1=st.integers(0, 6), n0=st.integers(0, 6))
     @settings(max_examples=30, deadline=None)
     def test_photon_number_conserved(self, n1, n0):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from sqkdsim.attacks import ProbeChannelMap
 from sqkdsim.fock import TruncationError, X, Z, make_basis_state, parity_state
 from sqkdsim.joint import (
     COUNTER,
@@ -81,8 +83,8 @@ class TestSiftTransform:
             for e in range(2):
                 for occ in [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2)]:
                     amps[(e, (0, 0), occ)] = complex(rng.normal(), rng.normal())
-            j = JointState(2, 2, amps)
-            j = j.scaled(1 / j.norm())
+            j = oracles.joint_state(2, 2, amps)
+            j = JointState(j.amps / math.sqrt(j.norm_sq()))
             total = sum(p for _pat, p, _r in j.apply_sift().alice_branches())
             assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -90,8 +92,8 @@ class TestSiftTransform:
         rng = np.random.default_rng(4)
         amps = {(0, (0, 0), occ): complex(rng.normal(), rng.normal())
                 for occ in [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1)]}
-        j = JointState(1, 2, amps)
-        j = j.scaled(1 / j.norm())
+        j = oracles.joint_state(1, 2, amps)
+        j = JointState(j.amps / math.sqrt(j.norm_sq()))
         before = {}
         for occ, p in j.occupation_distribution(Z).items():
             before[occ[0] + occ[1]] = before.get(occ[0] + occ[1], 0.0) + p
@@ -112,27 +114,24 @@ class TestCollapseAndCounting:
 
     def test_photon_count_branches(self):
         amps = {(0, (0, 0), (0, 0)): 0.6, (0, (0, 0), (0, 2)): 0.8}
-        j = JointState(1, 2, amps)
+        j = oracles.joint_state(1, 2, amps)
         counts = {c: p for c, p, _s in j.photon_count_branches()}
         assert counts == {0: pytest.approx(0.36), 2: pytest.approx(0.64)}
 
     def test_probe_component(self):
-        j = JointState(2, 2, {(0, (0, 0), (0, 1)): 0.6, (1, (0, 0), (0, 1)): 0.8j})
+        j = oracles.joint_state(2, 2, {(0, (0, 0), (0, 1)): 0.6,
+                                       (1, (0, 0), (0, 1)): 0.8j})
         vec = j.probe_component((0, 1))
         assert vec[0] == pytest.approx(0.6)
         assert vec[1] == pytest.approx(0.8j)
-
-    def test_replace_channel(self):
-        j = plus_with_probe()
-        swapped = j.replace_channel(make_basis_state((0, 0), Z, 2))
-        assert list(k[2] for k, _ in swapped.items()) == [(0, 0)]
-        assert swapped.norm() == pytest.approx(1.0)
 
 
 class TestBobDistributions:
     def test_mixed_key_is_illicit(self):
         j = JointState.from_product(0, make_basis_state((1, 1), Z, 2), 1)
         assert j.bob_distribution(Z) == {(1, 1): pytest.approx(1.0)}
+        single = JointState.from_product(0, make_basis_state((0, 1), Z, 2), 1)
+        assert single.bob_distribution(Z) == {(0, 1): pytest.approx(1.0)}
 
     def test_parity_pulse_threshold_vs_counter(self):
         j = JointState.from_product(0, parity_state(2, "even", Z, 2), 1)
@@ -196,9 +195,13 @@ class TestLossChannel:
 
 class TestJointValidation:
     def test_cap_enforced(self):
+        # a map whose image leaves the state's photon cap
+        raise_photons = ProbeChannelMap.from_occupation_rules(
+            {(0, (0, 1)): [(0, (1, 1), 1.0)]})
+        state = JointState.from_product(0, make_basis_state((0, 1), Z, 1), 1)
         with pytest.raises(TruncationError):
-            JointState(1, 1, {(0, (0, 0), (1, 1)): 1.0})
+            raise_photons.apply(state)
 
     def test_probe_range(self):
         with pytest.raises(ValueError):
-            JointState(1, 2, {(2, (0, 0), (0, 1)): 1.0})
+            JointState.from_product(2, make_basis_state((0, 1), Z, 2), 1)

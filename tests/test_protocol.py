@@ -13,16 +13,11 @@ from sqkdsim.attacks import (
     usd_attack_b92,
 )
 from sqkdsim.fock import TruncationError, X, Z, make_basis_state, parity_state
-from sqkdsim.joint import COUNTER, JointState, THRESHOLD
+from sqkdsim.joint import COUNTER, JointState
 from sqkdsim.protocol import (
     ConfigError,
     ProtocolConfig,
-    alice_ctrl,
     alice_sift,
-    bob_measure_x,
-    bob_measure_z,
-    bob_x_distribution,
-    bob_z_distribution,
     run,
     run_b92,
     run_bb84,
@@ -34,10 +29,6 @@ def three_sigma_binomial(p, n):
 
 
 class TestAliceOps:
-    def test_ctrl_is_identity(self):
-        j = JointState.from_product(0, make_basis_state((0, 1), X, 2), 1)
-        assert alice_ctrl(j) is j
-
     def test_sift_on_plus(self):
         j = JointState.from_product(0, make_basis_state((0, 1), X, 2), 1)
         branches = {pat: (p, r) for pat, p, r in alice_sift(j)}
@@ -78,41 +69,6 @@ class TestAliceOps:
         used = j.apply_sift()
         with pytest.raises(ValueError):
             alice_sift(used)
-
-
-class TestBobOps:
-    def test_single_photon_pattern(self):
-        dist = bob_z_distribution(make_basis_state((0, 1), Z, 2))
-        assert dist == {(0, 1): pytest.approx(1.0)}
-
-    def test_mixed_occupation_is_illicit(self):
-        rng = np.random.default_rng(0)
-        pat, flags = bob_measure_z(make_basis_state((1, 1), Z, 2), rng)
-        assert pat == (1, 1) and flags["illicit"]
-
-    def test_parity_pulse_threshold_vs_counter(self):
-        state = parity_state(2, "even", Z, 2)
-        thresh = bob_z_distribution(state, THRESHOLD)
-        assert thresh[(0, 1)] == pytest.approx(0.5)
-        assert thresh[(1, 0)] == pytest.approx(0.5)
-        counted = bob_z_distribution(state, COUNTER)
-        assert counted[(0, 2)] == pytest.approx(0.5)
-        assert counted[(2, 0)] == pytest.approx(0.5)
-
-    def test_plus_never_trips_minus(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            _pat, flags = bob_measure_x(make_basis_state((0, 1), X, 2), rng)
-            assert not flags["ctrl_error"]
-
-    def test_minus_always_trips(self):
-        rng = np.random.default_rng(2)
-        pat, flags = bob_measure_x(make_basis_state((1, 0), X, 2), rng)
-        assert pat == (1, 0) and flags["ctrl_error"]
-
-    def test_parity_pulse_minus_rate(self):
-        dist = bob_x_distribution(parity_state(2, "even", Z, 2))
-        assert dist[(1, 0)] == pytest.approx(0.5)
 
 
 class TestRunProtocolIdeal:

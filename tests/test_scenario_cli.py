@@ -262,3 +262,9 @@ class TestCli:
 
     def test_verify_fock(self, capsys):
         assert cli.main(["verify", "fock", "--seed", "3"]) == 0
+
+    def test_verify_all(self, capsys):
+        # the lemma suite drives attack maps and joint states hardest
+        assert cli.main(["verify", "all"]) == 0
+        out = capsys.readouterr().out
+        assert "14/14 checks passed" in out
