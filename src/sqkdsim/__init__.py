@@ -8,6 +8,7 @@ walk over precomputed branch tables (``sqkdsim.kernels``).
 """
 
 from .fock import (
+    ChannelBasis,
     ExpansionRow,
     FockState,
     X,
@@ -16,11 +17,9 @@ from .fock import (
     make_basis_state,
     measure_distribution,
     parity_state,
-    to_x_basis,
-    to_z_basis,
     x_expansion,
 )
-from .joint import ChannelBasis, JointState
+from .joint import JointState
 from .attacks import (
     AttackSpec,
     constrained_random_attack,
@@ -87,8 +86,6 @@ __all__ = [
     "run_bb84",
     "run_protocol",
     "tagging_attack",
-    "to_x_basis",
-    "to_z_basis",
     "usd_attack_b92",
     "x_expansion",
 ]

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .fock import FockState, X, Z, make_basis_state, parity_state
-from .joint import ChannelBasis, JointState, THRESHOLD
+from .joint import JointState, Pattern, THRESHOLD
 from .attacks import AttackSpec, constrained_random_attack
 
 EXACT_TOL = 1e-10
@@ -60,6 +60,17 @@ def _outbound_state(attack: AttackSpec, n_max: int) -> JointState:
     return attack.apply_outbound(start)
 
 
+def _sift_and_return(attack: AttackSpec, psi: JointState, model: str,
+                     patterns: Tuple[Pattern, ...]
+                     ) -> Dict[Pattern, Tuple[float, JointState]]:
+    """Alice's SIFT on the outbound state ``psi``, then the return leg on
+    each normalized branch of ``patterns`` that occurs:
+    ``{pattern: (probability, returned state)}``."""
+    return {pat: (p, attack.apply_return(state))
+            for pat, p, state in psi.apply_sift(model).alice_branches()
+            if pat in patterns}
+
+
 def check_constraints(attack: AttackSpec, n_max: int = 3,
                       detector_model: str = THRESHOLD) -> ConstraintReport:
     """Exact undetectability audit of an attack on the reflecting protocol.
@@ -79,18 +90,16 @@ def check_constraints(attack: AttackSpec, n_max: int = 3,
     minus_click = sum(p for occ, p in ctrl_back.occupation_distribution(X).items()
                       if occ[0] >= 1)
 
+    # z-basis consistency: Bob must never contradict a measured readout
+    allowed = {
+        (0, 1): lambda occ: occ[0] == 0,
+        (1, 0): lambda occ: occ[1] == 0,
+        (0, 0): lambda occ: occ == (0, 0),
+    }
     # SIFT branches, kept unnormalized as weight sqrt(p) times the projection
-    sifted = psi.apply_sift(detector_model)
-    branches = {pat: (p, state) for pat, p, state in sifted.alice_branches()}
-
-    def returned(pattern) -> Tuple[float, Optional[JointState]]:
-        if pattern not in branches:
-            return 0.0, None
-        p, state = branches[pattern]
-        return p, attack.apply_return(state)
-
-    p01, back01 = returned((0, 1))
-    p10, back10 = returned((1, 0))
+    returned = _sift_and_return(attack, psi, detector_model, tuple(allowed))
+    p01, back01 = returned.get((0, 1), (0.0, None))
+    p10, back10 = returned.get((1, 0), (0.0, None))
 
     probe_dim = attack.probe_dim
     zero = np.zeros(probe_dim, dtype=np.complex128)
@@ -105,17 +114,11 @@ def check_constraints(attack: AttackSpec, n_max: int = 3,
     multi = {n: float(np.linalg.norm(bit0[n]) + np.linalg.norm(bit1[n]))
              for n in range(2, n_max + 1)}
 
-    # z-basis consistency: Bob must never contradict a measured readout
     conflict = 0.0
-    allowed = {
-        (0, 1): lambda occ: occ[0] == 0,
-        (1, 0): lambda occ: occ[1] == 0,
-        (0, 0): lambda occ: occ == (0, 0),
-    }
     for pattern, ok in allowed.items():
-        p, back = returned(pattern)
-        if back is None:
+        if pattern not in returned:
             continue
+        p, back = returned[pattern]
         conflict += p * sum(q for occ, q in back.occupation_distribution(Z).items()
                             if not ok(occ))
 
@@ -163,15 +166,13 @@ def eve_leakage(attack: AttackSpec, n_max: int = 3,
         v0, v1 = vecs
         status0 = status1 = "ok" if min(np.linalg.norm(v0), np.linalg.norm(v1)) > 1e-15 else "zero"
     else:
-        psi = _outbound_state(attack, n_max)
-        sifted = psi.apply_sift(THRESHOLD)
-        branches = {pat: (p, st) for pat, p, st in sifted.alice_branches()}
+        returned = _sift_and_return(attack, _outbound_state(attack, n_max),
+                                    THRESHOLD, ((0, 1), (1, 0)))
         cols: Dict[int, List[np.ndarray]] = {0: [], 1: []}
         for bit, pattern in ((0, (0, 1)), (1, (1, 0))):
-            if pattern not in branches:
+            if pattern not in returned:
                 continue
-            p, state = branches[pattern]
-            back = attack.apply_return(state)
+            p, back = returned[pattern]
             for n in range(1, n_max + 1):
                 occ = (0, n) if bit == 0 else (n, 0)
                 cols[bit].append(back.probe_component(occ) * math.sqrt(p))
@@ -288,7 +289,6 @@ def _parity_decomposition_error(n_max: int, seed: int) -> float:
     """
     rng = np.random.default_rng(seed + 11)
     d = 4
-    basis = ChannelBasis(n_max)
     worst = 0.0
     for n in range(2, n_max + 1):
         a = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -296,7 +296,7 @@ def _parity_decomposition_error(n_max: int, seed: int) -> float:
         r = 1.0 / math.sqrt(2.0)
 
         def embed(vec: np.ndarray, channel: FockState) -> np.ndarray:
-            return np.outer(vec, basis.vector(channel))
+            return np.outer(vec, channel.to_z().amps)
 
         lhs = (embed(a, make_basis_state((0, n), Z, n_max))
                + embed(b, make_basis_state((n, 0), Z, n_max)))

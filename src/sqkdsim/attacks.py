@@ -16,8 +16,15 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fock import AMPLITUDE_FLOOR, Occupation, TruncationError
-from .joint import ChannelBasis, JointState, channel_basis
+from .fock import (
+    AMPLITUDE_FLOOR,
+    ChannelBasis,
+    Occupation,
+    TruncationError,
+    channel_basis,
+    floored,
+)
+from .joint import JointState
 
 ISOMETRY_TOL = 1e-10
 DOMAIN_TOL = 1e-9
@@ -147,8 +154,7 @@ class ProbeChannelMap:
         vecs = vecs[present]
         dom = _padded(self.D, shape + (cols,)).reshape(size, cols)
         img = _padded(self.M, shape + (cols,)).reshape(size, cols)
-        coeffs = _product(vecs, dom.conj())
-        coeffs[~(np.abs(coeffs) > AMPLITUDE_FLOOR)] = 0.0
+        coeffs = floored(_product(vecs, dom.conj()))
         total = np.sum(np.abs(vecs) ** 2, axis=1)
         outside = total - np.sum(np.abs(coeffs) ** 2, axis=1)
         bad = outside > DOMAIN_TOL * np.maximum(total, 1.0)

@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import __version__, verify
-from .attacks import AttackDomainError, IsometryError
 from .protocol import ConfigError, run as run_any
 from .report import (
     evaluate_expectations,
@@ -100,10 +99,9 @@ def _cmd_run(args) -> int:
                                         scenario.config.rounds)
         report = run_any(scenario.config, attack, jobs=args.jobs,
                          keep_codes=keep_codes)
-    except (ScenarioError, ConfigError, IsometryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except AttackDomainError as exc:
+    except ValueError as exc:
+        # ScenarioError, ConfigError, IsometryError and AttackDomainError
+        # are all ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

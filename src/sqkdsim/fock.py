@@ -6,8 +6,11 @@ in the x basis the pair counts photons in the minus / plus modes, so
 ``|0,1>_x`` is ``|+>`` and ``|1,0>_x`` is ``|->``.  The vacuum ``|0,0>``
 models a lost pulse.
 
-States are sparse maps from occupation to complex amplitude, tagged with
-the basis their keys refer to, and truncated at a total photon cap.  All
+A state is one dense complex vector over the occupations of
+``channel_basis(n_max)``, tagged with the basis those occupations refer
+to.  Amplitudes at or below ``AMPLITUDE_FLOOR`` are zeroed on
+construction, so a zero entry is an absent occupation.  The basis change
+is one matmul with the involutive ``ChannelBasis.hadamard``.  All
 operations are pure; instances are immutable by convention.
 """
 
@@ -16,7 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
+
+import numpy as np
 
 Occupation = Tuple[int, int]
 
@@ -25,7 +30,7 @@ X = "x"
 
 DEFAULT_N_MAX = 6
 
-#: amplitudes below this are dropped after arithmetic
+#: amplitudes at or below this are zeroed after arithmetic
 AMPLITUDE_FLOOR = 1e-15
 
 
@@ -50,92 +55,12 @@ def _check_basis(basis: str) -> None:
         raise ValueError(f"unknown basis tag {basis!r} (expected {Z!r} or {X!r})")
 
 
-class FockState:
-    """Sparse two-mode photonic state: occupation -> complex amplitude."""
-
-    __slots__ = ("_amps", "basis", "n_max")
-
-    def __init__(self, amps: Mapping[Occupation, complex], basis: str = Z,
-                 n_max: int = DEFAULT_N_MAX):
-        _check_basis(basis)
-        clean: Dict[Occupation, complex] = {}
-        for occ, amp in amps.items():
-            occ = (int(occ[0]), int(occ[1]))
-            check_occupation(occ, n_max)
-            amp = complex(amp)
-            if abs(amp) > AMPLITUDE_FLOOR:
-                clean[occ] = amp
-        self._amps = clean
-        self.basis = basis
-        self.n_max = n_max
-
-    @classmethod
-    def basis_state(cls, occ: Occupation, basis: str = Z,
-                    n_max: int = DEFAULT_N_MAX) -> "FockState":
-        check_occupation(occ, n_max)
-        return cls({tuple(occ): 1.0}, basis=basis, n_max=n_max)
-
-    def amplitude(self, occ: Occupation) -> complex:
-        return self._amps.get(tuple(occ), 0j)
-
-    def items(self) -> Iterator[Tuple[Occupation, complex]]:
-        return iter(sorted(self._amps.items()))
-
-    def keys(self):
-        return self._amps.keys()
-
-    def __len__(self) -> int:
-        return len(self._amps)
-
-    def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self._amps.values())
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def is_unit(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
-
-    def scaled(self, factor: complex) -> "FockState":
-        return FockState({k: factor * a for k, a in self._amps.items()},
-                         basis=self.basis, n_max=self.n_max)
-
-    def plus(self, other: "FockState") -> "FockState":
-        if other.basis != self.basis:
-            raise ValueError("cannot add states with different basis tags")
-        n_max = max(self.n_max, other.n_max)
-        amps = dict(self._amps)
-        for k, a in other._amps.items():
-            amps[k] = amps.get(k, 0j) + a
-        return FockState(amps, basis=self.basis, n_max=n_max)
-
-    def normalized(self) -> "FockState":
-        n = self.norm()
-        if n <= AMPLITUDE_FLOOR:
-            raise NormalizationError("cannot normalize a (near-)zero state")
-        return self.scaled(1.0 / n)
-
-    def to_z(self) -> "FockState":
-        return self if self.basis == Z else _transform(self, Z)
-
-    def to_x(self) -> "FockState":
-        return self if self.basis == X else _transform(self, X)
-
-    def in_basis(self, basis: str) -> "FockState":
-        _check_basis(basis)
-        return self.to_z() if basis == Z else self.to_x()
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"{occ}: {amp:.6g}" for occ, amp in self.items())
-        return f"FockState({{{terms}}}, basis={self.basis!r}, n_max={self.n_max})"
-
-
 @lru_cache(maxsize=None)
 def _mixing_row(n_first: int, n_second: int) -> Tuple[float, ...]:
-    """Overlap row for one occupation key under the mode rotation.
+    """Overlap row for one occupation under the mode rotation.
 
     The creation operator of the first mode goes to (first' - second')/sqrt(2)
-    up to relabeling, so the key (n_first, n_second) expands over keys
+    up to relabeling, so the occupation (n_first, n_second) expands over
     (k, n - k) of the rotated pair with the returned real coefficients.
     The same row serves both conversion directions (the rotation is an
     involution).
@@ -152,53 +77,134 @@ def _mixing_row(n_first: int, n_second: int) -> Tuple[float, ...]:
     return tuple(row)
 
 
-def transform_amplitudes(amps: Mapping[Occupation, complex],
-                         n_max: int) -> Dict[Occupation, complex]:
-    """Rotate a raw amplitude map between the z and x mode pairs.
+class ChannelBasis:
+    """Enumeration and index tables for the truncated two-mode space.
 
-    Works on plain dicts; ``joint.ChannelBasis`` builds its dense rotation
-    matrix from it one occupation at a time.  Total photon number is conserved key by key, so the cap cannot be
-    exceeded by the expansion.
+    Occupations are ordered by total photon number, so the basis of a lower
+    cap is a prefix of the basis of a higher one.
     """
-    out: Dict[Occupation, complex] = {}
-    for (a, b), amp in amps.items():
-        row = _mixing_row(a, b)
-        n = a + b
-        for k, coeff in enumerate(row):
-            if coeff == 0.0:
-                continue
-            key = (k, n - k)
-            out[key] = out.get(key, 0j) + coeff * amp
-    return {k: v for k, v in out.items() if abs(v) > AMPLITUDE_FLOOR}
+
+    def __init__(self, n_max: int):
+        self.n_max = n_max
+        occs: List[Occupation] = []
+        for total in range(n_max + 1):
+            for n1 in range(total + 1):
+                occs.append((n1, total - n1))
+        self.occupations: Tuple[Occupation, ...] = tuple(occs)
+        self.dim = len(occs)
+        self.index: Dict[Occupation, int] = {o: i for i, o in enumerate(occs)}
+        self.totals = np.array([n1 + n0 for n1, n0 in occs])
+        # involutive orthogonal mode rotation; rows and columns share indexing.
+        # Photon number is conserved, so the cap is never exceeded.
+        had = np.zeros((self.dim, self.dim))
+        for i, (n1, n0) in enumerate(occs):
+            for k, coeff in enumerate(_mixing_row(n1, n0)):
+                had[i, self.index[(k, n1 + n0 - k)]] = coeff
+        self.hadamard = had
 
 
-def _transform(state: FockState, target: str) -> FockState:
-    return FockState(transform_amplitudes(state._amps, state.n_max),
-                     basis=target, n_max=state.n_max)
+@lru_cache(maxsize=None)
+def channel_basis(n_max: int) -> ChannelBasis:
+    """The basis of one photon cap, built once."""
+    return ChannelBasis(n_max)
+
+
+def floored(amps: np.ndarray) -> np.ndarray:
+    """Zero, in place, every amplitude at or below ``AMPLITUDE_FLOOR``."""
+    amps[~(np.abs(amps) > AMPLITUDE_FLOOR)] = 0.0
+    return amps
+
+
+class FockState:
+    """Two-mode photonic state: one amplitude per ``channel_basis`` occupation."""
+
+    __slots__ = ("amps", "basis", "n_max")
+
+    def __init__(self, amps: Mapping[Occupation, complex], basis: str = Z,
+                 n_max: int = DEFAULT_N_MAX):
+        _check_basis(basis)
+        index = channel_basis(n_max).index
+        vec = np.zeros(len(index), dtype=np.complex128)
+        for occ, amp in amps.items():
+            occ = (int(occ[0]), int(occ[1]))
+            check_occupation(occ, n_max)
+            vec[index[occ]] = complex(amp)
+        self.amps = floored(vec)
+        self.basis = basis
+        self.n_max = n_max
+
+    @classmethod
+    def _of(cls, amps: np.ndarray, basis: str, n_max: int) -> "FockState":
+        state = cls.__new__(cls)
+        state.amps = floored(amps)
+        state.basis = basis
+        state.n_max = n_max
+        return state
+
+    def amplitude(self, occ: Occupation) -> complex:
+        i = channel_basis(self.n_max).index.get(tuple(occ))
+        return 0j if i is None else complex(self.amps[i])
+
+    def items(self) -> List[Tuple[Occupation, complex]]:
+        """Nonzero amplitudes keyed by occupation, sorted."""
+        occs = channel_basis(self.n_max).occupations
+        return sorted((occs[i], complex(self.amps[i]))
+                      for i in np.flatnonzero(self.amps))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.amps))
+
+    def norm_sq(self) -> float:
+        return sum(abs(a) ** 2 for a in self.amps.tolist())
+
+    def norm(self) -> float:
+        return math.sqrt(self.norm_sq())
+
+    def is_unit(self, tol: float = 1e-12) -> bool:
+        return abs(self.norm_sq() - 1.0) <= tol
+
+    def scaled(self, factor: complex) -> "FockState":
+        return FockState._of(factor * self.amps, self.basis, self.n_max)
+
+    def normalized(self) -> "FockState":
+        n = self.norm()
+        if n <= AMPLITUDE_FLOOR:
+            raise NormalizationError("cannot normalize a (near-)zero state")
+        return self.scaled(1.0 / n)
+
+    def _rotated(self, target: str) -> "FockState":
+        if self.basis == target:
+            return self
+        return FockState._of(self.amps @ channel_basis(self.n_max).hadamard,
+                             target, self.n_max)
+
+    def to_z(self) -> "FockState":
+        return self._rotated(Z)
+
+    def to_x(self) -> "FockState":
+        return self._rotated(X)
+
+    def __repr__(self) -> str:
+        terms = ", ".join(f"{occ}: {amp:.6g}" for occ, amp in self.items())
+        return f"FockState({{{terms}}}, basis={self.basis!r}, n_max={self.n_max})"
 
 
 def make_basis_state(occ: Occupation, basis: str = Z,
                      n_max: int = DEFAULT_N_MAX) -> FockState:
     """Unit-norm state with a single amplitude on ``occ``."""
-    return FockState.basis_state(occ, basis=basis, n_max=n_max)
+    return FockState({tuple(occ): 1.0}, basis=basis, n_max=n_max)
 
 
 def inner(a: FockState, b: FockState) -> complex:
-    """Sesquilinear product <a|b>, converting to the z basis on a tag mismatch."""
-    if a.basis != b.basis:
-        a, b = a.to_z(), b.to_z()
-    return sum(a._amps[k].conjugate() * b._amps[k]
-               for k in a._amps.keys() & b._amps.keys())
+    """Sesquilinear product <a|b> of the two z vectors.
 
-
-def to_z_basis(state: FockState) -> FockState:
-    """State re-expressed over z-basis occupation keys."""
-    return state.to_z()
-
-
-def to_x_basis(state: FockState) -> FockState:
-    """State re-expressed over x-basis occupation keys."""
-    return state.to_x()
+    A lower cap's basis is a prefix of a higher one's, so states with
+    different caps line up by zero padding.
+    """
+    va, vb = a.to_z().amps, b.to_z().amps
+    dim = max(va.size, vb.size)
+    return complex(np.vdot(np.pad(va, (0, dim - va.size)),
+                           np.pad(vb, (0, dim - vb.size))))
 
 
 @dataclass(frozen=True)
@@ -253,5 +259,6 @@ def measure_distribution(state: FockState, basis: str,
         raise NormalizationError(
             f"measurement needs a normalized state (|norm^2-1| = "
             f"{abs(state.norm_sq() - 1.0):.3e})")
-    converted = state.in_basis(basis)
+    _check_basis(basis)
+    converted = state.to_z() if basis == Z else state.to_x()
     return {occ: abs(amp) ** 2 for occ, amp in converted.items()}

@@ -20,10 +20,12 @@ import numpy as np
 
 from .fock import (
     AMPLITUDE_FLOOR,
+    ChannelBasis,
     FockState,
     Occupation,
-    transform_amplitudes,
     X,
+    channel_basis,
+    floored,
 )
 
 THRESHOLD = "threshold"
@@ -51,50 +53,11 @@ def code_pattern(code: int) -> Pattern:
     return (code // 3, code % 3)
 
 
-class ChannelBasis:
-    """Enumeration and index tables for the truncated two-mode space.
-
-    Occupations are ordered by total photon number, so the basis of a lower
-    cap is a prefix of the basis of a higher one.
-    """
-
-    def __init__(self, n_max: int):
-        self.n_max = n_max
-        occs: List[Occupation] = []
-        for total in range(n_max + 1):
-            for n1 in range(total + 1):
-                occs.append((n1, total - n1))
-        self.occupations: Tuple[Occupation, ...] = tuple(occs)
-        self.dim = len(occs)
-        self.index: Dict[Occupation, int] = {o: i for i, o in enumerate(occs)}
-        self.totals = np.array([n1 + n0 for n1, n0 in occs])
-        self.codes = {model: np.array([pattern_code(detector_pattern(o, model))
-                                       for o in occs])
-                      for model in (THRESHOLD, COUNTER)}
-        # involutive orthogonal mode rotation; rows and columns share indexing
-        had = np.zeros((self.dim, self.dim))
-        for i, occ in enumerate(occs):
-            for key, coeff in transform_amplitudes({occ: 1.0}, n_max).items():
-                had[i, self.index[key]] = coeff.real
-        self.hadamard = had
-
-    def vector(self, state: FockState) -> np.ndarray:
-        """Dense z-basis amplitude vector of a channel state."""
-        out = np.zeros(self.dim, dtype=np.complex128)
-        for occ, amp in state.to_z().items():
-            out[self.index[occ]] = amp
-        return out
-
-
 @lru_cache(maxsize=None)
-def channel_basis(n_max: int) -> ChannelBasis:
-    """The basis of one photon cap, built once."""
-    return ChannelBasis(n_max)
-
-
-def _floored(amps: np.ndarray) -> np.ndarray:
-    amps[~(np.abs(amps) > AMPLITUDE_FLOOR)] = 0.0
-    return amps
+def _detector_codes(n_max: int, model: str) -> np.ndarray:
+    """Pattern code of every channel occupation under one detector model."""
+    return np.array([pattern_code(detector_pattern(o, model))
+                     for o in channel_basis(n_max).occupations])
 
 
 def _abs_sq(amps: np.ndarray) -> np.ndarray:
@@ -118,7 +81,7 @@ class JointState:
     __slots__ = ("amps",)
 
     def __init__(self, amps: np.ndarray):
-        self.amps = _floored(np.array(amps, dtype=np.complex128))
+        self.amps = floored(np.array(amps, dtype=np.complex128))
 
     @classmethod
     def from_product(cls, probe: np.ndarray | int, channel: FockState,
@@ -129,10 +92,10 @@ class JointState:
             if not 0 <= probe < probe_dim:
                 raise ValueError(f"probe index {probe} outside dimension {probe_dim}")
             probe = np.eye(1, probe_dim, probe)[0]
-        basis = channel_basis(channel.n_max)
-        amps = np.zeros((probe_dim, PATTERNS, basis.dim), dtype=np.complex128)
+        vec = channel.to_z().amps
+        amps = np.zeros((probe_dim, PATTERNS, vec.size), dtype=np.complex128)
         amps[:, pattern_code(IDLE), :] = np.multiply.outer(
-            np.asarray(probe, dtype=np.complex128), basis.vector(channel))
+            np.asarray(probe, dtype=np.complex128), vec)
         return cls(amps)
 
     @property
@@ -175,7 +138,7 @@ class JointState:
             raise ValueError("Alice probe must be idle before SIFT")
         out = np.zeros_like(self.amps)
         cols = np.arange(self.amps.shape[2])
-        out[:, self.basis.codes[model], cols] = self.amps[:, idle, :]
+        out[:, _detector_codes(self.n_max, model), cols] = self.amps[:, idle, :]
         return JointState(out)
 
     def alice_branches(self) -> List[Tuple[Pattern, float, "JointState"]]:
@@ -221,7 +184,7 @@ class JointState:
         """Channel photon-count distribution in the requested basis."""
         amps = self.amps
         if basis == X:
-            amps = _floored(amps @ self.basis.hadamard)
+            amps = floored(amps @ self.basis.hadamard)
         probs = _abs_sq(amps).sum(axis=(0, 1))
         present = amps.any(axis=(0, 1))
         return {occ: float(probs[c])

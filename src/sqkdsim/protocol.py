@@ -21,7 +21,7 @@ Loss is independent per-photon survival applied on each leg in transit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

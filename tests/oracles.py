@@ -17,10 +17,11 @@ code's round count, and must produce the same reports.
 The dense-map references (``isometry_defect_reference``,
 ``from_dense_columns_reference``, ``load_matrix_reference``,
 ``apply_reference``) are the per-pair, per-entry and per-column dict loops
-that ``sqkdsim.attacks`` replaced with array operations.  ``joint_state``,
-``map_from_columns`` and ``columns_of`` convert between those dict forms,
-keyed ``(e, pattern, occupation)`` and ``(e, occupation)``, and the dense
-arrays.
+that ``sqkdsim.attacks`` replaced with array operations, and
+``transform_reference`` is the per-occupation dict loop that ``sqkdsim.fock``
+replaced with one matmul.  ``joint_state``, ``map_from_columns`` and
+``columns_of`` convert between those dict forms, keyed
+``(e, pattern, occupation)`` and ``(e, occupation)``, and the dense arrays.
 
 ``round_log_reference`` formats the round log one line per round with an
 f-string; ``sqkdsim.report`` builds the same text from byte rows with numpy.
@@ -35,7 +36,7 @@ import numpy as np
 
 from sqkdsim import analysis
 from sqkdsim.attacks import DOMAIN_TOL, AttackDomainError, ProbeChannelMap
-from sqkdsim.fock import AMPLITUDE_FLOOR
+from sqkdsim.fock import AMPLITUDE_FLOOR, FockState, X, Z, _mixing_row
 from sqkdsim.joint import ChannelBasis, JointState, pattern_code
 from sqkdsim.protocol import (
     B92_CATEGORIES,
@@ -543,6 +544,20 @@ def load_matrix_reference(path) -> np.ndarray:
     flat = np.array(values).reshape(-1, 2)
     dim = math.isqrt(len(flat))
     return (flat[:, 0] + 1j * flat[:, 1]).reshape(dim, dim)
+
+
+def transform_reference(state: FockState) -> FockState:
+    """``state`` in the other basis by the per-occupation dict loop that
+    ``FockState.to_z``/``to_x`` replaced with one ``hadamard`` matmul: each
+    occupation's mixing row accumulated key by key."""
+    out = {}
+    for (a, b), amp in state.items():
+        n = a + b
+        for k, coeff in enumerate(_mixing_row(a, b)):
+            if coeff == 0.0:
+                continue
+            out[(k, n - k)] = out.get((k, n - k), 0j) + coeff * amp
+    return FockState(out, basis=X if state.basis == Z else Z, n_max=state.n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,17 @@ from sqkdsim.fock import (
     inner,
     make_basis_state,
     measure_distribution,
+    channel_basis,
     parity_state,
-    to_x_basis,
-    to_z_basis,
     x_expansion,
 )
 
-from oracles import binomial_counts, symmetric_expansion, symmetric_mixed_state
+from oracles import (
+    binomial_counts,
+    symmetric_expansion,
+    symmetric_mixed_state,
+    transform_reference,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -112,19 +116,19 @@ class TestXExpansion:
 
 class TestBasisChange:
     def test_single_plus(self):
-        s = to_z_basis(make_basis_state((0, 1), X))
+        s = make_basis_state((0, 1), X).to_z()
         assert s.amplitude((0, 1)) == pytest.approx(1 / SQRT2)
         assert s.amplitude((1, 0)) == pytest.approx(1 / SQRT2)
 
     def test_two_plus_photons(self):
-        s = to_z_basis(make_basis_state((0, 2), X))
+        s = make_basis_state((0, 2), X).to_z()
         assert s.amplitude((0, 2)) == pytest.approx(0.5)
         assert s.amplitude((1, 1)) == pytest.approx(SQRT2 / 2)
         assert s.amplitude((2, 0)) == pytest.approx(0.5)
 
     def test_one_of_each(self):
         # one minus and one plus photon interfere to (|0,2> - |2,0>)/sqrt(2)
-        s = to_z_basis(make_basis_state((1, 1), X))
+        s = make_basis_state((1, 1), X).to_z()
         assert s.amplitude((0, 2)) == pytest.approx(1 / SQRT2)
         assert abs(s.amplitude((1, 1))) < 1e-12
         assert s.amplitude((2, 0)) == pytest.approx(-1 / SQRT2)
@@ -132,7 +136,7 @@ class TestBasisChange:
     @pytest.mark.parametrize("n_minus,n_plus", [(1, 1), (2, 1), (1, 2), (2, 2),
                                                 (3, 1), (0, 4)])
     def test_general_keys_match_symmetrized_oracle(self, n_minus, n_plus):
-        s = to_z_basis(make_basis_state((n_minus, n_plus), X))
+        s = make_basis_state((n_minus, n_plus), X).to_z()
         oracle = symmetric_mixed_state(n_minus, n_plus)
         keys = set(k for k, _ in s.items()) | set(oracle)
         for key in keys:
@@ -144,19 +148,20 @@ class TestBasisChange:
     @settings(max_examples=40, deadline=None)
     def test_involution(self, seed):
         s = random_state(np.random.default_rng(seed))
-        back = to_z_basis(to_x_basis(s))
-        assert back.plus(s.scaled(-1)).norm() < 1e-10
+        back = s.to_x().to_z()
+        assert np.linalg.norm(back.amps - s.amps) < 1e-10
 
     @given(seed=st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
     def test_norm_and_inner_products_preserved(self, seed):
         rng = np.random.default_rng(seed)
         a, b = random_state(rng), random_state(rng)
-        assert to_x_basis(a).norm() == pytest.approx(1.0, abs=1e-10)
-        assert inner(to_x_basis(a), to_x_basis(b)) == pytest.approx(
+        assert a.to_x().norm() == pytest.approx(1.0, abs=1e-10)
+        assert inner(a.to_x(), b.to_x()) == pytest.approx(
             inner(a, b), abs=1e-10)
 
-    @pytest.mark.parametrize("basis,convert", [(Z, to_z_basis), (X, to_x_basis)])
+    @pytest.mark.parametrize("basis,convert", [(Z, FockState.to_z),
+                                               (X, FockState.to_x)])
     def test_same_basis_returns_amplitudes_unchanged(self, basis, convert):
         # no round trip through the other basis: the amplitudes stay bit-equal
         for seed in range(5):
@@ -170,21 +175,53 @@ class TestBasisChange:
     def test_photon_number_conserved(self, n1, n0):
         if n1 + n0 > 6:
             return
-        s = to_x_basis(make_basis_state((n1, n0), Z))
+        s = make_basis_state((n1, n0), Z).to_x()
         assert all(k[0] + k[1] == n1 + n0 for k, _ in s.items())
+
+
+class TestDenseBasisChange:
+    """The ``hadamard`` matmul against the per-occupation dict loop."""
+
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    def test_basis_states_bit_equal_to_reference(self, n_max):
+        # the engine only ever rotates basis states
+        for occ in channel_basis(n_max).occupations:
+            for basis, target in ((Z, X), (X, Z)):
+                s = make_basis_state(occ, basis, n_max)
+                got = s.to_x() if target == X else s.to_z()
+                want = transform_reference(s)
+                assert got.basis == want.basis == target
+                assert np.array_equal(got.amps, want.amps)
+
+    @pytest.mark.parametrize("basis", [Z, X])
+    def test_random_states_match_reference(self, basis):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            s = random_state(rng, basis=basis, terms=6)
+            got = s.to_x() if basis == Z else s.to_z()
+            assert np.max(np.abs(got.amps - transform_reference(s).amps)) <= 1e-15
+
+    def test_inner_pads_the_lower_cap(self):
+        rng = np.random.default_rng(9)
+        a = random_state(rng, n_max=2)
+        b = random_state(rng, n_max=5, basis=X)
+        za, zb = a.to_z().amps, b.to_z().amps
+        padded = np.concatenate([za, np.zeros(zb.size - za.size)])
+        assert inner(a, b) == np.vdot(padded, zb)
+        assert inner(b, a) == np.vdot(zb, padded)
 
 
 class TestParityStates:
     def test_even_two_photons_skips_mixed_key(self):
         e2 = parity_state(2, "even", Z)
-        x_rep = to_x_basis(e2)
+        x_rep = e2.to_x()
         assert abs(x_rep.amplitude((1, 1))) < 1e-12
         assert x_rep.amplitude((0, 2)) == pytest.approx(1 / SQRT2)
         assert x_rep.amplitude((2, 0)) == pytest.approx(1 / SQRT2)
 
     def test_odd_one_photon_in_x_inputs(self):
         o1 = parity_state(1, "odd", X)
-        z_rep = to_z_basis(o1)
+        z_rep = o1.to_z()
         assert z_rep.amplitude((1, 0)) == pytest.approx(1.0)
         assert abs(z_rep.amplitude((0, 1))) < 1e-12
 
@@ -243,10 +280,6 @@ class TestStateArithmetic:
     def test_pruning_below_floor(self):
         s = FockState({(0, 1): 1.0, (1, 0): 1e-16}, Z, 2)
         assert len(s) == 1
-
-    def test_basis_mismatch_addition(self):
-        with pytest.raises(ValueError):
-            make_basis_state((0, 1), Z).plus(make_basis_state((0, 1), X))
 
     def test_normalize_zero_state(self):
         with pytest.raises(NormalizationError):

@@ -227,6 +227,18 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
         assert not (tmp_path / "out").exists()
 
+    def test_attack_outside_domain_exits_two(self, tmp_path, capsys):
+        # measure-resend returns fresh z pulses outside the constrained
+        # return map's domain
+        path = write(tmp_path, "\n".join([
+            "[protocol]", "variant = classical-alice-full", "rounds = 200",
+            "residual_policy = measure-resend", "n_max = 3",
+            "[attack]", "name = constrained-random", "seed = 12345",
+            "probe_dim = 4", ""]))
+        assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "outside the attack map's domain" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_parse_error_exits_two(self, tmp_path):
         path = write(tmp_path, "[protocol]\nrounds = banana\n")
         assert cli.main(["run", path, "--out-dir", str(tmp_path)]) == 2
