@@ -44,9 +44,6 @@ from .protocol import (
     RunReport,
     alice_sift,
     run,
-    run_b92,
-    run_bb84,
-    run_protocol,
 )
 from .scenario import Scenario, describe_attack, list_attacks, load_scenario
 
@@ -82,9 +79,6 @@ __all__ = [
     "pns_attack",
     "pns_feasibility",
     "run",
-    "run_b92",
-    "run_bb84",
-    "run_protocol",
     "tagging_attack",
     "usd_attack_b92",
     "x_expansion",

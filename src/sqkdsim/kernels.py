@@ -5,7 +5,9 @@ draws over precomputed tables (emission, outbound loss, Alice's action and
 branch, Eve's return behaviour, return loss, Bob's detector pattern).  A
 stage holds one row per parent node with the cumulative probabilities of
 its branches; a round with uniform ``x`` takes the first branch whose
-cumulative value exceeds ``x``, or the row's last branch.
+cumulative value exceeds ``x``, or the row's last branch.  The branch it
+takes is its parent row at the next stage (see ``CaTables``), so a walk
+is a chain of picks with no index maps between them.
 
 Rows are non-decreasing, so that branch is the row start plus the number
 of the row's thresholds that ``x`` has passed.  Each stage is therefore
@@ -223,34 +225,36 @@ class Stage:
 
 @dataclass
 class CaTables:
-    """Flattened branch tables for the two-way protocol round walk."""
+    """Flattened branch tables for the two-way protocol round walk.
+
+    Each level has a row per node and a branch per node of the next level:
+    branch ``i`` of a level is node ``i`` of the next, so a round's branch
+    index is its parent row one level down.  The exceptions are Alice's
+    residual nodes (the rows of ``ret``): the ``O`` outbound nodes,
+    reflected on CTRL, then the SIFT branches, so SIFT branch ``k`` is
+    residual node ``O + k``.  Bob's two bases share the measured nodes.
+    """
     emission_cum: np.ndarray     # (E,)
     emission_kind: np.ndarray    # (E,) 0 = x pulse, 1 = z bit 0, 2 = z bit 1
-    oloss_off: np.ndarray        # (E+1,)
+    oloss_off: np.ndarray        # (E+1,) -> O outbound nodes
     oloss_cum: np.ndarray
-    oloss_node: np.ndarray       # -> outbound node
-    sift_off: np.ndarray         # (O+1,)
+    sift_off: np.ndarray         # (O+1,) -> S SIFT branches
     sift_cum: np.ndarray
     sift_readout: np.ndarray     # pattern code of Alice's readout
-    sift_next: np.ndarray        # -> residual node
-    ctrl_next: np.ndarray        # (O,) -> residual node
-    ret_off: np.ndarray          # (R+1,)
+    ret_off: np.ndarray          # (O+S+1,) -> G returned nodes
     ret_cum: np.ndarray
-    ret_next: np.ndarray         # -> returned node
     ret_guess: np.ndarray        # Eve's action guess (-1 none, 0 sift, 1 ctrl)
     ret_evebit: np.ndarray       # bit Eve measured on the way back (-1 none)
-    rloss_off: np.ndarray        # (G+1,)
+    rloss_off: np.ndarray        # (G+1,) -> M measured nodes
     rloss_cum: np.ndarray
-    rloss_node: np.ndarray       # -> measured node
     bobz_off: np.ndarray         # (M+1,)
     bobz_cum: np.ndarray
     bobz_pat: np.ndarray
-    bobx_off: np.ndarray
+    bobx_off: np.ndarray         # (M+1,)
     bobx_cum: np.ndarray
     bobx_pat: np.ndarray
     test_fraction: float
-    cross_fraction: float
-    cross_enabled: int
+    cross_fraction: float        # 0.0 when cross-basis tests are off
 
 
 @dataclass
@@ -260,8 +264,8 @@ class _CaStages:
     Alice, return and Bob branches, plus ``test_code`` on test rounds."""
     emission: Stage
     oloss: Stage
-    alice: Stage             # parent 2*outbound + action (0 = CTRL, 1 = SIFT)
-    alice_next: np.ndarray   # CTRL residuals, then SIFT residuals
+    alice: Stage             # parent 2*outbound + action (0 = CTRL, 1 = SIFT);
+                             # its branches are the residual nodes
     ret: Stage
     rloss: Stage
     bob: Stage               # parent 2*measured + basis (0 = z, 1 = x)
@@ -273,7 +277,7 @@ class _CaStages:
 
     @classmethod
     def build(cls, tab: CaTables) -> "_CaStages":
-        outbound = tab.ctrl_next.size
+        outbound = tab.oloss_cum.size
         space = ca_space(tab.emission_cum.size)
 
         def code(**parts) -> np.ndarray:
@@ -289,7 +293,6 @@ class _CaStages:
             oloss=Stage.from_rows(tab.oloss_off, tab.oloss_cum),
             alice=Stage.interleave(
                 reflect, Stage.from_rows(tab.sift_off, tab.sift_cum), outbound),
-            alice_next=np.concatenate([tab.ctrl_next, tab.sift_next]),
             ret=Stage.from_rows(tab.ret_off, tab.ret_cum),
             rloss=Stage.from_rows(tab.rloss_off, tab.rloss_cum),
             bob=Stage.interleave(Stage.from_rows(tab.bobz_off, tab.bobz_cum),
@@ -308,20 +311,17 @@ class _CaStages:
 
 def _ca_block(tab: CaTables, st: _CaStages, u: np.ndarray) -> np.ndarray:
     e = st.emission.pick(u[:, 0])
-    node = tab.oloss_node[st.oloss.pick(u[:, 1], e)]
+    node = st.oloss.pick(u[:, 1], e)
     ctrl = u[:, 2] < 0.5
     sift = ~ctrl
     a = st.alice.pick(u[:, 3], 2 * node + sift)
-    j = st.ret.pick(u[:, 4], st.alice_next[a])
-    measured = tab.rloss_node[st.rloss.pick(u[:, 6], tab.ret_next[j])]
+    j = st.ret.pick(u[:, 4], a)
+    measured = st.rloss.pick(u[:, 6], j)
 
-    # x pulses are measured in the basis of Alice's action, optionally
-    # swapped for a cross-basis test; the extra z states always in z
+    # x pulses are measured in the basis of Alice's action, swapped for a
+    # cross-basis test; the extra z states always in z
     x_pulse = tab.emission_kind[e] == 0
-    basis = ctrl.view(np.int8)
-    if tab.cross_enabled == 1:
-        basis = basis ^ (u[:, 7] < tab.cross_fraction)
-    basis = basis & x_pulse
+    basis = (ctrl ^ (u[:, 7] < tab.cross_fraction)) & x_pulse
     k = st.bob.pick(u[:, 8], 2 * measured + basis)
     test = sift & x_pulse & (basis == 0) & (u[:, 9] < tab.test_fraction)
 

@@ -5,14 +5,19 @@ The two-way engine enumerates one round's full branch structure exactly
 return behaviour, Bob's detector statistics) into flat categorical tables,
 then hands the per-round sampling walk to the round engine in
 ``kernels``.  All quantum amplitudes are therefore evaluated once per run;
-the Monte-Carlo loop only draws branch indices.
+the Monte-Carlo loop only draws branch indices.  Every table is built
+level by level with ``_level``: a row per node, and a branch per node of
+the next level, in order, so no table maps branches to nodes.
 
-The engine returns the number of rounds at each record code, and one
+``run`` is the one driver: each variant has a builder (``build_*_tables``,
+which validates the config and the attack and returns the tables and the
+run's exact values), a walker (``kernels.simulate_*``) and an aggregator.
+The walker returns the number of rounds at each record code, and one
 record code per round when the caller keeps them (``keep_codes``, for a
 round log).  Every metric and category is a function of the record alone,
-so each protocol computes them once per code over its decoded code space,
-weighted by those counts, with the same expressions a per-round pass
-would use.
+so each aggregator computes them once per code over its decoded code
+space, weighted by those counts, with the same expressions a per-round
+pass would use.
 
 Loss is independent per-photon survival applied on each leg in transit
 (suppressed entirely when the attack substitutes a lossless channel).
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -137,9 +142,6 @@ class RunReport:
     codes: Optional[np.ndarray]
     code_fields: Dict[str, np.ndarray]
 
-    def metric(self, name: str) -> float:
-        return self.metrics[name]
-
     @property
     def records(self) -> Dict[str, np.ndarray]:
         """Per-round records, one array per field."""
@@ -190,19 +192,30 @@ def alice_sift(joint: JointState, detector_model: str = THRESHOLD,
 # table construction for the two-way protocol
 
 
-@dataclass
-class CaMeta:
-    emission_kind: np.ndarray    # per emission: 0 x pulse, 1 z bit0, 2 z bit1
-    emission_bit: np.ndarray     # announced bit for extra emissions, else -1
-    alice_11_prob: float
-    has_strategy: bool
+def _level(nodes: Iterable, branches: Callable[..., Iterable[tuple]]) -> tuple:
+    """One level of the branch tree: a row per node of ``nodes``.
 
-
-def _cum(probs: Sequence[float]) -> np.ndarray:
-    return np.cumsum(np.asarray(probs, dtype=np.float64))
+    ``branches(node)`` yields ``(p, child, *payload)`` per branch.  Returns
+    the row offsets, the cumulative probabilities, the children in branch
+    order (branch ``i`` is node ``i`` of the next level) and one int8 array
+    per payload field.
+    """
+    off, cum, children, payload = [0], [], [], []
+    for node in nodes:
+        acc = 0.0
+        for p, child, *extra in branches(node):
+            acc += p
+            cum.append(acc)
+            children.append(child)
+            payload.append(extra)
+        off.append(len(cum))
+    return (np.array(off, dtype=np.int64), np.array(cum, dtype=np.float64),
+            children, *(np.array(f, dtype=np.int8) for f in zip(*payload)))
 
 
 def _emissions(config: ProtocolConfig) -> List[Tuple[float, FockState, int]]:
+    """(probability, pulse, kind) per emission; kind 0 is an x pulse, 1 and
+    2 the extra z states of bit 0 and 1."""
     n_max = config.channel_n_max()
     p0, p1, p2 = config.source_stats
     if p2 > 0 and n_max < 2:
@@ -227,8 +240,15 @@ def _loss_branches(state: JointState, survival: float, active: bool
 
 
 def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
-                    ) -> Tuple[CaTables, CaMeta]:
-    """Evaluate the exact per-round branch tree of the two-way protocol."""
+                    ) -> Tuple[CaTables, float]:
+    """Evaluate the exact per-round branch tree of the two-way protocol,
+    and the exact probability that both of Alice's modes are occupied.
+
+    The levels are emission, outbound loss, Alice's SIFT readout, Eve's
+    return, return loss and Bob's z and x patterns.  Alice's residual
+    nodes, the rows of the return level, are the outbound nodes (reflected
+    on CTRL) followed by the SIFT branches.
+    """
     config.validate()
     attack.validate()
     if isinstance(attack.strategy, (UsdStrategy, PnsStrategy)):
@@ -241,152 +261,94 @@ def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
     f = config.transmission
 
     emissions = _emissions(config)
-    emission_cum = _cum([p for p, _s, _k in emissions])
-    emission_kind = np.array([k for _p, _s, k in emissions], dtype=np.int8)
-    emission_bit = np.array([k - 1 if k >= 1 else -1 for _p, _s, k in emissions],
-                            dtype=np.int8)
+    # one root row whose branches are the emissions themselves
+    _off, emission_cum, _pulses, emission_kind = _level([emissions], iter)
 
-    outbound_nodes: List[JointState] = []
-    oloss_off = [0]
-    oloss_cum: List[float] = []
-    oloss_node: List[int] = []
     alice_11 = 0.0
-    for p_emit, state, _kind in emissions:
-        base = JointState.from_product(0, state, attack.probe_dim)
-        acc = 0.0
+
+    def outbound(emission):
+        nonlocal alice_11
+        p_emit, pulse, _kind = emission
+        base = JointState.from_product(0, pulse, attack.probe_dim)
         for p, lost_state in _loss_branches(base, f, lossy):
-            acc += p
             node = attack.apply_outbound(lost_state)
-            oloss_cum.append(acc)
-            oloss_node.append(len(outbound_nodes))
             alice_11 += p_emit * p * sum(
                 q for occ, q in node.occupation_distribution(Z).items()
                 if occ[0] >= 1 and occ[1] >= 1)
-            outbound_nodes.append(node)
-        oloss_off.append(len(oloss_cum))
+            yield p, node
 
-    resid_nodes: List[JointState] = []
-    sift_off = [0]
-    sift_cum: List[float] = []
-    sift_readout: List[int] = []
-    sift_next: List[int] = []
-    ctrl_next: List[int] = []
-    for node in outbound_nodes:
-        acc = 0.0
-        for readout, p, resid in alice_sift(node, model, config.residual_policy):
-            acc += p
-            sift_cum.append(acc)
-            sift_readout.append(pattern_code(readout))
-            sift_next.append(len(resid_nodes))
-            resid_nodes.append(resid)
-        sift_off.append(len(sift_cum))
-        ctrl_next.append(len(resid_nodes))
-        resid_nodes.append(node)
+    oloss_off, oloss_cum, outbound_nodes = _level(emissions, outbound)
+
+    sift_off, sift_cum, sifted, sift_readout = _level(
+        outbound_nodes,
+        lambda node: ((p, resid, pattern_code(readout)) for readout, p, resid
+                      in alice_sift(node, model, config.residual_policy)))
 
     strategy = attack.strategy if isinstance(attack.strategy,
                                              CountDecodeStrategy) else None
-    returned_nodes: List[JointState] = []
-    ret_off = [0]
-    ret_cum: List[float] = []
-    ret_next: List[int] = []
-    ret_guess: List[int] = []
-    ret_evebit: List[int] = []
 
-    def _push_return(p_acc: float, state: JointState, guess: int, bit: int) -> None:
-        ret_cum.append(p_acc)
-        ret_next.append(len(returned_nodes))
-        ret_guess.append(guess)
-        ret_evebit.append(bit)
-        returned_nodes.append(state)
-
-    for resid in resid_nodes:
-        acc = 0.0
+    def returned(resid):
+        """(p, returned node, Eve's action guess, Eve's bit) per branch."""
         if strategy is None:
-            _push_return(1.0, attack.apply_return(resid), -1, -1)
-        else:
-            for count, p_c, projected in resid.photon_count_branches():
-                label, act = strategy.action(count)
-                guess = 0 if label == "ctrl" else 1
-                if act == "apply_map":
-                    acc += p_c
-                    _push_return(acc, attack.apply_return(projected), guess, -1)
+            yield 1.0, attack.apply_return(resid), -1, -1
+            return
+        for count, p_c, projected in resid.photon_count_branches():
+            label, act = strategy.action(count)
+            guess = 0 if label == "ctrl" else 1
+            if act == "apply_map":
+                yield p_c, attack.apply_return(projected), guess, -1
+                continue
+            for occ, p_z, probe_vec in projected.occupation_branches():
+                if occ[0] >= 1 and occ[1] == 0:
+                    bit = 1
+                elif occ[1] >= 1 and occ[0] == 0:
+                    bit = 0
                 else:
-                    for occ, p_z, probe_vec in projected.occupation_branches():
-                        acc += p_c * p_z
-                        if occ[0] >= 1 and occ[1] == 0:
-                            bit = 1
-                        elif occ[1] >= 1 and occ[0] == 0:
-                            bit = 0
-                        else:
-                            bit = -1
-                        back = JointState.from_product(
-                            probe_vec, make_basis_state(occ, Z, n_max),
-                            resid.probe_dim)
-                        _push_return(acc, back, guess, bit)
-        ret_off.append(len(ret_cum))
+                    bit = -1
+                back = JointState.from_product(
+                    probe_vec, make_basis_state(occ, Z, n_max), resid.probe_dim)
+                yield p_c * p_z, back, guess, bit
 
-    measured_nodes: List[JointState] = []
-    rloss_off = [0]
-    rloss_cum: List[float] = []
-    rloss_node: List[int] = []
-    for node in returned_nodes:
-        acc = 0.0
-        for p, lost_state in _loss_branches(node, f, lossy):
-            acc += p
-            rloss_cum.append(acc)
-            rloss_node.append(len(measured_nodes))
-            measured_nodes.append(lost_state)
-        rloss_off.append(len(rloss_cum))
+    ret_off, ret_cum, returned_nodes, ret_guess, ret_evebit = _level(
+        outbound_nodes + sifted, returned)
 
-    bobz_off = [0]
-    bobz_cum: List[float] = []
-    bobz_pat: List[int] = []
-    bobx_off = [0]
-    bobx_cum: List[float] = []
-    bobx_pat: List[int] = []
-    for node in measured_nodes:
-        for basis, off, cum, pats in ((Z, bobz_off, bobz_cum, bobz_pat),
-                                      (X, bobx_off, bobx_cum, bobx_pat)):
+    rloss_off, rloss_cum, measured_nodes = _level(
+        returned_nodes, lambda node: _loss_branches(node, f, lossy))
+
+    def bob(basis):
+        def patterns(node):
             dist = node.bob_distribution(basis, model)
-            acc = 0.0
-            for pat in sorted(dist):
-                acc += dist[pat]
-                cum.append(acc)
-                pats.append(pattern_code(pat))
-            off.append(len(cum))
+            return ((dist[pat], None, pattern_code(pat)) for pat in sorted(dist))
+        return _level(measured_nodes, patterns)
+
+    bobz_off, bobz_cum, _leaves, bobz_pat = bob(Z)
+    bobx_off, bobx_cum, _leaves, bobx_pat = bob(X)
 
     tables = CaTables(
         emission_cum=emission_cum,
         emission_kind=emission_kind,
-        oloss_off=np.array(oloss_off, dtype=np.int64),
-        oloss_cum=np.array(oloss_cum, dtype=np.float64),
-        oloss_node=np.array(oloss_node, dtype=np.int64),
-        sift_off=np.array(sift_off, dtype=np.int64),
-        sift_cum=np.array(sift_cum, dtype=np.float64),
-        sift_readout=np.array(sift_readout, dtype=np.int8),
-        sift_next=np.array(sift_next, dtype=np.int64),
-        ctrl_next=np.array(ctrl_next, dtype=np.int64),
-        ret_off=np.array(ret_off, dtype=np.int64),
-        ret_cum=np.array(ret_cum, dtype=np.float64),
-        ret_next=np.array(ret_next, dtype=np.int64),
-        ret_guess=np.array(ret_guess, dtype=np.int8),
-        ret_evebit=np.array(ret_evebit, dtype=np.int8),
-        rloss_off=np.array(rloss_off, dtype=np.int64),
-        rloss_cum=np.array(rloss_cum, dtype=np.float64),
-        rloss_node=np.array(rloss_node, dtype=np.int64),
-        bobz_off=np.array(bobz_off, dtype=np.int64),
-        bobz_cum=np.array(bobz_cum, dtype=np.float64),
-        bobz_pat=np.array(bobz_pat, dtype=np.int8),
-        bobx_off=np.array(bobx_off, dtype=np.int64),
-        bobx_cum=np.array(bobx_cum, dtype=np.float64),
-        bobx_pat=np.array(bobx_pat, dtype=np.int8),
+        oloss_off=oloss_off,
+        oloss_cum=oloss_cum,
+        sift_off=sift_off,
+        sift_cum=sift_cum,
+        sift_readout=sift_readout,
+        ret_off=ret_off,
+        ret_cum=ret_cum,
+        ret_guess=ret_guess,
+        ret_evebit=ret_evebit,
+        rloss_off=rloss_off,
+        rloss_cum=rloss_cum,
+        bobz_off=bobz_off,
+        bobz_cum=bobz_cum,
+        bobz_pat=bobz_pat,
+        bobx_off=bobx_off,
+        bobx_cum=bobx_cum,
+        bobx_pat=bobx_pat,
         test_fraction=float(config.test_fraction),
-        cross_fraction=float(config.cross_basis_fraction),
-        cross_enabled=1 if config.cross_basis_tests else 0,
+        cross_fraction=(float(config.cross_basis_fraction)
+                        if config.cross_basis_tests else 0.0),
     )
-    meta = CaMeta(emission_kind=emission_kind, emission_bit=emission_bit,
-                  alice_11_prob=alice_11, has_strategy=strategy is not None)
-    return tables, meta
+    return tables, alice_11
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +375,21 @@ def _bits_from_codes(codes: np.ndarray) -> Tuple[np.ndarray, ...]:
     return first, second, double, bit, vacuum
 
 
+#: an aggregator's (metrics, categories, code fields with ``category``)
+Aggregate = Tuple[Dict[str, float], Dict[str, int], Dict[str, np.ndarray]]
+
+
 def _count(w: np.ndarray, mask: np.ndarray) -> int:
     """Rounds at the codes in ``mask``, given the rounds ``w`` at each code."""
     return int(w[mask].sum())
 
 
-def _ca_report(config: ProtocolConfig, attack: AttackSpec, meta: CaMeta,
-               codes: Optional[np.ndarray], w: np.ndarray, seed: int
-               ) -> RunReport:
-    """Metrics and categories over the code space, weighted by ``w``."""
-    rec = ca_space(meta.emission_kind.size).decode()
+def _ca_aggregate(config: ProtocolConfig, attack: AttackSpec,
+                  tables: CaTables, alice_11: float, w: np.ndarray
+                  ) -> Aggregate:
+    """Metrics, categories and code fields over the code space, weighted
+    by ``w``."""
+    rec = ca_space(tables.emission_kind.size).decode()
     n = int(w.sum())
     action = rec["action"]
     readout = rec["readout"]
@@ -431,8 +398,8 @@ def _ca_report(config: ProtocolConfig, attack: AttackSpec, meta: CaMeta,
     test = rec["test"].astype(bool)
     guess = rec["guess"]
     evebit = rec["evebit"]
-    kind = meta.emission_kind[rec["emit"]]
-    emit_bit = meta.emission_bit[rec["emit"]]
+    kind = tables.emission_kind[rec["emit"]]
+    emit_bit = kind - 1          # the bit an extra z state announces
 
     a1, a0, a_double, a_bit, a_vacuum = _bits_from_codes(readout)
     b1, _b0, b_double, b_bit_raw, _ = _bits_from_codes(pattern)
@@ -496,7 +463,7 @@ def _ca_report(config: ProtocolConfig, attack: AttackSpec, meta: CaMeta,
         "sifted_bits": key_bits,
         "sifted_disagreements": counts["key_mismatch"],
         "sifted_agreement": (counts["key_ok"] / key_bits if key_bits else 1.0),
-        "alice_11_prob_exact": meta.alice_11_prob,
+        "alice_11_prob_exact": alice_11,
     }
 
     guessed = _count(w, guess >= 0)
@@ -527,22 +494,7 @@ def _ca_report(config: ProtocolConfig, attack: AttackSpec, meta: CaMeta,
         pass
 
     rec["category"] = cat
-    return RunReport(variant=config.variant, rounds=n, seed=seed,
-                     metrics=metrics, categories=counts,
-                     record_fields=tuple(rec), codes=codes, code_fields=rec)
-
-
-def run_protocol(config: ProtocolConfig, attack: AttackSpec,
-                 jobs: int = 1, keep_codes: bool = False) -> RunReport:
-    """Monte-Carlo run of the two-way classical-Alice protocol."""
-    config.validate()
-    if config.variant not in (CLASSICAL_ALICE_FULL, CLASSICAL_ALICE_LIMITED):
-        raise ConfigError(f"run_protocol handles the two-way variants, "
-                          f"not {config.variant!r}")
-    tables, meta = build_ca_tables(config, attack)
-    codes, w = simulate_ca(tables, config.rng_seed, config.rounds, jobs=jobs,
-                          keep_codes=keep_codes)
-    return _ca_report(config, attack, meta, codes, w, config.rng_seed)
+    return metrics, counts, rec
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +505,14 @@ BB84_CATEGORIES = ("no_click", "basis_mismatch", "double_click",
                    "sift_ok", "sift_error")
 
 
-def _binomial_cum(size: int, survival: float) -> Tuple[List[float], List[int]]:
-    cum, ms, acc = [], [], 0.0
-    for m in range(size + 1):
-        acc += (math.comb(size, m) * survival ** m
-                * (1.0 - survival) ** (size - m))
-        cum.append(acc)
-        ms.append(m)
-    return cum, ms
+#: detector pattern rows in the bit-0 convention, row = (m-1)*2 + same,
+#: as (pattern code, probability) branches
+BB84_MEAS_ROWS = (
+    ((1, 0.5), (3, 0.5)),              # one photon, wrong basis
+    ((1, 1.0),),                       # one photon, right basis
+    ((1, 0.25), (3, 0.25), (4, 0.5)),  # two photons, wrong basis
+    ((1, 1.0),),                       # two photons, right basis
+)
 
 
 def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
@@ -583,53 +535,32 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
     if pns:
         meta["pns_quota"] = quota
 
-    loss_off, loss_cum, loss_m = [0], [], []
-    for size in range(3):
-        cum, ms = _binomial_cum(size, config.transmission)
-        loss_cum.extend(cum)
-        loss_m.extend(ms)
-        loss_off.append(len(loss_cum))
-
-    # detector pattern rows in the bit-0 convention, row = (m-1)*2 + same
-    meas_rows = [
-        [(1, 0.5), (3, 0.5)],            # one photon, wrong basis
-        [(1, 1.0)],                      # one photon, right basis
-        [(1, 0.25), (3, 0.25), (4, 0.5)],  # two photons, wrong basis
-        [(1, 1.0)],                      # two photons, right basis
-    ]
-    meas_off, meas_cum, meas_pat = [0], [], []
-    for row in meas_rows:
-        acc = 0.0
-        for pat, p in row:
-            acc += p
-            meas_cum.append(acc)
-            meas_pat.append(pat)
-        meas_off.append(len(meas_cum))
+    # surviving photon count m of each pulse size, binomial in the survival
+    s = config.transmission
+    loss_off, loss_cum, _leaves, loss_m = _level(range(3), lambda size: (
+        (math.comb(size, m) * s ** m * (1.0 - s) ** (size - m), None, m)
+        for m in range(size + 1)))
+    meas_off, meas_cum, _leaves, meas_pat = _level(
+        BB84_MEAS_ROWS, lambda row: ((p, None, pat) for pat, p in row))
 
     tables = Bb84Tables(
         size_cum=np.array([p0, p0 + p1, 1.0]),
         attack=1 if pns else 0,
         quota=quota,
-        loss_off=np.array(loss_off, dtype=np.int64),
-        loss_cum=np.array(loss_cum, dtype=np.float64),
-        loss_m=np.array(loss_m, dtype=np.int8),
-        meas_off=np.array(meas_off, dtype=np.int64),
-        meas_cum=np.array(meas_cum, dtype=np.float64),
-        meas_pat=np.array(meas_pat, dtype=np.int8),
+        loss_off=loss_off,
+        loss_cum=loss_cum,
+        loss_m=loss_m,
+        meas_off=meas_off,
+        meas_cum=meas_cum,
+        meas_pat=meas_pat,
     )
     return tables, meta
 
 
-def run_bb84(config: ProtocolConfig, attack: AttackSpec,
-             jobs: int = 1, keep_codes: bool = False) -> RunReport:
-    """One-way BB84 with a pulsed source; splitting attack or passive channel."""
-    config.validate()
-    if config.variant != BB84:
-        raise ConfigError("run_bb84 requires the bb84 variant")
-    tables, meta = build_bb84_tables(config, attack)
-    codes, w = simulate_bb84(tables, config.rng_seed, config.rounds, jobs=jobs,
-                            keep_codes=keep_codes)
-
+def _bb84_aggregate(config: ProtocolConfig, attack: AttackSpec,
+                    tables: Bb84Tables, meta: Dict[str, float], w: np.ndarray
+                    ) -> Aggregate:
+    """BB84 metrics, categories and code fields, weighted by ``w``."""
     rec = BB84_SPACE.decode()
     n = int(w.sum())
     pattern = rec["pattern"]
@@ -669,9 +600,7 @@ def run_bb84(config: ProtocolConfig, attack: AttackSpec,
             1.0 if _count(w, rec["pulse_size"] == 2) >= tables.quota else 0.0)
 
     rec["category"] = cat
-    return RunReport(variant=BB84, rounds=n, seed=config.rng_seed,
-                     metrics=metrics, categories=counts,
-                     record_fields=tuple(rec), codes=codes, code_fields=rec)
+    return metrics, counts, rec
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +610,10 @@ def run_bb84(config: ProtocolConfig, attack: AttackSpec,
 B92_CATEGORIES = ("loss", "inconclusive", "conclusive_ok", "conclusive_error")
 
 
-def build_b92_tables(config: ProtocolConfig, attack: AttackSpec) -> B92Tables:
+def build_b92_tables(config: ProtocolConfig, attack: AttackSpec
+                     ) -> Tuple[B92Tables, Dict[str, float]]:
+    config.validate()
+    attack.validate()
     c = config.b92_overlap
     usd = isinstance(attack.strategy, UsdStrategy)
     if not usd and attack.name != "identity":
@@ -690,22 +622,22 @@ def build_b92_tables(config: ProtocolConfig, attack: AttackSpec) -> B92Tables:
         raise ConfigError("attack overlap differs from the configured states")
     lossrate = 1.0 - config.transmission
     attempted = usd and analysis.b92_breakable(lossrate, c)
-    return B92Tables(conclusive_p=1.0 - c * c,
-                     transmission=config.transmission,
-                     attack=1 if attempted else 0)
+    tables = B92Tables(conclusive_p=1.0 - c * c,
+                       transmission=config.transmission,
+                       attack=1 if attempted else 0)
+    meta: Dict[str, float] = {
+        "attack_attempted": 1.0 if attempted else 0.0,
+        "analytic_conclusive": analysis.b92_conclusive_prob(c),
+        "breakable_threshold": 0.5 * (1.0 + c * c),
+    }
+    return tables, meta
 
 
-def run_b92(config: ProtocolConfig, attack: AttackSpec,
-            jobs: int = 1, keep_codes: bool = False) -> RunReport:
-    """Two-state protocol; the conclusive-measurement intercept hides in loss."""
-    config.validate()
-    if config.variant != B92:
-        raise ConfigError("run_b92 requires the b92 variant")
-    c = config.b92_overlap
-    tables = build_b92_tables(config, attack)
-    codes, w = simulate_b92(tables, config.rng_seed, config.rounds, jobs=jobs,
-                           keep_codes=keep_codes)
-
+def _b92_aggregate(config: ProtocolConfig, attack: AttackSpec,
+                   tables: B92Tables, meta: Dict[str, float], w: np.ndarray
+                   ) -> Aggregate:
+    """Two-state metrics, categories and code fields, weighted by ``w``;
+    the conclusive-measurement intercept hides in loss."""
     rec = B92_SPACE.decode()
     n = int(w.sum())
     arrived = rec["arrived"].astype(bool)
@@ -736,24 +668,38 @@ def run_b92(config: ProtocolConfig, attack: AttackSpec,
         "errors": counts["conclusive_error"],
         "error_rate": counts["conclusive_error"] / n_con if n_con else 0.0,
         "eve_known_fraction": known / n_con if n_con else 0.0,
-        "attack_attempted": float(tables.attack),
-        "analytic_conclusive": analysis.b92_conclusive_prob(c),
-        "breakable_threshold": 0.5 * (1.0 + c * c),
     }
+    metrics.update(meta)
 
     rec["category"] = cat
-    return RunReport(variant=B92, rounds=n, seed=config.rng_seed,
-                     metrics=metrics, categories=counts,
-                     record_fields=tuple(rec), codes=codes, code_fields=rec)
+    return metrics, counts, rec
+
+
+# ---------------------------------------------------------------------------
+# the run driver
 
 
 def run(config: ProtocolConfig, attack: AttackSpec,
         jobs: int = 1, keep_codes: bool = False) -> RunReport:
-    """Dispatch a run to the engine matching the configured variant; the
-    report holds per-round codes only if ``keep_codes``."""
-    config.validate()
+    """Monte-Carlo run of the configured variant.
+
+    The variant's builder validates the config and the attack and
+    evaluates the branch tables, its walker samples the rounds, and its
+    aggregator turns the record-code histogram into the report.  The
+    report holds per-round codes only if ``keep_codes``.
+    """
+    # module globals looked up per call, so a rebound name is the one run
     if config.variant == BB84:
-        return run_bb84(config, attack, jobs=jobs, keep_codes=keep_codes)
-    if config.variant == B92:
-        return run_b92(config, attack, jobs=jobs, keep_codes=keep_codes)
-    return run_protocol(config, attack, jobs=jobs, keep_codes=keep_codes)
+        build, walk, aggregate = build_bb84_tables, simulate_bb84, _bb84_aggregate
+    elif config.variant == B92:
+        build, walk, aggregate = build_b92_tables, simulate_b92, _b92_aggregate
+    else:
+        build, walk, aggregate = build_ca_tables, simulate_ca, _ca_aggregate
+    tables, meta = build(config, attack)
+    codes, w = walk(tables, config.rng_seed, config.rounds, jobs=jobs,
+                    keep_codes=keep_codes)
+    metrics, categories, fields = aggregate(config, attack, tables, meta, w)
+    return RunReport(variant=config.variant, rounds=int(w.sum()),
+                     seed=config.rng_seed, metrics=metrics,
+                     categories=categories, record_fields=tuple(fields),
+                     codes=codes, code_fields=fields)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional
 
 from . import attacks as attacks_mod
 from .joint import COUNTER
@@ -137,11 +137,55 @@ _BOOL = {"true": True, "yes": True, "1": True, "on": True,
          "false": False, "no": False, "0": False, "off": False}
 
 
-def _parse_bool(raw: str, where: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     try:
-        return _BOOL[raw.strip().lower()]
+        return _BOOL[raw.lower()]
     except KeyError:
-        raise ScenarioError(f"{where}: expected a boolean, got {raw!r}")
+        raise ValueError(f"expected a boolean, got {raw!r}") from None
+
+
+Setter = Callable[[ProtocolConfig, str], None]
+
+
+def _field(name: str, convert: Callable[[str], object] = str) -> Setter:
+    """Setter of config field ``name`` from its converted text."""
+    return lambda cfg, raw: setattr(cfg, name, convert(raw))
+
+
+def _counters(cfg: ProtocolConfig, raw: str) -> None:
+    if _parse_bool(raw):
+        cfg.detector_model = COUNTER
+
+
+def _pulse(size: int) -> Setter:
+    """Setter of the probability of a pulse of ``size`` photons."""
+    return lambda cfg, raw: setattr(cfg, "source_stats", tuple(
+        float(raw) if i == size else p for i, p in enumerate(cfg.source_stats)))
+
+
+#: each config section's keys, in the order the sections apply, with the
+#: setter each applies to the config; the scenario name is read on its own
+_SETTERS: Dict[str, Dict[str, Optional[Setter]]] = {
+    "scenario": {"name": None, "seed": _field("rng_seed", int)},
+    "protocol": {
+        "variant": _field("variant"),
+        "rounds": _field("rounds", int),
+        "transmission": _field("transmission", float),
+        "detector_model": _field("detector_model"),
+        "residual_policy": _field("residual_policy"),
+        "test_fraction": _field("test_fraction", float),
+        "n_max": _field("n_max", int),
+        "b92_overlap": _field("b92_overlap", float),
+    },
+    "source": {"p0": _pulse(0), "p1": _pulse(1), "p2": _pulse(2)},
+    "strengthening": {
+        "counters": _counters,
+        "cross_basis_tests": _field("cross_basis_tests", _parse_bool),
+        "cross_basis_fraction": _field("cross_basis_fraction", float),
+        "extra_bob_states": _field("extra_bob_states", _parse_bool),
+        "extra_state_fraction": _field("extra_state_fraction", float),
+    },
+}
 
 
 def load_scenario(path: str) -> Scenario:
@@ -150,10 +194,8 @@ def load_scenario(path: str) -> Scenario:
     if not read:
         raise ScenarioError(f"cannot read scenario file {path!r}")
 
-    known = {"scenario", "protocol", "source", "strengthening", "attack",
-             "expectations"}
     for section in parser.sections():
-        if section not in known:
+        if section not in (*_SETTERS, "attack", "expectations"):
             raise ScenarioError(f"{path}: unknown section [{section}]")
 
     def get(section: str, key: str, default=None):
@@ -163,59 +205,16 @@ def load_scenario(path: str) -> Scenario:
 
     name = get("scenario", "name") or path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
     cfg = ProtocolConfig()
-    try:
-        if get("scenario", "seed") is not None:
-            cfg.rng_seed = int(get("scenario", "seed"))
-        sec = "protocol"
-        if parser.has_section(sec):
-            for key in parser.options(sec):
-                raw = parser.get(sec, key).strip()
-                if key == "variant":
-                    cfg.variant = raw
-                elif key == "rounds":
-                    cfg.rounds = int(raw)
-                elif key == "transmission":
-                    cfg.transmission = float(raw)
-                elif key == "detector_model":
-                    cfg.detector_model = raw
-                elif key == "residual_policy":
-                    cfg.residual_policy = raw
-                elif key == "test_fraction":
-                    cfg.test_fraction = float(raw)
-                elif key == "n_max":
-                    cfg.n_max = int(raw)
-                elif key == "b92_overlap":
-                    cfg.b92_overlap = float(raw)
-                else:
-                    raise ScenarioError(f"{path}: unknown key {key!r} in "
-                                        f"[protocol]")
-        if parser.has_section("source"):
-            p0 = float(get("source", "p0", "0"))
-            p1 = float(get("source", "p1", "1"))
-            p2 = float(get("source", "p2", "0"))
-            cfg.source_stats = (p0, p1, p2)
-        sec = "strengthening"
-        if parser.has_section(sec):
-            for key in parser.options(sec):
-                raw = parser.get(sec, key).strip()
-                where = f"{path}: [{sec}] {key}"
-                if key == "counters":
-                    if _parse_bool(raw, where):
-                        cfg.detector_model = COUNTER
-                elif key == "cross_basis_tests":
-                    cfg.cross_basis_tests = _parse_bool(raw, where)
-                elif key == "cross_basis_fraction":
-                    cfg.cross_basis_fraction = float(raw)
-                elif key == "extra_bob_states":
-                    cfg.extra_bob_states = _parse_bool(raw, where)
-                elif key == "extra_state_fraction":
-                    cfg.extra_state_fraction = float(raw)
-                else:
-                    raise ScenarioError(f"{where}: unknown key")
-    except ValueError as exc:
-        if isinstance(exc, (ScenarioError, ConfigError)):
-            raise
-        raise ScenarioError(f"{path}: {exc}") from exc
+    for section, setters in _SETTERS.items():
+        for key in parser.options(section) if section in parser else ():
+            where = f"{path}: [{section}] {key}"
+            if key not in setters:
+                raise ScenarioError(f"{where}: unknown key")
+            try:
+                if setters[key] is not None:
+                    setters[key](cfg, parser.get(section, key).strip())
+            except ValueError as exc:
+                raise ScenarioError(f"{where}: {exc}") from exc
 
     attack_name = get("attack", "name", "identity")
     attack_params = {}

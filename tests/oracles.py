@@ -129,28 +129,29 @@ def ca_walk(tab, u):
     """Records of the two-way protocol, one round at a time."""
     t = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
          for k, v in vars(tab).items()}
+    outbound = len(t["oloss_cum"])
     rows = []
     for ui in u.tolist():
+        # a branch of one level is a node (row) of the next; the residual
+        # nodes are the outbound nodes, then the SIFT branches
         e = _scan([0, len(t["emission_cum"])], t["emission_cum"], 0, ui[0])
-        node = t["oloss_node"][_scan(t["oloss_off"], t["oloss_cum"], e, ui[1])]
+        node = _scan(t["oloss_off"], t["oloss_cum"], e, ui[1])
         ctrl = ui[2] < 0.5
         if ctrl:
             readout = -1
-            resid = t["ctrl_next"][node]
+            resid = node
         else:
             k = _scan(t["sift_off"], t["sift_cum"], node, ui[3])
             readout = t["sift_readout"][k]
-            resid = t["sift_next"][k]
-        k = _scan(t["ret_off"], t["ret_cum"], resid, ui[4])
-        returned, guess, evebit = (t["ret_next"][k], t["ret_guess"][k],
-                                   t["ret_evebit"][k])
-        measured = t["rloss_node"][
-            _scan(t["rloss_off"], t["rloss_cum"], returned, ui[6])]
+            resid = outbound + k
+        returned = _scan(t["ret_off"], t["ret_cum"], resid, ui[4])
+        guess, evebit = t["ret_guess"][returned], t["ret_evebit"][returned]
+        measured = _scan(t["rloss_off"], t["rloss_cum"], returned, ui[6])
         kind = t["emission_kind"][e]
         basis = 0
         if kind == 0:
             basis = 1 if ctrl else 0
-            if t["cross_enabled"] == 1 and ui[7] < t["cross_fraction"]:
+            if ui[7] < t["cross_fraction"]:
                 basis = 1 - basis
         side = "bobx" if basis == 1 else "bobz"
         pattern = t[side + "_pat"][
@@ -226,7 +227,7 @@ def b92_walk(tab, u):
 # per-round reference aggregators over the walks' records
 
 
-def ca_aggregate(config, attack, meta, rec):
+def ca_aggregate(config, attack, tables, alice_11, rec):
     """(metrics, categories, per-round category) of two-way records."""
     n = rec["action"].shape[0]
     action = rec["action"]
@@ -236,8 +237,8 @@ def ca_aggregate(config, attack, meta, rec):
     test = rec["test"].astype(bool)
     guess = rec["guess"]
     evebit = rec["evebit"]
-    kind = meta.emission_kind[rec["emit"]]
-    emit_bit = meta.emission_bit[rec["emit"]]
+    kind = tables.emission_kind[rec["emit"]]
+    emit_bit = kind - 1
 
     a1, a0, a_double, a_bit, a_vacuum = _bits_from_codes(readout)
     b1, _b0, b_double, b_bit_raw, _ = _bits_from_codes(pattern)
@@ -302,7 +303,7 @@ def ca_aggregate(config, attack, meta, rec):
         "sifted_bits": key_bits,
         "sifted_disagreements": counts["key_mismatch"],
         "sifted_agreement": (counts["key_ok"] / key_bits if key_bits else 1.0),
-        "alice_11_prob_exact": meta.alice_11_prob,
+        "alice_11_prob_exact": alice_11,
     }
 
     guessed = guess >= 0

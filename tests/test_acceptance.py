@@ -20,7 +20,7 @@ from sqkdsim.attacks import (
 )
 from sqkdsim.fock import FockState, X, Z, make_basis_state, parity_state
 from sqkdsim.joint import JointState
-from sqkdsim.protocol import ProtocolConfig, run_b92, run_bb84, run_protocol
+from sqkdsim.protocol import ProtocolConfig, run
 
 from oracles import binomial_counts, symmetric_expansion
 
@@ -166,11 +166,11 @@ def test_criterion_6_violations_always_visible():
 
 
 def test_criterion_7_tagging_attack_both_policies():
-    reflect = run_protocol(
+    reflect = run(
         ProtocolConfig(rounds=100_000, rng_seed=701, n_max=2,
                        residual_policy="reflect-occupation"),
         tagging_attack())
-    resend = run_protocol(
+    resend = run(
         ProtocolConfig(rounds=100_000, rng_seed=702, n_max=2,
                        residual_policy="measure-resend"),
         tagging_attack())
@@ -186,7 +186,7 @@ def test_criterion_7_tagging_attack_both_policies():
 def test_criterion_8_bb84_splitting_end_to_end():
     cfg = ProtocolConfig(variant="bb84", rounds=10 ** 6, rng_seed=801,
                          source_stats=(0.89, 0.1, 0.01), transmission=0.01)
-    rep = run_bb84(cfg, pns_attack())
+    rep = run(cfg, pns_attack())
     x = 1199.0
     sigma = math.sqrt(x * (1 - x / cfg.rounds))
     count_ok = abs(rep.metrics["received_pulses"] - x) <= 3 * sigma
@@ -209,7 +209,7 @@ def test_criterion_9_b92_conclusive_intercept():
     for i, c in enumerate((0.0, 0.5, 0.8)):
         cfg = ProtocolConfig(variant="b92", rounds=200_000, rng_seed=901 + i,
                              transmission=0.1, b92_overlap=c)
-        rep = run_b92(cfg, usd_attack_b92(c))
+        rep = run(cfg, usd_attack_b92(c))
         want = 0.5 * (1 - c * c)
         sigma = math.sqrt(want * (1 - want) / cfg.rounds)
         results.append(
@@ -220,7 +220,7 @@ def test_criterion_9_b92_conclusive_intercept():
     # below the loss budget the intercept must not be attempted
     cfg = ProtocolConfig(variant="b92", rounds=1_000, rng_seed=904,
                          transmission=0.5, b92_overlap=0.5)
-    gated = run_b92(cfg, usd_attack_b92(0.5)).metrics["attack_attempted"] == 0.0
+    gated = run(cfg, usd_attack_b92(0.5)).metrics["attack_attempted"] == 0.0
     criterion(9, "conclusive intercept exact at three overlaps, loss-gated",
               all(results) and gated,
               f"overlaps ok {results}, gated {gated}")
@@ -229,7 +229,7 @@ def test_criterion_9_b92_conclusive_intercept():
 def test_criterion_10_two_photon_source_statistic():
     cfg = ProtocolConfig(rounds=40_000, rng_seed=1001, n_max=2,
                          source_stats=(0.0, 0.0, 1.0), transmission=1.0)
-    rep = run_protocol(cfg, identity_attack())
+    rep = run(cfg, identity_attack())
     nonempty = rep.metrics["sift_rounds"]  # no loss: every sift round counts
     frac = rep.metrics["double_click_fraction"]
     band = 3 * math.sqrt(0.25 / nonempty)

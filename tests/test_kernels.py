@@ -5,10 +5,12 @@ scanning each row for the first cumulative threshold above the uniform,
 and aggregates the records with one boolean mask per quantity.  The engine
 must produce bit-identical records from the same tables and uniforms, and
 its histogram aggregation the same metrics and categories, for any worker
-count and across its fixed-size blocks.
+count and across its fixed-size blocks.  The two-way tables must chain:
+each level has a row per branch of the level before it.
 """
 
 import dataclasses
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -17,12 +19,16 @@ import oracles
 from sqkdsim import kernels, protocol
 from sqkdsim.attacks import (
     constrained_random_attack,
+    general_attack,
     identity_attack,
     pns_attack,
     tagging_attack,
     usd_attack_b92,
 )
-from sqkdsim.protocol import ProtocolConfig, run_protocol
+from sqkdsim.protocol import ProtocolConfig, run
+from sqkdsim.scenario import load_scenario
+
+SCENARIOS = resources.files("sqkdsim") / "scenarios"
 
 
 def assert_identical(a, b):
@@ -41,13 +47,14 @@ def reference(cfg, attack):
         rec = oracles.bb84_walk(tables, u, kernels.MIRROR_CODE)
         metrics, counts, cat = oracles.bb84_aggregate(cfg, tables, meta, rec)
     elif cfg.variant == "b92":
-        tables = protocol.build_b92_tables(cfg, attack)
+        tables, _meta = protocol.build_b92_tables(cfg, attack)
         rec = oracles.b92_walk(tables, u)
         metrics, counts, cat = oracles.b92_aggregate(cfg, tables, rec)
     else:
-        tables, meta = protocol.build_ca_tables(cfg, attack)
+        tables, alice_11 = protocol.build_ca_tables(cfg, attack)
         rec = oracles.ca_walk(tables, u)
-        metrics, counts, cat = oracles.ca_aggregate(cfg, attack, meta, rec)
+        metrics, counts, cat = oracles.ca_aggregate(cfg, attack, tables,
+                                                    alice_11, rec)
     rec["category"] = cat
     return rec, metrics, counts
 
@@ -115,15 +122,15 @@ BLOCKED_ROUNDS = 3 * kernels.BLOCK + 17
 def test_worker_count_does_not_change_results(jobs):
     cfg = ProtocolConfig(rounds=BLOCKED_ROUNDS, rng_seed=29, transmission=0.6,
                          n_max=2)
-    base = run_protocol(cfg, identity_attack(), jobs=1, keep_codes=True)
-    split = run_protocol(cfg, identity_attack(), jobs=jobs, keep_codes=True)
+    base = run(cfg, identity_attack(), jobs=1, keep_codes=True)
+    split = run(cfg, identity_attack(), jobs=jobs, keep_codes=True)
     assert_identical(base, split)
 
 
 def test_block_edges_match_reference_walk():
     cfg = ProtocolConfig(rounds=BLOCKED_ROUNDS, rng_seed=31, transmission=0.6,
                          n_max=2)
-    tables, _meta = protocol.build_ca_tables(cfg, tagging_attack())
+    tables, _alice_11 = protocol.build_ca_tables(cfg, tagging_attack())
     codes, counts = kernels.simulate_ca(tables, cfg.rng_seed, cfg.rounds,
                                         jobs=2, keep_codes=True)
     fields = kernels.ca_space(tables.emission_cum.size).decode()
@@ -136,6 +143,56 @@ def test_block_edges_match_reference_walk():
         for key in ref:
             assert np.array_equal(fields[key][codes[lo:hi]], ref[key]), \
                 (edge, key)
+
+
+def two_way_table_cases():
+    """(id, config, attack maker) of every bundled two-way scenario and of
+    a seeded Haar ``general`` attack."""
+    cases = []
+    for path in sorted(SCENARIOS.iterdir()):
+        if path.name.endswith(".scn"):
+            scenario = load_scenario(str(path))
+            if scenario.config.variant.startswith("classical-alice"):
+                cases.append((scenario.name, scenario.config,
+                              scenario.build_attack))
+    rng = np.random.default_rng(4)
+    maps = [oracles.haar_unitary(rng, 2 * 6) for _leg in range(2)]
+    cases.append(("general-haar",
+                  ProtocolConfig(rounds=10, transmission=0.8, n_max=2),
+                  lambda: general_attack(*maps, probe_dim=2, n_max=2)))
+    return cases
+
+
+TABLE_CASES = two_way_table_cases()
+
+
+@pytest.mark.parametrize("name,cfg,mk", TABLE_CASES,
+                         ids=[c[0] for c in TABLE_CASES])
+def test_two_way_levels_chain(name, cfg, mk):
+    """Each level has a row per branch of the level before it; the return
+    level's rows are the outbound nodes, then the SIFT branches.  Every
+    row's cumulative probability ends at 1."""
+    tab, _alice_11 = protocol.build_ca_tables(cfg, mk())
+    outbound = tab.oloss_cum.size
+    chain = [
+        (tab.oloss_off, tab.emission_cum.size),
+        (tab.sift_off, outbound),
+        (tab.ret_off, outbound + tab.sift_cum.size),
+        (tab.rloss_off, tab.ret_cum.size),
+        (tab.bobz_off, tab.rloss_cum.size),
+        (tab.bobx_off, tab.rloss_cum.size),
+    ]
+    for off, rows in chain:
+        assert off.size - 1 == rows
+    assert abs(tab.emission_cum[-1] - 1.0) <= 1e-12
+    for off, cum in ((tab.oloss_off, tab.oloss_cum),
+                     (tab.sift_off, tab.sift_cum),
+                     (tab.ret_off, tab.ret_cum),
+                     (tab.rloss_off, tab.rloss_cum),
+                     (tab.bobz_off, tab.bobz_cum),
+                     (tab.bobx_off, tab.bobx_cum)):
+        assert off[-1] == cum.size and np.all(np.diff(off) >= 1)
+        assert np.max(np.abs(cum[off[1:] - 1] - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("rounds", [1, 7])

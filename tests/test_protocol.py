@@ -19,9 +19,6 @@ from sqkdsim.protocol import (
     ProtocolConfig,
     alice_sift,
     run,
-    run_b92,
-    run_bb84,
-    run_protocol,
 )
 
 def three_sigma_binomial(p, n):
@@ -74,7 +71,7 @@ class TestAliceOps:
 class TestRunProtocolIdeal:
     def test_no_eve_no_loss(self):
         cfg = ProtocolConfig(rounds=10_000, transmission=1.0, rng_seed=1, n_max=2)
-        rep = run_protocol(cfg, identity_attack())
+        rep = run(cfg, identity_attack())
         assert rep.metrics["ctrl_errors"] == 0
         assert rep.metrics["test_errors"] == 0
         assert rep.metrics["alice_double_clicks"] == 0
@@ -83,13 +80,13 @@ class TestRunProtocolIdeal:
 
     def test_partition_covers_all_rounds(self):
         cfg = ProtocolConfig(rounds=5_000, transmission=0.6, rng_seed=2, n_max=2)
-        rep = run_protocol(cfg, identity_attack(), keep_codes=True)
+        rep = run(cfg, identity_attack(), keep_codes=True)
         assert sum(rep.categories.values()) == rep.rounds
         assert (rep.records["category"] >= 0).all()
 
     def test_loss_statistics(self):
         cfg = ProtocolConfig(rounds=40_000, transmission=0.5, rng_seed=3, n_max=2)
-        rep = run_protocol(cfg, identity_attack())
+        rep = run(cfg, identity_attack())
         p_loss = 1 - 0.5 ** 2
         assert rep.metrics["ctrl_errors"] == 0
         assert rep.metrics["test_errors"] == 0
@@ -99,7 +96,7 @@ class TestRunProtocolIdeal:
     def test_limited_variant_runs(self):
         cfg = ProtocolConfig(variant="classical-alice-limited", rounds=2_000,
                              transmission=0.8, rng_seed=4)
-        rep = run_protocol(cfg, identity_attack())
+        rep = run(cfg, identity_attack())
         assert rep.metrics["ctrl_errors"] == 0
         assert rep.metrics["test_errors"] == 0
 
@@ -107,7 +104,7 @@ class TestRunProtocolIdeal:
         cfg = ProtocolConfig(variant="classical-alice-limited", rounds=100,
                              rng_seed=4)
         with pytest.raises(TruncationError):
-            run_protocol(cfg, tagging_attack())
+            run(cfg, tagging_attack())
 
     def test_limited_variant_constrained_attack_invisible(self):
         # the loss-only statement: attacks confined to the one-photon space
@@ -115,7 +112,7 @@ class TestRunProtocolIdeal:
         cfg = ProtocolConfig(variant="classical-alice-limited", rounds=20_000,
                              rng_seed=45)
         attack = constrained_random_attack(31, probe_dim=3, n_max=1)
-        rep = run_protocol(cfg, attack)
+        rep = run(cfg, attack)
         assert rep.metrics["ctrl_errors"] == 0
         assert rep.metrics["test_errors"] == 0
         assert rep.metrics["eve_fidelity"] >= 1 - 1e-9
@@ -125,7 +122,7 @@ class TestRunProtocolTagging:
     def test_reflecting_policy_hides_and_starves_eve(self):
         cfg = ProtocolConfig(rounds=30_000, rng_seed=5, n_max=2,
                              residual_policy="reflect-occupation")
-        rep = run_protocol(cfg, tagging_attack())
+        rep = run(cfg, tagging_attack())
         assert rep.metrics["ctrl_errors"] == 0
         assert rep.metrics["test_errors"] == 0
         assert rep.metrics["alice_double_clicks"] == 0
@@ -138,7 +135,7 @@ class TestRunProtocolTagging:
     def test_measure_resend_policy_is_decoded(self):
         cfg = ProtocolConfig(rounds=30_000, rng_seed=6, n_max=2,
                              residual_policy="measure-resend")
-        rep = run_protocol(cfg, tagging_attack())
+        rep = run(cfg, tagging_attack())
         assert rep.metrics["eve_guess_success"] == 1.0
         assert rep.metrics["eve_known_fraction"] == 1.0
         assert rep.metrics["ctrl_errors"] == 0
@@ -149,7 +146,7 @@ class TestRunProtocolConstrained:
     def test_constrained_attack_invisible_over_many_rounds(self):
         cfg = ProtocolConfig(rounds=20_000, rng_seed=7, n_max=3)
         attack = constrained_random_attack(99, probe_dim=4, n_max=3)
-        rep = run_protocol(cfg, attack)
+        rep = run(cfg, attack)
         assert rep.metrics["ctrl_errors"] == 0
         assert rep.metrics["alice_double_clicks"] == 0
         assert rep.metrics["test_errors"] == 0
@@ -176,7 +173,7 @@ class TestStrengthenings:
     def test_two_photon_source_double_click_rate(self):
         cfg = ProtocolConfig(rounds=20_000, rng_seed=8, n_max=2,
                              source_stats=(0.0, 0.0, 1.0))
-        rep = run_protocol(cfg, identity_attack())
+        rep = run(cfg, identity_attack())
         n_sift = rep.metrics["sift_rounds"]
         assert abs(rep.metrics["double_click_fraction"] - 0.5) <= \
             three_sigma_binomial(0.5, n_sift)
@@ -186,7 +183,7 @@ class TestStrengthenings:
         cfg = ProtocolConfig(rounds=20_000, rng_seed=9, n_max=2,
                              source_stats=(0.0, 0.0, 1.0),
                              detector_model=COUNTER)
-        rep = run_protocol(cfg, identity_attack())
+        rep = run(cfg, identity_attack())
         # the double-click statistic is unchanged, and counters additionally
         # resolve the single-mode two-photon readouts (the other half)
         n_sift = rep.metrics["sift_rounds"]
@@ -198,14 +195,14 @@ class TestStrengthenings:
     def test_threshold_detectors_report_no_multiphoton(self):
         cfg = ProtocolConfig(rounds=5_000, rng_seed=9, n_max=2,
                              source_stats=(0.0, 0.0, 1.0))
-        rep = run_protocol(cfg, identity_attack())
+        rep = run(cfg, identity_attack())
         assert rep.metrics["alice_multiphoton_readouts"] == 0
 
     def test_cross_basis_tests_flag_two_photon_source(self):
         cfg = ProtocolConfig(rounds=40_000, rng_seed=10, n_max=2,
                              source_stats=(0.0, 0.0, 1.0),
                              cross_basis_tests=True, cross_basis_fraction=0.3)
-        rep = run_protocol(cfg, identity_attack())
+        rep = run(cfg, identity_attack())
         assert rep.metrics["cross_ctrl_rounds"] > 0
         # reflected two-photon plus pulses read (1,1) in z half the time
         frac = rep.metrics["cross_ctrl_double"] / rep.metrics["cross_ctrl_rounds"]
@@ -215,7 +212,7 @@ class TestStrengthenings:
     def test_extra_bob_states_compare_clean(self):
         cfg = ProtocolConfig(rounds=20_000, rng_seed=11, n_max=2,
                              extra_bob_states=True, extra_state_fraction=0.3)
-        rep = run_protocol(cfg, identity_attack())
+        rep = run(cfg, identity_attack())
         assert rep.metrics["extra_test_rounds"] > 0
         assert rep.metrics["extra_test_errors"] == 0
         assert sum(rep.categories.values()) == rep.rounds
@@ -224,7 +221,7 @@ class TestStrengthenings:
         # Eve's fixed tag cannot match three non-orthogonal emissions
         cfg = ProtocolConfig(rounds=20_000, rng_seed=12, n_max=2,
                              extra_bob_states=True, extra_state_fraction=0.4)
-        rep = run_protocol(cfg, tagging_attack())
+        rep = run(cfg, tagging_attack())
         n = rep.metrics["extra_test_rounds"]
         assert n > 0
         # the tag erases Bob's bit: Alice's readout agrees only half the time
@@ -238,7 +235,7 @@ class TestOptionInteractions:
         # measures, so the added cross-basis tests stay silent
         cfg = ProtocolConfig(rounds=20_000, rng_seed=41, n_max=2,
                              cross_basis_tests=True, cross_basis_fraction=0.3)
-        rep = run_protocol(cfg, tagging_attack())
+        rep = run(cfg, tagging_attack())
         assert rep.metrics["ctrl_errors"] == 0
         assert rep.metrics["cross_ctrl_double"] == 0
         assert rep.metrics["test_errors"] == 0
@@ -250,7 +247,7 @@ class TestOptionInteractions:
                              residual_policy="measure-resend",
                              detector_model=COUNTER,
                              source_stats=(0.0, 0.0, 1.0))
-        rep = run_protocol(cfg, identity_attack())
+        rep = run(cfg, identity_attack())
         n_sift = rep.metrics["sift_rounds"]
         frac = rep.metrics["alice_multiphoton_readouts"] / n_sift
         assert abs(frac - 0.5) <= three_sigma_binomial(0.5, n_sift)
@@ -262,7 +259,7 @@ class TestOptionInteractions:
         cfg = ProtocolConfig(rounds=20_000, rng_seed=43, n_max=2,
                              residual_policy="measure-resend",
                              extra_bob_states=True, extra_state_fraction=0.3)
-        rep = run_protocol(cfg, tagging_attack())
+        rep = run(cfg, tagging_attack())
         assert rep.metrics["eve_guess_success"] == 1.0
         n = rep.metrics["extra_test_rounds"]
         frac = rep.metrics["extra_test_errors"] / n
@@ -272,7 +269,7 @@ class TestOptionInteractions:
         cfg = ProtocolConfig(rounds=20_000, rng_seed=44, n_max=3,
                              cross_basis_tests=True)
         attack = constrained_random_attack(7, probe_dim=4, n_max=3)
-        rep = run_protocol(cfg, attack)
+        rep = run(cfg, attack)
         assert rep.metrics["ctrl_errors"] == 0
         assert rep.metrics["cross_ctrl_double"] == 0
         assert rep.metrics["test_errors"] == 0
@@ -283,7 +280,7 @@ class TestRunB92:
         for c in (0.0, 0.5):
             cfg = ProtocolConfig(variant="b92", rounds=40_000, rng_seed=13,
                                  transmission=0.9, b92_overlap=c)
-            rep = run_b92(cfg, identity_attack())
+            rep = run(cfg, identity_attack())
             want = 0.5 * (1 - c * c)
             arrived = rep.metrics["delivered"]
             assert abs(rep.metrics["conclusive_fraction"] - want) <= \
@@ -294,7 +291,7 @@ class TestRunB92:
         c = 0.5
         cfg = ProtocolConfig(variant="b92", rounds=40_000, rng_seed=14,
                              transmission=0.1, b92_overlap=c)
-        rep = run_b92(cfg, usd_attack_b92(c))
+        rep = run(cfg, usd_attack_b92(c))
         want = 0.5 * (1 - c * c)
         assert rep.metrics["attack_attempted"] == 1.0
         assert abs(rep.metrics["delivered_fraction"] - want) <= \
@@ -305,27 +302,27 @@ class TestRunB92:
     def test_attack_not_attempted_below_threshold(self):
         cfg = ProtocolConfig(variant="b92", rounds=5_000, rng_seed=15,
                              transmission=0.5, b92_overlap=0.5)
-        rep = run_b92(cfg, usd_attack_b92(0.5))
+        rep = run(cfg, usd_attack_b92(0.5))
         assert rep.metrics["attack_attempted"] == 0.0
         assert rep.metrics["eve_known_fraction"] == 0.0
 
     def test_partition(self):
         cfg = ProtocolConfig(variant="b92", rounds=5_000, rng_seed=16,
                              transmission=0.4, b92_overlap=0.3)
-        rep = run_b92(cfg, identity_attack())
+        rep = run(cfg, identity_attack())
         assert sum(rep.categories.values()) == rep.rounds
 
     def test_overlap_mismatch_rejected(self):
         cfg = ProtocolConfig(variant="b92", rounds=100, b92_overlap=0.5)
         with pytest.raises(ConfigError):
-            run_b92(cfg, usd_attack_b92(0.4))
+            run(cfg, usd_attack_b92(0.4))
 
 
 class TestRunBb84:
     def test_no_attack_received_count(self):
         cfg = ProtocolConfig(variant="bb84", rounds=10 ** 6, rng_seed=17,
                              source_stats=(0.89, 0.1, 0.01), transmission=0.01)
-        rep = run_bb84(cfg, identity_attack())
+        rep = run(cfg, identity_attack())
         x = rep.metrics["expected_received"]
         sigma = math.sqrt(x * (1 - x / cfg.rounds))
         assert abs(rep.metrics["received_pulses"] - x) <= 3 * sigma
@@ -335,7 +332,7 @@ class TestRunBb84:
     def test_splitting_attack_exact_budget(self):
         cfg = ProtocolConfig(variant="bb84", rounds=10 ** 6, rng_seed=17,
                              source_stats=(0.89, 0.1, 0.01), transmission=0.01)
-        rep = run_bb84(cfg, pns_attack())
+        rep = run(cfg, pns_attack())
         assert rep.metrics["received_pulses"] == rep.metrics["pns_quota"]
         assert rep.metrics["pns_feasible"] == 1.0
         assert rep.metrics["pns_quota_met"] == 1.0
@@ -345,7 +342,7 @@ class TestRunBb84:
     def test_starved_attack_flagged(self):
         cfg = ProtocolConfig(variant="bb84", rounds=50_000, rng_seed=18,
                              source_stats=(0.9, 0.1, 0.0), transmission=0.05)
-        rep = run_bb84(cfg, pns_attack())
+        rep = run(cfg, pns_attack())
         assert rep.metrics["pns_feasible"] == 0.0
         assert rep.metrics["pns_quota_met"] == 0.0
         assert rep.metrics["received_pulses"] == 0
@@ -353,27 +350,24 @@ class TestRunBb84:
     def test_partition(self):
         cfg = ProtocolConfig(variant="bb84", rounds=20_000, rng_seed=19,
                              source_stats=(0.5, 0.4, 0.1), transmission=0.6)
-        rep = run_bb84(cfg, identity_attack())
+        rep = run(cfg, identity_attack())
         assert sum(rep.categories.values()) == rep.rounds
 
 
 class TestDispatchAndValidation:
-    def test_run_dispatches_by_variant(self):
-        cfg = ProtocolConfig(variant="b92", rounds=500, rng_seed=20,
-                             transmission=0.5)
-        assert run(cfg, identity_attack()).variant == "b92"
-
-    def test_variant_mismatch(self):
-        cfg = ProtocolConfig(variant="bb84", rounds=100)
-        with pytest.raises(ConfigError):
-            run_protocol(cfg, identity_attack())
-        with pytest.raises(ConfigError):
-            run_b92(cfg, identity_attack())
+    @pytest.mark.parametrize("variant", [
+        "classical-alice-full", "classical-alice-limited", "bb84", "b92"])
+    def test_run_dispatches_by_variant(self, variant):
+        cfg = ProtocolConfig(variant=variant, rounds=500, rng_seed=20,
+                             transmission=0.5, n_max=2)
+        rep = run(cfg, identity_attack())
+        assert (rep.variant, rep.rounds, rep.seed) == (variant, 500, 20)
+        assert sum(rep.categories.values()) == 500
 
     def test_one_way_attack_rejected_on_two_way_protocol(self):
         cfg = ProtocolConfig(rounds=100, n_max=2)
         with pytest.raises(ConfigError):
-            run_protocol(cfg, pns_attack())
+            run(cfg, pns_attack())
 
     def test_bad_configs(self):
         with pytest.raises(ConfigError):

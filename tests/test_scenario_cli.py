@@ -45,9 +45,14 @@ class TestScenarioParsing:
             load_scenario(path)
 
     def test_unknown_key(self, tmp_path):
-        path = write(tmp_path, "[protocol]\nround_count = 10\n")
-        with pytest.raises(ScenarioError, match="unknown key"):
-            load_scenario(path)
+        # a misspelt key in any config section is an error, not a default
+        for text in ("[protocol]\nround_count = 10\n",
+                     "[scenario]\nsed = 5\n",
+                     "[source]\np_2 = 0.3\n",
+                     "[strengthening]\ncross_tests = true\n"):
+            path = write(tmp_path, text)
+            with pytest.raises(ScenarioError, match="unknown key"):
+                load_scenario(path)
 
     def test_bad_expectation_syntax(self, tmp_path):
         path = write(tmp_path, "[expectations]\nctrl_errors = 0 within 3\n")
@@ -95,18 +100,16 @@ class TestAttackRegistry:
 
 class TestExpectations:
     def test_unknown_metric_raises(self):
-        from sqkdsim.protocol import ProtocolConfig, run_protocol
+        from sqkdsim.protocol import ProtocolConfig, run
         from sqkdsim.attacks import identity_attack
-        rep = run_protocol(ProtocolConfig(rounds=100, n_max=2),
-                           identity_attack())
+        rep = run(ProtocolConfig(rounds=100, n_max=2), identity_attack())
         with pytest.raises(KeyError, match="unknown metric"):
             evaluate_expectations(rep, [Expectation("nope", 0, "abs", 0)])
 
     def test_sigma_band(self):
-        from sqkdsim.protocol import ProtocolConfig, run_protocol
+        from sqkdsim.protocol import ProtocolConfig, run
         from sqkdsim.attacks import identity_attack
-        rep = run_protocol(ProtocolConfig(rounds=100, n_max=2),
-                           identity_attack())
+        rep = run(ProtocolConfig(rounds=100, n_max=2), identity_attack())
         rows = evaluate_expectations(
             rep, [Expectation("sifted_agreement", 1.0, "sigma", 0.01)])
         assert rows[0].passed and rows[0].deviation_sigmas == 0.0
