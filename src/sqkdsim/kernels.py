@@ -11,30 +11,58 @@ is a chain of picks with no index maps between them.
 
 Rows are non-decreasing, so that branch is the row start plus the number
 of the row's thresholds that ``x`` has passed.  Each stage is therefore
-walked as a threshold matrix, one column per parent padded with ``+inf``:
-a pick over a whole block of rounds is a few gather-compare-add passes,
-with no per-parent masks and no sorting.
+walked as a threshold matrix, one column per parent padded with a value
+no draw reaches: a pick over a whole block of rounds is a few
+gather-compare-add passes, with no per-parent masks and no sorting.
 
 A round's outcome is one record tuple (its fields per protocol are listed
 by the ``CodeSpace`` of that protocol), packed into one mixed-radix
 ``int16`` record code.  The walk returns the histogram of codes, and
 every round's code only when the caller keeps them for a round log; the
 protocol layer computes every metric from the histogram, since each metric
-is a function of the record tuple alone.
+is a function of the record tuple alone.  A BB84 round's code is one
+gather from ``BB84_BASE`` by its bit, basis, pulse size and Bob's basis;
+only the rounds that reach Bob add their pattern and Eve's terms.
 
 Rounds are walked in fixed blocks of ``BLOCK`` rounds: each block draws its
-uniforms, walks them, packs its codes and adds their histogram, so memory
+words, walks them, packs its codes and adds their histogram, so memory
 stays O(BLOCK) per thread whatever the round count; a walk that keeps the
 codes also holds 2 bytes per round.  ``jobs`` worker threads split the
 rounds into contiguous chunks of whole blocks (numpy drops the interpreter
 lock inside its loops), each with its own histogram.
 
-Randomness: uniform ``u[i, j]`` is the ``(i * SLOTS + j)``-th double of the
+Randomness: draw ``(i, j)`` is the ``(i * SLOTS + j)``-th 64-bit word of the
 Philox-4x64 stream keyed by the run seed, so round ``i`` owns a fixed
 counter block and records do not depend on blocks or worker counts.  The
 stream is counter-based, so a chunk starting at round ``lo`` jumps straight
-to its first uniform (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC'11).
+to its first word (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11).  The walk keeps each draw's top 53 bits, the word ``k``;
+``Generator.random`` would make the uniform ``u = k * 2**-53`` of the same
+draw, which ``round_uniforms`` returns for reference walks.  Every
+probability a stage compares with is turned once into the word threshold
+``K = ceil(p * 2**53)`` (``word_thresholds``), so ``k >= K`` exactly when
+``u >= p`` and ``k < K`` exactly when ``u < p``: the walk takes the same
+branches as a walk over the uniforms, with integer compares and no
+conversion to doubles.
+
+Slots, the stage that reads each draw of a round (``-``: unused):
+
+=====  ==========================  ======================  ====================
+slot   two-way                     BB84                    B92
+=====  ==========================  ======================  ====================
+0      emission                    Alice's bit             Alice's bit
+1      outbound loss               Alice's basis           Eve's basis (attack)
+2      CTRL or SIFT                pulse size              Eve's conclusive
+                                                           result (attack)
+3      Alice's SIFT branch         loss (no attack)        loss (no attack)
+4      Eve's return                Bob's basis             Bob's basis
+5      -                           Bob's detector          Bob's conclusive
+                                                           result
+6      return loss                 -                       -
+7      cross-basis test            -                       -
+8      Bob's detector              -                       -
+9      test round                  -                       -
+=====  ==========================  ======================  ====================
 """
 
 from __future__ import annotations
@@ -49,26 +77,53 @@ import numpy as np
 SLOTS = 10
 
 #: rounds per block of the walk; temporaries are a few arrays of this length,
-#: and a block's (BLOCK, SLOTS) uniforms take 1.3 MB
+#: and a block's (BLOCK, SLOTS) words take 1.3 MB
 BLOCK = 1 << 14
+
+#: a word keeps the top WORD_BITS bits of a raw 64-bit draw, so every word
+#: is below WORD_ONE
+WORD_BITS = 53
+WORD_ONE = 1 << WORD_BITS
 
 #: pattern codes mirrored across the two modes, code = 3*first + second
 MIRROR_CODE = np.array([3 * (c % 3) + c // 3 for c in range(9)], dtype=np.int8)
 
 
-def _stream(seed: int, lo: int) -> np.random.Generator:
-    """Generator whose next double is round ``lo``'s first uniform."""
+def _stream(seed: int, lo: int) -> np.random.Philox:
+    """Bit generator whose next word is round ``lo``'s first."""
     bits = np.random.Philox(key=np.uint64(int(seed) % 2 ** 64))
-    # one Philox-4x64 counter step yields four doubles
+    # one Philox-4x64 counter step yields four words
     bits.advance(SLOTS * lo // 4)
-    gen = np.random.Generator(bits)
-    gen.random(SLOTS * lo % 4)
-    return gen
+    bits.random_raw(SLOTS * lo % 4)
+    return bits
+
+
+def _draw(bits: np.random.Philox, rounds: int) -> np.ndarray:
+    """The next ``rounds`` rows of 53-bit words: word ``k`` is the uniform
+    ``k * 2**-53`` that ``Generator.random`` makes of the same draw."""
+    words = bits.random_raw((rounds, SLOTS))
+    words >>= np.uint64(64 - WORD_BITS)
+    return words
 
 
 def round_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
     """Uniforms of rounds [lo, hi); row i - lo is round i's private stream."""
-    return _stream(seed, lo).random((hi - lo, SLOTS))
+    return np.random.Generator(_stream(seed, lo)).random((hi - lo, SLOTS))
+
+
+def word_thresholds(p) -> np.ndarray:
+    """Word thresholds ``K`` of probabilities ``p``: a word ``k`` has
+    ``k >= K`` exactly when ``k * 2**-53 >= p``, and ``k < K`` when it is
+    below ``p``.  ``p`` outside [0, 1], ``+inf`` included, is clipped."""
+    p = np.asarray(p, dtype=float)
+    if np.isnan(p).any():
+        raise ValueError("a branch probability is NaN")
+    # scaling by a power of two is exact, and so is the ceiling
+    return np.ceil(np.clip(p, 0.0, 1.0) * WORD_ONE).astype(np.uint64)
+
+
+#: word threshold of the fair coins
+HALF = word_thresholds(0.5)[()]
 
 
 @dataclass(frozen=True)
@@ -141,7 +196,7 @@ def _walk(block: Callable[[np.ndarray], np.ndarray], seed: int, n: int,
           jobs: int, size: int, keep_codes: bool
           ) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """Walk rounds [0, n) in pieces of at most BLOCK rounds, split into
-    ``jobs`` chunks; ``block(u)`` maps a piece's uniforms to its codes.
+    ``jobs`` chunks; ``block(k)`` maps a piece's words to its codes.
 
     Returns every round's code (None unless ``keep_codes``) and the number
     of rounds at each code.
@@ -149,13 +204,12 @@ def _walk(block: Callable[[np.ndarray], np.ndarray], seed: int, n: int,
     codes = np.empty(n, dtype=np.int16) if keep_codes else None
 
     def worker(lo: int, hi: int) -> np.ndarray:
-        gen = _stream(seed, lo)
-        u = np.empty((min(BLOCK, hi - lo), SLOTS))
+        bits = _stream(seed, lo)
         counts = np.zeros(size, dtype=np.int64)
         for b in range(lo, hi, BLOCK):
             m = min(BLOCK, hi - b)
-            gen.random(out=u[:m])
-            piece = block(u[:m])
+            # no name holds the words, so they are freed before the next draw
+            piece = block(_draw(bits, m))
             if codes is not None:
                 codes[b:b + m] = piece
             counts += np.bincount(piece, minlength=size)
@@ -172,12 +226,13 @@ def _walk(block: Callable[[np.ndarray], np.ndarray], seed: int, n: int,
 class Stage:
     """One categorical stage as a threshold matrix.
 
-    A round at parent ``p`` with uniform ``x`` takes branch
-    ``start[p] + #{j : x >= thresholds[j, p]}``.  Column ``p`` holds all
-    but the last cumulative value of row ``p``, padded with ``+inf``.
+    A round at parent ``p`` with word ``x`` takes branch
+    ``start[p] + #{j : x >= thresholds[j, p]}``.  Column ``p`` holds the
+    word thresholds of all but the last cumulative value of row ``p``,
+    padded with ``WORD_ONE``, which no word reaches.
     """
     start: np.ndarray        # (parents,) index of each row's first branch
-    thresholds: np.ndarray   # (max row width - 1, parents)
+    thresholds: np.ndarray   # (max row width - 1, parents) uint64
 
     @classmethod
     def from_rows(cls, off: np.ndarray, cum: np.ndarray) -> "Stage":
@@ -188,7 +243,7 @@ class Stage:
         for j in range(depth):
             has = widths - 1 > j
             thresholds[j, has] = cum[start[has] + j]
-        return cls(start, thresholds)
+        return cls(start, word_thresholds(thresholds))
 
     @classmethod
     def interleave(cls, even: "Stage", odd: "Stage", odd_shift: int) -> "Stage":
@@ -196,7 +251,7 @@ class Stage:
         whose branch indices move up by ``odd_shift``."""
         parents = even.start.size
         depth = max(even.thresholds.shape[0], odd.thresholds.shape[0])
-        thresholds = np.full((depth, 2 * parents), np.inf)
+        thresholds = np.full((depth, 2 * parents), WORD_ONE, dtype=np.uint64)
         thresholds[:even.thresholds.shape[0], 0::2] = even.thresholds
         thresholds[:odd.thresholds.shape[0], 1::2] = odd.thresholds
         start = np.empty(2 * parents, dtype=np.intp)
@@ -206,7 +261,7 @@ class Stage:
 
     def pick(self, x: np.ndarray, parent: Optional[np.ndarray] = None
              ) -> np.ndarray:
-        """Branch index of each uniform in ``x`` at its parent row; a stage
+        """Branch index of each word in ``x`` at its parent row; a stage
         with one row ignores ``parent``."""
         if self.start.size == 1:
             k = np.full(x.shape, self.start[0])
@@ -274,6 +329,8 @@ class _CaStages:
     ret_code: np.ndarray     # guess and evebit
     bob_code: np.ndarray     # basis and pattern
     test_code: np.int16
+    cross_threshold: np.uint64   # word thresholds of cross_fraction
+    test_threshold: np.uint64    # and of test_fraction
 
     @classmethod
     def build(cls, tab: CaTables) -> "_CaStages":
@@ -306,28 +363,30 @@ class _CaStages:
             ret_code=code(guess=tab.ret_guess + 1, evebit=tab.ret_evebit + 1),
             bob_code=code(basis=np.arange(bob_pat.size) >= tab.bobz_pat.size,
                           pattern=bob_pat),
-            test_code=np.int16(space.stride("test")))
+            test_code=np.int16(space.stride("test")),
+            cross_threshold=word_thresholds(tab.cross_fraction)[()],
+            test_threshold=word_thresholds(tab.test_fraction)[()])
 
 
-def _ca_block(tab: CaTables, st: _CaStages, u: np.ndarray) -> np.ndarray:
-    e = st.emission.pick(u[:, 0])
-    node = st.oloss.pick(u[:, 1], e)
-    ctrl = u[:, 2] < 0.5
+def _ca_block(tab: CaTables, st: _CaStages, k: np.ndarray) -> np.ndarray:
+    e = st.emission.pick(k[:, 0])
+    node = st.oloss.pick(k[:, 1], e)
+    ctrl = k[:, 2] < HALF
     sift = ~ctrl
-    a = st.alice.pick(u[:, 3], 2 * node + sift)
-    j = st.ret.pick(u[:, 4], a)
-    measured = st.rloss.pick(u[:, 6], j)
+    a = st.alice.pick(k[:, 3], 2 * node + sift)
+    j = st.ret.pick(k[:, 4], a)
+    measured = st.rloss.pick(k[:, 6], j)
 
     # x pulses are measured in the basis of Alice's action, swapped for a
     # cross-basis test; the extra z states always in z
     x_pulse = tab.emission_kind[e] == 0
-    basis = (ctrl ^ (u[:, 7] < tab.cross_fraction)) & x_pulse
-    k = st.bob.pick(u[:, 8], 2 * measured + basis)
-    test = sift & x_pulse & (basis == 0) & (u[:, 9] < tab.test_fraction)
+    basis = (ctrl ^ (k[:, 7] < st.cross_threshold)) & x_pulse
+    b = st.bob.pick(k[:, 8], 2 * measured + basis)
+    test = sift & x_pulse & (basis == 0) & (k[:, 9] < st.test_threshold)
 
     code = st.emit_code[e] + st.alice_code[a]
     code += st.ret_code[j]
-    code += st.bob_code[k]
+    code += st.bob_code[b]
     code += test * st.test_code
     return code
 
@@ -338,7 +397,7 @@ def simulate_ca(tab: CaTables, seed: int, rounds: int, jobs: int = 1,
     """Record codes (``ca_space``) of ``rounds`` two-way rounds, or None
     unless ``keep_codes``, and their histogram."""
     st = _CaStages.build(tab)
-    return _walk(lambda u: _ca_block(tab, st, u), seed, rounds, jobs,
+    return _walk(lambda k: _ca_block(tab, st, k), seed, rounds, jobs,
                  ca_space(tab.emission_cum.size).size, keep_codes)
 
 
@@ -359,32 +418,56 @@ class Bb84Tables:
     meas_pat: np.ndarray         # pattern codes, bit-0 convention
 
 
+def _bb84_base() -> np.ndarray:
+    """Code of each round key ((pulse_size*2 + bit)*2 + basis)*2 +
+    bob_basis, for a round with nothing forwarded, no click and no bit for
+    Eve."""
+    size, bit, basis, bob_basis = np.indices((3, 2, 2, 2)).reshape(4, -1)
+    return BB84_SPACE.pack(bit, basis, size, 0, bob_basis, 0, -1)
+
+
+BB84_BASE = _bb84_base()
+
+
 def _bb84_block(tab: Bb84Tables, size: Stage, loss: Stage, meas: Stage,
-                u: np.ndarray, taken: int) -> Tuple[np.ndarray, int]:
+                k: np.ndarray, taken: int) -> Tuple[np.ndarray, int]:
     """Codes of one block, and the two-photon pulses taken so far: the
-    splitter forwards the first ``quota`` two-photon pulses of the run."""
-    bit = u[:, 0] >= 0.5
-    basis = u[:, 1] >= 0.5
-    pulse_size = size.pick(u[:, 2])
+    splitter forwards the first ``quota`` two-photon pulses of the run.
+
+    A round's code is its key's entry of ``BB84_BASE``; only the rounds
+    with a photon left for Bob add their pattern and, under the attack,
+    the forwarded flag and Eve's bit."""
+    bit = k[:, 0] >= HALF
+    basis = k[:, 1] >= HALF
+    pulse_size = size.pick(k[:, 2])
+    bob_basis = k[:, 4] >= HALF
+    key = pulse_size << 1
+    key |= bit
+    key <<= 1
+    key |= basis
+    key <<= 1
+    key |= bob_basis
+    code = BB84_BASE[key]
     if tab.attack == 1:
-        order = taken + np.cumsum(pulse_size == 2)
-        fwd = (pulse_size == 2) & (order <= tab.quota)
-        taken = int(order[-1])
-        m = fwd.view(np.int8)
-        evebit = np.where(fwd, bit.view(np.int8), np.int8(-1))
+        # the splitter forwards one photon of each pulse it takes and keeps
+        # the bit of the other
+        hit = np.empty(0, dtype=np.intp)
+        if taken < tab.quota:
+            two = pulse_size == 2
+            order = taken + np.cumsum(two)
+            hit = np.flatnonzero(two & (order <= tab.quota))
+            taken = int(order[-1])
+        m, fwd, evebit = 1, 1, bit[hit]
     else:
-        fwd = 0
-        m = tab.loss_m[loss.pick(u[:, 3], pulse_size)]
-        evebit = -1
-    bob_basis = u[:, 4] >= 0.5
-    pattern = np.zeros(m.shape, dtype=np.int8)
-    hit = m >= 1
-    if hit.any():
-        row = (m[hit] - 1) * 2 + (bob_basis[hit] == basis[hit])
-        pat = tab.meas_pat[meas.pick(u[hit, 5], row)]
-        pattern[hit] = np.where(bit[hit], MIRROR_CODE[pat], pat)
-    return BB84_SPACE.pack(bit, basis, pulse_size, fwd, bob_basis, pattern,
-                           evebit), taken
+        m = tab.loss_m[loss.pick(k[:, 3], pulse_size)]
+        hit = np.flatnonzero(m)
+        m, fwd, evebit = m[hit], 0, -1
+    if hit.size:
+        row = (m - 1) * 2 + (bob_basis[hit] == basis[hit])
+        pat = tab.meas_pat[meas.pick(k[hit, 5], row)]
+        pattern = np.where(bit[hit], MIRROR_CODE[pat], pat)
+        code[hit] += BB84_SPACE.pack(0, 0, 0, fwd, 0, pattern, evebit)
+    return code, taken
 
 
 def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
@@ -399,9 +482,9 @@ def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
     meas = Stage.from_rows(tab.meas_off, tab.meas_cum)
     taken = 0
 
-    def block(u: np.ndarray) -> np.ndarray:
+    def block(k: np.ndarray) -> np.ndarray:
         nonlocal taken
-        code, taken = _bb84_block(tab, size, loss, meas, u, taken)
+        code, taken = _bb84_block(tab, size, loss, meas, k, taken)
         return code
 
     return _walk(block, seed, rounds, 1 if tab.attack == 1 else jobs,
@@ -419,21 +502,24 @@ class B92Tables:
     attack: int                  # 1 when the conclusive intercept is active
 
 
-def _b92_block(tab: B92Tables, u: np.ndarray) -> np.ndarray:
-    bit = u[:, 0] >= 0.5
+def _b92_block(tab: B92Tables, conclusive_threshold: np.uint64,
+               transmission_threshold: np.uint64, k: np.ndarray) -> np.ndarray:
+    """Codes of one block, given the word thresholds of the table's
+    ``conclusive_p`` and ``transmission``."""
+    bit = k[:, 0] >= HALF
     if tab.attack == 1:
-        ebasis = u[:, 1] >= 0.5
-        arrived = (ebasis != bit) & (u[:, 2] < tab.conclusive_p)
+        ebasis = k[:, 1] >= HALF
+        arrived = (ebasis != bit) & (k[:, 2] < conclusive_threshold)
         evebit = np.where(arrived, bit.view(np.int8), np.int8(-1))
     else:
-        arrived = u[:, 3] < tab.transmission
+        arrived = k[:, 3] < transmission_threshold
         evebit = -1
     bob_basis = np.full(arrived.shape, -1, dtype=np.int8)
     conclusive = np.zeros(arrived.shape, dtype=bool)
     bob_bit = np.full(arrived.shape, -1, dtype=np.int8)
     if arrived.any():
-        bb = u[arrived, 4] >= 0.5
-        con = (bb != bit[arrived]) & (u[arrived, 5] < tab.conclusive_p)
+        bb = k[arrived, 4] >= HALF
+        con = (bb != bit[arrived]) & (k[arrived, 5] < conclusive_threshold)
         bob_basis[arrived] = bb
         conclusive[arrived] = con
         bob_bit[arrived] = np.where(con, (~bb).view(np.int8), np.int8(-1))
@@ -445,5 +531,6 @@ def simulate_b92(tab: B92Tables, seed: int, rounds: int, jobs: int = 1,
                  ) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """Record codes (``B92_SPACE``) of ``rounds`` B92 rounds, or None
     unless ``keep_codes``, and their histogram."""
-    return _walk(lambda u: _b92_block(tab, u), seed, rounds, jobs,
-                 B92_SPACE.size, keep_codes)
+    thresholds = word_thresholds([tab.conclusive_p, tab.transmission])
+    return _walk(lambda k: _b92_block(tab, *thresholds, k), seed, rounds,
+                 jobs, B92_SPACE.size, keep_codes)

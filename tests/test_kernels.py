@@ -5,8 +5,10 @@ scanning each row for the first cumulative threshold above the uniform,
 and aggregates the records with one boolean mask per quantity.  The engine
 must produce bit-identical records from the same tables and uniforms, and
 its histogram aggregation the same metrics and categories, for any worker
-count and across its fixed-size blocks.  The two-way tables must chain:
-each level has a row per branch of the level before it.
+count and across its fixed-size blocks.  The engine reads each draw as a
+53-bit word and compares it with integer thresholds, which must agree
+exactly with the reference's comparisons of doubles.  The two-way tables
+must chain: each level has a row per branch of the level before it.
 """
 
 import dataclasses
@@ -105,6 +107,18 @@ def test_bb84_matches_reference_walk():
                          source_stats=(0.89, 0.1, 0.01), transmission=0.05)
     for attack in (pns_attack, identity_attack):
         assert_matches_reference(cfg, attack)
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_bb84_lossless_hits_match_reference_walk(jobs):
+    """Without loss most rounds reach Bob, a third of them as two-photon
+    pulses, so most codes take the detector branch."""
+    cfg = ProtocolConfig(variant="bb84", rounds=BLOCKED_ROUNDS, rng_seed=37,
+                         source_stats=(0.2, 0.5, 0.3), transmission=1.0)
+    report = assert_matches_reference(cfg, identity_attack, jobs=jobs)
+    received = report.records["pattern"] != 0
+    assert received.mean() > 0.75
+    assert (received & (report.records["pulse_size"] == 2)).mean() > 0.25
 
 
 def test_b92_matches_reference_walk():
@@ -256,6 +270,40 @@ def test_uniforms_are_a_pure_function_of_seed():
                               full[lo:lo + 20]), lo
     assert not np.array_equal(full[:1000],
                               kernels.round_uniforms(124, 0, 1000))
+    # the walk's words are the same draws: word k is the double k * 2**-53
+    for lo in starts:
+        words = kernels._draw(kernels._stream(123, lo), 20)
+        assert np.all(words < 2 ** kernels.WORD_BITS), lo
+        assert np.array_equal(words * 2.0 ** -kernels.WORD_BITS,
+                              full[lo:lo + 20]), lo
+
+
+def test_word_thresholds_are_exact():
+    """A word passes its threshold exactly when its double passes ``p``,
+    checked at the threshold and on either side of it."""
+    rng = np.random.default_rng(38)
+    for p in [0.0, 2.0 ** -53, 2.0 ** -54, 5e-324, np.nextafter(0.5, 0.0),
+              0.5, np.nextafter(0.5, 1.0), 1.0 - 2.0 ** -53, 1.0, np.inf,
+              *rng.random(64)]:
+        threshold = kernels.word_thresholds(p)[()]
+        assert threshold.dtype == np.uint64
+        k = np.array([w for w in (int(threshold) - 1, int(threshold),
+                                  int(threshold) + 1)
+                      if 0 <= w < 2 ** kernels.WORD_BITS], dtype=np.uint64)
+        u = k * 2.0 ** -kernels.WORD_BITS
+        assert np.array_equal(k >= threshold, u >= p), p
+        assert np.array_equal(k < threshold, u < p), p
+        # a stage of branches [0, p) and [p, 1) picks by the same comparison
+        stage = kernels.Stage.from_rows(np.array([0, 2]), np.array([p, 1.0]))
+        assert np.array_equal(stage.pick(k), u >= p), p
+
+
+def test_nan_threshold_raises():
+    with pytest.raises(ValueError, match="NaN"):
+        kernels.word_thresholds(np.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        kernels.Stage.from_rows(np.array([0, 3]),
+                                np.array([0.2, np.nan, 1.0]))
 
 
 def test_chunks_are_whole_blocks():
