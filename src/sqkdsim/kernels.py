@@ -20,9 +20,22 @@ by the ``CodeSpace`` of that protocol), packed into one mixed-radix
 ``int16`` record code.  The walk returns the histogram of codes, and
 every round's code only when the caller keeps them for a round log; the
 protocol layer computes every metric from the histogram, since each metric
-is a function of the record tuple alone.  A BB84 round's code is one
-gather from ``BB84_BASE`` by its bit, basis, pulse size and Bob's basis;
-only the rounds that reach Bob add their pattern and Eve's terms.
+is a function of the record tuple alone.
+
+A two-way round ends at Bob's branch, and since each level's branches are
+the next level's rows, that branch index names the round's whole path:
+its code is one gather from a leaf table indexed by Bob's branch and the
+test-round coin.  The walk is a chain of stages, coins included (a coin
+is a stage whose every row splits in two).  At set-up, a stage whose rows
+all have one branch, a constant coin among them, is folded into the rows
+of the next stage or into the leaf table, so a block draws only where a
+stage needs a draw.  A stage whose thresholds take a few distinct values
+counts the values a word exceeds, with no gather; the counts of such
+stages form one mixed-radix byte per round, by which the next stage's
+rows and the leaf table are laid out.  A BB84 round's code is one gather
+from ``BB84_BASE`` by a ``uint8`` key of its pulse size, bit, basis and
+Bob's basis; only the rounds that reach Bob add their pattern and Eve's
+terms.
 
 Rounds are walked in fixed blocks of ``BLOCK`` rounds: each block draws its
 words, walks them, packs its codes and adds their histogram, so memory
@@ -36,14 +49,19 @@ Philox-4x64 stream keyed by the run seed, so round ``i`` owns a fixed
 counter block and records do not depend on blocks or worker counts.  The
 stream is counter-based, so a chunk starting at round ``lo`` jumps straight
 to its first word (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC'11).  The walk keeps each draw's top 53 bits, the word ``k``;
-``Generator.random`` would make the uniform ``u = k * 2**-53`` of the same
-draw, which ``round_uniforms`` returns for reference walks.  Every
-probability a stage compares with is turned once into the word threshold
-``K = ceil(p * 2**53)`` (``word_thresholds``), so ``k >= K`` exactly when
-``u >= p`` and ``k < K`` exactly when ``u < p``: the walk takes the same
-branches as a walk over the uniforms, with integer compares and no
-conversion to doubles.
+1, 2, 3", SC'11).  The walk compares raw 64-bit words with integers:
+``Generator.random`` would make the uniform ``u = (raw >> 11) * 2**-53``
+of a draw ``raw``, and ``round_uniforms`` returns those doubles for
+reference walks.  Every probability ``p`` is turned once into the word
+threshold ``K = ceil(p * 2**53)`` (``word_thresholds``), so
+``raw >> 11 >= K`` exactly when ``u >= p``, and then into the raw threshold
+``T = K * 2**11 - 1``, so ``raw > T`` exactly when ``raw >> 11 >= K``.  A
+threshold with ``K = 0`` is passed by every word and is counted into its
+row's start instead; ``K = 2**53`` gives ``T = 2**64 - 1``, which no word
+exceeds, and pads the threshold columns.  A coin ``u < p`` is
+``raw <= T``, a constant when ``K`` is 0 or ``2**53``; a fair coin reads
+the top bit.  The walk takes the same branches as one over the uniforms,
+without shifting or converting any draw.
 
 Slots, the stage that reads each draw of a round (``-``: unused):
 
@@ -77,13 +95,21 @@ import numpy as np
 SLOTS = 10
 
 #: rounds per block of the walk; temporaries are a few arrays of this length,
-#: and a block's (BLOCK, SLOTS) words take 1.3 MB
+#: and a block's (BLOCK, SLOTS) raw words take 1.3 MB
 BLOCK = 1 << 14
 
-#: a word keeps the top WORD_BITS bits of a raw 64-bit draw, so every word
-#: is below WORD_ONE
+#: a word keeps the top WORD_BITS bits of a raw 64-bit draw (the draw
+#: shifted right by RAW_SHIFT), so every word is below WORD_ONE
 WORD_BITS = 53
 WORD_ONE = 1 << WORD_BITS
+RAW_SHIFT = 64 - WORD_BITS
+
+#: no raw word exceeds it: the raw threshold of K = WORD_ONE, and the padding
+#: of threshold columns
+RAW_MAX = np.uint64(2 ** 64 - 1)
+
+#: a raw word at or above it has its top bit set: a fair coin, u >= 1/2
+TOP_BIT = np.uint64(1 << 63)
 
 #: pattern codes mirrored across the two modes, code = 3*first + second
 MIRROR_CODE = np.array([3 * (c % 3) + c // 3 for c in range(9)], dtype=np.int8)
@@ -99,11 +125,9 @@ def _stream(seed: int, lo: int) -> np.random.Philox:
 
 
 def _draw(bits: np.random.Philox, rounds: int) -> np.ndarray:
-    """The next ``rounds`` rows of 53-bit words: word ``k`` is the uniform
-    ``k * 2**-53`` that ``Generator.random`` makes of the same draw."""
-    words = bits.random_raw((rounds, SLOTS))
-    words >>= np.uint64(64 - WORD_BITS)
-    return words
+    """The next ``rounds`` rows of raw words: ``raw >> 11`` times ``2**-53``
+    is the uniform that ``Generator.random`` makes of the same draw."""
+    return bits.random_raw((rounds, SLOTS))
 
 
 def round_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
@@ -122,8 +146,34 @@ def word_thresholds(p) -> np.ndarray:
     return np.ceil(np.clip(p, 0.0, 1.0) * WORD_ONE).astype(np.uint64)
 
 
-#: word threshold of the fair coins
-HALF = word_thresholds(0.5)[()]
+def raw_thresholds(K: np.ndarray) -> np.ndarray:
+    """Raw thresholds ``T = K * 2**11 - 1`` of word thresholds
+    ``0 < K <= 2**53``: a raw word ``r`` has ``r > T`` exactly when
+    ``r >> 11 >= K``.  ``K = 2**53`` gives ``RAW_MAX``."""
+    # uint64 arrays wrap: 2**53 << 11 is 0, and 0 - 1 is RAW_MAX
+    K = np.asarray(K, dtype=np.uint64)
+    return (K << np.uint64(RAW_SHIFT)) - np.uint64(1)
+
+
+@dataclass(frozen=True)
+class Coin:
+    """A draw that hits with probability ``p``: ``u < p``, read as
+    ``raw <= threshold``, or the same outcome for every draw when ``p`` is
+    0 or 1 (its word threshold is 0 or ``2**53``)."""
+    threshold: np.uint64
+    constant: Optional[bool]
+
+    @classmethod
+    def of(cls, p: float) -> "Coin":
+        K = int(word_thresholds(p))
+        if 0 < K < WORD_ONE:
+            return cls(raw_thresholds(K), None)
+        return cls(RAW_MAX, K == WORD_ONE)
+
+    def hits(self, raw: np.ndarray) -> np.ndarray:
+        if self.constant is not None:
+            return np.full(raw.shape, self.constant)
+        return raw <= self.threshold
 
 
 @dataclass(frozen=True)
@@ -196,7 +246,7 @@ def _walk(block: Callable[[np.ndarray], np.ndarray], seed: int, n: int,
           jobs: int, size: int, keep_codes: bool
           ) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """Walk rounds [0, n) in pieces of at most BLOCK rounds, split into
-    ``jobs`` chunks; ``block(k)`` maps a piece's words to its codes.
+    ``jobs`` chunks; ``block(raw)`` maps a piece's raw words to its codes.
 
     Returns every round's code (None unless ``keep_codes``) and the number
     of rounds at each code.
@@ -216,6 +266,8 @@ def _walk(block: Callable[[np.ndarray], np.ndarray], seed: int, n: int,
         return counts
 
     ranges = _chunk_ranges(n, jobs)
+    if not ranges:
+        return codes, np.zeros(size, dtype=np.int64)
     if len(ranges) == 1:
         return codes, worker(*ranges[0])
     with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
@@ -224,54 +276,127 @@ def _walk(block: Callable[[np.ndarray], np.ndarray], seed: int, n: int,
 
 @dataclass
 class Stage:
-    """One categorical stage as a threshold matrix.
+    """One categorical stage as a threshold matrix over raw words.
 
-    A round at parent ``p`` with word ``x`` takes branch
-    ``start[p] + #{j : x >= thresholds[j, p]}``.  Column ``p`` holds the
-    word thresholds of all but the last cumulative value of row ``p``,
-    padded with ``WORD_ONE``, which no word reaches.
+    A round at parent ``p`` with raw word ``x`` takes branch
+    ``start[p] + #{j : x > thresholds[j, p]}``.  Column ``p`` holds the raw
+    thresholds of all but the last cumulative value of row ``p``, padded
+    with ``RAW_MAX``, which no word exceeds; a value that every word passes
+    (word threshold 0) is counted into ``start[p]`` instead.  A stage of
+    depth 0 needs no draw: each parent's branch is its start.
     """
-    start: np.ndarray        # (parents,) index of each row's first branch
-    thresholds: np.ndarray   # (max row width - 1, parents) uint64
+    start: np.ndarray        # (parents,) intp
+    thresholds: np.ndarray   # (depth, parents) uint64
+    branches: int            # branches over all rows
 
     @classmethod
     def from_rows(cls, off: np.ndarray, cum: np.ndarray) -> "Stage":
         start = np.asarray(off[:-1], dtype=np.intp)
         widths = np.diff(off)
         depth = int(widths.max(initial=1)) - 1
-        thresholds = np.full((depth, start.size), np.inf)
+        p = np.full((depth, start.size), np.inf)
         for j in range(depth):
             has = widths - 1 > j
-            thresholds[j, has] = cum[start[has] + j]
-        return cls(start, word_thresholds(thresholds))
+            p[j, has] = cum[start[has] + j]
+        K = word_thresholds(p)
+        passed = K == 0
+        K[passed] = WORD_ONE
+        return cls(start + passed.sum(axis=0), raw_thresholds(K),
+                   int(off[-1]))._trimmed()
+
+    def _trimmed(self) -> "Stage":
+        """The same stage with each column's thresholds sorted and the rows
+        that no word can pass dropped."""
+        thresholds = np.sort(self.thresholds, axis=0)
+        keep = (thresholds < RAW_MAX).any(axis=1)
+        return Stage(self.start, thresholds[keep], self.branches)
 
     @classmethod
-    def interleave(cls, even: "Stage", odd: "Stage", odd_shift: int) -> "Stage":
-        """Parent ``2p`` is ``even``'s row ``p``, ``2p + 1`` is ``odd``'s,
-        whose branch indices move up by ``odd_shift``."""
-        parents = even.start.size
-        depth = max(even.thresholds.shape[0], odd.thresholds.shape[0])
-        thresholds = np.full((depth, 2 * parents), WORD_ONE, dtype=np.uint64)
-        thresholds[:even.thresholds.shape[0], 0::2] = even.thresholds
-        thresholds[:odd.thresholds.shape[0], 1::2] = odd.thresholds
-        start = np.empty(2 * parents, dtype=np.intp)
-        start[0::2] = even.start
-        start[1::2] = odd.start + odd_shift
-        return cls(start, thresholds)
+    def stack(cls, *parts: Tuple["Stage", int]) -> "Stage":
+        """The columns of each ``(stage, shift)`` side by side, the stage's
+        branch indices moved up by ``shift``."""
+        depth = max(s.thresholds.shape[0] for s, _shift in parts)
+        start = np.concatenate([s.start + shift for s, shift in parts])
+        thresholds = np.full((depth, start.size), RAW_MAX)
+        col = 0
+        for s, _shift in parts:
+            thresholds[:s.thresholds.shape[0], col:col + s.start.size] = \
+                s.thresholds
+            col += s.start.size
+        return cls(start, thresholds,
+                   max(s.branches + shift for s, shift in parts))
+
+    def columns(self, parents: np.ndarray) -> "Stage":
+        """The stage whose row ``i`` is this stage's row ``parents[i]``."""
+        return Stage(self.start[parents], self.thresholds[:, parents],
+                     self.branches)._trimmed()
 
     def pick(self, x: np.ndarray, parent: Optional[np.ndarray] = None
              ) -> np.ndarray:
-        """Branch index of each word in ``x`` at its parent row; a stage
+        """Branch index of each raw word in ``x`` at its parent row; a stage
         with one row ignores ``parent``."""
         if self.start.size == 1:
             k = np.full(x.shape, self.start[0])
             for threshold in self.thresholds[:, 0]:
-                k += x >= threshold
+                k += x > threshold
             return k
-        k = self.start[parent]
+        k = self.start.take(parent)
         for row in self.thresholds:
-            k += x >= row[parent]
+            k += x > row.take(parent)
         return k
+
+
+def _chain(steps, leaf: np.ndarray):
+    """The draws of a walk of ``(slot, stage)`` steps, and its leaf table.
+
+    Each stage's rows are the branches of the stage before it, the first
+    stage has one row, and the last stage's branch selects from ``leaf``.
+    A block keeps one walk index per round.  A stage of depth 0 needs no
+    draw: it is folded into the rows of the next stage, or into the leaf
+    table.  A stage whose thresholds take few distinct values (its levels)
+    counts the levels a word passes, with no gather: the walk index
+    becomes ``index * (levels + 1) + count``, a mixed-radix number small
+    enough for one byte.  Any other stage gathers its thresholds by the
+    walk index, which becomes the branch.  Returns the steps that draw,
+    and the leaf table by the last walk index.
+    """
+    plan = []
+    branch = np.zeros(1, dtype=np.intp)   # the branch at each walk index
+    for slot, stage in steps:
+        stage = stage.columns(branch)
+        depth = stage.thresholds.shape[0]
+        if depth == 0:
+            branch = stage.start
+            continue
+        # distinct thresholds by sort, as np.unique would import numpy.ma
+        levels = np.sort(stage.thresholds[stage.thresholds < RAW_MAX])
+        levels = levels[np.diff(levels, prepend=RAW_MAX) != 0]
+        # a gathered row costs a gather, a compare and an add per round, a
+        # counted level one compare and a byte add
+        if levels.size <= 3 * depth and branch.size * (levels.size + 1) < 256:
+            passed = (stage.thresholds[:, :, None] <= levels).sum(axis=0)
+            branch = (stage.start[:, None]
+                      + np.pad(passed, ((0, 0), (1, 0)))).ravel()
+            plan.append((slot, levels))
+        else:
+            plan.append((slot, stage))
+            branch = np.arange(stage.branches)
+    return plan, leaf[branch]
+
+
+def _walk_chain(plan, leaf: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Codes of one block: the draws of ``plan``, then one gather from
+    ``leaf``."""
+    k = np.zeros(raw.shape[0], dtype=np.uint8)
+    for slot, step in plan:
+        x = raw[:, slot]
+        if isinstance(step, Stage):
+            k = step.pick(x, k.astype(np.intp, copy=False))
+        else:
+            k *= step.size + 1
+            for level in step:
+                k += x > level
+    return leaf.take(k)
 
 
 # ---------------------------------------------------------------------------
@@ -312,83 +437,83 @@ class CaTables:
     cross_fraction: float        # 0.0 when cross-basis tests are off
 
 
-@dataclass
-class _CaStages:
-    """The stages of the two-way walk, and each branch's share of the
-    record code: a round's code is the sum of the shares of its emission,
-    Alice, return and Bob branches, plus ``test_code`` on test rounds."""
-    emission: Stage
-    oloss: Stage
-    alice: Stage             # parent 2*outbound + action (0 = CTRL, 1 = SIFT);
-                             # its branches are the residual nodes
-    ret: Stage
-    rloss: Stage
-    bob: Stage               # parent 2*measured + basis (0 = z, 1 = x)
-    emit_code: np.ndarray    # emission
-    alice_code: np.ndarray   # action and readout
-    ret_code: np.ndarray     # guess and evebit
-    bob_code: np.ndarray     # basis and pattern
-    test_code: np.int16
-    cross_threshold: np.uint64   # word thresholds of cross_fraction
-    test_threshold: np.uint64    # and of test_fraction
-
-    @classmethod
-    def build(cls, tab: CaTables) -> "_CaStages":
-        outbound = tab.oloss_cum.size
-        space = ca_space(tab.emission_cum.size)
-
-        def code(**parts) -> np.ndarray:
-            return sum(np.asarray(v, dtype=np.int64) * space.stride(f)
-                       for f, v in parts.items()).astype(np.int16)
-
-        reflect = Stage(np.arange(outbound, dtype=np.intp),
-                        np.empty((0, outbound)))
-        bob_pat = np.concatenate([tab.bobz_pat, tab.bobx_pat])
-        return cls(
-            emission=Stage.from_rows(np.array([0, tab.emission_cum.size]),
-                                     tab.emission_cum),
-            oloss=Stage.from_rows(tab.oloss_off, tab.oloss_cum),
-            alice=Stage.interleave(
-                reflect, Stage.from_rows(tab.sift_off, tab.sift_cum), outbound),
-            ret=Stage.from_rows(tab.ret_off, tab.ret_cum),
-            rloss=Stage.from_rows(tab.rloss_off, tab.rloss_cum),
-            bob=Stage.interleave(Stage.from_rows(tab.bobz_off, tab.bobz_cum),
-                                 Stage.from_rows(tab.bobx_off, tab.bobx_cum),
-                                 tab.bobz_pat.size),
-            emit_code=code(emit=np.arange(tab.emission_cum.size)),
-            alice_code=code(
-                action=np.repeat([0, 1], [outbound, tab.sift_readout.size]),
-                readout=np.concatenate([np.zeros(outbound),
-                                        tab.sift_readout + 1])),
-            ret_code=code(guess=tab.ret_guess + 1, evebit=tab.ret_evebit + 1),
-            bob_code=code(basis=np.arange(bob_pat.size) >= tab.bobz_pat.size,
-                          pattern=bob_pat),
-            test_code=np.int16(space.stride("test")),
-            cross_threshold=word_thresholds(tab.cross_fraction)[()],
-            test_threshold=word_thresholds(tab.test_fraction)[()])
+def _rows(off: np.ndarray) -> np.ndarray:
+    """The row of each branch of a level with row offsets ``off``."""
+    return np.repeat(np.arange(off.size - 1), np.diff(off))
 
 
-def _ca_block(tab: CaTables, st: _CaStages, k: np.ndarray) -> np.ndarray:
-    e = st.emission.pick(k[:, 0])
-    node = st.oloss.pick(k[:, 1], e)
-    ctrl = k[:, 2] < HALF
-    sift = ~ctrl
-    a = st.alice.pick(k[:, 3], 2 * node + sift)
-    j = st.ret.pick(k[:, 4], a)
-    measured = st.rloss.pick(k[:, 6], j)
+def _ca_chain(tab: CaTables):
+    """The two-way walk as ``_chain`` steps, with its leaf table.
 
-    # x pulses are measured in the basis of Alice's action, swapped for a
-    # cross-basis test; the extra z states always in z
-    x_pulse = tab.emission_kind[e] == 0
-    basis = (ctrl ^ (k[:, 7] < st.cross_threshold)) & x_pulse
-    b = st.bob.pick(k[:, 8], 2 * measured + basis)
-    test = sift & x_pulse & (basis == 0) & (k[:, 9] < st.test_threshold)
+    A coin is a stage whose row ``i`` has branch ``2*i`` when it hits and
+    ``2*i + 1`` when it misses.  The branch after Alice's fair coin is
+    ``2*outbound + ~ctrl``, after the cross-basis coin
+    ``2*measured + ~cross``, and after the test coin ``2*bob + ~test``,
+    where ``bob`` counts Bob's z branches, then his x branches.  Each of
+    Bob's branches is traced back through the levels' offsets to its
+    measured node, return, residual, outbound node and emission, which give
+    its leaf's record code.
+    """
+    outbound = tab.oloss_cum.size
+    measured = tab.rloss_cum.size
+    z_branches = tab.bobz_pat.size
+    space = ca_space(tab.emission_cum.size)
 
-    code = st.emit_code[e] + st.alice_code[a]
-    code += st.ret_code[j]
-    code += st.bob_code[b]
-    code += test * st.test_code
-    return code
+    # the parent nodes of each measured node, up to its emission
+    ret_of = _rows(tab.rloss_off)
+    resid_of = _rows(tab.ret_off)[ret_of]
+    node_of = np.concatenate([np.arange(outbound), _rows(tab.sift_off)])
+    emit_of = _rows(tab.oloss_off)[node_of[resid_of]]
+    sift = resid_of >= outbound
+    x_pulse = tab.emission_kind[emit_of] == 0
+
+    def coin(p: float, rows: int) -> Stage:
+        return Stage.from_rows(np.arange(0, 2 * rows + 1, 2),
+                               np.tile([p, 1.0], rows))
+
+    # whether a coin hit, by its branch's offset in the coin's row
+    hit = np.array([True, False])
+    # row 2*node + offset: the node itself, reflected on CTRL, or its SIFT
+    # branches, which are residual nodes outbound + k
+    reflect = Stage(np.arange(outbound, dtype=np.intp),
+                    np.empty((0, outbound), dtype=np.uint64), outbound)
+    alice = Stage.stack(
+        (Stage.from_rows(tab.sift_off, tab.sift_cum), outbound), (reflect, 0))
+    alice = alice.columns((np.arange(outbound)[:, None]
+                           + outbound * hit).ravel())
+    # row 2*measured + offset: x pulses are measured in the basis of
+    # Alice's action, swapped for a cross-basis test; the extra z states
+    # always in z
+    basis = (~sift[:, None] ^ hit) & x_pulse[:, None]
+    bob = Stage.stack((Stage.from_rows(tab.bobz_off, tab.bobz_cum), 0),
+                      (Stage.from_rows(tab.bobx_off, tab.bobx_cum),
+                       z_branches))
+    bob = bob.columns((np.arange(measured)[:, None]
+                       + measured * basis).ravel())
+    steps = [
+        (0, Stage.from_rows(np.array([0, tab.emission_cum.size]),
+                            tab.emission_cum)),
+        (1, Stage.from_rows(tab.oloss_off, tab.oloss_cum)),
+        (2, coin(0.5, outbound)),
+        (3, alice),
+        (4, Stage.from_rows(tab.ret_off, tab.ret_cum)),
+        (6, Stage.from_rows(tab.rloss_off, tab.rloss_cum)),
+        (7, coin(tab.cross_fraction, measured)),
+        (8, bob),
+        (9, coin(tab.test_fraction, bob.branches)),
+    ]
+
+    # one row per Bob branch, one column per test coin
+    m = np.concatenate([_rows(tab.bobz_off), _rows(tab.bobx_off)])[:, None]
+    j = ret_of[m]
+    on_z = np.arange(m.size)[:, None] < z_branches
+    readout = np.concatenate([np.full(outbound, -1), tab.sift_readout])
+    leaf = space.pack(
+        emit_of[m], sift[m], readout[resid_of[m]], ~on_z,
+        np.concatenate([tab.bobz_pat, tab.bobx_pat])[:, None],
+        sift[m] & x_pulse[m] & on_z & hit, tab.ret_guess[j],
+        tab.ret_evebit[j])
+    return _chain(steps, leaf.ravel())
 
 
 def simulate_ca(tab: CaTables, seed: int, rounds: int, jobs: int = 1,
@@ -396,9 +521,9 @@ def simulate_ca(tab: CaTables, seed: int, rounds: int, jobs: int = 1,
                 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """Record codes (``ca_space``) of ``rounds`` two-way rounds, or None
     unless ``keep_codes``, and their histogram."""
-    st = _CaStages.build(tab)
-    return _walk(lambda k: _ca_block(tab, st, k), seed, rounds, jobs,
-                 ca_space(tab.emission_cum.size).size, keep_codes)
+    plan, leaf = _ca_chain(tab)
+    return _walk(lambda raw: _walk_chain(plan, leaf, raw), seed, rounds,
+                 jobs, ca_space(tab.emission_cum.size).size, keep_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -430,42 +555,45 @@ BB84_BASE = _bb84_base()
 
 
 def _bb84_block(tab: Bb84Tables, size: Stage, loss: Stage, meas: Stage,
-                k: np.ndarray, taken: int) -> Tuple[np.ndarray, int]:
+                base: np.ndarray, raw: np.ndarray, taken: int
+                ) -> Tuple[np.ndarray, int]:
     """Codes of one block, and the two-photon pulses taken so far: the
     splitter forwards the first ``quota`` two-photon pulses of the run.
 
-    A round's code is its key's entry of ``BB84_BASE``; only the rounds
-    with a photon left for Bob add their pattern and, under the attack,
-    the forwarded flag and Eve's bit."""
-    bit = k[:, 0] >= HALF
-    basis = k[:, 1] >= HALF
-    pulse_size = size.pick(k[:, 2])
-    bob_basis = k[:, 4] >= HALF
-    key = pulse_size << 1
-    key |= bit
-    key <<= 1
-    key |= basis
-    key <<= 1
-    key |= bob_basis
-    code = BB84_BASE[key]
+    A round's key is ((pulse_size - first)*2 + bit)*2 + basis)*2 +
+    bob_basis, where ``first`` is the first pulse size the source can
+    emit; its code is its key's entry of ``base``, ``BB84_BASE`` from
+    ``first``'s entries on.  Only the rounds with a photon left for Bob add
+    their pattern and, under the attack, the forwarded flag and Eve's bit.
+    """
+    key = np.zeros(raw.shape[0], dtype=np.uint8)
+    for threshold in size.thresholds[:, 0]:
+        key += raw[:, 2] > threshold
+    for slot in (0, 1, 4):
+        key <<= 1
+        key |= raw[:, slot] >= TOP_BIT
+    code = base.take(key)
     if tab.attack == 1:
         # the splitter forwards one photon of each pulse it takes and keeps
         # the bit of the other
         hit = np.empty(0, dtype=np.intp)
         if taken < tab.quota:
-            two = pulse_size == 2
+            two = key >= 8 * (2 - size.start[0])
             order = taken + np.cumsum(two)
             hit = np.flatnonzero(two & (order <= tab.quota))
             taken = int(order[-1])
-        m, fwd, evebit = 1, 1, bit[hit]
+        m, fwd = 1, 1
     else:
-        m = tab.loss_m[loss.pick(k[:, 3], pulse_size)]
+        m = tab.loss_m.take(loss.pick(raw[:, 3], (key >> 3).astype(np.intp)))
         hit = np.flatnonzero(m)
-        m, fwd, evebit = m[hit], 0, -1
+        m, fwd = m[hit], 0
     if hit.size:
-        row = (m - 1) * 2 + (bob_basis[hit] == basis[hit])
-        pat = tab.meas_pat[meas.pick(k[hit, 5], row)]
-        pattern = np.where(bit[hit], MIRROR_CODE[pat], pat)
+        k = key[hit]
+        bit = (k >> 2) & 1
+        row = (m - 1) * 2 + (((k >> 1) ^ k ^ 1) & 1)
+        pat = tab.meas_pat[meas.pick(raw[hit, 5], row)]
+        pattern = np.where(bit, MIRROR_CODE[pat], pat)
+        evebit = bit if tab.attack == 1 else -1
         code[hit] += BB84_SPACE.pack(0, 0, 0, fwd, 0, pattern, evebit)
     return code, taken
 
@@ -478,13 +606,17 @@ def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
     running count over the rounds, so under the attack the rounds are
     walked in one chunk, in order."""
     size = Stage.from_rows(np.array([0, tab.size_cum.size]), tab.size_cum)
-    loss = Stage.from_rows(tab.loss_off, tab.loss_cum)
+    first = int(size.start[0])
+    # loss rows by pulse size from the first on, as the key counts them
+    loss = Stage.from_rows(tab.loss_off, tab.loss_cum).columns(
+        np.arange(first, tab.size_cum.size))
     meas = Stage.from_rows(tab.meas_off, tab.meas_cum)
+    base = BB84_BASE[8 * first:]
     taken = 0
 
-    def block(k: np.ndarray) -> np.ndarray:
+    def block(raw: np.ndarray) -> np.ndarray:
         nonlocal taken
-        code, taken = _bb84_block(tab, size, loss, meas, k, taken)
+        code, taken = _bb84_block(tab, size, loss, meas, base, raw, taken)
         return code
 
     return _walk(block, seed, rounds, 1 if tab.attack == 1 else jobs,
@@ -502,24 +634,24 @@ class B92Tables:
     attack: int                  # 1 when the conclusive intercept is active
 
 
-def _b92_block(tab: B92Tables, conclusive_threshold: np.uint64,
-               transmission_threshold: np.uint64, k: np.ndarray) -> np.ndarray:
-    """Codes of one block, given the word thresholds of the table's
-    ``conclusive_p`` and ``transmission``."""
-    bit = k[:, 0] >= HALF
+def _b92_block(tab: B92Tables, conclusive_coin: Coin,
+               transmission_coin: Coin, raw: np.ndarray) -> np.ndarray:
+    """Codes of one block, given the coins of the table's ``conclusive_p``
+    and ``transmission``."""
+    bit = raw[:, 0] >= TOP_BIT
     if tab.attack == 1:
-        ebasis = k[:, 1] >= HALF
-        arrived = (ebasis != bit) & (k[:, 2] < conclusive_threshold)
+        ebasis = raw[:, 1] >= TOP_BIT
+        arrived = (ebasis != bit) & conclusive_coin.hits(raw[:, 2])
         evebit = np.where(arrived, bit.view(np.int8), np.int8(-1))
     else:
-        arrived = k[:, 3] < transmission_threshold
+        arrived = transmission_coin.hits(raw[:, 3])
         evebit = -1
     bob_basis = np.full(arrived.shape, -1, dtype=np.int8)
     conclusive = np.zeros(arrived.shape, dtype=bool)
     bob_bit = np.full(arrived.shape, -1, dtype=np.int8)
     if arrived.any():
-        bb = k[arrived, 4] >= HALF
-        con = (bb != bit[arrived]) & (k[arrived, 5] < conclusive_threshold)
+        bb = raw[arrived, 4] >= TOP_BIT
+        con = (bb != bit[arrived]) & conclusive_coin.hits(raw[arrived, 5])
         bob_basis[arrived] = bb
         conclusive[arrived] = con
         bob_bit[arrived] = np.where(con, (~bb).view(np.int8), np.int8(-1))
@@ -531,6 +663,6 @@ def simulate_b92(tab: B92Tables, seed: int, rounds: int, jobs: int = 1,
                  ) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """Record codes (``B92_SPACE``) of ``rounds`` B92 rounds, or None
     unless ``keep_codes``, and their histogram."""
-    thresholds = word_thresholds([tab.conclusive_p, tab.transmission])
-    return _walk(lambda k: _b92_block(tab, *thresholds, k), seed, rounds,
+    coins = Coin.of(tab.conclusive_p), Coin.of(tab.transmission)
+    return _walk(lambda raw: _b92_block(tab, *coins, raw), seed, rounds,
                  jobs, B92_SPACE.size, keep_codes)

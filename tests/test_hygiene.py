@@ -1,16 +1,22 @@
-"""Every name a ``sqkdsim`` module imports is used in that module.
+"""Every name a ``sqkdsim`` module imports is used in that module, and
+every name the benchmark's tracer wraps still exists.
 
-The check pyflakes calls F401, done with ``ast`` alone.  A name listed in
-``__all__`` counts as used, and so does a name inside a string annotation.
-An import line marked ``# noqa: F401`` is exempt.
+The first check is the one pyflakes calls F401, done with ``ast`` alone.  A
+name listed in ``__all__`` counts as used, and so does a name inside a
+string annotation.  An import line marked ``# noqa: F401`` is exempt.
 """
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sqkdsim"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sqkdsim"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def imported_names(tree):
@@ -59,3 +65,25 @@ def test_no_unused_imports(path):
               for name, line in imported_names(tree)
               if name not in used and "# noqa: F401" not in lines[line - 1]]
     assert not unused, "imported but unused: " + ", ".join(unused)
+
+
+def test_benchmark_span_targets_resolve():
+    """``perfbench/spans.py`` wraps ``(module, attribute path)`` targets and
+    counts a missing one as a trace gap; an engine change that renames or
+    drops a target must fail here instead of opening that gap silently."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = spans
+    try:
+        spec.loader.exec_module(spans)
+    finally:
+        del sys.modules[spec.name]
+    missing = []
+    for module, path, _span in spans.TARGETS:
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{path}")
+    assert spans.TARGETS and not missing, f"unresolved: {missing}"

@@ -5,10 +5,11 @@ scanning each row for the first cumulative threshold above the uniform,
 and aggregates the records with one boolean mask per quantity.  The engine
 must produce bit-identical records from the same tables and uniforms, and
 its histogram aggregation the same metrics and categories, for any worker
-count and across its fixed-size blocks.  The engine reads each draw as a
-53-bit word and compares it with integer thresholds, which must agree
-exactly with the reference's comparisons of doubles.  The two-way tables
-must chain: each level has a row per branch of the level before it.
+count and across its fixed-size blocks, also where it folds a level or a
+coin that needs no draw into its tables.  The engine compares each raw
+64-bit draw with integer thresholds, which must agree exactly with the
+reference's comparisons of doubles.  The two-way tables must chain: each
+level has a row per branch of the level before it.
 """
 
 import dataclasses
@@ -75,6 +76,11 @@ def assert_matches_reference(cfg, mk, jobs=1, expected=None):
     return report
 
 
+#: outbound and return maps of a ``general`` attack, probe dimension 2 and
+#: photon cap 2 (2 x 6 channel states)
+HAAR_MAPS = [oracles.haar_unitary(np.random.default_rng(41), 2 * 6),
+             oracles.haar_unitary(np.random.default_rng(42), 2 * 6)]
+
 CA_CASES = [
     ("ideal", ProtocolConfig(rounds=4000, rng_seed=21, n_max=2),
      identity_attack),
@@ -94,6 +100,14 @@ CA_CASES = [
      identity_attack),
     ("constrained", ProtocolConfig(rounds=4000, rng_seed=26, n_max=3),
      lambda: constrained_random_attack(5, 4, n_max=3)),
+    ("general-haar", ProtocolConfig(rounds=4000, rng_seed=41,
+                                    transmission=0.8, n_max=2),
+     lambda: general_attack(*HAAR_MAPS, probe_dim=2, n_max=2)),
+    # every SIFT round a test, and nothing lost: the loss levels and the
+    # test coin fold away
+    ("all-tests", ProtocolConfig(rounds=4000, rng_seed=42, transmission=1.0,
+                                 test_fraction=1.0, n_max=2),
+     identity_attack),
 ]
 
 
@@ -139,6 +153,75 @@ def test_worker_count_does_not_change_results(jobs):
     base = run(cfg, identity_attack(), jobs=1, keep_codes=True)
     split = run(cfg, identity_attack(), jobs=jobs, keep_codes=True)
     assert_identical(base, split)
+
+
+#: tables whose levels or coins the walks fold into constants: the two-way
+#: cases above, a BB84 source that never sends vacuum (a pulse-size branch
+#: of probability 0), a BB84 channel that loses every photon, and a B92
+#: channel that loses none
+FOLD_CASES = [
+    *(case for case in CA_CASES if case[0] in ("general-haar", "all-tests")),
+    ("bb84-no-vacuum", ProtocolConfig(variant="bb84", rng_seed=43,
+                                      source_stats=(0.0, 0.7, 0.3),
+                                      transmission=0.3), identity_attack),
+    ("bb84-pns-no-vacuum", ProtocolConfig(variant="bb84", rng_seed=44,
+                                          source_stats=(0.0, 0.7, 0.3),
+                                          transmission=0.3), pns_attack),
+    ("bb84-dark", ProtocolConfig(variant="bb84", rng_seed=45,
+                                 source_stats=(0.6, 0.3, 0.1),
+                                 transmission=0.0), identity_attack),
+    ("b92-lossless", ProtocolConfig(variant="b92", rng_seed=46,
+                                    transmission=1.0, b92_overlap=0.5),
+     identity_attack),
+]
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("name,cfg,mk", FOLD_CASES,
+                         ids=[c[0] for c in FOLD_CASES])
+def test_folds_match_reference_walk(name, cfg, mk, jobs):
+    cfg = dataclasses.replace(cfg, rounds=BLOCKED_ROUNDS)
+    assert_matches_reference(cfg, mk, jobs=jobs)
+
+
+@pytest.mark.parametrize("name,slots", [
+    # Alice's action and her SIFT branch: no loss, one emission, Eve's
+    # return and Bob's click are certain, and every SIFT round is a test
+    ("all-tests", [2, 3]),
+    # both losses draw; Bob's click on a photon that arrives is certain
+    ("lossy", [1, 2, 3, 6, 9]),
+    # three emissions, and cross-basis tests that reach Bob's random rows
+    ("strengthened", [0, 1, 2, 3, 6, 7, 8, 9]),
+])
+def test_two_way_walk_draws_only_what_it_needs(name, slots):
+    cfg, mk = next((cfg, mk) for case, cfg, mk in CA_CASES if case == name)
+    tab, _alice_11 = protocol.build_ca_tables(cfg, mk())
+    plan, _leaf = kernels._ca_chain(tab)
+    assert [slot for slot, _step in plan] == slots
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("variant", ["classical-alice-full", "bb84", "b92"])
+def test_zero_rounds_walk_nothing(variant, jobs):
+    cfg = ProtocolConfig(variant=variant, rounds=1, n_max=2)
+    if variant == "bb84":
+        tables, _meta = protocol.build_bb84_tables(cfg, identity_attack())
+        walk, size = kernels.simulate_bb84, kernels.BB84_SPACE.size
+    elif variant == "b92":
+        tables, _meta = protocol.build_b92_tables(cfg, identity_attack())
+        walk, size = kernels.simulate_b92, kernels.B92_SPACE.size
+    else:
+        tables, _meta = protocol.build_ca_tables(cfg, identity_attack())
+        walk = kernels.simulate_ca
+        size = kernels.ca_space(tables.emission_cum.size).size
+    for keep_codes in (False, True):
+        codes, counts = walk(tables, 7, 0, jobs=jobs, keep_codes=keep_codes)
+        assert counts.shape == (size,) and counts.dtype == np.int64
+        assert not counts.any()
+        if keep_codes:
+            assert codes.shape == (0,) and codes.dtype == np.int16
+        else:
+            assert codes is None
 
 
 def test_block_edges_match_reference_walk():
@@ -270,32 +353,64 @@ def test_uniforms_are_a_pure_function_of_seed():
                               full[lo:lo + 20]), lo
     assert not np.array_equal(full[:1000],
                               kernels.round_uniforms(124, 0, 1000))
-    # the walk's words are the same draws: word k is the double k * 2**-53
+    # the walk's raw words are the same draws: raw >> 11 is the word k of
+    # the double k * 2**-53
     for lo in starts:
-        words = kernels._draw(kernels._stream(123, lo), 20)
-        assert np.all(words < 2 ** kernels.WORD_BITS), lo
+        raw = kernels._draw(kernels._stream(123, lo), 20)
+        words = raw >> np.uint64(kernels.RAW_SHIFT)
         assert np.array_equal(words * 2.0 ** -kernels.WORD_BITS,
                               full[lo:lo + 20]), lo
 
 
 def test_word_thresholds_are_exact():
     """A word passes its threshold exactly when its double passes ``p``,
-    checked at the threshold and on either side of it."""
+    checked at the threshold and on either side of it; and a raw word
+    passes its raw threshold, in every stage and coin, exactly when its
+    word passes ``K``."""
     rng = np.random.default_rng(38)
+    word_one = 2 ** kernels.WORD_BITS
+    thresholds = {0, word_one}
     for p in [0.0, 2.0 ** -53, 2.0 ** -54, 5e-324, np.nextafter(0.5, 0.0),
               0.5, np.nextafter(0.5, 1.0), 1.0 - 2.0 ** -53, 1.0, np.inf,
               *rng.random(64)]:
         threshold = kernels.word_thresholds(p)[()]
         assert threshold.dtype == np.uint64
+        thresholds.add(int(threshold))
         k = np.array([w for w in (int(threshold) - 1, int(threshold),
                                   int(threshold) + 1)
-                      if 0 <= w < 2 ** kernels.WORD_BITS], dtype=np.uint64)
+                      if 0 <= w < word_one], dtype=np.uint64)
         u = k * 2.0 ** -kernels.WORD_BITS
         assert np.array_equal(k >= threshold, u >= p), p
         assert np.array_equal(k < threshold, u < p), p
-        # a stage of branches [0, p) and [p, 1) picks by the same comparison
-        stage = kernels.Stage.from_rows(np.array([0, 2]), np.array([p, 1.0]))
-        assert np.array_equal(stage.pick(k), u >= p), p
+
+    half = int(kernels.word_thresholds(0.5))
+    for K in sorted(thresholds):
+        edge = K << kernels.RAW_SHIFT
+        raw = np.array([w for w in (edge - 1, edge, edge + 2047, 0,
+                                    2 ** 64 - 1) if 0 <= w < 2 ** 64],
+                       dtype=np.uint64)
+        passes = (raw >> np.uint64(kernels.RAW_SHIFT)) >= np.uint64(K)
+        # K * 2**-53 is exact, and its word threshold is K
+        p = K * 2.0 ** -kernels.WORD_BITS
+        assert int(kernels.word_thresholds(p)) == K
+        # row 0 leads with a branch of probability 0, which the stage counts
+        # into the row's start; row 1 is [0, p), [p, 1)
+        stage = kernels.Stage.from_rows(np.array([0, 3, 5]),
+                                        np.array([0.0, p, 1.0, p, 1.0]))
+        assert np.array_equal(stage.pick(raw, np.zeros(raw.size, np.intp)),
+                              1 + passes), K
+        assert np.array_equal(stage.pick(raw, np.ones(raw.size, np.intp)),
+                              3 + passes), K
+        one_row = kernels.Stage.from_rows(np.array([0, 3]),
+                                          np.array([0.0, p, 1.0]))
+        assert np.array_equal(one_row.pick(raw), 1 + passes), K
+        # a walk counts the thresholds a word passes, or folds the stage
+        plan, leaf = kernels._chain([(0, one_row)], np.arange(3))
+        assert np.array_equal(kernels._walk_chain(plan, leaf, raw[:, None]),
+                              1 + passes), K
+        assert np.array_equal(kernels.Coin.of(p).hits(raw), ~passes), K
+        if K == half:
+            assert np.array_equal(raw >= kernels.TOP_BIT, passes)
 
 
 def test_nan_threshold_raises():
