@@ -10,11 +10,12 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from . import __version__, verify
 from .protocol import ConfigError, run as run_any
 from .report import (
+    Piece,
     evaluate_expectations,
     includes_round_log,
     render_csv,
@@ -28,9 +29,6 @@ OUT_DIR_ENV = "SQKDSIM_OUT"
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_CONFIG = 2
-
-#: characters per write of a report file
-WRITE_SLICE = 1 << 20
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,12 +68,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_report(path: Path, text: str) -> None:
-    """Write ``text`` as UTF-8 in slices of WRITE_SLICE characters, so no
-    encoded copy of the whole report is held besides the string."""
-    with open(path, "w", encoding="utf-8") as out:
-        for lo in range(0, len(text), WRITE_SLICE):
-            out.write(text[lo:lo + WRITE_SLICE])
+def _write_report(path: Path, pieces: Iterable[Piece]) -> None:
+    """Write a report's pieces in order, text as UTF-8, so only the piece
+    being written is held."""
+    with open(path, "wb") as out:
+        for piece in pieces:
+            out.write(piece.encode("utf-8") if isinstance(piece, str)
+                      else piece)
 
 
 def _cmd_run(args) -> int:
@@ -114,15 +113,15 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
-        for suffix, text in render_csv(report, scenario.name, comparison,
-                                       round_log=args.round_log).items():
-            _write_report(out_dir / f"{scenario.name}.{suffix}", text)
+        for suffix, pieces in render_csv(report, scenario.name, comparison,
+                                         round_log=args.round_log):
+            _write_report(out_dir / f"{scenario.name}.{suffix}", pieces)
     else:
-        machine = render_machine_report(report, scenario.name, comparison,
-                                        round_log=args.round_log)
-        _write_report(out_dir / f"{scenario.name}.report.txt", machine)
+        _write_report(out_dir / f"{scenario.name}.report.txt",
+                      render_machine_report(report, scenario.name, comparison,
+                                            round_log=args.round_log))
     summary = render_summary(report, scenario.name, comparison)
-    _write_report(out_dir / f"{scenario.name}.summary.txt", summary)
+    _write_report(out_dir / f"{scenario.name}.summary.txt", [summary])
     print(summary, end="")
 
     if comparison and not all(row.passed for row in comparison):

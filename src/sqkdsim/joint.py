@@ -175,7 +175,9 @@ class JointState:
     def photon_count_branches(self) -> List[Tuple[int, float, "JointState"]]:
         """Nondemolition total-photon count of the channel part."""
         totals = self.basis.totals
-        present = np.unique(totals[self.amps.any(axis=(0, 1))])
+        # a bincount, not np.unique, whose first call imports numpy.ma
+        counts = np.bincount(totals[self.amps.any(axis=(0, 1))])
+        present = np.flatnonzero(counts)
         return [(int(n), *self._branch(totals == n)) for n in present]
 
     # ---- Bob ----

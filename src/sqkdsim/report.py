@@ -4,21 +4,29 @@ Machine reports are plain structured text with a fixed float format and no
 timestamps, hostnames or worker counts, so identical (scenario, seed) runs
 produce byte-identical files regardless of worker count.
 
+A report file is rendered as an ordered sequence of pieces, which are
+written to the file as bytes one after another, so no report is ever held
+whole: the sections before the round log are one text piece, written as
+UTF-8, and the round log follows as one uint8 piece per step of rounds.
+
 The round log is the only part written per round: each record code's row
 is formatted once, as bytes, and a round's line is its index and its
-code's row.  Lines are rendered in numpy, a step of rounds at a time, and
-yielded as string pieces that the report joins.
+code's row.  Lines are rendered in numpy, a step of rounds at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .protocol import RunReport
+
+#: a piece of a report file: text, or the bytes of a uint8 array
+Piece = Union[str, np.ndarray]
 
 #: per-round records are embedded up to this many rounds unless forced
 ROUND_LOG_LIMIT = 20_000
@@ -45,8 +53,9 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _round_log(report: RunReport, sep: str) -> Iterator[str]:
-    """The round log's lines, joined in pieces of up to LOG_STEP rounds.
+def _round_log(report: RunReport, sep: str) -> Iterator[np.ndarray]:
+    """The round log's lines as uint8 pieces of up to LOG_STEP rounds, each
+    ending in its last line's newline.
 
     A piece is rendered as a byte matrix, one row per round: the index
     digits, then the row of the round's code in ``table``.  Zero bytes
@@ -56,12 +65,16 @@ def _round_log(report: RunReport, sep: str) -> Iterator[str]:
     """
     codes = report.round_codes()
     cols = [report.code_fields[f] for f in report.record_fields]
-    counts = np.bincount(codes, minlength=cols[0].size)
+    # marked a step at a time: indexing by all the int16 codes at once
+    # would cast them to one intp array of 8 bytes per round
+    present = np.zeros(cols[0].size, dtype=bool)
+    for lo in range(0, codes.size, LOG_STEP):
+        present[codes[lo:lo + LOG_STEP]] = True
     rows = {code: (sep + sep.join(str(int(col[code])) for col in cols)
                    + "\n").encode("ascii")
-            for code in np.flatnonzero(counts).tolist()}
+            for code in np.flatnonzero(present).tolist()}
     # row c: sep, code c's fields and a newline, padded with zero bytes
-    table = np.zeros((counts.size, max(map(len, rows.values()), default=0)),
+    table = np.zeros((present.size, max(map(len, rows.values()), default=0)),
                      dtype=np.uint8)
     for code, row in rows.items():
         table[code, :len(row)] = np.frombuffer(row, dtype=np.uint8)
@@ -79,8 +92,7 @@ def _round_log(report: RunReport, sep: str) -> Iterator[str]:
         for k in range(width - 1):
             text[:max(0, 10 ** (width - 1 - k) - lo), k] = 0
         text[:, width:] = table.take(codes[lo:hi], axis=0)
-        # the piece's last newline is the one its joiner puts back
-        yield str(text[text != 0][:-1].data, "ascii")
+        yield text[text != 0]
 
 
 @dataclass
@@ -130,7 +142,8 @@ def evaluate_expectations(report: RunReport,
 
 def render_machine_report(report: RunReport, scenario_name: str,
                           comparison: Sequence[ComparisonRow] = (),
-                          round_log: str = "auto") -> str:
+                          round_log: str = "auto") -> Iterator[Piece]:
+    """The text report's pieces in file order."""
     lines = ["# sqkdsim run report", "[run]",
              f"scenario = {scenario_name}",
              f"variant = {report.variant}",
@@ -152,19 +165,21 @@ def render_machine_report(report: RunReport, scenario_name: str,
                                    fmt(row.empirical),
                                    fmt(row.deviation_sigmas),
                                    "1" if row.passed else "0"]))
-    if includes_round_log(round_log, report.rounds):
+    logged = includes_round_log(round_log, report.rounds)
+    if logged:
         lines.append("")
         lines.append("[rounds]")
         lines.append("# index " + " ".join(report.record_fields))
-        lines.extend(_round_log(report, " "))
-    lines.append("")
-    return "\n".join(lines)
+    yield "\n".join(lines) + "\n"
+    if logged:
+        yield from _round_log(report, " ")
 
 
 def render_csv(report: RunReport, scenario_name: str,
                comparison: Sequence[ComparisonRow] = (),
-               round_log: str = "auto") -> Dict[str, str]:
-    """CSV-like row files keyed by suffix."""
+               round_log: str = "auto"
+               ) -> Iterator[Tuple[str, Iterable[Piece]]]:
+    """CSV-like row files: (suffix, the file's pieces in order) per file."""
     metrics = ["metric,value"]
     metrics.append(f"scenario,{scenario_name}")
     metrics.append(f"variant,{report.variant}")
@@ -174,19 +189,17 @@ def render_csv(report: RunReport, scenario_name: str,
         metrics.append(f"{key},{fmt(value)}")
     for key, value in report.categories.items():
         metrics.append(f"category.{key},{value}")
-    files = {"metrics.csv": "\n".join(metrics) + "\n"}
+    yield "metrics.csv", ["\n".join(metrics) + "\n"]
     if comparison:
         rows = ["metric,analytic,empirical,deviation_sigmas,pass"]
         for row in comparison:
             rows.append(",".join([row.metric, fmt(row.analytic),
                                   fmt(row.empirical), fmt(row.deviation_sigmas),
                                   "1" if row.passed else "0"]))
-        files["comparison.csv"] = "\n".join(rows) + "\n"
+        yield "comparison.csv", ["\n".join(rows) + "\n"]
     if includes_round_log(round_log, report.rounds):
-        rows = ["index," + ",".join(report.record_fields)]
-        rows.extend(_round_log(report, ","))
-        files["rounds.csv"] = "\n".join(rows) + "\n"
-    return files
+        header = "index," + ",".join(report.record_fields) + "\n"
+        yield "rounds.csv", itertools.chain([header], _round_log(report, ","))
 
 
 def render_summary(report: RunReport, scenario_name: str,

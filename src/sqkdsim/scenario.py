@@ -190,9 +190,13 @@ _SETTERS: Dict[str, Dict[str, Optional[Setter]]] = {
 
 def load_scenario(path: str) -> Scenario:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
-        raise ScenarioError(f"cannot read scenario file {path!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh, source=path)
+    except OSError:
+        raise ScenarioError(f"cannot read scenario file {path!r}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
     for section in parser.sections():
         if section not in (*_SETTERS, "attack", "expectations"):

@@ -1,9 +1,15 @@
-"""Every name a ``sqkdsim`` module imports is used in that module, and
-every name the benchmark's tracer wraps still exists.
+"""Every name a ``sqkdsim`` module imports is used in that module, every
+file a module opens as text names its encoding, and every name the
+benchmark's tracer wraps still exists.
 
 The first check is the one pyflakes calls F401, done with ``ast`` alone.  A
 name listed in ``__all__`` counts as used, and so does a name inside a
 string annotation.  An import line marked ``# noqa: F401`` is exempt.
+
+The second pins a class of bug that a test run under one locale cannot: a
+text-mode ``open``, ``read_text`` or ``write_text`` without ``encoding=``
+reads or writes in the locale's encoding, so a UTF-8 file that works here
+fails under an ASCII locale.
 """
 
 import ast
@@ -65,6 +71,51 @@ def test_no_unused_imports(path):
               for name, line in imported_names(tree)
               if name not in used and "# noqa: F401" not in lines[line - 1]]
     assert not unused, "imported but unused: " + ", ".join(unused)
+
+
+def text_io_without_encoding(tree):
+    """Line of every text-mode ``open``, ``read_text`` or ``write_text``
+    call without an ``encoding`` keyword.  A mode that is not a string
+    constant containing ``b`` counts as text."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or any(
+                k.arg == "encoding" for k in node.keywords):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("read_text",
+                                                             "write_text"):
+            yield node.lineno
+        elif (isinstance(func, ast.Name) and func.id == "open"
+              or isinstance(func, ast.Attribute) and func.attr == "open"):
+            # builtin open(file, mode); a path's or resource's open(mode)
+            where = 1 if isinstance(func, ast.Name) else 0
+            mode = [k.value for k in node.keywords if k.arg == "mode"]
+            mode += node.args[where:where + 1]
+            if not (mode and isinstance(mode[0], ast.Constant)
+                    and "b" in str(mode[0].value)):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_text_io_names_its_encoding(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [f"{path.name}:{line}" for line in text_io_without_encoding(tree)]
+    assert not lines, "text I/O in the locale's encoding: " + ", ".join(lines)
+
+
+def test_text_io_check_flags_what_it_should():
+    flagged = ["open(p)", "open(p, 'r')", "open(p, mode='w')", "open(p, m)",
+               "p.open()", "p.open('w')", "p.read_text()",
+               "p.write_text(t)"]
+    passed = ["open(p, 'rb')", "open(p, mode='wb')",
+              "open(p, encoding='utf-8')", "p.open('rb')",
+              "p.read_text(encoding='utf-8')", "p.read_bytes()",
+              "parser.read_file(fh)"]
+    for sources, expected in ((flagged, 1), (passed, 0)):
+        for source in sources:
+            found = list(text_io_without_encoding(ast.parse(source)))
+            assert len(found) == expected, source
 
 
 def test_benchmark_span_targets_resolve():

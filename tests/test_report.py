@@ -30,7 +30,11 @@ def _scenario_report(name: str) -> RunReport:
 
 
 def _log(report: RunReport, sep: str) -> str:
-    return "\n".join(_round_log(report, sep))
+    """The round log's pieces joined, without its last newline."""
+    pieces = list(_round_log(report, sep))
+    # every piece ends on a line's newline, so the pieces need no joiner
+    assert all(piece[-1] == ord("\n") for piece in pieces)
+    return b"".join(pieces).decode("ascii")[:-1]
 
 
 @pytest.mark.parametrize("sep", [" ", ","])

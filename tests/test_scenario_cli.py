@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import sqkdsim
 from sqkdsim import cli
 from sqkdsim.report import ROUND_LOG_LIMIT, Expectation, evaluate_expectations
 from sqkdsim.scenario import (
@@ -22,6 +27,24 @@ def write(tmp_path, text, name="case.scn"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def run_fresh(args, env=(), code=None):
+    """``python -c code args`` (``-m sqkdsim.cli args`` without ``code``)
+    in a fresh process with extra environment ``env``; stdout and stderr
+    are captured as bytes."""
+    src = str(Path(sqkdsim.__file__).resolve().parents[1])
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    head = ["-c", code] if code else ["-m", "sqkdsim.cli"]
+    return subprocess.run(
+        [sys.executable, *head, *args],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path), **dict(env)),
+        capture_output=True, timeout=300)
+
+
+#: a locale whose encoding is ASCII, with Python's UTF-8 mode off
+C_LOCALE = {"PYTHONUTF8": "0", "LC_ALL": "C"}
+UTF8_MODE = {"PYTHONUTF8": "1"}
 
 
 class TestScenarioParsing:
@@ -76,6 +99,38 @@ class TestScenarioParsing:
     def test_missing_file(self):
         with pytest.raises(ScenarioError):
             load_scenario("/nonexistent/nowhere.scn")
+
+
+class TestScenarioEncoding:
+    """Scenario files are UTF-8 whatever the locale says."""
+
+    def test_utf8_scenario_in_the_c_locale(self, tmp_path):
+        # the locale must not read UTF-8, or this test shows nothing
+        proc = run_fresh([], C_LOCALE, "import locale; print(locale."
+                         "getpreferredencoding(False), end='')")
+        assert proc.stdout.decode().replace("-", "").lower() != "utf8"
+        path = write(tmp_path, "\n".join([
+            "# Überprüfung — a comment that is not ASCII",
+            "[protocol]", "rounds = 300", "n_max = 2", ""]))
+        reports = []
+        for sub, env in (("c", C_LOCALE), ("utf8", UTF8_MODE)):
+            out = tmp_path / sub
+            proc = run_fresh(["run", path, "--out-dir", str(out)], env)
+            assert proc.returncode == 0, proc.stderr.decode()
+            reports.append((out / "case.report.txt").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("env", [C_LOCALE, UTF8_MODE],
+                             ids=["c-locale", "utf8-mode"])
+    def test_undecodable_scenario_exits_two(self, tmp_path, env):
+        path = tmp_path / "case.scn"
+        path.write_bytes(b"[protocol]\n# \xff\xfe\nrounds = 300\n")
+        out = tmp_path / "out"
+        proc = run_fresh(["run", str(path), "--out-dir", str(out)], env)
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith(f"error: {path}: ")
+        assert b"Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 class TestAttackRegistry:
@@ -194,6 +249,51 @@ class TestCli:
             assert ("[rounds]" in text) == logged
             if logged:
                 assert text.splitlines()[-1].startswith(f"{rounds - 1} ")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_non_ascii_name_is_written_as_utf8(self, tmp_path, capsys, fmt):
+        """Every file of a run named ``α-test`` is byte for byte that of a
+        run named ``ascii-test`` with the name's UTF-8 bytes put in."""
+        files = {}
+        for name in ("α-test", "ascii-test"):
+            path = write(tmp_path, "\n".join([
+                "[scenario]", f"name = {name}",
+                "[protocol]", "rounds = 300", "n_max = 2",
+                "[expectations]", "losses = 0 abs 0", ""]))
+            out = tmp_path / name
+            assert cli.main(["run", path, "--format", fmt, "--round-log",
+                             "always", "--out-dir", str(out)]) == 0
+            files[name] = {p.name.replace(name, "NAME"): p.read_bytes()
+                           for p in out.iterdir()}
+        assert "α-test" in capsys.readouterr().out
+        named = {"text": ["NAME.report.txt"], "csv": ["NAME.metrics.csv"]}
+        for suffix in named[fmt] + ["NAME.summary.txt"]:
+            assert "α-test".encode("utf-8") in files["α-test"][suffix]
+        assert files["α-test"] == {
+            suffix: blob.replace(b"ascii-test", "α-test".encode("utf-8"))
+            for suffix, blob in files["ascii-test"].items()}
+        if fmt == "csv":
+            assert set(files["α-test"]) == {
+                "NAME.metrics.csv", "NAME.comparison.csv", "NAME.rounds.csv",
+                "NAME.summary.txt"}
+
+    def test_runs_leave_numpy_ma_unimported(self, tmp_path):
+        """``numpy.ma`` costs 15-19 ms to import (``np.unique`` does)."""
+        code = "\n".join([
+            "import sys",
+            "from sqkdsim import cli",
+            "for path in sys.argv[2:]:",
+            "    cli.main(['run', path, '--rounds', '1',",
+            "              '--out-dir', sys.argv[1]])",
+            "print(sorted(m for m in sys.modules",
+            "             if m.split('.')[:2] == ['numpy', 'ma']),",
+            "      file=sys.stderr, end='')"])
+        paths = sorted(str(p) for p in SCENARIOS.iterdir()
+                       if p.name.endswith(".scn"))
+        proc = run_fresh([str(tmp_path)] + paths, code=code)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stderr == b"[]"
+        assert len(list(tmp_path.glob("*.report.txt"))) == len(paths) == 11
 
     def test_failed_expectation_exits_one(self, tmp_path):
         path = write(tmp_path, "\n".join([
