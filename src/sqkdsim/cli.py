@@ -87,6 +87,14 @@ def _cmd_run(args) -> int:
     except (ScenarioError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        # the report files are named after the scenario
+        os.fsencode(scenario.name)
+    except UnicodeEncodeError:
+        print(f"error: scenario name {scenario.name!r} cannot name a file "
+              f"in the file-system encoding {sys.getfilesystemencoding()!r}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     if args.seed is not None:
         scenario.config.rng_seed = args.seed
     if args.rounds is not None:

@@ -22,20 +22,19 @@ every round's code only when the caller keeps them for a round log; the
 protocol layer computes every metric from the histogram, since each metric
 is a function of the record tuple alone.
 
-A two-way round ends at Bob's branch, and since each level's branches are
-the next level's rows, that branch index names the round's whole path:
-its code is one gather from a leaf table indexed by Bob's branch and the
-test-round coin.  The walk is a chain of stages, coins included (a coin
-is a stage whose every row splits in two).  At set-up, a stage whose rows
-all have one branch, a constant coin among them, is folded into the rows
-of the next stage or into the leaf table, so a block draws only where a
-stage needs a draw.  A stage whose thresholds take a few distinct values
-counts the values a word exceeds, with no gather; the counts of such
-stages form one mixed-radix byte per round, by which the next stage's
-rows and the leaf table are laid out.  A BB84 round's code is one gather
-from ``BB84_BASE`` by a ``uint8`` key of its pulse size, bit, basis and
-Bob's basis; only the rounds that reach Bob add their pattern and Eve's
-terms.
+Each protocol's round walks one chain of stages, coins included (a coin
+is a stage whose every row splits in two, branch 0 on a hit).  Each
+level's branches are the next level's rows, so the last branch names the
+round's whole path, and its code is one gather from a leaf table.  A
+one-way level is laid out path by path, each path taking a row of its
+protocol's tables, a coin or one certain branch.  At set-up, a stage whose
+rows all have one branch, a constant coin among them, is folded into the
+rows of the next stage or into the leaf table, so a block draws only
+where a stage needs a draw.  A stage whose thresholds take a few distinct
+values counts the values a word exceeds, with no gather; the counts of
+such stages form one mixed-radix byte per round, by which the next
+stage's rows and the leaf table are laid out.  BB84 pulses past the
+splitter's quota take a fixed blocked code.
 
 Rounds are walked in fixed blocks of ``BLOCK`` rounds: each block draws its
 words, walks them, packs its codes and adds their histogram, so memory
@@ -58,10 +57,10 @@ threshold ``K = ceil(p * 2**53)`` (``word_thresholds``), so
 ``T = K * 2**11 - 1``, so ``raw > T`` exactly when ``raw >> 11 >= K``.  A
 threshold with ``K = 0`` is passed by every word and is counted into its
 row's start instead; ``K = 2**53`` gives ``T = 2**64 - 1``, which no word
-exceeds, and pads the threshold columns.  A coin ``u < p`` is
-``raw <= T``, a constant when ``K`` is 0 or ``2**53``; a fair coin reads
-the top bit.  The walk takes the same branches as one over the uniforms,
-without shifting or converting any draw.
+exceeds, and pads the threshold columns.  A coin ``u < p`` is the row
+``[p, 1]``, a constant when ``K`` is 0 or ``2**53``; a fair coin's ``T``
+is ``2**63 - 1``, a test of the top bit.  The walk takes the same branches
+as one over the uniforms, without shifting or converting any draw.
 
 Slots, the stage that reads each draw of a round (``-``: unused):
 
@@ -108,9 +107,6 @@ RAW_SHIFT = 64 - WORD_BITS
 #: of threshold columns
 RAW_MAX = np.uint64(2 ** 64 - 1)
 
-#: a raw word at or above it has its top bit set: a fair coin, u >= 1/2
-TOP_BIT = np.uint64(1 << 63)
-
 #: pattern codes mirrored across the two modes, code = 3*first + second
 MIRROR_CODE = np.array([3 * (c % 3) + c // 3 for c in range(9)], dtype=np.int8)
 
@@ -153,27 +149,6 @@ def raw_thresholds(K: np.ndarray) -> np.ndarray:
     # uint64 arrays wrap: 2**53 << 11 is 0, and 0 - 1 is RAW_MAX
     K = np.asarray(K, dtype=np.uint64)
     return (K << np.uint64(RAW_SHIFT)) - np.uint64(1)
-
-
-@dataclass(frozen=True)
-class Coin:
-    """A draw that hits with probability ``p``: ``u < p``, read as
-    ``raw <= threshold``, or the same outcome for every draw when ``p`` is
-    0 or 1 (its word threshold is 0 or ``2**53``)."""
-    threshold: np.uint64
-    constant: Optional[bool]
-
-    @classmethod
-    def of(cls, p: float) -> "Coin":
-        K = int(word_thresholds(p))
-        if 0 < K < WORD_ONE:
-            return cls(raw_thresholds(K), None)
-        return cls(RAW_MAX, K == WORD_ONE)
-
-    def hits(self, raw: np.ndarray) -> np.ndarray:
-        if self.constant is not None:
-            return np.full(raw.shape, self.constant)
-        return raw <= self.threshold
 
 
 @dataclass(frozen=True)
@@ -527,6 +502,32 @@ def simulate_ca(tab: CaTables, seed: int, rounds: int, jobs: int = 1,
 
 
 # ---------------------------------------------------------------------------
+# one-way rounds
+
+
+def _coin(p: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Offsets and cumulative values of a coin ``u < p`` (row 0: hit on
+    branch 0, miss on 1) and of one certain branch (row 1: branch 2)."""
+    return np.array([0, 2, 3]), np.array([p, 1.0, 1.0])
+
+
+def _split(f: Dict[str, np.ndarray], off: np.ndarray, cum: np.ndarray, rows,
+           **payload) -> Stage:
+    """The level that gives each path its row ``rows`` of ``(off, cum)``,
+    copied as it is.  ``f``, each field's value per path, moves to the
+    level's branches and gains ``payload``, fields by table branch."""
+    rows = np.broadcast_to(np.asarray(rows, dtype=np.intp),
+                           max((v.size for v in f.values()), default=1))
+    widths = np.diff(off)[rows]
+    parent = np.repeat(np.arange(rows.size), widths)
+    first = np.cumsum(widths) - widths
+    taken = (off[rows] - first)[parent] + np.arange(parent.size)
+    f.update({name: values[parent] for name, values in f.items()})
+    f.update({name: np.asarray(v)[taken] for name, v in payload.items()})
+    return Stage.from_rows(np.append(first, parent.size), cum[taken])
+
+
+# ---------------------------------------------------------------------------
 # one-way BB84 rounds
 
 
@@ -543,84 +544,65 @@ class Bb84Tables:
     meas_pat: np.ndarray         # pattern codes, bit-0 convention
 
 
-def _bb84_base() -> np.ndarray:
-    """Code of each round key ((pulse_size*2 + bit)*2 + basis)*2 +
-    bob_basis, for a round with nothing forwarded, no click and no bit for
-    Eve."""
-    size, bit, basis, bob_basis = np.indices((3, 2, 2, 2)).reshape(4, -1)
-    return BB84_SPACE.pack(bit, basis, size, 0, bob_basis, 0, -1)
-
-
-BB84_BASE = _bb84_base()
-
-
-def _bb84_block(tab: Bb84Tables, size: Stage, loss: Stage, meas: Stage,
-                base: np.ndarray, raw: np.ndarray, taken: int
-                ) -> Tuple[np.ndarray, int]:
-    """Codes of one block, and the two-photon pulses taken so far: the
-    splitter forwards the first ``quota`` two-photon pulses of the run.
-
-    A round's key is ((pulse_size - first)*2 + bit)*2 + basis)*2 +
-    bob_basis, where ``first`` is the first pulse size the source can
-    emit; its code is its key's entry of ``base``, ``BB84_BASE`` from
-    ``first``'s entries on.  Only the rounds with a photon left for Bob add
-    their pattern and, under the attack, the forwarded flag and Eve's bit.
-    """
-    key = np.zeros(raw.shape[0], dtype=np.uint8)
-    for threshold in size.thresholds[:, 0]:
-        key += raw[:, 2] > threshold
-    for slot in (0, 1, 4):
-        key <<= 1
-        key |= raw[:, slot] >= TOP_BIT
-    code = base.take(key)
+def _bb84_chain(tab: Bb84Tables):
+    """The BB84 walk as ``_chain`` steps, with its leaf table: the pulse
+    size, the fair coins, the photons that reach Bob and his pattern (no
+    click when none does).  The splitter draws no loss: the leaf forwards
+    one photon of every two-photon pulse and gives Eve the bit."""
+    f: Dict[str, np.ndarray] = {}
+    steps = [(2, _split(f, np.array([0, 3]), tab.size_cum, 0,
+                        size=np.arange(3)))]
+    for slot, field in ((0, "bit"), (1, "basis"), (4, "bob_basis")):
+        steps.append((slot, _split(f, *_coin(0.5), 0, **{field: [0, 1, 0]})))
     if tab.attack == 1:
-        # the splitter forwards one photon of each pulse it takes and keeps
-        # the bit of the other
-        hit = np.empty(0, dtype=np.intp)
-        if taken < tab.quota:
-            two = key >= 8 * (2 - size.start[0])
-            order = taken + np.cumsum(two)
-            hit = np.flatnonzero(two & (order <= tab.quota))
-            taken = int(order[-1])
-        m, fwd = 1, 1
+        f["m"] = f["forwarded"] = (f["size"] == 2).astype(np.int8)
     else:
-        m = tab.loss_m.take(loss.pick(raw[:, 3], (key >> 3).astype(np.intp)))
-        hit = np.flatnonzero(m)
-        m, fwd = m[hit], 0
-    if hit.size:
-        k = key[hit]
-        bit = (k >> 2) & 1
-        row = (m - 1) * 2 + (((k >> 1) ^ k ^ 1) & 1)
-        pat = tab.meas_pat[meas.pick(raw[hit, 5], row)]
-        pattern = np.where(bit, MIRROR_CODE[pat], pat)
-        evebit = bit if tab.attack == 1 else -1
-        code[hit] += BB84_SPACE.pack(0, 0, 0, fwd, 0, pattern, evebit)
-    return code, taken
+        steps.append((3, _split(f, tab.loss_off, tab.loss_cum, f["size"],
+                                m=tab.loss_m)))
+        f["forwarded"] = np.zeros_like(f["m"])
+    rows = (f["m"] - 1) * 2 + (f["bob_basis"] == f["basis"])
+    steps.append((5, _split(
+        f, np.append(tab.meas_off, tab.meas_off[-1] + 1),
+        np.append(tab.meas_cum, 1.0),
+        np.where(f["m"] > 0, rows, tab.meas_off.size - 1),
+        pattern=np.append(tab.meas_pat, 0))))
+    leaf = BB84_SPACE.pack(
+        f["bit"], f["basis"], f["size"], f["forwarded"], f["bob_basis"],
+        np.where(f["bit"] == 1, MIRROR_CODE[f["pattern"]], f["pattern"]),
+        np.where(f["forwarded"] == 1, f["bit"], -1))
+    return _chain(steps, leaf)
 
 
 def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
                   keep_codes: bool = False
                   ) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """Record codes (``BB84_SPACE``) of ``rounds`` BB84 rounds, or None
-    unless ``keep_codes``, and their histogram.  The splitting quota is a
-    running count over the rounds, so under the attack the rounds are
-    walked in one chunk, in order."""
-    size = Stage.from_rows(np.array([0, tab.size_cum.size]), tab.size_cum)
-    first = int(size.start[0])
-    # loss rows by pulse size from the first on, as the key counts them
-    loss = Stage.from_rows(tab.loss_off, tab.loss_cum).columns(
-        np.arange(first, tab.size_cum.size))
-    meas = Stage.from_rows(tab.meas_off, tab.meas_cum)
-    base = BB84_BASE[8 * first:]
-    taken = 0
+    unless ``keep_codes``, and their histogram.  The splitter forwards the
+    first ``quota`` two-photon pulses of the run, so under the attack the
+    rounds are walked in one chunk, in order, and later ones are blocked:
+    nothing forwarded, no click and no bit for Eve."""
+    plan, leaf = _bb84_chain(tab)
+    if tab.attack != 1:
+        return _walk(lambda raw: _walk_chain(plan, leaf, raw), seed, rounds,
+                     jobs, BB84_SPACE.size, keep_codes)
+    rec = BB84_SPACE.decode()
+    blocked = BB84_SPACE.pack(rec["bit"], rec["basis"], rec["pulse_size"], 0,
+                              rec["bob_basis"], 0, -1)
+    late, taken = blocked[leaf], 0
 
     def block(raw: np.ndarray) -> np.ndarray:
         nonlocal taken
-        code, taken = _bb84_block(tab, size, loss, meas, base, raw, taken)
+        if taken >= tab.quota:
+            return _walk_chain(plan, late, raw)
+        code = _walk_chain(plan, leaf, raw)
+        two = rec["forwarded"].take(code) == 1
+        order = taken + np.cumsum(two)
+        past = two & (order > tab.quota)
+        code[past] = blocked.take(code[past])
+        taken = int(order[-1])
         return code
 
-    return _walk(block, seed, rounds, 1 if tab.attack == 1 else jobs,
-                 BB84_SPACE.size, keep_codes)
+    return _walk(block, seed, rounds, 1, BB84_SPACE.size, keep_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -634,28 +616,31 @@ class B92Tables:
     attack: int                  # 1 when the conclusive intercept is active
 
 
-def _b92_block(tab: B92Tables, conclusive_coin: Coin,
-               transmission_coin: Coin, raw: np.ndarray) -> np.ndarray:
-    """Codes of one block, given the coins of the table's ``conclusive_p``
-    and ``transmission``."""
-    bit = raw[:, 0] >= TOP_BIT
+def _b92_chain(tab: B92Tables):
+    """The B92 walk as ``_chain`` steps, with its leaf table: Alice's bit;
+    under the intercept Eve's basis and, off the bit's, her conclusive
+    result, which alone lets the pulse on, or else the transmission; then,
+    for a pulse that arrives, Bob's basis and, off the bit's, his result."""
+    f: Dict[str, np.ndarray] = {}
+    conclusive = _coin(tab.conclusive_p)
+    steps = [(0, _split(f, *_coin(0.5), 0, bit=[0, 1, 0]))]
     if tab.attack == 1:
-        ebasis = raw[:, 1] >= TOP_BIT
-        arrived = (ebasis != bit) & conclusive_coin.hits(raw[:, 2])
-        evebit = np.where(arrived, bit.view(np.int8), np.int8(-1))
+        steps.append((1, _split(f, *_coin(0.5), 0, ebasis=[0, 1, 0])))
+        steps.append((2, _split(f, *conclusive, f["ebasis"] == f["bit"],
+                                arrived=[1, 0, 0])))
     else:
-        arrived = transmission_coin.hits(raw[:, 3])
-        evebit = -1
-    bob_basis = np.full(arrived.shape, -1, dtype=np.int8)
-    conclusive = np.zeros(arrived.shape, dtype=bool)
-    bob_bit = np.full(arrived.shape, -1, dtype=np.int8)
-    if arrived.any():
-        bb = raw[arrived, 4] >= TOP_BIT
-        con = (bb != bit[arrived]) & conclusive_coin.hits(raw[arrived, 5])
-        bob_basis[arrived] = bb
-        conclusive[arrived] = con
-        bob_bit[arrived] = np.where(con, (~bb).view(np.int8), np.int8(-1))
-    return B92_SPACE.pack(bit, arrived, bob_basis, conclusive, bob_bit, evebit)
+        steps.append((3, _split(f, *_coin(tab.transmission), 0,
+                                arrived=[1, 0, 0])))
+    steps.append((4, _split(f, *_coin(0.5), f["arrived"] == 0,
+                            bob_basis=[0, 1, -1])))
+    steps.append((5, _split(f, *conclusive, (f["arrived"] == 0)
+                            | (f["bob_basis"] == f["bit"]),
+                            conclusive=[1, 0, 0])))
+    leaf = B92_SPACE.pack(
+        f["bit"], f["arrived"], f["bob_basis"], f["conclusive"],
+        np.where(f["conclusive"] == 1, 1 - f["bob_basis"], -1),
+        np.where(f["arrived"] * tab.attack == 1, f["bit"], -1))
+    return _chain(steps, leaf)
 
 
 def simulate_b92(tab: B92Tables, seed: int, rounds: int, jobs: int = 1,
@@ -663,6 +648,6 @@ def simulate_b92(tab: B92Tables, seed: int, rounds: int, jobs: int = 1,
                  ) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """Record codes (``B92_SPACE``) of ``rounds`` B92 rounds, or None
     unless ``keep_codes``, and their histogram."""
-    coins = Coin.of(tab.conclusive_p), Coin.of(tab.transmission)
-    return _walk(lambda raw: _b92_block(tab, *coins, raw), seed, rounds,
+    plan, leaf = _b92_chain(tab)
+    return _walk(lambda raw: _walk_chain(plan, leaf, raw), seed, rounds,
                  jobs, B92_SPACE.size, keep_codes)

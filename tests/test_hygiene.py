@@ -1,12 +1,17 @@
 """Every name a ``sqkdsim`` module imports is used in that module, every
-file a module opens as text names its encoding, and every name the
-benchmark's tracer wraps still exists.
+name it defines is used somewhere, every file a module opens as text names
+its encoding, and every name the benchmark's tracer wraps still exists.
 
 The first check is the one pyflakes calls F401, done with ``ast`` alone.  A
 name listed in ``__all__`` counts as used, and so does a name inside a
 string annotation.  An import line marked ``# noqa: F401`` is exempt.
 
-The second pins a class of bug that a test run under one locale cannot: a
+The second is its twin across modules: a function, class or name that a
+module defines at top level must be read, as a name or an attribute, in
+``src/`` or ``tests/``.  Its definition, an import and an ``__all__`` entry
+do not count, so a name that is only re-exported is dead code.
+
+The third pins a class of bug that a test run under one locale cannot: a
 text-mode ``open``, ``read_text`` or ``write_text`` without ``encoding=``
 reads or writes in the locale's encoding, so a UTF-8 file that works here
 fails under an ASCII locale.
@@ -71,6 +76,64 @@ def test_no_unused_imports(path):
               for name, line in imported_names(tree)
               if name not in used and "# noqa: F401" not in lines[line - 1]]
     assert not unused, "imported but unused: " + ", ".join(unused)
+
+
+def top_level_names(tree):
+    """``(name, line)`` of every function, class and name a module defines
+    at top level, dunder names aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and not (
+                            sub.id.startswith("__") and sub.id.endswith("__")):
+                        yield sub.id, node.lineno
+
+
+def read_names(trees):
+    """Every name read as an ``ast.Name`` or an attribute in ``trees``."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def unused_top_level(modules, trees):
+    """``module:line: name`` of each top-level name of the ``(module,
+    tree)`` pairs that no tree of ``trees`` reads."""
+    read = read_names(trees)
+    return [f"{module}:{line}: {name}" for module, tree in modules
+            for name, line in top_level_names(tree) if name not in read]
+
+
+def test_every_top_level_name_is_used():
+    parse = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             + sorted((ROOT / "tests").rglob("*.py"))}
+    modules = [(path.name, tree) for path, tree in parse.items()
+               if path.parent == SRC]
+    unused = unused_top_level(modules, parse.values())
+    assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def test_unused_top_level_check_flags_what_it_should():
+    module = ast.parse("\n".join([
+        "from .kernels import walk", "__all__ = ['walk', 'planted']",
+        "def planted(): return helper()", "def helper(): pass",
+        "class Stage: pass", "LIMIT: int = 3", "A, B = 1, 2"]))
+    user = ast.parse("import m\nm.Stage()\nprint(LIMIT, A)\nB = 4")
+    assert unused_top_level([("m.py", module)], [module, user]) == [
+        "m.py:3: planted", "m.py:7: B"]
 
 
 def text_io_without_encoding(tree):

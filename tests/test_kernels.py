@@ -184,6 +184,18 @@ def test_folds_match_reference_walk(name, cfg, mk, jobs):
     assert_matches_reference(cfg, mk, jobs=jobs)
 
 
+def walk_chain(cfg, attack):
+    """The ``_chain`` plan and leaf table of a run's walk."""
+    if cfg.variant == "bb84":
+        tab, _meta = protocol.build_bb84_tables(cfg, attack)
+        return kernels._bb84_chain(tab)
+    if cfg.variant == "b92":
+        tab, _meta = protocol.build_b92_tables(cfg, attack)
+        return kernels._b92_chain(tab)
+    tab, _alice_11 = protocol.build_ca_tables(cfg, attack)
+    return kernels._ca_chain(tab)
+
+
 @pytest.mark.parametrize("name,slots", [
     # Alice's action and her SIFT branch: no loss, one emission, Eve's
     # return and Bob's click are certain, and every SIFT round is a test
@@ -192,11 +204,23 @@ def test_folds_match_reference_walk(name, cfg, mk, jobs):
     ("lossy", [1, 2, 3, 6, 9]),
     # three emissions, and cross-basis tests that reach Bob's random rows
     ("strengthened", [0, 1, 2, 3, 6, 7, 8, 9]),
+    # the bundled one-way scenarios: the pulse size, then the fair coins;
+    # the splitter draws no loss
+    ("bb84-pns", [2, 0, 1, 4, 5]),
+    ("bb84-baseline", [2, 0, 1, 4, 3, 5]),
+    ("b92-usd-c05", [0, 1, 2, 4, 5]),
+    # orthogonal states: both conclusive results are certain
+    ("b92-usd-c00", [0, 1, 4]),
+    # nothing lost: the transmission coin folds
+    ("b92-lossless", [0, 4, 5]),
 ])
 def test_two_way_walk_draws_only_what_it_needs(name, slots):
-    cfg, mk = next((cfg, mk) for case, cfg, mk in CA_CASES if case == name)
-    tab, _alice_11 = protocol.build_ca_tables(cfg, mk())
-    plan, _leaf = kernels._ca_chain(tab)
+    cfg, mk = next(((cfg, mk) for case, cfg, mk in CA_CASES + FOLD_CASES
+                    if case == name), (None, None))
+    if cfg is None:
+        scenario = load_scenario(str(SCENARIOS / f"{name}.scn"))
+        cfg, mk = scenario.config, scenario.build_attack
+    plan, _leaf = walk_chain(cfg, mk())
     assert [slot for slot, _step in plan] == slots
 
 
@@ -305,21 +329,40 @@ def test_tiny_runs_match_reference_walk(rounds):
 PNS_CFG = ProtocolConfig(variant="bb84", rounds=BLOCKED_ROUNDS, rng_seed=33,
                          source_stats=(0.6, 0.3, 0.1), transmission=0.2)
 
+#: PNS_CFG's quota, a quota of 0 (nothing is expected through a dark
+#: channel), which blocks every two-photon pulse from round 0, and a quota
+#: above the run's two-photon count (most pulses are expected through),
+#: which is never met
+PNS_CASES = {
+    "third-block": PNS_CFG,
+    "zero": dataclasses.replace(PNS_CFG, rng_seed=47, transmission=0.0),
+    "unmet": dataclasses.replace(PNS_CFG, rng_seed=48, transmission=0.9),
+}
+
 
 @pytest.fixture(scope="module")
-def pns_reference():
-    return reference(PNS_CFG, pns_attack())
+def pns_references():
+    return {name: reference(cfg, pns_attack())
+            for name, cfg in PNS_CASES.items()}
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
-def test_bb84_quota_carries_across_blocks(jobs, pns_reference):
-    report = assert_matches_reference(PNS_CFG, pns_attack, jobs=jobs,
-                                      expected=pns_reference)
-    two = np.cumsum(report.records["pulse_size"] == 2)
-    quota = report.metrics["pns_quota"]
-    assert two[kernels.BLOCK - 1] < quota <= two[-1]
-    assert report.metrics["pns_forwarded"] == quota
-    assert report.metrics["pns_quota_met"] == 1.0
+def test_bb84_quota_carries_across_blocks(jobs, pns_references):
+    for name, cfg in PNS_CASES.items():
+        report = assert_matches_reference(cfg, pns_attack, jobs=jobs,
+                                          expected=pns_references[name])
+        two = np.cumsum(report.records["pulse_size"] == 2)
+        quota = report.metrics["pns_quota"]
+        forwarded = report.metrics["pns_forwarded"]
+        if name == "third-block":
+            assert two[kernels.BLOCK - 1] < quota <= two[-1]
+            assert forwarded == quota
+        elif name == "zero":
+            assert quota == 0 < two[-1] and forwarded == 0
+        else:
+            assert quota > two[-1] > 0 and forwarded == two[-1]
+        assert report.metrics["pns_quota_met"] == (
+            1.0 if two[-1] >= quota else 0.0), name
 
 
 @pytest.mark.parametrize("cfg", [
@@ -408,9 +451,16 @@ def test_word_thresholds_are_exact():
         plan, leaf = kernels._chain([(0, one_row)], np.arange(3))
         assert np.array_equal(kernels._walk_chain(plan, leaf, raw[:, None]),
                               1 + passes), K
-        assert np.array_equal(kernels.Coin.of(p).hits(raw), ~passes), K
+        # a coin u < p hits on branch 0, and folds into a constant when K
+        # is 0 or 2**53
+        coin = kernels.Stage.from_rows(*kernels._coin(p))
+        plan, leaf = kernels._chain([(0, coin)], np.arange(3))
+        branch = kernels._walk_chain(plan, leaf, raw[:, None])
+        assert np.array_equal(branch == 0, ~passes), K
+        assert (len(plan) == 0) == (K in (0, word_one)), K
         if K == half:
-            assert np.array_equal(raw >= kernels.TOP_BIT, passes)
+            # the fair coin misses exactly on the words with the top bit set
+            assert np.array_equal(branch == 1, raw >= np.uint64(2 ** 63))
 
 
 def test_nan_threshold_raises():

@@ -132,6 +132,19 @@ class TestScenarioEncoding:
         assert b"Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_unencodable_name_exits_two(self, tmp_path):
+        """A name that the file-system encoding cannot hold is refused
+        before the run, not when its report files are opened."""
+        path = write(tmp_path, "\n".join([
+            "[scenario]", "name = α-test",
+            "[protocol]", "rounds = 300", "n_max = 2", ""]))
+        out = tmp_path / "out"
+        proc = run_fresh(["run", path, "--out-dir", str(out)], C_LOCALE)
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith("error: scenario name ")
+        assert b"Traceback" not in proc.stderr
+        assert not out.exists()
+
 
 class TestAttackRegistry:
     def test_list(self):
