@@ -340,10 +340,11 @@ def pns_feasibility(p0: float, p1: float, p2: float, transmission: float,
     Splitting alone can cover that exactly when ``p2*(1-F)^2 >= p1*F``, i.e.
     the two-photon pulse count itself reaches X.
     """
+    # written so that a NaN fails them
     for name, p in (("p0", p0), ("p1", p1), ("p2", p2)):
-        if p < -1e-12:
+        if not p >= -1e-12:
             raise ValueError(f"{name} must be non-negative")
-    if abs(p0 + p1 + p2 - 1.0) > 1e-12:
+    if not abs(p0 + p1 + p2 - 1.0) <= 1e-12:
         raise ValueError("pulse-size probabilities must sum to 1")
     if not 0.0 <= transmission <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")

@@ -23,14 +23,15 @@ protocol layer computes every metric from the histogram, since each metric
 is a function of the record tuple alone.
 
 Each protocol's round walks one chain of stages, coins included (a coin
-is a stage whose every row splits in two, branch 0 on a hit).  Each
-level's branches are the next level's rows, so the last branch names the
-round's whole path, and its code is one gather from a leaf table.  A
-one-way level is laid out path by path, each path taking a row of its
-protocol's tables, a coin or one certain branch.  At set-up, a stage whose
-rows all have one branch, a constant coin among them, is folded into the
-rows of the next stage or into the leaf table, so a block draws only
-where a stage needs a draw.  A stage whose thresholds take a few distinct
+is a row that splits in two, branch 0 on a hit).  Every protocol's tree
+is laid out path by path: a level gives each path so far a row of its
+protocol's tables, a coin or one certain branch, and the path's fields
+move to the level's branches.  Each level's branches are the next
+level's rows, so the last branch names the round's whole path, and its
+code is one gather from a leaf table.  At set-up, a stage whose rows all
+have one branch, a constant coin among them, is folded into the rows of
+the next stage or into the leaf table, so a block draws only where a
+stage needs a draw.  A stage whose thresholds take a few distinct
 values counts the values a word exceeds, with no gather; the counts of
 such stages form one mixed-radix byte per round, by which the next
 stage's rows and the leaf table are laid out.  BB84 pulses past the
@@ -166,9 +167,6 @@ class CodeSpace:
     def size(self) -> int:
         return math.prod(self.radix)
 
-    def stride(self, field: str) -> int:
-        return math.prod(self.radix[self.fields.index(field) + 1:])
-
     def pack(self, *values) -> np.ndarray:
         """Codes of per-round field values (arrays or scalars), in field order."""
         code = np.int16(0)
@@ -286,21 +284,6 @@ class Stage:
         keep = (thresholds < RAW_MAX).any(axis=1)
         return Stage(self.start, thresholds[keep], self.branches)
 
-    @classmethod
-    def stack(cls, *parts: Tuple["Stage", int]) -> "Stage":
-        """The columns of each ``(stage, shift)`` side by side, the stage's
-        branch indices moved up by ``shift``."""
-        depth = max(s.thresholds.shape[0] for s, _shift in parts)
-        start = np.concatenate([s.start + shift for s, shift in parts])
-        thresholds = np.full((depth, start.size), RAW_MAX)
-        col = 0
-        for s, _shift in parts:
-            thresholds[:s.thresholds.shape[0], col:col + s.start.size] = \
-                s.thresholds
-            col += s.start.size
-        return cls(start, thresholds,
-                   max(s.branches + shift for s, shift in parts))
-
     def columns(self, parents: np.ndarray) -> "Stage":
         """The stage whose row ``i`` is this stage's row ``parents[i]``."""
         return Stage(self.start[parents], self.thresholds[:, parents],
@@ -375,134 +358,7 @@ def _walk_chain(plan, leaf: np.ndarray, raw: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# classical-Alice rounds
-
-
-@dataclass
-class CaTables:
-    """Flattened branch tables for the two-way protocol round walk.
-
-    Each level has a row per node and a branch per node of the next level:
-    branch ``i`` of a level is node ``i`` of the next, so a round's branch
-    index is its parent row one level down.  The exceptions are Alice's
-    residual nodes (the rows of ``ret``): the ``O`` outbound nodes,
-    reflected on CTRL, then the SIFT branches, so SIFT branch ``k`` is
-    residual node ``O + k``.  Bob's two bases share the measured nodes.
-    """
-    emission_cum: np.ndarray     # (E,)
-    emission_kind: np.ndarray    # (E,) 0 = x pulse, 1 = z bit 0, 2 = z bit 1
-    oloss_off: np.ndarray        # (E+1,) -> O outbound nodes
-    oloss_cum: np.ndarray
-    sift_off: np.ndarray         # (O+1,) -> S SIFT branches
-    sift_cum: np.ndarray
-    sift_readout: np.ndarray     # pattern code of Alice's readout
-    ret_off: np.ndarray          # (O+S+1,) -> G returned nodes
-    ret_cum: np.ndarray
-    ret_guess: np.ndarray        # Eve's action guess (-1 none, 0 sift, 1 ctrl)
-    ret_evebit: np.ndarray       # bit Eve measured on the way back (-1 none)
-    rloss_off: np.ndarray        # (G+1,) -> M measured nodes
-    rloss_cum: np.ndarray
-    bobz_off: np.ndarray         # (M+1,)
-    bobz_cum: np.ndarray
-    bobz_pat: np.ndarray
-    bobx_off: np.ndarray         # (M+1,)
-    bobx_cum: np.ndarray
-    bobx_pat: np.ndarray
-    test_fraction: float
-    cross_fraction: float        # 0.0 when cross-basis tests are off
-
-
-def _rows(off: np.ndarray) -> np.ndarray:
-    """The row of each branch of a level with row offsets ``off``."""
-    return np.repeat(np.arange(off.size - 1), np.diff(off))
-
-
-def _ca_chain(tab: CaTables):
-    """The two-way walk as ``_chain`` steps, with its leaf table.
-
-    A coin is a stage whose row ``i`` has branch ``2*i`` when it hits and
-    ``2*i + 1`` when it misses.  The branch after Alice's fair coin is
-    ``2*outbound + ~ctrl``, after the cross-basis coin
-    ``2*measured + ~cross``, and after the test coin ``2*bob + ~test``,
-    where ``bob`` counts Bob's z branches, then his x branches.  Each of
-    Bob's branches is traced back through the levels' offsets to its
-    measured node, return, residual, outbound node and emission, which give
-    its leaf's record code.
-    """
-    outbound = tab.oloss_cum.size
-    measured = tab.rloss_cum.size
-    z_branches = tab.bobz_pat.size
-    space = ca_space(tab.emission_cum.size)
-
-    # the parent nodes of each measured node, up to its emission
-    ret_of = _rows(tab.rloss_off)
-    resid_of = _rows(tab.ret_off)[ret_of]
-    node_of = np.concatenate([np.arange(outbound), _rows(tab.sift_off)])
-    emit_of = _rows(tab.oloss_off)[node_of[resid_of]]
-    sift = resid_of >= outbound
-    x_pulse = tab.emission_kind[emit_of] == 0
-
-    def coin(p: float, rows: int) -> Stage:
-        return Stage.from_rows(np.arange(0, 2 * rows + 1, 2),
-                               np.tile([p, 1.0], rows))
-
-    # whether a coin hit, by its branch's offset in the coin's row
-    hit = np.array([True, False])
-    # row 2*node + offset: the node itself, reflected on CTRL, or its SIFT
-    # branches, which are residual nodes outbound + k
-    reflect = Stage(np.arange(outbound, dtype=np.intp),
-                    np.empty((0, outbound), dtype=np.uint64), outbound)
-    alice = Stage.stack(
-        (Stage.from_rows(tab.sift_off, tab.sift_cum), outbound), (reflect, 0))
-    alice = alice.columns((np.arange(outbound)[:, None]
-                           + outbound * hit).ravel())
-    # row 2*measured + offset: x pulses are measured in the basis of
-    # Alice's action, swapped for a cross-basis test; the extra z states
-    # always in z
-    basis = (~sift[:, None] ^ hit) & x_pulse[:, None]
-    bob = Stage.stack((Stage.from_rows(tab.bobz_off, tab.bobz_cum), 0),
-                      (Stage.from_rows(tab.bobx_off, tab.bobx_cum),
-                       z_branches))
-    bob = bob.columns((np.arange(measured)[:, None]
-                       + measured * basis).ravel())
-    steps = [
-        (0, Stage.from_rows(np.array([0, tab.emission_cum.size]),
-                            tab.emission_cum)),
-        (1, Stage.from_rows(tab.oloss_off, tab.oloss_cum)),
-        (2, coin(0.5, outbound)),
-        (3, alice),
-        (4, Stage.from_rows(tab.ret_off, tab.ret_cum)),
-        (6, Stage.from_rows(tab.rloss_off, tab.rloss_cum)),
-        (7, coin(tab.cross_fraction, measured)),
-        (8, bob),
-        (9, coin(tab.test_fraction, bob.branches)),
-    ]
-
-    # one row per Bob branch, one column per test coin
-    m = np.concatenate([_rows(tab.bobz_off), _rows(tab.bobx_off)])[:, None]
-    j = ret_of[m]
-    on_z = np.arange(m.size)[:, None] < z_branches
-    readout = np.concatenate([np.full(outbound, -1), tab.sift_readout])
-    leaf = space.pack(
-        emit_of[m], sift[m], readout[resid_of[m]], ~on_z,
-        np.concatenate([tab.bobz_pat, tab.bobx_pat])[:, None],
-        sift[m] & x_pulse[m] & on_z & hit, tab.ret_guess[j],
-        tab.ret_evebit[j])
-    return _chain(steps, leaf.ravel())
-
-
-def simulate_ca(tab: CaTables, seed: int, rounds: int, jobs: int = 1,
-                keep_codes: bool = False
-                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """Record codes (``ca_space``) of ``rounds`` two-way rounds, or None
-    unless ``keep_codes``, and their histogram."""
-    plan, leaf = _ca_chain(tab)
-    return _walk(lambda raw: _walk_chain(plan, leaf, raw), seed, rounds,
-                 jobs, ca_space(tab.emission_cum.size).size, keep_codes)
-
-
-# ---------------------------------------------------------------------------
-# one-way rounds
+# branch trees laid out path by path
 
 
 def _coin(p: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -525,6 +381,94 @@ def _split(f: Dict[str, np.ndarray], off: np.ndarray, cum: np.ndarray, rows,
     f.update({name: values[parent] for name, values in f.items()})
     f.update({name: np.asarray(v)[taken] for name, v in payload.items()})
     return Stage.from_rows(np.append(first, parent.size), cum[taken])
+
+
+# ---------------------------------------------------------------------------
+# classical-Alice rounds
+
+
+@dataclass
+class CaTables:
+    """Flattened branch tables for the two-way protocol round walk.
+
+    Each level has a row per node and a branch per node of the next level:
+    branch ``i`` of a level is node ``i`` of the next.  The exceptions are
+    Alice's residual nodes (the rows of ``ret``): the ``O`` outbound nodes,
+    reflected on CTRL, then the SIFT branches, so SIFT branch ``k`` is
+    residual node ``O + k``; and Bob's level, one row per basis and
+    measured node, z rows first, so measured node ``m`` in basis ``b`` is
+    row ``m + M * b``.
+    """
+    emission_cum: np.ndarray     # (E,)
+    emission_kind: np.ndarray    # (E,) 0 = x pulse, 1 = z bit 0, 2 = z bit 1
+    oloss_off: np.ndarray        # (E+1,) -> O outbound nodes
+    oloss_cum: np.ndarray
+    sift_off: np.ndarray         # (O+1,) -> S SIFT branches
+    sift_cum: np.ndarray
+    sift_readout: np.ndarray     # pattern code of Alice's readout
+    ret_off: np.ndarray          # (O+S+1,) -> G returned nodes
+    ret_cum: np.ndarray
+    ret_guess: np.ndarray        # Eve's action guess (-1 none, 0 sift, 1 ctrl)
+    ret_evebit: np.ndarray       # bit Eve measured on the way back (-1 none)
+    rloss_off: np.ndarray        # (G+1,) -> M measured nodes
+    rloss_cum: np.ndarray
+    bob_off: np.ndarray          # (2M+1,)
+    bob_cum: np.ndarray
+    bob_pat: np.ndarray
+    test_fraction: float
+    cross_fraction: float        # 0.0 when cross-basis tests are off
+
+
+def _ca_chain(tab: CaTables):
+    """The two-way walk as ``_chain`` steps, with its leaf table: the
+    emission, outbound loss, Alice's fair coin (CTRL on a hit) and SIFT
+    readout, Eve's return, return loss, the cross-basis coin, Bob's pattern
+    and the test coin.  A CTRL path takes one certain branch appended to
+    the SIFT table and keeps its outbound node as its residual node.  An x
+    pulse is measured in the basis of Alice's action, swapped on a
+    cross-basis hit; the extra z states always in z.  Only a SIFT round of
+    an x pulse measured in z is a test round."""
+    emissions, outbound = tab.emission_cum.size, tab.oloss_cum.size
+    measured, sifts = tab.rloss_cum.size, tab.sift_cum.size
+    f: Dict[str, np.ndarray] = {}
+    steps = [(0, _split(f, np.array([0, emissions]), tab.emission_cum, 0,
+                        emit=np.arange(emissions), kind=tab.emission_kind))]
+    steps.append((1, _split(f, tab.oloss_off, tab.oloss_cum, f["emit"],
+                            node=np.arange(outbound))))
+    steps.append((2, _split(f, *_coin(0.5), 0, action=[0, 1, 0])))
+    steps.append((3, _split(
+        f, np.append(tab.sift_off, sifts + 1), np.append(tab.sift_cum, 1.0),
+        np.where(f["action"] == 1, f["node"], outbound),
+        resid=outbound + np.arange(sifts + 1),
+        readout=np.append(tab.sift_readout, -1))))
+    f["resid"] = np.where(f["action"] == 1, f["resid"], f["node"])
+    steps.append((4, _split(f, tab.ret_off, tab.ret_cum, f["resid"],
+                            returned=np.arange(tab.ret_cum.size),
+                            guess=tab.ret_guess, evebit=tab.ret_evebit)))
+    steps.append((6, _split(f, tab.rloss_off, tab.rloss_cum, f["returned"],
+                            measured=np.arange(measured))))
+    steps.append((7, _split(f, *_coin(tab.cross_fraction), 0,
+                            cross=[1, 0, 0])))
+    f["basis"] = (f["action"] ^ f["cross"] ^ 1) & (f["kind"] == 0)
+    steps.append((8, _split(f, tab.bob_off, tab.bob_cum,
+                            f["measured"] + measured * f["basis"],
+                            pattern=tab.bob_pat)))
+    steps.append((9, _split(f, *_coin(tab.test_fraction), 0, test=[1, 0, 0])))
+    leaf = ca_space(emissions).pack(
+        f["emit"], f["action"], f["readout"], f["basis"], f["pattern"],
+        f["test"] & f["action"] & (f["basis"] == 0) & (f["kind"] == 0),
+        f["guess"], f["evebit"])
+    return _chain(steps, leaf)
+
+
+def simulate_ca(tab: CaTables, seed: int, rounds: int, jobs: int = 1,
+                keep_codes: bool = False
+                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Record codes (``ca_space``) of ``rounds`` two-way rounds, or None
+    unless ``keep_codes``, and their histogram."""
+    plan, leaf = _ca_chain(tab)
+    return _walk(lambda raw: _walk_chain(plan, leaf, raw), seed, rounds,
+                 jobs, ca_space(tab.emission_cum.size).size, keep_codes)
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,8 @@ class ProtocolConfig:
         if self.rounds < 1:
             raise ConfigError("rounds must be positive")
         p0, p1, p2 = self.source_stats
-        if min(p0, p1, p2) < 0 or abs(p0 + p1 + p2 - 1.0) > 1e-12:
+        # written so that a NaN fails it
+        if not (min(p0, p1, p2) >= 0 and abs(p0 + p1 + p2 - 1.0) <= 1e-12):
             raise ConfigError("pulse-size probabilities must be non-negative "
                               "and sum to 1")
         if not 0.0 <= self.transmission <= 1.0:
@@ -245,9 +246,10 @@ def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
     and the exact probability that both of Alice's modes are occupied.
 
     The levels are emission, outbound loss, Alice's SIFT readout, Eve's
-    return, return loss and Bob's z and x patterns.  Alice's residual
-    nodes, the rows of the return level, are the outbound nodes (reflected
-    on CTRL) followed by the SIFT branches.
+    return, return loss and Bob's patterns.  Alice's residual nodes, the
+    rows of the return level, are the outbound nodes (reflected on CTRL)
+    followed by the SIFT branches; Bob's rows are the measured nodes in z,
+    then in x.
     """
     config.validate()
     attack.validate()
@@ -315,14 +317,14 @@ def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
     rloss_off, rloss_cum, measured_nodes = _level(
         returned_nodes, lambda node: _loss_branches(node, f, lossy))
 
-    def bob(basis):
-        def patterns(node):
-            dist = node.bob_distribution(basis, model)
-            return ((dist[pat], None, pattern_code(pat)) for pat in sorted(dist))
-        return _level(measured_nodes, patterns)
+    def patterns(row):
+        basis, node = row
+        dist = node.bob_distribution(basis, model)
+        return ((dist[pat], None, pattern_code(pat)) for pat in sorted(dist))
 
-    bobz_off, bobz_cum, _leaves, bobz_pat = bob(Z)
-    bobx_off, bobx_cum, _leaves, bobx_pat = bob(X)
+    bob_off, bob_cum, _leaves, bob_pat = _level(
+        [(basis, node) for basis in (Z, X) for node in measured_nodes],
+        patterns)
 
     tables = CaTables(
         emission_cum=emission_cum,
@@ -338,12 +340,9 @@ def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
         ret_evebit=ret_evebit,
         rloss_off=rloss_off,
         rloss_cum=rloss_cum,
-        bobz_off=bobz_off,
-        bobz_cum=bobz_cum,
-        bobz_pat=bobz_pat,
-        bobx_off=bobx_off,
-        bobx_cum=bobx_cum,
-        bobx_pat=bobx_pat,
+        bob_off=bob_off,
+        bob_cum=bob_cum,
+        bob_pat=bob_pat,
         test_fraction=float(config.test_fraction),
         cross_fraction=(float(config.cross_basis_fraction)
                         if config.cross_basis_tests else 0.0),

@@ -128,12 +128,8 @@ def evaluate_expectations(report: RunReport,
                            f"{', '.join(sorted(report.metrics))}")
         emp = float(report.metrics[exp.metric])
         diff = abs(emp - exp.analytic)
-        if exp.mode == "sigma":
-            dev = diff / exp.value if exp.value > 0 else (0.0 if diff == 0 else math.inf)
-            passed = dev <= 3.0
-        else:
-            dev = diff / exp.value if exp.value > 0 else (0.0 if diff == 0 else math.inf)
-            passed = diff <= exp.value
+        dev = diff / exp.value if exp.value > 0 else (0.0 if diff == 0 else math.inf)
+        passed = dev <= 3.0 if exp.mode == "sigma" else diff <= exp.value
         rows.append(ComparisonRow(metric=exp.metric, analytic=exp.analytic,
                                   empirical=emp, deviation_sigmas=dev,
                                   passed=passed))

@@ -10,6 +10,7 @@ states), ``[attack]`` (name plus parameters), ``[expectations]`` (one
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -236,11 +237,16 @@ def load_scenario(path: str) -> Scenario:
                     f"{path}: [expectations] {metric} must read "
                     f"'<analytic> abs|sigma <value>', got {raw!r}")
             try:
-                expectations.append(Expectation(
-                    metric=metric, analytic=float(parts[0]),
-                    mode=parts[1], value=float(parts[2])))
+                analytic, band = float(parts[0]), float(parts[2])
             except ValueError as exc:
                 raise ScenarioError(f"{path}: [expectations] {metric}: {exc}")
+            if not (math.isfinite(analytic) and 0.0 <= band < math.inf):
+                raise ScenarioError(
+                    f"{path}: [expectations] {metric}: the analytic value "
+                    f"must be finite and the band finite and non-negative, "
+                    f"got {raw!r}")
+            expectations.append(Expectation(metric=metric, analytic=analytic,
+                                            mode=parts[1], value=band))
 
     try:
         cfg.validate()

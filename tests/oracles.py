@@ -153,9 +153,10 @@ def ca_walk(tab, u):
             basis = 1 if ctrl else 0
             if ui[7] < t["cross_fraction"]:
                 basis = 1 - basis
-        side = "bobx" if basis == 1 else "bobz"
-        pattern = t[side + "_pat"][
-            _scan(t[side + "_off"], t[side + "_cum"], measured, ui[8])]
+        # Bob's rows are the measured nodes in z, then in x
+        pattern = t["bob_pat"][_scan(t["bob_off"], t["bob_cum"],
+                                     measured + basis * len(t["rloss_cum"]),
+                                     ui[8])]
         test = int((not ctrl) and kind == 0 and basis == 0
                    and ui[9] < t["test_fraction"])
         rows.append((e, 0 if ctrl else 1, readout, basis, pattern, test,

@@ -217,4 +217,6 @@ class TestThresholds:
         with pytest.raises(ValueError):
             pns_feasibility(0.5, 0.2, 0.2, 0.5, 100)
         with pytest.raises(ValueError):
+            pns_feasibility(math.nan, 1, 0, 0.5, 100)
+        with pytest.raises(ValueError):
             pns_feasibility(0.8, 0.1, 0.1, 1.5, 100)

@@ -7,9 +7,10 @@ name listed in ``__all__`` counts as used, and so does a name inside a
 string annotation.  An import line marked ``# noqa: F401`` is exempt.
 
 The second is its twin across modules: a function, class or name that a
-module defines at top level must be read, as a name or an attribute, in
-``src/`` or ``tests/``.  Its definition, an import and an ``__all__`` entry
-do not count, so a name that is only re-exported is dead code.
+module defines at top level, and a method of a top-level class, must be
+read, as a name or an attribute, in ``src/`` or ``tests/``.  Its
+definition, an import and an ``__all__`` entry do not count, so a name
+that is only re-exported is dead code.  Dunder names are exempt.
 
 The third pins a class of bug that a test run under one locale cannot: a
 text-mode ``open``, ``read_text`` or ``write_text`` without ``encoding=``
@@ -78,20 +79,29 @@ def test_no_unused_imports(path):
     assert not unused, "imported but unused: " + ", ".join(unused)
 
 
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def top_level_names(tree):
     """``(name, line)`` of every function, class and name a module defines
-    at top level, dunder names aside."""
+    at top level, and of every method of a top-level class as
+    ``Class.method``, dunder names aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not is_dunder(item.name):
+                    yield f"{node.name}.{item.name}", item.lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
             for target in targets:
                 for sub in ast.walk(target):
-                    if isinstance(sub, ast.Name) and not (
-                            sub.id.startswith("__") and sub.id.endswith("__")):
+                    if isinstance(sub, ast.Name) and not is_dunder(sub.id):
                         yield sub.id, node.lineno
 
 
@@ -110,10 +120,12 @@ def read_names(trees):
 
 def unused_top_level(modules, trees):
     """``module:line: name`` of each top-level name of the ``(module,
-    tree)`` pairs that no tree of ``trees`` reads."""
+    tree)`` pairs that no tree of ``trees`` reads; a method counts as read
+    when any attribute of its name is."""
     read = read_names(trees)
     return [f"{module}:{line}: {name}" for module, tree in modules
-            for name, line in top_level_names(tree) if name not in read]
+            for name, line in top_level_names(tree)
+            if name.rsplit(".", 1)[-1] not in read]
 
 
 def test_every_top_level_name_is_used():
@@ -130,10 +142,12 @@ def test_unused_top_level_check_flags_what_it_should():
     module = ast.parse("\n".join([
         "from .kernels import walk", "__all__ = ['walk', 'planted']",
         "def planted(): return helper()", "def helper(): pass",
-        "class Stage: pass", "LIMIT: int = 3", "A, B = 1, 2"]))
+        "class Stage:", "    def __init__(self): self.pick()",
+        "    def pick(self): pass", "    def planted(self): pass",
+        "LIMIT: int = 3", "A, B = 1, 2"]))
     user = ast.parse("import m\nm.Stage()\nprint(LIMIT, A)\nB = 4")
     assert unused_top_level([("m.py", module)], [module, user]) == [
-        "m.py:3: planted", "m.py:7: B"]
+        "m.py:3: planted", "m.py:8: Stage.planted", "m.py:10: B"]
 
 
 def text_io_without_encoding(tree):

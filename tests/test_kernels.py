@@ -291,8 +291,9 @@ TABLE_CASES = two_way_table_cases()
                          ids=[c[0] for c in TABLE_CASES])
 def test_two_way_levels_chain(name, cfg, mk):
     """Each level has a row per branch of the level before it; the return
-    level's rows are the outbound nodes, then the SIFT branches.  Every
-    row's cumulative probability ends at 1."""
+    level's rows are the outbound nodes, then the SIFT branches, and Bob's
+    level has a row per measured node in each basis.  Every row's
+    cumulative probability ends at 1."""
     tab, _alice_11 = protocol.build_ca_tables(cfg, mk())
     outbound = tab.oloss_cum.size
     chain = [
@@ -300,8 +301,7 @@ def test_two_way_levels_chain(name, cfg, mk):
         (tab.sift_off, outbound),
         (tab.ret_off, outbound + tab.sift_cum.size),
         (tab.rloss_off, tab.ret_cum.size),
-        (tab.bobz_off, tab.rloss_cum.size),
-        (tab.bobx_off, tab.rloss_cum.size),
+        (tab.bob_off, 2 * tab.rloss_cum.size),
     ]
     for off, rows in chain:
         assert off.size - 1 == rows
@@ -310,8 +310,7 @@ def test_two_way_levels_chain(name, cfg, mk):
                      (tab.sift_off, tab.sift_cum),
                      (tab.ret_off, tab.ret_cum),
                      (tab.rloss_off, tab.rloss_cum),
-                     (tab.bobz_off, tab.bobz_cum),
-                     (tab.bobx_off, tab.bobx_cum)):
+                     (tab.bob_off, tab.bob_cum)):
         assert off[-1] == cum.size and np.all(np.diff(off) >= 1)
         assert np.max(np.abs(cum[off[1:] - 1] - 1.0)) <= 1e-12
 

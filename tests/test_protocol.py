@@ -373,6 +373,8 @@ class TestDispatchAndValidation:
         with pytest.raises(ConfigError):
             ProtocolConfig(source_stats=(0.5, 0.2, 0.2)).validate()
         with pytest.raises(ConfigError):
+            ProtocolConfig(source_stats=(math.nan, 1.0, 0.0)).validate()
+        with pytest.raises(ConfigError):
             ProtocolConfig(transmission=1.2).validate()
         with pytest.raises(ConfigError):
             ProtocolConfig(variant="e91").validate()

@@ -81,6 +81,12 @@ class TestScenarioParsing:
         path = write(tmp_path, "[expectations]\nctrl_errors = 0 within 3\n")
         with pytest.raises(ScenarioError, match="abs|sigma"):
             load_scenario(path)
+        # a band must be finite and non-negative, an analytic value finite
+        for value in ("0.01 sigma -1", "0.0 abs nan", "0.0 abs inf",
+                      "nan sigma 1", "-inf abs 0.1"):
+            path = write(tmp_path, f"[expectations]\nloss_fraction = {value}\n")
+            with pytest.raises(ScenarioError, match="loss_fraction"):
+                load_scenario(path)
 
     def test_bad_number(self, tmp_path):
         path = write(tmp_path, "[protocol]\nrounds = many\n")
