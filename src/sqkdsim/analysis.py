@@ -80,7 +80,6 @@ def check_constraints(attack: AttackSpec, n_max: int = 3,
     after the linear return leg, the z-basis consistency of measured rounds,
     and the probe components attached to each return photon number.
     """
-    attack.validate()
     psi = _outbound_state(attack, n_max)
 
     alice_11 = sum(p for occ, p in psi.occupation_distribution(Z).items()
@@ -155,7 +154,6 @@ def eve_leakage(attack: AttackSpec, n_max: int = 3,
     branches of zero probability or effective rank above one are reported as
     undefined rather than silently averaged.
     """
-    attack.validate()
     if variant == "bb84":
         vecs = []
         for occ_in, occ_out in (((0, 2), (0, 1)), ((2, 0), (1, 0))):

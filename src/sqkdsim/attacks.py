@@ -4,8 +4,10 @@ An attack holds an outbound map (applied on the way to Alice), a return map
 (applied on the way back to Bob), and optionally a classical per-round
 strategy for attacks that measure and act adaptively.  Maps are partial
 isometries held as two dense arrays over probe x channel: orthonormal
-domain vectors ``D`` and their images ``M``, one column each.  Inputs the
-protocol never produces are outside the domain and raise.
+domain vectors ``D`` and their images ``M``, one column each.  A dense map
+stores ``D = None``: its domain is the whole basis of its extent.  Inputs
+the protocol never produces are outside the domain and raise.  An
+``AttackSpec`` checks its maps once, when it is built.
 """
 
 from __future__ import annotations
@@ -81,11 +83,14 @@ class ProbeChannelMap:
     and maps it to ``M c``; any residual outside the span is an error.  The
     map preserves inner products when the Gram matrices agree,
     ``D^H D = M^H M``, and the domain is orthonormal, ``diag(D^H D) = 1``.
+    ``D = None`` stands for the whole basis of ``M``'s extent, column ``j``
+    being basis key ``j`` in probe-major order: then ``c = v`` on that
+    extent, and the map preserves inner products when ``M^H M = I``.
     Maps and states of different extents line up by zero padding.
     """
 
-    def __init__(self, D: np.ndarray, M: np.ndarray):
-        self.D = np.asarray(D, dtype=np.complex128)
+    def __init__(self, D: Optional[np.ndarray], M: np.ndarray):
+        self.D = None if D is None else np.asarray(D, dtype=np.complex128)
         self.M = np.asarray(M, dtype=np.complex128)
 
     @classmethod
@@ -113,48 +118,56 @@ class ProbeChannelMap:
     @classmethod
     def from_dense(cls, matrix: np.ndarray, probe_dim: int,
                    channel: ChannelBasis) -> "ProbeChannelMap":
-        """Dense matrix over the full probe x channel basis, probe-major indexing."""
+        """Dense matrix over the full probe x channel basis, probe-major
+        indexing; its domain is that whole basis (``D = None``)."""
         dim = probe_dim * channel.dim
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.shape != (dim, dim):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match probe_dim x channel "
                 f"dim = {probe_dim} x {channel.dim} = {dim}")
-        shape = (probe_dim, channel.dim, dim)
         image = np.where(np.abs(matrix) > AMPLITUDE_FLOOR, matrix, 0.0)
-        return cls(np.eye(dim, dtype=np.complex128).reshape(shape),
-                   image.reshape(shape))
+        return cls(None, image.reshape(probe_dim, channel.dim, dim))
 
     def isometry_defect(self) -> float:
         """Largest deviation from inner-product preservation:
-        ``max(max|D^H D - M^H M|, max|diag(D^H D) - 1|)``, NaN when an
+        ``max(max|D^H D - M^H M|, max|diag(D^H D) - 1|)``, or
+        ``max|I - M^H M|`` for the whole basis (``D = None``); NaN when an
         entry is not finite."""
-        cols = self.D.shape[-1]
+        cols = self.M.shape[-1]
         if not cols:
             return 0.0
-        dom = self.D.reshape(-1, cols)
         img = self.M.reshape(-1, cols)
         with np.errstate(invalid="ignore", over="ignore"):
-            gram_dom = dom.conj().T @ dom
             gram_img = img.conj().T @ img
+            if self.D is None:
+                return float(np.abs(np.eye(cols) - gram_img).max())
+            dom = self.D.reshape(-1, cols)
+            gram_dom = dom.conj().T @ dom
             return float(np.max([np.abs(gram_dom - gram_img).max(),
                                  np.abs(np.diagonal(gram_dom) - 1.0).max()]))
 
     def apply(self, state: JointState) -> JointState:
-        """``M (D^H v)`` for each Alice pattern slice ``v`` of ``state``;
-        coefficients at or below the amplitude floor count as zero."""
+        """``M (D^H v)`` for each Alice pattern slice ``v`` of ``state``
+        (``M v`` when ``D`` is None); coefficients at or below the amplitude
+        floor count as zero."""
         probe_dim, patterns, dim = state.amps.shape
-        cols = self.D.shape[-1]
-        shape = (max(probe_dim, self.D.shape[0]), max(dim, self.D.shape[1]))
+        extent_probe, extent_dim, cols = self.M.shape
+        shape = (max(probe_dim, extent_probe), max(dim, extent_dim))
         size = shape[0] * shape[1]
         # one row per Alice pattern present, over probe-major (e, occupation) keys
         vecs = _padded(state.amps, (shape[0], patterns, shape[1])
                        ).transpose(1, 0, 2).reshape(patterns, size)
         present = np.flatnonzero(vecs.any(axis=1))
         vecs = vecs[present]
-        dom = _padded(self.D, shape + (cols,)).reshape(size, cols)
         img = _padded(self.M, shape + (cols,)).reshape(size, cols)
-        coeffs = floored(_product(vecs, dom.conj()))
+        if self.D is None:
+            # the keys of the map's extent, copied as floored works in place
+            coeffs = floored(vecs.reshape(present.size, *shape)[
+                :, :extent_probe, :extent_dim].reshape(present.size, cols).copy())
+        else:
+            dom = _padded(self.D, shape + (cols,)).reshape(size, cols)
+            coeffs = floored(_product(vecs, dom.conj()))
         total = np.sum(np.abs(vecs) ** 2, axis=1)
         outside = total - np.sum(np.abs(coeffs) ** 2, axis=1)
         bad = outside > DOMAIN_TOL * np.maximum(total, 1.0)
@@ -205,7 +218,10 @@ class PnsStrategy:
 
 @dataclass
 class AttackSpec:
-    """Validated description of one attack: maps, flags, and strategy."""
+    """Validated description of one attack: maps, flags, and strategy.
+
+    The maps are checked once, when the spec is built: a map that is not an
+    isometry raises ``IsometryError`` there."""
     name: str
     probe_dim: int
     outbound: Optional[ProbeChannelMap] = None
@@ -213,6 +229,9 @@ class AttackSpec:
     lossless_channel: bool = False
     strategy: object = None
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self, tol: float = ISOMETRY_TOL) -> float:
         worst = 0.0
@@ -235,9 +254,7 @@ class AttackSpec:
 
 
 def identity_attack(probe_dim: int = 1) -> AttackSpec:
-    spec = AttackSpec(name="identity", probe_dim=probe_dim)
-    spec.validate()
-    return spec
+    return AttackSpec(name="identity", probe_dim=probe_dim)
 
 
 def pns_attack(n_max: int = 2) -> AttackSpec:
@@ -265,12 +282,10 @@ def pns_attack(n_max: int = 2) -> AttackSpec:
         for n1 in range(total + 1):
             identity_keys.append((vac, (n1, total - n1)))
     outbound = ProbeChannelMap.from_occupation_rules(rules, identity_keys)
-    spec = AttackSpec(
+    return AttackSpec(
         name="pns", probe_dim=3, outbound=outbound, returning=None,
         lossless_channel=True, strategy=PnsStrategy(),
         params={"probe_occupations": probe_occupations})
-    spec.validate()
-    return spec
 
 
 def tagging_attack() -> AttackSpec:
@@ -298,35 +313,29 @@ def tagging_attack() -> AttackSpec:
         rules[(e, (2, 0))] = [(e, (1, 0), 1.0)]
         identity_keys.append((e, (0, 0)))
     returning = ProbeChannelMap.from_occupation_rules(rules, identity_keys)
-    spec = AttackSpec(
+    return AttackSpec(
         name="tagging", probe_dim=d, outbound=outbound, returning=returning,
         lossless_channel=True, strategy=CountDecodeStrategy())
-    spec.validate()
-    return spec
 
 
 def usd_attack_b92(overlap: float) -> AttackSpec:
     """Unambiguous-discrimination intercept for the two-state protocol."""
     if not 0.0 <= overlap < 1.0:
         raise ValueError("state overlap must lie in [0, 1)")
-    spec = AttackSpec(
+    return AttackSpec(
         name="usd-b92", probe_dim=1, lossless_channel=True,
         strategy=UsdStrategy(overlap=overlap), params={"overlap": overlap})
-    spec.validate()
-    return spec
 
 
 def general_attack(outbound_matrix: np.ndarray, return_matrix: np.ndarray,
                    probe_dim: int, n_max: int) -> AttackSpec:
     """User-supplied dense maps over the full probe x channel basis."""
     channel = ChannelBasis(n_max)
-    spec = AttackSpec(
+    return AttackSpec(
         name="general", probe_dim=probe_dim,
         outbound=ProbeChannelMap.from_dense(outbound_matrix, probe_dim, channel),
         returning=ProbeChannelMap.from_dense(return_matrix, probe_dim, channel),
         lossless_channel=True)
-    spec.validate()
-    return spec
 
 
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -448,14 +457,12 @@ def constrained_random_attack(seed: int, probe_dim: int = 4, n_max: int = 3,
         imgs.append(column({(0, 0): h_dirs[2]}))
 
     name = "constrained-random" if violation is None else f"violating-{violation}"
-    spec = AttackSpec(
+    return AttackSpec(
         name=name, probe_dim=d, outbound=outbound,
         returning=ProbeChannelMap(np.stack(doms, axis=-1), np.stack(imgs, axis=-1)),
         lossless_channel=True,
         params={"seed": seed, "n_max": n_max, "violation": violation,
                 "violation_level": violation_level})
-    spec.validate()
-    return spec
 
 
 def load_matrix_file(path: str) -> np.ndarray:
@@ -465,9 +472,11 @@ def load_matrix_file(path: str) -> np.ndarray:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            tokens = [tok for line in fh
-                      for tok in line.split("#", 1)[0].split()]
-        values = np.array(tokens, dtype=float)
+            text = fh.read()
+        if "#" in text:
+            text = "\n".join(line.split("#", 1)[0]
+                             for line in text.split("\n"))
+        values = np.array(text.split(), dtype=float)
     except ValueError as exc:  # a malformed token or undecodable bytes
         raise ValueError(f"{path}: {exc}") from None
     if len(values) % 2:

@@ -86,7 +86,6 @@ slot   two-way                     BB84                    B92
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -243,6 +242,8 @@ def _walk(block: Callable[[np.ndarray], np.ndarray], seed: int, n: int,
         return codes, np.zeros(size, dtype=np.int64)
     if len(ranges) == 1:
         return codes, worker(*ranges[0])
+    # imported here: it imports logging, which a one-chunk walk never needs
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
         return codes, sum(pool.map(lambda r: worker(*r), ranges))
 
@@ -275,19 +276,15 @@ class Stage:
         passed = K == 0
         K[passed] = WORD_ONE
         return cls(start + passed.sum(axis=0), raw_thresholds(K),
-                   int(off[-1]))._trimmed()
-
-    def _trimmed(self) -> "Stage":
-        """The same stage with each column's thresholds sorted and the rows
-        that no word can pass dropped."""
-        thresholds = np.sort(self.thresholds, axis=0)
-        keep = (thresholds < RAW_MAX).any(axis=1)
-        return Stage(self.start, thresholds[keep], self.branches)
+                   int(off[-1]))
 
     def columns(self, parents: np.ndarray) -> "Stage":
-        """The stage whose row ``i`` is this stage's row ``parents[i]``."""
-        return Stage(self.start[parents], self.thresholds[:, parents],
-                     self.branches)._trimmed()
+        """The stage whose row ``i`` is this stage's row ``parents[i]``,
+        with each column's thresholds sorted and the rows that no word can
+        pass dropped."""
+        thresholds = np.sort(self.thresholds[:, parents], axis=0)
+        keep = (thresholds < RAW_MAX).any(axis=1)
+        return Stage(self.start[parents], thresholds[keep], self.branches)
 
     def pick(self, x: np.ndarray, parent: Optional[np.ndarray] = None
              ) -> np.ndarray:

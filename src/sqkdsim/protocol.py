@@ -10,14 +10,14 @@ level by level with ``_level``: a row per node, and a branch per node of
 the next level, in order, so no table maps branches to nodes.
 
 ``run`` is the one driver: each variant has a builder (``build_*_tables``,
-which validates the config and the attack and returns the tables and the
-run's exact values), a walker (``kernels.simulate_*``) and an aggregator.
-The walker returns the number of rounds at each record code, and one
-record code per round when the caller keeps them (``keep_codes``, for a
-round log).  Every metric and category is a function of the record alone,
-so each aggregator computes them once per code over its decoded code
-space, weighted by those counts, with the same expressions a per-round
-pass would use.
+which validates the config and returns the tables and the run's exact
+values; the attack checked its maps when it was built), a walker
+(``kernels.simulate_*``) and an aggregator.  The walker returns the number
+of rounds at each record code, and one record code per round when the
+caller keeps them (``keep_codes``, for a round log).  Every metric and
+category is a function of the record alone, so each aggregator computes
+them once per code over its decoded code space, weighted by those counts,
+with the same expressions a per-round pass would use.
 
 Loss is independent per-photon survival applied on each leg in transit
 (suppressed entirely when the attack substitutes a lossless channel).
@@ -252,7 +252,6 @@ def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
     then in x.
     """
     config.validate()
-    attack.validate()
     if isinstance(attack.strategy, (UsdStrategy, PnsStrategy)):
         raise ConfigError(
             f"attack {attack.name!r} targets a one-way protocol and cannot "
@@ -517,7 +516,6 @@ BB84_MEAS_ROWS = (
 def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
                       ) -> Tuple[Bb84Tables, Dict[str, float]]:
     config.validate()
-    attack.validate()
     p0, p1, p2 = config.source_stats
     pns = isinstance(attack.strategy, PnsStrategy)
     if not pns and attack.name != "identity":
@@ -612,7 +610,6 @@ B92_CATEGORIES = ("loss", "inconclusive", "conclusive_ok", "conclusive_error")
 def build_b92_tables(config: ProtocolConfig, attack: AttackSpec
                      ) -> Tuple[B92Tables, Dict[str, float]]:
     config.validate()
-    attack.validate()
     c = config.b92_overlap
     usd = isinstance(attack.strategy, UsdStrategy)
     if not usd and attack.name != "identity":
@@ -682,10 +679,10 @@ def run(config: ProtocolConfig, attack: AttackSpec,
         jobs: int = 1, keep_codes: bool = False) -> RunReport:
     """Monte-Carlo run of the configured variant.
 
-    The variant's builder validates the config and the attack and
-    evaluates the branch tables, its walker samples the rounds, and its
-    aggregator turns the record-code histogram into the report.  The
-    report holds per-round codes only if ``keep_codes``.
+    The variant's builder validates the config and evaluates the branch
+    tables, its walker samples the rounds, and its aggregator turns the
+    record-code histogram into the report.  The report holds per-round
+    codes only if ``keep_codes``.
     """
     # module globals looked up per call, so a rebound name is the one run
     if config.variant == BB84:

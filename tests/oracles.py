@@ -497,9 +497,11 @@ def map_from_columns(columns, probe_dim, n_max) -> ProbeChannelMap:
 
 def columns_of(m: ProbeChannelMap):
     """``(domain, image)`` dict columns of a dense map: its nonzero entries
-    keyed ``(e, occupation)``, probe-major."""
+    keyed ``(e, occupation)``, probe-major.  ``D is None`` is the whole
+    basis of ``M``'s extent: domain column ``j`` is key ``j``."""
+    dim, cols = m.M.shape[1:]
     n_max = 0
-    while ChannelBasis(n_max).dim < m.D.shape[1]:
+    while ChannelBasis(n_max).dim < dim:
         n_max += 1
     occs = ChannelBasis(n_max).occupations
 
@@ -507,7 +509,12 @@ def columns_of(m: ProbeChannelMap):
         return {(int(e), occs[c]): complex(arr[e, c, j])
                 for e, c in zip(*np.nonzero(arr[:, :, j]))}
 
-    return [(column(m.D, j), column(m.M, j)) for j in range(m.D.shape[2])]
+    def domain(j):
+        if m.D is None:
+            return {(j // dim, occs[j % dim]): 1.0 + 0j}
+        return column(m.D, j)
+
+    return [(domain(j), column(m.M, j)) for j in range(cols)]
 
 
 def apply_reference(m: ProbeChannelMap, state: JointState) -> dict:

@@ -8,6 +8,7 @@ import oracles
 from sqkdsim import analysis
 from sqkdsim.attacks import (
     AttackDomainError,
+    AttackSpec,
     IsometryError,
     ProbeChannelMap,
     constrained_random_attack,
@@ -265,6 +266,13 @@ def test_isometry_defect_matches_pairwise_reference(case):
         assert m.isometry_defect() == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("case", ["half-identity", "unnormalised-domain"])
+def test_spec_rejects_non_isometry_when_built(case):
+    (m,) = DEFECT_CASES[case]()
+    with pytest.raises(IsometryError, match="deviation"):
+        AttackSpec(name=case, probe_dim=m.M.shape[0], returning=m)
+
+
 def _apply_inputs(spec, n_max):
     """(map, input) pairs the protocol produces: every pulse it emits on the
     outbound leg, then Alice's SIFT branches and the reflected state on the
@@ -315,6 +323,21 @@ def test_apply_matches_per_column_reference(case):
         want = oracles.apply_reference(m, state)
         for key in set(got) | set(want):
             assert abs(got.get(key, 0j) - want.get(key, 0j)) <= 1e-12
+
+
+def test_dense_map_applies_like_explicit_identity_domain():
+    spec, n_max = APPLY_CASES["haar-dim-60"]()
+    pairs = _apply_inputs(spec, n_max)
+    # a wider channel than the map's, holding no weight beyond it
+    pairs.append((spec.returning,
+                  probe_state(1, (0, 1), X, n_max + 1, spec.probe_dim)))
+    for m, state in pairs:
+        assert m.D is None
+        eye = np.eye(m.M.shape[-1]).reshape(m.M.shape)
+        want = ProbeChannelMap(eye, m.M).apply(state).amps
+        got = m.apply(state).amps
+        assert got.shape == want.shape
+        assert np.all(got == want)
 
 
 @pytest.mark.parametrize("case", sorted(APPLY_CASES))

@@ -4,10 +4,13 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oracles
 import sqkdsim
 from sqkdsim import cli
+from sqkdsim.attacks import ProbeChannelMap
 from sqkdsim.report import ROUND_LOG_LIMIT, Expectation, evaluate_expectations
 from sqkdsim.scenario import (
     ScenarioError,
@@ -297,15 +300,18 @@ class TestCli:
                 "NAME.summary.txt"}
 
     def test_runs_leave_numpy_ma_unimported(self, tmp_path):
-        """``numpy.ma`` costs 15-19 ms to import (``np.unique`` does)."""
+        """``numpy.ma`` costs 15-19 ms to import (``np.unique`` does), and
+        ``concurrent.futures`` ~5 ms with the ``logging`` it imports; a
+        one-job run needs neither."""
         code = "\n".join([
             "import sys",
             "from sqkdsim import cli",
             "for path in sys.argv[2:]:",
-            "    cli.main(['run', path, '--rounds', '1',",
+            "    cli.main(['run', path, '--rounds', '1', '--jobs', '1',",
             "              '--out-dir', sys.argv[1]])",
             "print(sorted(m for m in sys.modules",
-            "             if m.split('.')[:2] == ['numpy', 'ma']),",
+            "             if m.split('.')[:2] in (['numpy', 'ma'],",
+            "                                     ['concurrent', 'futures'])),",
             "      file=sys.stderr, end='')"])
         paths = sorted(str(p) for p in SCENARIOS.iterdir()
                        if p.name.endswith(".scn"))
@@ -348,6 +354,23 @@ class TestCli:
         assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
         assert not (tmp_path / "out").exists()
+
+    def test_general_run_checks_each_map_once(self, tmp_path, monkeypatch):
+        checked = []
+        defect = ProbeChannelMap.isometry_defect
+        monkeypatch.setattr(ProbeChannelMap, "isometry_defect",
+                            lambda m: checked.append(id(m)) or defect(m))
+        rng = np.random.default_rng(4)
+        files = [tmp_path / f"{leg}.mat" for leg in ("outbound", "return")]
+        for mat in files:
+            oracles.write_matrix(mat, oracles.haar_unitary(rng, 2 * 6))
+        path = write(tmp_path, "\n".join([
+            "[protocol]", "variant = classical-alice-full", "rounds = 200",
+            "n_max = 2",
+            "[attack]", "name = general", "probe_dim = 2",
+            f"outbound_file = {files[0]}", f"return_file = {files[1]}", ""]))
+        assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(checked) == len(set(checked)) == 2
 
     def test_attack_outside_domain_exits_two(self, tmp_path, capsys):
         # measure-resend returns fresh z pulses outside the constrained
