@@ -216,12 +216,13 @@ class PnsStrategy:
     kind: str = "pns"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackSpec:
     """Validated description of one attack: maps, flags, and strategy.
 
     The maps are checked once, when the spec is built: a map that is not an
-    isometry raises ``IsometryError`` there."""
+    isometry raises ``IsometryError`` there.  The spec is frozen, so no map
+    can be swapped in past that check."""
     name: str
     probe_dim: int
     outbound: Optional[ProbeChannelMap] = None
@@ -472,10 +473,7 @@ def load_matrix_file(path: str) -> np.ndarray:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if "#" in text:
-            text = "\n".join(line.split("#", 1)[0]
-                             for line in text.split("\n"))
+            text = " ".join(line.split("#", 1)[0] for line in fh)
         values = np.array(text.split(), dtype=float)
     except ValueError as exc:  # a malformed token or undecodable bytes
         raise ValueError(f"{path}: {exc}") from None

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -271,6 +272,14 @@ def test_spec_rejects_non_isometry_when_built(case):
     (m,) = DEFECT_CASES[case]()
     with pytest.raises(IsometryError, match="deviation"):
         AttackSpec(name=case, probe_dim=m.M.shape[0], returning=m)
+
+
+def test_spec_maps_cannot_be_swapped_after_the_check():
+    spec = identity_attack()
+    (m,) = DEFECT_CASES["half-identity"]()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.returning = m
+    assert spec.returning is None
 
 
 def _apply_inputs(spec, n_max):
