@@ -15,32 +15,32 @@ walked as a threshold matrix, one column per parent padded with a value
 no draw reaches: a pick over a whole block of rounds is a few
 gather-compare-add passes, with no per-parent masks and no sorting.
 
-A round's outcome is one record tuple (its fields per protocol are listed
-by the ``CodeSpace`` of that protocol), packed into one mixed-radix
-``int16`` record code.  The walk returns the histogram of codes, and
-every round's code only when the caller keeps them for a round log; the
-protocol layer computes every metric from the histogram, since each metric
-is a function of the record tuple alone.
+A round's outcome is its walk leaf: the walk index left after the last
+stage, which names the round's whole path.  Each protocol's chain gives
+every record field's value at each leaf, the walk returns the histogram of
+leaves, and every round's leaf only when the caller keeps them for a round
+log; the protocol layer computes every metric from the histogram, since
+each metric is a function of the record fields alone.
 
 Each protocol's round walks one chain of stages, coins included (a coin
 is a row that splits in two, branch 0 on a hit).  Every protocol's tree
 is laid out path by path: a level gives each path so far a row of its
 protocol's tables, a coin or one certain branch, and the path's fields
 move to the level's branches.  Each level's branches are the next
-level's rows, so the last branch names the round's whole path, and its
-code is one gather from a leaf table.  At set-up, a stage whose rows all
-have one branch, a constant coin among them, is folded into the rows of
-the next stage or into the leaf table, so a block draws only where a
-stage needs a draw.  A stage whose thresholds take a few distinct
-values counts the values a word exceeds, with no gather; the counts of
-such stages form one mixed-radix byte per round, by which the next
-stage's rows and the leaf table are laid out.  BB84 pulses past the
-splitter's quota take a fixed blocked code.
+level's rows, so the last branch names the round's whole path.  At
+set-up, a stage whose rows all have one branch, a constant coin among
+them, is folded into the rows of the next stage or into the leaves, so a
+block draws only where a stage needs a draw.  A stage whose thresholds
+take a few distinct values counts the values a word exceeds, with no
+gather; the counts of such stages form one mixed-radix byte per round, by
+which the next stage's rows and the leaves are numbered.  BB84 pulses
+past the splitter's quota take a blocked twin of their leaf.
 
 Rounds are walked in fixed blocks of ``BLOCK`` rounds: each block draws its
-words, walks them, packs its codes and adds their histogram, so memory
+words, walks them to their leaves and adds their histogram, so memory
 stays O(BLOCK) per thread whatever the round count; a walk that keeps the
-codes also holds 2 bytes per round.  ``jobs`` worker threads split the
+leaves also holds them in the smallest unsigned type that fits, one byte
+per round for up to 256 leaves.  ``jobs`` worker threads split the
 rounds into contiguous chunks of whole blocks (numpy drops the interpreter
 lock inside its loops), each with its own histogram.
 
@@ -85,7 +85,6 @@ slot   two-way                     BB84                    B92
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -151,58 +150,6 @@ def raw_thresholds(K: np.ndarray) -> np.ndarray:
     return (K << np.uint64(RAW_SHIFT)) - np.uint64(1)
 
 
-@dataclass(frozen=True)
-class CodeSpace:
-    """Mixed-radix record codes.
-
-    Field ``k`` takes the values ``low[k]`` .. ``low[k] + radix[k] - 1``;
-    the last field varies fastest.
-    """
-    fields: Tuple[str, ...]
-    radix: Tuple[int, ...]
-    low: Tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.radix)
-
-    def pack(self, *values) -> np.ndarray:
-        """Codes of per-round field values (arrays or scalars), in field order."""
-        code = np.int16(0)
-        for value, radix, low in zip(values, self.radix, self.low):
-            code = code * np.int16(radix) + np.subtract(value, low,
-                                                        dtype=np.int16)
-        return code
-
-    def decode(self) -> Dict[str, np.ndarray]:
-        """Every field's value at each code 0 .. size - 1."""
-        digits = np.indices(self.radix, dtype=np.int16).reshape(
-            len(self.radix), self.size)
-        return {field: digit + low for field, digit, low in
-                zip(self.fields, digits, self.low)}
-
-
-def ca_space(emissions: int) -> CodeSpace:
-    """Two-way records; ``readout`` is -1 on CTRL rounds."""
-    return CodeSpace(
-        ("emit", "action", "readout", "basis", "pattern", "test", "guess",
-         "evebit"),
-        (emissions, 2, 10, 2, 9, 2, 3, 3),
-        (0, 0, -1, 0, 0, 0, -1, -1))
-
-
-BB84_SPACE = CodeSpace(
-    ("bit", "basis", "pulse_size", "forwarded", "bob_basis", "pattern",
-     "evebit"),
-    (2, 2, 3, 2, 2, 9, 3),
-    (0, 0, 0, 0, 0, 0, -1))
-
-B92_SPACE = CodeSpace(
-    ("bit", "arrived", "bob_basis", "conclusive", "bob_bit", "evebit"),
-    (2, 2, 3, 2, 3, 3),
-    (0, 0, -1, 0, -1, -1))
-
-
 def _chunk_ranges(n: int, jobs: int):
     """At most ``jobs`` contiguous chunks of [0, n), each of whole blocks
     except for the ragged end of the last."""
@@ -214,38 +161,45 @@ def _chunk_ranges(n: int, jobs: int):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _walk(block: Callable[[np.ndarray], np.ndarray], seed: int, n: int,
-          jobs: int, size: int, keep_codes: bool
-          ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """Walk rounds [0, n) in pieces of at most BLOCK rounds, split into
-    ``jobs`` chunks; ``block(raw)`` maps a piece's raw words to its codes.
+#: a walk's leaf per round (None unless kept), rounds per leaf, and each
+#: record field's value per leaf
+Walk = Tuple[Optional[np.ndarray], np.ndarray, Dict[str, np.ndarray]]
 
-    Returns every round's code (None unless ``keep_codes``) and the number
-    of rounds at each code.
+
+def _walk(block: Callable[[np.ndarray], np.ndarray], seed: int, n: int,
+          jobs: int, fields: Dict[str, np.ndarray], keep_codes: bool) -> Walk:
+    """Walk rounds [0, n) in pieces of at most BLOCK rounds, split into
+    ``jobs`` chunks; ``block(raw)`` maps a piece's raw words to its leaves,
+    and ``fields`` holds each record field's value per leaf.
+
+    Returns every round's leaf (None unless ``keep_codes``), the number of
+    rounds at each leaf, and ``fields``.
     """
-    codes = np.empty(n, dtype=np.int16) if keep_codes else None
+    leaves = next(iter(fields.values())).size
+    codes = (np.empty(n, dtype=np.min_scalar_type(leaves - 1))
+             if keep_codes else None)
 
     def worker(lo: int, hi: int) -> np.ndarray:
         bits = _stream(seed, lo)
-        counts = np.zeros(size, dtype=np.int64)
+        counts = np.zeros(leaves, dtype=np.int64)
         for b in range(lo, hi, BLOCK):
             m = min(BLOCK, hi - b)
             # no name holds the words, so they are freed before the next draw
             piece = block(_draw(bits, m))
             if codes is not None:
                 codes[b:b + m] = piece
-            counts += np.bincount(piece, minlength=size)
+            counts += np.bincount(piece, minlength=leaves)
         return counts
 
     ranges = _chunk_ranges(n, jobs)
     if not ranges:
-        return codes, np.zeros(size, dtype=np.int64)
+        return codes, np.zeros(leaves, dtype=np.int64), fields
     if len(ranges) == 1:
-        return codes, worker(*ranges[0])
+        return codes, worker(*ranges[0]), fields
     # imported here: it imports logging, which a one-chunk walk never needs
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        return codes, sum(pool.map(lambda r: worker(*r), ranges))
+        return codes, sum(pool.map(lambda r: worker(*r), ranges)), fields
 
 
 @dataclass
@@ -301,19 +255,20 @@ class Stage:
         return k
 
 
-def _chain(steps, leaf: np.ndarray):
-    """The draws of a walk of ``(slot, stage)`` steps, and its leaf table.
+def _chain(steps):
+    """The draws of a walk of ``(slot, stage)`` steps, and the path of each
+    walk index.
 
-    Each stage's rows are the branches of the stage before it, the first
-    stage has one row, and the last stage's branch selects from ``leaf``.
-    A block keeps one walk index per round.  A stage of depth 0 needs no
-    draw: it is folded into the rows of the next stage, or into the leaf
-    table.  A stage whose thresholds take few distinct values (its levels)
-    counts the levels a word passes, with no gather: the walk index
-    becomes ``index * (levels + 1) + count``, a mixed-radix number small
-    enough for one byte.  Any other stage gathers its thresholds by the
-    walk index, which becomes the branch.  Returns the steps that draw,
-    and the leaf table by the last walk index.
+    Each stage's rows are the branches of the stage before it, and the
+    first stage has one row.  A block keeps one walk index per round, and
+    the index left after the last step is the round's leaf.  A stage of
+    depth 0 needs no draw: it is folded into the rows of the next stage, or
+    into the leaves.  A stage whose thresholds take few distinct values
+    (its levels) counts the levels a word passes, with no gather: the walk
+    index becomes ``index * (levels + 1) + count``, a mixed-radix number
+    small enough for one byte.  Any other stage gathers its thresholds by
+    the walk index, which becomes the branch.  Returns the steps that draw,
+    and the last stage's branch at each leaf.
     """
     plan = []
     branch = np.zeros(1, dtype=np.intp)   # the branch at each walk index
@@ -336,12 +291,18 @@ def _chain(steps, leaf: np.ndarray):
         else:
             plan.append((slot, stage))
             branch = np.arange(stage.branches)
-    return plan, leaf[branch]
+    return plan, branch
 
 
-def _walk_chain(plan, leaf: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Codes of one block: the draws of ``plan``, then one gather from
-    ``leaf``."""
+def _leaves(steps, **fields: np.ndarray):
+    """The draws of a walk of ``steps`` (see ``_chain``), and each record
+    field of ``fields``, given per path, at each leaf."""
+    plan, path = _chain(steps)
+    return plan, {name: values[path] for name, values in fields.items()}
+
+
+def _walk_chain(plan, raw: np.ndarray) -> np.ndarray:
+    """Leaves of one block: the draws of ``plan``."""
     k = np.zeros(raw.shape[0], dtype=np.uint8)
     for slot, step in plan:
         x = raw[:, slot]
@@ -351,7 +312,7 @@ def _walk_chain(plan, leaf: np.ndarray, raw: np.ndarray) -> np.ndarray:
             k *= step.size + 1
             for level in step:
                 k += x > level
-    return leaf.take(k)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +378,7 @@ class CaTables:
 
 
 def _ca_chain(tab: CaTables):
-    """The two-way walk as ``_chain`` steps, with its leaf table: the
+    """The two-way walk's draws and record fields per leaf: the
     emission, outbound loss, Alice's fair coin (CTRL on a hit) and SIFT
     readout, Eve's return, return loss, the cross-basis coin, Bob's pattern
     and the test coin.  A CTRL path takes one certain branch appended to
@@ -451,21 +412,21 @@ def _ca_chain(tab: CaTables):
                             f["measured"] + measured * f["basis"],
                             pattern=tab.bob_pat)))
     steps.append((9, _split(f, *_coin(tab.test_fraction), 0, test=[1, 0, 0])))
-    leaf = ca_space(emissions).pack(
-        f["emit"], f["action"], f["readout"], f["basis"], f["pattern"],
-        f["test"] & f["action"] & (f["basis"] == 0) & (f["kind"] == 0),
-        f["guess"], f["evebit"])
-    return _chain(steps, leaf)
+    # readout is -1 on CTRL rounds
+    return _leaves(
+        steps, emit=f["emit"], action=f["action"], readout=f["readout"],
+        basis=f["basis"], pattern=f["pattern"],
+        test=f["test"] & f["action"] & (f["basis"] == 0) & (f["kind"] == 0),
+        guess=f["guess"], evebit=f["evebit"])
 
 
 def simulate_ca(tab: CaTables, seed: int, rounds: int, jobs: int = 1,
-                keep_codes: bool = False
-                ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """Record codes (``ca_space``) of ``rounds`` two-way rounds, or None
-    unless ``keep_codes``, and their histogram."""
-    plan, leaf = _ca_chain(tab)
-    return _walk(lambda raw: _walk_chain(plan, leaf, raw), seed, rounds,
-                 jobs, ca_space(tab.emission_cum.size).size, keep_codes)
+                keep_codes: bool = False) -> Walk:
+    """Leaves of ``rounds`` two-way rounds, or None unless ``keep_codes``,
+    their histogram and the record fields per leaf."""
+    plan, fields = _ca_chain(tab)
+    return _walk(lambda raw: _walk_chain(plan, raw), seed, rounds, jobs,
+                 fields, keep_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +447,10 @@ class Bb84Tables:
 
 
 def _bb84_chain(tab: Bb84Tables):
-    """The BB84 walk as ``_chain`` steps, with its leaf table: the pulse
-    size, the fair coins, the photons that reach Bob and his pattern (no
-    click when none does).  The splitter draws no loss: the leaf forwards
-    one photon of every two-photon pulse and gives Eve the bit."""
+    """The BB84 walk's draws and record fields per leaf: the pulse size,
+    the fair coins, the photons that reach Bob and his pattern (no click
+    when none does).  The splitter draws no loss: the leaf forwards one
+    photon of every two-photon pulse and gives Eve the bit."""
     f: Dict[str, np.ndarray] = {}
     steps = [(2, _split(f, np.array([0, 3]), tab.size_cum, 0,
                         size=np.arange(3)))]
@@ -507,43 +468,47 @@ def _bb84_chain(tab: Bb84Tables):
         np.append(tab.meas_cum, 1.0),
         np.where(f["m"] > 0, rows, tab.meas_off.size - 1),
         pattern=np.append(tab.meas_pat, 0))))
-    leaf = BB84_SPACE.pack(
-        f["bit"], f["basis"], f["size"], f["forwarded"], f["bob_basis"],
-        np.where(f["bit"] == 1, MIRROR_CODE[f["pattern"]], f["pattern"]),
-        np.where(f["forwarded"] == 1, f["bit"], -1))
-    return _chain(steps, leaf)
+    return _leaves(
+        steps, bit=f["bit"], basis=f["basis"], pulse_size=f["size"],
+        forwarded=f["forwarded"], bob_basis=f["bob_basis"],
+        pattern=np.where(f["bit"] == 1, MIRROR_CODE[f["pattern"]],
+                         f["pattern"]),
+        evebit=np.where(f["forwarded"] == 1, f["bit"], -1))
 
 
 def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
-                  keep_codes: bool = False
-                  ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """Record codes (``BB84_SPACE``) of ``rounds`` BB84 rounds, or None
-    unless ``keep_codes``, and their histogram.  The splitter forwards the
-    first ``quota`` two-photon pulses of the run, so under the attack the
-    rounds are walked in one chunk, in order, and later ones are blocked:
+                  keep_codes: bool = False) -> Walk:
+    """Leaves of ``rounds`` BB84 rounds, or None unless ``keep_codes``,
+    their histogram and the record fields per leaf.  The splitter forwards
+    the first ``quota`` two-photon pulses of the run, so under the attack
+    the rounds are walked in one chunk, in order, and later ones are
+    blocked: each forwarded leaf has a twin appended to the leaves, with
     nothing forwarded, no click and no bit for Eve."""
-    plan, leaf = _bb84_chain(tab)
+    plan, fields = _bb84_chain(tab)
     if tab.attack != 1:
-        return _walk(lambda raw: _walk_chain(plan, leaf, raw), seed, rounds,
-                     jobs, BB84_SPACE.size, keep_codes)
-    rec = BB84_SPACE.decode()
-    blocked = BB84_SPACE.pack(rec["bit"], rec["basis"], rec["pulse_size"], 0,
-                              rec["bob_basis"], 0, -1)
-    late, taken = blocked[leaf], 0
+        return _walk(lambda raw: _walk_chain(plan, raw), seed, rounds, jobs,
+                     fields, keep_codes)
+    forwarded = fields["forwarded"] == 1
+    twins = np.flatnonzero(forwarded)
+    blocked = np.arange(forwarded.size)
+    blocked[twins] = forwarded.size + np.arange(twins.size)
+    fields = {name: np.append(values, values[twins])
+              for name, values in fields.items()}
+    for name, value in (("forwarded", 0), ("pattern", 0), ("evebit", -1)):
+        fields[name][forwarded.size:] = value
+    taken = 0
 
     def block(raw: np.ndarray) -> np.ndarray:
         nonlocal taken
+        leaf = _walk_chain(plan, raw)
         if taken >= tab.quota:
-            return _walk_chain(plan, late, raw)
-        code = _walk_chain(plan, leaf, raw)
-        two = rec["forwarded"].take(code) == 1
+            return blocked.take(leaf)
+        two = forwarded.take(leaf)
         order = taken + np.cumsum(two)
-        past = two & (order > tab.quota)
-        code[past] = blocked.take(code[past])
         taken = int(order[-1])
-        return code
+        return np.where(two & (order > tab.quota), blocked.take(leaf), leaf)
 
-    return _walk(block, seed, rounds, 1, BB84_SPACE.size, keep_codes)
+    return _walk(block, seed, rounds, 1, fields, keep_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +523,7 @@ class B92Tables:
 
 
 def _b92_chain(tab: B92Tables):
-    """The B92 walk as ``_chain`` steps, with its leaf table: Alice's bit;
+    """The B92 walk's draws and record fields per leaf: Alice's bit;
     under the intercept Eve's basis and, off the bit's, her conclusive
     result, which alone lets the pulse on, or else the transmission; then,
     for a pulse that arrives, Bob's basis and, off the bit's, his result."""
@@ -577,18 +542,17 @@ def _b92_chain(tab: B92Tables):
     steps.append((5, _split(f, *conclusive, (f["arrived"] == 0)
                             | (f["bob_basis"] == f["bit"]),
                             conclusive=[1, 0, 0])))
-    leaf = B92_SPACE.pack(
-        f["bit"], f["arrived"], f["bob_basis"], f["conclusive"],
-        np.where(f["conclusive"] == 1, 1 - f["bob_basis"], -1),
-        np.where(f["arrived"] * tab.attack == 1, f["bit"], -1))
-    return _chain(steps, leaf)
+    return _leaves(
+        steps, bit=f["bit"], arrived=f["arrived"], bob_basis=f["bob_basis"],
+        conclusive=f["conclusive"],
+        bob_bit=np.where(f["conclusive"] == 1, 1 - f["bob_basis"], -1),
+        evebit=np.where(f["arrived"] * tab.attack == 1, f["bit"], -1))
 
 
 def simulate_b92(tab: B92Tables, seed: int, rounds: int, jobs: int = 1,
-                 keep_codes: bool = False
-                 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """Record codes (``B92_SPACE``) of ``rounds`` B92 rounds, or None
-    unless ``keep_codes``, and their histogram."""
-    plan, leaf = _b92_chain(tab)
-    return _walk(lambda raw: _walk_chain(plan, leaf, raw), seed, rounds,
-                 jobs, B92_SPACE.size, keep_codes)
+                 keep_codes: bool = False) -> Walk:
+    """Leaves of ``rounds`` B92 rounds, or None unless ``keep_codes``,
+    their histogram and the record fields per leaf."""
+    plan, fields = _b92_chain(tab)
+    return _walk(lambda raw: _walk_chain(plan, raw), seed, rounds, jobs,
+                 fields, keep_codes)

@@ -13,10 +13,10 @@ the next level, in order, so no table maps branches to nodes.
 which validates the config and returns the tables and the run's exact
 values; the attack checked its maps when it was built), a walker
 (``kernels.simulate_*``) and an aggregator.  The walker returns the number
-of rounds at each record code, and one record code per round when the
-caller keeps them (``keep_codes``, for a round log).  Every metric and
-category is a function of the record alone, so each aggregator computes
-them once per code over its decoded code space, weighted by those counts,
+of rounds at each leaf of its walk, each record field's value per leaf,
+and one leaf per round when the caller keeps them (``keep_codes``, for a
+round log).  Every metric and category is a function of the record alone,
+so each aggregator computes them once per leaf, weighted by those counts,
 with the same expressions a per-round pass would use.
 
 Loss is independent per-photon survival applied on each leg in transit
@@ -48,12 +48,9 @@ from .joint import (
     pattern_code,
 )
 from .kernels import (
-    B92_SPACE,
-    BB84_SPACE,
     B92Tables,
     Bb84Tables,
     CaTables,
-    ca_space,
     round_uniforms,  # noqa: F401  kept importable here for run tracers
     simulate_b92,
     simulate_bb84,
@@ -130,9 +127,10 @@ class ProtocolConfig:
 class RunReport:
     """Aggregate metrics, the outcome partition and per-round record codes.
 
-    Round ``i``'s record is code ``codes[i]``; ``code_fields[f][c]`` is the
-    value of record field ``f`` (``category`` included) at code ``c``.
-    ``codes`` is None when the run kept no per-round codes (the default).
+    A round's code is the leaf its walk ended on: round ``i``'s record is
+    code ``codes[i]``, and ``code_fields[f][c]`` is the value of record
+    field ``f`` (``category`` included) at code ``c``.  ``codes`` is None
+    when the run kept no per-round codes (the default).
     """
     variant: str
     rounds: int
@@ -241,9 +239,11 @@ def _loss_branches(state: JointState, survival: float, active: bool
 
 
 def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
-                    ) -> Tuple[CaTables, float]:
+                    ) -> Tuple[CaTables, Dict[str, float]]:
     """Evaluate the exact per-round branch tree of the two-way protocol,
-    and the exact probability that both of Alice's modes are occupied.
+    and the run's exact values: the probability that both of Alice's modes
+    are occupied, and Eve's leakage where ``analysis.eve_leakage`` defines
+    it.
 
     The levels are emission, outbound loss, Alice's SIFT readout, Eve's
     return, return loss and Bob's patterns.  Alice's residual nodes, the
@@ -346,7 +346,15 @@ def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
         cross_fraction=(float(config.cross_basis_fraction)
                         if config.cross_basis_tests else 0.0),
     )
-    return tables, alice_11
+    meta: Dict[str, float] = {"alice_11_prob_exact": alice_11}
+    try:
+        leak = analysis.eve_leakage(attack, n_max=n_max)
+        if leak.conditional_fidelity is not None:
+            meta["eve_fidelity"] = leak.conditional_fidelity
+            meta["eve_trace_distance"] = leak.trace_distance
+    except AttackDomainError:
+        pass
+    return tables, meta
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +386,15 @@ Aggregate = Tuple[Dict[str, float], Dict[str, int], Dict[str, np.ndarray]]
 
 
 def _count(w: np.ndarray, mask: np.ndarray) -> int:
-    """Rounds at the codes in ``mask``, given the rounds ``w`` at each code."""
+    """Rounds at the leaves in ``mask``, given the rounds ``w`` at each leaf."""
     return int(w[mask].sum())
 
 
-def _ca_aggregate(config: ProtocolConfig, attack: AttackSpec,
-                  tables: CaTables, alice_11: float, w: np.ndarray
-                  ) -> Aggregate:
-    """Metrics, categories and code fields over the code space, weighted
-    by ``w``."""
-    rec = ca_space(tables.emission_kind.size).decode()
+def _ca_aggregate(config: ProtocolConfig, tables: CaTables,
+                  meta: Dict[str, float], w: np.ndarray,
+                  rec: Dict[str, np.ndarray]) -> Aggregate:
+    """Metrics, categories and code fields over the leaves, whose record
+    fields are ``rec``, weighted by ``w``."""
     n = int(w.sum())
     action = rec["action"]
     readout = rec["readout"]
@@ -461,7 +468,7 @@ def _ca_aggregate(config: ProtocolConfig, attack: AttackSpec,
         "sifted_bits": key_bits,
         "sifted_disagreements": counts["key_mismatch"],
         "sifted_agreement": (counts["key_ok"] / key_bits if key_bits else 1.0),
-        "alice_11_prob_exact": alice_11,
+        "alice_11_prob_exact": meta["alice_11_prob_exact"],
     }
 
     guessed = _count(w, guess >= 0)
@@ -482,17 +489,10 @@ def _ca_aggregate(config: ProtocolConfig, attack: AttackSpec,
         metrics["extra_test_rounds"] = (counts["extra_test_ok"]
                                         + counts["extra_test_error"])
         metrics["extra_test_errors"] = counts["extra_test_error"]
+    # the leakage goes last; the key already in place keeps its position
+    metrics.update(meta)
 
-    try:
-        leak = analysis.eve_leakage(attack, n_max=config.channel_n_max())
-        if leak.conditional_fidelity is not None:
-            metrics["eve_fidelity"] = leak.conditional_fidelity
-            metrics["eve_trace_distance"] = leak.trace_distance
-    except AttackDomainError:
-        pass
-
-    rec["category"] = cat
-    return metrics, counts, rec
+    return metrics, counts, {**rec, "category": cat}
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +554,11 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
     return tables, meta
 
 
-def _bb84_aggregate(config: ProtocolConfig, attack: AttackSpec,
-                    tables: Bb84Tables, meta: Dict[str, float], w: np.ndarray
-                    ) -> Aggregate:
-    """BB84 metrics, categories and code fields, weighted by ``w``."""
-    rec = BB84_SPACE.decode()
+def _bb84_aggregate(config: ProtocolConfig, tables: Bb84Tables,
+                    meta: Dict[str, float], w: np.ndarray,
+                    rec: Dict[str, np.ndarray]) -> Aggregate:
+    """BB84 metrics, categories and code fields over the leaves, whose
+    record fields are ``rec``, weighted by ``w``."""
     n = int(w.sum())
     pattern = rec["pattern"]
     bit = rec["bit"]
@@ -596,8 +596,7 @@ def _bb84_aggregate(config: ProtocolConfig, attack: AttackSpec,
         metrics["pns_quota_met"] = (
             1.0 if _count(w, rec["pulse_size"] == 2) >= tables.quota else 0.0)
 
-    rec["category"] = cat
-    return metrics, counts, rec
+    return metrics, counts, {**rec, "category": cat}
 
 
 # ---------------------------------------------------------------------------
@@ -629,12 +628,12 @@ def build_b92_tables(config: ProtocolConfig, attack: AttackSpec
     return tables, meta
 
 
-def _b92_aggregate(config: ProtocolConfig, attack: AttackSpec,
-                   tables: B92Tables, meta: Dict[str, float], w: np.ndarray
-                   ) -> Aggregate:
-    """Two-state metrics, categories and code fields, weighted by ``w``;
-    the conclusive-measurement intercept hides in loss."""
-    rec = B92_SPACE.decode()
+def _b92_aggregate(config: ProtocolConfig, tables: B92Tables,
+                   meta: Dict[str, float], w: np.ndarray,
+                   rec: Dict[str, np.ndarray]) -> Aggregate:
+    """Two-state metrics, categories and code fields over the leaves, whose
+    record fields are ``rec``, weighted by ``w``; the conclusive-measurement
+    intercept hides in loss."""
     n = int(w.sum())
     arrived = rec["arrived"].astype(bool)
     conclusive = rec["conclusive"].astype(bool)
@@ -667,8 +666,7 @@ def _b92_aggregate(config: ProtocolConfig, attack: AttackSpec,
     }
     metrics.update(meta)
 
-    rec["category"] = cat
-    return metrics, counts, rec
+    return metrics, counts, {**rec, "category": cat}
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +679,7 @@ def run(config: ProtocolConfig, attack: AttackSpec,
 
     The variant's builder validates the config and evaluates the branch
     tables, its walker samples the rounds, and its aggregator turns the
-    record-code histogram into the report.  The report holds per-round
+    histogram of leaves into the report.  The report holds per-round
     codes only if ``keep_codes``.
     """
     # module globals looked up per call, so a rebound name is the one run
@@ -692,9 +690,9 @@ def run(config: ProtocolConfig, attack: AttackSpec,
     else:
         build, walk, aggregate = build_ca_tables, simulate_ca, _ca_aggregate
     tables, meta = build(config, attack)
-    codes, w = walk(tables, config.rng_seed, config.rounds, jobs=jobs,
-                    keep_codes=keep_codes)
-    metrics, categories, fields = aggregate(config, attack, tables, meta, w)
+    codes, w, fields = walk(tables, config.rng_seed, config.rounds, jobs=jobs,
+                            keep_codes=keep_codes)
+    metrics, categories, fields = aggregate(config, tables, meta, w, fields)
     return RunReport(variant=config.variant, rounds=int(w.sum()),
                      seed=config.rng_seed, metrics=metrics,
                      categories=categories, record_fields=tuple(fields),

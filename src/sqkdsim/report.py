@@ -65,7 +65,7 @@ def _round_log(report: RunReport, sep: str) -> Iterator[np.ndarray]:
     """
     codes = report.round_codes()
     cols = [report.code_fields[f] for f in report.record_fields]
-    # marked a step at a time: indexing by all the int16 codes at once
+    # marked a step at a time: indexing by all the codes at once
     # would cast them to one intp array of 8 bytes per round
     present = np.zeros(cols[0].size, dtype=bool)
     for lo in range(0, codes.size, LOG_STEP):

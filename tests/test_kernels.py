@@ -54,10 +54,10 @@ def reference(cfg, attack):
         rec = oracles.b92_walk(tables, u)
         metrics, counts, cat = oracles.b92_aggregate(cfg, tables, rec)
     else:
-        tables, alice_11 = protocol.build_ca_tables(cfg, attack)
+        tables, meta = protocol.build_ca_tables(cfg, attack)
         rec = oracles.ca_walk(tables, u)
-        metrics, counts, cat = oracles.ca_aggregate(cfg, attack, tables,
-                                                    alice_11, rec)
+        metrics, counts, cat = oracles.ca_aggregate(
+            cfg, attack, tables, meta["alice_11_prob_exact"], rec)
     rec["category"] = cat
     return rec, metrics, counts
 
@@ -184,16 +184,26 @@ def test_folds_match_reference_walk(name, cfg, mk, jobs):
     assert_matches_reference(cfg, mk, jobs=jobs)
 
 
-def walk_chain(cfg, attack):
-    """The ``_chain`` plan and leaf table of a run's walk."""
+def walker(cfg, attack):
+    """A run's tables, the chain that plans its walk, its walker and its
+    reference walk of uniforms."""
     if cfg.variant == "bb84":
         tab, _meta = protocol.build_bb84_tables(cfg, attack)
-        return kernels._bb84_chain(tab)
+        return (tab, kernels._bb84_chain, kernels.simulate_bb84,
+                lambda u: oracles.bb84_walk(tab, u, kernels.MIRROR_CODE))
     if cfg.variant == "b92":
         tab, _meta = protocol.build_b92_tables(cfg, attack)
-        return kernels._b92_chain(tab)
-    tab, _alice_11 = protocol.build_ca_tables(cfg, attack)
-    return kernels._ca_chain(tab)
+        return (tab, kernels._b92_chain, kernels.simulate_b92,
+                lambda u: oracles.b92_walk(tab, u))
+    tab, _meta = protocol.build_ca_tables(cfg, attack)
+    return (tab, kernels._ca_chain, kernels.simulate_ca,
+            lambda u: oracles.ca_walk(tab, u))
+
+
+def walk_chain(cfg, attack):
+    """The draws of a run's walk and its record fields per leaf."""
+    tab, chain, _walk, _reference = walker(cfg, attack)
+    return chain(tab)
 
 
 @pytest.mark.parametrize("name,slots", [
@@ -220,7 +230,7 @@ def test_two_way_walk_draws_only_what_it_needs(name, slots):
     if cfg is None:
         scenario = load_scenario(str(SCENARIOS / f"{name}.scn"))
         cfg, mk = scenario.config, scenario.build_attack
-    plan, _leaf = walk_chain(cfg, mk())
+    plan, _fields = walk_chain(cfg, mk())
     assert [slot for slot, _step in plan] == slots
 
 
@@ -228,42 +238,107 @@ def test_two_way_walk_draws_only_what_it_needs(name, slots):
 @pytest.mark.parametrize("variant", ["classical-alice-full", "bb84", "b92"])
 def test_zero_rounds_walk_nothing(variant, jobs):
     cfg = ProtocolConfig(variant=variant, rounds=1, n_max=2)
-    if variant == "bb84":
-        tables, _meta = protocol.build_bb84_tables(cfg, identity_attack())
-        walk, size = kernels.simulate_bb84, kernels.BB84_SPACE.size
-    elif variant == "b92":
-        tables, _meta = protocol.build_b92_tables(cfg, identity_attack())
-        walk, size = kernels.simulate_b92, kernels.B92_SPACE.size
-    else:
-        tables, _meta = protocol.build_ca_tables(cfg, identity_attack())
-        walk = kernels.simulate_ca
-        size = kernels.ca_space(tables.emission_cum.size).size
+    tables, chain, walk, _reference = walker(cfg, identity_attack())
+    _plan, leaves = chain(tables)
+    size = leaves["bit" if variant in ("bb84", "b92") else "emit"].size
     for keep_codes in (False, True):
-        codes, counts = walk(tables, 7, 0, jobs=jobs, keep_codes=keep_codes)
+        codes, counts, fields = walk(tables, 7, 0, jobs=jobs,
+                                     keep_codes=keep_codes)
         assert counts.shape == (size,) and counts.dtype == np.int64
         assert not counts.any()
+        assert list(fields) == list(leaves)
         if keep_codes:
-            assert codes.shape == (0,) and codes.dtype == np.int16
+            assert codes.shape == (0,) and codes.dtype == np.uint8
         else:
             assert codes is None
 
 
-def test_block_edges_match_reference_walk():
-    cfg = ProtocolConfig(rounds=BLOCKED_ROUNDS, rng_seed=31, transmission=0.6,
-                         n_max=2)
-    tables, _alice_11 = protocol.build_ca_tables(cfg, tagging_attack())
-    codes, counts = kernels.simulate_ca(tables, cfg.rng_seed, cfg.rounds,
-                                        jobs=2, keep_codes=True)
-    fields = kernels.ca_space(tables.emission_cum.size).decode()
-    assert np.array_equal(counts, np.bincount(codes, minlength=counts.size))
-    for edge in (kernels.BLOCK, 2 * kernels.BLOCK, 3 * kernels.BLOCK,
-                 BLOCKED_ROUNDS):
-        lo, hi = edge - 40, min(edge + 40, cfg.rounds)
-        ref = oracles.ca_walk(tables,
-                              kernels.round_uniforms(cfg.rng_seed, lo, hi))
-        for key in ref:
-            assert np.array_equal(fields[key][codes[lo:hi]], ref[key]), \
-                (edge, key)
+def test_block_edges_match_reference_walk(pns_references):
+    """Records around the walk's block edges, read from the record fields
+    per leaf that the walker returns, are the reference walk's: two-way at
+    two jobs, B92, and BB84 under the splitting quota, which the third
+    block crosses, walked by the reference from round 0."""
+    cases = [
+        (ProtocolConfig(rounds=BLOCKED_ROUNDS, rng_seed=31, transmission=0.6,
+                        n_max=2), tagging_attack, 2),
+        (ProtocolConfig(variant="b92", rounds=BLOCKED_ROUNDS, rng_seed=30,
+                        transmission=0.1, b92_overlap=0.5),
+         lambda: usd_attack_b92(0.5), 3),
+        (PNS_CASES["third-block"], pns_attack, 1),
+    ]
+    for cfg, attack, jobs in cases:
+        tables, _chain, walk, walk_reference = walker(cfg, attack())
+        codes, counts, fields = walk(tables, cfg.rng_seed, cfg.rounds,
+                                     jobs=jobs, keep_codes=True)
+        assert np.array_equal(counts,
+                              np.bincount(codes, minlength=counts.size))
+        for edge in (kernels.BLOCK, 2 * kernels.BLOCK, 3 * kernels.BLOCK,
+                     BLOCKED_ROUNDS):
+            lo, hi = edge - 40, min(edge + 40, cfg.rounds)
+            if cfg.variant == "bb84":
+                ref = {key: value[lo:hi] for key, value
+                       in pns_references["third-block"][0].items()}
+            else:
+                ref = walk_reference(
+                    kernels.round_uniforms(cfg.rng_seed, lo, hi))
+            for key in fields:
+                assert np.array_equal(fields[key][codes[lo:hi]], ref[key]), \
+                    (cfg.variant, edge, key)
+
+
+def test_bb84_twins_are_the_forwarded_leaves():
+    """Under the splitting quota each forwarded leaf has one blocked twin
+    appended to the leaves: the same bit, bases and pulse size, with
+    nothing forwarded, no click and no bit for Eve.  Rounds land on the
+    twins only past the quota."""
+    cfg = PNS_CASES["third-block"]
+    tables, _meta = protocol.build_bb84_tables(cfg, pns_attack())
+    _plan, leaves = kernels._bb84_chain(tables)
+    codes, counts, fields = kernels.simulate_bb84(
+        tables, cfg.rng_seed, cfg.rounds, keep_codes=True)
+    size = leaves["forwarded"].size
+    forwarded = np.flatnonzero(leaves["forwarded"] == 1)
+    assert forwarded.size > 0 and counts.size == size + forwarded.size
+    blocked = {"forwarded": 0, "pattern": 0, "evebit": -1}
+    for name, values in leaves.items():
+        assert np.array_equal(fields[name][:size], values), name
+        twin = values[forwarded] if name not in blocked else blocked[name]
+        assert np.array_equal(fields[name][size:],
+                              np.broadcast_to(twin, forwarded.size)), name
+    two = np.cumsum(fields["pulse_size"][codes] == 2)
+    assert np.array_equal(codes >= size,
+                          (fields["pulse_size"][codes] == 2)
+                          & (two > tables.quota))
+
+
+def leaf_cases():
+    """(id, config, attack maker) of every bundled scenario and of a seeded
+    Haar ``general`` attack of dimension 60 (probe 4, photon cap 4)."""
+    cases = []
+    for path in sorted(SCENARIOS.iterdir()):
+        if path.name.endswith(".scn"):
+            scenario = load_scenario(str(path))
+            cases.append((scenario.name, scenario.config,
+                          scenario.build_attack))
+    rng = np.random.default_rng(60)
+    maps = [oracles.haar_unitary(rng, 4 * 15) for _leg in range(2)]
+    cases.append(("general-haar-60", ProtocolConfig(n_max=4),
+                  lambda: general_attack(*maps, probe_dim=4, n_max=4)))
+    return cases
+
+
+LEAF_CASES = leaf_cases()
+
+
+@pytest.mark.parametrize("name,cfg,mk", LEAF_CASES,
+                         ids=[c[0] for c in LEAF_CASES])
+def test_walks_keep_one_byte_per_round(name, cfg, mk):
+    """Every bundled walk, BB84's blocked twins included, ends on at most
+    256 leaves, so a logged run keeps one byte per round."""
+    report = protocol.run(dataclasses.replace(cfg, rounds=100), mk(),
+                          keep_codes=True)
+    assert report.code_fields["category"].size <= 256
+    assert report.codes.dtype == np.uint8
 
 
 def two_way_table_cases():
@@ -294,7 +369,7 @@ def test_two_way_levels_chain(name, cfg, mk):
     level's rows are the outbound nodes, then the SIFT branches, and Bob's
     level has a row per measured node in each basis.  Every row's
     cumulative probability ends at 1."""
-    tab, _alice_11 = protocol.build_ca_tables(cfg, mk())
+    tab, _meta = protocol.build_ca_tables(cfg, mk())
     outbound = tab.oloss_cum.size
     chain = [
         (tab.oloss_off, tab.emission_cum.size),
@@ -447,14 +522,14 @@ def test_word_thresholds_are_exact():
                                           np.array([0.0, p, 1.0]))
         assert np.array_equal(one_row.pick(raw), 1 + passes), K
         # a walk counts the thresholds a word passes, or folds the stage
-        plan, leaf = kernels._chain([(0, one_row)], np.arange(3))
-        assert np.array_equal(kernels._walk_chain(plan, leaf, raw[:, None]),
+        plan, path = kernels._chain([(0, one_row)])
+        assert np.array_equal(path[kernels._walk_chain(plan, raw[:, None])],
                               1 + passes), K
         # a coin u < p hits on branch 0, and folds into a constant when K
         # is 0 or 2**53
         coin = kernels.Stage.from_rows(*kernels._coin(p))
-        plan, leaf = kernels._chain([(0, coin)], np.arange(3))
-        branch = kernels._walk_chain(plan, leaf, raw[:, None])
+        plan, path = kernels._chain([(0, coin)])
+        branch = path[kernels._walk_chain(plan, raw[:, None])]
         assert np.array_equal(branch == 0, ~passes), K
         assert (len(plan) == 0) == (K in (0, word_one)), K
         if K == half:

@@ -1,11 +1,11 @@
 """Peak memory of a large run stays bounded.
 
-Rounds are walked in fixed blocks and aggregated from a histogram of record
-codes.  A run keeps its record codes (2 bytes per round) only when it writes
-a round log, so without one it holds O(block) temporaries per thread
+Rounds are walked in fixed blocks and aggregated from a histogram of walk
+leaves.  A run keeps its leaves (1 byte per round) only when it writes a
+round log, so without one it holds O(block) temporaries per thread
 whatever its round count.  A 4,000,000-round two-way run in a fresh process
 must peak below ``PEAK_MB``; materialising the run's uniforms alone would
-take 320 MB, and its codes 8 MB.  Four times the rounds may add no more
+take 320 MB, and its leaves 4 MB.  Four times the rounds may add no more
 than ``GROWTH_MB`` to the peak.
 
 A run with ``--round-log always`` keeps its codes and renders its round
@@ -34,11 +34,11 @@ import sqkdsim
 PEAK_MB = 56
 
 #: bound on the peak of 16,000,000 rounds minus that of 4,000,000 rounds;
-#: keeping the codes would add 24 MB
+#: keeping the leaves would add 12 MB
 GROWTH_MB = 4
 
 #: bound on (logged peak - unlogged peak) / size of the round log's file;
-#: a 4,000,000-round run measures about 0.09 (the codes are 8 MB of the
+#: a 4,000,000-round run measures about 0.05 (the leaves are 4 MB of the
 #: 108 MB text report)
 LOG_PEAK_RATIO = 0.25
 

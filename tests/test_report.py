@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from oracles import round_log_reference
-from sqkdsim.kernels import ca_space
 from sqkdsim.protocol import RunReport, run
 from sqkdsim.report import _round_log
 from sqkdsim.scenario import load_scenario
@@ -58,13 +57,15 @@ def test_report_without_codes_raises():
 
 @pytest.mark.parametrize("sep", [" ", ","])
 def test_round_log_of_random_codes_matches_reference(sep):
-    """Index widths 1-7, fields of -1, and a ragged last step."""
-    space = ca_space(3)
+    """Index widths 1-7, fields of -1, and a ragged last step, over 256
+    leaves with random two-way record fields."""
+    rng = np.random.default_rng(5)
+    names = ("emit", "action", "readout", "basis", "pattern", "test",
+             "guess", "evebit")
+    fields = {name: rng.integers(-1, 10, 256) for name in names}
     rounds = 1_000_003
-    codes = np.random.default_rng(5).integers(
-        0, space.size, rounds).astype(np.int16)
+    codes = rng.integers(0, 256, rounds).astype(np.uint8)
     report = RunReport(variant="synthetic", rounds=rounds, seed=0,
-                       metrics={}, categories={},
-                       record_fields=space.fields, codes=codes,
-                       code_fields=space.decode())
+                       metrics={}, categories={}, record_fields=names,
+                       codes=codes, code_fields=fields)
     assert _log(report, sep) == round_log_reference(report, sep)
