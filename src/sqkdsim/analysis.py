@@ -19,6 +19,9 @@ from .joint import JointState, Pattern, THRESHOLD
 from .attacks import AttackSpec, constrained_random_attack
 
 EXACT_TOL = 1e-10
+#: ``lemma_verify``'s slack on the forward fidelity (``>= 1 - tol``), the
+#: single-photon click prediction and the parity decomposition
+FIDELITY_TOL, PREDICTION_TOL, DECOMPOSITION_TOL = 1e-9, 1e-9, 1e-12
 
 
 @dataclass
@@ -271,10 +274,10 @@ def lemma_verify(n_max: int = 3, trials: int = 200, seed: int = 0,
     summary.passed = (
         not summary.failures
         and summary.forward_max_minus_prob <= EXACT_TOL
-        and summary.forward_min_fidelity >= 1.0 - 1e-9
+        and summary.forward_min_fidelity >= 1.0 - FIDELITY_TOL
         and summary.converse_min_minus_prob > EXACT_TOL
-        and summary.single_photon_prediction_max_err <= 1e-9
-        and summary.decomposition_max_err <= 1e-12
+        and summary.single_photon_prediction_max_err <= PREDICTION_TOL
+        and summary.decomposition_max_err <= DECOMPOSITION_TOL
     )
     return summary
 

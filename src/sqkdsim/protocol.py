@@ -15,9 +15,10 @@ values; the attack checked its maps when it was built), a walker
 (``kernels.simulate_*``) and an aggregator.  The walker returns the number
 of rounds at each leaf of its walk, each record field's value per leaf,
 and one leaf per round when the caller keeps them (``keep_codes``, for a
-round log).  Every metric and category is a function of the record alone,
-so each aggregator computes them once per leaf, weighted by those counts,
-with the same expressions a per-round pass would use.
+round log).  Every category and metric is a count, or a ratio of counts,
+of the rounds at a set of leaves, so each aggregator only declares leaf
+masks over the record fields: its categories, keyed by name, and its
+metric rows.  ``_aggregate`` alone weights them by the histogram.
 
 Loss is independent per-photon survival applied on each leg in transit
 (suppressed entirely when the attack substitutes a lossless channel).
@@ -385,114 +386,119 @@ def _bits_from_codes(codes: np.ndarray) -> Tuple[np.ndarray, ...]:
 Aggregate = Tuple[Dict[str, float], Dict[str, int], Dict[str, np.ndarray]]
 
 
-def _count(w: np.ndarray, mask: np.ndarray) -> int:
-    """Rounds at the leaves in ``mask``, given the rounds ``w`` at each leaf."""
-    return int(w[mask].sum())
+def _aggregate(w: np.ndarray, rec: Dict[str, np.ndarray],
+               categories: Dict[str, np.ndarray], rows: List[tuple],
+               meta: Dict[str, float]) -> Aggregate:
+    """Metrics, categories and code fields of the leaves, whose record
+    fields are ``rec``, given the rounds ``w`` at each leaf.
+
+    ``categories`` maps each category, in report order, to its leaf mask;
+    they are counted from the ``category`` field the round log shows.  A
+    row ``(name, mask)`` counts rounds (an int), ``(name, num, den,
+    empty)`` is a ratio of two counts (a float), or ``empty`` when ``den``
+    counts none (no metric if None), and ``(name, value)`` is a value of
+    the run.  The keys of ``meta`` that no row placed come last.
+    """
+    def count(mask: np.ndarray) -> int:
+        return int(w[mask].sum())
+
+    cat = np.full(w.size, -1, dtype=np.int8)
+    for i, mask in enumerate(categories.values()):
+        cat[mask] = i
+    counts = {name: count(cat == i) for i, name in enumerate(categories)}
+    metrics: Dict[str, float] = {}
+    for name, value, *ratio in rows:
+        if isinstance(value, np.ndarray):
+            value = count(value)
+        if ratio:
+            den, empty = count(ratio[0]), ratio[1]
+            value = value / den if den else empty
+        if value is not None:
+            metrics[name] = value
+    metrics.update(meta)
+    return metrics, counts, {**rec, "category": cat}
 
 
 def _ca_aggregate(config: ProtocolConfig, tables: CaTables,
                   meta: Dict[str, float], w: np.ndarray,
                   rec: Dict[str, np.ndarray]) -> Aggregate:
-    """Metrics, categories and code fields over the leaves, whose record
-    fields are ``rec``, weighted by ``w``."""
-    n = int(w.sum())
+    """Two-way categories and metrics as leaf masks over the record
+    fields ``rec``, evaluated at the rounds ``w`` per leaf."""
     action = rec["action"]
-    readout = rec["readout"]
     basis = rec["basis"]
     pattern = rec["pattern"]
-    test = rec["test"].astype(bool)
     guess = rec["guess"]
-    evebit = rec["evebit"]
     kind = tables.emission_kind[rec["emit"]]
     emit_bit = kind - 1          # the bit an extra z state announces
 
-    a1, a0, a_double, a_bit, a_vacuum = _bits_from_codes(readout)
+    a1, a0, a_double, a_bit, a_vacuum = _bits_from_codes(rec["readout"])
     b1, _b0, b_double, b_bit_raw, _ = _bits_from_codes(pattern)
     b_click = pattern != 0
     b_bit = np.where(basis == 0, b_bit_raw, -1)
     minus_click = (basis == 1) & (b1 >= 1)
 
+    every = np.ones(w.size, dtype=bool)
     ctrl = action == 0
     sift = ~ctrl
     std = kind == 0
-
-    cat = np.full(w.size, -1, dtype=np.int8)
-    cat[std & ctrl & (basis == 1) & ~minus_click] = 0
-    cat[std & ctrl & (basis == 1) & minus_click] = 1
-    cat[std & ctrl & (basis == 0)] = 2
-    cat[std & sift & (basis == 1)] = 3
+    std_ctrl_x = std & ctrl & (basis == 1)
     std_sift = std & sift & (basis == 0)
-    cat[std_sift & a_double] = 4
     live = std_sift & ~a_double
     err = (b_double
            | ((a_bit >= 0) & (b_bit >= 0) & (a_bit != b_bit))
            | (a_vacuum & b_click))
     lost = ~err & (~b_click | a_vacuum)
-    cat[live & test & err] = 6
-    cat[live & test & ~err & lost] = 7
-    cat[live & test & ~err & ~lost] = 5
+    test = rec["test"].astype(bool)
+    tested = live & test
     key = live & ~test
     good = key & (a_bit >= 0) & (b_bit >= 0)
-    cat[good & (a_bit == b_bit)] = 8
-    cat[good & (a_bit != b_bit)] = 9
-    cat[key & ~good & b_double] = 11
-    cat[key & ~good & ~b_double] = 10
-    extra = ~std
-    cat[extra & ctrl] = 14
-    cat[extra & sift & (a_bit >= 0) & (a_bit == emit_bit)] = 12
-    cat[extra & sift & (a_bit >= 0) & (a_bit != emit_bit)] = 13
-    cat[extra & sift & (a_bit < 0)] = 14
+    extra_sift = ~std & sift & (a_bit >= 0)
+    guessed = guess >= 0
 
-    counts = {name: _count(w, cat == i)
-              for i, name in enumerate(CA_CATEGORIES)}
-
-    nonempty_sift = _count(w, std_sift & ~a_vacuum)
-    double_clicks = counts["sift_illicit"]
-    key_bits = counts["key_ok"] + counts["key_mismatch"]
-    losses = _count(w, ~b_click)
-    multiphoton = _count(w, std_sift & ((a1 == 2) | (a0 == 2)) & ~a_double)
-
-    metrics: Dict[str, float] = {
-        "rounds": n,
-        "ctrl_rounds": counts["ctrl_clean"] + counts["ctrl_error"],
-        "ctrl_errors": counts["ctrl_error"],
-        "sift_rounds": _count(w, std_sift),
-        "test_rounds": counts["test_ok"] + counts["test_error"] + counts["test_loss"],
-        "test_errors": counts["test_error"],
-        "alice_double_clicks": double_clicks,
-        "alice_multiphoton_readouts": multiphoton,
-        "double_click_fraction": (double_clicks / nonempty_sift
-                                  if nonempty_sift else 0.0),
-        "losses": losses,
-        "loss_fraction": losses / n,
-        "sifted_bits": key_bits,
-        "sifted_disagreements": counts["key_mismatch"],
-        "sifted_agreement": (counts["key_ok"] / key_bits if key_bits else 1.0),
-        "alice_11_prob_exact": meta["alice_11_prob_exact"],
-    }
-
-    guessed = _count(w, guess >= 0)
-    if guessed:
-        metrics["eve_guess_success"] = float(
-            _count(w, (guess >= 0) & (guess == action)) / guessed)
-    key_mask = (cat == 8) | (cat == 9)
-    metrics["eve_known_fraction"] = (
-        float(_count(w, key_mask & (evebit == a_bit)) / key_bits)
-        if key_bits else 0.0)
-
+    cats = dict(zip(CA_CATEGORIES, (
+        std_ctrl_x & ~minus_click, std_ctrl_x & minus_click,
+        std & ctrl & (basis == 0), std & sift & (basis == 1),
+        std_sift & a_double,
+        tested & ~err & ~lost, tested & err, tested & ~err & lost,
+        good & (a_bit == b_bit), good & (a_bit != b_bit),
+        key & ~good & ~b_double, key & ~good & b_double,
+        extra_sift & (a_bit == emit_bit), extra_sift & (a_bit != emit_bit),
+        ~std & (ctrl | (a_bit < 0)))))
+    rows = [
+        ("rounds", every),
+        ("ctrl_rounds", std_ctrl_x),
+        ("ctrl_errors", cats["ctrl_error"]),
+        ("sift_rounds", std_sift),
+        ("test_rounds", tested),
+        ("test_errors", cats["test_error"]),
+        ("alice_double_clicks", cats["sift_illicit"]),
+        ("alice_multiphoton_readouts", live & ((a1 == 2) | (a0 == 2))),
+        ("double_click_fraction", cats["sift_illicit"], std_sift & ~a_vacuum,
+         0.0),
+        ("losses", ~b_click),
+        ("loss_fraction", ~b_click, every, 0.0),
+        ("sifted_bits", good),
+        ("sifted_disagreements", cats["key_mismatch"]),
+        ("sifted_agreement", cats["key_ok"], good, 1.0),
+        ("alice_11_prob_exact", meta["alice_11_prob_exact"]),
+        ("eve_guess_success", guessed & (guess == action), guessed, None),
+        ("eve_known_fraction", good & (rec["evebit"] == a_bit), good, 0.0),
+    ]
     if config.cross_basis_tests:
-        metrics["cross_ctrl_rounds"] = counts["cross_ctrl_z"]
-        metrics["cross_ctrl_double"] = _count(w, (cat == 2) & b_double)
-        metrics["cross_sift_rounds"] = counts["cross_sift_x"]
-        metrics["cross_sift_double"] = _count(w, (cat == 3) & b_double)
+        rows += [
+            ("cross_ctrl_rounds", cats["cross_ctrl_z"]),
+            ("cross_ctrl_double", cats["cross_ctrl_z"] & b_double),
+            ("cross_sift_rounds", cats["cross_sift_x"]),
+            ("cross_sift_double", cats["cross_sift_x"] & b_double),
+        ]
     if config.extra_bob_states:
-        metrics["extra_test_rounds"] = (counts["extra_test_ok"]
-                                        + counts["extra_test_error"])
-        metrics["extra_test_errors"] = counts["extra_test_error"]
+        rows += [
+            ("extra_test_rounds",
+             cats["extra_test_ok"] | cats["extra_test_error"]),
+            ("extra_test_errors", cats["extra_test_error"]),
+        ]
     # the leakage goes last; the key already in place keeps its position
-    metrics.update(meta)
-
-    return metrics, counts, {**rec, "category": cat}
+    return _aggregate(w, rec, cats, rows, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -557,46 +563,36 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
 def _bb84_aggregate(config: ProtocolConfig, tables: Bb84Tables,
                     meta: Dict[str, float], w: np.ndarray,
                     rec: Dict[str, np.ndarray]) -> Aggregate:
-    """BB84 metrics, categories and code fields over the leaves, whose
-    record fields are ``rec``, weighted by ``w``."""
-    n = int(w.sum())
+    """BB84 categories and metrics as leaf masks over the record fields
+    ``rec``, evaluated at the rounds ``w`` per leaf."""
     pattern = rec["pattern"]
     bit = rec["bit"]
-    basis = rec["basis"]
-    bob_basis = rec["bob_basis"]
-    evebit = rec["evebit"]
     _b1, _b0, double, b_bit, _vac = _bits_from_codes(pattern)
     received = pattern != 0
-    same = basis == bob_basis
+    same = rec["basis"] == rec["bob_basis"]
     sifted = received & same & (b_bit >= 0)
 
-    cat = np.full(w.size, -1, dtype=np.int8)
-    cat[~received] = 0
-    cat[received & ~same] = 1
-    cat[received & same & double] = 2
-    cat[sifted & (b_bit == bit)] = 3
-    cat[sifted & (b_bit != bit)] = 4
-    counts = {name: _count(w, cat == i)
-              for i, name in enumerate(BB84_CATEGORIES)}
-
-    n_sift = counts["sift_ok"] + counts["sift_error"]
-    known = _count(w, sifted & (evebit == bit))
-    metrics: Dict[str, float] = {
-        "rounds": n,
-        "received_pulses": _count(w, received),
-        "sifted_bits": n_sift,
-        "sifted_errors": counts["sift_error"],
-        "error_rate": counts["sift_error"] / n_sift if n_sift else 0.0,
-        "double_clicks": counts["double_click"],
-        "eve_known_fraction": known / n_sift if n_sift else 0.0,
-    }
-    metrics.update(meta)
+    cats = dict(zip(BB84_CATEGORIES, (
+        ~received, received & ~same, received & same & double,
+        sifted & (b_bit == bit), sifted & (b_bit != bit))))
+    rows = [
+        ("rounds", np.ones(w.size, dtype=bool)),
+        ("received_pulses", received),
+        ("sifted_bits", sifted),
+        ("sifted_errors", cats["sift_error"]),
+        ("error_rate", cats["sift_error"], sifted, 0.0),
+        ("double_clicks", cats["double_click"]),
+        ("eve_known_fraction", sifted & (rec["evebit"] == bit), sifted, 0.0),
+        *meta.items(),
+    ]
     if tables.attack == 1:
-        metrics["pns_forwarded"] = _count(w, rec["forwarded"] == 1)
+        rows.append(("pns_forwarded", rec["forwarded"] == 1))
+    metrics, counts, fields = _aggregate(w, rec, cats, rows, meta)
+    if tables.attack == 1:
+        # the splitter forwards two-photon pulses until the quota is met
         metrics["pns_quota_met"] = (
-            1.0 if _count(w, rec["pulse_size"] == 2) >= tables.quota else 0.0)
-
-    return metrics, counts, {**rec, "category": cat}
+            1.0 if metrics["pns_forwarded"] >= tables.quota else 0.0)
+    return metrics, counts, fields
 
 
 # ---------------------------------------------------------------------------
@@ -631,42 +627,32 @@ def build_b92_tables(config: ProtocolConfig, attack: AttackSpec
 def _b92_aggregate(config: ProtocolConfig, tables: B92Tables,
                    meta: Dict[str, float], w: np.ndarray,
                    rec: Dict[str, np.ndarray]) -> Aggregate:
-    """Two-state metrics, categories and code fields over the leaves, whose
-    record fields are ``rec``, weighted by ``w``; the conclusive-measurement
-    intercept hides in loss."""
-    n = int(w.sum())
+    """Two-state categories and metrics as leaf masks over the record
+    fields ``rec``, evaluated at the rounds ``w`` per leaf; the
+    conclusive-measurement intercept hides in loss."""
+    every = np.ones(w.size, dtype=bool)
     arrived = rec["arrived"].astype(bool)
     conclusive = rec["conclusive"].astype(bool)
     bit = rec["bit"]
     bob_bit = rec["bob_bit"]
-    evebit = rec["evebit"]
 
-    cat = np.full(w.size, -1, dtype=np.int8)
-    cat[~arrived] = 0
-    cat[arrived & ~conclusive] = 1
-    cat[conclusive & (bob_bit == bit)] = 2
-    cat[conclusive & (bob_bit != bit)] = 3
-    counts = {name: _count(w, cat == i)
-              for i, name in enumerate(B92_CATEGORIES)}
-
-    delivered = _count(w, arrived)
-    n_con = counts["conclusive_ok"] + counts["conclusive_error"]
-    known = _count(w, conclusive & (evebit == bit))
-    metrics: Dict[str, float] = {
-        "rounds": n,
-        "losses": counts["loss"],
-        "delivered": delivered,
-        "delivered_fraction": delivered / n,
-        "conclusive": n_con,
-        "inconclusive": counts["inconclusive"],
-        "conclusive_fraction": n_con / delivered if delivered else 0.0,
-        "errors": counts["conclusive_error"],
-        "error_rate": counts["conclusive_error"] / n_con if n_con else 0.0,
-        "eve_known_fraction": known / n_con if n_con else 0.0,
-    }
-    metrics.update(meta)
-
-    return metrics, counts, {**rec, "category": cat}
+    cats = dict(zip(B92_CATEGORIES, (
+        ~arrived, arrived & ~conclusive,
+        conclusive & (bob_bit == bit), conclusive & (bob_bit != bit))))
+    rows = [
+        ("rounds", every),
+        ("losses", cats["loss"]),
+        ("delivered", arrived),
+        ("delivered_fraction", arrived, every, 0.0),
+        ("conclusive", conclusive),
+        ("inconclusive", cats["inconclusive"]),
+        ("conclusive_fraction", conclusive, arrived, 0.0),
+        ("errors", cats["conclusive_error"]),
+        ("error_rate", cats["conclusive_error"], conclusive, 0.0),
+        ("eve_known_fraction", conclusive & (rec["evebit"] == bit),
+         conclusive, 0.0),
+    ]
+    return _aggregate(w, rec, cats, rows, meta)
 
 
 # ---------------------------------------------------------------------------

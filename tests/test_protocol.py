@@ -17,6 +17,7 @@ from sqkdsim.joint import COUNTER, JointState
 from sqkdsim.protocol import (
     ConfigError,
     ProtocolConfig,
+    _aggregate,
     alice_sift,
     run,
 )
@@ -66,6 +67,54 @@ class TestAliceOps:
         used = j.apply_sift()
         with pytest.raises(ValueError):
             alice_sift(used)
+
+
+class TestAggregate:
+    """The one evaluator of leaf masks, on a synthetic histogram."""
+
+    w = np.array([3, 0, 5, 2, 4])
+    rec = {"x": np.array([0, 1, 1, 0, 2], dtype=np.int8)}
+
+    def evaluate(self, rows, meta=None):
+        x = self.rec["x"]
+        cats = {"zero": x == 0, "one": x == 1}
+        return _aggregate(self.w, self.rec, cats, rows, meta or {})
+
+    def test_counts_ratios_and_values(self):
+        x = self.rec["x"]
+        every = np.ones(x.size, dtype=bool)
+        metrics, counts, fields = self.evaluate([
+            ("rounds", every),
+            ("ones", x == 1),
+            ("one_fraction", x == 1, every, 0.0),
+            ("value", 0.25),
+        ])
+        assert metrics == {"rounds": 14, "ones": 5, "one_fraction": 5 / 14,
+                           "value": 0.25}
+        assert [type(metrics[k]) for k in metrics] == [int, int, float, float]
+        assert counts == {"zero": 5, "one": 5}
+        assert all(type(c) is int for c in counts.values())
+        # a leaf in no category is -1; the rest follow the declared order
+        assert fields["category"].tolist() == [0, 1, 1, 0, -1]
+        assert fields["x"] is self.rec["x"]
+
+    def test_empty_denominator(self):
+        x = self.rec["x"]
+        # the second leaf is a one with no rounds, so the mask counts none
+        unvisited = self.w == 0
+        metrics, _counts, _fields = self.evaluate([
+            ("fallback", x == 1, unvisited, 1.0),
+            ("absent", x == 1, unvisited, None),
+            ("none_at_all", x == 1, np.zeros(x.size, dtype=bool), 0.0),
+        ])
+        assert metrics == {"fallback": 1.0, "none_at_all": 0.0}
+
+    def test_meta_keeps_placed_keys_and_appends_new_ones(self):
+        metrics, _counts, _fields = self.evaluate(
+            [("first", 1.5), ("ones", self.rec["x"] == 1)],
+            meta={"late": 2.0, "first": 1.5})
+        assert list(metrics) == ["first", "ones", "late"]
+        assert metrics["first"] == 1.5 and metrics["late"] == 2.0
 
 
 class TestRunProtocolIdeal:

@@ -425,3 +425,22 @@ class TestCli:
         assert cli.main(["verify", "all"]) == 0
         out = capsys.readouterr().out
         assert "14/14 checks passed" in out
+
+    def test_verify_lemma_fails_on_undefined_leakage(self, monkeypatch,
+                                                     capsys):
+        # an undefined leakage leaves the forward fidelity at 1.0, so only
+        # the summary's failures show it
+        from sqkdsim import analysis, verify
+        undefined = analysis.LeakageReport(None, None, status="undefined",
+                                           detail="no pure probe states")
+        monkeypatch.setattr(analysis, "eve_leakage",
+                            lambda attack, n_max: undefined)
+        assert not analysis.lemma_verify(n_max=4, trials=4).passed
+        row = {r.name: r for r in verify.run_lemma(0, trials=4)}[
+            "forward-zero-leakage"]
+        assert not row.passed
+        assert row.detail.endswith(
+            "; forward trial 0: leakage no pure probe states")
+        assert cli.main(["verify", "lemma", "--trials", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] lemma:forward-zero-leakage" in out
