@@ -200,7 +200,11 @@ def eve_leakage(attack: AttackSpec, n_max: int = 3,
 
 @dataclass
 class LemmaSummary:
-    """Outcome of the numerical two-sided undetectability verification."""
+    """Outcome of the numerical two-sided undetectability verification.
+
+    ``checks`` holds each of the lemma's conditions once, as ``(name,
+    passed, detail)``, and ``passed`` is whether all of them hold.
+    """
     n_max: int
     probe_dims: Tuple[int, ...]
     forward_trials: int = 0
@@ -212,6 +216,7 @@ class LemmaSummary:
     decomposition_max_err: float = 0.0
     passed: bool = False
     failures: List[str] = field(default_factory=list)
+    checks: List[Tuple[str, bool, str]] = field(default_factory=list)
 
 
 def lemma_verify(n_max: int = 3, trials: int = 200, seed: int = 0,
@@ -244,6 +249,9 @@ def lemma_verify(n_max: int = 3, trials: int = 200, seed: int = 0,
             summary.forward_min_fidelity = min(summary.forward_min_fidelity,
                                                leak.conditional_fidelity)
 
+    # a forward trial whose leakage is undefined leaves the fidelity alone
+    leaks = list(summary.failures)
+
     levels = list(range(2, n_max + 1))
     for t in range(trials):
         d = probe_dims[t % len(probe_dims)]
@@ -271,14 +279,29 @@ def lemma_verify(n_max: int = 3, trials: int = 200, seed: int = 0,
 
     summary.decomposition_max_err = _parity_decomposition_error(n_max, seed)
 
-    summary.passed = (
-        not summary.failures
-        and summary.forward_max_minus_prob <= EXACT_TOL
-        and summary.forward_min_fidelity >= 1.0 - FIDELITY_TOL
-        and summary.converse_min_minus_prob > EXACT_TOL
-        and summary.single_photon_prediction_max_err <= PREDICTION_TOL
-        and summary.decomposition_max_err <= DECOMPOSITION_TOL
-    )
+    fidelity = f"min fidelity {summary.forward_min_fidelity:.12f}"
+    summary.checks = [
+        ("forward-no-minus-clicks",
+         summary.forward_max_minus_prob <= EXACT_TOL,
+         f"{summary.forward_trials} attacks, max prob "
+         f"{summary.forward_max_minus_prob:.2e}"),
+        ("forward-zero-leakage",
+         not leaks and summary.forward_min_fidelity >= 1.0 - FIDELITY_TOL,
+         f"{fidelity}; {leaks[0]}" if leaks else fidelity),
+        # a converse failure is a trial at or below EXACT_TOL: counted here
+        ("converse-always-visible",
+         summary.converse_min_minus_prob > EXACT_TOL,
+         f"{summary.converse_trials} attacks, min prob "
+         f"{summary.converse_min_minus_prob:.2e}"),
+        ("single-photon-click-magnitude",
+         summary.single_photon_prediction_max_err <= PREDICTION_TOL,
+         f"max |observed - mismatch^2/2| = "
+         f"{summary.single_photon_prediction_max_err:.2e}"),
+        ("parity-decomposition",
+         summary.decomposition_max_err <= DECOMPOSITION_TOL,
+         f"max residual {summary.decomposition_max_err:.2e}"),
+    ]
+    summary.passed = all(passed for _name, passed, _detail in summary.checks)
     return summary
 
 

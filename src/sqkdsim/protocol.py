@@ -2,23 +2,45 @@
 
 The two-way engine enumerates one round's full branch structure exactly
 (emission, per-leg loss, Eve's outbound map, Alice's CTRL/SIFT, Eve's
-return behaviour, Bob's detector statistics) into flat categorical tables,
-then hands the per-round sampling walk to the round engine in
-``kernels``.  All quantum amplitudes are therefore evaluated once per run;
-the Monte-Carlo loop only draws branch indices.  Every table is built
-level by level with ``_level``: a row per node, and a branch per node of
-the next level, in order, so no table maps branches to nodes.
+return behaviour, Bob's detector statistics) into flat categorical tables.
+All quantum amplitudes are therefore evaluated once per run; the
+Monte-Carlo loop only draws branch indices.  Every table is built level by
+level with ``_level``: a row per node, and a branch per node of the next
+level, in order, so no table maps branches to nodes.
 
 ``run`` is the one driver: each variant has a builder (``build_*_tables``,
 which validates the config and returns the tables and the run's exact
 values; the attack checked its maps when it was built), a walker
-(``kernels.simulate_*``) and an aggregator.  The walker returns the number
-of rounds at each leaf of its walk, each record field's value per leaf,
-and one leaf per round when the caller keeps them (``keep_codes``, for a
-round log).  Every category and metric is a count, or a ratio of counts,
-of the rounds at a set of leaves, so each aggregator only declares leaf
-masks over the record fields: its categories, keyed by name, and its
-metric rows.  ``_aggregate`` alone weights them by the histogram.
+(``simulate_*``) and an aggregator.  The walker lays its tables out as a
+chain of stages (``_ca_chain``, ``_bb84_chain``, ``_b92_chain``), path by
+path with the ``kernels`` plan walker's ``_split`` and ``_coin``, and
+walks it.  It returns the number of rounds at each leaf of its walk, each
+record field's value per leaf, and one leaf per round when the caller
+keeps them (``keep_codes``, for a round log).  Every category and metric
+is a count, or a ratio of counts, of the rounds at a set of leaves, so
+each aggregator only declares leaf masks over the record fields: its
+categories, keyed by name, and its metric rows.  ``_aggregate`` alone
+weights them by the histogram.
+
+Slots, the stage of each chain that reads each of a round's
+``kernels.SLOTS`` draws (``-``: unused):
+
+=====  ==========================  ======================  ====================
+slot   two-way                     BB84                    B92
+=====  ==========================  ======================  ====================
+0      emission                    Alice's bit             Alice's bit
+1      outbound loss               Alice's basis           Eve's basis (attack)
+2      CTRL or SIFT                pulse size              Eve's conclusive
+                                                           result (attack)
+3      Alice's SIFT branch         loss (no attack)        loss (no attack)
+4      Eve's return                Bob's basis             Bob's basis
+5      -                           Bob's detector          Bob's conclusive
+                                                           result
+6      return loss                 -                       -
+7      cross-basis test            -                       -
+8      Bob's detector              -                       -
+9      test round                  -                       -
+=====  ==========================  ======================  ====================
 
 Loss is independent per-photon survival applied on each leg in transit
 (suppressed entirely when the attack substitutes a lossless channel).
@@ -49,13 +71,12 @@ from .joint import (
     pattern_code,
 )
 from .kernels import (
-    B92Tables,
-    Bb84Tables,
-    CaTables,
+    _coin,
+    _leaves,
+    _split,
+    _walk,
+    _walk_chain,
     round_uniforms,  # noqa: F401  kept importable here for run tracers
-    simulate_b92,
-    simulate_bb84,
-    simulate_ca,
 )
 
 CLASSICAL_ALICE_FULL = "classical-alice-full"
@@ -156,6 +177,21 @@ class RunReport:
         return self.codes
 
 
+#: a walk's leaf per round (None unless kept), rounds per leaf, and each
+#: record field's value per leaf
+Walk = Tuple[Optional[np.ndarray], np.ndarray, Dict[str, np.ndarray]]
+
+
+def _simulate(plan, fields: Dict[str, np.ndarray], seed: int, rounds: int,
+              jobs: int, keep_codes: bool) -> Walk:
+    """Walk ``rounds`` rounds of ``plan``, whose record fields per leaf are
+    ``fields``."""
+    leaves = next(iter(fields.values())).size
+    codes, counts = _walk(lambda raw: _walk_chain(plan, raw), seed, rounds,
+                          jobs, leaves, keep_codes)
+    return codes, counts, fields
+
+
 # ---------------------------------------------------------------------------
 # Alice's SIFT branches (a building block of the tables)
 
@@ -239,18 +275,45 @@ def _loss_branches(state: JointState, survival: float, active: bool
     return [(p, st) for _lost, p, st in state.channel_loss_branches(survival)]
 
 
+@dataclass
+class CaTables:
+    """Flattened branch tables for the two-way protocol round walk.
+
+    The levels are emission, outbound loss, Alice's SIFT readout, Eve's
+    return, return loss and Bob's patterns.  Each level has a row per node and a branch per node of the next level:
+    branch ``i`` of a level is node ``i`` of the next.  The exceptions are
+    Alice's residual nodes (the rows of ``ret``): the ``O`` outbound nodes,
+    reflected on CTRL, then the SIFT branches, so SIFT branch ``k`` is
+    residual node ``O + k``; and Bob's level, one row per basis and
+    measured node, z rows first, so measured node ``m`` in basis ``b`` is
+    row ``m + M * b``.
+    """
+    emission_cum: np.ndarray     # (E,)
+    emission_kind: np.ndarray    # (E,) 0 = x pulse, 1 = z bit 0, 2 = z bit 1
+    oloss_off: np.ndarray        # (E+1,) -> O outbound nodes
+    oloss_cum: np.ndarray
+    sift_off: np.ndarray         # (O+1,) -> S SIFT branches
+    sift_cum: np.ndarray
+    sift_readout: np.ndarray     # pattern code of Alice's readout
+    ret_off: np.ndarray          # (O+S+1,) -> G returned nodes
+    ret_cum: np.ndarray
+    ret_guess: np.ndarray        # Eve's action guess (-1 none, 0 sift, 1 ctrl)
+    ret_evebit: np.ndarray       # bit Eve measured on the way back (-1 none)
+    rloss_off: np.ndarray        # (G+1,) -> M measured nodes
+    rloss_cum: np.ndarray
+    bob_off: np.ndarray          # (2M+1,)
+    bob_cum: np.ndarray
+    bob_pat: np.ndarray
+    test_fraction: float
+    cross_fraction: float        # 0.0 when cross-basis tests are off
+
+
 def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
                     ) -> Tuple[CaTables, Dict[str, float]]:
     """Evaluate the exact per-round branch tree of the two-way protocol,
     and the run's exact values: the probability that both of Alice's modes
     are occupied, and Eve's leakage where ``analysis.eve_leakage`` defines
-    it.
-
-    The levels are emission, outbound loss, Alice's SIFT readout, Eve's
-    return, return loss and Bob's patterns.  Alice's residual nodes, the
-    rows of the return level, are the outbound nodes (reflected on CTRL)
-    followed by the SIFT branches; Bob's rows are the measured nodes in z,
-    then in x.
+    it.  The levels and their numbering are those of ``CaTables``.
     """
     config.validate()
     if isinstance(attack.strategy, (UsdStrategy, PnsStrategy)):
@@ -322,7 +385,7 @@ def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
         dist = node.bob_distribution(basis, model)
         return ((dist[pat], None, pattern_code(pat)) for pat in sorted(dist))
 
-    bob_off, bob_cum, _leaves, bob_pat = _level(
+    bob_off, bob_cum, _ends, bob_pat = _level(
         [(basis, node) for basis in (Z, X) for node in measured_nodes],
         patterns)
 
@@ -356,6 +419,56 @@ def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
     except AttackDomainError:
         pass
     return tables, meta
+
+
+def _ca_chain(tab: CaTables):
+    """The two-way walk's draws and record fields per leaf: the
+    emission, outbound loss, Alice's fair coin (CTRL on a hit) and SIFT
+    readout, Eve's return, return loss, the cross-basis coin, Bob's pattern
+    and the test coin.  A CTRL path takes one certain branch appended to
+    the SIFT table and keeps its outbound node as its residual node.  An x
+    pulse is measured in the basis of Alice's action, swapped on a
+    cross-basis hit; the extra z states always in z.  Only a SIFT round of
+    an x pulse measured in z is a test round."""
+    emissions, outbound = tab.emission_cum.size, tab.oloss_cum.size
+    measured, sifts = tab.rloss_cum.size, tab.sift_cum.size
+    f: Dict[str, np.ndarray] = {}
+    steps = [(0, _split(f, np.array([0, emissions]), tab.emission_cum, 0,
+                        emit=np.arange(emissions), kind=tab.emission_kind))]
+    steps.append((1, _split(f, tab.oloss_off, tab.oloss_cum, f["emit"],
+                            node=np.arange(outbound))))
+    steps.append((2, _split(f, *_coin(0.5), 0, action=[0, 1, 0])))
+    steps.append((3, _split(
+        f, np.append(tab.sift_off, sifts + 1), np.append(tab.sift_cum, 1.0),
+        np.where(f["action"] == 1, f["node"], outbound),
+        resid=outbound + np.arange(sifts + 1),
+        readout=np.append(tab.sift_readout, -1))))
+    f["resid"] = np.where(f["action"] == 1, f["resid"], f["node"])
+    steps.append((4, _split(f, tab.ret_off, tab.ret_cum, f["resid"],
+                            returned=np.arange(tab.ret_cum.size),
+                            guess=tab.ret_guess, evebit=tab.ret_evebit)))
+    steps.append((6, _split(f, tab.rloss_off, tab.rloss_cum, f["returned"],
+                            measured=np.arange(measured))))
+    steps.append((7, _split(f, *_coin(tab.cross_fraction), 0,
+                            cross=[1, 0, 0])))
+    f["basis"] = (f["action"] ^ f["cross"] ^ 1) & (f["kind"] == 0)
+    steps.append((8, _split(f, tab.bob_off, tab.bob_cum,
+                            f["measured"] + measured * f["basis"],
+                            pattern=tab.bob_pat)))
+    steps.append((9, _split(f, *_coin(tab.test_fraction), 0, test=[1, 0, 0])))
+    # readout is -1 on CTRL rounds
+    return _leaves(
+        steps, emit=f["emit"], action=f["action"], readout=f["readout"],
+        basis=f["basis"], pattern=f["pattern"],
+        test=f["test"] & f["action"] & (f["basis"] == 0) & (f["kind"] == 0),
+        guess=f["guess"], evebit=f["evebit"])
+
+
+def simulate_ca(tab: CaTables, seed: int, rounds: int, jobs: int = 1,
+                keep_codes: bool = False) -> Walk:
+    """Leaves of ``rounds`` two-way rounds, or None unless ``keep_codes``,
+    their histogram and the record fields per leaf."""
+    return _simulate(*_ca_chain(tab), seed, rounds, jobs, keep_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +632,19 @@ BB84_MEAS_ROWS = (
 )
 
 
+@dataclass
+class Bb84Tables:
+    size_cum: np.ndarray         # (3,) cumulative pulse-size probabilities
+    attack: int                  # 1 when the splitting attack is active
+    quota: int                   # two-photon pulses the splitter forwards
+    loss_off: np.ndarray         # (3+1,), row per pulse size
+    loss_cum: np.ndarray
+    loss_m: np.ndarray           # surviving photon count per branch
+    meas_off: np.ndarray         # (4+1,), the rows of BB84_MEAS_ROWS
+    meas_cum: np.ndarray
+    meas_pat: np.ndarray         # pattern codes, bit-0 convention
+
+
 def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
                       ) -> Tuple[Bb84Tables, Dict[str, float]]:
     config.validate()
@@ -540,10 +666,10 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
 
     # surviving photon count m of each pulse size, binomial in the survival
     s = config.transmission
-    loss_off, loss_cum, _leaves, loss_m = _level(range(3), lambda size: (
+    loss_off, loss_cum, _ends, loss_m = _level(range(3), lambda size: (
         (math.comb(size, m) * s ** m * (1.0 - s) ** (size - m), None, m)
         for m in range(size + 1)))
-    meas_off, meas_cum, _leaves, meas_pat = _level(
+    meas_off, meas_cum, _ends, meas_pat = _level(
         BB84_MEAS_ROWS, lambda row: ((p, None, pat) for pat, p in row))
 
     tables = Bb84Tables(
@@ -558,6 +684,76 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
         meas_pat=meas_pat,
     )
     return tables, meta
+
+
+#: pattern codes mirrored across the two modes, code = 3*first + second
+MIRROR_CODE = np.array([3 * (c % 3) + c // 3 for c in range(9)], dtype=np.int8)
+
+
+def _bb84_chain(tab: Bb84Tables):
+    """The BB84 walk's draws and record fields per leaf: the pulse size,
+    the fair coins, the photons that reach Bob and his pattern (no click
+    when none does).  The splitter draws no loss: the leaf forwards one
+    photon of every two-photon pulse and gives Eve the bit."""
+    f: Dict[str, np.ndarray] = {}
+    steps = [(2, _split(f, np.array([0, 3]), tab.size_cum, 0,
+                        size=np.arange(3)))]
+    for slot, field in ((0, "bit"), (1, "basis"), (4, "bob_basis")):
+        steps.append((slot, _split(f, *_coin(0.5), 0, **{field: [0, 1, 0]})))
+    if tab.attack == 1:
+        f["m"] = f["forwarded"] = (f["size"] == 2).astype(np.int8)
+    else:
+        steps.append((3, _split(f, tab.loss_off, tab.loss_cum, f["size"],
+                                m=tab.loss_m)))
+        f["forwarded"] = np.zeros_like(f["m"])
+    rows = (f["m"] - 1) * 2 + (f["bob_basis"] == f["basis"])
+    steps.append((5, _split(
+        f, np.append(tab.meas_off, tab.meas_off[-1] + 1),
+        np.append(tab.meas_cum, 1.0),
+        np.where(f["m"] > 0, rows, tab.meas_off.size - 1),
+        pattern=np.append(tab.meas_pat, 0))))
+    return _leaves(
+        steps, bit=f["bit"], basis=f["basis"], pulse_size=f["size"],
+        forwarded=f["forwarded"], bob_basis=f["bob_basis"],
+        pattern=np.where(f["bit"] == 1, MIRROR_CODE[f["pattern"]],
+                         f["pattern"]),
+        evebit=np.where(f["forwarded"] == 1, f["bit"], -1))
+
+
+def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
+                  keep_codes: bool = False) -> Walk:
+    """Leaves of ``rounds`` BB84 rounds, or None unless ``keep_codes``,
+    their histogram and the record fields per leaf.  The splitter forwards
+    the first ``quota`` two-photon pulses of the run, so under the attack
+    the rounds are walked in one chunk, in order, and later ones are
+    blocked: each forwarded leaf has a twin appended to the leaves, with
+    nothing forwarded, no click and no bit for Eve."""
+    plan, fields = _bb84_chain(tab)
+    if tab.attack != 1:
+        return _simulate(plan, fields, seed, rounds, jobs, keep_codes)
+    forwarded = fields["forwarded"] == 1
+    twins = np.flatnonzero(forwarded)
+    blocked = np.arange(forwarded.size)
+    blocked[twins] = forwarded.size + np.arange(twins.size)
+    fields = {name: np.append(values, values[twins])
+              for name, values in fields.items()}
+    for name, value in (("forwarded", 0), ("pattern", 0), ("evebit", -1)):
+        fields[name][forwarded.size:] = value
+    taken = 0
+
+    def block(raw: np.ndarray) -> np.ndarray:
+        nonlocal taken
+        leaf = _walk_chain(plan, raw)
+        if taken >= tab.quota:
+            return blocked.take(leaf)
+        two = forwarded.take(leaf)
+        order = taken + np.cumsum(two)
+        taken = int(order[-1])
+        return np.where(two & (order > tab.quota), blocked.take(leaf), leaf)
+
+    codes, counts = _walk(block, seed, rounds, 1, blocked.size + twins.size,
+                          keep_codes)
+    return codes, counts, fields
 
 
 def _bb84_aggregate(config: ProtocolConfig, tables: Bb84Tables,
@@ -602,6 +798,13 @@ def _bb84_aggregate(config: ProtocolConfig, tables: Bb84Tables,
 B92_CATEGORIES = ("loss", "inconclusive", "conclusive_ok", "conclusive_error")
 
 
+@dataclass
+class B92Tables:
+    conclusive_p: float          # 1 - overlap^2
+    transmission: float
+    attack: int                  # 1 when the conclusive intercept is active
+
+
 def build_b92_tables(config: ProtocolConfig, attack: AttackSpec
                      ) -> Tuple[B92Tables, Dict[str, float]]:
     config.validate()
@@ -622,6 +825,40 @@ def build_b92_tables(config: ProtocolConfig, attack: AttackSpec
         "breakable_threshold": 0.5 * (1.0 + c * c),
     }
     return tables, meta
+
+
+def _b92_chain(tab: B92Tables):
+    """The B92 walk's draws and record fields per leaf: Alice's bit;
+    under the intercept Eve's basis and, off the bit's, her conclusive
+    result, which alone lets the pulse on, or else the transmission; then,
+    for a pulse that arrives, Bob's basis and, off the bit's, his result."""
+    f: Dict[str, np.ndarray] = {}
+    conclusive = _coin(tab.conclusive_p)
+    steps = [(0, _split(f, *_coin(0.5), 0, bit=[0, 1, 0]))]
+    if tab.attack == 1:
+        steps.append((1, _split(f, *_coin(0.5), 0, ebasis=[0, 1, 0])))
+        steps.append((2, _split(f, *conclusive, f["ebasis"] == f["bit"],
+                                arrived=[1, 0, 0])))
+    else:
+        steps.append((3, _split(f, *_coin(tab.transmission), 0,
+                                arrived=[1, 0, 0])))
+    steps.append((4, _split(f, *_coin(0.5), f["arrived"] == 0,
+                            bob_basis=[0, 1, -1])))
+    steps.append((5, _split(f, *conclusive, (f["arrived"] == 0)
+                            | (f["bob_basis"] == f["bit"]),
+                            conclusive=[1, 0, 0])))
+    return _leaves(
+        steps, bit=f["bit"], arrived=f["arrived"], bob_basis=f["bob_basis"],
+        conclusive=f["conclusive"],
+        bob_bit=np.where(f["conclusive"] == 1, 1 - f["bob_basis"], -1),
+        evebit=np.where(f["arrived"] * tab.attack == 1, f["bit"], -1))
+
+
+def simulate_b92(tab: B92Tables, seed: int, rounds: int, jobs: int = 1,
+                 keep_codes: bool = False) -> Walk:
+    """Leaves of ``rounds`` B92 rounds, or None unless ``keep_codes``,
+    their histogram and the record fields per leaf."""
+    return _simulate(*_b92_chain(tab), seed, rounds, jobs, keep_codes)
 
 
 def _b92_aggregate(config: ProtocolConfig, tables: B92Tables,

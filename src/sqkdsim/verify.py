@@ -16,8 +16,6 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from . import analysis, fock
-from .analysis import (DECOMPOSITION_TOL, EXACT_TOL, FIDELITY_TOL,
-                       PREDICTION_TOL)
 
 SUITES = ("fock", "lemma", "thresholds", "all")
 
@@ -84,31 +82,8 @@ def run_fock(seed: int) -> List[CheckResult]:
 def run_lemma(seed: int, trials: int = 200) -> List[CheckResult]:
     summary = analysis.lemma_verify(n_max=4, trials=trials, seed=seed,
                                     probe_dims=(1, 2, 3, 4))
-    # a forward trial whose leakage is undefined leaves the fidelity alone
-    leaks = [f for f in summary.failures if ": leakage " in f]
-    fidelity = f"min fidelity {summary.forward_min_fidelity:.12f}"
-    results = [
-        CheckResult("lemma", "forward-no-minus-clicks",
-                    summary.forward_max_minus_prob <= EXACT_TOL,
-                    f"{summary.forward_trials} attacks, max prob "
-                    f"{summary.forward_max_minus_prob:.2e}"),
-        CheckResult("lemma", "forward-zero-leakage",
-                    not leaks
-                    and summary.forward_min_fidelity >= 1 - FIDELITY_TOL,
-                    f"{fidelity}; {leaks[0]}" if leaks else fidelity),
-        CheckResult("lemma", "converse-always-visible",
-                    summary.converse_min_minus_prob > EXACT_TOL,
-                    f"{summary.converse_trials} attacks, min prob "
-                    f"{summary.converse_min_minus_prob:.2e}"),
-        CheckResult("lemma", "single-photon-click-magnitude",
-                    summary.single_photon_prediction_max_err <= PREDICTION_TOL,
-                    f"max |observed - mismatch^2/2| = "
-                    f"{summary.single_photon_prediction_max_err:.2e}"),
-        CheckResult("lemma", "parity-decomposition",
-                    summary.decomposition_max_err <= DECOMPOSITION_TOL,
-                    f"max residual {summary.decomposition_max_err:.2e}"),
-    ]
-    return results
+    return [CheckResult("lemma", name, passed, detail)
+            for name, passed, detail in summary.checks]
 
 
 def run_thresholds(seed: int) -> List[CheckResult]:

@@ -6,8 +6,9 @@ creation-operator expansion so the two derivations stay independent.
 
 The round-walk oracles (``*_walk``) take one round at a time in plain
 Python: each categorical draw scans its table row until the first
-cumulative threshold above the uniform.  The vectorized engine in
-``sqkdsim.kernels`` must reproduce their records bit for bit.
+cumulative threshold above the uniform.  The walkers in
+``sqkdsim.protocol``, on the plan walker in ``sqkdsim.kernels``, must
+reproduce their records bit for bit.
 
 The reference aggregators (``*_aggregate``) compute metrics and categories
 from per-round records with one boolean mask per quantity.  The protocol
@@ -109,7 +110,7 @@ def binomial_counts(n: int, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-round reference walks over the kernels' branch tables
+# per-round reference walks over the protocols' branch tables
 
 
 def _scan(off, cum, parent, x):

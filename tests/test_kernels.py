@@ -47,7 +47,7 @@ def reference(cfg, attack):
     u = kernels.round_uniforms(cfg.rng_seed, 0, cfg.rounds)
     if cfg.variant == "bb84":
         tables, meta = protocol.build_bb84_tables(cfg, attack)
-        rec = oracles.bb84_walk(tables, u, kernels.MIRROR_CODE)
+        rec = oracles.bb84_walk(tables, u, protocol.MIRROR_CODE)
         metrics, counts, cat = oracles.bb84_aggregate(cfg, tables, meta, rec)
     elif cfg.variant == "b92":
         tables, _meta = protocol.build_b92_tables(cfg, attack)
@@ -189,14 +189,14 @@ def walker(cfg, attack):
     reference walk of uniforms."""
     if cfg.variant == "bb84":
         tab, _meta = protocol.build_bb84_tables(cfg, attack)
-        return (tab, kernels._bb84_chain, kernels.simulate_bb84,
-                lambda u: oracles.bb84_walk(tab, u, kernels.MIRROR_CODE))
+        return (tab, protocol._bb84_chain, protocol.simulate_bb84,
+                lambda u: oracles.bb84_walk(tab, u, protocol.MIRROR_CODE))
     if cfg.variant == "b92":
         tab, _meta = protocol.build_b92_tables(cfg, attack)
-        return (tab, kernels._b92_chain, kernels.simulate_b92,
+        return (tab, protocol._b92_chain, protocol.simulate_b92,
                 lambda u: oracles.b92_walk(tab, u))
     tab, _meta = protocol.build_ca_tables(cfg, attack)
-    return (tab, kernels._ca_chain, kernels.simulate_ca,
+    return (tab, protocol._ca_chain, protocol.simulate_ca,
             lambda u: oracles.ca_walk(tab, u))
 
 
@@ -293,8 +293,8 @@ def test_bb84_twins_are_the_forwarded_leaves():
     twins only past the quota."""
     cfg = PNS_CASES["third-block"]
     tables, _meta = protocol.build_bb84_tables(cfg, pns_attack())
-    _plan, leaves = kernels._bb84_chain(tables)
-    codes, counts, fields = kernels.simulate_bb84(
+    _plan, leaves = protocol._bb84_chain(tables)
+    codes, counts, fields = protocol.simulate_bb84(
         tables, cfg.rng_seed, cfg.rounds, keep_codes=True)
     size = leaves["forwarded"].size
     forwarded = np.flatnonzero(leaves["forwarded"] == 1)
@@ -520,7 +520,8 @@ def test_word_thresholds_are_exact():
                               3 + passes), K
         one_row = kernels.Stage.from_rows(np.array([0, 3]),
                                           np.array([0.0, p, 1.0]))
-        assert np.array_equal(one_row.pick(raw), 1 + passes), K
+        assert np.array_equal(one_row.pick(raw, np.zeros(raw.size, np.intp)),
+                              1 + passes), K
         # a walk counts the thresholds a word passes, or folds the stage
         plan, path = kernels._chain([(0, one_row)])
         assert np.array_equal(path[kernels._walk_chain(plan, raw[:, None])],

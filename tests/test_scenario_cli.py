@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -431,16 +432,40 @@ class TestCli:
         # an undefined leakage leaves the forward fidelity at 1.0, so only
         # the summary's failures show it
         from sqkdsim import analysis, verify
+
+        def rows():
+            """The CLI rows, which pass exactly when the summary does."""
+            summary = analysis.lemma_verify(n_max=4, trials=4)
+            rows = verify.run_lemma(0, trials=4)
+            assert summary.passed == all(row.passed for row in rows)
+            return {row.name: row for row in rows}
+
         undefined = analysis.LeakageReport(None, None, status="undefined",
                                            detail="no pure probe states")
         monkeypatch.setattr(analysis, "eve_leakage",
                             lambda attack, n_max: undefined)
         assert not analysis.lemma_verify(n_max=4, trials=4).passed
-        row = {r.name: r for r in verify.run_lemma(0, trials=4)}[
-            "forward-zero-leakage"]
+        row = rows()["forward-zero-leakage"]
         assert not row.passed
         assert row.detail.endswith(
             "; forward trial 0: leakage no pure probe states")
         assert cli.main(["verify", "lemma", "--trials", "4"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] lemma:forward-zero-leakage" in out
+
+        # a forward attack that shows a minus click fails its own row only
+        monkeypatch.undo()
+        exact = analysis.check_constraints
+
+        def clicking(attack, n_max):
+            report = exact(attack, n_max=n_max)
+            if report.bob_minus_click_prob > analysis.EXACT_TOL:
+                return report
+            return dataclasses.replace(report, bob_minus_click_prob=0.25)
+
+        monkeypatch.setattr(analysis, "check_constraints", clicking)
+        assert [name for name, row in rows().items() if not row.passed] == [
+            "forward-no-minus-clicks"]
+        assert cli.main(["verify", "lemma", "--trials", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] lemma:forward-no-minus-clicks" in out
