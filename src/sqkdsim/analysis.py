@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .fock import FockState, X, Z, make_basis_state, parity_state
+from .fock import FockState, Occupation, X, Z, make_basis_state, parity_state
 from .joint import JointState, Pattern, THRESHOLD
 from .attacks import AttackSpec, constrained_random_attack
 
@@ -70,7 +70,7 @@ def _sift_and_return(attack: AttackSpec, psi: JointState, model: str,
     each normalized branch of ``patterns`` that occurs:
     ``{pattern: (probability, returned state)}``."""
     return {pat: (p, attack.apply_return(state))
-            for pat, p, state in psi.apply_sift(model).alice_branches()
+            for pat, p, state in psi.sift_branches(model)
             if pat in patterns}
 
 
@@ -100,17 +100,15 @@ def check_constraints(attack: AttackSpec, n_max: int = 3,
     }
     # SIFT branches, kept unnormalized as weight sqrt(p) times the projection
     returned = _sift_and_return(attack, psi, detector_model, tuple(allowed))
-    p01, back01 = returned.get((0, 1), (0.0, None))
-    p10, back10 = returned.get((1, 0), (0.0, None))
 
-    probe_dim = attack.probe_dim
-    zero = np.zeros(probe_dim, dtype=np.complex128)
-    bit0 = {n: (back01.probe_component((0, n)) * math.sqrt(p01)
-                if back01 is not None else zero)
-            for n in range(1, n_max + 1)}
-    bit1 = {n: (back10.probe_component((n, 0)) * math.sqrt(p10)
-                if back10 is not None else zero)
-            for n in range(1, n_max + 1)}
+    def weighted(pattern: Pattern, occ: Occupation) -> np.ndarray:
+        if pattern not in returned:  # the branch does not occur
+            return np.zeros(attack.probe_dim, dtype=np.complex128)
+        p, back = returned[pattern]
+        return back.probe_component(occ) * math.sqrt(p)
+
+    bit0 = {n: weighted((0, 1), (0, n)) for n in range(1, n_max + 1)}
+    bit1 = {n: weighted((1, 0), (n, 0)) for n in range(1, n_max + 1)}
 
     distance = float(np.linalg.norm(bit0[1] - bit1[1]))
     multi = {n: float(np.linalg.norm(bit0[n]) + np.linalg.norm(bit1[n]))

@@ -4,10 +4,11 @@ An attack holds an outbound map (applied on the way to Alice), a return map
 (applied on the way back to Bob), and optionally a classical per-round
 strategy for attacks that measure and act adaptively.  Maps are partial
 isometries held as two dense arrays over probe x channel: orthonormal
-domain vectors ``D`` and their images ``M``, one column each.  A dense map
-stores ``D = None``: its domain is the whole basis of its extent.  Inputs
-the protocol never produces are outside the domain and raise.  An
-``AttackSpec`` checks its maps once, when it is built.
+domain vectors ``D`` and their images ``M``, one column each.  A map acts
+on a state's ``(probe, channel)`` array read as one probe-major vector.
+A dense map stores ``D = None``: its domain is the whole basis of its
+extent.  Inputs the protocol never produces are outside the domain and
+raise.  An ``AttackSpec`` checks its maps once, when it is built.
 """
 
 from __future__ import annotations
@@ -74,15 +75,16 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class ProbeChannelMap:
-    """Linear map on probe x channel, acting identically for every Alice readout.
+    """Linear map on probe x channel.
 
     ``D`` holds orthonormal domain vectors and ``M`` their images, one column
     each, as arrays of shape (probe_dim, channel dim, columns) over Eve's
-    probe index and the ``ChannelBasis`` order.  ``apply`` expands each
-    Alice pattern's slice ``v`` of a state over the domain, ``c = D^H v``,
-    and maps it to ``M c``; any residual outside the span is an error.  The
-    map preserves inner products when the Gram matrices agree,
-    ``D^H D = M^H M``, and the domain is orthonormal, ``diag(D^H D) = 1``.
+    probe index and the ``ChannelBasis`` order.  ``apply`` reads a state's
+    ``(probe, channel)`` array as one probe-major vector ``v``, expands it
+    over the domain, ``c = D^H v``, and maps it to ``M c``; any residual
+    outside the span is an error.  The map preserves inner products when
+    the Gram matrices agree, ``D^H D = M^H M``, and the domain is
+    orthonormal, ``diag(D^H D) = 1``.
     ``D = None`` stands for the whole basis of ``M``'s extent, column ``j``
     being basis key ``j`` in probe-major order: then ``c = v`` on that
     extent, and the map preserves inner products when ``M^H M = I``.
@@ -148,40 +150,33 @@ class ProbeChannelMap:
                                  np.abs(np.diagonal(gram_dom) - 1.0).max()]))
 
     def apply(self, state: JointState) -> JointState:
-        """``M (D^H v)`` for each Alice pattern slice ``v`` of ``state``
+        """``M (D^H v)`` for the probe-major vector ``v`` of ``state``
         (``M v`` when ``D`` is None); coefficients at or below the amplitude
         floor count as zero."""
-        probe_dim, patterns, dim = state.amps.shape
+        probe_dim, dim = state.amps.shape
         extent_probe, extent_dim, cols = self.M.shape
         shape = (max(probe_dim, extent_probe), max(dim, extent_dim))
-        size = shape[0] * shape[1]
-        # one row per Alice pattern present, over probe-major (e, occupation) keys
-        vecs = _padded(state.amps, (shape[0], patterns, shape[1])
-                       ).transpose(1, 0, 2).reshape(patterns, size)
-        present = np.flatnonzero(vecs.any(axis=1))
-        vecs = vecs[present]
-        img = _padded(self.M, shape + (cols,)).reshape(size, cols)
+        padded = _padded(state.amps, shape)
+        # one row over the probe-major (e, occupation) keys
+        vec = padded.reshape(1, -1)
+        img = _padded(self.M, shape + (cols,)).reshape(-1, cols)
         if self.D is None:
             # the keys of the map's extent, copied as floored works in place
-            coeffs = floored(vecs.reshape(present.size, *shape)[
-                :, :extent_probe, :extent_dim].reshape(present.size, cols).copy())
+            coeffs = floored(padded[:extent_probe, :extent_dim].reshape(1, cols).copy())
         else:
-            dom = _padded(self.D, shape + (cols,)).reshape(size, cols)
-            coeffs = floored(_product(vecs, dom.conj()))
-        total = np.sum(np.abs(vecs) ** 2, axis=1)
-        outside = total - np.sum(np.abs(coeffs) ** 2, axis=1)
-        bad = outside > DOMAIN_TOL * np.maximum(total, 1.0)
-        if bad.any():
+            dom = _padded(self.D, shape + (cols,)).reshape(-1, cols)
+            coeffs = floored(_product(vec, dom.conj()))
+        total = np.sum(np.abs(vec) ** 2)
+        outside = total - np.sum(np.abs(coeffs) ** 2)
+        if outside > DOMAIN_TOL * max(total, 1.0):
             raise AttackDomainError(
-                f"input component of weight {outside[bad].max():.3e} lies outside "
+                f"input component of weight {outside:.3e} lies outside "
                 f"the attack map's domain")
-        out = np.zeros((patterns, size), dtype=np.complex128)
-        out[present] = _product(coeffs, img.T)
-        out = out.reshape(patterns, *shape).transpose(1, 0, 2)
-        if np.any(np.abs(out[:, :, dim:]) > AMPLITUDE_FLOOR):
+        out = _product(coeffs, img.T).reshape(shape)
+        if np.any(np.abs(out[:, dim:]) > AMPLITUDE_FLOOR):
             raise TruncationError(
                 f"attack map image exceeds the channel cap {state.n_max}")
-        return JointState(out[:probe_dim, :, :dim])
+        return JointState(out[:probe_dim, :dim])
 
 
 @dataclass(frozen=True)

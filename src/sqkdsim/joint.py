@@ -1,18 +1,19 @@
-"""Composite states over Eve's probe, Alice's detector probe, and the channel.
+"""Composite states over Eve's probe and the channel.
 
-A state is one dense complex array of shape ``(probe_dim, 9, dim)``: Eve's
-probe basis index, Alice's probe pattern code (``pattern_code``), and the
-z-basis channel occupation in ``ChannelBasis`` order.  Bob's x-basis
-detection rotates the channel axis with one matmul.  Alice's probe starts
-in the idle pattern ``(0, 0)`` and is entangled with the channel only by
-her SIFT transform, which records one threshold (or counter) value per
-mode.  Amplitudes at or below ``AMPLITUDE_FLOOR`` are zeroed after every
-operation, so a zero entry is an absent branch.
+A state is one dense complex array of shape ``(probe_dim, dim)``: Eve's
+probe basis index and the z-basis channel occupation in ``ChannelBasis``
+order.  Bob's x-basis detection rotates the channel axis with one matmul.
+Alice's SIFT readout is classical: ``sift_branches`` projects the channel
+on the occupations of each detector pattern (one threshold or counter value
+per mode) and returns the pattern with each branch.  Amplitudes at or below
+``AMPLITUDE_FLOOR`` are zeroed after every operation, so a zero entry is an
+absent branch.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
@@ -32,10 +33,7 @@ THRESHOLD = "threshold"
 COUNTER = "counter"
 
 Pattern = Tuple[int, int]
-JointKey = Tuple[int, Pattern, Occupation]
-
-IDLE = (0, 0)
-PATTERNS = 9
+JointKey = Tuple[int, Occupation]
 
 
 def detector_pattern(occ: Occupation, model: str) -> Pattern:
@@ -71,32 +69,36 @@ def _abs_sq(amps: np.ndarray) -> np.ndarray:
 
 
 def _norm_sq(amps: np.ndarray) -> float:
-    """Squared norm, summed in order over pattern, occupation, then probe."""
-    return sum(_abs_sq(amps).transpose(1, 2, 0).ravel().tolist())
+    """Squared norm, summed in order over occupation, then probe."""
+    return sum(_abs_sq(amps).T.ravel().tolist())
 
 
 class JointState:
-    """Pure state on probe x Alice-probe x channel as one dense array."""
+    """Pure state on probe x channel as one dense array."""
 
     __slots__ = ("amps",)
 
     def __init__(self, amps: np.ndarray):
         self.amps = floored(np.array(amps, dtype=np.complex128))
+        n = self.n_max if self.amps.ndim == 2 else -1
+        if n < 0 or (n + 1) * (n + 2) != 2 * self.amps.shape[1]:
+            raise ValueError(f"amplitudes of shape {self.amps.shape} are not "
+                             f"(probe, channel occupation)")
 
     @classmethod
     def from_product(cls, probe: np.ndarray | int, channel: FockState,
                      probe_dim: int) -> "JointState":
-        """Probe (index or amplitude vector) tensored with a channel state,
-        idle Alice probe."""
-        if isinstance(probe, int):
-            if not 0 <= probe < probe_dim:
-                raise ValueError(f"probe index {probe} outside dimension {probe_dim}")
-            probe = np.eye(1, probe_dim, probe)[0]
-        vec = channel.to_z().amps
-        amps = np.zeros((probe_dim, PATTERNS, vec.size), dtype=np.complex128)
-        amps[:, pattern_code(IDLE), :] = np.multiply.outer(
-            np.asarray(probe, dtype=np.complex128), vec)
-        return cls(amps)
+        """Probe (index or amplitude vector) tensored with a channel state."""
+        if np.ndim(probe) == 0:
+            index = operator.index(probe)
+            if not 0 <= index < probe_dim:
+                raise ValueError(f"probe index {index} outside dimension {probe_dim}")
+            probe = np.eye(1, probe_dim, index)[0]
+        elif np.shape(probe) != (probe_dim,):
+            raise ValueError(f"probe vector of shape {np.shape(probe)} does not "
+                             f"match dimension {probe_dim}")
+        return cls(np.multiply.outer(np.asarray(probe, dtype=np.complex128),
+                                     channel.to_z().amps))
 
     @property
     def probe_dim(self) -> int:
@@ -104,49 +106,43 @@ class JointState:
 
     @property
     def n_max(self) -> int:
-        return (math.isqrt(8 * self.amps.shape[2] + 1) - 3) // 2
+        return (math.isqrt(8 * self.amps.shape[1] + 1) - 3) // 2
 
     @property
     def basis(self) -> ChannelBasis:
         return channel_basis(self.n_max)
 
     def items(self) -> List[Tuple[JointKey, complex]]:
-        """Nonzero amplitudes keyed ``(e, pattern, occupation)``, sorted."""
+        """Nonzero amplitudes keyed ``(e, occupation)``, sorted."""
         occs = self.basis.occupations
-        return sorted(((int(e), code_pattern(int(a)), occs[c]),
-                       complex(self.amps[e, a, c]))
-                      for e, a, c in zip(*np.nonzero(self.amps)))
+        return sorted(((int(e), occs[c]), complex(self.amps[e, c]))
+                      for e, c in zip(*np.nonzero(self.amps)))
 
     def norm_sq(self) -> float:
         return _norm_sq(self.amps)
 
-    def _branch(self, mask: np.ndarray) -> Tuple[float, "JointState"]:
-        """Probability and normalized projection onto the entries ``mask`` keeps."""
-        sub = np.where(mask, self.amps, 0.0)
-        p = _norm_sq(sub)
-        return p, JointState(sub * (1.0 / math.sqrt(p)))
+    def _branches(self, labels: np.ndarray) -> List[Tuple[int, float, "JointState"]]:
+        """``(label, probability, normalized projection)`` per value of the
+        per-occupation ``labels`` that occurs, in increasing order."""
+        # a bincount, not np.unique, whose first call imports numpy.ma
+        present = np.flatnonzero(np.bincount(labels[self.amps.any(axis=0)]))
+        branches = []
+        for v in present:
+            sub = np.where(labels == v, self.amps, 0.0)
+            p = _norm_sq(sub)
+            branches.append((int(v), p, JointState(sub * (1.0 / math.sqrt(p)))))
+        return branches
 
     # ---- Alice ----
 
-    def apply_sift(self, model: str = THRESHOLD) -> "JointState":
-        """Record per-mode detector values into Alice's probe.
-
-        Requires the probe to be idle; the channel occupation is untouched.
-        """
-        idle = pattern_code(IDLE)
-        if np.any(np.delete(self.amps, idle, axis=1)):
-            raise ValueError("Alice probe must be idle before SIFT")
-        out = np.zeros_like(self.amps)
-        cols = np.arange(self.amps.shape[2])
-        out[:, _detector_codes(self.n_max, model), cols] = self.amps[:, idle, :]
-        return JointState(out)
-
-    def alice_branches(self) -> List[Tuple[Pattern, float, "JointState"]]:
-        """Project Alice's probe: one normalized branch per readout pattern."""
-        present = np.flatnonzero(self.amps.any(axis=(0, 2)))
-        return [(code_pattern(int(a)),
-                 *self._branch(np.arange(PATTERNS)[:, None] == a))
-                for a in present]
+    def sift_branches(self, model: str = THRESHOLD
+                      ) -> List[Tuple[Pattern, float, "JointState"]]:
+        """Alice's SIFT readout: one normalized branch per detector pattern
+        that occurs, in pattern-code order.  Each projects the channel on
+        the occupations that show that pattern; the occupation itself is
+        untouched."""
+        return [(code_pattern(code), p, state) for code, p, state
+                in self._branches(_detector_codes(self.n_max, model))]
 
     def occupation_branches(self) -> List[Tuple[Occupation, float, np.ndarray]]:
         """Collapse the channel occupation completely (destructive detection).
@@ -154,14 +150,10 @@ class JointState:
         Returns ``(occupation, probability, probe amplitude vector)`` per
         outcome; the probe vector is normalized.
         """
-        basis = self.basis
-        present = self.amps.any(axis=(0, 1))
-        vecs = self.amps.sum(axis=1)
         branches = []
-        for occ in sorted(basis.occupations):
-            c = basis.index[occ]
-            if present[c]:
-                vec = vecs[:, c]
+        for occ in sorted(self.basis.occupations):
+            vec = self.amps[:, self.basis.index[occ]]
+            if vec.any():
                 p = float(np.vdot(vec, vec).real)
                 branches.append((occ, p, vec / math.sqrt(p)))
         return branches
@@ -170,15 +162,11 @@ class JointState:
 
     def probe_component(self, occ: Occupation) -> np.ndarray:
         """Unnormalized probe vector attached to one channel occupation."""
-        return self.amps[:, :, self.basis.index[occ]].sum(axis=1)
+        return self.amps[:, self.basis.index[occ]].copy()
 
     def photon_count_branches(self) -> List[Tuple[int, float, "JointState"]]:
         """Nondemolition total-photon count of the channel part."""
-        totals = self.basis.totals
-        # a bincount, not np.unique, whose first call imports numpy.ma
-        counts = np.bincount(totals[self.amps.any(axis=(0, 1))])
-        present = np.flatnonzero(counts)
-        return [(int(n), *self._branch(totals == n)) for n in present]
+        return self._branches(self.basis.totals)
 
     # ---- Bob ----
 
@@ -187,8 +175,8 @@ class JointState:
         amps = self.amps
         if basis == X:
             amps = floored(amps @ self.basis.hadamard)
-        probs = _abs_sq(amps).sum(axis=(0, 1))
-        present = amps.any(axis=(0, 1))
+        probs = _abs_sq(amps).sum(axis=0)
+        present = amps.any(axis=0)
         return {occ: float(probs[c])
                 for c, occ in enumerate(self.basis.occupations) if present[c]}
 
@@ -214,7 +202,7 @@ class JointState:
             raise ValueError("survival fraction must lie in [0, 1]")
         basis = self.basis
         occs = [basis.occupations[c]
-                for c in np.flatnonzero(self.amps.any(axis=(0, 1)))]
+                for c in np.flatnonzero(self.amps.any(axis=0))]
         branches = []
         for k1 in range(max((o[0] for o in occs), default=0) + 1):
             for k0 in range(max((o[1] for o in occs), default=0) + 1):
@@ -226,8 +214,8 @@ class JointState:
                          * math.comb(n0, k0) * survival ** (n0 - k0) * (1 - survival) ** k0)
                     if w <= 0.0:
                         continue
-                    out[:, :, basis.index[(n1 - k1, n0 - k0)]] = (
-                        self.amps[:, :, basis.index[(n1, n0)]] * math.sqrt(w))
+                    out[:, basis.index[(n1 - k1, n0 - k0)]] = (
+                        self.amps[:, basis.index[(n1, n0)]] * math.sqrt(w))
                 sub = JointState(out)
                 p = sub.norm_sq()
                 if p > AMPLITUDE_FLOOR:

@@ -67,6 +67,7 @@ from .joint import (
     COUNTER,
     JointState,
     THRESHOLD,
+    code_pattern,
     detector_pattern,
     pattern_code,
 )
@@ -196,32 +197,26 @@ def _simulate(plan, fields: Dict[str, np.ndarray], seed: int, rounds: int,
 # Alice's SIFT branches (a building block of the tables)
 
 
-SiftBranch = Tuple[Tuple[int, int], float, JointState]
-
-
 def alice_sift(joint: JointState, detector_model: str = THRESHOLD,
-               policy: str = REFLECT) -> List[SiftBranch]:
+               policy: str = REFLECT
+               ) -> List[Tuple[Tuple[int, int], float, JointState]]:
     """Alice's measure branch: (readout, probability, residual) per outcome.
 
-    Reflecting policy: the probe records only threshold/counter values, so
-    the channel occupation (and its coherence within a readout class) is
-    sent back exactly as received.  Measure-resend: detection is
-    destructive; the occupation collapses and a fresh pulse with one photon
-    per clicked detector goes back.
+    Reflecting policy: Alice reads only threshold/counter values, so the
+    channel occupation (and its coherence within a readout class) is sent
+    back exactly as received.  Measure-resend: detection is destructive;
+    the occupation collapses and a fresh pulse with one photon per clicked
+    detector goes back.
     """
-    sifted = joint.apply_sift(detector_model)
     if policy == REFLECT:
-        return list(sifted.alice_branches())
+        return joint.sift_branches(detector_model)
     if policy != MEASURE_RESEND:
         raise ConfigError(f"unknown residual policy {policy!r}")
-    branches: List[SiftBranch] = []
-    for occ, p, probe_vec in sifted.occupation_branches():
-        readout = detector_pattern(occ, detector_model)
-        resend = (min(occ[0], 1), min(occ[1], 1))
-        resid = JointState.from_product(
-            probe_vec, make_basis_state(resend, Z, joint.n_max), joint.probe_dim)
-        branches.append((readout, p, resid))
-    return branches
+    return [(detector_pattern(occ, detector_model), p,
+             JointState.from_product(probe_vec, make_basis_state(
+                 (min(occ[0], 1), min(occ[1], 1)), Z, joint.n_max),
+                 joint.probe_dim))
+            for occ, p, probe_vec in joint.occupation_branches()]
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +479,12 @@ CA_CATEGORIES = (
 
 
 def _bits_from_codes(codes: np.ndarray) -> Tuple[np.ndarray, ...]:
-    first = np.where(codes >= 0, codes // 3, 0)
-    second = np.where(codes >= 0, codes % 3, 0)
-    valid = codes >= 0
-    double = valid & (first >= 1) & (second >= 1)
+    """Per-mode readouts, double click, bit (-1 none) and vacuum per code."""
+    first, second = code_pattern(np.where(codes >= 0, codes, 0))
     bit = np.full(codes.shape, -1, dtype=np.int8)
-    bit[valid & (first == 0) & (second >= 1)] = 0
-    bit[valid & (first >= 1) & (second == 0)] = 1
-    vacuum = valid & (codes == 0)
-    return first, second, double, bit, vacuum
+    bit[(first == 0) & (second >= 1)] = 0
+    bit[(first >= 1) & (second == 0)] = 1
+    return first, second, (first >= 1) & (second >= 1), bit, codes == 0
 
 
 #: an aggregator's (metrics, categories, code fields with ``category``)
@@ -623,12 +615,12 @@ BB84_CATEGORIES = ("no_click", "basis_mismatch", "double_click",
 
 
 #: detector pattern rows in the bit-0 convention, row = (m-1)*2 + same,
-#: as (pattern code, probability) branches
+#: as (pattern, probability) branches
 BB84_MEAS_ROWS = (
-    ((1, 0.5), (3, 0.5)),              # one photon, wrong basis
-    ((1, 1.0),),                       # one photon, right basis
-    ((1, 0.25), (3, 0.25), (4, 0.5)),  # two photons, wrong basis
-    ((1, 1.0),),                       # two photons, right basis
+    (((0, 1), 0.5), ((1, 0), 0.5)),                   # one photon, wrong basis
+    (((0, 1), 1.0),),                                 # one photon, right basis
+    (((0, 1), 0.25), ((1, 0), 0.25), ((1, 1), 0.5)),  # two photons, wrong basis
+    (((0, 1), 1.0),),                                 # two photons, right basis
 )
 
 
@@ -670,7 +662,8 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
         (math.comb(size, m) * s ** m * (1.0 - s) ** (size - m), None, m)
         for m in range(size + 1)))
     meas_off, meas_cum, _ends, meas_pat = _level(
-        BB84_MEAS_ROWS, lambda row: ((p, None, pat) for pat, p in row))
+        BB84_MEAS_ROWS,
+        lambda row: ((p, None, pattern_code(pat)) for pat, p in row))
 
     tables = Bb84Tables(
         size_cum=np.array([p0, p0 + p1, 1.0]),
@@ -686,8 +679,9 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
     return tables, meta
 
 
-#: pattern codes mirrored across the two modes, code = 3*first + second
-MIRROR_CODE = np.array([3 * (c % 3) + c // 3 for c in range(9)], dtype=np.int8)
+#: pattern code of each pattern code mirrored across the two modes
+MIRROR_CODE = np.array([pattern_code(code_pattern(c)[::-1]) for c in range(9)],
+                       dtype=np.int8)
 
 
 def _bb84_chain(tab: Bb84Tables):

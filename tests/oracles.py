@@ -21,8 +21,10 @@ The dense-map references (``isometry_defect_reference``,
 that ``sqkdsim.attacks`` replaced with array operations, and
 ``transform_reference`` is the per-occupation dict loop that ``sqkdsim.fock``
 replaced with one matmul.  ``joint_state``, ``map_from_columns`` and
-``columns_of`` convert between those dict forms, keyed
-``(e, pattern, occupation)`` and ``(e, occupation)``, and the dense arrays.
+``columns_of`` convert between those dict forms, keyed ``(e, occupation)``,
+and the dense arrays.  ``sift_reference`` groups a state's amplitudes by
+Alice's detector pattern, where ``JointState.sift_branches`` projects the
+array on one mask per pattern.
 
 ``round_log_reference`` formats the round log one line per round with an
 f-string; ``sqkdsim.report`` builds the same text from byte rows with numpy.
@@ -38,7 +40,7 @@ import numpy as np
 from sqkdsim import analysis
 from sqkdsim.attacks import DOMAIN_TOL, AttackDomainError, ProbeChannelMap
 from sqkdsim.fock import AMPLITUDE_FLOOR, FockState, X, Z, _mixing_row
-from sqkdsim.joint import ChannelBasis, JointState, pattern_code
+from sqkdsim.joint import ChannelBasis, JointState, detector_pattern
 from sqkdsim.protocol import (
     B92_CATEGORIES,
     BB84_CATEGORIES,
@@ -475,12 +477,28 @@ def from_dense_columns_reference(matrix, probe_dim, channel):
 
 
 def joint_state(probe_dim, n_max, amps) -> JointState:
-    """JointState holding a ``{(e, pattern, occupation): amp}`` dict."""
+    """JointState holding a ``{(e, occupation): amp}`` dict."""
     basis = ChannelBasis(n_max)
-    arr = np.zeros((probe_dim, 9, basis.dim), dtype=np.complex128)
-    for (e, pattern, occ), amp in amps.items():
-        arr[e, pattern_code(pattern), basis.index[occ]] = amp
+    arr = np.zeros((probe_dim, basis.dim), dtype=np.complex128)
+    for (e, occ), amp in amps.items():
+        arr[e, basis.index[occ]] = amp
     return JointState(arr)
+
+
+def sift_reference(state: JointState, model) -> list:
+    """Alice's SIFT readout as ``(pattern, probability, {(e, occupation):
+    amp})`` per detector pattern that occurs, sorted by pattern: the
+    amplitudes grouped by ``detector_pattern`` and each group normalized."""
+    groups = {}
+    for (e, occ), amp in state.items():
+        groups.setdefault(detector_pattern(occ, model), {})[(e, occ)] = amp
+    out = []
+    for pattern in sorted(groups):
+        group = groups[pattern]
+        p = sum(abs(a) ** 2 for a in group.values())
+        out.append((pattern, p,
+                    {k: a / math.sqrt(p) for k, a in group.items()}))
+    return out
 
 
 def map_from_columns(columns, probe_dim, n_max) -> ProbeChannelMap:
@@ -519,29 +537,25 @@ def columns_of(m: ProbeChannelMap):
 
 
 def apply_reference(m: ProbeChannelMap, state: JointState) -> dict:
-    """``m`` applied to ``state`` as ``{(e, pattern, occupation): amp}``,
-    one dict inner product per column and pattern; raises AttackDomainError
-    for an input outside the domain as ``ProbeChannelMap.apply`` does."""
-    groups = {}
-    for (e, a, c), amp in state.items():
-        groups.setdefault(a, {})[(e, c)] = amp
-    columns = columns_of(m)
+    """``m`` applied to ``state`` as ``{(e, occupation): amp}``, one dict
+    inner product per column; raises AttackDomainError for an input outside
+    the domain as ``ProbeChannelMap.apply`` does."""
+    vec = dict(state.items())
+    total = sum(abs(x) ** 2 for x in vec.values())
+    captured = 0.0
     out = {}
-    for a, vec in groups.items():
-        total = sum(abs(x) ** 2 for x in vec.values())
-        captured = 0.0
-        for dom, img in columns:
-            coeff = sum(dom[k].conjugate() * vec[k]
-                        for k in dom.keys() & vec.keys())
-            if abs(coeff) <= AMPLITUDE_FLOOR:
-                continue
-            captured += abs(coeff) ** 2
-            for (e, c), amp in img.items():
-                out[(e, a, c)] = out.get((e, a, c), 0j) + coeff * amp
-        if total - captured > DOMAIN_TOL * max(total, 1.0):
-            raise AttackDomainError(
-                f"input component of weight {total - captured:.3e} lies "
-                f"outside the attack map's domain")
+    for dom, img in columns_of(m):
+        coeff = sum(dom[k].conjugate() * vec[k]
+                    for k in dom.keys() & vec.keys())
+        if abs(coeff) <= AMPLITUDE_FLOOR:
+            continue
+        captured += abs(coeff) ** 2
+        for key, amp in img.items():
+            out[key] = out.get(key, 0j) + coeff * amp
+    if total - captured > DOMAIN_TOL * max(total, 1.0):
+        raise AttackDomainError(
+            f"input component of weight {total - captured:.3e} lies "
+            f"outside the attack map's domain")
     return {k: v for k, v in out.items() if abs(v) > AMPLITUDE_FLOOR}
 
 

@@ -113,7 +113,7 @@ def test_criterion_4_split_sector_identities():
         probe_index = {(0, 0): 0, (0, 1): 1, (1, 0): 2}
         for pocc, pamp in probe_x.items():
             for cocc, camp in channel_x.items():
-                expected[(probe_index[pocc], (0, 0), cocc)] = pamp * camp
+                expected[(probe_index[pocc], cocc)] = pamp * camp
         keys = set(expected) | {k for k, _ in got.items()}
         for key in keys:
             have = dict(got.items()).get(key, 0j)

@@ -42,39 +42,34 @@ class TestChannelBasis:
 
 class TestSiftTransform:
     def test_plus_pulse_branches(self):
-        sifted = plus_with_probe().apply_sift()
-        branches = {pat: (p, resid) for pat, p, resid in sifted.alice_branches()}
+        branches = {pat: (p, resid)
+                    for pat, p, resid in plus_with_probe().sift_branches()}
         assert set(branches) == {(0, 1), (1, 0)}
         p, resid = branches[(0, 1)]
         assert p == pytest.approx(0.5)
-        assert dict(resid.items()) == {(0, (0, 1), (0, 1)): pytest.approx(1.0)}
+        assert dict(resid.items()) == {(0, (0, 1)): pytest.approx(1.0)}
 
     def test_vacuum_untouched(self):
         j = JointState.from_product(0, make_basis_state((0, 0), Z, 2), 1)
-        branches = j.apply_sift().alice_branches()
+        branches = j.sift_branches()
         assert len(branches) == 1
         pat, p, resid = branches[0]
         assert pat == (0, 0) and p == pytest.approx(1.0)
-        assert dict(resid.items()) == {(0, (0, 0), (0, 0)): pytest.approx(1.0)}
+        assert dict(resid.items()) == {(0, (0, 0)): pytest.approx(1.0)}
 
     def test_parity_pulse_keeps_both_photons(self):
         j = JointState.from_product(0, parity_state(2, "even", Z, 2), 1)
         branches = {pat: (p, resid) for pat, p, resid in
-                    j.apply_sift().alice_branches()}
+                    j.sift_branches()}
         assert branches[(0, 1)][0] == pytest.approx(0.5)
         # the reflected residual still carries two photons
         resid = branches[(0, 1)][1]
-        assert list(k[2] for k, _ in resid.items()) == [(0, 2)]
+        assert list(k[1] for k, _ in resid.items()) == [(0, 2)]
 
     def test_two_plus_photons_fire_both_detectors(self):
         j = JointState.from_product(0, make_basis_state((0, 2), X, 2), 1)
-        branches = {pat: p for pat, p, _ in j.apply_sift().alice_branches()}
+        branches = {pat: p for pat, p, _ in j.sift_branches()}
         assert branches[(1, 1)] == pytest.approx(0.5)
-
-    def test_requires_idle_probe(self):
-        sifted = plus_with_probe().apply_sift()
-        with pytest.raises(ValueError):
-            sifted.apply_sift()
 
     def test_branch_probabilities_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -82,15 +77,37 @@ class TestSiftTransform:
             amps = {}
             for e in range(2):
                 for occ in [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2)]:
-                    amps[(e, (0, 0), occ)] = complex(rng.normal(), rng.normal())
+                    amps[(e, occ)] = complex(rng.normal(), rng.normal())
             j = oracles.joint_state(2, 2, amps)
             j = JointState(j.amps / math.sqrt(j.norm_sq()))
-            total = sum(p for _pat, p, _r in j.apply_sift().alice_branches())
+            total = sum(p for _pat, p, _r in j.sift_branches())
             assert total == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("model", [THRESHOLD, COUNTER])
+    @pytest.mark.parametrize("probe_dim", [1, 2, 3, 4])
+    def test_matches_dict_reference(self, model, probe_dim):
+        rng = np.random.default_rng(100 + probe_dim)
+        for n_max in range(5):
+            basis = ChannelBasis(n_max)
+            for _ in range(5):
+                amps = rng.normal(size=(probe_dim, basis.dim)) * 1j
+                amps += rng.normal(size=amps.shape)
+                # drop some occupations so that not every pattern occurs
+                amps[:, rng.random(basis.dim) < 0.4] = 0.0
+                j = JointState(amps)
+                got = j.sift_branches(model)
+                want = oracles.sift_reference(j, model)
+                assert [pat for pat, _p, _s in got] == [pat for pat, _p, _s in want]
+                for (_pat, p, state), (_, q, ref) in zip(got, want):
+                    assert p == pytest.approx(q, rel=1e-12)
+                    have = dict(state.items())
+                    assert set(have) == set(ref)
+                    for key, amp in ref.items():
+                        assert abs(have[key] - amp) <= 1e-12
 
     def test_reflection_preserves_photon_number_distribution(self):
         rng = np.random.default_rng(4)
-        amps = {(0, (0, 0), occ): complex(rng.normal(), rng.normal())
+        amps = {(0, occ): complex(rng.normal(), rng.normal())
                 for occ in [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1)]}
         j = oracles.joint_state(1, 2, amps)
         j = JointState(j.amps / math.sqrt(j.norm_sq()))
@@ -98,7 +115,7 @@ class TestSiftTransform:
         for occ, p in j.occupation_distribution(Z).items():
             before[occ[0] + occ[1]] = before.get(occ[0] + occ[1], 0.0) + p
         after = {}
-        for _pat, p, resid in j.apply_sift().alice_branches():
+        for _pat, p, resid in j.sift_branches():
             for occ, q in resid.occupation_distribution(Z).items():
                 n = occ[0] + occ[1]
                 after[n] = after.get(n, 0.0) + p * q
@@ -109,18 +126,18 @@ class TestSiftTransform:
 class TestCollapseAndCounting:
     def test_occupation_branches(self):
         j = JointState.from_product(0, parity_state(2, "even", Z, 2), 1)
-        branches = {occ: p for occ, p, _vec in j.apply_sift().occupation_branches()}
+        branches = {occ: p for occ, p, _vec in j.occupation_branches()}
         assert branches == {(0, 2): pytest.approx(0.5), (2, 0): pytest.approx(0.5)}
 
     def test_photon_count_branches(self):
-        amps = {(0, (0, 0), (0, 0)): 0.6, (0, (0, 0), (0, 2)): 0.8}
+        amps = {(0, (0, 0)): 0.6, (0, (0, 2)): 0.8}
         j = oracles.joint_state(1, 2, amps)
         counts = {c: p for c, p, _s in j.photon_count_branches()}
         assert counts == {0: pytest.approx(0.36), 2: pytest.approx(0.64)}
 
     def test_probe_component(self):
-        j = oracles.joint_state(2, 2, {(0, (0, 0), (0, 1)): 0.6,
-                                       (1, (0, 0), (0, 1)): 0.8j})
+        j = oracles.joint_state(2, 2, {(0, (0, 1)): 0.6,
+                                       (1, (0, 1)): 0.8j})
         vec = j.probe_component((0, 1))
         assert vec[0] == pytest.approx(0.6)
         assert vec[1] == pytest.approx(0.8j)
@@ -205,3 +222,23 @@ class TestJointValidation:
     def test_probe_range(self):
         with pytest.raises(ValueError):
             JointState.from_product(2, make_basis_state((0, 1), Z, 2), 1)
+
+    def test_numpy_integer_probe_is_an_index(self):
+        pulse = make_basis_state((0, 1), Z, 2)
+        j = JointState.from_product(np.int64(1), pulse, 3)
+        assert j.norm_sq() == pytest.approx(1.0)
+        assert dict(j.items()) == dict(JointState.from_product(1, pulse, 3).items())
+        with pytest.raises(ValueError):
+            JointState.from_product(np.int64(3), pulse, 3)
+
+    def test_probe_vector_length(self):
+        pulse = make_basis_state((0, 1), Z, 2)
+        with pytest.raises(ValueError):
+            JointState.from_product(np.ones(2) / SQRT2, pulse, 3)
+        j = JointState.from_product(np.ones(3) / math.sqrt(3.0), pulse, 3)
+        assert j.probe_dim == 3
+
+    @pytest.mark.parametrize("shape", [(1, 9, 6), (6,), (1, 5), (2, 0)])
+    def test_rejects_non_probe_channel_array(self, shape):
+        with pytest.raises(ValueError):
+            JointState(np.zeros(shape))

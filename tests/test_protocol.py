@@ -33,7 +33,7 @@ class TestAliceOps:
         assert branches[(0, 1)][0] == pytest.approx(0.5)
         assert branches[(1, 0)][0] == pytest.approx(0.5)
         resid = branches[(0, 1)][1]
-        assert [k[2] for k, _ in resid.items()] == [(0, 1)]
+        assert [k[1] for k, _ in resid.items()] == [(0, 1)]
 
     def test_sift_on_vacuum(self):
         j = JointState.from_product(0, make_basis_state((0, 0), Z, 2), 1)
@@ -41,19 +41,19 @@ class TestAliceOps:
         assert len(branches) == 1
         pat, p, resid = branches[0]
         assert pat == (0, 0) and p == pytest.approx(1.0)
-        assert [k[2] for k, _ in resid.items()] == [(0, 0)]
+        assert [k[1] for k, _ in resid.items()] == [(0, 0)]
 
     def test_sift_reflects_two_photons(self):
         j = JointState.from_product(0, parity_state(2, "even", Z, 2), 1)
         branches = {pat: r for pat, _p, r in alice_sift(j, policy="reflect-occupation")}
-        assert [k[2] for k, _ in branches[(0, 1)].items()] == [(0, 2)]
-        assert [k[2] for k, _ in branches[(1, 0)].items()] == [(2, 0)]
+        assert [k[1] for k, _ in branches[(0, 1)].items()] == [(0, 2)]
+        assert [k[1] for k, _ in branches[(1, 0)].items()] == [(2, 0)]
 
     def test_sift_measure_resend_collapses(self):
         j = JointState.from_product(0, parity_state(2, "even", Z, 2), 1)
         branches = {}
         for pat, p, r in alice_sift(j, policy="measure-resend"):
-            branches[pat] = [k[2] for k, _ in r.items()]
+            branches[pat] = [k[1] for k, _ in r.items()]
         assert branches[(0, 1)] == [(0, 1)]
         assert branches[(1, 0)] == [(1, 0)]
 
@@ -61,12 +61,6 @@ class TestAliceOps:
         j = JointState.from_product(0, make_basis_state((0, 2), X, 2), 1)
         branches = {pat: p for pat, p, _r in alice_sift(j)}
         assert branches[(1, 1)] == pytest.approx(0.5)
-
-    def test_sift_rejects_used_probe(self):
-        j = JointState.from_product(0, make_basis_state((0, 1), X, 2), 1)
-        used = j.apply_sift()
-        with pytest.raises(ValueError):
-            alice_sift(used)
 
 
 class TestAggregate:
