@@ -48,6 +48,7 @@ Loss is independent per-photon survival applied on each leg in transit
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -614,16 +615,6 @@ BB84_CATEGORIES = ("no_click", "basis_mismatch", "double_click",
                    "sift_ok", "sift_error")
 
 
-#: detector pattern rows in the bit-0 convention, row = (m-1)*2 + same,
-#: as (pattern, probability) branches
-BB84_MEAS_ROWS = (
-    (((0, 1), 0.5), ((1, 0), 0.5)),                   # one photon, wrong basis
-    (((0, 1), 1.0),),                                 # one photon, right basis
-    (((0, 1), 0.25), ((1, 0), 0.25), ((1, 1), 0.5)),  # two photons, wrong basis
-    (((0, 1), 1.0),),                                 # two photons, right basis
-)
-
-
 @dataclass
 class Bb84Tables:
     size_cum: np.ndarray         # (3,) cumulative pulse-size probabilities
@@ -632,9 +623,9 @@ class Bb84Tables:
     loss_off: np.ndarray         # (3+1,), row per pulse size
     loss_cum: np.ndarray
     loss_m: np.ndarray           # surviving photon count per branch
-    meas_off: np.ndarray         # (4+1,), the rows of BB84_MEAS_ROWS
+    meas_off: np.ndarray         # (16+1,), row per (m, bit, basis, bob_basis)
     meas_cum: np.ndarray
-    meas_pat: np.ndarray         # pattern codes, bit-0 convention
+    meas_pat: np.ndarray         # pattern codes
 
 
 def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
@@ -661,9 +652,19 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
     loss_off, loss_cum, _ends, loss_m = _level(range(3), lambda size: (
         (math.comb(size, m) * s ** m * (1.0 - s) ** (size - m), None, m)
         for m in range(size + 1)))
+
+    def patterns(node):
+        """Bob's row over its own total; bit 1 mirrors bit 0's order."""
+        m, bit, basis, bob_basis = node
+        pulse = JointState.from_product(0, make_basis_state(
+            (0, m) if bit == 0 else (m, 0), (Z, X)[basis], 2), 1)
+        dist = pulse.bob_distribution((Z, X)[bob_basis], config.detector_model)
+        total = sum(dist.values())
+        return ((dist[pat] / total, None, pattern_code(pat)) for pat
+                in sorted(dist, key=lambda pat: pat[::-1] if bit else pat))
+
     meas_off, meas_cum, _ends, meas_pat = _level(
-        BB84_MEAS_ROWS,
-        lambda row: ((p, None, pattern_code(pat)) for pat, p in row))
+        itertools.product((1, 2), (0, 1), (0, 1), (0, 1)), patterns)
 
     tables = Bb84Tables(
         size_cum=np.array([p0, p0 + p1, 1.0]),
@@ -677,11 +678,6 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
         meas_pat=meas_pat,
     )
     return tables, meta
-
-
-#: pattern code of each pattern code mirrored across the two modes
-MIRROR_CODE = np.array([pattern_code(code_pattern(c)[::-1]) for c in range(9)],
-                       dtype=np.int8)
 
 
 def _bb84_chain(tab: Bb84Tables):
@@ -700,7 +696,7 @@ def _bb84_chain(tab: Bb84Tables):
         steps.append((3, _split(f, tab.loss_off, tab.loss_cum, f["size"],
                                 m=tab.loss_m)))
         f["forwarded"] = np.zeros_like(f["m"])
-    rows = (f["m"] - 1) * 2 + (f["bob_basis"] == f["basis"])
+    rows = (f["m"] - 1) * 8 + f["bit"] * 4 + f["basis"] * 2 + f["bob_basis"]
     steps.append((5, _split(
         f, np.append(tab.meas_off, tab.meas_off[-1] + 1),
         np.append(tab.meas_cum, 1.0),
@@ -709,8 +705,7 @@ def _bb84_chain(tab: Bb84Tables):
     return _leaves(
         steps, bit=f["bit"], basis=f["basis"], pulse_size=f["size"],
         forwarded=f["forwarded"], bob_basis=f["bob_basis"],
-        pattern=np.where(f["bit"] == 1, MIRROR_CODE[f["pattern"]],
-                         f["pattern"]),
+        pattern=f["pattern"],
         evebit=np.where(f["forwarded"] == 1, f["bit"], -1))
 
 

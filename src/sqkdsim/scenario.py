@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from . import attacks as attacks_mod
-from .joint import COUNTER
+from .joint import COUNTER, THRESHOLD
 from .protocol import ConfigError, ProtocolConfig
 from .report import Expectation
 
@@ -110,6 +110,10 @@ def build_attack(name: str, params: Dict[str, str],
         overlap = float(params.get("overlap", config.b92_overlap))
         return attacks_mod.usd_attack_b92(overlap)
     if name == "constrained-random":
+        if config.detector_model == COUNTER:
+            raise ScenarioError("the constrained-random attack's return map "
+                                "covers threshold SIFT patterns only; it "
+                                "cannot run with counter detectors")
         violation = params.get("violation") or None
         return attacks_mod.constrained_random_attack(
             seed=int(params.get("seed", config.rng_seed + 1)),
@@ -153,11 +157,6 @@ def _field(name: str, convert: Callable[[str], object] = str) -> Setter:
     return lambda cfg, raw: setattr(cfg, name, convert(raw))
 
 
-def _counters(cfg: ProtocolConfig, raw: str) -> None:
-    if _parse_bool(raw):
-        cfg.detector_model = COUNTER
-
-
 def _pulse(size: int) -> Setter:
     """Setter of the probability of a pulse of ``size`` photons."""
     return lambda cfg, raw: setattr(cfg, "source_stats", tuple(
@@ -180,7 +179,8 @@ _SETTERS: Dict[str, Dict[str, Optional[Setter]]] = {
     },
     "source": {"p0": _pulse(0), "p1": _pulse(1), "p2": _pulse(2)},
     "strengthening": {
-        "counters": _counters,
+        "counters": _field("detector_model", lambda raw: (
+            COUNTER if _parse_bool(raw) else THRESHOLD)),
         "cross_basis_tests": _field("cross_basis_tests", _parse_bool),
         "cross_basis_fraction": _field("cross_basis_fraction", float),
         "extra_bob_states": _field("extra_bob_states", _parse_bool),
@@ -220,6 +220,11 @@ def load_scenario(path: str) -> Scenario:
                     setters[key](cfg, parser.get(section, key).strip())
             except ValueError as exc:
                 raise ScenarioError(f"{where}: {exc}") from exc
+    # counters applies after detector_model; the two keys are one setting
+    model = get("protocol", "detector_model", cfg.detector_model)
+    if get("strengthening", "counters") and cfg.detector_model != model:
+        raise ScenarioError(f"{path}: [strengthening] counters selects the "
+                            f"{cfg.detector_model} model, not {model}")
 
     attack_name = get("attack", "name", "identity")
     attack_params = {}

@@ -168,11 +168,21 @@ def ca_walk(tab, u):
                            "test", "guess", "evebit"), {"emit": np.int16})
 
 
-def bb84_walk(tab, u, mirror):
+#: Bob's threshold patterns of m photons of bit 0, row (m - 1) * 2 + same
+#: (same = 1 when he measures in Alice's basis), as (pattern, probability)
+#: branches; bit 1's rows are these with each pattern mirrored
+BB84_THRESHOLD_ROWS = (
+    (((0, 1), 0.5), ((1, 0), 0.5)),                   # one photon, wrong basis
+    (((0, 1), 1.0),),                                 # one photon, right basis
+    (((0, 1), 0.25), ((1, 0), 0.25), ((1, 1), 0.5)),  # two photons, wrong basis
+    (((0, 1), 1.0),),                                 # two photons, right basis
+)
+
+
+def bb84_walk(tab, u):
     """Records of one-way BB84, one round at a time."""
     t = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
          for k, v in vars(tab).items()}
-    mirror = mirror.tolist()
     rows = []
     taken = 0
     for ui in u.tolist():
@@ -193,11 +203,10 @@ def bb84_walk(tab, u, mirror):
         bob_basis = 0 if ui[4] < 0.5 else 1
         pattern = 0
         if m > 0:
-            row = (m - 1) * 2 + (1 if bob_basis == basis else 0)
+            # Bob's rows are the nodes (m, bit, basis, bob_basis) in order
+            row = (((m - 1) * 2 + bit) * 2 + basis) * 2 + bob_basis
             pattern = t["meas_pat"][_scan(t["meas_off"], t["meas_cum"],
                                           row, ui[5])]
-            if bit == 1:
-                pattern = mirror[pattern]
         rows.append((bit, basis, size, forwarded, bob_basis, pattern, evebit))
     return _records(rows, ("bit", "basis", "pulse_size", "forwarded",
                            "bob_basis", "pattern", "evebit"), {})

@@ -47,7 +47,7 @@ def reference(cfg, attack):
     u = kernels.round_uniforms(cfg.rng_seed, 0, cfg.rounds)
     if cfg.variant == "bb84":
         tables, meta = protocol.build_bb84_tables(cfg, attack)
-        rec = oracles.bb84_walk(tables, u, protocol.MIRROR_CODE)
+        rec = oracles.bb84_walk(tables, u)
         metrics, counts, cat = oracles.bb84_aggregate(cfg, tables, meta, rec)
     elif cfg.variant == "b92":
         tables, _meta = protocol.build_b92_tables(cfg, attack)
@@ -190,7 +190,7 @@ def walker(cfg, attack):
     if cfg.variant == "bb84":
         tab, _meta = protocol.build_bb84_tables(cfg, attack)
         return (tab, protocol._bb84_chain, protocol.simulate_bb84,
-                lambda u: oracles.bb84_walk(tab, u, protocol.MIRROR_CODE))
+                lambda u: oracles.bb84_walk(tab, u))
     if cfg.variant == "b92":
         tab, _meta = protocol.build_b92_tables(cfg, attack)
         return (tab, protocol._b92_chain, protocol.simulate_b92,

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -13,12 +15,13 @@ from sqkdsim.attacks import (
     usd_attack_b92,
 )
 from sqkdsim.fock import TruncationError, X, Z, make_basis_state, parity_state
-from sqkdsim.joint import COUNTER, JointState
+from sqkdsim.joint import COUNTER, THRESHOLD, JointState, code_pattern
 from sqkdsim.protocol import (
     ConfigError,
     ProtocolConfig,
     _aggregate,
     alice_sift,
+    build_bb84_tables,
     run,
 )
 
@@ -395,6 +398,64 @@ class TestRunBb84:
                              source_stats=(0.5, 0.4, 0.1), transmission=0.6)
         rep = run(cfg, identity_attack())
         assert sum(rep.categories.values()) == rep.rounds
+
+
+class TestBb84Rows:
+    """Bob's rows, one per node (m, bit, basis, bob_basis) in that order."""
+
+    NODES = list(itertools.product((1, 2), (0, 1), (0, 1), (0, 1)))
+
+    @staticmethod
+    def rows(model):
+        cfg = ProtocolConfig(variant="bb84", rounds=100, detector_model=model)
+        tab, _meta = build_bb84_tables(cfg, identity_attack())
+        assert tab.meas_off.size == 17
+        rows = []
+        for lo, hi in zip(tab.meas_off[:-1], tab.meas_off[1:]):
+            probs = np.diff(tab.meas_cum[lo:hi], prepend=0.0)
+            rows.append([(code_pattern(int(c)), p) for c, p
+                         in zip(tab.meas_pat[lo:hi], probs)])
+        return rows
+
+    def test_threshold_rows_match_the_reference(self):
+        for (m, bit, basis, bob_basis), row in zip(self.NODES,
+                                                   self.rows(THRESHOLD)):
+            ref = oracles.BB84_THRESHOLD_ROWS[(m - 1) * 2
+                                              + (basis == bob_basis)]
+            # bit 1 mirrors bit 0's patterns, in the same order
+            assert [pat for pat, _p in row] == [
+                pat[::-1] if bit else pat for pat, _p in ref]
+            assert np.allclose([p for _pat, p in row],
+                               [p for _pat, p in ref], rtol=0, atol=1e-15)
+
+    def test_counter_rows(self):
+        for (m, bit, basis, bob_basis), row in zip(self.NODES,
+                                                   self.rows(COUNTER)):
+            if m == 1:
+                ref = [((0, 1), 0.5), ((1, 0), 0.5)]
+            else:
+                ref = [((0, 2), 0.25), ((1, 1), 0.5), ((2, 0), 0.25)]
+            if basis == bob_basis:
+                ref = ref[:1]
+            ref = [(pat[::-1] if bit else pat, p / sum(q for _, q in ref))
+                   for pat, p in ref]
+            assert [pat for pat, _p in row] == [pat for pat, _p in ref]
+            assert np.allclose([p for _pat, p in row],
+                               [p for _pat, p in ref], rtol=0, atol=1e-15)
+
+    def test_counters_see_both_photons_of_a_pulse(self):
+        cfg = ProtocolConfig(variant="bb84", rounds=20_000, rng_seed=21,
+                             source_stats=(0.0, 0.0, 1.0), transmission=1.0)
+        threshold = run(cfg, identity_attack(), keep_codes=True)
+        counter = run(dataclasses.replace(cfg, detector_model=COUNTER),
+                      identity_attack(), keep_codes=True)
+        seen = {model: set(map(code_pattern, rep.records["pattern"].tolist()))
+                for model, rep in ((THRESHOLD, threshold), (COUNTER, counter))}
+        assert seen[THRESHOLD] == {(0, 1), (1, 0), (1, 1)}
+        assert seen[COUNTER] == {(0, 2), (1, 1), (2, 0)}
+        # a pulse in Bob's basis reads the same bit under both models, and
+        # one in the other basis is a basis mismatch whatever he reads
+        assert counter.categories == threshold.categories
 
 
 class TestDispatchAndValidation:

@@ -106,6 +106,23 @@ class TestScenarioParsing:
         path = write(tmp_path, "[strengthening]\ncounters = true\n")
         assert load_scenario(path).config.detector_model == "counter"
 
+    def test_counters_false_means_threshold(self, tmp_path):
+        for model in ("", "[protocol]\ndetector_model = threshold\n"):
+            path = write(tmp_path,
+                         model + "[strengthening]\ncounters = false\n")
+            assert load_scenario(path).config.detector_model == "threshold"
+
+    @pytest.mark.parametrize("model,counters", [("threshold", "true"),
+                                                ("counter", "false")])
+    def test_counters_and_detector_model_must_agree(self, tmp_path, model,
+                                                    counters):
+        path = write(tmp_path, f"[protocol]\ndetector_model = {model}\n"
+                               f"[strengthening]\ncounters = {counters}\n")
+        with pytest.raises(ScenarioError, match="counters selects the"):
+            load_scenario(path)
+        assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file(self):
         with pytest.raises(ScenarioError):
             load_scenario("/nonexistent/nowhere.scn")
@@ -383,6 +400,17 @@ class TestCli:
             "probe_dim = 4", ""]))
         assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
         assert "outside the attack map's domain" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_constrained_random_with_counters_exits_two(self, tmp_path,
+                                                        capsys):
+        text = (SCENARIOS / "constrained-random.scn").read_text("utf-8")
+        path = write(tmp_path, text.replace(
+            "[protocol]\n", "[protocol]\ndetector_model = counter\n"))
+        assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "constrained-random attack" in err
+        assert "cannot run with counter detectors" in err
         assert not (tmp_path / "out").exists()
 
     def test_parse_error_exits_two(self, tmp_path):
