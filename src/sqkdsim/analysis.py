@@ -16,7 +16,7 @@ import numpy as np
 
 from .fock import FockState, Occupation, X, Z, make_basis_state, parity_state
 from .joint import JointState, Pattern, THRESHOLD
-from .attacks import AttackSpec, constrained_random_attack
+from .attacks import AttackDomainError, AttackSpec, constrained_random_attack
 
 EXACT_TOL = 1e-10
 #: ``lemma_verify``'s slack on the forward fidelity (``>= 1 - tol``), the
@@ -69,9 +69,13 @@ def _sift_and_return(attack: AttackSpec, psi: JointState, model: str,
     """Alice's SIFT on the outbound state ``psi``, then the return leg on
     each normalized branch of ``patterns`` that occurs:
     ``{pattern: (probability, returned state)}``."""
-    return {pat: (p, attack.apply_return(state))
-            for pat, p, state in psi.sift_branches(model)
-            if pat in patterns}
+    try:
+        return {pat: (p, attack.apply_return(state))
+                for pat, p, state in psi.sift_branches(model)
+                if pat in patterns}
+    except AttackDomainError as exc:
+        raise AttackDomainError(f"the {attack.name} attack cannot run with "
+                                f"{model} detectors: {exc}") from exc
 
 
 def check_constraints(attack: AttackSpec, n_max: int = 3,

@@ -199,8 +199,8 @@ class CountDecodeStrategy:
 @dataclass(frozen=True)
 class UsdStrategy:
     """Intercept-resend through an unambiguous discrimination of the two
-    non-orthogonal signal states; forward only conclusive outcomes."""
-    overlap: float
+    non-orthogonal signal states, whose overlap is the configured one;
+    forward only conclusive outcomes."""
     kind: str = "usd-b92"
 
 
@@ -314,13 +314,10 @@ def tagging_attack() -> AttackSpec:
         lossless_channel=True, strategy=CountDecodeStrategy())
 
 
-def usd_attack_b92(overlap: float) -> AttackSpec:
+def usd_attack_b92() -> AttackSpec:
     """Unambiguous-discrimination intercept for the two-state protocol."""
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError("state overlap must lie in [0, 1)")
-    return AttackSpec(
-        name="usd-b92", probe_dim=1, lossless_channel=True,
-        strategy=UsdStrategy(overlap=overlap), params={"overlap": overlap})
+    return AttackSpec(name="usd-b92", probe_dim=1, lossless_channel=True,
+                      strategy=UsdStrategy())
 
 
 def general_attack(outbound_matrix: np.ndarray, return_matrix: np.ndarray,

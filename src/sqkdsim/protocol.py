@@ -98,17 +98,17 @@ class ConfigError(ValueError):
 
 @dataclass
 class ProtocolConfig:
-    """Run parameters for any protocol variant; unused fields are ignored."""
+    """Run parameters for any protocol variant; unused fields are ignored.
+
+    A cross-basis or extra-state fraction above 0 turns that test on."""
     variant: str = CLASSICAL_ALICE_FULL
     rounds: int = 10_000
     source_stats: Tuple[float, float, float] = (0.0, 1.0, 0.0)
     transmission: float = 1.0
     detector_model: str = THRESHOLD
     residual_policy: str = REFLECT
-    cross_basis_tests: bool = False
-    cross_basis_fraction: float = 0.25
-    extra_bob_states: bool = False
-    extra_state_fraction: float = 0.25
+    cross_basis_fraction: float = 0.0
+    extra_state_fraction: float = 0.0
     test_fraction: float = 0.5
     b92_overlap: float = 0.5
     rng_seed: int = 0
@@ -252,15 +252,12 @@ def _emissions(config: ProtocolConfig) -> List[Tuple[float, FockState, int]]:
     p0, p1, p2 = config.source_stats
     if p2 > 0 and n_max < 2:
         raise ConfigError("two-photon pulses need a photon cap of at least 2")
-    scale = 1.0 - config.extra_state_fraction if config.extra_bob_states else 1.0
-    out: List[Tuple[float, FockState, int]] = []
-    for size, p in enumerate((p0, p1, p2)):
-        if p > 0.0:
-            out.append((p * scale, make_basis_state((0, size), X, n_max), 0))
-    if config.extra_bob_states:
-        half = config.extra_state_fraction / 2.0
-        out.append((half, make_basis_state((0, 1), Z, n_max), 1))
-        out.append((half, make_basis_state((1, 0), Z, n_max), 2))
+    extra = config.extra_state_fraction
+    out = [(p * (1.0 - extra), make_basis_state((0, size), X, n_max), 0)
+           for size, p in enumerate((p0, p1, p2)) if p > 0.0]
+    if extra > 0.0:
+        out += [(extra / 2.0, make_basis_state((0, 1), Z, n_max), 1),
+                (extra / 2.0, make_basis_state((1, 0), Z, n_max), 2)]
     return out
 
 
@@ -301,7 +298,7 @@ class CaTables:
     bob_cum: np.ndarray
     bob_pat: np.ndarray
     test_fraction: float
-    cross_fraction: float        # 0.0 when cross-basis tests are off
+    cross_fraction: float        # 0.0: no cross-basis tests
 
 
 def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
@@ -370,8 +367,13 @@ def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
                     probe_vec, make_basis_state(occ, Z, n_max), resid.probe_dim)
                 yield p_c * p_z, back, guess, bit
 
-    ret_off, ret_cum, returned_nodes, ret_guess, ret_evebit = _level(
-        outbound_nodes + sifted, returned)
+    try:
+        ret_off, ret_cum, returned_nodes, ret_guess, ret_evebit = _level(
+            outbound_nodes + sifted, returned)
+    except AttackDomainError as exc:
+        raise AttackDomainError(
+            f"the {attack.name} attack cannot run with {model} detectors and "
+            f"the {config.residual_policy} policy: {exc}") from exc
 
     rloss_off, rloss_cum, measured_nodes = _level(
         returned_nodes, lambda node: _loss_branches(node, f, lossy))
@@ -403,8 +405,7 @@ def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
         bob_cum=bob_cum,
         bob_pat=bob_pat,
         test_fraction=float(config.test_fraction),
-        cross_fraction=(float(config.cross_basis_fraction)
-                        if config.cross_basis_tests else 0.0),
+        cross_fraction=float(config.cross_basis_fraction),
     )
     meta: Dict[str, float] = {"alice_11_prob_exact": alice_11}
     try:
@@ -590,14 +591,14 @@ def _ca_aggregate(config: ProtocolConfig, tables: CaTables,
         ("eve_guess_success", guessed & (guess == action), guessed, None),
         ("eve_known_fraction", good & (rec["evebit"] == a_bit), good, 0.0),
     ]
-    if config.cross_basis_tests:
+    if config.cross_basis_fraction > 0.0:
         rows += [
             ("cross_ctrl_rounds", cats["cross_ctrl_z"]),
             ("cross_ctrl_double", cats["cross_ctrl_z"] & b_double),
             ("cross_sift_rounds", cats["cross_sift_x"]),
             ("cross_sift_double", cats["cross_sift_x"] & b_double),
         ]
-    if config.extra_bob_states:
+    if config.extra_state_fraction > 0.0:
         rows += [
             ("extra_test_rounds",
              cats["extra_test_ok"] | cats["extra_test_error"]),
@@ -653,18 +654,22 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
         (math.comb(size, m) * s ** m * (1.0 - s) ** (size - m), None, m)
         for m in range(size + 1)))
 
-    def patterns(node):
-        """Bob's row over its own total; bit 1 mirrors bit 0's order."""
-        m, bit, basis, bob_basis = node
+    # a row per (m, bit, basis, bob_basis): one pulse read in both bases
+    rows = []
+    for m, bit, basis in itertools.product((1, 2), (0, 1), (0, 1)):
         pulse = JointState.from_product(0, make_basis_state(
             (0, m) if bit == 0 else (m, 0), (Z, X)[basis], 2), 1)
-        dist = pulse.bob_distribution((Z, X)[bob_basis], config.detector_model)
+        rows += [(bit, pulse.bob_distribution(bob_basis, config.detector_model))
+                 for bob_basis in (Z, X)]
+
+    def patterns(row):
+        """Bob's row over its own total; bit 1 mirrors bit 0's order."""
+        bit, dist = row
         total = sum(dist.values())
         return ((dist[pat] / total, None, pattern_code(pat)) for pat
                 in sorted(dist, key=lambda pat: pat[::-1] if bit else pat))
 
-    meas_off, meas_cum, _ends, meas_pat = _level(
-        itertools.product((1, 2), (0, 1), (0, 1), (0, 1)), patterns)
+    meas_off, meas_cum, _ends, meas_pat = _level(rows, patterns)
 
     tables = Bb84Tables(
         size_cum=np.array([p0, p0 + p1, 1.0]),
@@ -801,8 +806,6 @@ def build_b92_tables(config: ProtocolConfig, attack: AttackSpec
     usd = isinstance(attack.strategy, UsdStrategy)
     if not usd and attack.name != "identity":
         raise ConfigError(f"attack {attack.name!r} has no two-state form")
-    if usd and abs(attack.strategy.overlap - c) > 1e-12:
-        raise ConfigError("attack overlap differs from the configured states")
     lossrate = 1.0 - config.transmission
     attempted = usd and analysis.b92_breakable(lossrate, c)
     tables = B92Tables(conclusive_p=1.0 - c * c,

@@ -2,9 +2,9 @@
 
 Sections: ``[scenario]`` (name, seed), ``[protocol]`` (variant, rounds,
 transmission, detectors, policy, caps), ``[source]`` (pulse-size
-probabilities), ``[strengthening]`` (counters, cross-basis tests, extra
-states), ``[attack]`` (name plus parameters), ``[expectations]`` (one
-``metric = analytic mode value`` line each).
+probabilities), ``[strengthening]`` (the cross-basis and extra-state
+fractions), ``[attack]`` (name plus the attack's parameters),
+``[expectations]`` (one ``metric = analytic mode value`` line each).
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import attacks as attacks_mod
-from .joint import COUNTER, THRESHOLD
 from .protocol import ConfigError, ProtocolConfig
 from .report import Expectation
 
@@ -24,8 +23,16 @@ class ScenarioError(ValueError):
     """A scenario file could not be parsed or validated."""
 
 
-ATTACK_NAMES = ("identity", "pns", "usd-b92", "tagging",
-                "constrained-random", "general")
+#: each attack's parameter keys in ``[attack]``, besides ``name``
+ATTACK_KEYS: Dict[str, Tuple[str, ...]] = {
+    "identity": ("probe_dim",),
+    "pns": (),
+    "usd-b92": (),
+    "tagging": (),
+    "constrained-random": ("seed", "probe_dim", "violation",
+                           "violation_level"),
+    "general": ("probe_dim", "outbound_file", "return_file"),
+}
 
 ATTACK_SUMMARIES: Dict[str, str] = {
     "identity": (
@@ -44,8 +51,8 @@ ATTACK_SUMMARIES: Dict[str, str] = {
         "in one of the receiver's two bases; an unambiguous outcome "
         "identifies the state, which she resends over a lossless channel, "
         "otherwise she sends vacuum.  Only worth attempting when the loss "
-        "rate reaches (1+overlap^2)/2.  Parameters: overlap (defaults to the "
-        "configured signal-state overlap)."),
+        "rate reaches (1+overlap^2)/2, for the configured signal-state "
+        "overlap.  Parameters: none."),
     "tagging": (
         "Photon-number tag: the outbound pulse is replaced by "
         "(|0,2>+|2,0>)/sqrt(2); the return map folds the tag back into a "
@@ -80,13 +87,13 @@ class Scenario:
 
 
 def _suggest(name: str) -> str:
-    close = [n for n in ATTACK_NAMES
+    close = [n for n in ATTACK_KEYS
              if n.startswith(name[:3]) or name in n or n in name]
     return f" (did you mean {close[0]!r}?)" if close else ""
 
 
 def list_attacks() -> List[str]:
-    return list(ATTACK_NAMES)
+    return list(ATTACK_KEYS)
 
 
 def describe_attack(name: str) -> str:
@@ -97,8 +104,13 @@ def describe_attack(name: str) -> str:
 
 def build_attack(name: str, params: Dict[str, str],
                  config: ProtocolConfig) -> attacks_mod.AttackSpec:
-    if name not in ATTACK_NAMES:
+    if name not in ATTACK_KEYS:
         raise ScenarioError(f"unknown attack {name!r}{_suggest(name)}")
+    for key in params:
+        if key not in ATTACK_KEYS[name]:
+            takes = ", ".join(ATTACK_KEYS[name]) or "no keys"
+            raise ScenarioError(f"[attack] {key}: unknown key; the {name} "
+                                f"attack takes {takes}")
     if name == "identity":
         return attacks_mod.identity_attack(
             probe_dim=int(params.get("probe_dim", 1)))
@@ -107,13 +119,8 @@ def build_attack(name: str, params: Dict[str, str],
     if name == "tagging":
         return attacks_mod.tagging_attack()
     if name == "usd-b92":
-        overlap = float(params.get("overlap", config.b92_overlap))
-        return attacks_mod.usd_attack_b92(overlap)
+        return attacks_mod.usd_attack_b92()
     if name == "constrained-random":
-        if config.detector_model == COUNTER:
-            raise ScenarioError("the constrained-random attack's return map "
-                                "covers threshold SIFT patterns only; it "
-                                "cannot run with counter detectors")
         violation = params.get("violation") or None
         return attacks_mod.constrained_random_attack(
             seed=int(params.get("seed", config.rng_seed + 1)),
@@ -136,17 +143,6 @@ def build_attack(name: str, params: Dict[str, str],
         *matrices,
         probe_dim=int(params["probe_dim"]),
         n_max=config.channel_n_max())
-
-
-_BOOL = {"true": True, "yes": True, "1": True, "on": True,
-         "false": False, "no": False, "0": False, "off": False}
-
-
-def _parse_bool(raw: str) -> bool:
-    try:
-        return _BOOL[raw.lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean, got {raw!r}") from None
 
 
 Setter = Callable[[ProtocolConfig, str], None]
@@ -179,11 +175,7 @@ _SETTERS: Dict[str, Dict[str, Optional[Setter]]] = {
     },
     "source": {"p0": _pulse(0), "p1": _pulse(1), "p2": _pulse(2)},
     "strengthening": {
-        "counters": _field("detector_model", lambda raw: (
-            COUNTER if _parse_bool(raw) else THRESHOLD)),
-        "cross_basis_tests": _field("cross_basis_tests", _parse_bool),
         "cross_basis_fraction": _field("cross_basis_fraction", float),
-        "extra_bob_states": _field("extra_bob_states", _parse_bool),
         "extra_state_fraction": _field("extra_state_fraction", float),
     },
 }
@@ -220,11 +212,6 @@ def load_scenario(path: str) -> Scenario:
                     setters[key](cfg, parser.get(section, key).strip())
             except ValueError as exc:
                 raise ScenarioError(f"{where}: {exc}") from exc
-    # counters applies after detector_model; the two keys are one setting
-    model = get("protocol", "detector_model", cfg.detector_model)
-    if get("strengthening", "counters") and cfg.detector_model != model:
-        raise ScenarioError(f"{path}: [strengthening] counters selects the "
-                            f"{cfg.detector_model} model, not {model}")
 
     attack_name = get("attack", "name", "identity")
     attack_params = {}

@@ -329,12 +329,12 @@ def ca_aggregate(config, attack, tables, alice_11, rec):
         float(np.count_nonzero(key_mask & (evebit == a_bit))
               / np.count_nonzero(key_mask)) if key_mask.any() else 0.0)
 
-    if config.cross_basis_tests:
+    if config.cross_basis_fraction > 0.0:
         metrics["cross_ctrl_rounds"] = counts["cross_ctrl_z"]
         metrics["cross_ctrl_double"] = int(np.count_nonzero((cat == 2) & b_double))
         metrics["cross_sift_rounds"] = counts["cross_sift_x"]
         metrics["cross_sift_double"] = int(np.count_nonzero((cat == 3) & b_double))
-    if config.extra_bob_states:
+    if config.extra_state_fraction > 0.0:
         metrics["extra_test_rounds"] = (counts["extra_test_ok"]
                                         + counts["extra_test_error"])
         metrics["extra_test_errors"] = counts["extra_test_error"]

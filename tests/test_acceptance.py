@@ -209,7 +209,7 @@ def test_criterion_9_b92_conclusive_intercept():
     for i, c in enumerate((0.0, 0.5, 0.8)):
         cfg = ProtocolConfig(variant="b92", rounds=200_000, rng_seed=901 + i,
                              transmission=0.1, b92_overlap=c)
-        rep = run(cfg, usd_attack_b92(c))
+        rep = run(cfg, usd_attack_b92())
         want = 0.5 * (1 - c * c)
         sigma = math.sqrt(want * (1 - want) / cfg.rounds)
         results.append(
@@ -220,7 +220,7 @@ def test_criterion_9_b92_conclusive_intercept():
     # below the loss budget the intercept must not be attempted
     cfg = ProtocolConfig(variant="b92", rounds=1_000, rng_seed=904,
                          transmission=0.5, b92_overlap=0.5)
-    gated = run(cfg, usd_attack_b92(0.5)).metrics["attack_attempted"] == 0.0
+    gated = run(cfg, usd_attack_b92()).metrics["attack_attempted"] == 0.0
     criterion(9, "conclusive intercept exact at three overlaps, loss-gated",
               all(results) and gated,
               f"overlaps ok {results}, gated {gated}")

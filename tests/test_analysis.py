@@ -15,6 +15,7 @@ from sqkdsim.analysis import (
     pns_feasibility,
 )
 from sqkdsim.attacks import (
+    AttackDomainError,
     AttackSpec,
     constrained_random_attack,
     identity_attack,
@@ -87,6 +88,15 @@ class TestCheckConstraints:
             report = check_constraints(spec, n_max=3)
             assert 0.0 <= report.alice_11_prob <= 1.0
             assert 0.0 <= report.bob_minus_click_prob <= 1.0
+
+    def test_counter_detectors_refused_by_name(self):
+        # the return map covers threshold SIFT patterns only
+        with pytest.raises(AttackDomainError, match=(
+                r"^the constrained-random attack cannot run with counter "
+                r"detectors: input component .* outside the attack map's "
+                r"domain$")):
+            check_constraints(constrained_random_attack(5, 4, n_max=3),
+                              n_max=3, detector_model="counter")
 
 
 class TestEveLeakage:

@@ -22,6 +22,7 @@ from sqkdsim.attacks import (
 )
 from sqkdsim.fock import AMPLITUDE_FLOOR, X, Z, make_basis_state
 from sqkdsim.joint import ChannelBasis, JointState
+from sqkdsim.protocol import ProtocolConfig, build_b92_tables
 
 SQRT2 = math.sqrt(2.0)
 
@@ -403,14 +404,20 @@ class TestConstrainedRandom:
 
 
 class TestUsd:
-    def test_stores_overlap(self):
-        spec = usd_attack_b92(0.5)
-        assert spec.strategy.overlap == 0.5
+    def test_reads_the_configured_overlap(self):
+        spec = usd_attack_b92()
         assert spec.lossless_channel
+        for c in (0.0, 0.5):
+            cfg = ProtocolConfig(variant="b92", transmission=0.1,
+                                 b92_overlap=c)
+            tables, _meta = build_b92_tables(cfg, spec)
+            assert tables.attack == 1
+            assert tables.conclusive_p == 1.0 - c * c
 
     def test_rejects_bad_overlap(self):
-        with pytest.raises(ValueError):
-            usd_attack_b92(1.0)
+        cfg = ProtocolConfig(variant="b92", b92_overlap=1.0)
+        with pytest.raises(ValueError, match="overlap"):
+            build_b92_tables(cfg, usd_attack_b92())
 
 
 class TestMatrixFile:

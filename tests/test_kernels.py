@@ -92,8 +92,8 @@ CA_CASES = [
                                   residual_policy="measure-resend"),
      tagging_attack),
     ("strengthened", ProtocolConfig(rounds=4000, rng_seed=25, n_max=2,
-                                    cross_basis_tests=True,
-                                    extra_bob_states=True,
+                                    cross_basis_fraction=0.25,
+                                    extra_state_fraction=0.25,
                                     source_stats=(0.1, 0.8, 0.1),
                                     transmission=0.7,
                                     detector_model="counter"),
@@ -138,7 +138,7 @@ def test_bb84_lossless_hits_match_reference_walk(jobs):
 def test_b92_matches_reference_walk():
     cfg = ProtocolConfig(variant="b92", rounds=50_000, rng_seed=28,
                          transmission=0.1, b92_overlap=0.5)
-    for attack in (lambda: usd_attack_b92(0.5), identity_attack):
+    for attack in (usd_attack_b92, identity_attack):
         assert_matches_reference(cfg, attack)
 
 
@@ -263,7 +263,7 @@ def test_block_edges_match_reference_walk(pns_references):
                         n_max=2), tagging_attack, 2),
         (ProtocolConfig(variant="b92", rounds=BLOCKED_ROUNDS, rng_seed=30,
                         transmission=0.1, b92_overlap=0.5),
-         lambda: usd_attack_b92(0.5), 3),
+         usd_attack_b92, 3),
         (PNS_CASES["third-block"], pns_attack, 1),
     ]
     for cfg, attack, jobs in cases:
@@ -393,8 +393,8 @@ def test_two_way_levels_chain(name, cfg, mk):
 @pytest.mark.parametrize("rounds", [1, 7])
 def test_tiny_runs_match_reference_walk(rounds):
     cfg = ProtocolConfig(rounds=rounds, rng_seed=32, transmission=0.6,
-                         n_max=2, cross_basis_tests=True,
-                         extra_bob_states=True)
+                         n_max=2, cross_basis_fraction=0.25,
+                         extra_state_fraction=0.25)
     assert_matches_reference(cfg, identity_attack, jobs=3)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from sqkdsim.attacks import (
+    AttackDomainError,
     constrained_random_attack,
     general_attack,
     identity_attack,
@@ -199,6 +200,15 @@ class TestRunProtocolConstrained:
         assert rep.metrics["alice_11_prob_exact"] <= 1e-10
         assert rep.metrics["eve_fidelity"] >= 1 - 1e-9
 
+    def test_counter_detectors_refused_by_name(self):
+        # the return map covers threshold SIFT patterns only
+        cfg = ProtocolConfig(rounds=100, n_max=3, detector_model=COUNTER)
+        with pytest.raises(AttackDomainError, match=(
+                r"^the constrained-random attack cannot run with counter "
+                r"detectors and the reflect-occupation policy: input "
+                r"component .* outside the attack map's domain$")):
+            run(cfg, constrained_random_attack(5, 4, n_max=3))
+
 
 class TestRunProtocolGeneral:
     def test_dense_attack_at_dim_168_runs(self):
@@ -247,7 +257,7 @@ class TestStrengthenings:
     def test_cross_basis_tests_flag_two_photon_source(self):
         cfg = ProtocolConfig(rounds=40_000, rng_seed=10, n_max=2,
                              source_stats=(0.0, 0.0, 1.0),
-                             cross_basis_tests=True, cross_basis_fraction=0.3)
+                             cross_basis_fraction=0.3)
         rep = run(cfg, identity_attack())
         assert rep.metrics["cross_ctrl_rounds"] > 0
         # reflected two-photon plus pulses read (1,1) in z half the time
@@ -257,7 +267,7 @@ class TestStrengthenings:
 
     def test_extra_bob_states_compare_clean(self):
         cfg = ProtocolConfig(rounds=20_000, rng_seed=11, n_max=2,
-                             extra_bob_states=True, extra_state_fraction=0.3)
+                             extra_state_fraction=0.3)
         rep = run(cfg, identity_attack())
         assert rep.metrics["extra_test_rounds"] > 0
         assert rep.metrics["extra_test_errors"] == 0
@@ -266,7 +276,7 @@ class TestStrengthenings:
     def test_extra_bob_states_catch_the_tag(self):
         # Eve's fixed tag cannot match three non-orthogonal emissions
         cfg = ProtocolConfig(rounds=20_000, rng_seed=12, n_max=2,
-                             extra_bob_states=True, extra_state_fraction=0.4)
+                             extra_state_fraction=0.4)
         rep = run(cfg, tagging_attack())
         n = rep.metrics["extra_test_rounds"]
         assert n > 0
@@ -280,7 +290,7 @@ class TestOptionInteractions:
         # reflected tags are folded back to the plus state before Bob ever
         # measures, so the added cross-basis tests stay silent
         cfg = ProtocolConfig(rounds=20_000, rng_seed=41, n_max=2,
-                             cross_basis_tests=True, cross_basis_fraction=0.3)
+                             cross_basis_fraction=0.3)
         rep = run(cfg, tagging_attack())
         assert rep.metrics["ctrl_errors"] == 0
         assert rep.metrics["cross_ctrl_double"] == 0
@@ -304,7 +314,7 @@ class TestOptionInteractions:
         # comparison disagrees half the time and exposes her
         cfg = ProtocolConfig(rounds=20_000, rng_seed=43, n_max=2,
                              residual_policy="measure-resend",
-                             extra_bob_states=True, extra_state_fraction=0.3)
+                             extra_state_fraction=0.3)
         rep = run(cfg, tagging_attack())
         assert rep.metrics["eve_guess_success"] == 1.0
         n = rep.metrics["extra_test_rounds"]
@@ -313,7 +323,7 @@ class TestOptionInteractions:
 
     def test_constrained_attack_survives_cross_basis_tests(self):
         cfg = ProtocolConfig(rounds=20_000, rng_seed=44, n_max=3,
-                             cross_basis_tests=True)
+                             cross_basis_fraction=0.25)
         attack = constrained_random_attack(7, probe_dim=4, n_max=3)
         rep = run(cfg, attack)
         assert rep.metrics["ctrl_errors"] == 0
@@ -337,7 +347,7 @@ class TestRunB92:
         c = 0.5
         cfg = ProtocolConfig(variant="b92", rounds=40_000, rng_seed=14,
                              transmission=0.1, b92_overlap=c)
-        rep = run(cfg, usd_attack_b92(c))
+        rep = run(cfg, usd_attack_b92())
         want = 0.5 * (1 - c * c)
         assert rep.metrics["attack_attempted"] == 1.0
         assert abs(rep.metrics["delivered_fraction"] - want) <= \
@@ -348,7 +358,7 @@ class TestRunB92:
     def test_attack_not_attempted_below_threshold(self):
         cfg = ProtocolConfig(variant="b92", rounds=5_000, rng_seed=15,
                              transmission=0.5, b92_overlap=0.5)
-        rep = run(cfg, usd_attack_b92(0.5))
+        rep = run(cfg, usd_attack_b92())
         assert rep.metrics["attack_attempted"] == 0.0
         assert rep.metrics["eve_known_fraction"] == 0.0
 
@@ -357,11 +367,6 @@ class TestRunB92:
                              transmission=0.4, b92_overlap=0.3)
         rep = run(cfg, identity_attack())
         assert sum(rep.categories.values()) == rep.rounds
-
-    def test_overlap_mismatch_rejected(self):
-        cfg = ProtocolConfig(variant="b92", rounds=100, b92_overlap=0.5)
-        with pytest.raises(ConfigError):
-            run(cfg, usd_attack_b92(0.4))
 
 
 class TestRunBb84:

@@ -12,9 +12,11 @@ import oracles
 import sqkdsim
 from sqkdsim import cli
 from sqkdsim.attacks import ProbeChannelMap
+from sqkdsim.protocol import ProtocolConfig
 from sqkdsim.report import ROUND_LOG_LIMIT, Expectation, evaluate_expectations
 from sqkdsim.scenario import (
     ScenarioError,
+    build_attack,
     describe_attack,
     list_attacks,
     load_scenario,
@@ -102,26 +104,18 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="transmission"):
             load_scenario(path)
 
-    def test_counters_flag_switches_detector_model(self, tmp_path):
-        path = write(tmp_path, "[strengthening]\ncounters = true\n")
-        assert load_scenario(path).config.detector_model == "counter"
-
-    def test_counters_false_means_threshold(self, tmp_path):
-        for model in ("", "[protocol]\ndetector_model = threshold\n"):
-            path = write(tmp_path,
-                         model + "[strengthening]\ncounters = false\n")
-            assert load_scenario(path).config.detector_model == "threshold"
-
-    @pytest.mark.parametrize("model,counters", [("threshold", "true"),
-                                                ("counter", "false")])
-    def test_counters_and_detector_model_must_agree(self, tmp_path, model,
-                                                    counters):
-        path = write(tmp_path, f"[protocol]\ndetector_model = {model}\n"
-                               f"[strengthening]\ncounters = {counters}\n")
-        with pytest.raises(ScenarioError, match="counters selects the"):
-            load_scenario(path)
-        assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
-        assert not (tmp_path / "out").exists()
+    def test_strengthening_takes_only_the_fractions(self, tmp_path):
+        path = write(tmp_path, "[strengthening]\ncross_basis_fraction = 0.3\n"
+                               "extra_state_fraction = 0.2\n")
+        cfg = load_scenario(path).config
+        assert cfg.cross_basis_fraction == 0.3
+        assert cfg.extra_state_fraction == 0.2
+        # the detector model is set in [protocol] alone, and a fraction
+        # above 0 is what turns its test on
+        for key in ("counters", "cross_basis_tests", "extra_bob_states"):
+            path = write(tmp_path, f"[strengthening]\n{key} = true\n")
+            with pytest.raises(ScenarioError, match=f"{key}: unknown key"):
+                load_scenario(path)
 
     def test_missing_file(self):
         with pytest.raises(ScenarioError):
@@ -185,6 +179,15 @@ class TestAttackRegistry:
     def test_describe_unknown_suggests(self):
         with pytest.raises(ScenarioError, match="did you mean"):
             describe_attack("taging")
+
+    @pytest.mark.parametrize("name,key", [
+        ("identity", "seed"), ("pns", "probe_dim"), ("usd-b92", "overlap"),
+        ("tagging", "probe_dim"), ("constrained-random", "probe_dims"),
+        ("general", "outbound")])
+    def test_attack_takes_only_its_keys(self, name, key):
+        with pytest.raises(ScenarioError, match=(
+                rf"^\[attack\] {key}: unknown key; the {name} attack takes ")):
+            build_attack(name, {key: "1"}, ProtocolConfig(n_max=2))
 
     def test_general_requires_files(self, tmp_path):
         path = write(tmp_path, "[attack]\nname = general\n")
@@ -401,6 +404,29 @@ class TestCli:
         assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
         assert "outside the attack map's domain" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_unknown_attack_key_exits_two(self, tmp_path, capsys):
+        # a misspelt attack key is an error, not a silent default
+        path = write(tmp_path, "\n".join([
+            "[protocol]", "rounds = 200", "n_max = 3",
+            "[attack]", "name = constrained-random", "sed = 5",
+            "probe_dims = 2", ""]))
+        assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: [attack] sed: unknown key; the constrained-random attack "
+            "takes seed, probe_dim, violation, violation_level\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_scenario_example_runs(self, tmp_path):
+        # the README's example keeps to the keys the loader takes
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text("utf-8").split("```ini\n", 1)[1]
+        path = write(tmp_path, text.split("```", 1)[0])
+        assert load_scenario(path).name == "tagging-reflect"
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--rounds", "100",
+                         "--out-dir", str(out)]) == 0
+        assert (out / "tagging-reflect.report.txt").exists()
 
     def test_constrained_random_with_counters_exits_two(self, tmp_path,
                                                         capsys):
