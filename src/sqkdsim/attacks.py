@@ -14,7 +14,7 @@ raise.  An ``AttackSpec`` checks its maps once, when it is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +31,10 @@ from .joint import JointState
 
 ISOMETRY_TOL = 1e-10
 DOMAIN_TOL = 1e-9
+#: returned photon counts at or above which Eve reads a reflection
+CTRL_MIN_COUNT = 2
+#: the undetectability rules ``constrained_random_attack`` can break
+VIOLATIONS = ("single-photon-mismatch", "multi-photon-return")
 
 
 class IsometryError(ValueError):
@@ -183,15 +187,13 @@ class ProbeChannelMap:
 class CountDecodeStrategy:
     """Eve counts returned photons to decode Alice's action.
 
-    Counts at or above ``ctrl_min_count`` are read as a reflection (apply the
+    Counts at or above ``CTRL_MIN_COUNT`` are read as a reflection (apply the
     return map); smaller counts are read as a measured-and-resent pulse, which
     Eve measures in the computational basis and forwards unchanged.
     """
-    ctrl_min_count: int = 2
-    kind: str = "count-decode"
 
     def action(self, count: int) -> Tuple[str, str]:
-        if count >= self.ctrl_min_count:
+        if count >= CTRL_MIN_COUNT:
             return "ctrl", "apply_map"
         return "sift", "measure_resend"
 
@@ -201,14 +203,12 @@ class UsdStrategy:
     """Intercept-resend through an unambiguous discrimination of the two
     non-orthogonal signal states, whose overlap is the configured one;
     forward only conclusive outcomes."""
-    kind: str = "usd-b92"
 
 
 @dataclass(frozen=True)
 class PnsStrategy:
     """Split two-photon pulses, keep one photon, and forward just enough
     pulses to match the receiver's expected count; block the rest."""
-    kind: str = "pns"
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,6 @@ class AttackSpec:
     returning: Optional[ProbeChannelMap] = None
     lossless_channel: bool = False
     strategy: object = None
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.validate()
@@ -263,7 +262,7 @@ def pns_attack(n_max: int = 2) -> AttackSpec:
     """
     if n_max < 2:
         raise ValueError("photon cap must be at least 2 for photon splitting")
-    probe_occupations = ((0, 0), (0, 1), (1, 0))
+    # probe levels: vacuum, and the kept photon in occupation (0, 1) or (1, 0)
     vac, keep0, keep1 = 0, 1, 2
     r = 1.0 / math.sqrt(2.0)
     rules: Dict[Tuple[int, Occupation], list] = {
@@ -280,8 +279,7 @@ def pns_attack(n_max: int = 2) -> AttackSpec:
     outbound = ProbeChannelMap.from_occupation_rules(rules, identity_keys)
     return AttackSpec(
         name="pns", probe_dim=3, outbound=outbound, returning=None,
-        lossless_channel=True, strategy=PnsStrategy(),
-        params={"probe_occupations": probe_occupations})
+        lossless_channel=True, strategy=PnsStrategy())
 
 
 def tagging_attack() -> AttackSpec:
@@ -362,7 +360,7 @@ def constrained_random_attack(seed: int, probe_dim: int = 4, n_max: int = 3,
         raise ValueError("probe dimension must be at least 1")
     if n_max < 1:
         raise ValueError("photon cap must be at least 1")
-    if violation not in (None, "single-photon-mismatch", "multi-photon-return"):
+    if violation not in (None, *VIOLATIONS):
         raise ValueError(f"unknown violation kind {violation!r}")
     if violation == "multi-photon-return" and not 2 <= violation_level <= n_max:
         raise ValueError("violation level must lie in [2, n_max]")
@@ -453,9 +451,7 @@ def constrained_random_attack(seed: int, probe_dim: int = 4, n_max: int = 3,
     return AttackSpec(
         name=name, probe_dim=d, outbound=outbound,
         returning=ProbeChannelMap(np.stack(doms, axis=-1), np.stack(imgs, axis=-1)),
-        lossless_channel=True,
-        params={"seed": seed, "n_max": n_max, "violation": violation,
-                "violation_level": violation_level})
+        lossless_channel=True)
 
 
 def load_matrix_file(path: str) -> np.ndarray:
@@ -469,6 +465,8 @@ def load_matrix_file(path: str) -> np.ndarray:
         values = np.array(text.split(), dtype=float)
     except ValueError as exc:  # a malformed token or undecodable bytes
         raise ValueError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
     if len(values) % 2:
         raise ValueError(f"{path}: odd float count, expected re/im pairs")
     pairs = len(values) // 2

@@ -290,7 +290,7 @@ class CaTables:
     sift_readout: np.ndarray     # pattern code of Alice's readout
     ret_off: np.ndarray          # (O+S+1,) -> G returned nodes
     ret_cum: np.ndarray
-    ret_guess: np.ndarray        # Eve's action guess (-1 none, 0 sift, 1 ctrl)
+    ret_guess: np.ndarray        # Eve's action guess (-1 none, 0 ctrl, 1 sift)
     ret_evebit: np.ndarray       # bit Eve measured on the way back (-1 none)
     rloss_off: np.ndarray        # (G+1,) -> M measured nodes
     rloss_cum: np.ndarray

@@ -3,7 +3,7 @@
 Sections: ``[scenario]`` (name, seed), ``[protocol]`` (variant, rounds,
 transmission, detectors, policy, caps), ``[source]`` (pulse-size
 probabilities), ``[strengthening]`` (the cross-basis and extra-state
-fractions), ``[attack]`` (name plus the attack's parameters),
+fractions), ``[attack]`` (name plus the keys ``ATTACKS`` gives that attack),
 ``[expectations]`` (one ``metric = analytic mode value`` line each).
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import attacks as attacks_mod
 from .protocol import ConfigError, ProtocolConfig
@@ -23,54 +23,113 @@ class ScenarioError(ValueError):
     """A scenario file could not be parsed or validated."""
 
 
-#: each attack's parameter keys in ``[attack]``, besides ``name``
-ATTACK_KEYS: Dict[str, Tuple[str, ...]] = {
-    "identity": ("probe_dim",),
-    "pns": (),
-    "usd-b92": (),
-    "tagging": (),
-    "constrained-random": ("seed", "probe_dim", "violation",
-                           "violation_level"),
-    "general": ("probe_dim", "outbound_file", "return_file"),
-}
+#: the default of an ``[attack]`` key that must be given
+REQUIRED = object()
 
-ATTACK_SUMMARIES: Dict[str, str] = {
-    "identity": (
+
+class FromConfig(NamedTuple):
+    """A default computed from the run's config, described as ``text``."""
+    text: str
+    value: Callable[[ProtocolConfig], object]
+
+
+class Key(NamedTuple):
+    """One ``[attack]`` key: the converter of its text, its default, and
+    the only values it takes, if it takes only a few."""
+    convert: Callable[[str], object]
+    default: object = REQUIRED
+    choices: Tuple[str, ...] = ()
+
+    def about(self) -> str:
+        """What ``attacks describe`` prints of the key in parentheses."""
+        if self.default is REQUIRED:
+            default = "required"
+        elif isinstance(self.default, FromConfig):
+            default = f"default: {self.default.text}"
+        else:
+            shown = "none" if self.default is None else self.default
+            default = f"default {shown}"
+        if self.choices:
+            return f"{' or '.join(self.choices)}; {default}"
+        return default
+
+
+class Attack(NamedTuple):
+    """An attack a scenario can name: ``factory(config, **values)`` builds
+    it from the values of its ``keys``."""
+    factory: Callable[..., attacks_mod.AttackSpec]
+    keys: Dict[str, Key]
+    summary: str
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
+#: every attack ``[attack] name`` can name, in the order ``attacks list``
+#: prints them
+ATTACKS: Dict[str, Attack] = {
+    "identity": Attack(
+        lambda config, probe_dim: attacks_mod.identity_attack(probe_dim),
+        {"probe_dim": Key(_positive_int, 1)},
         "Eve does nothing: both passes are the identity, the channel keeps "
         "its natural loss, and no information leaks."),
-    "pns": (
+    "pns": Attack(
+        lambda config: attacks_mod.pns_attack(n_max=config.channel_n_max()),
+        {},
         "Nondemolition splitting of two-photon pulses: Eve keeps one photon "
         "in a matching mode of her own two-mode register and forwards the "
         "other, an operation invisible in both measurement bases; she reads "
         "her photon after the basis announcement.  Pulse selection forwards "
         "split photons until the receiver's expected count is met and blocks "
-        "everything else over a lossless substitute channel.  Parameters: "
-        "none (two-photon rules; other pulse sizes pass through)."),
-    "usd-b92": (
+        "everything else over a lossless substitute channel.  Other pulse "
+        "sizes pass through."),
+    "usd-b92": Attack(
+        lambda config: attacks_mod.usd_attack_b92(),
+        {},
         "Intercept-resend on the two-state protocol: Eve measures each pulse "
         "in one of the receiver's two bases; an unambiguous outcome "
         "identifies the state, which she resends over a lossless channel, "
         "otherwise she sends vacuum.  Only worth attempting when the loss "
-        "rate reaches (1+overlap^2)/2, for the configured signal-state "
-        "overlap.  Parameters: none."),
-    "tagging": (
+        "rate reaches (1+overlap^2)/2, for the signal-state overlap "
+        "[protocol] b92_overlap."),
+    "tagging": Attack(
+        lambda config: attacks_mod.tagging_attack(),
+        {},
         "Photon-number tag: the outbound pulse is replaced by "
         "(|0,2>+|2,0>)/sqrt(2); the return map folds the tag back into a "
         "single photon so reflected rounds look untouched.  Against "
         "destructive measure-and-resend detectors, the returned photon "
         "count alone decodes the classical party's action with certainty, "
-        "though it yields no key information either way.  Parameters: none."),
-    "constrained-random": (
+        "though it yields no key information either way."),
+    "constrained-random": Attack(
+        lambda config, **values: attacks_mod.constrained_random_attack(
+            n_max=config.channel_n_max(), **values),
+        {"seed": Key(int, FromConfig("the scenario's seed + 1",
+                                     lambda config: config.rng_seed + 1)),
+         "probe_dim": Key(_positive_int, 4),
+         "violation": Key(str, None, attacks_mod.VIOLATIONS),
+         "violation_level": Key(int, 2)},
         "Random attack satisfying every undetectability rule: the outbound "
         "pulse spreads over single-mode occupations only and the return leg "
         "attaches one common probe component to both key bits.  Used to "
-        "exercise the robustness statement numerically.  Parameters: seed, "
-        "probe_dim (default 4), optional violation in "
-        "{single-photon-mismatch, multi-photon-return} with violation_level."),
-    "general": (
+        "exercise the robustness statement numerically.  A violation breaks "
+        "exactly one rule; a multi-photon return leaks at violation_level "
+        "photons."),
+    "general": Attack(
+        lambda config, probe_dim, outbound_file, return_file:
+            attacks_mod.general_attack(
+                attacks_mod.load_matrix_file(outbound_file),
+                attacks_mod.load_matrix_file(return_file),
+                probe_dim=probe_dim, n_max=config.channel_n_max()),
+        {"probe_dim": Key(_positive_int), "outbound_file": Key(str),
+         "return_file": Key(str)},
         "User-supplied dense outbound/return maps over probe x channel, "
-        "validated as isometries.  Parameters: probe_dim, outbound_file, "
-        "return_file (row-major re/im float pairs)."),
+        "validated as isometries; each file holds row-major re/im float "
+        "pairs."),
 }
 
 
@@ -87,62 +146,61 @@ class Scenario:
 
 
 def _suggest(name: str) -> str:
-    close = [n for n in ATTACK_KEYS
+    close = [n for n in ATTACKS
              if n.startswith(name[:3]) or name in n or n in name]
     return f" (did you mean {close[0]!r}?)" if close else ""
 
 
 def list_attacks() -> List[str]:
-    return list(ATTACK_KEYS)
+    return list(ATTACKS)
 
 
 def describe_attack(name: str) -> str:
-    if name not in ATTACK_SUMMARIES:
+    if name not in ATTACKS:
         raise ScenarioError(f"unknown attack {name!r}{_suggest(name)}")
-    return f"{name}: {ATTACK_SUMMARIES[name]}"
+    attack = ATTACKS[name]
+    keys = ", ".join(f"{key} ({spec.about()})"
+                     for key, spec in attack.keys.items()) or "none"
+    return f"{name}: {attack.summary}  Keys: {keys}."
+
+
+def _convert(name: str, params: Dict[str, str]) -> Dict[str, object]:
+    """The ``[attack]`` text values ``params`` of attack ``name``, converted
+    and with the defaults of the keys not given; a ScenarioError names the
+    key that is unknown, malformed or missing."""
+    if name not in ATTACKS:
+        raise ScenarioError(
+            f"[attack] name: unknown attack {name!r}{_suggest(name)}")
+    keys = ATTACKS[name].keys
+    values = {}
+    for key, raw in params.items():
+        if key not in keys:
+            takes = ", ".join(keys) or "no keys"
+            raise ScenarioError(f"[attack] {key}: unknown key; the {name} "
+                                f"attack takes {takes}")
+        try:
+            values[key] = keys[key].convert(raw)
+        except ValueError as exc:
+            raise ScenarioError(f"[attack] {key}: {exc}") from exc
+        if keys[key].choices and values[key] not in keys[key].choices:
+            raise ScenarioError(f"[attack] {key}: {raw!r} is not one of "
+                                f"{', '.join(keys[key].choices)}")
+    for key, spec in keys.items():
+        if spec.default is REQUIRED and key not in values:
+            raise ScenarioError(f"[attack] {key}: required by the {name} "
+                                f"attack")
+        values.setdefault(key, spec.default)
+    return values
 
 
 def build_attack(name: str, params: Dict[str, str],
                  config: ProtocolConfig) -> attacks_mod.AttackSpec:
-    if name not in ATTACK_KEYS:
-        raise ScenarioError(f"unknown attack {name!r}{_suggest(name)}")
-    for key in params:
-        if key not in ATTACK_KEYS[name]:
-            takes = ", ".join(ATTACK_KEYS[name]) or "no keys"
-            raise ScenarioError(f"[attack] {key}: unknown key; the {name} "
-                                f"attack takes {takes}")
-    if name == "identity":
-        return attacks_mod.identity_attack(
-            probe_dim=int(params.get("probe_dim", 1)))
-    if name == "pns":
-        return attacks_mod.pns_attack(n_max=config.channel_n_max())
-    if name == "tagging":
-        return attacks_mod.tagging_attack()
-    if name == "usd-b92":
-        return attacks_mod.usd_attack_b92()
-    if name == "constrained-random":
-        violation = params.get("violation") or None
-        return attacks_mod.constrained_random_attack(
-            seed=int(params.get("seed", config.rng_seed + 1)),
-            probe_dim=int(params.get("probe_dim", 4)),
-            n_max=config.channel_n_max(),
-            violation=violation,
-            violation_level=int(params.get("violation_level", 2)))
-    # general
-    for key in ("outbound_file", "return_file", "probe_dim"):
-        if key not in params:
-            raise ScenarioError(f"general attack needs {key!r}")
-    matrices = []
-    for key in ("outbound_file", "return_file"):
-        try:
-            matrices.append(attacks_mod.load_matrix_file(params[key]))
-        except OSError as exc:
-            raise ScenarioError(
-                f"{params[key]}: {exc.strerror or exc}") from None
-    return attacks_mod.general_attack(
-        *matrices,
-        probe_dim=int(params["probe_dim"]),
-        n_max=config.channel_n_max())
+    """Attack ``name`` from its ``[attack]`` text values ``params``; a
+    default computed from the config reads it as it is now."""
+    values = _convert(name, params)
+    return ATTACKS[name].factory(config, **{
+        key: value.value(config) if isinstance(value, FromConfig) else value
+        for key, value in values.items()})
 
 
 Setter = Callable[[ProtocolConfig, str], None]
@@ -195,12 +253,8 @@ def load_scenario(path: str) -> Scenario:
         if section not in (*_SETTERS, "attack", "expectations"):
             raise ScenarioError(f"{path}: unknown section [{section}]")
 
-    def get(section: str, key: str, default=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key).strip()
-        return default
-
-    name = get("scenario", "name") or path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    name = (parser.get("scenario", "name", fallback="").strip()
+            or path.rsplit("/", 1)[-1].rsplit(".", 1)[0])
     cfg = ProtocolConfig()
     for section, setters in _SETTERS.items():
         for key in parser.options(section) if section in parser else ():
@@ -213,11 +267,13 @@ def load_scenario(path: str) -> Scenario:
             except ValueError as exc:
                 raise ScenarioError(f"{where}: {exc}") from exc
 
-    attack_name = get("attack", "name", "identity")
-    attack_params = {}
-    if parser.has_section("attack"):
-        attack_params = {k: parser.get("attack", k).strip()
-                         for k in parser.options("attack") if k != "name"}
+    attack_params = ({k: v.strip() for k, v in parser.items("attack")}
+                     if "attack" in parser else {})
+    attack_name = attack_params.pop("name", "identity")
+    try:
+        _convert(attack_name, attack_params)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
     expectations: List[Expectation] = []
     if parser.has_section("expectations"):

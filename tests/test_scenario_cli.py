@@ -11,10 +11,11 @@ import pytest
 import oracles
 import sqkdsim
 from sqkdsim import cli
-from sqkdsim.attacks import ProbeChannelMap
+from sqkdsim.attacks import ProbeChannelMap, constrained_random_attack
 from sqkdsim.protocol import ProtocolConfig
 from sqkdsim.report import ROUND_LOG_LIMIT, Expectation, evaluate_expectations
 from sqkdsim.scenario import (
+    ATTACKS,
     ScenarioError,
     build_attack,
     describe_attack,
@@ -180,6 +181,35 @@ class TestAttackRegistry:
         with pytest.raises(ScenarioError, match="did you mean"):
             describe_attack("taging")
 
+    def test_describe_names_every_key_and_default(self):
+        keys = {
+            "identity": "probe_dim (default 1)",
+            "pns": "none",
+            "usd-b92": "none",
+            "tagging": "none",
+            "constrained-random": (
+                "seed (default: the scenario's seed + 1), probe_dim "
+                "(default 4), violation (single-photon-mismatch or "
+                "multi-photon-return; default none), violation_level "
+                "(default 2)"),
+            "general": ("probe_dim (required), outbound_file (required), "
+                        "return_file (required)"),
+        }
+        assert list(keys) == list(ATTACKS)
+        for name in ATTACKS:
+            assert describe_attack(name).endswith(f"  Keys: {keys[name]}.")
+
+    def test_readme_states_the_described_keys(self):
+        # each row of the README's [attack] table reads, without its
+        # backticks, what `attacks describe` prints after "Keys: "
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = {line.split("|")[1].strip(" `"): line.replace("`", "")
+                for line in readme.read_text("utf-8").splitlines()
+                if line.startswith("| `")}
+        for name in ATTACKS:
+            keys = describe_attack(name).split("  Keys: ", 1)[1][:-1]
+            assert f"| {keys}" in rows[name]
+
     @pytest.mark.parametrize("name,key", [
         ("identity", "seed"), ("pns", "probe_dim"), ("usd-b92", "overlap"),
         ("tagging", "probe_dim"), ("constrained-random", "probe_dims"),
@@ -190,10 +220,39 @@ class TestAttackRegistry:
             build_attack(name, {key: "1"}, ProtocolConfig(n_max=2))
 
     def test_general_requires_files(self, tmp_path):
-        path = write(tmp_path, "[attack]\nname = general\n")
+        # a missing key is refused when the file loads, by name
+        path = write(tmp_path, "[attack]\nname = general\nprobe_dim = 1\n")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == (
+            f"{path}: [attack] outbound_file: required by the general attack")
+
+    def test_constrained_random_keys_reach_the_factory(self, tmp_path):
+        path = write(tmp_path, "\n".join([
+            "[protocol]", "n_max = 3",
+            "[attack]", "name = constrained-random", "seed = 7",
+            "probe_dim = 3", "violation = multi-photon-return",
+            "violation_level = 3", ""]))
+        built = load_scenario(path).build_attack()
+        direct = constrained_random_attack(
+            seed=7, probe_dim=3, n_max=3, violation="multi-photon-return",
+            violation_level=3)
+        assert built.name == direct.name == "violating-multi-photon-return"
+        assert built.probe_dim == direct.probe_dim == 3
+        for leg in ("outbound", "returning"):
+            got, want = getattr(built, leg), getattr(direct, leg)
+            assert np.array_equal(got.D, want.D)
+            assert np.array_equal(got.M, want.M)
+
+    def test_constrained_random_seed_follows_the_run_seed(self, tmp_path):
+        path = write(tmp_path, "\n".join([
+            "[scenario]", "seed = 40", "[protocol]", "n_max = 3",
+            "[attack]", "name = constrained-random", ""]))
         sc = load_scenario(path)
-        with pytest.raises(ScenarioError, match="outbound_file"):
-            sc.build_attack()
+        sc.config.rng_seed = 41   # as `run --seed 41` sets it after loading
+        built = sc.build_attack()
+        direct = constrained_random_attack(seed=42, n_max=3)
+        assert np.array_equal(built.returning.M, direct.returning.M)
 
 
 class TestExpectations:
@@ -413,8 +472,26 @@ class TestCli:
             "probe_dims = 2", ""]))
         assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            "error: [attack] sed: unknown key; the constrained-random attack "
-            "takes seed, probe_dim, violation, violation_level\n")
+            f"error: {path}: [attack] sed: unknown key; the constrained-random "
+            "attack takes seed, probe_dim, violation, violation_level\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name,line,message", [
+        ("constrained-random", "probe_dim = four",
+         "probe_dim: invalid literal for int() with base 10: 'four'"),
+        ("identity", "probe_dim = 0", "probe_dim: must be at least 1, got 0"),
+        ("general", "probe_dim = -2", "probe_dim: must be at least 1, got -2"),
+        ("constrained-random", "violation = rotate",
+         "violation: 'rotate' is not one of single-photon-mismatch, "
+         "multi-photon-return"),
+    ])
+    def test_bad_attack_value_exits_two(self, tmp_path, capsys, name, line,
+                                        message):
+        path = write(tmp_path, "\n".join([
+            "[protocol]", "rounds = 200", "n_max = 3",
+            "[attack]", f"name = {name}", line, ""]))
+        assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: [attack] {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_readme_scenario_example_runs(self, tmp_path):
@@ -443,9 +520,11 @@ class TestCli:
         path = write(tmp_path, "[protocol]\nrounds = banana\n")
         assert cli.main(["run", path, "--out-dir", str(tmp_path)]) == 2
 
-    def test_unknown_attack_exits_two(self, tmp_path):
+    def test_unknown_attack_exits_two(self, tmp_path, capsys):
         path = write(tmp_path, "[attack]\nname = warp-drive\n")
         assert cli.main(["run", path, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: [attack] name: unknown attack 'warp-drive'\n")
 
     def test_unknown_expected_metric_exits_two(self, tmp_path):
         path = write(tmp_path, "\n".join([
