@@ -27,20 +27,22 @@ round's outcome is its leaf: the walk index left after the last step,
 which names the round's whole path.  ``_leaves`` gives each path field's
 value at each leaf.
 
-Rounds are walked in fixed blocks of ``BLOCK`` rounds: each block draws its
-words, walks them to their leaves and adds their histogram, so memory
-stays O(BLOCK) per thread whatever the round count; a walk that keeps the
-leaves also holds them in the smallest unsigned type that fits, one byte
-per round for up to 256 leaves.  ``jobs`` worker threads split the
-rounds into contiguous chunks of whole blocks (numpy drops the interpreter
-lock inside its loops), each with its own histogram.
+Rounds are walked in fixed blocks of ``BLOCK`` rounds: ``jobs`` worker
+threads each draw a block's words and walk them to their leaves (numpy
+drops the interpreter lock inside its loops), and the calling thread takes
+the blocks in round order, maps each by the walk's fold if it has one (a
+state carried from block to block, such as a quota) and adds it to the
+histogram.  At most two blocks per thread are in flight, so memory stays
+O(jobs * BLOCK) whatever the round count; a walk that keeps the leaves
+also holds them in the smallest unsigned type that fits, one byte per
+round for up to 256 leaves.
 
 Randomness: draw ``(i, j)`` is the ``(i * SLOTS + j)``-th 64-bit word of the
 Philox-4x64 stream keyed by the run seed, so round ``i`` owns a fixed
 counter block and records do not depend on blocks or worker counts.  The
-stream is counter-based, so a chunk starting at round ``lo`` jumps straight
-to its first word (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC'11).  The walk compares raw 64-bit words with integers:
+stream is counter-based, so any thread walks the block starting at round
+``lo`` from its first word (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11).  The walk compares raw 64-bit words with integers:
 ``Generator.random`` would make the uniform ``u = (raw >> 11) * 2**-53``
 of a draw ``raw``, and ``round_uniforms`` returns those doubles for
 reference walks.  Every probability ``p`` is turned once into the word
@@ -57,8 +59,9 @@ as one over the uniforms, without shifting or converting any draw.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -117,53 +120,6 @@ def raw_thresholds(K: np.ndarray) -> np.ndarray:
     # uint64 arrays wrap: 2**53 << 11 is 0, and 0 - 1 is RAW_MAX
     K = np.asarray(K, dtype=np.uint64)
     return (K << np.uint64(RAW_SHIFT)) - np.uint64(1)
-
-
-def _chunk_ranges(n: int, jobs: int):
-    """At most ``jobs`` contiguous chunks of [0, n), each of whole blocks
-    except for the ragged end of the last."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, not {jobs}")
-    blocks = -(-n // BLOCK)
-    jobs = min(jobs, blocks)
-    edges = [k * blocks // jobs * BLOCK for k in range(jobs)] + [n]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _walk(block: Callable[[np.ndarray], np.ndarray], seed: int, n: int,
-          jobs: int, leaves: int, keep_codes: bool
-          ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """Walk rounds [0, n) in pieces of at most BLOCK rounds, split into
-    ``jobs`` chunks; ``block(raw)`` maps a piece's raw words to its leaves,
-    each below ``leaves``.
-
-    Returns every round's leaf (None unless ``keep_codes``) and the number
-    of rounds at each leaf.
-    """
-    codes = (np.empty(n, dtype=np.min_scalar_type(leaves - 1))
-             if keep_codes else None)
-
-    def worker(lo: int, hi: int) -> np.ndarray:
-        bits = _stream(seed, lo)
-        counts = np.zeros(leaves, dtype=np.int64)
-        for b in range(lo, hi, BLOCK):
-            m = min(BLOCK, hi - b)
-            # no name holds the words, so they are freed before the next draw
-            piece = block(_draw(bits, m))
-            if codes is not None:
-                codes[b:b + m] = piece
-            counts += np.bincount(piece, minlength=leaves)
-        return counts
-
-    ranges = _chunk_ranges(n, jobs)
-    if not ranges:
-        return codes, np.zeros(leaves, dtype=np.int64)
-    if len(ranges) == 1:
-        return codes, worker(*ranges[0])
-    # imported here: it imports logging, which a one-chunk walk never needs
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        return codes, sum(pool.map(lambda r: worker(*r), ranges))
 
 
 @dataclass
@@ -270,6 +226,62 @@ def _walk_chain(plan, raw: np.ndarray) -> np.ndarray:
             for level in step:
                 k += x > level
     return k
+
+
+def _in_order(fn: Callable, items, jobs: int) -> Iterator:
+    """``fn`` of each of ``items``, yielded in order: on ``jobs`` threads,
+    at most two per thread ahead of the one taken, if ``jobs`` is at least
+    2, and in the calling thread otherwise."""
+    if jobs < 2:
+        yield from map(fn, items)
+        return
+    # imported here: it imports logging, which a one-job walk never needs
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        ahead = deque()
+        for item in items:
+            ahead.append(pool.submit(fn, item))
+            if len(ahead) > 2 * jobs:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+
+
+#: a walk's leaf per round (None unless kept), rounds per leaf, and each
+#: record field's value per leaf
+Walk = Tuple[Optional[np.ndarray], np.ndarray, Dict[str, np.ndarray]]
+
+
+def _walk(plan, fields: Dict[str, np.ndarray], seed: int, n: int, jobs: int,
+          keep_codes: bool,
+          fold: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> Walk:
+    """Walk rounds [0, n) of ``plan``, whose record fields per leaf are
+    ``fields``, in blocks of at most BLOCK rounds on up to ``jobs``
+    threads; the calling thread takes the blocks' leaves in round order,
+    each mapped by ``fold`` first if it is given."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
+    leaves = next(iter(fields.values())).size
+    codes = (np.empty(n, dtype=np.min_scalar_type(leaves - 1))
+             if keep_codes else None)
+    counts = np.zeros(leaves, dtype=np.int64)
+
+    def walk(lo: int):
+        # no name holds the words, so they are freed once they are walked
+        piece = _walk_chain(plan, _draw(_stream(seed, lo), min(BLOCK, n - lo)))
+        return piece, None if fold else np.bincount(piece, minlength=leaves)
+
+    starts = range(0, n, BLOCK)
+    # the walks first: zip then runs them to their end, closing the pool
+    for (piece, hist), lo in zip(
+            _in_order(walk, starts, min(jobs, len(starts))), starts):
+        if fold:
+            piece = fold(piece)
+            hist = np.bincount(piece, minlength=leaves)
+        if codes is not None:
+            codes[lo:lo + piece.size] = piece
+        counts += hist
+    return codes, counts, fields
 
 
 def _coin(p: float) -> Tuple[np.ndarray, np.ndarray]:

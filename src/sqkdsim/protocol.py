@@ -77,7 +77,7 @@ from .kernels import (
     _leaves,
     _split,
     _walk,
-    _walk_chain,
+    Walk,
     round_uniforms,  # noqa: F401  kept importable here for run tracers
 )
 
@@ -177,21 +177,6 @@ class RunReport:
             raise ValueError("the run kept no per-round codes; run it with "
                              "keep_codes=True for per-round records")
         return self.codes
-
-
-#: a walk's leaf per round (None unless kept), rounds per leaf, and each
-#: record field's value per leaf
-Walk = Tuple[Optional[np.ndarray], np.ndarray, Dict[str, np.ndarray]]
-
-
-def _simulate(plan, fields: Dict[str, np.ndarray], seed: int, rounds: int,
-              jobs: int, keep_codes: bool) -> Walk:
-    """Walk ``rounds`` rounds of ``plan``, whose record fields per leaf are
-    ``fields``."""
-    leaves = next(iter(fields.values())).size
-    codes, counts = _walk(lambda raw: _walk_chain(plan, raw), seed, rounds,
-                          jobs, leaves, keep_codes)
-    return codes, counts, fields
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +450,7 @@ def simulate_ca(tab: CaTables, seed: int, rounds: int, jobs: int = 1,
                 keep_codes: bool = False) -> Walk:
     """Leaves of ``rounds`` two-way rounds, or None unless ``keep_codes``,
     their histogram and the record fields per leaf."""
-    return _simulate(*_ca_chain(tab), seed, rounds, jobs, keep_codes)
+    return _walk(*_ca_chain(tab), seed, rounds, jobs, keep_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -718,13 +703,14 @@ def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
                   keep_codes: bool = False) -> Walk:
     """Leaves of ``rounds`` BB84 rounds, or None unless ``keep_codes``,
     their histogram and the record fields per leaf.  The splitter forwards
-    the first ``quota`` two-photon pulses of the run, so under the attack
-    the rounds are walked in one chunk, in order, and later ones are
-    blocked: each forwarded leaf has a twin appended to the leaves, with
-    nothing forwarded, no click and no bit for Eve."""
+    the first ``quota`` two-photon pulses of the run and blocks later ones:
+    each forwarded leaf has a twin appended to the leaves, with nothing
+    forwarded, no click and no bit for Eve.  Blocks are walked on ``jobs``
+    threads as for every variant, and the quota is folded over them in
+    round order."""
     plan, fields = _bb84_chain(tab)
     if tab.attack != 1:
-        return _simulate(plan, fields, seed, rounds, jobs, keep_codes)
+        return _walk(plan, fields, seed, rounds, jobs, keep_codes)
     forwarded = fields["forwarded"] == 1
     twins = np.flatnonzero(forwarded)
     blocked = np.arange(forwarded.size)
@@ -735,9 +721,8 @@ def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
         fields[name][forwarded.size:] = value
     taken = 0
 
-    def block(raw: np.ndarray) -> np.ndarray:
+    def fold(leaf: np.ndarray) -> np.ndarray:
         nonlocal taken
-        leaf = _walk_chain(plan, raw)
         if taken >= tab.quota:
             return blocked.take(leaf)
         two = forwarded.take(leaf)
@@ -745,9 +730,7 @@ def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
         taken = int(order[-1])
         return np.where(two & (order > tab.quota), blocked.take(leaf), leaf)
 
-    codes, counts = _walk(block, seed, rounds, 1, blocked.size + twins.size,
-                          keep_codes)
-    return codes, counts, fields
+    return _walk(plan, fields, seed, rounds, jobs, keep_codes, fold)
 
 
 def _bb84_aggregate(config: ProtocolConfig, tables: Bb84Tables,
@@ -850,7 +833,7 @@ def simulate_b92(tab: B92Tables, seed: int, rounds: int, jobs: int = 1,
                  keep_codes: bool = False) -> Walk:
     """Leaves of ``rounds`` B92 rounds, or None unless ``keep_codes``,
     their histogram and the record fields per leaf."""
-    return _simulate(*_b92_chain(tab), seed, rounds, jobs, keep_codes)
+    return _walk(*_b92_chain(tab), seed, rounds, jobs, keep_codes)
 
 
 def _b92_aggregate(config: ProtocolConfig, tables: B92Tables,

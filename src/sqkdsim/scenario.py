@@ -135,6 +135,7 @@ ATTACKS: Dict[str, Attack] = {
 
 @dataclass
 class Scenario:
+    path: str
     name: str
     config: ProtocolConfig
     attack_name: str
@@ -142,7 +143,12 @@ class Scenario:
     expectations: List[Expectation] = field(default_factory=list)
 
     def build_attack(self) -> attacks_mod.AttackSpec:
-        return build_attack(self.attack_name, self.attack_params, self.config)
+        try:
+            return build_attack(self.attack_name, self.attack_params,
+                                self.config)
+        except ValueError as exc:
+            # the factory checks the values together with the config
+            raise ScenarioError(f"{self.path}: [attack]: {exc}") from exc
 
 
 def _suggest(name: str) -> str:
@@ -300,5 +306,5 @@ def load_scenario(path: str) -> Scenario:
         cfg.validate()
     except ConfigError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
-    return Scenario(name=name, config=cfg, attack_name=attack_name,
+    return Scenario(path=path, name=name, config=cfg, attack_name=attack_name,
                     attack_params=attack_params, expectations=expectations)

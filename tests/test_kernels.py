@@ -13,6 +13,8 @@ level has a row per branch of the level before it.
 """
 
 import dataclasses
+import sys
+import threading
 from importlib import resources
 
 import numpy as np
@@ -420,7 +422,7 @@ def pns_references():
             for name, cfg in PNS_CASES.items()}
 
 
-@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("jobs", [1, 3, 7])
 def test_bb84_quota_carries_across_blocks(jobs, pns_references):
     for name, cfg in PNS_CASES.items():
         report = assert_matches_reference(cfg, pns_attack, jobs=jobs,
@@ -437,6 +439,41 @@ def test_bb84_quota_carries_across_blocks(jobs, pns_references):
             assert quota > two[-1] > 0 and forwarded == two[-1]
         assert report.metrics["pns_quota_met"] == (
             1.0 if two[-1] >= quota else 0.0), name
+
+
+def test_bb84_quota_folds_blocks_walked_on_threads(monkeypatch):
+    # under the splitting attack the blocks are walked on several threads,
+    # and the quota folds them in round order into the one-job leaves
+    cfg = PNS_CASES["third-block"]
+    base = protocol.run(cfg, pns_attack(), keep_codes=True)
+    walked, received, folded = set(), [], []
+    walk_chain, walk = kernels._walk_chain, protocol._walk
+
+    def spy_chain(plan, raw):
+        walked.add(threading.get_ident())
+        return walk_chain(plan, raw)
+
+    def spy_walk(plan, fields, seed, n, jobs, keep_codes, fold=None):
+        def spy_fold(piece):
+            received.append(piece.size)
+            folded.append(fold(piece))
+            return folded[-1]
+        return walk(plan, fields, seed, n, jobs, keep_codes, spy_fold)
+
+    monkeypatch.setattr(kernels, "_walk_chain", spy_chain)
+    monkeypatch.setattr(protocol, "_walk", spy_walk)
+    # three threads, switched as often as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = protocol.run(cfg, pns_attack(), jobs=3, keep_codes=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(walked) > 1
+    assert received == 3 * [kernels.BLOCK] + [17]
+    assert np.array_equal(np.concatenate(folded), base.codes)
+    assert np.array_equal(report.codes, base.codes)
+    assert report.metrics == base.metrics
 
 
 @pytest.mark.parametrize("cfg", [
@@ -546,14 +583,24 @@ def test_nan_threshold_raises():
                                 np.array([0.2, np.nan, 1.0]))
 
 
-def test_chunks_are_whole_blocks():
-    n = 10 ** 6
-    blocks = -(-n // kernels.BLOCK)
-    for jobs in (1, 2, 3, blocks, 10 ** 6):
-        ranges = kernels._chunk_ranges(n, jobs)
-        assert len(ranges) == min(jobs, blocks)
-        assert ranges[0][0] == 0 and ranges[-1][1] == n
-        for (_lo, hi), (lo, _hi) in zip(ranges, ranges[1:]):
-            assert hi == lo and lo % kernels.BLOCK == 0
+def test_walk_draws_whole_blocks(monkeypatch):
+    # each block is drawn from its own first round's words, whatever the
+    # thread count; only the last block is ragged
+    n = BLOCKED_ROUNDS
+    first = {lo: kernels._draw(kernels._stream(5, lo), 1)[0]
+             for lo in range(0, n, kernels.BLOCK)}
+    seen = []
+    walk_chain = kernels._walk_chain
+    monkeypatch.setattr(kernels, "_walk_chain", lambda plan, raw: (
+        seen.append((raw.shape[0], raw[0])) or walk_chain(plan, raw)))
+    fields = {"leaf": np.zeros(1)}
+    for jobs in (1, 2, 3, 10 ** 6):
+        seen.clear()
+        codes, counts, _ = kernels._walk([], fields, 5, n, jobs, True)
+        assert codes.size == n and counts.tolist() == [n]
+        assert sorted(size for size, _ in seen) == [17] + 3 * [kernels.BLOCK]
+        for size, words in seen:
+            lo = next(lo for lo, w in first.items() if np.array_equal(w, words))
+            assert size == min(kernels.BLOCK, n - lo)
     with pytest.raises(ValueError):
-        kernels._chunk_ranges(n, 0)
+        kernels._walk([], fields, 5, n, 0, False)

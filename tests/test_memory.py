@@ -8,6 +8,9 @@ must peak below ``PEAK_MB``; materialising the run's uniforms alone would
 take 320 MB, and its leaves 4 MB.  Four times the rounds may add no more
 than ``GROWTH_MB`` to the peak.
 
+A 4,000,000-round BB84 run under the splitting attack, whose quota is
+folded over the blocks in round order, must peak below ``PEAK_MB`` too.
+
 A run with ``--round-log always`` keeps its codes and renders its round
 log a step of rounds at a time, each step written to the file before the
 next is rendered; the report is never held whole.  So the log may add to
@@ -42,6 +45,8 @@ GROWTH_MB = 4
 #: 108 MB text report)
 LOG_PEAK_RATIO = 0.25
 
+SCENARIOS = resources.files("sqkdsim") / "scenarios"
+
 LAUNCHER = """
 import resource, subprocess, sys
 subprocess.run([sys.executable, "-m", "sqkdsim.cli"] + sys.argv[1:],
@@ -50,11 +55,11 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def _peak_kb(out_dir: Path, *args, rounds: int = 4_000_000) -> int:
-    """Peak RSS in kilobytes of a two-way run of ``rounds`` rounds at two
-    jobs in a fresh process, with extra command-line arguments ``args``."""
-    scenario = (resources.files("sqkdsim") / "scenarios"
-                / "classical-alice-lossy.scn")
+def _peak_kb(out_dir: Path, *args, rounds: int = 4_000_000,
+             scenario=SCENARIOS / "classical-alice-lossy.scn") -> int:
+    """Peak RSS in kilobytes of a run of ``scenario`` (by default a two-way
+    one) for ``rounds`` rounds at two jobs in a fresh process, with extra
+    command-line arguments ``args``."""
     src = str(Path(sqkdsim.__file__).resolve().parents[1])
     path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     out = subprocess.run(
@@ -74,6 +79,15 @@ def unlogged_peak_kb(tmp_path_factory):
 
 def test_large_two_way_run_stays_small(unlogged_peak_kb):
     assert unlogged_peak_kb / 1024 < PEAK_MB
+
+
+def test_large_bb84_pns_run_stays_small(tmp_path):
+    # the splitting quota is folded over blocks walked on two threads; the
+    # bundled expectations are absolute counts for 1e6 rounds, so they go
+    text = (SCENARIOS / "bb84-pns.scn").read_text("utf-8")
+    scenario = tmp_path / "bb84-pns.scn"
+    scenario.write_text(text.split("[expectations]", 1)[0], encoding="utf-8")
+    assert _peak_kb(tmp_path, scenario=scenario) / 1024 < PEAK_MB
 
 
 def test_peak_does_not_grow_with_rounds(unlogged_peak_kb, tmp_path):

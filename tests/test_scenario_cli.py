@@ -409,12 +409,14 @@ class TestCli:
         assert code == 1
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_nonpositive_jobs_exits_two(self, tmp_path, jobs):
-        # bb84-pns walks in one chunk whatever --jobs says, so only the
-        # command line can reject the value
+    def test_nonpositive_jobs_exits_two(self, tmp_path, capsys, jobs):
+        # every variant walks through kernels._walk, which rejects the
+        # value before a report is written
         code = cli.main(["run", scenario_path("bb84-pns.scn"),
                          "--out-dir", str(tmp_path), "--jobs", jobs])
         assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: jobs must be at least 1, not {jobs}\n")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("broken", ["missing", "bad-token", "binary"])
@@ -432,7 +434,8 @@ class TestCli:
             "[attack]", "name = general", "probe_dim = 1",
             f"outbound_file = {good}", f"return_file = {bad}", ""]))
         assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: [attack]: {bad}: ")
         assert not (tmp_path / "out").exists()
 
     def test_general_run_checks_each_map_once(self, tmp_path, monkeypatch):
@@ -493,6 +496,47 @@ class TestCli:
         assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {path}: [attack] {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_factory_error_names_the_file(self, tmp_path, capsys):
+        # the level is checked against n_max only when the attack is built
+        path = write(tmp_path, "\n".join([
+            "[protocol]", "rounds = 200", "n_max = 3",
+            "[attack]", "name = constrained-random",
+            "violation = multi-photon-return", "violation_level = 7", ""]))
+        assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: [attack]: violation level must lie in "
+            "[2, n_max]\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_matrix_shape_error_names_the_file(self, tmp_path, capsys):
+        # maps of probe dimension 2 at n_max 2, read with probe_dim 3
+        rng = np.random.default_rng(5)
+        files = [tmp_path / f"{leg}.mat" for leg in ("outbound", "return")]
+        for mat in files:
+            oracles.write_matrix(mat, oracles.haar_unitary(rng, 2 * 6))
+        path = write(tmp_path, "\n".join([
+            "[protocol]", "rounds = 200", "n_max = 2",
+            "[attack]", "name = general", "probe_dim = 3",
+            f"outbound_file = {files[0]}", f"return_file = {files[1]}", ""]))
+        assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: [attack]: matrix shape (12, 12) does not match "
+            "probe_dim x channel dim = 3 x 6 = 18\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_bb84_pns_report_does_not_depend_on_jobs(self, tmp_path):
+        # the quota is met in the run's eighth block, so the fold crosses it
+        # in the middle of the walk; the bundled expectations are left out
+        text = (SCENARIOS / "bb84-pns.scn").read_text("utf-8")
+        path = write(tmp_path, text.split("[expectations]", 1)[0])
+        blobs = []
+        for jobs in ("1", "2", "7"):
+            out = tmp_path / jobs
+            assert cli.main(["run", path, "--out-dir", str(out),
+                             "--jobs", jobs]) == 0
+            blobs.append((out / "bb84-pns.report.txt").read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_readme_scenario_example_runs(self, tmp_path):
         # the README's example keeps to the keys the loader takes
