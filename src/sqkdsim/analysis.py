@@ -150,48 +150,32 @@ def _principal_vector(columns: List[np.ndarray], rank_tol: float = 1e-9
     return u[:, 0] * s[0], "ok"
 
 
-def eve_leakage(attack: AttackSpec, n_max: int = 3,
-                variant: str = "classical-alice") -> LeakageReport:
-    """Fidelity and trace distance between Eve's probes for key bit 0 vs 1.
+def eve_leakage(attack: AttackSpec, n_max: int = 3) -> LeakageReport:
+    """Fidelity and trace distance between Eve's probes for key bit 0 vs 1
+    in the two-way protocol.
 
     Conditions on the branches that produce key bits: Alice measured a single
     detector and Bob's matching detector clicked.  Pure conditionals only;
     branches of zero probability or effective rank above one are reported as
     undefined rather than silently averaged.
     """
-    if variant == "bb84":
-        vecs = []
-        for occ_in, occ_out in (((0, 2), (0, 1)), ((2, 0), (1, 0))):
-            pulse = make_basis_state(occ_in, Z, n_max=max(n_max, 2))
-            psi = attack.apply_outbound(
-                JointState.from_product(0, pulse, attack.probe_dim))
-            vecs.append(psi.probe_component(occ_out))
-        v0, v1 = vecs
-        status0 = status1 = "ok" if min(np.linalg.norm(v0), np.linalg.norm(v1)) > 1e-15 else "zero"
-    else:
-        returned = _sift_and_return(attack, _outbound_state(attack, n_max),
-                                    THRESHOLD, ((0, 1), (1, 0)))
-        cols: Dict[int, List[np.ndarray]] = {0: [], 1: []}
-        for bit, pattern in ((0, (0, 1)), (1, (1, 0))):
-            if pattern not in returned:
-                continue
-            p, back = returned[pattern]
-            for n in range(1, n_max + 1):
-                occ = (0, n) if bit == 0 else (n, 0)
-                cols[bit].append(back.probe_component(occ) * math.sqrt(p))
-        if not cols[0] or not cols[1]:
+    returned = _sift_and_return(attack, _outbound_state(attack, n_max),
+                                THRESHOLD, ((0, 1), (1, 0)))
+    if len(returned) < 2:
+        return LeakageReport(None, None, status="undefined",
+                             detail="a key-bit branch has zero probability")
+    vecs = []
+    for bit, (p, back) in enumerate((returned[(0, 1)], returned[(1, 0)])):
+        vec, status = _principal_vector(
+            [back.probe_component((0, n) if bit == 0 else (n, 0)) * math.sqrt(p)
+             for n in range(1, n_max + 1)])
+        if status != "ok":
+            why = ("branch has zero probability" if status == "zero"
+                   else "conditional probe is not pure")
             return LeakageReport(None, None, status="undefined",
-                                 detail="a key-bit branch has zero probability")
-        v0, status0 = _principal_vector(cols[0])
-        v1, status1 = _principal_vector(cols[1])
-
-    for status, bit in ((status0, 0), (status1, 1)):
-        if status == "zero":
-            return LeakageReport(None, None, status="undefined",
-                                 detail=f"bit-{bit} branch has zero probability")
-        if status == "mixed":
-            return LeakageReport(None, None, status="undefined",
-                                 detail=f"bit-{bit} conditional probe is not pure")
+                                 detail=f"bit-{bit} {why}")
+        vecs.append(vec)
+    v0, v1 = vecs
 
     n0, n1 = np.linalg.norm(v0), np.linalg.norm(v1)
     fid = float(abs(np.vdot(v0, v1)) / (n0 * n1))

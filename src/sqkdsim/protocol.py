@@ -32,7 +32,8 @@ slot   two-way                     BB84                    B92
 1      outbound loss               Alice's basis           Eve's basis (attack)
 2      CTRL or SIFT                pulse size              Eve's conclusive
                                                            result (attack)
-3      Alice's SIFT branch         loss (no attack)        loss (no attack)
+3      Alice's SIFT branch         loss (drawn only        loss (no attack)
+                                   without the splitter)
 4      Eve's return                Bob's basis             Bob's basis
 5      -                           Bob's detector          Bob's conclusive
                                                            result
@@ -140,8 +141,11 @@ class ProtocolConfig:
             raise ConfigError("signal-state overlap must lie in [0, 1)")
         if self.n_max < 1:
             raise ConfigError("photon cap must be at least 1")
-        if self.variant == CLASSICAL_ALICE_LIMITED and self.source_stats[2] > 0:
+        if self.variant == CLASSICAL_ALICE_LIMITED and p2 > 0:
             raise ConfigError("the loss-only variant has no multi-photon pulses")
+        if (self.variant in (CLASSICAL_ALICE_FULL, BB84) and p2 > 0
+                and self.n_max < 2):
+            raise ConfigError("two-photon pulses need a photon cap of at least 2")
 
     def channel_n_max(self) -> int:
         return 1 if self.variant == CLASSICAL_ALICE_LIMITED else self.n_max
@@ -235,8 +239,6 @@ def _emissions(config: ProtocolConfig) -> List[Tuple[float, FockState, int]]:
     2 the extra z states of bit 0 and 1."""
     n_max = config.channel_n_max()
     p0, p1, p2 = config.source_stats
-    if p2 > 0 and n_max < 2:
-        raise ConfigError("two-photon pulses need a photon cap of at least 2")
     extra = config.extra_state_fraction
     out = [(p * (1.0 - extra), make_basis_state((0, size), X, n_max), 0)
            for size, p in enumerate((p0, p1, p2)) if p > 0.0]
@@ -603,12 +605,15 @@ BB84_CATEGORIES = ("no_click", "basis_mismatch", "double_click",
 
 @dataclass
 class Bb84Tables:
+    """BB84's branch tables: the pulse size, the photons ``m`` that reach
+    Bob per pulse size, and Bob's patterns per node ``(m, bit, basis,
+    bob_basis)`` of the pulse as Eve's outbound map leaves it."""
     size_cum: np.ndarray         # (3,) cumulative pulse-size probabilities
     attack: int                  # 1 when the splitting attack is active
     quota: int                   # two-photon pulses the splitter forwards
     loss_off: np.ndarray         # (3+1,), row per pulse size
     loss_cum: np.ndarray
-    loss_m: np.ndarray           # surviving photon count per branch
+    loss_m: np.ndarray           # photons that reach Bob per branch
     meas_off: np.ndarray         # (16+1,), row per (m, bit, basis, bob_basis)
     meas_cum: np.ndarray
     meas_pat: np.ndarray         # pattern codes
@@ -616,6 +621,9 @@ class Bb84Tables:
 
 def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
                       ) -> Tuple[Bb84Tables, Dict[str, float]]:
+    """BB84's tables and exact values.  Without the splitter a pulse loses
+    photons binomially; with it, its rule (forward a two-photon pulse over
+    its lossless line, block the rest) is one certain branch per size."""
     config.validate()
     p0, p1, p2 = config.source_stats
     pns = isinstance(attack.strategy, PnsStrategy)
@@ -633,17 +641,19 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
     if pns:
         meta["pns_quota"] = quota
 
-    # surviving photon count m of each pulse size, binomial in the survival
+    # the photons m that reach Bob: binomial loss, or the splitter's rule
     s = config.transmission
     loss_off, loss_cum, _ends, loss_m = _level(range(3), lambda size: (
-        (math.comb(size, m) * s ** m * (1.0 - s) ** (size - m), None, m)
-        for m in range(size + 1)))
+        [(1.0, None, size if size == 2 else 0)] if pns else
+        ((math.comb(size, m) * s ** m * (1.0 - s) ** (size - m), None, m)
+         for m in range(size + 1))))
 
     # a row per (m, bit, basis, bob_basis): one pulse read in both bases
     rows = []
     for m, bit, basis in itertools.product((1, 2), (0, 1), (0, 1)):
-        pulse = JointState.from_product(0, make_basis_state(
-            (0, m) if bit == 0 else (m, 0), (Z, X)[basis], 2), 1)
+        pulse = attack.apply_outbound(JointState.from_product(
+            0, make_basis_state((0, m) if bit == 0 else (m, 0),
+                                (Z, X)[basis], 2), attack.probe_dim))
         rows += [(bit, pulse.bob_distribution(bob_basis, config.detector_model))
                  for bob_basis in (Z, X)]
 
@@ -673,19 +683,17 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
 def _bb84_chain(tab: Bb84Tables):
     """The BB84 walk's draws and record fields per leaf: the pulse size,
     the fair coins, the photons that reach Bob and his pattern (no click
-    when none does).  The splitter draws no loss: the leaf forwards one
-    photon of every two-photon pulse and gives Eve the bit."""
+    when none does).  Under the splitting attack the loss rows are certain,
+    so slot 3 draws nothing, and a pulse that reaches Bob was forwarded by
+    the splitter, which learns the bit."""
     f: Dict[str, np.ndarray] = {}
     steps = [(2, _split(f, np.array([0, 3]), tab.size_cum, 0,
                         size=np.arange(3)))]
     for slot, field in ((0, "bit"), (1, "basis"), (4, "bob_basis")):
         steps.append((slot, _split(f, *_coin(0.5), 0, **{field: [0, 1, 0]})))
-    if tab.attack == 1:
-        f["m"] = f["forwarded"] = (f["size"] == 2).astype(np.int8)
-    else:
-        steps.append((3, _split(f, tab.loss_off, tab.loss_cum, f["size"],
-                                m=tab.loss_m)))
-        f["forwarded"] = np.zeros_like(f["m"])
+    steps.append((3, _split(f, tab.loss_off, tab.loss_cum, f["size"],
+                            m=tab.loss_m)))
+    f["forwarded"] = ((f["m"] > 0) * tab.attack).astype(np.int8)
     rows = (f["m"] - 1) * 8 + f["bit"] * 4 + f["basis"] * 2 + f["bob_basis"]
     steps.append((5, _split(
         f, np.append(tab.meas_off, tab.meas_off[-1] + 1),

@@ -192,6 +192,8 @@ def bb84_walk(tab, u):
         evebit = -1
         forwarded = 0
         if t["attack"] == 1:
+            # the splitter's rule by hand: a forwarded pulse reads Bob's
+            # one-photon rows, where the engine reads the split pulse's
             m = 0
             if size == 2:
                 taken += 1

@@ -22,6 +22,8 @@ from sqkdsim.attacks import (
     pns_attack,
     tagging_attack,
 )
+from sqkdsim.fock import X, Z, make_basis_state
+from sqkdsim.joint import JointState
 
 SQRT2 = math.sqrt(2.0)
 
@@ -112,9 +114,23 @@ class TestEveLeakage:
             assert leak.conditional_fidelity >= 1 - 1e-9
 
     def test_splitting_on_two_photon_pulses_leaks_fully(self):
-        leak = eve_leakage(pns_attack(n_max=2), n_max=2, variant="bb84")
-        assert leak.conditional_fidelity == pytest.approx(0.0, abs=1e-12)
-        assert leak.trace_distance == pytest.approx(1.0)
+        """In either basis the splitter leaves Bob the one-photon pulse of
+        the bit and keeps a probe state per bit, the two orthogonal."""
+        attack = pns_attack(n_max=2)
+        for basis in (Z, X):
+            probes = []
+            for occ in ((0, 1), (1, 0)):
+                one, two = (make_basis_state((occ[0] * m, occ[1] * m), basis, 2)
+                            for m in (1, 2))
+                split = attack.apply_outbound(
+                    JointState.from_product(0, two, attack.probe_dim))
+                one = one.to_z().amps
+                probe = split.amps @ one.conj()
+                assert np.allclose(split.amps, np.outer(probe, one),
+                                   rtol=0, atol=1e-15)
+                assert np.linalg.norm(probe) == pytest.approx(1.0, abs=1e-15)
+                probes.append(probe)
+            assert abs(np.vdot(*probes)) == pytest.approx(0.0, abs=1e-15)
 
     def test_fidelity_trace_distance_consistency(self):
         spec = constrained_random_attack(77, 4, n_max=3)

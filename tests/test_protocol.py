@@ -8,6 +8,9 @@ import pytest
 import oracles
 from sqkdsim.attacks import (
     AttackDomainError,
+    AttackSpec,
+    PnsStrategy,
+    ProbeChannelMap,
     constrained_random_attack,
     general_attack,
     identity_attack,
@@ -404,6 +407,32 @@ class TestRunBb84:
         rep = run(cfg, identity_attack())
         assert sum(rep.categories.values()) == rep.rounds
 
+    def test_bob_reads_the_pulse_the_splitter_leaves(self):
+        """A splitter that forwards its photon in the other mode flips
+        every z-basis bit and leaves x-basis pulses alone: half the sifted
+        bits are wrong."""
+        r = 1.0 / math.sqrt(2.0)
+        keep0, keep1 = 1, 2
+        flipped = AttackSpec(
+            name="flipped-pns", probe_dim=3,
+            outbound=ProbeChannelMap.from_occupation_rules({
+                (0, (0, 2)): [(keep0, (1, 0), 1.0)],
+                (0, (2, 0)): [(keep1, (0, 1), 1.0)],
+                (0, (1, 1)): [(keep1, (1, 0), r), (keep0, (0, 1), r)],
+            }, [(0, occ) for occ in ((0, 0), (0, 1), (1, 0))]),
+            lossless_channel=True, strategy=PnsStrategy())
+        cfg = ProtocolConfig(variant="bb84", rounds=20_000, rng_seed=23,
+                             source_stats=(0.0, 0.0, 1.0), transmission=0.5)
+        rep = run(cfg, flipped, keep_codes=True)
+        rec = rep.records
+        sifted = (rec["pattern"] != 0) & (rec["basis"] == rec["bob_basis"])
+        assert rep.metrics["sifted_bits"] == sifted.sum() > 0
+        wrong = rep.categories["sift_error"]
+        assert wrong == (sifted & (rec["basis"] == 0)).sum()
+        assert abs(rep.metrics["error_rate"] - 0.5) <= three_sigma_binomial(
+            0.5, rep.metrics["sifted_bits"])
+        assert rep.metrics["eve_known_fraction"] == 1.0
+
 
 class TestBb84Rows:
     """Bob's rows, one per node (m, bit, basis, bob_basis) in that order."""
@@ -447,6 +476,20 @@ class TestBb84Rows:
             assert [pat for pat, _p in row] == [pat for pat, _p in ref]
             assert np.allclose([p for _pat, p in row],
                                [p for _pat, p in ref], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("model", [THRESHOLD, COUNTER])
+    def test_split_rows_are_the_one_photon_rows(self, model):
+        """Under the splitting attack Bob's rows of a two-photon pulse are
+        those of a one-photon pulse without it, bit for bit."""
+        cfg = ProtocolConfig(variant="bb84", rounds=100, detector_model=model)
+        plain, _meta = build_bb84_tables(cfg, identity_attack())
+        split, _meta = build_bb84_tables(cfg, pns_attack())
+        one = slice(0, plain.meas_off[8])
+        two = slice(split.meas_off[8], split.meas_off[16])
+        assert np.array_equal(np.diff(split.meas_off[8:]),
+                              np.diff(plain.meas_off[:9]))
+        assert split.meas_cum[two].tobytes() == plain.meas_cum[one].tobytes()
+        assert np.array_equal(split.meas_pat[two], plain.meas_pat[one])
 
     def test_counters_see_both_photons_of_a_pulse(self):
         cfg = ProtocolConfig(variant="bb84", rounds=20_000, rng_seed=21,
@@ -492,3 +535,8 @@ class TestDispatchAndValidation:
         with pytest.raises(ConfigError):
             ProtocolConfig(variant="classical-alice-limited",
                            source_stats=(0.5, 0.3, 0.2)).validate()
+        for variant in ("classical-alice-full", "bb84"):
+            with pytest.raises(ConfigError, match="^two-photon pulses need a "
+                                                  "photon cap of at least 2$"):
+                ProtocolConfig(variant=variant, n_max=1,
+                               source_stats=(0.3, 0.5, 0.2)).validate()

@@ -560,6 +560,18 @@ class TestCli:
         assert "cannot run with counter detectors" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("variant", ["classical-alice-full", "bb84"])
+    def test_two_photon_pulses_past_the_photon_cap_exit_two(
+            self, tmp_path, capsys, variant):
+        path = write(tmp_path, "\n".join([
+            "[protocol]", f"variant = {variant}", "rounds = 100", "n_max = 1",
+            "[source]", "p0 = 0.3", "p1 = 0.5", "p2 = 0.2", ""]))
+        assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: two-photon pulses need a photon cap of at "
+            f"least 2\n")
+        assert not (tmp_path / "out").exists()
+
     def test_parse_error_exits_two(self, tmp_path):
         path = write(tmp_path, "[protocol]\nrounds = banana\n")
         assert cli.main(["run", path, "--out-dir", str(tmp_path)]) == 2
