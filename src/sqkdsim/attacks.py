@@ -155,8 +155,8 @@ class ProbeChannelMap:
 
     def apply(self, state: JointState) -> JointState:
         """``M (D^H v)`` for the probe-major vector ``v`` of ``state``
-        (``M v`` when ``D`` is None); coefficients at or below the amplitude
-        floor count as zero."""
+        (``M v`` when ``D`` is None), at the wider probe of the two;
+        coefficients at or below the amplitude floor count as zero."""
         probe_dim, dim = state.amps.shape
         extent_probe, extent_dim, cols = self.M.shape
         shape = (max(probe_dim, extent_probe), max(dim, extent_dim))
@@ -180,7 +180,7 @@ class ProbeChannelMap:
         if np.any(np.abs(out[:, dim:]) > AMPLITUDE_FLOOR):
             raise TruncationError(
                 f"attack map image exceeds the channel cap {state.n_max}")
-        return JointState(out[:probe_dim, :dim])
+        return JointState(out[:, :dim])
 
 
 @dataclass(frozen=True)
@@ -191,11 +191,6 @@ class CountDecodeStrategy:
     return map); smaller counts are read as a measured-and-resent pulse, which
     Eve measures in the computational basis and forwards unchanged.
     """
-
-    def action(self, count: int) -> Tuple[str, str]:
-        if count >= CTRL_MIN_COUNT:
-            return "ctrl", "apply_map"
-        return "sift", "measure_resend"
 
 
 @dataclass(frozen=True)
@@ -213,20 +208,29 @@ class PnsStrategy:
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """Validated description of one attack: maps, flags, and strategy.
+    """Validated description of one attack: its maps and its strategy.
 
     The maps are checked once, when the spec is built: a map that is not an
     isometry raises ``IsometryError`` there.  The spec is frozen, so no map
     can be swapped in past that check."""
     name: str
-    probe_dim: int
     outbound: Optional[ProbeChannelMap] = None
     returning: Optional[ProbeChannelMap] = None
-    lossless_channel: bool = False
     strategy: object = None
 
     def __post_init__(self):
         self.validate()
+
+    @property
+    def probe_dim(self) -> int:
+        """Eve's probe: the widest map's probe extent, 1 with no map."""
+        return max((m.M.shape[0] for m in (self.outbound, self.returning)
+                    if m is not None), default=1)
+
+    @property
+    def lossless_channel(self) -> bool:
+        """Eve owns a lossless line unless she has no map and no strategy."""
+        return (self.outbound, self.returning, self.strategy) != (None,) * 3
 
     def validate(self, tol: float = ISOMETRY_TOL) -> float:
         worst = 0.0
@@ -248,8 +252,8 @@ class AttackSpec:
         return state if self.returning is None else self.returning.apply(state)
 
 
-def identity_attack(probe_dim: int = 1) -> AttackSpec:
-    return AttackSpec(name="identity", probe_dim=probe_dim)
+def identity_attack() -> AttackSpec:
+    return AttackSpec(name="identity")
 
 
 def pns_attack(n_max: int = 2) -> AttackSpec:
@@ -277,12 +281,10 @@ def pns_attack(n_max: int = 2) -> AttackSpec:
         for n1 in range(total + 1):
             identity_keys.append((vac, (n1, total - n1)))
     outbound = ProbeChannelMap.from_occupation_rules(rules, identity_keys)
-    return AttackSpec(
-        name="pns", probe_dim=3, outbound=outbound, returning=None,
-        lossless_channel=True, strategy=PnsStrategy())
+    return AttackSpec(name="pns", outbound=outbound, strategy=PnsStrategy())
 
 
-def tagging_attack() -> AttackSpec:
+def tagging_attack(n_max: int = 2) -> AttackSpec:
     """Replace the outbound pulse by the photon-number tag (|0,2>+|2,0>)/sqrt(2).
 
     The outbound leg swaps whatever arrives into a three-level register of
@@ -291,8 +293,10 @@ def tagging_attack() -> AttackSpec:
     single photon, so reflected rounds hand Bob exactly the plus state.
     When Alice detects destructively and resends single photons, the
     returned photon number alone decodes her action, which the bundled
-    count strategy exploits.
+    count strategy exploits.  The tag needs a photon cap ``n_max`` of 2.
     """
+    if n_max < 2:
+        raise ValueError("photon cap must be at least 2 for the two-photon tag")
     d = 3
     r = 1 / math.sqrt(2.0)
     outbound = ProbeChannelMap(
@@ -307,15 +311,13 @@ def tagging_attack() -> AttackSpec:
         rules[(e, (2, 0))] = [(e, (1, 0), 1.0)]
         identity_keys.append((e, (0, 0)))
     returning = ProbeChannelMap.from_occupation_rules(rules, identity_keys)
-    return AttackSpec(
-        name="tagging", probe_dim=d, outbound=outbound, returning=returning,
-        lossless_channel=True, strategy=CountDecodeStrategy())
+    return AttackSpec(name="tagging", outbound=outbound, returning=returning,
+                      strategy=CountDecodeStrategy())
 
 
 def usd_attack_b92() -> AttackSpec:
     """Unambiguous-discrimination intercept for the two-state protocol."""
-    return AttackSpec(name="usd-b92", probe_dim=1, lossless_channel=True,
-                      strategy=UsdStrategy())
+    return AttackSpec(name="usd-b92", strategy=UsdStrategy())
 
 
 def general_attack(outbound_matrix: np.ndarray, return_matrix: np.ndarray,
@@ -323,10 +325,9 @@ def general_attack(outbound_matrix: np.ndarray, return_matrix: np.ndarray,
     """User-supplied dense maps over the full probe x channel basis."""
     channel = ChannelBasis(n_max)
     return AttackSpec(
-        name="general", probe_dim=probe_dim,
+        name="general",
         outbound=ProbeChannelMap.from_dense(outbound_matrix, probe_dim, channel),
-        returning=ProbeChannelMap.from_dense(return_matrix, probe_dim, channel),
-        lossless_channel=True)
+        returning=ProbeChannelMap.from_dense(return_matrix, probe_dim, channel))
 
 
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -449,9 +450,8 @@ def constrained_random_attack(seed: int, probe_dim: int = 4, n_max: int = 3,
 
     name = "constrained-random" if violation is None else f"violating-{violation}"
     return AttackSpec(
-        name=name, probe_dim=d, outbound=outbound,
-        returning=ProbeChannelMap(np.stack(doms, axis=-1), np.stack(imgs, axis=-1)),
-        lossless_channel=True)
+        name=name, outbound=outbound,
+        returning=ProbeChannelMap(np.stack(doms, axis=-1), np.stack(imgs, axis=-1)))
 
 
 def load_matrix_file(path: str) -> np.ndarray:

@@ -58,6 +58,7 @@ import numpy as np
 
 from . import analysis
 from .attacks import (
+    CTRL_MIN_COUNT,
     AttackSpec,
     AttackDomainError,
     CountDecodeStrategy,
@@ -90,11 +91,23 @@ B92 = "b92"
 REFLECT = "reflect-occupation"
 MEASURE_RESEND = "measure-resend"
 
-VARIANTS = (CLASSICAL_ALICE_FULL, CLASSICAL_ALICE_LIMITED, BB84, B92)
+TWO_WAY = (CLASSICAL_ALICE_FULL, CLASSICAL_ALICE_LIMITED)
+VARIANTS = (*TWO_WAY, BB84, B92)
 
 
 class ConfigError(ValueError):
     """A protocol configuration is inconsistent or incomplete."""
+
+
+def check_runs_on(attack: AttackSpec, variant: str) -> None:
+    """Refuse ``attack`` on a variant it has no form for: the splitter runs
+    on BB84 only, the intercept on B92 only, an attack with no map and no
+    strategy on every variant, and any other on the two-way variants."""
+    variants = {PnsStrategy: (BB84,), UsdStrategy: (B92,)}.get(
+        type(attack.strategy), TWO_WAY if attack.lossless_channel else VARIANTS)
+    if variant not in variants:
+        raise ConfigError(f"the {attack.name} attack runs on "
+                          f"{' and '.join(variants)} only, not on {variant}")
 
 
 @dataclass
@@ -296,10 +309,7 @@ def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
     it.  The levels and their numbering are those of ``CaTables``.
     """
     config.validate()
-    if isinstance(attack.strategy, (UsdStrategy, PnsStrategy)):
-        raise ConfigError(
-            f"attack {attack.name!r} targets a one-way protocol and cannot "
-            f"run on {config.variant}")
+    check_runs_on(attack, config.variant)
     n_max = config.channel_n_max()
     model = config.detector_model
     lossy = not attack.lossless_channel
@@ -329,30 +339,21 @@ def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
         lambda node: ((p, resid, pattern_code(readout)) for readout, p, resid
                       in alice_sift(node, model, config.residual_policy)))
 
-    strategy = attack.strategy if isinstance(attack.strategy,
-                                             CountDecodeStrategy) else None
-
     def returned(resid):
         """(p, returned node, Eve's action guess, Eve's bit) per branch."""
-        if strategy is None:
+        if not isinstance(attack.strategy, CountDecodeStrategy):
             yield 1.0, attack.apply_return(resid), -1, -1
             return
         for count, p_c, projected in resid.photon_count_branches():
-            label, act = strategy.action(count)
-            guess = 0 if label == "ctrl" else 1
-            if act == "apply_map":
-                yield p_c, attack.apply_return(projected), guess, -1
+            if count >= CTRL_MIN_COUNT:
+                yield p_c, attack.apply_return(projected), 0, -1
                 continue
             for occ, p_z, probe_vec in projected.occupation_branches():
-                if occ[0] >= 1 and occ[1] == 0:
-                    bit = 1
-                elif occ[1] >= 1 and occ[0] == 0:
-                    bit = 0
-                else:
-                    bit = -1
+                bit = {(0, 1): 0, (1, 0): 1}.get(
+                    detector_pattern(occ, THRESHOLD), -1)
                 back = JointState.from_product(
                     probe_vec, make_basis_state(occ, Z, n_max), resid.probe_dim)
-                yield p_c * p_z, back, guess, bit
+                yield p_c * p_z, back, 1, bit
 
     try:
         ret_off, ret_cum, returned_nodes, ret_guess, ret_evebit = _level(
@@ -625,10 +626,9 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
     photons binomially; with it, its rule (forward a two-photon pulse over
     its lossless line, block the rest) is one certain branch per size."""
     config.validate()
+    check_runs_on(attack, config.variant)
     p0, p1, p2 = config.source_stats
     pns = isinstance(attack.strategy, PnsStrategy)
-    if not pns and attack.name != "identity":
-        raise ConfigError(f"attack {attack.name!r} has no one-way BB84 form")
 
     feas = analysis.pns_feasibility(p0, p1, p2, config.transmission,
                                     config.rounds)
@@ -793,10 +793,9 @@ class B92Tables:
 def build_b92_tables(config: ProtocolConfig, attack: AttackSpec
                      ) -> Tuple[B92Tables, Dict[str, float]]:
     config.validate()
+    check_runs_on(attack, config.variant)
     c = config.b92_overlap
     usd = isinstance(attack.strategy, UsdStrategy)
-    if not usd and attack.name != "identity":
-        raise ConfigError(f"attack {attack.name!r} has no two-state form")
     lossrate = 1.0 - config.transmission
     attempted = usd and analysis.b92_breakable(lossrate, c)
     tables = B92Tables(conclusive_p=1.0 - c * c,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import attacks as attacks_mod
-from .protocol import ConfigError, ProtocolConfig
+from .protocol import ConfigError, ProtocolConfig, check_runs_on
 from .report import Expectation
 
 
@@ -73,8 +73,7 @@ def _positive_int(raw: str) -> int:
 #: prints them
 ATTACKS: Dict[str, Attack] = {
     "identity": Attack(
-        lambda config, probe_dim: attacks_mod.identity_attack(probe_dim),
-        {"probe_dim": Key(_positive_int, 1)},
+        lambda config: attacks_mod.identity_attack(), {},
         "Eve does nothing: both passes are the identity, the channel keeps "
         "its natural loss, and no information leaks."),
     "pns": Attack(
@@ -97,7 +96,7 @@ ATTACKS: Dict[str, Attack] = {
         "rate reaches (1+overlap^2)/2, for the signal-state overlap "
         "[protocol] b92_overlap."),
     "tagging": Attack(
-        lambda config: attacks_mod.tagging_attack(),
+        lambda config: attacks_mod.tagging_attack(config.channel_n_max()),
         {},
         "Photon-number tag: the outbound pulse is replaced by "
         "(|0,2>+|2,0>)/sqrt(2); the return map folds the tag back into a "
@@ -144,11 +143,13 @@ class Scenario:
 
     def build_attack(self) -> attacks_mod.AttackSpec:
         try:
-            return build_attack(self.attack_name, self.attack_params,
-                                self.config)
+            attack = build_attack(self.attack_name, self.attack_params,
+                                  self.config)
+            check_runs_on(attack, self.config.variant)
         except ValueError as exc:
-            # the factory checks the values together with the config
+            # the factory and the rule check the values with the config
             raise ScenarioError(f"{self.path}: [attack]: {exc}") from exc
+        return attack
 
 
 def _suggest(name: str) -> str:

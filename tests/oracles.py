@@ -28,6 +28,10 @@ array on one mask per pattern.
 
 ``round_log_reference`` formats the round log one line per round with an
 f-string; ``sqkdsim.report`` builds the same text from byte rows with numpy.
+
+``plan_law`` is the exact probability of each leaf of a walk plan, carried
+step by step through the plan's raw thresholds; sampled leaf counts are
+tested against it.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from itertools import permutations
 
 import numpy as np
 
-from sqkdsim import analysis
+from sqkdsim import analysis, kernels
 from sqkdsim.attacks import DOMAIN_TOL, AttackDomainError, ProbeChannelMap
 from sqkdsim.fock import AMPLITUDE_FLOOR, FockState, X, Z, _mixing_row
 from sqkdsim.joint import ChannelBasis, JointState, detector_pattern
@@ -593,6 +597,41 @@ def transform_reference(state: FockState) -> FockState:
                 continue
             out[(k, n - k)] = out.get((k, n - k), 0j) + coeff * amp
     return FockState(out, basis=X if state.basis == Z else Z, n_max=state.n_max)
+
+
+# ---------------------------------------------------------------------------
+# exact outcome law of a walk plan
+
+
+def _passed(thresholds: np.ndarray) -> np.ndarray:
+    """``P(raw > T)`` of each raw threshold ``T = K * 2**11 - 1`` for a
+    uniform 64-bit word: ``1 - K / 2**53``, and 0 for ``RAW_MAX``."""
+    return np.array([1.0 - ((int(t) + 1) >> kernels.RAW_SHIFT) / kernels.WORD_ONE
+                     for t in thresholds.ravel()]).reshape(thresholds.shape)
+
+
+def plan_law(plan) -> np.ndarray:
+    """Probability of each leaf of ``plan``, the drawing steps of
+    ``kernels._chain``: the mass of each walk index, carried through the
+    steps.  Branch ``c`` of a row takes ``P(pass c-1) - P(pass c)`` of the
+    row's mass, over its sorted thresholds; a ``Stage`` row's branch is its
+    start plus ``c``, a counted step's is ``index * (levels + 1) + c``.
+    Padded thresholds are passed by no word, so their branches take none."""
+    mass = np.ones(1)
+    for _slot, step in plan:
+        counted = not isinstance(step, kernels.Stage)
+        passed = _passed(step[:, None] if counted else step.thresholds)
+        edges = np.vstack([np.ones(passed.shape[1]), passed,
+                           np.zeros(passed.shape[1])])
+        share = -np.diff(edges, axis=0)        # (branches per row, rows)
+        if counted:
+            mass = (mass[:, None] * share[:, 0]).ravel()
+            continue
+        branch = step.start + np.arange(share.shape[0])[:, None]
+        taken = share > 0
+        mass = np.bincount(branch[taken], weights=(share * mass)[taken],
+                           minlength=step.branches)
+    return mass
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,7 @@ def minus_sender() -> AttackSpec:
         _plus_column(),
         {(0, (0, 1)): 1 / SQRT2, (0, (1, 0)): -1 / SQRT2},
     )], 1, 1)
-    spec = AttackSpec(name="minus-sender", probe_dim=1, outbound=outbound,
-                      returning=None, lossless_channel=True)
+    spec = AttackSpec(name="minus-sender", outbound=outbound)
     spec.validate()
     return spec
 
@@ -48,8 +47,7 @@ def one_sided_attack() -> AttackSpec:
     """Sends only the bit-0 photon on, so the bit-1 branch never occurs."""
     outbound = oracles.map_from_columns(
         [(_plus_column(), {(0, (0, 1)): 1.0})], 1, 1)
-    spec = AttackSpec(name="one-sided", probe_dim=1, outbound=outbound,
-                      returning=None, lossless_channel=True)
+    spec = AttackSpec(name="one-sided", outbound=outbound)
     spec.validate()
     return spec
 
@@ -164,14 +162,13 @@ class TestEveLeakage:
         # a probe-basis rotation maps U -> (W x 1)U and V -> (W x 1)V(W+ x 1),
         # so the return map's domain vectors rotate along with all images
         rotated = AttackSpec(
-            name="rotated", probe_dim=3,
+            name="rotated",
             outbound=oracles.map_from_columns(
                 [(dom, rotate(img))
                  for dom, img in oracles.columns_of(base.outbound)], 3, 3),
             returning=oracles.map_from_columns(
                 [(rotate(dom), rotate(img))
-                 for dom, img in oracles.columns_of(base.returning)], 3, 3),
-            lossless_channel=True)
+                 for dom, img in oracles.columns_of(base.returning)], 3, 3))
         rotated.validate()
         a = eve_leakage(base, n_max=3).conditional_fidelity
         b = eve_leakage(rotated, n_max=3).conditional_fidelity

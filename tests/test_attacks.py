@@ -22,7 +22,7 @@ from sqkdsim.attacks import (
 )
 from sqkdsim.fock import AMPLITUDE_FLOOR, X, Z, make_basis_state
 from sqkdsim.joint import ChannelBasis, JointState
-from sqkdsim.protocol import ProtocolConfig, build_b92_tables
+from sqkdsim.protocol import ProtocolConfig, build_b92_tables, build_ca_tables
 
 SQRT2 = math.sqrt(2.0)
 
@@ -116,10 +116,24 @@ class TestTagging:
             spec.apply_return(probe_state(0, (0, 1), Z, 2, spec.probe_dim))
 
     def test_count_strategy_decodes(self):
-        strat = tagging_attack().strategy
-        assert strat.action(2) == ("ctrl", "apply_map")
-        assert strat.action(1) == ("sift", "measure_resend")
-        assert strat.action(0) == ("sift", "measure_resend")
+        # the whole tag comes back on CTRL, CTRL_MIN_COUNT photons, and
+        # one resent photon on SIFT: Eve guesses CTRL (0) and SIFT (1)
+        cfg = ProtocolConfig(n_max=2, residual_policy="measure-resend")
+        tab, _meta = build_ca_tables(cfg, tagging_attack())
+        sift = tab.ret_off[tab.oloss_cum.size]
+        assert set(tab.ret_guess[:sift].tolist()) == {0}
+        assert set(tab.ret_guess[sift:].tolist()) == {1}
+
+    def test_outbound_keeps_the_probe_it_writes(self):
+        # a one-probe pulse comes out as wide as the map, with all its weight
+        spec = tagging_attack()
+        out = spec.apply_outbound(probe_state(0, (0, 1), X, 2, 1))
+        assert out.probe_dim == spec.probe_dim == 3
+        assert np.sum(np.abs(out.amps) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_requires_two_photon_cap(self):
+        with pytest.raises(ValueError, match="photon cap must be at least 2"):
+            tagging_attack(n_max=1)
 
 
 class TestGeneral:
@@ -272,7 +286,24 @@ def test_isometry_defect_matches_pairwise_reference(case):
 def test_spec_rejects_non_isometry_when_built(case):
     (m,) = DEFECT_CASES[case]()
     with pytest.raises(IsometryError, match="deviation"):
-        AttackSpec(name=case, probe_dim=m.M.shape[0], returning=m)
+        AttackSpec(name=case, returning=m)
+
+
+@pytest.mark.parametrize("make,probe_dim,lossless", [
+    (identity_attack, 1, False),
+    (pns_attack, 3, True),
+    (usd_attack_b92, 1, True),
+    (tagging_attack, 3, True),
+    (lambda: constrained_random_attack(3, 2, n_max=2), 2, True),
+    (lambda: general_attack(np.eye(12), np.eye(12), probe_dim=2, n_max=2),
+     2, True),
+])
+def test_probe_and_line_follow_from_the_maps(make, probe_dim, lossless):
+    # the widest map's probe, and a lossless line for any map or strategy
+    spec = make()
+    assert (spec.probe_dim, spec.lossless_channel) == (probe_dim, lossless)
+    with pytest.raises(AttributeError):
+        spec.probe_dim = probe_dim + 1
 
 
 def test_spec_maps_cannot_be_swapped_after_the_check():

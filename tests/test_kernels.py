@@ -13,6 +13,7 @@ level has a row per branch of the level before it.
 """
 
 import dataclasses
+import math
 import sys
 import threading
 from importlib import resources
@@ -604,3 +605,44 @@ def test_walk_draws_whole_blocks(monkeypatch):
             assert size == min(kernels.BLOCK, n - lo)
     with pytest.raises(ValueError):
         kernels._walk([], fields, 5, n, 0, False)
+
+
+#: rounds of each G-test, walked from seed 1 on 2 jobs
+LAW_ROUNDS = 10 ** 6
+
+
+def law_cases():
+    """(config, attack factory) of every bundled scenario and of
+    ``general`` attacks from two Haar unitaries of dim 60 (probe 4 x 15
+    occupations at n_max 4), seeds 1-3, each with its name as its id."""
+    cases = []
+    for path in sorted(SCENARIOS.iterdir()):
+        if path.name.endswith(".scn"):
+            scenario = load_scenario(str(path))
+            cases.append(pytest.param(scenario.config, scenario.build_attack,
+                                      id=scenario.name))
+    for seed in (1, 2, 3):
+        def dense(seed=seed):
+            rng = np.random.default_rng(seed)
+            maps = [oracles.haar_unitary(rng, 60) for _ in "ab"]
+            return general_attack(*maps, probe_dim=4, n_max=4)
+        cases.append(pytest.param(ProtocolConfig(n_max=4), dense,
+                                  id=f"dense-attack-{seed}"))
+    return cases
+
+
+@pytest.mark.parametrize("cfg,mk", law_cases())
+def test_sampled_leaves_follow_the_exact_law(cfg, mk):
+    # bb84-pns walks without its quota fold, so its law is the pre-quota one
+    plan, fields = walk_chain(cfg, mk())
+    law = oracles.plan_law(plan)
+    assert law.size == next(iter(fields.values())).size
+    assert abs(math.fsum(law) - 1.0) <= 1e-12
+    _codes, counts, _fields = kernels._walk(plan, fields, 1, LAW_ROUNDS, 2,
+                                            keep_codes=False)
+    assert counts[law == 0].sum() == 0
+    seen = counts > 0
+    g = 2.0 * np.sum(counts[seen] * np.log(counts[seen]
+                                            / (LAW_ROUNDS * law[seen])))
+    df = np.count_nonzero(law) - 1
+    assert g <= df + 6 * math.sqrt(2 * df), (g, df)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,11 +22,14 @@ from sqkdsim.attacks import (
 from sqkdsim.fock import TruncationError, X, Z, make_basis_state, parity_state
 from sqkdsim.joint import COUNTER, THRESHOLD, JointState, code_pattern
 from sqkdsim.protocol import (
+    TWO_WAY,
+    VARIANTS,
     ConfigError,
     ProtocolConfig,
     _aggregate,
     alice_sift,
     build_bb84_tables,
+    check_runs_on,
     run,
 )
 
@@ -414,13 +418,13 @@ class TestRunBb84:
         r = 1.0 / math.sqrt(2.0)
         keep0, keep1 = 1, 2
         flipped = AttackSpec(
-            name="flipped-pns", probe_dim=3,
+            name="flipped-pns",
             outbound=ProbeChannelMap.from_occupation_rules({
                 (0, (0, 2)): [(keep0, (1, 0), 1.0)],
                 (0, (2, 0)): [(keep1, (0, 1), 1.0)],
                 (0, (1, 1)): [(keep1, (1, 0), r), (keep0, (0, 1), r)],
             }, [(0, occ) for occ in ((0, 0), (0, 1), (1, 0))]),
-            lossless_channel=True, strategy=PnsStrategy())
+            strategy=PnsStrategy())
         cfg = ProtocolConfig(variant="bb84", rounds=20_000, rng_seed=23,
                              source_stats=(0.0, 0.0, 1.0), transmission=0.5)
         rep = run(cfg, flipped, keep_codes=True)
@@ -520,6 +524,33 @@ class TestDispatchAndValidation:
         cfg = ProtocolConfig(rounds=100, n_max=2)
         with pytest.raises(ConfigError):
             run(cfg, pns_attack())
+
+    def test_builders_refuse_what_the_rule_refuses(self):
+        # the splitter runs on BB84 and the intercept on B92 alone, the
+        # attack with no map and no strategy everywhere, any other two-way
+        attacks = {
+            "identity": (identity_attack(), VARIANTS),
+            "pns": (pns_attack(), ("bb84",)),
+            "usd-b92": (usd_attack_b92(), ("b92",)),
+            "tagging": (tagging_attack(), TWO_WAY),
+            "constrained-random": (
+                constrained_random_attack(3, 2, n_max=2), TWO_WAY),
+            "general": (general_attack(
+                np.eye(6), np.eye(6), probe_dim=1, n_max=2), TWO_WAY),
+        }
+        for name, (attack, runs_on) in attacks.items():
+            for variant in VARIANTS:
+                cfg = ProtocolConfig(variant=variant, rounds=100, n_max=2)
+                if variant in runs_on:
+                    check_runs_on(attack, variant)
+                    continue
+                with pytest.raises(ConfigError) as refused:
+                    check_runs_on(attack, variant)
+                assert str(refused.value).startswith(f"the {name} attack runs "
+                                                     f"on ")
+                with pytest.raises(ConfigError,
+                                   match=re.escape(str(refused.value))):
+                    run(cfg, attack)
 
     def test_bad_configs(self):
         with pytest.raises(ConfigError):

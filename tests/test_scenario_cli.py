@@ -12,7 +12,8 @@ import oracles
 import sqkdsim
 from sqkdsim import cli
 from sqkdsim.attacks import ProbeChannelMap, constrained_random_attack
-from sqkdsim.protocol import ProtocolConfig
+from sqkdsim.joint import ChannelBasis
+from sqkdsim.protocol import TWO_WAY, VARIANTS, ProtocolConfig
 from sqkdsim.report import ROUND_LOG_LIMIT, Expectation, evaluate_expectations
 from sqkdsim.scenario import (
     ATTACKS,
@@ -183,7 +184,7 @@ class TestAttackRegistry:
 
     def test_describe_names_every_key_and_default(self):
         keys = {
-            "identity": "probe_dim (default 1)",
+            "identity": "none",
             "pns": "none",
             "usd-b92": "none",
             "tagging": "none",
@@ -272,7 +273,45 @@ class TestExpectations:
         assert rows[0].passed and rows[0].deviation_sigmas == 0.0
 
 
+#: the variants each attack runs on; the two-photon tag needs a photon cap
+#: of 2, which the loss-only variant's channel does not have
+RUNS_ON = {
+    "identity": VARIANTS,
+    "pns": ("bb84",),
+    "usd-b92": ("b92",),
+    "tagging": ("classical-alice-full",),
+    "constrained-random": TWO_WAY,
+    "general": TWO_WAY,
+}
+
+
 class TestCli:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("name", list(ATTACKS))
+    def test_every_attack_on_every_variant(self, tmp_path, capsys, name,
+                                           variant):
+        lines = ["[protocol]", f"variant = {variant}", "rounds = 200",
+                 "n_max = 2", "[attack]", f"name = {name}"]
+        if name == "general":
+            cap = ProtocolConfig(variant=variant, n_max=2).channel_n_max()
+            rng = np.random.default_rng(1)
+            lines.append("probe_dim = 1")
+            for leg in ("outbound", "return"):
+                mat = tmp_path / f"{leg}.mat"
+                oracles.write_matrix(
+                    mat, oracles.haar_unitary(rng, ChannelBasis(cap).dim))
+                lines.append(f"{leg}_file = {mat}")
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        code = cli.main(["run", path, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if variant in RUNS_ON[name]:
+            assert (code, err) == (0, "")
+        else:
+            # one line that names the file, and no traceback
+            assert code == 2
+            assert err.startswith(f"error: {path}: [attack]: ")
+            assert err.count("\n") == 1
+
     def test_run_writes_reports_and_passes(self, tmp_path):
         code = cli.main(["run", scenario_path("classical-alice-ideal.scn"),
                          "--out-dir", str(tmp_path)])
@@ -482,7 +521,6 @@ class TestCli:
     @pytest.mark.parametrize("name,line,message", [
         ("constrained-random", "probe_dim = four",
          "probe_dim: invalid literal for int() with base 10: 'four'"),
-        ("identity", "probe_dim = 0", "probe_dim: must be at least 1, got 0"),
         ("general", "probe_dim = -2", "probe_dim: must be at least 1, got -2"),
         ("constrained-random", "violation = rotate",
          "violation: 'rotate' is not one of single-photon-mismatch, "
