@@ -13,6 +13,8 @@ from pathlib import Path
 from typing import Iterable, List, Optional
 
 from . import __version__, verify
+from .attacks import AttackDomainError
+from .fock import TruncationError
 from .protocol import ConfigError, run as run_any
 from .report import (
     Piece,
@@ -50,8 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--format", choices=("text", "csv"), default="text",
                        help="machine report format")
     run_p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads that walk blocks of rounds, "
-                            "taken in round order")
+                       help="threads, the calling one included, that walk "
+                            "blocks of rounds")
     run_p.add_argument("--round-log", choices=("auto", "always", "never"),
                        default="auto", help="per-round records in the report")
 
@@ -103,9 +105,14 @@ def _cmd_run(args) -> int:
                                         scenario.config.rounds)
         report = run_any(scenario.config, attack, jobs=args.jobs,
                          keep_codes=keep_codes)
+    except (AttackDomainError, TruncationError) as exc:
+        # refusals of the scenario's attack or caps, found as the run
+        # builds its tables
+        print(f"error: {scenario.path}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as exc:
-        # ScenarioError, ConfigError, IsometryError and AttackDomainError
-        # are all ValueErrors
+        # ScenarioError, ConfigError and IsometryError are ValueErrors, and
+        # so is the refusal of a --jobs below 1
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -27,22 +27,24 @@ round's outcome is its leaf: the walk index left after the last step,
 which names the round's whole path.  ``_leaves`` gives each path field's
 value at each leaf.
 
-Rounds are walked in fixed blocks of ``BLOCK`` rounds: ``jobs`` worker
-threads each draw a block's words and walk them to their leaves (numpy
-drops the interpreter lock inside its loops), and the calling thread takes
-the blocks in round order, maps each by the walk's fold if it has one (a
-state carried from block to block, such as a quota) and adds it to the
-histogram.  At most two blocks per thread are in flight, so memory stays
-O(jobs * BLOCK) whatever the round count; a walk that keeps the leaves
-also holds them in the smallest unsigned type that fits, one byte per
-round for up to 256 leaves.
+Rounds are walked in fixed blocks of ``BLOCK`` rounds on ``jobs``
+threads, the calling thread among them: thread ``t`` draws the words of
+blocks ``t``, ``t + jobs``, ... from one stream and walks them to their
+leaves (numpy drops the interpreter lock inside its loops).  The calling
+thread walks its own blocks and takes the others' in round order, maps each
+by the walk's fold if it has one (a state carried from block to block, such
+as a quota) and adds it to the histogram.  Each other thread queues at most
+two walked blocks, so memory stays O(jobs * BLOCK) whatever the round
+count; a walk that keeps the leaves also holds them in the smallest
+unsigned type that fits, one byte per round for up to 256 leaves.
 
 Randomness: draw ``(i, j)`` is the ``(i * SLOTS + j)``-th 64-bit word of the
 Philox-4x64 stream keyed by the run seed, so round ``i`` owns a fixed
-counter block and records do not depend on blocks or worker counts.  The
-stream is counter-based, so any thread walks the block starting at round
-``lo`` from its first word (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11).  The walk compares raw 64-bit words with integers:
+counter block and records do not depend on blocks or thread counts.  The
+stream is counter-based (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC'11), so a thread starts its stream at its first block's
+first word and ``Philox.advance`` moves it past the other threads' blocks.
+The walk compares raw 64-bit words with integers:
 ``Generator.random`` would make the uniform ``u = (raw >> 11) * 2**-53``
 of a draw ``raw``, and ``round_uniforms`` returns those doubles for
 reference walks.  Every probability ``p`` is turned once into the word
@@ -59,7 +61,8 @@ as one over the uniforms, without shifting or converting any draw.
 
 from __future__ import annotations
 
-from collections import deque
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
@@ -217,6 +220,7 @@ def _leaves(steps, **fields: np.ndarray):
 def _walk_chain(plan, raw: np.ndarray) -> np.ndarray:
     """Leaves of one block: the draws of ``plan``."""
     k = np.zeros(raw.shape[0], dtype=np.uint8)
+    passed = np.empty(k.size, dtype=bool)
     for slot, step in plan:
         x = raw[:, slot]
         if isinstance(step, Stage):
@@ -224,27 +228,9 @@ def _walk_chain(plan, raw: np.ndarray) -> np.ndarray:
         else:
             k *= step.size + 1
             for level in step:
-                k += x > level
+                np.greater(x, level, out=passed)
+                np.add(k, passed.view(np.uint8), out=k)
     return k
-
-
-def _in_order(fn: Callable, items, jobs: int) -> Iterator:
-    """``fn`` of each of ``items``, yielded in order: on ``jobs`` threads,
-    at most two per thread ahead of the one taken, if ``jobs`` is at least
-    2, and in the calling thread otherwise."""
-    if jobs < 2:
-        yield from map(fn, items)
-        return
-    # imported here: it imports logging, which a one-job walk never needs
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        ahead = deque()
-        for item in items:
-            ahead.append(pool.submit(fn, item))
-            if len(ahead) > 2 * jobs:
-                yield ahead.popleft().result()
-        while ahead:
-            yield ahead.popleft().result()
 
 
 #: a walk's leaf per round (None unless kept), rounds per leaf, and each
@@ -257,30 +243,72 @@ def _walk(plan, fields: Dict[str, np.ndarray], seed: int, n: int, jobs: int,
           fold: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> Walk:
     """Walk rounds [0, n) of ``plan``, whose record fields per leaf are
     ``fields``, in blocks of at most BLOCK rounds on up to ``jobs``
-    threads; the calling thread takes the blocks' leaves in round order,
-    each mapped by ``fold`` first if it is given."""
+    threads, the calling thread included: thread ``t`` walks blocks ``t``,
+    ``t + jobs``, ... from one stream.  The calling thread takes every
+    block's leaves in round order, each mapped by ``fold`` first if it is
+    given.  A worker's exception is raised here, and no worker outlives the
+    call."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     leaves = next(iter(fields.values())).size
     codes = (np.empty(n, dtype=np.min_scalar_type(leaves - 1))
              if keep_codes else None)
     counts = np.zeros(leaves, dtype=np.int64)
-
-    def walk(lo: int):
-        # no name holds the words, so they are freed once they are walked
-        piece = _walk_chain(plan, _draw(_stream(seed, lo), min(BLOCK, n - lo)))
-        return piece, None if fold else np.bincount(piece, minlength=leaves)
-
     starts = range(0, n, BLOCK)
-    # the walks first: zip then runs them to their end, closing the pool
-    for (piece, hist), lo in zip(
-            _in_order(walk, starts, min(jobs, len(starts))), starts):
-        if fold:
-            piece = fold(piece)
-            hist = np.bincount(piece, minlength=leaves)
-        if codes is not None:
-            codes[lo:lo + piece.size] = piece
-        counts += hist
+    jobs = min(jobs, len(starts))
+
+    def walked(t: int) -> Iterator:
+        bits = _stream(seed, starts[t])
+        for lo in starts[t::jobs]:
+            # no name holds the words, so they are freed once they are walked
+            piece = _walk_chain(plan, _draw(bits, min(BLOCK, n - lo)))
+            yield piece, None if fold else np.bincount(piece, minlength=leaves)
+            # past the other threads' blocks: exact, as a block's BLOCK *
+            # SLOTS words are whole Philox counter steps of four words
+            bits.advance(SLOTS * BLOCK * (jobs - 1) // 4)
+
+    stop = threading.Event()
+    # at most two walked blocks wait per worker, and one more to be put
+    queues = [queue.Queue(maxsize=2) for _ in range(1, jobs)]
+
+    def work(t: int, out: queue.Queue) -> None:
+        try:
+            for item in walked(t):
+                out.put(item)
+                if stop.is_set():
+                    return
+        except BaseException as exc:
+            # raised by the calling thread, which would otherwise wait on
+            # this queue for good
+            out.put(exc)
+
+    # thread t's next block, walked here for thread 0
+    takes = [walked(0).__next__] + [out.get for out in queues]
+    workers = []
+    try:
+        for t, out in enumerate(queues, 1):
+            worker = threading.Thread(target=work, args=(t, out))
+            worker.start()
+            workers.append(worker)
+        for b, lo in enumerate(starts):
+            item = takes[b % jobs]()
+            if isinstance(item, BaseException):
+                raise item
+            piece, hist = item
+            if fold:
+                piece = fold(piece)
+                hist = np.bincount(piece, minlength=leaves)
+            if codes is not None:
+                codes[lo:lo + piece.size] = piece
+            counts += hist
+    finally:
+        # a worker puts at most one more block once it sees the stop, so
+        # emptying its queue once unblocks it for good
+        stop.set()
+        for worker, out in zip(workers, queues):
+            while not out.empty():
+                out.get_nowait()
+            worker.join()
     return codes, counts, fields
 
 

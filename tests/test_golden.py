@@ -2,7 +2,7 @@
 
 Each scenario runs at its own seed and round count through the command
 line, once with the text report and once with the CSV reports (the CSV run
-uses two worker threads, which must not change a byte).  The SHA-256 of
+walks on two threads, which must not change a byte).  The SHA-256 of
 each report is pinned below.  A change that moves a hash changes what the
 simulator outputs and is a bug until explained.
 

@@ -14,7 +14,6 @@ level has a row per branch of the level before it.
 
 import dataclasses
 import math
-import sys
 import threading
 from importlib import resources
 
@@ -442,16 +441,27 @@ def test_bb84_quota_carries_across_blocks(jobs, pns_references):
             1.0 if two[-1] >= quota else 0.0), name
 
 
+def block_finder(seed, n):
+    """The block index of a block's raw words, read from its first round's
+    words."""
+    first = {kernels._draw(kernels._stream(seed, lo), 1)[0].tobytes(): b
+             for b, lo in enumerate(range(0, n, kernels.BLOCK))}
+    return lambda raw: first[raw[0].tobytes()]
+
+
 def test_bb84_quota_folds_blocks_walked_on_threads(monkeypatch):
-    # under the splitting attack the blocks are walked on several threads,
-    # and the quota folds them in round order into the one-job leaves
+    # under the splitting attack thread t of 3 walks blocks t and t + 3, the
+    # calling thread being thread 0, and the quota folds them in round order
+    # into the one-job leaves
     cfg = PNS_CASES["third-block"]
     base = protocol.run(cfg, pns_attack(), keep_codes=True)
-    walked, received, folded = set(), [], []
+    block = block_finder(cfg.rng_seed, cfg.rounds)
+    walked, received, folded = {}, [], []
     walk_chain, walk = kernels._walk_chain, protocol._walk
 
     def spy_chain(plan, raw):
-        walked.add(threading.get_ident())
+        # the thread objects, not their idents, which a new thread may reuse
+        walked[block(raw)] = threading.current_thread()
         return walk_chain(plan, raw)
 
     def spy_walk(plan, fields, seed, n, jobs, keep_codes, fold=None):
@@ -463,18 +473,113 @@ def test_bb84_quota_folds_blocks_walked_on_threads(monkeypatch):
 
     monkeypatch.setattr(kernels, "_walk_chain", spy_chain)
     monkeypatch.setattr(protocol, "_walk", spy_walk)
-    # three threads, switched as often as the interpreter allows
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        report = protocol.run(cfg, pns_attack(), jobs=3, keep_codes=True)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(walked) > 1
+    report = protocol.run(cfg, pns_attack(), jobs=3, keep_codes=True)
+    caller = threading.current_thread()
+    assert sorted(walked) == [0, 1, 2, 3]
+    assert walked[0] is caller and walked[3] is caller
+    assert len({caller, walked[1], walked[2]}) == 3
     assert received == 3 * [kernels.BLOCK] + [17]
     assert np.array_equal(np.concatenate(folded), base.codes)
     assert np.array_equal(report.codes, base.codes)
     assert report.metrics == base.metrics
+
+
+class WalkFault(Exception):
+    pass
+
+
+#: enough blocks that a worker fills its queue ahead of the calling thread
+LONG_ROUNDS = 12 * kernels.BLOCK + 5
+
+
+def coin_walk():
+    """The plan and fields of a walk of one coin."""
+    coin = kernels.Stage.from_rows(*kernels._coin(0.3))
+    return kernels._leaves([(0, coin)], leaf=np.arange(3))
+
+
+def walk_within(*args, **kwargs):
+    """``kernels._walk(*args, **kwargs)`` on a thread of its own that must
+    end within a minute, so that a walk that never returns fails the test;
+    its result, or its exception raised here."""
+    done = {}
+
+    def run():
+        try:
+            done["result"] = kernels._walk(*args, **kwargs)
+        except Exception as exc:
+            done["error"] = exc
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    if "error" in done:
+        raise done["error"]
+    return done["result"]
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_walk_leaves_no_thread_behind(jobs):
+    plan, fields = coin_walk()
+    before = threading.active_count()
+    _codes, counts, _ = walk_within(plan, fields, 5, LONG_ROUNDS, jobs, False)
+    assert counts.sum() == LONG_ROUNDS
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_worker_error_is_raised_in_the_calling_thread(monkeypatch, jobs):
+    # block 1 is the first block of worker thread 1
+    plan, fields = coin_walk()
+    block = block_finder(5, LONG_ROUNDS)
+    walk_chain = kernels._walk_chain
+
+    def faulty(plan, raw):
+        if block(raw) == 1:
+            raise WalkFault(threading.current_thread())
+        return walk_chain(plan, raw)
+
+    monkeypatch.setattr(kernels, "_walk_chain", faulty)
+    before = threading.active_count()
+    with pytest.raises(WalkFault) as raised:
+        walk_within(plan, fields, 5, LONG_ROUNDS, jobs, True)
+    walker, = raised.value.args
+    assert walker is not threading.current_thread()
+    assert not walker.is_alive()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_fold_error_stops_the_workers(monkeypatch, jobs):
+    # the fold raises on block 1 once worker thread 1 has queued blocks
+    # 1 + jobs and 1 + 2 * jobs and walks 1 + 3 * jobs, whose put must wait
+    plan, fields = coin_walk()
+    block = block_finder(5, LONG_ROUNDS)
+    walk_chain = kernels._walk_chain
+    full = threading.Event()
+
+    def spy_chain(plan, raw):
+        if block(raw) == 1 + 3 * jobs:
+            full.set()
+        return walk_chain(plan, raw)
+
+    folded = []
+
+    def fold(piece):
+        folded.append(piece.size)
+        if len(folded) == 2:
+            assert full.wait(timeout=30)
+            raise WalkFault("fold")
+        return piece
+
+    monkeypatch.setattr(kernels, "_walk_chain", spy_chain)
+    before = threading.active_count()
+    with pytest.raises(WalkFault, match="fold"):
+        walk_within(plan, fields, 5, LONG_ROUNDS, jobs, False, fold)
+    assert folded == [kernels.BLOCK, kernels.BLOCK]
+    assert threading.active_count() == before
+
 
 
 @pytest.mark.parametrize("cfg", [
@@ -588,21 +693,18 @@ def test_walk_draws_whole_blocks(monkeypatch):
     # each block is drawn from its own first round's words, whatever the
     # thread count; only the last block is ragged
     n = BLOCKED_ROUNDS
-    first = {lo: kernels._draw(kernels._stream(5, lo), 1)[0]
-             for lo in range(0, n, kernels.BLOCK)}
+    block = block_finder(5, n)
     seen = []
     walk_chain = kernels._walk_chain
     monkeypatch.setattr(kernels, "_walk_chain", lambda plan, raw: (
-        seen.append((raw.shape[0], raw[0])) or walk_chain(plan, raw)))
+        seen.append((block(raw), raw.shape[0])) or walk_chain(plan, raw)))
     fields = {"leaf": np.zeros(1)}
     for jobs in (1, 2, 3, 10 ** 6):
         seen.clear()
         codes, counts, _ = kernels._walk([], fields, 5, n, jobs, True)
         assert codes.size == n and counts.tolist() == [n]
-        assert sorted(size for size, _ in seen) == [17] + 3 * [kernels.BLOCK]
-        for size, words in seen:
-            lo = next(lo for lo, w in first.items() if np.array_equal(w, words))
-            assert size == min(kernels.BLOCK, n - lo)
+        assert sorted(seen) == [(0, kernels.BLOCK), (1, kernels.BLOCK),
+                                (2, kernels.BLOCK), (3, 17)]
     with pytest.raises(ValueError):
         kernels._walk([], fields, 5, n, 0, False)
 

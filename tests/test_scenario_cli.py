@@ -12,6 +12,7 @@ import oracles
 import sqkdsim
 from sqkdsim import cli
 from sqkdsim.attacks import ProbeChannelMap, constrained_random_attack
+from sqkdsim.fock import TruncationError
 from sqkdsim.joint import ChannelBasis
 from sqkdsim.protocol import TWO_WAY, VARIANTS, ProtocolConfig
 from sqkdsim.report import ROUND_LOG_LIMIT, Expectation, evaluate_expectations
@@ -450,7 +451,8 @@ class TestCli:
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_nonpositive_jobs_exits_two(self, tmp_path, capsys, jobs):
         # every variant walks through kernels._walk, which rejects the
-        # value before a report is written
+        # value before a report is written; a command-line value names no
+        # scenario file
         code = cli.main(["run", scenario_path("bb84-pns.scn"),
                          "--out-dir", str(tmp_path), "--jobs", jobs])
         assert code == 2
@@ -594,9 +596,24 @@ class TestCli:
             "[protocol]\n", "[protocol]\ndetector_model = counter\n"))
         assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "constrained-random attack" in err
-        assert "cannot run with counter detectors" in err
+        # refused as the run builds its tables, and named after the file
+        assert err.startswith(
+            f"error: {path}: the constrained-random attack cannot run with "
+            f"counter detectors")
+        assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_truncation_found_in_the_run_names_the_file(self, tmp_path,
+                                                        capsys, monkeypatch):
+        def truncated(*args, **kwargs):
+            raise TruncationError("attack map image exceeds the channel cap 1")
+
+        monkeypatch.setattr(cli, "run_any", truncated)
+        path = scenario_path("classical-alice-ideal.scn")
+        assert cli.main(["run", path, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: attack map image exceeds the channel cap 1\n")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("variant", ["classical-alice-full", "bb84"])
     def test_two_photon_pulses_past_the_photon_cap_exit_two(
