@@ -218,6 +218,8 @@ def lemma_verify(n_max: int = 3, trials: int = 200, seed: int = 0,
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2 to exercise every rule")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
     summary = LemmaSummary(n_max=n_max, probe_dims=tuple(probe_dims))
 
     for t in range(trials):

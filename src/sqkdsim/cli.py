@@ -155,7 +155,13 @@ def _cmd_attacks(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run_suite(args.suite, seed=args.seed, trials=args.trials)
+    try:
+        results = verify.run_suite(args.suite, seed=args.seed,
+                                   trials=args.trials)
+    except ValueError as exc:
+        # the refusal of a --trials below 1
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     width = max(len(f"{r.suite}:{r.name}") for r in results)
     failed = 0
     for r in results:

@@ -28,15 +28,15 @@ which names the round's whole path.  ``_leaves`` gives each path field's
 value at each leaf.
 
 Rounds are walked in fixed blocks of ``BLOCK`` rounds on ``jobs``
-threads, the calling thread among them: thread ``t`` draws the words of
-blocks ``t``, ``t + jobs``, ... from one stream and walks them to their
-leaves (numpy drops the interpreter lock inside its loops).  The calling
-thread walks its own blocks and takes the others' in round order, maps each
-by the walk's fold if it has one (a state carried from block to block, such
-as a quota) and adds it to the histogram.  Each other thread queues at most
-two walked blocks, so memory stays O(jobs * BLOCK) whatever the round
-count; a walk that keeps the leaves also holds them in the smallest
-unsigned type that fits, one byte per round for up to 256 leaves.
+threads, the calling thread among them, each running the same loop:
+thread ``t`` draws blocks ``t``, ``t + jobs``, ... from one stream, walks
+each to its leaves (numpy drops the interpreter lock inside its loops),
+keeps them if asked and adds their histogram to its own row of counts.  A
+walk's fold (a state carried from block to block, such as a quota) maps
+each block on the thread that walked it once the block before it is
+folded; only the fold takes turns.  A thread holds one block at a time, so
+memory stays O(jobs * BLOCK) whatever the round count; kept leaves take
+the smallest unsigned type that fits, one byte per round up to 256 leaves.
 
 Randomness: draw ``(i, j)`` is the ``(i * SLOTS + j)``-th 64-bit word of the
 Philox-4x64 stream keyed by the run seed, so round ``i`` owns a fixed
@@ -61,10 +61,9 @@ as one over the uniforms, without shifting or converting any draw.
 
 from __future__ import annotations
 
-import queue
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -243,73 +242,71 @@ def _walk(plan, fields: Dict[str, np.ndarray], seed: int, n: int, jobs: int,
           fold: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> Walk:
     """Walk rounds [0, n) of ``plan``, whose record fields per leaf are
     ``fields``, in blocks of at most BLOCK rounds on up to ``jobs``
-    threads, the calling thread included: thread ``t`` walks blocks ``t``,
-    ``t + jobs``, ... from one stream.  The calling thread takes every
-    block's leaves in round order, each mapped by ``fold`` first if it is
-    given.  A worker's exception is raised here, and no worker outlives the
-    call."""
+    threads, the calling thread being thread 0: thread ``t`` walks blocks
+    ``t``, ``t + jobs``, ... from one stream, keeps their leaves if asked
+    and counts them in its own row.  A ``fold`` maps each block's leaves on
+    the thread that walked it, once the block before it is folded.  The
+    first exception of a thread, or of a start, stops the others at their
+    next block and is raised here once every started thread is joined."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     leaves = next(iter(fields.values())).size
     codes = (np.empty(n, dtype=np.min_scalar_type(leaves - 1))
              if keep_codes else None)
-    counts = np.zeros(leaves, dtype=np.int64)
     starts = range(0, n, BLOCK)
-    jobs = min(jobs, len(starts))
+    jobs = max(1, min(jobs, len(starts)))
+    counts = np.zeros((jobs, leaves), dtype=np.int64)
+    # the fold's turn: the number of blocks folded, or the first error
+    turn = threading.Condition()
+    folded, errors = 0, []
 
-    def walked(t: int) -> Iterator:
-        bits = _stream(seed, starts[t])
-        for lo in starts[t::jobs]:
-            # no name holds the words, so they are freed once they are walked
-            piece = _walk_chain(plan, _draw(bits, min(BLOCK, n - lo)))
-            yield piece, None if fold else np.bincount(piece, minlength=leaves)
-            # past the other threads' blocks: exact, as a block's BLOCK *
-            # SLOTS words are whole Philox counter steps of four words
-            bits.advance(SLOTS * BLOCK * (jobs - 1) // 4)
+    def fail(exc: BaseException) -> None:
+        with turn:
+            errors.append(exc)
+            turn.notify_all()
 
-    stop = threading.Event()
-    # at most two walked blocks wait per worker, and one more to be put
-    queues = [queue.Queue(maxsize=2) for _ in range(1, jobs)]
-
-    def work(t: int, out: queue.Queue) -> None:
+    def work(t: int) -> None:
+        nonlocal folded
         try:
-            for item in walked(t):
-                out.put(item)
-                if stop.is_set():
+            bits = _stream(seed, t * BLOCK)
+            for b in range(t, len(starts), jobs):
+                if errors:
                     return
+                lo = starts[b]
+                # no name holds the words, so they are freed once walked
+                piece = _walk_chain(plan, _draw(bits, min(BLOCK, n - lo)))
+                # past the other threads' blocks: exact, as a block's BLOCK *
+                # SLOTS words are whole Philox counter steps of four words
+                bits.advance(SLOTS * BLOCK * (jobs - 1) // 4)
+                if fold:
+                    with turn:
+                        turn.wait_for(lambda: folded == b or errors)
+                        if errors:
+                            return
+                        piece = fold(piece)
+                        folded += 1
+                        turn.notify_all()
+                if codes is not None:
+                    codes[lo:lo + piece.size] = piece
+                counts[t] += np.bincount(piece, minlength=leaves)
         except BaseException as exc:
-            # raised by the calling thread, which would otherwise wait on
-            # this queue for good
-            out.put(exc)
+            fail(exc)
 
-    # thread t's next block, walked here for thread 0
-    takes = [walked(0).__next__] + [out.get for out in queues]
-    workers = []
-    try:
-        for t, out in enumerate(queues, 1):
-            worker = threading.Thread(target=work, args=(t, out))
-            worker.start()
-            workers.append(worker)
-        for b, lo in enumerate(starts):
-            item = takes[b % jobs]()
-            if isinstance(item, BaseException):
-                raise item
-            piece, hist = item
-            if fold:
-                piece = fold(piece)
-                hist = np.bincount(piece, minlength=leaves)
-            if codes is not None:
-                codes[lo:lo + piece.size] = piece
-            counts += hist
-    finally:
-        # a worker puts at most one more block once it sees the stop, so
-        # emptying its queue once unblocks it for good
-        stop.set()
-        for worker, out in zip(workers, queues):
-            while not out.empty():
-                out.get_nowait()
-            worker.join()
-    return codes, counts, fields
+    threads = []
+    for t in range(1, jobs):
+        thread = threading.Thread(target=work, args=(t,))
+        try:
+            thread.start()
+        except BaseException as exc:
+            fail(exc)
+            break
+        threads.append(thread)
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return codes, counts.sum(axis=0), fields
 
 
 def _coin(p: float) -> Tuple[np.ndarray, np.ndarray]:

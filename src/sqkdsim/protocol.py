@@ -434,8 +434,9 @@ def _ca_chain(tab: CaTables):
                             guess=tab.ret_guess, evebit=tab.ret_evebit)))
     steps.append((6, _split(f, tab.rloss_off, tab.rloss_cum, f["returned"],
                             measured=np.arange(measured))))
-    steps.append((7, _split(f, *_coin(tab.cross_fraction), 0,
-                            cross=[1, 0, 0])))
+    # at fraction 0 no path lays out the hit, which Bob's stage would gather
+    steps.append((7, _split(f, *_coin(tab.cross_fraction),
+                            int(tab.cross_fraction == 0), cross=[1, 0, 0])))
     f["basis"] = (f["action"] ^ f["cross"] ^ 1) & (f["kind"] == 0)
     steps.append((8, _split(f, tab.bob_off, tab.bob_cum,
                             f["measured"] + measured * f["basis"],

@@ -14,7 +14,9 @@ level has a row per branch of the level before it.
 
 import dataclasses
 import math
+import sys
 import threading
+import types
 from importlib import resources
 
 import numpy as np
@@ -488,7 +490,7 @@ class WalkFault(Exception):
     pass
 
 
-#: enough blocks that a worker fills its queue ahead of the calling thread
+#: enough blocks that each of three threads walks four
 LONG_ROUNDS = 12 * kernels.BLOCK + 5
 
 
@@ -500,8 +502,9 @@ def coin_walk():
 
 def walk_within(*args, **kwargs):
     """``kernels._walk(*args, **kwargs)`` on a thread of its own that must
-    end within a minute, so that a walk that never returns fails the test;
-    its result, or its exception raised here."""
+    end within a minute, so that a walk that never returns, such as one
+    whose fold's turn loses a wake-up, fails the test; its result, or its
+    exception raised here."""
     done = {}
 
     def run():
@@ -530,7 +533,7 @@ def test_walk_leaves_no_thread_behind(jobs):
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_worker_error_is_raised_in_the_calling_thread(monkeypatch, jobs):
-    # block 1 is the first block of worker thread 1
+    # block 1 is the first block of thread 1
     plan, fields = coin_walk()
     block = block_finder(5, LONG_ROUNDS)
     walk_chain = kernels._walk_chain
@@ -552,24 +555,25 @@ def test_worker_error_is_raised_in_the_calling_thread(monkeypatch, jobs):
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_fold_error_stops_the_workers(monkeypatch, jobs):
-    # the fold raises on block 1 once worker thread 1 has queued blocks
-    # 1 + jobs and 1 + 2 * jobs and walks 1 + 3 * jobs, whose put must wait
+    # the fold raises on block 1 once the calling thread has walked block
+    # jobs, its second, whose fold must wait for its turn
     plan, fields = coin_walk()
     block = block_finder(5, LONG_ROUNDS)
     walk_chain = kernels._walk_chain
-    full = threading.Event()
+    waiting = threading.Event()
 
     def spy_chain(plan, raw):
-        if block(raw) == 1 + 3 * jobs:
-            full.set()
-        return walk_chain(plan, raw)
+        piece = walk_chain(plan, raw)
+        if block(raw) == jobs:
+            waiting.set()
+        return piece
 
     folded = []
 
     def fold(piece):
         folded.append(piece.size)
         if len(folded) == 2:
-            assert full.wait(timeout=30)
+            assert waiting.wait(timeout=30)
             raise WalkFault("fold")
         return piece
 
@@ -580,6 +584,70 @@ def test_fold_error_stops_the_workers(monkeypatch, jobs):
     assert folded == [kernels.BLOCK, kernels.BLOCK]
     assert threading.active_count() == before
 
+
+@pytest.mark.parametrize("fold", [None, lambda piece: piece],
+                         ids=["no-fold", "fold"])
+def test_thread_that_will_not_start_is_raised(monkeypatch, fold):
+    # thread 2 of 3 cannot start, with a fold once thread 1 waits for the
+    # turn of block 0; the walk raises that error once thread 1 is joined
+    plan, fields = coin_walk()
+    started, waiting = [], threading.Event()
+
+    class Watched(threading.Condition):
+        def wait(self, timeout=None):
+            # set under the lock, which the failed start must take
+            waiting.set()
+            return super().wait(timeout)
+
+    class Unstartable(threading.Thread):
+        def start(self):
+            started.append(self)
+            if len(started) == 2:
+                assert fold is None or waiting.wait(timeout=30)
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    # only the walk's threads: walk_within's own starts as usual
+    monkeypatch.setattr(kernels, "threading", types.SimpleNamespace(
+        Condition=Watched, Thread=Unstartable))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start"):
+        walk_within(plan, fields, 5, LONG_ROUNDS, 3, True, fold)
+    assert len(started) == 2 and not started[0].is_alive()
+    assert threading.active_count() == before
+
+
+def test_blocks_fold_in_round_order_on_the_thread_that_walked_them(
+        monkeypatch):
+    plan, fields = coin_walk()
+    block = block_finder(5, LONG_ROUNDS)
+    walk_chain = kernels._walk_chain
+    walked, last, folds = {}, {}, []
+
+    def spy_chain(plan, raw):
+        walker, b = threading.current_thread(), block(raw)
+        walked[b], last[walker] = walker, b
+        return walk_chain(plan, raw)
+
+    def fold(piece):
+        walker = threading.current_thread()
+        folds.append((last[walker], walker))
+        return piece
+
+    monkeypatch.setattr(kernels, "_walk_chain", spy_chain)
+    # three threads on fewer cores, switched often, so that turns interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        codes, counts, _ = walk_within(plan, fields, 5, LONG_ROUNDS, 3, True,
+                                       fold)
+    finally:
+        sys.setswitchinterval(interval)
+    blocks = len(range(0, LONG_ROUNDS, kernels.BLOCK))
+    assert [b for b, _walker in folds] == list(range(blocks))
+    assert all(walker is walked[b] for b, walker in folds)
+    assert len({walker for _b, walker in folds}) == 3
+    assert np.array_equal(counts, np.bincount(codes, minlength=counts.size))
 
 
 @pytest.mark.parametrize("cfg", [
@@ -701,12 +769,12 @@ def test_walk_draws_whole_blocks(monkeypatch):
     fields = {"leaf": np.zeros(1)}
     for jobs in (1, 2, 3, 10 ** 6):
         seen.clear()
-        codes, counts, _ = kernels._walk([], fields, 5, n, jobs, True)
+        codes, counts, _ = walk_within([], fields, 5, n, jobs, True)
         assert codes.size == n and counts.tolist() == [n]
         assert sorted(seen) == [(0, kernels.BLOCK), (1, kernels.BLOCK),
                                 (2, kernels.BLOCK), (3, 17)]
     with pytest.raises(ValueError):
-        kernels._walk([], fields, 5, n, 0, False)
+        walk_within([], fields, 5, n, 0, False)
 
 
 #: rounds of each G-test, walked from seed 1 on 2 jobs
@@ -740,8 +808,9 @@ def test_sampled_leaves_follow_the_exact_law(cfg, mk):
     law = oracles.plan_law(plan)
     assert law.size == next(iter(fields.values())).size
     assert abs(math.fsum(law) - 1.0) <= 1e-12
-    _codes, counts, _fields = kernels._walk(plan, fields, 1, LAW_ROUNDS, 2,
-                                            keep_codes=False)
+    assert (law > 0).all()
+    _codes, counts, _fields = walk_within(plan, fields, 1, LAW_ROUNDS, 2,
+                                          keep_codes=False)
     assert counts[law == 0].sum() == 0
     seen = counts > 0
     g = 2.0 * np.sum(counts[seen] * np.log(counts[seen]

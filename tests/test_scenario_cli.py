@@ -671,6 +671,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "14/14 checks passed" in out
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_verify_lemma_without_trials_exits_two(self, capsys, trials):
+        # a lemma suite of no trials would check nothing and pass
+        assert cli.main(["verify", "lemma", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: trials must be at least 1, not {trials}\n")
+        assert captured.out == ""
+
     def test_verify_lemma_fails_on_undefined_leakage(self, monkeypatch,
                                                      capsys):
         # an undefined leakage leaves the forward fidelity at 1.0, so only
