@@ -123,17 +123,23 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
 
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.format == "csv":
-        for suffix, pieces in render_csv(report, scenario.name, comparison,
-                                         round_log=args.round_log):
-            _write_report(out_dir / f"{scenario.name}.{suffix}", pieces)
-    else:
-        _write_report(out_dir / f"{scenario.name}.report.txt",
-                      render_machine_report(report, scenario.name, comparison,
-                                            round_log=args.round_log))
     summary = render_summary(report, scenario.name, comparison)
-    _write_report(out_dir / f"{scenario.name}.summary.txt", [summary])
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if args.format == "csv":
+            for suffix, pieces in render_csv(report, scenario.name,
+                                             comparison):
+                _write_report(out_dir / f"{scenario.name}.{suffix}", pieces)
+        else:
+            _write_report(out_dir / f"{scenario.name}.report.txt",
+                          render_machine_report(report, scenario.name,
+                                                comparison))
+        _write_report(out_dir / f"{scenario.name}.summary.txt", [summary])
+    except OSError as exc:
+        # an --out-dir that is a file, or under one, or cannot be written
+        print(f"error: {exc.filename or out_dir}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     print(summary, end="")
 
     if comparison and not all(row.passed for row in comparison):
@@ -159,7 +165,7 @@ def _cmd_verify(args) -> int:
         results = verify.run_suite(args.suite, seed=args.seed,
                                    trials=args.trials)
     except ValueError as exc:
-        # the refusal of a --trials below 1
+        # the refusal of a --seed below 0 or a --trials below 1
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     width = max(len(f"{r.suite}:{r.name}") for r in results)

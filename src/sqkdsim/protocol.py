@@ -171,29 +171,29 @@ class RunReport:
     A round's code is the leaf its walk ended on: round ``i``'s record is
     code ``codes[i]``, and ``code_fields[f][c]`` is the value of record
     field ``f`` (``category`` included) at code ``c``.  ``codes`` is None
-    when the run kept no per-round codes (the default).
+    when the run kept no per-round codes (the default); its report then
+    carries no round log.
     """
     variant: str
     rounds: int
     seed: int
     metrics: Dict[str, float]
     categories: Dict[str, int]
-    record_fields: Tuple[str, ...]
     codes: Optional[np.ndarray]
     code_fields: Dict[str, np.ndarray]
 
     @property
+    def record_fields(self) -> Tuple[str, ...]:
+        """The record fields, in round-log column order."""
+        return tuple(self.code_fields)
+
+    @property
     def records(self) -> Dict[str, np.ndarray]:
         """Per-round records, one array per field."""
-        codes = self.round_codes()
-        return {f: self.code_fields[f][codes] for f in self.record_fields}
-
-    def round_codes(self) -> np.ndarray:
-        """``codes``; a ValueError when the run kept none."""
         if self.codes is None:
             raise ValueError("the run kept no per-round codes; run it with "
                              "keep_codes=True for per-round records")
-        return self.codes
+        return {f: self.code_fields[f][self.codes] for f in self.record_fields}
 
 
 # ---------------------------------------------------------------------------
@@ -901,5 +901,4 @@ def run(config: ProtocolConfig, attack: AttackSpec,
     metrics, categories, fields = aggregate(config, tables, meta, w, fields)
     return RunReport(variant=config.variant, rounds=int(w.sum()),
                      seed=config.rng_seed, metrics=metrics,
-                     categories=categories, record_fields=tuple(fields),
-                     codes=codes, code_fields=fields)
+                     categories=categories, codes=codes, code_fields=fields)

@@ -9,9 +9,12 @@ written to the file as bytes one after another, so no report is ever held
 whole: the sections before the round log are one text piece, written as
 UTF-8, and the round log follows as one uint8 piece per step of rounds.
 
-The round log is the only part written per round: each record code's row
-is formatted once, as bytes, and a round's line is its index and its
-code's row.  Lines are rendered in numpy, a step of rounds at a time.
+The round log is the only part written per round, and a report is a view
+of its run: it has one exactly when the run kept its per-round codes
+(``includes_round_log`` decides that for ``sqkdsim run``).  Each record
+code's row is formatted once, as bytes, and a round's line is its index
+and its code's row.  Lines are rendered in numpy, a step of rounds at a
+time.
 """
 
 from __future__ import annotations
@@ -38,17 +41,14 @@ LOG_STEP = 1 << 14
 
 
 def includes_round_log(round_log: str, rounds: int) -> bool:
-    """Whether a report of ``rounds`` rounds carries a round log in
-    ``--round-log`` mode ``round_log``.  A run keeps its per-round codes
-    exactly then."""
+    """Whether a run of ``rounds`` rounds keeps its per-round codes, and so
+    its report carries a round log, in ``--round-log`` mode ``round_log``."""
     return round_log == "always" or (round_log == "auto"
                                      and rounds <= ROUND_LOG_LIMIT)
 
 
 def fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int,)):
+    if isinstance(value, int):
         return str(value)
     return format(float(value), ".17g")
 
@@ -60,10 +60,10 @@ def _round_log(report: RunReport, sep: str) -> Iterator[np.ndarray]:
     A piece is rendered as a byte matrix, one row per round: the index
     digits, then the row of the round's code in ``table``.  Zero bytes
     (leading zeros of the index and row padding) are dropped with one
-    boolean compress, leaving the lines in order.  A ValueError when the
-    run kept no per-round codes.
+    boolean compress, leaving the lines in order.  The run kept its
+    per-round codes.
     """
-    codes = report.round_codes()
+    codes = report.codes
     cols = [report.code_fields[f] for f in report.record_fields]
     # marked a step at a time: indexing by all the codes at once
     # would cast them to one intp array of 8 bytes per round
@@ -137,9 +137,10 @@ def evaluate_expectations(report: RunReport,
 
 
 def render_machine_report(report: RunReport, scenario_name: str,
-                          comparison: Sequence[ComparisonRow] = (),
-                          round_log: str = "auto") -> Iterator[Piece]:
-    """The text report's pieces in file order."""
+                          comparison: Sequence[ComparisonRow] = ()
+                          ) -> Iterator[Piece]:
+    """The text report's pieces in file order, the round log last when the
+    run kept its codes."""
     lines = ["# sqkdsim run report", "[run]",
              f"scenario = {scenario_name}",
              f"variant = {report.variant}",
@@ -161,7 +162,7 @@ def render_machine_report(report: RunReport, scenario_name: str,
                                    fmt(row.empirical),
                                    fmt(row.deviation_sigmas),
                                    "1" if row.passed else "0"]))
-    logged = includes_round_log(round_log, report.rounds)
+    logged = report.codes is not None
     if logged:
         lines.append("")
         lines.append("[rounds]")
@@ -172,10 +173,10 @@ def render_machine_report(report: RunReport, scenario_name: str,
 
 
 def render_csv(report: RunReport, scenario_name: str,
-               comparison: Sequence[ComparisonRow] = (),
-               round_log: str = "auto"
+               comparison: Sequence[ComparisonRow] = ()
                ) -> Iterator[Tuple[str, Iterable[Piece]]]:
-    """CSV-like row files: (suffix, the file's pieces in order) per file."""
+    """CSV-like row files: (suffix, the file's pieces in order) per file,
+    ``rounds.csv`` last when the run kept its codes."""
     metrics = ["metric,value"]
     metrics.append(f"scenario,{scenario_name}")
     metrics.append(f"variant,{report.variant}")
@@ -193,7 +194,7 @@ def render_csv(report: RunReport, scenario_name: str,
                                   fmt(row.empirical), fmt(row.deviation_sigmas),
                                   "1" if row.passed else "0"]))
         yield "comparison.csv", ["\n".join(rows) + "\n"]
-    if includes_round_log(round_log, report.rounds):
+    if report.codes is not None:
         header = "index," + ",".join(report.record_fields) + "\n"
         yield "rounds.csv", itertools.chain([header], _round_log(report, ","))
 

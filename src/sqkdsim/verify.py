@@ -130,6 +130,8 @@ def run_thresholds(seed: int) -> List[CheckResult]:
 def run_suite(suite: str, seed: int, trials: int = 200) -> List[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
     runners: Dict[str, Callable[[], List[CheckResult]]] = {
         "fock": lambda: run_fock(seed),
         "lemma": lambda: run_lemma(seed, trials),

@@ -1,4 +1,5 @@
-"""The round log rendered from byte rows equals one f-string per round."""
+"""The round log rendered from byte rows equals one f-string per round, and
+a report carries it exactly when its run kept its codes."""
 
 import dataclasses
 import functools
@@ -9,7 +10,12 @@ import pytest
 
 from oracles import round_log_reference
 from sqkdsim.protocol import RunReport, run
-from sqkdsim.report import _round_log
+from sqkdsim.report import (
+    ROUND_LOG_LIMIT,
+    _round_log,
+    render_csv,
+    render_machine_report,
+)
 from sqkdsim.scenario import load_scenario
 
 SCENARIOS = resources.files("sqkdsim") / "scenarios"
@@ -51,8 +57,45 @@ def test_report_without_codes_raises():
                                  codes=None)
     with pytest.raises(ValueError, match="kept no per-round codes"):
         report.records
-    with pytest.raises(ValueError, match="kept no per-round codes"):
-        _log(report, " ")
+
+
+def _files(report: RunReport) -> dict:
+    """Every report file of ``report``, text and CSV, as bytes by name."""
+    files = dict(render_csv(report, "s"))
+    files["report.txt"] = render_machine_report(report, "s")
+    return {name: b"".join(p.encode("utf-8") if isinstance(p, str)
+                           else p.tobytes() for p in pieces)
+            for name, pieces in files.items()}
+
+
+def test_kept_codes_are_logged_above_the_limit():
+    """A run that keeps its codes renders its round log in both formats,
+    whatever its round count."""
+    report = _scenario_report("classical-alice-lossy")
+    assert report.rounds > ROUND_LOG_LIMIT
+    files = _files(report)
+    assert set(files) == {"metrics.csv", "rounds.csv", "report.txt"}
+    header = "index," + ",".join(report.record_fields) + "\n"
+    assert files["rounds.csv"].decode("ascii") == (
+        header + round_log_reference(report, ",") + "\n")
+    text = files["report.txt"].decode("utf-8")
+    _, log = text.split("\n[rounds]\n# index " + " ".join(
+        report.record_fields) + "\n")
+    assert log == round_log_reference(report, " ") + "\n"
+
+
+def test_report_without_codes_has_no_round_log():
+    """A run that kept no codes renders no round log, even within the
+    limit; its files are the logged run's files without it."""
+    full = _scenario_report("b92-usd-c05")
+    report = dataclasses.replace(full, rounds=ROUND_LOG_LIMIT,
+                                 codes=full.codes[:ROUND_LOG_LIMIT])
+    logged = _files(report)
+    files = _files(dataclasses.replace(report, codes=None))
+    assert set(files) == {"metrics.csv", "report.txt"}
+    assert files["metrics.csv"] == logged["metrics.csv"]
+    assert b"[rounds]" not in files["report.txt"]
+    assert logged["report.txt"].startswith(files["report.txt"] + b"\n[rounds]\n")
 
 
 @pytest.mark.parametrize("sep", [" ", ","])
@@ -66,6 +109,6 @@ def test_round_log_of_random_codes_matches_reference(sep):
     rounds = 1_000_003
     codes = rng.integers(0, 256, rounds).astype(np.uint8)
     report = RunReport(variant="synthetic", rounds=rounds, seed=0,
-                       metrics={}, categories={}, record_fields=names,
-                       codes=codes, code_fields=fields)
+                       metrics={}, categories={}, codes=codes,
+                       code_fields=fields)
     assert _log(report, sep) == round_log_reference(report, sep)

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 import oracles
 import sqkdsim
-from sqkdsim import cli
+from sqkdsim import cli, verify
 from sqkdsim.attacks import ProbeChannelMap, constrained_random_attack
 from sqkdsim.fock import TruncationError
 from sqkdsim.joint import ChannelBasis
@@ -650,6 +651,20 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "env-out" / "classical-alice-ideal.report.txt").exists()
 
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_dir_that_is_a_file_exits_two(self, tmp_path, capsys, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        out_dir = blocker / "sub" if under else blocker
+        code = cli.main(["run", scenario_path("classical-alice-ideal.scn"),
+                         "--rounds", "200", "--out-dir", str(out_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        strerror = os.strerror(errno.ENOTDIR if under else errno.EEXIST)
+        assert captured.err == f"error: {out_dir}: {strerror}\n"
+        assert "Traceback" not in captured.err + captured.out
+        assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
     def test_attacks_list_and_describe(self, capsys):
         assert cli.main(["attacks", "list"]) == 0
         out = capsys.readouterr().out
@@ -680,11 +695,19 @@ class TestCli:
             f"error: trials must be at least 1, not {trials}\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("suite", verify.SUITES)
+    def test_verify_negative_seed_exits_two(self, capsys, suite):
+        # the thresholds suite draws nothing, yet refuses the seed too
+        assert cli.main(["verify", suite, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be non-negative, not -1\n"
+        assert captured.out == ""
+
     def test_verify_lemma_fails_on_undefined_leakage(self, monkeypatch,
                                                      capsys):
         # an undefined leakage leaves the forward fidelity at 1.0, so only
         # the summary's failures show it
-        from sqkdsim import analysis, verify
+        from sqkdsim import analysis
 
         def rows():
             """The CLI rows, which pass exactly when the summary does."""
