@@ -9,7 +9,6 @@ walk over precomputed branch tables (``sqkdsim.kernels``).
 
 from .fock import (
     ChannelBasis,
-    ExpansionRow,
     FockState,
     X,
     Z,
@@ -51,7 +50,6 @@ __all__ = [
     "AttackSpec",
     "ChannelBasis",
     "ConstraintReport",
-    "ExpansionRow",
     "FockState",
     "JointState",
     "LeakageReport",

@@ -41,16 +41,15 @@ class ConstraintReport:
     sift_conflict_prob: float
     verdict: str
 
-    def is_undetectable(self) -> bool:
-        return self.verdict == "undetectable"
-
 
 @dataclass
 class LeakageReport:
-    """Distinguishability of Eve's residual probe between the two key bits."""
+    """Distinguishability of Eve's residual probe between the two key bits.
+
+    Both numbers are None when the leakage is undefined; ``detail`` says why.
+    """
     conditional_fidelity: Optional[float]
     trace_distance: Optional[float]
-    status: str = "ok"
     detail: str = ""
 
 
@@ -162,7 +161,7 @@ def eve_leakage(attack: AttackSpec, n_max: int = 3) -> LeakageReport:
     returned = _sift_and_return(attack, _outbound_state(attack, n_max),
                                 THRESHOLD, ((0, 1), (1, 0)))
     if len(returned) < 2:
-        return LeakageReport(None, None, status="undefined",
+        return LeakageReport(None, None,
                              detail="a key-bit branch has zero probability")
     vecs = []
     for bit, (p, back) in enumerate((returned[(0, 1)], returned[(1, 0)])):
@@ -172,8 +171,7 @@ def eve_leakage(attack: AttackSpec, n_max: int = 3) -> LeakageReport:
         if status != "ok":
             why = ("branch has zero probability" if status == "zero"
                    else "conditional probe is not pure")
-            return LeakageReport(None, None, status="undefined",
-                                 detail=f"bit-{bit} {why}")
+            return LeakageReport(None, None, detail=f"bit-{bit} {why}")
         vecs.append(vec)
     v0, v1 = vecs
 
@@ -191,12 +189,8 @@ class LemmaSummary:
     ``checks`` holds each of the lemma's conditions once, as ``(name,
     passed, detail)``, and ``passed`` is whether all of them hold.
     """
-    n_max: int
-    probe_dims: Tuple[int, ...]
-    forward_trials: int = 0
     forward_max_minus_prob: float = 0.0
     forward_min_fidelity: float = 1.0
-    converse_trials: int = 0
     converse_min_minus_prob: float = math.inf
     single_photon_prediction_max_err: float = 0.0
     decomposition_max_err: float = 0.0
@@ -220,14 +214,13 @@ def lemma_verify(n_max: int = 3, trials: int = 200, seed: int = 0,
         raise ValueError("n_max must be at least 2 to exercise every rule")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, not {trials}")
-    summary = LemmaSummary(n_max=n_max, probe_dims=tuple(probe_dims))
+    summary = LemmaSummary()
 
     for t in range(trials):
         d = probe_dims[t % len(probe_dims)]
         attack = constrained_random_attack(seed * 1_000_003 + t, probe_dim=d,
                                            n_max=n_max)
         report = check_constraints(attack, n_max=n_max)
-        summary.forward_trials += 1
         summary.forward_max_minus_prob = max(summary.forward_max_minus_prob,
                                              report.bob_minus_click_prob)
         leak = eve_leakage(attack, n_max=n_max)
@@ -253,7 +246,6 @@ def lemma_verify(n_max: int = 3, trials: int = 200, seed: int = 0,
                 violation="multi-photon-return",
                 violation_level=levels[(t // 2) % len(levels)])
         report = check_constraints(attack, n_max=n_max)
-        summary.converse_trials += 1
         summary.converse_min_minus_prob = min(summary.converse_min_minus_prob,
                                               report.bob_minus_click_prob)
         if report.bob_minus_click_prob <= EXACT_TOL:
@@ -271,7 +263,7 @@ def lemma_verify(n_max: int = 3, trials: int = 200, seed: int = 0,
     summary.checks = [
         ("forward-no-minus-clicks",
          summary.forward_max_minus_prob <= EXACT_TOL,
-         f"{summary.forward_trials} attacks, max prob "
+         f"{trials} attacks, max prob "
          f"{summary.forward_max_minus_prob:.2e}"),
         ("forward-zero-leakage",
          not leaks and summary.forward_min_fidelity >= 1.0 - FIDELITY_TOL,
@@ -279,7 +271,7 @@ def lemma_verify(n_max: int = 3, trials: int = 200, seed: int = 0,
         # a converse failure is a trial at or below EXACT_TOL: counted here
         ("converse-always-visible",
          summary.converse_min_minus_prob > EXACT_TOL,
-         f"{summary.converse_trials} attacks, min prob "
+         f"{trials} attacks, min prob "
          f"{summary.converse_min_minus_prob:.2e}"),
         ("single-photon-click-magnitude",
          summary.single_photon_prediction_max_err <= PREDICTION_TOL,

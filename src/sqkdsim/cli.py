@@ -94,6 +94,11 @@ def _cmd_run(args) -> int:
               f"in the file-system encoding {sys.getfilesystemencoding()!r}",
               file=sys.stderr)
         return EXIT_CONFIG
+    if any(sep and sep in scenario.name for sep in (os.sep, os.altsep)):
+        # a path would put the report files outside --out-dir
+        print(f"error: {scenario.path}: scenario name {scenario.name!r} "
+              f"must be a plain file name", file=sys.stderr)
+        return EXIT_CONFIG
     if args.seed is not None:
         scenario.config.rng_seed = args.seed
     if args.rounds is not None:

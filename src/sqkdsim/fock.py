@@ -17,7 +17,6 @@ operations are pure; instances are immutable by convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Tuple
 
@@ -207,21 +206,11 @@ def inner(a: FockState, b: FockState) -> complex:
                            np.pad(vb, (0, dim - vb.size))))
 
 
-@dataclass(frozen=True)
-class ExpansionRow:
-    """Coefficients of an n-photon single-mode x state over z keys.
-
-    ``sign=+1`` describes n photons in the plus mode, ``sign=-1`` n photons
-    in the minus mode; ``coefficients[k]`` multiplies ``|k, n-k>``.
-    """
-    n: int
-    sign: int
-    coefficients: Tuple[float, ...]
-
-
-def x_expansion(n: int, sign: int, n_max: int = DEFAULT_N_MAX) -> ExpansionRow:
+def x_expansion(n: int, sign: int,
+                n_max: int = DEFAULT_N_MAX) -> Tuple[float, ...]:
     """Closed-form z expansion of ``|0,n>_x`` (sign +1) or ``|n,0>_x`` (sign -1).
 
+    Coefficient ``k`` multiplies ``|k, n-k>``:
     coefficient(k) = sign^k * sqrt(binom(n, k)) / sqrt(2^n)
     """
     if sign not in (+1, -1):
@@ -230,9 +219,8 @@ def x_expansion(n: int, sign: int, n_max: int = DEFAULT_N_MAX) -> ExpansionRow:
         raise ValueError("photon number must be non-negative")
     check_occupation((n, 0), n_max)
     root = math.sqrt(2.0) ** n
-    coeffs = tuple(sign ** k * math.sqrt(math.comb(n, k)) / root
-                   for k in range(n + 1))
-    return ExpansionRow(n=n, sign=sign, coefficients=coeffs)
+    return tuple(sign ** k * math.sqrt(math.comb(n, k)) / root
+                 for k in range(n + 1))
 
 
 def parity_state(n: int, parity: str, basis: str = Z,

@@ -48,7 +48,7 @@ def run_fock(seed: int) -> List[CheckResult]:
     corpus = load_corpus()
     worst = 0.0
     for n, sign, k, coeff in corpus:
-        worst = max(worst, abs(fock.x_expansion(n, sign).coefficients[k] - coeff))
+        worst = max(worst, abs(fock.x_expansion(n, sign)[k] - coeff))
     results.append(CheckResult(
         "fock", "expansion-rows-vs-corpus", worst <= 1e-12,
         f"{len(corpus)} rows, max deviation {worst:.2e}"))
@@ -132,6 +132,8 @@ def run_suite(suite: str, seed: int, trials: int = 200) -> List[CheckResult]:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, not {seed}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
     runners: Dict[str, Callable[[], List[CheckResult]]] = {
         "fock": lambda: run_fock(seed),
         "lemma": lambda: run_lemma(seed, trials),

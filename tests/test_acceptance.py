@@ -59,12 +59,12 @@ def test_criterion_1_expansion_exactness():
     }
     worst = 0.0
     for (n, sign), row in explicit.items():
-        got = fock.x_expansion(n, sign).coefficients
+        got = fock.x_expansion(n, sign)
         worst = max(worst, max(abs(g - r) for g, r in zip(got, row)))
     oracle_worst = 0.0
     for n in range(5):
         for sign in (+1, -1):
-            got = fock.x_expansion(n, sign).coefficients
+            got = fock.x_expansion(n, sign)
             want = symmetric_expansion(n, sign)
             oracle_worst = max(oracle_worst,
                                max(abs(g - w) for g, w in zip(got, want)))

@@ -406,7 +406,7 @@ class TestConstrainedRandom:
         assert report.bob_minus_click_prob <= 1e-10
         assert report.bit_probe_distance <= 1e-10
         assert all(v <= 1e-10 for v in report.multiphoton_return_norms.values())
-        assert report.is_undetectable()
+        assert report.verdict == "undetectable"
 
     def test_single_photon_violation_is_visible(self):
         spec = constrained_random_attack(7, 4, n_max=3,

@@ -1,6 +1,7 @@
 """Every name a ``sqkdsim`` module imports is used in that module, every
-name it defines is used somewhere, every file a module opens as text names
-its encoding, and every name the benchmark's tracer wraps still exists.
+name it defines and every record field is used somewhere, every file a
+module opens as text names its encoding, and every name the benchmark's
+tracer wraps still exists.
 
 The first check is the one pyflakes calls F401, done with ``ast`` alone.  A
 name listed in ``__all__`` counts as used, and so does a name inside a
@@ -12,7 +13,12 @@ read, as a name or an attribute, in ``src/`` or ``tests/``.  Its
 definition, an import and an ``__all__`` entry do not count, so a name
 that is only re-exported is dead code.  Dunder names are exempt.
 
-The third pins a class of bug that a test run under one locale cannot: a
+The third is the same check for data: every annotated field of a
+``@dataclass`` or ``NamedTuple`` class in ``src/`` must be read as an
+attribute in ``src/`` or ``tests/``, so a record does not carry a field
+that only repeats what its caller already holds.
+
+The fourth pins a class of bug that a test run under one locale cannot: a
 text-mode ``open``, ``read_text`` or ``write_text`` without ``encoding=``
 reads or writes in the locale's encoding, so a UTF-8 file that works here
 fails under an ASCII locale.
@@ -105,15 +111,18 @@ def top_level_names(tree):
                         yield sub.id, node.lineno
 
 
-def read_names(trees):
-    """Every name read as an ``ast.Name`` or an attribute in ``trees``."""
+def read_names(trees, attributes_only=False):
+    """Every name read as an ``ast.Name`` or an attribute in ``trees``; with
+    ``attributes_only``, every name read as an attribute."""
     read = set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx,
                                                              ast.Store):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
+                if not attributes_only:
+                    read.add(node.id)
+            elif isinstance(node, ast.Attribute) and not (
+                    attributes_only and isinstance(node.ctx, ast.Store)):
                 read.add(node.attr)
     return read
 
@@ -128,13 +137,20 @@ def unused_top_level(modules, trees):
             if name.rsplit(".", 1)[-1] not in read]
 
 
-def test_every_top_level_name_is_used():
+def parsed_sources():
+    """``(modules, trees)``: the ``(file name, tree)`` pairs of the
+    ``sqkdsim`` modules, and the trees of every file in ``src/`` and
+    ``tests/``."""
     parse = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src").rglob("*.py"))
              + sorted((ROOT / "tests").rglob("*.py"))}
     modules = [(path.name, tree) for path, tree in parse.items()
                if path.parent == SRC]
-    unused = unused_top_level(modules, parse.values())
+    return modules, list(parse.values())
+
+
+def test_every_top_level_name_is_used():
+    unused = unused_top_level(*parsed_sources())
     assert not unused, "defined but never used: " + ", ".join(unused)
 
 
@@ -148,6 +164,58 @@ def test_unused_top_level_check_flags_what_it_should():
     user = ast.parse("import m\nm.Stage()\nprint(LIMIT, A)\nB = 4")
     assert unused_top_level([("m.py", module)], [module, user]) == [
         "m.py:3: planted", "m.py:8: Stage.planted", "m.py:10: B"]
+
+
+def decorator_or_base_name(node):
+    """``dataclass`` for ``@dataclass``, ``@dataclasses.dataclass(...)`` and
+    the like: the last name of a decorator or base, called or not."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(
+        node, "id", None)
+
+
+def record_fields(tree):
+    """``(Class.field, line)`` of every annotated field of a ``@dataclass``
+    or ``NamedTuple`` class in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and (
+                "dataclass" in map(decorator_or_base_name, node.decorator_list)
+                or "NamedTuple" in map(decorator_or_base_name, node.bases)):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) \
+                        and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.lineno
+
+
+def unread_fields(modules, trees):
+    """``module:line: Class.field`` of each record field of the ``(module,
+    tree)`` pairs that no tree of ``trees`` reads as an attribute; setting
+    it, or passing it by keyword, does not count."""
+    read = read_names(trees, attributes_only=True)
+    return [f"{module}:{line}: {name}" for module, tree in modules
+            for name, line in record_fields(tree)
+            if name.split(".", 1)[1] not in read]
+
+
+def test_every_record_field_is_read():
+    unread = unread_fields(*parsed_sources())
+    assert not unread, "record fields never read: " + ", ".join(unread)
+
+
+def test_unread_field_check_flags_what_it_should():
+    module = ast.parse("\n".join([
+        "from dataclasses import dataclass", "import dataclasses",
+        "from typing import NamedTuple", "@dataclass(frozen=True)",
+        "class Row:", "    n: int", "    sign: int = 1", "    coeffs: tuple",
+        "    LIMIT = 3", "@dataclasses.dataclass", "class Summary:",
+        "    trials: int", "class Pair(NamedTuple):", "    lo: int",
+        "    hi: int", "class Plain:", "    width: int",
+        "def make(n, sign): return Row(n=n, sign=sign, coeffs=())"]))
+    user = ast.parse("r = make(1, 1)\nprint(r.coeffs, Pair(0, 1).hi)\n"
+                     "s = Summary(0)\ns.trials = 2")
+    assert unread_fields([("m.py", module)], [module, user]) == [
+        "m.py:6: Row.n", "m.py:7: Row.sign", "m.py:12: Summary.trials",
+        "m.py:14: Pair.lo"]
 
 
 def text_io_without_encoding(tree):

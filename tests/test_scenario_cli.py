@@ -566,6 +566,39 @@ class TestCli:
             "probe_dim x channel dim = 3 x 6 = 18\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section,line,message", [
+        ("protocol", "detector_model = foo", "unknown detector model 'foo'"),
+        ("protocol", "residual_policy = foo",
+         "unknown residual policy 'foo'"),
+        ("protocol", "test_fraction = 1.5", "test fraction must lie in [0, 1]"),
+        ("protocol", "n_max = 0", "photon cap must be at least 1"),
+        ("strengthening", "cross_basis_fraction = 1",
+         "cross-basis fraction must lie in [0, 1)"),
+        ("strengthening", "extra_state_fraction = 1",
+         "extra-state fraction must lie in [0, 1)"),
+        ("expectations", "loss_fraction = abc abs 0.1",
+         "[expectations] loss_fraction: could not convert string to float: "
+         "'abc'"),
+        ("attack", "return_file = {odd}",
+         "[attack]: {odd}: odd float count, expected re/im pairs"),
+    ])
+    def test_bad_scenario_value_exits_two(self, tmp_path, capsys, section,
+                                          line, message):
+        # each refusal names the file, on one line, before anything is run
+        odd = tmp_path / "odd.mat"
+        odd.write_text("1 0 0\n", encoding="utf-8")
+        header = [] if section == "protocol" else [f"[{section}]"]
+        attack = (["name = general", "probe_dim = 1",
+                   f"outbound_file = {odd}"] if section == "attack" else [])
+        path = write(tmp_path, "\n".join([
+            "[protocol]", "rounds = 300", *header, *attack,
+            line.format(odd=odd), ""]))
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: {message.format(odd=odd)}\n")
+        assert not out.exists()
+
     def test_bb84_pns_report_does_not_depend_on_jobs(self, tmp_path):
         # the quota is met in the run's eighth block, so the fold crosses it
         # in the middle of the walk; the bundled expectations are left out
@@ -665,6 +698,25 @@ class TestCli:
         assert "Traceback" not in captured.err + captured.out
         assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
+    @pytest.mark.parametrize("name", ["../escaped", "sub/x", "absolute"])
+    def test_name_with_a_path_exits_two(self, tmp_path, capsys, name):
+        """The report files are named after the scenario inside
+        ``--out-dir``, so a name that is a path is refused before the
+        run."""
+        if name == "absolute":
+            name = str(tmp_path / "elsewhere")
+        path = write(tmp_path, "\n".join([
+            "[scenario]", f"name = {name}",
+            "[protocol]", "rounds = 300", "n_max = 2", ""]))
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {path}: scenario name {name!r} "
+                                "must be a plain file name\n")
+        assert captured.out == ""
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.report.txt"))
+
     def test_attacks_list_and_describe(self, capsys):
         assert cli.main(["attacks", "list"]) == 0
         out = capsys.readouterr().out
@@ -688,12 +740,14 @@ class TestCli:
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_verify_lemma_without_trials_exits_two(self, capsys, trials):
-        # a lemma suite of no trials would check nothing and pass
-        assert cli.main(["verify", "lemma", "--trials", trials]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == (
-            f"error: trials must be at least 1, not {trials}\n")
-        assert captured.out == ""
+        # a lemma suite of no trials would check nothing and pass; the
+        # suites that draw no trials refuse the count too
+        for suite in verify.SUITES:
+            assert cli.main(["verify", suite, "--trials", trials]) == 2, suite
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error: trials must be at least 1, not {trials}\n")
+            assert captured.out == ""
 
     @pytest.mark.parametrize("suite", verify.SUITES)
     def test_verify_negative_seed_exits_two(self, capsys, suite):
@@ -716,7 +770,7 @@ class TestCli:
             assert summary.passed == all(row.passed for row in rows)
             return {row.name: row for row in rows}
 
-        undefined = analysis.LeakageReport(None, None, status="undefined",
+        undefined = analysis.LeakageReport(None, None,
                                            detail="no pure probe states")
         monkeypatch.setattr(analysis, "eve_leakage",
                             lambda attack, n_max: undefined)
