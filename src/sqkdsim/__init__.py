@@ -9,14 +9,12 @@ walk over precomputed branch tables (``sqkdsim.kernels``).
 
 from .fock import (
     ChannelBasis,
-    FockState,
     X,
     Z,
-    inner,
     make_basis_state,
-    measure_distribution,
     parity_state,
     x_expansion,
+    z_vector,
 )
 from .joint import JointState
 from .attacks import (
@@ -50,7 +48,6 @@ __all__ = [
     "AttackSpec",
     "ChannelBasis",
     "ConstraintReport",
-    "FockState",
     "JointState",
     "LeakageReport",
     "ProtocolConfig",
@@ -67,12 +64,10 @@ __all__ = [
     "eve_leakage",
     "general_attack",
     "identity_attack",
-    "inner",
     "lemma_verify",
     "list_attacks",
     "load_scenario",
     "make_basis_state",
-    "measure_distribution",
     "parity_state",
     "pns_attack",
     "pns_feasibility",
@@ -80,6 +75,7 @@ __all__ = [
     "tagging_attack",
     "usd_attack_b92",
     "x_expansion",
+    "z_vector",
 ]
 
 __version__ = "0.1.0"

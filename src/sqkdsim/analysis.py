@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .fock import FockState, Occupation, X, Z, make_basis_state, parity_state
+from .fock import Occupation, X, Z, make_basis_state, parity_state
 from .joint import JointState, Pattern, THRESHOLD
 from .attacks import AttackDomainError, AttackSpec, constrained_random_attack
 
@@ -53,12 +53,9 @@ class LeakageReport:
     detail: str = ""
 
 
-def _emitted_plus(n_max: int) -> FockState:
-    return make_basis_state((0, 1), X, n_max=n_max)
-
-
 def _outbound_state(attack: AttackSpec, n_max: int) -> JointState:
-    start = JointState.from_product(0, _emitted_plus(n_max), attack.probe_dim)
+    start = JointState.from_product(0, make_basis_state((0, 1), X, n_max),
+                                    attack.probe_dim)
     return attack.apply_outbound(start)
 
 
@@ -299,13 +296,10 @@ def _parity_decomposition_error(n_max: int, seed: int) -> float:
         b = rng.normal(size=d) + 1j * rng.normal(size=d)
         r = 1.0 / math.sqrt(2.0)
 
-        def embed(vec: np.ndarray, channel: FockState) -> np.ndarray:
-            return np.outer(vec, channel.to_z().amps)
-
-        lhs = (embed(a, make_basis_state((0, n), Z, n_max))
-               + embed(b, make_basis_state((n, 0), Z, n_max)))
-        rhs = (embed((a + b) * r, parity_state(n, "even", Z, n_max))
-               + embed((a - b) * r, parity_state(n, "odd", Z, n_max)))
+        lhs = (np.outer(a, make_basis_state((0, n), Z, n_max))
+               + np.outer(b, make_basis_state((n, 0), Z, n_max)))
+        rhs = (np.outer((a + b) * r, parity_state(n, "even", Z, n_max))
+               + np.outer((a - b) * r, parity_state(n, "odd", Z, n_max)))
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
 

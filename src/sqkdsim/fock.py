@@ -6,12 +6,11 @@ in the x basis the pair counts photons in the minus / plus modes, so
 ``|0,1>_x`` is ``|+>`` and ``|1,0>_x`` is ``|->``.  The vacuum ``|0,0>``
 models a lost pulse.
 
-A state is one dense complex vector over the occupations of
-``channel_basis(n_max)``, tagged with the basis those occupations refer
-to.  Amplitudes at or below ``AMPLITUDE_FLOOR`` are zeroed on
-construction, so a zero entry is an absent occupation.  The basis change
-is one matmul with the involutive ``ChannelBasis.hadamard``.  All
-operations are pure; instances are immutable by convention.
+A pulse is one dense complex vector of z amplitudes over the occupations
+of ``channel_basis(n_max)``.  Amplitudes at or below ``AMPLITUDE_FLOOR``
+are zeroed on construction, so a zero entry is an absent occupation.  A
+state given in the x basis is rotated once, when it is built, by one
+matmul with the involutive ``ChannelBasis.hadamard``.
 """
 
 from __future__ import annotations
@@ -37,21 +36,12 @@ class TruncationError(ValueError):
     """An occupation lies beyond the configured photon-number cap."""
 
 
-class NormalizationError(ValueError):
-    """The operation requires a unit-norm input state."""
-
-
 def check_occupation(occ: Occupation, n_max: int) -> None:
     n1, n0 = occ
     if n1 < 0 or n0 < 0:
         raise ValueError(f"negative occupation {occ!r}")
     if n1 + n0 > n_max:
         raise TruncationError(f"occupation {occ!r} exceeds cap n_max={n_max}")
-
-
-def _check_basis(basis: str) -> None:
-    if basis not in (Z, X):
-        raise ValueError(f"unknown basis tag {basis!r} (expected {Z!r} or {X!r})")
 
 
 @lru_cache(maxsize=None)
@@ -114,96 +104,26 @@ def floored(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-class FockState:
-    """Two-mode photonic state: one amplitude per ``channel_basis`` occupation."""
-
-    __slots__ = ("amps", "basis", "n_max")
-
-    def __init__(self, amps: Mapping[Occupation, complex], basis: str = Z,
-                 n_max: int = DEFAULT_N_MAX):
-        _check_basis(basis)
-        index = channel_basis(n_max).index
-        vec = np.zeros(len(index), dtype=np.complex128)
-        for occ, amp in amps.items():
-            occ = (int(occ[0]), int(occ[1]))
-            check_occupation(occ, n_max)
-            vec[index[occ]] = complex(amp)
-        self.amps = floored(vec)
-        self.basis = basis
-        self.n_max = n_max
-
-    @classmethod
-    def _of(cls, amps: np.ndarray, basis: str, n_max: int) -> "FockState":
-        state = cls.__new__(cls)
-        state.amps = floored(amps)
-        state.basis = basis
-        state.n_max = n_max
-        return state
-
-    def amplitude(self, occ: Occupation) -> complex:
-        i = channel_basis(self.n_max).index.get(tuple(occ))
-        return 0j if i is None else complex(self.amps[i])
-
-    def items(self) -> List[Tuple[Occupation, complex]]:
-        """Nonzero amplitudes keyed by occupation, sorted."""
-        occs = channel_basis(self.n_max).occupations
-        return sorted((occs[i], complex(self.amps[i]))
-                      for i in np.flatnonzero(self.amps))
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.amps))
-
-    def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amps.tolist())
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def is_unit(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
-
-    def scaled(self, factor: complex) -> "FockState":
-        return FockState._of(factor * self.amps, self.basis, self.n_max)
-
-    def normalized(self) -> "FockState":
-        n = self.norm()
-        if n <= AMPLITUDE_FLOOR:
-            raise NormalizationError("cannot normalize a (near-)zero state")
-        return self.scaled(1.0 / n)
-
-    def _rotated(self, target: str) -> "FockState":
-        if self.basis == target:
-            return self
-        return FockState._of(self.amps @ channel_basis(self.n_max).hadamard,
-                             target, self.n_max)
-
-    def to_z(self) -> "FockState":
-        return self._rotated(Z)
-
-    def to_x(self) -> "FockState":
-        return self._rotated(X)
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"{occ}: {amp:.6g}" for occ, amp in self.items())
-        return f"FockState({{{terms}}}, basis={self.basis!r}, n_max={self.n_max})"
+def z_vector(amps: Mapping[Occupation, complex], basis: str = Z,
+             n_max: int = DEFAULT_N_MAX) -> np.ndarray:
+    """Z vector of the state with amplitude ``amps[occ]`` on each occupation
+    ``occ`` of ``basis``; an x state is rotated here, once."""
+    if basis not in (Z, X):
+        raise ValueError(f"unknown basis {basis!r} (expected {Z!r} or {X!r})")
+    cb = channel_basis(n_max)
+    vec = np.zeros(cb.dim, dtype=np.complex128)
+    for occ, amp in amps.items():
+        occ = (int(occ[0]), int(occ[1]))
+        check_occupation(occ, n_max)
+        vec[cb.index[occ]] = complex(amp)
+    vec = floored(vec)
+    return vec if basis == Z else floored(vec @ cb.hadamard)
 
 
 def make_basis_state(occ: Occupation, basis: str = Z,
-                     n_max: int = DEFAULT_N_MAX) -> FockState:
-    """Unit-norm state with a single amplitude on ``occ``."""
-    return FockState({tuple(occ): 1.0}, basis=basis, n_max=n_max)
-
-
-def inner(a: FockState, b: FockState) -> complex:
-    """Sesquilinear product <a|b> of the two z vectors.
-
-    A lower cap's basis is a prefix of a higher one's, so states with
-    different caps line up by zero padding.
-    """
-    va, vb = a.to_z().amps, b.to_z().amps
-    dim = max(va.size, vb.size)
-    return complex(np.vdot(np.pad(va, (0, dim - va.size)),
-                           np.pad(vb, (0, dim - vb.size))))
+                     n_max: int = DEFAULT_N_MAX) -> np.ndarray:
+    """Z vector of the unit state with a single amplitude on ``occ``."""
+    return z_vector({tuple(occ): 1.0}, basis, n_max)
 
 
 def x_expansion(n: int, sign: int,
@@ -224,8 +144,9 @@ def x_expansion(n: int, sign: int,
 
 
 def parity_state(n: int, parity: str, basis: str = Z,
-                 n_max: int = DEFAULT_N_MAX) -> FockState:
-    """Even/odd superposition (|0,n> +/- |n,0>)/sqrt(2) in the given basis.
+                 n_max: int = DEFAULT_N_MAX) -> np.ndarray:
+    """Z vector of the even/odd superposition (|0,n> +/- |n,0>)/sqrt(2) of
+    the given basis.
 
     Measured in the opposite basis these states yield only even (resp. odd)
     photon counts in the first mode, at twice the binomial weight.
@@ -237,16 +158,4 @@ def parity_state(n: int, parity: str, basis: str = Z,
     if sign is None:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     amp = 1.0 / math.sqrt(2.0)
-    return FockState({(0, n): amp, (n, 0): sign * amp}, basis=basis, n_max=n_max)
-
-
-def measure_distribution(state: FockState, basis: str,
-                         norm_tol: float = 1e-10) -> Dict[Occupation, float]:
-    """Photon-counting distribution of ``state`` in the requested basis."""
-    if abs(state.norm_sq() - 1.0) > norm_tol:
-        raise NormalizationError(
-            f"measurement needs a normalized state (|norm^2-1| = "
-            f"{abs(state.norm_sq() - 1.0):.3e})")
-    _check_basis(basis)
-    converted = state.to_z() if basis == Z else state.to_x()
-    return {occ: abs(amp) ** 2 for occ, amp in converted.items()}
+    return z_vector({(0, n): amp, (n, 0): sign * amp}, basis, n_max)

@@ -22,7 +22,6 @@ import numpy as np
 from .fock import (
     AMPLITUDE_FLOOR,
     ChannelBasis,
-    FockState,
     Occupation,
     X,
     channel_basis,
@@ -86,9 +85,9 @@ class JointState:
                              f"(probe, channel occupation)")
 
     @classmethod
-    def from_product(cls, probe: np.ndarray | int, channel: FockState,
+    def from_product(cls, probe: np.ndarray | int, channel: np.ndarray,
                      probe_dim: int) -> "JointState":
-        """Probe (index or amplitude vector) tensored with a channel state."""
+        """Probe (index or amplitude vector) tensored with a channel z vector."""
         if np.ndim(probe) == 0:
             index = operator.index(probe)
             if not 0 <= index < probe_dim:
@@ -98,7 +97,7 @@ class JointState:
             raise ValueError(f"probe vector of shape {np.shape(probe)} does not "
                              f"match dimension {probe_dim}")
         return cls(np.multiply.outer(np.asarray(probe, dtype=np.complex128),
-                                     channel.to_z().amps))
+                                     channel))
 
     @property
     def probe_dim(self) -> int:

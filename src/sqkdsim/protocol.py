@@ -65,7 +65,7 @@ from .attacks import (
     PnsStrategy,
     UsdStrategy,
 )
-from .fock import FockState, X, Z, make_basis_state
+from .fock import X, Z, make_basis_state
 from .joint import (
     COUNTER,
     JointState,
@@ -247,9 +247,9 @@ def _level(nodes: Iterable, branches: Callable[..., Iterable[tuple]]) -> tuple:
             children, *(np.array(f, dtype=np.int8) for f in zip(*payload)))
 
 
-def _emissions(config: ProtocolConfig) -> List[Tuple[float, FockState, int]]:
-    """(probability, pulse, kind) per emission; kind 0 is an x pulse, 1 and
-    2 the extra z states of bit 0 and 1."""
+def _emissions(config: ProtocolConfig) -> List[Tuple[float, np.ndarray, int]]:
+    """(probability, pulse z vector, kind) per emission; kind 0 is an x
+    pulse, 1 and 2 the extra z states of bit 0 and 1."""
     n_max = config.channel_n_max()
     p0, p1, p2 = config.source_stats
     extra = config.extra_state_fraction

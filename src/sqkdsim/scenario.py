@@ -247,7 +247,9 @@ _SETTERS: Dict[str, Dict[str, Optional[Setter]]] = {
 
 
 def load_scenario(path: str) -> Scenario:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # values are read as written: a '%' is not an interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh, source=path)
@@ -255,6 +257,10 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"cannot read scenario file {path!r}") from None
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
+    except configparser.Error as exc:
+        # a repeated section or key, a key before any section header or a
+        # line that is no key: configparser's message spans lines
+        raise ScenarioError(f"{path}: {' '.join(str(exc).split())}") from None
 
     for section in parser.sections():
         if section not in (*_SETTERS, "attack", "expectations"):

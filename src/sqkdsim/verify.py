@@ -56,13 +56,15 @@ def run_fock(seed: int) -> List[CheckResult]:
     worst = 0.0
     for n, sign, k, coeff in corpus:
         occ = (0, n) if sign == +1 else (n, 0)
-        state = fock.make_basis_state(occ, fock.X, n_max=6).to_z()
-        worst = max(worst, abs(state.amplitude((k, n - k)) - coeff))
+        state = fock.make_basis_state(occ, fock.X, n_max=6)
+        amp = complex(state[fock.channel_basis(6).index[(k, n - k)]])
+        worst = max(worst, abs(amp - coeff))
     results.append(CheckResult(
         "fock", "basis-change-vs-corpus", worst <= 1e-12,
         f"max deviation {worst:.2e}"))
 
     rng = np.random.default_rng(seed)
+    had = fock.channel_basis(6).hadamard
     worst = 0.0
     for _ in range(50):
         amps = {}
@@ -70,9 +72,11 @@ def run_fock(seed: int) -> List[CheckResult]:
             n1, n0 = int(rng.integers(0, 4)), int(rng.integers(0, 4))
             if n1 + n0 <= 6:
                 amps[(n1, n0)] = complex(rng.normal(), rng.normal())
-        state = fock.FockState(amps, fock.Z, 6).normalized()
-        back = state.to_x().to_z()
-        worst = max(worst, float(np.linalg.norm(back.amps - state.amps)))
+        state = fock.z_vector(amps, fock.Z, 6)
+        norm = math.sqrt(sum(abs(a) ** 2 for a in state.tolist()))
+        state = fock.floored((1.0 / norm) * state)
+        back = fock.floored(fock.floored(state @ had) @ had)
+        worst = max(worst, float(np.linalg.norm(back - state)))
     results.append(CheckResult(
         "fock", "double-transform-involution", worst <= 1e-10,
         f"50 random states, max residual {worst:.2e}"))

@@ -43,7 +43,7 @@ import numpy as np
 
 from sqkdsim import analysis, kernels
 from sqkdsim.attacks import DOMAIN_TOL, AttackDomainError, ProbeChannelMap
-from sqkdsim.fock import AMPLITUDE_FLOOR, FockState, X, Z, _mixing_row
+from sqkdsim.fock import AMPLITUDE_FLOOR, Z, _mixing_row, channel_basis, z_vector
 from sqkdsim.joint import ChannelBasis, JointState, detector_pattern
 from sqkdsim.protocol import (
     B92_CATEGORIES,
@@ -585,18 +585,21 @@ def load_matrix_reference(path) -> np.ndarray:
     return (flat[:, 0] + 1j * flat[:, 1]).reshape(dim, dim)
 
 
-def transform_reference(state: FockState) -> FockState:
-    """``state`` in the other basis by the per-occupation dict loop that
-    ``FockState.to_z``/``to_x`` replaced with one ``hadamard`` matmul: each
-    occupation's mixing row accumulated key by key."""
+def transform_reference(vec: np.ndarray, n_max: int) -> np.ndarray:
+    """``vec``, over the occupations of ``channel_basis(n_max)`` in one
+    basis, in the other basis by the per-occupation dict loop that one
+    ``hadamard`` matmul replaced: each occupation's mixing row accumulated
+    key by key."""
+    basis = channel_basis(n_max)
     out = {}
-    for (a, b), amp in state.items():
+    for (a, b), amp in sorted((basis.occupations[i], complex(vec[i]))
+                              for i in np.flatnonzero(vec)):
         n = a + b
         for k, coeff in enumerate(_mixing_row(a, b)):
             if coeff == 0.0:
                 continue
             out[(k, n - k)] = out.get((k, n - k), 0j) + coeff * amp
-    return FockState(out, basis=X if state.basis == Z else Z, n_max=state.n_max)
+    return z_vector(out, Z, n_max)   # placed as given: only an x state is rotated
 
 
 # ---------------------------------------------------------------------------

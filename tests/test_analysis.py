@@ -122,7 +122,6 @@ class TestEveLeakage:
                             for m in (1, 2))
                 split = attack.apply_outbound(
                     JointState.from_product(0, two, attack.probe_dim))
-                one = one.to_z().amps
                 probe = split.amps @ one.conj()
                 assert np.allclose(split.amps, np.outer(probe, one),
                                    rtol=0, atol=1e-15)

@@ -22,11 +22,15 @@ The fourth pins a class of bug that a test run under one locale cannot: a
 text-mode ``open``, ``read_text`` or ``write_text`` without ``encoding=``
 reads or writes in the locale's encoding, so a UTF-8 file that works here
 fails under an ASCII locale.
+
+The last runs every ``python`` example of ``README.md``, so a public name
+that a change deletes cannot survive in the docs.
 """
 
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -283,3 +287,11 @@ def test_benchmark_span_targets_resolve():
         if owner is None:
             missing.append(f"{module}.{path}")
     assert spans.TARGETS and not missing, f"unresolved: {missing}"
+
+
+def test_readme_python_examples_run():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

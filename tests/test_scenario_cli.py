@@ -717,6 +717,41 @@ class TestCli:
         assert not out.exists()
         assert not list(tmp_path.rglob("*.report.txt"))
 
+    @pytest.mark.parametrize("text,message", [
+        ("[protocol]\nrounds = 300\nrounds = 400\n",
+         "option 'rounds' in section 'protocol' already exists"),
+        ("[protocol]\nrounds = 300\n[protocol]\nn_max = 2\n",
+         "section 'protocol' already exists"),
+        ("rounds = 300\n[protocol]\n", "File contains no section headers."),
+        ("[protocol]\nrounds = 300\nrounds\n",
+         "Source contains parsing errors"),
+    ], ids=["repeated-key", "repeated-section", "no-section-header",
+            "not-a-key"])
+    def test_malformed_file_exits_two(self, tmp_path, capsys, text, message):
+        path = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_percent_is_read_as_written(self, tmp_path, capsys):
+        path = write(tmp_path, "\n".join([
+            "[scenario]", "name = pct%x%%y",
+            "[protocol]", "rounds = 300", "n_max = 2", ""]))
+        assert load_scenario(path).name == "pct%x%%y"
+        path = write(tmp_path, "\n".join([
+            "[protocol]", "rounds = 300", "n_max = 2",
+            "[expectations]", "losses = 1% abs 0", ""]))
+        assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: [expectations] losses: could not convert "
+            "string to float: '1%'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_attacks_list_and_describe(self, capsys):
         assert cli.main(["attacks", "list"]) == 0
         out = capsys.readouterr().out
@@ -725,9 +760,23 @@ class TestCli:
         assert cli.main(["attacks", "describe", "unknown"]) == 2
 
     def test_verify_thresholds(self, capsys):
+        # every number here is pure-Python float arithmetic, so the text
+        # is the same on every platform
         assert cli.main(["verify", "thresholds"]) == 0
-        out = capsys.readouterr().out
-        assert "pass" in out and "FAIL" not in out
+        assert capsys.readouterr().out == (
+            "[pass] thresholds:pulsed-source-expected-count       "
+            "expected count 1199.0000000000005\n"
+            "[pass] thresholds:splitting-threshold-ratio          "
+            "ratio 0.01020304050607081, feasible True\n"
+            "[pass] thresholds:splitting-flips-at-equality        "
+            "at ratio 2.0: True; just below: False\n"
+            "[pass] thresholds:two-state-conclusive-probability   "
+            "checked overlaps 0, 0.5, 0.8\n"
+            "[pass] thresholds:two-state-loss-threshold           "
+            "breakable iff lossrate >= (1+overlap^2)/2\n"
+            "[pass] thresholds:generalized-measurement-threshold  "
+            "breakable iff lossrate >= overlap\n"
+            "6/6 checks passed\n")
 
     def test_verify_fock(self, capsys):
         assert cli.main(["verify", "fock", "--seed", "3"]) == 0
