@@ -22,6 +22,7 @@ EXACT_TOL = 1e-10
 #: ``lemma_verify``'s slack on the forward fidelity (``>= 1 - tol``), the
 #: single-photon click prediction and the parity decomposition
 FIDELITY_TOL, PREDICTION_TOL, DECOMPOSITION_TOL = 1e-9, 1e-9, 1e-12
+PROBE_DIMS = (1, 2, 3, 4)  # ``lemma_verify``'s trials take them in turn
 
 
 @dataclass
@@ -134,14 +135,14 @@ def check_constraints(attack: AttackSpec, n_max: int = 3,
     )
 
 
-def _principal_vector(columns: List[np.ndarray], rank_tol: float = 1e-9
+def _principal_vector(columns: List[np.ndarray]
                       ) -> Tuple[Optional[np.ndarray], str]:
     """Collapse probe columns into one vector when they are effectively rank one."""
     mat = np.stack(columns, axis=1)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     if s[0] <= 1e-15:
         return None, "zero"
-    if len(s) > 1 and s[1] > rank_tol * s[0]:
+    if len(s) > 1 and s[1] > 1e-9 * s[0]:
         return None, "mixed"
     return u[:, 0] * s[0], "ok"
 
@@ -196,8 +197,8 @@ class LemmaSummary:
     checks: List[Tuple[str, bool, str]] = field(default_factory=list)
 
 
-def lemma_verify(n_max: int = 3, trials: int = 200, seed: int = 0,
-                 probe_dims: Tuple[int, ...] = (1, 2, 3, 4)) -> LemmaSummary:
+def lemma_verify(n_max: int = 3, trials: int = 200, seed: int = 0
+                 ) -> LemmaSummary:
     """Two-sided check of the reflection-round undetectability criterion.
 
     Forward: attacks built to satisfy every constraint never produce a
@@ -214,7 +215,7 @@ def lemma_verify(n_max: int = 3, trials: int = 200, seed: int = 0,
     summary = LemmaSummary()
 
     for t in range(trials):
-        d = probe_dims[t % len(probe_dims)]
+        d = PROBE_DIMS[t % len(PROBE_DIMS)]
         attack = constrained_random_attack(seed * 1_000_003 + t, probe_dim=d,
                                            n_max=n_max)
         report = check_constraints(attack, n_max=n_max)
@@ -232,7 +233,7 @@ def lemma_verify(n_max: int = 3, trials: int = 200, seed: int = 0,
 
     levels = list(range(2, n_max + 1))
     for t in range(trials):
-        d = probe_dims[t % len(probe_dims)]
+        d = PROBE_DIMS[t % len(PROBE_DIMS)]
         if t % 2 == 0:
             attack = constrained_random_attack(
                 seed * 2_000_003 + t, probe_dim=d, n_max=n_max,

@@ -232,17 +232,17 @@ class AttackSpec:
         """Eve owns a lossless line unless she has no map and no strategy."""
         return (self.outbound, self.returning, self.strategy) != (None,) * 3
 
-    def validate(self, tol: float = ISOMETRY_TOL) -> float:
+    def validate(self) -> float:
         worst = 0.0
         for label, m in (("outbound", self.outbound), ("return", self.returning)):
             if m is None:
                 continue
             defect = m.isometry_defect()
             worst = max(worst, defect)
-            if not defect <= tol:  # NaN from a non-finite entry fails too
+            if not defect <= ISOMETRY_TOL:  # NaN fails too
                 raise IsometryError(
                     f"{label} map of attack {self.name!r} is not an isometry "
-                    f"(max deviation {defect:.3e} > {tol:g})")
+                    f"(max deviation {defect:.3e} > {ISOMETRY_TOL:g})")
         return worst
 
     def apply_outbound(self, state: JointState) -> JointState:

@@ -31,12 +31,12 @@ Rounds are walked in fixed blocks of ``BLOCK`` rounds on ``jobs``
 threads, the calling thread among them, each running the same loop:
 thread ``t`` draws blocks ``t``, ``t + jobs``, ... from one stream, walks
 each to its leaves (numpy drops the interpreter lock inside its loops),
-keeps them if asked and adds their histogram to its own row of counts.  A
-walk's fold (a state carried from block to block, such as a quota) maps
-each block on the thread that walked it once the block before it is
-folded; only the fold takes turns.  A thread holds one block at a time, so
-memory stays O(jobs * BLOCK) whatever the round count; kept leaves take
-the smallest unsigned type that fits, one byte per round up to 256 leaves.
+keeps them if asked and adds their histogram to its own row of counts.
+No thread waits for another; the caller joins them.  A walk may start at
+any round, so BB84's splitting quota walks spans in round order.  A
+thread holds one block at a time, so memory stays O(jobs * BLOCK) whatever
+the round count; kept leaves take the smallest unsigned type that fits,
+one byte per round up to 256 leaves.
 
 Randomness: draw ``(i, j)`` is the ``(i * SLOTS + j)``-th 64-bit word of the
 Philox-4x64 stream keyed by the run seed, so round ``i`` owns a fixed
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -238,59 +238,40 @@ Walk = Tuple[Optional[np.ndarray], np.ndarray, Dict[str, np.ndarray]]
 
 
 def _walk(plan, fields: Dict[str, np.ndarray], seed: int, n: int, jobs: int,
-          keep_codes: bool,
-          fold: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> Walk:
-    """Walk rounds [0, n) of ``plan``, whose record fields per leaf are
+          keep_codes: bool, lo: int = 0) -> Walk:
+    """Walk rounds [lo, n) of ``plan``, whose record fields per leaf are
     ``fields``, in blocks of at most BLOCK rounds on up to ``jobs``
     threads, the calling thread being thread 0: thread ``t`` walks blocks
     ``t``, ``t + jobs``, ... from one stream, keeps their leaves if asked
-    and counts them in its own row.  A ``fold`` maps each block's leaves on
-    the thread that walked it, once the block before it is folded.  The
+    (row ``i - lo`` is round ``i``'s) and counts them in its own row.  The
     first exception of a thread, or of a start, stops the others at their
     next block and is raised here once every started thread is joined."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     leaves = next(iter(fields.values())).size
-    codes = (np.empty(n, dtype=np.min_scalar_type(leaves - 1))
+    codes = (np.empty(n - lo, dtype=np.min_scalar_type(leaves - 1))
              if keep_codes else None)
-    starts = range(0, n, BLOCK)
+    starts = range(lo, n, BLOCK)
     jobs = max(1, min(jobs, len(starts)))
     counts = np.zeros((jobs, leaves), dtype=np.int64)
-    # the fold's turn: the number of blocks folded, or the first error
-    turn = threading.Condition()
-    folded, errors = 0, []
-
-    def fail(exc: BaseException) -> None:
-        with turn:
-            errors.append(exc)
-            turn.notify_all()
+    errors = []
 
     def work(t: int) -> None:
-        nonlocal folded
         try:
-            bits = _stream(seed, t * BLOCK)
-            for b in range(t, len(starts), jobs):
+            bits = _stream(seed, lo + t * BLOCK)
+            for start in starts[t::jobs]:
                 if errors:
                     return
-                lo = starts[b]
                 # no name holds the words, so they are freed once walked
-                piece = _walk_chain(plan, _draw(bits, min(BLOCK, n - lo)))
+                piece = _walk_chain(plan, _draw(bits, min(BLOCK, n - start)))
                 # past the other threads' blocks: exact, as a block's BLOCK *
                 # SLOTS words are whole Philox counter steps of four words
                 bits.advance(SLOTS * BLOCK * (jobs - 1) // 4)
-                if fold:
-                    with turn:
-                        turn.wait_for(lambda: folded == b or errors)
-                        if errors:
-                            return
-                        piece = fold(piece)
-                        folded += 1
-                        turn.notify_all()
                 if codes is not None:
-                    codes[lo:lo + piece.size] = piece
+                    codes[start - lo:start - lo + piece.size] = piece
                 counts[t] += np.bincount(piece, minlength=leaves)
         except BaseException as exc:
-            fail(exc)
+            errors.append(exc)
 
     threads = []
     for t in range(1, jobs):
@@ -298,7 +279,7 @@ def _walk(plan, fields: Dict[str, np.ndarray], seed: int, n: int, jobs: int,
         try:
             thread.start()
         except BaseException as exc:
-            fail(exc)
+            errors.append(exc)
             break
         threads.append(thread)
     work(0)

@@ -75,6 +75,7 @@ from .joint import (
     pattern_code,
 )
 from .kernels import (
+    BLOCK,
     _coin,
     _leaves,
     _split,
@@ -714,32 +715,49 @@ def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
     their histogram and the record fields per leaf.  The splitter forwards
     the first ``quota`` two-photon pulses of the run and blocks later ones:
     each forwarded leaf has a twin appended to the leaves, with nothing
-    forwarded, no click and no bit for Eve.  Blocks are walked on ``jobs``
-    threads as for every variant, and the quota is folded over them in
-    round order."""
+    forwarded, no click and no bit for Eve.  The quota is BB84's own loop
+    over spans of ``jobs`` blocks in round order until it is met; kept
+    leaves are walked at once and then go through it a block at a time."""
     plan, fields = _bb84_chain(tab)
     if tab.attack != 1:
         return _walk(plan, fields, seed, rounds, jobs, keep_codes)
     forwarded = fields["forwarded"] == 1
     twins = np.flatnonzero(forwarded)
-    blocked = np.arange(forwarded.size)
+    blocked = np.arange(forwarded.size, dtype=np.min_scalar_type(
+        forwarded.size + twins.size - 1))  # as _walk's codes: a byte a round
     blocked[twins] = forwarded.size + np.arange(twins.size)
     fields = {name: np.append(values, values[twins])
               for name, values in fields.items()}
     for name, value in (("forwarded", 0), ("pattern", 0), ("evebit", -1)):
         fields[name][forwarded.size:] = value
-    taken = 0
+    w, taken = np.zeros(fields["forwarded"].size, dtype=np.int64), 0
 
-    def fold(leaf: np.ndarray) -> np.ndarray:
+    def apply_quota(leaf: np.ndarray) -> np.ndarray:
+        """Next rounds' leaves under the splitter's rule, counted in ``w``."""
         nonlocal taken
         if taken >= tab.quota:
-            return blocked.take(leaf)
-        two = forwarded.take(leaf)
-        order = taken + np.cumsum(two)
-        taken = int(order[-1])
-        return np.where(two & (order > tab.quota), blocked.take(leaf), leaf)
+            leaf = blocked.take(leaf)
+        else:
+            two = forwarded.take(leaf)
+            order = taken + np.cumsum(two)
+            taken = int(order[-1])
+            leaf = np.where(two & (order > tab.quota), blocked[leaf], leaf)
+        w[:] += np.bincount(leaf, minlength=w.size)
+        return leaf
 
-    return _walk(plan, fields, seed, rounds, jobs, keep_codes, fold)
+    if keep_codes:
+        codes, _w, fields = _walk(plan, fields, seed, rounds, jobs, True)
+        for lo in range(0, rounds, BLOCK):
+            codes[lo:lo + BLOCK] = apply_quota(codes[lo:lo + BLOCK])
+        return codes, w, fields
+    lo = 0
+    while lo < rounds and taken < tab.quota:
+        hi = min(rounds, lo + jobs * BLOCK)
+        apply_quota(_walk(plan, fields, seed, hi, jobs, True, lo)[0])
+        lo = hi
+    _codes, rest, fields = _walk(plan, fields, seed, rounds, jobs, False, lo)
+    w[blocked] += rest[:forwarded.size]
+    return None, w, fields
 
 
 def _bb84_aggregate(config: ProtocolConfig, tables: Bb84Tables,

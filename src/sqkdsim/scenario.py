@@ -247,9 +247,9 @@ _SETTERS: Dict[str, Dict[str, Optional[Setter]]] = {
 
 
 def load_scenario(path: str) -> Scenario:
-    # values are read as written: a '%' is not an interpolation
+    # values are read as written, and [DEFAULT] is a section like any other
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
-                                       interpolation=None)
+                                       interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh, source=path)

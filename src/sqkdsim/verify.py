@@ -84,8 +84,7 @@ def run_fock(seed: int) -> List[CheckResult]:
 
 
 def run_lemma(seed: int, trials: int = 200) -> List[CheckResult]:
-    summary = analysis.lemma_verify(n_max=4, trials=trials, seed=seed,
-                                    probe_dims=(1, 2, 3, 4))
+    summary = analysis.lemma_verify(n_max=4, trials=trials, seed=seed)
     return [CheckResult("lemma", name, passed, detail)
             for name, passed, detail in summary.checks]
 

@@ -8,7 +8,9 @@ The round-walk oracles (``*_walk``) take one round at a time in plain
 Python: each categorical draw scans its table row until the first
 cumulative threshold above the uniform.  The walkers in
 ``sqkdsim.protocol``, on the plan walker in ``sqkdsim.kernels``, must
-reproduce their records bit for bit.
+reproduce their records bit for bit.  ``bb84_quota`` takes BB84's
+quota-free leaves through the splitter's quota the same way, a round at a
+time.
 
 The reference aggregators (``*_aggregate``) compute metrics and categories
 from per-round records with one boolean mask per quantity.  The protocol
@@ -216,6 +218,22 @@ def bb84_walk(tab, u):
         rows.append((bit, basis, size, forwarded, bob_basis, pattern, evebit))
     return _records(rows, ("bit", "basis", "pulse_size", "forwarded",
                            "bob_basis", "pattern", "evebit"), {})
+
+
+def bb84_quota(leaves, forwarded, quota):
+    """Leaves of BB84 rounds in order under the splitter's quota, one round
+    at a time: a round at a forwarded leaf past the quota takes its twin,
+    the twins numbered after the leaves in the forwarded leaves' order."""
+    twin = {int(leaf): forwarded.size + k
+            for k, leaf in enumerate(np.flatnonzero(forwarded))}
+    out, taken = [], 0
+    for leaf in leaves.tolist():
+        if forwarded[leaf]:
+            taken += 1
+            if taken > quota:
+                leaf = twin[leaf]
+        out.append(leaf)
+    return np.array(out, dtype=np.intp)
 
 
 def b92_walk(tab, u):

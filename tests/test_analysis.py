@@ -176,8 +176,7 @@ class TestEveLeakage:
 class TestLemmaVerify:
     @pytest.mark.parametrize("n_max", [3, 4, 5])
     def test_forward_and_converse(self, n_max):
-        summary = lemma_verify(n_max=n_max, trials=40, seed=n_max,
-                               probe_dims=(1, 2, 3, 4))
+        summary = lemma_verify(n_max=n_max, trials=40, seed=n_max)
         assert summary.passed, summary.failures
         assert summary.forward_max_minus_prob <= 1e-10
         assert summary.converse_min_minus_prob > 1e-10

@@ -14,7 +14,6 @@ level has a row per branch of the level before it.
 
 import dataclasses
 import math
-import sys
 import threading
 import types
 from importlib import resources
@@ -441,6 +440,10 @@ def test_bb84_quota_carries_across_blocks(jobs, pns_references):
             assert quota > two[-1] > 0 and forwarded == two[-1]
         assert report.metrics["pns_quota_met"] == (
             1.0 if two[-1] >= quota else 0.0), name
+        # a run that keeps no codes walks the quota in spans
+        bare = protocol.run(cfg, pns_attack(), jobs=jobs)
+        assert bare.metrics == report.metrics, name
+        assert bare.categories == report.categories, name
 
 
 def block_finder(seed, n):
@@ -452,13 +455,14 @@ def block_finder(seed, n):
 
 
 def test_bb84_quota_folds_blocks_walked_on_threads(monkeypatch):
-    # under the splitting attack thread t of 3 walks blocks t and t + 3, the
-    # calling thread being thread 0, and the quota folds them in round order
-    # into the one-job leaves
+    # under the splitting attack at 3 jobs the quota, met in the third
+    # block, walks one span of 3 blocks, block t on thread t, the calling
+    # thread being thread 0, then the last block with no codes; a run that
+    # keeps its codes walks every round at once and takes them in order
     cfg = PNS_CASES["third-block"]
     base = protocol.run(cfg, pns_attack(), keep_codes=True)
     block = block_finder(cfg.rng_seed, cfg.rounds)
-    walked, received, folded = {}, [], []
+    walked, spans = {}, []
     walk_chain, walk = kernels._walk_chain, protocol._walk
 
     def spy_chain(plan, raw):
@@ -466,24 +470,77 @@ def test_bb84_quota_folds_blocks_walked_on_threads(monkeypatch):
         walked[block(raw)] = threading.current_thread()
         return walk_chain(plan, raw)
 
-    def spy_walk(plan, fields, seed, n, jobs, keep_codes, fold=None):
-        def spy_fold(piece):
-            received.append(piece.size)
-            folded.append(fold(piece))
-            return folded[-1]
-        return walk(plan, fields, seed, n, jobs, keep_codes, spy_fold)
+    def spy_walk(plan, fields, seed, n, jobs, keep_codes, lo=0):
+        spans.append((lo, n, keep_codes))
+        return walk(plan, fields, seed, n, jobs, keep_codes, lo)
 
     monkeypatch.setattr(kernels, "_walk_chain", spy_chain)
     monkeypatch.setattr(protocol, "_walk", spy_walk)
-    report = protocol.run(cfg, pns_attack(), jobs=3, keep_codes=True)
+    report = protocol.run(cfg, pns_attack(), jobs=3)
     caller = threading.current_thread()
+    assert spans == [(0, 3 * kernels.BLOCK, True),
+                     (3 * kernels.BLOCK, cfg.rounds, False)]
     assert sorted(walked) == [0, 1, 2, 3]
     assert walked[0] is caller and walked[3] is caller
     assert len({caller, walked[1], walked[2]}) == 3
-    assert received == 3 * [kernels.BLOCK] + [17]
-    assert np.array_equal(np.concatenate(folded), base.codes)
+    assert report.metrics == base.metrics
+    assert report.categories == base.categories
+    spans.clear()
+    report = protocol.run(cfg, pns_attack(), jobs=3, keep_codes=True)
+    assert spans == [(0, cfg.rounds, True)]
     assert np.array_equal(report.codes, base.codes)
     assert report.metrics == base.metrics
+
+
+@pytest.mark.parametrize("edge", ["first-block", "first-span", "one"])
+def test_bb84_quota_edges_match_reference_fold(edge):
+    """Codes and histogram of a quota met at a span's edge or at once, at
+    1, 2 and 3 jobs with and without kept codes, are those of the
+    reference fold of the quota-free leaves, whose records are the
+    reference walk's."""
+    cfg = PNS_CFG
+    tab, _meta = protocol.build_bb84_tables(cfg, pns_attack())
+    plan, leaves = protocol._bb84_chain(tab)
+    forwarded = leaves["forwarded"] == 1
+    free, _counts, _fields = kernels._walk(plan, leaves, cfg.rng_seed,
+                                           cfg.rounds, 1, True)
+    two = np.cumsum(forwarded[free])
+    # the quota is met at the end of the first block, at the end of the
+    # first span at two jobs, or at the run's first two-photon pulse
+    met = {"first-block": kernels.BLOCK, "first-span": 2 * kernels.BLOCK,
+           "one": int(np.argmax(two > 0)) + 1}[edge]
+    quota = int(two[met - 1])
+    assert 0 < quota < two[-1]
+    tab = dataclasses.replace(tab, quota=quota)
+    expected = oracles.bb84_quota(free, forwarded, quota)
+    histogram = np.bincount(expected,
+                            minlength=forwarded.size + forwarded.sum())
+    for jobs in (1, 2, 3):
+        for keep_codes in (False, True):
+            codes, counts, fields = protocol.simulate_bb84(
+                tab, cfg.rng_seed, cfg.rounds, jobs, keep_codes)
+            assert np.array_equal(counts, histogram), (jobs, keep_codes)
+            if keep_codes:
+                assert np.array_equal(codes, expected), jobs
+            else:
+                assert codes is None
+    rec = oracles.bb84_walk(tab, kernels.round_uniforms(cfg.rng_seed, 0,
+                                                        cfg.rounds))
+    for key, value in rec.items():
+        assert np.array_equal(fields[key][expected], value), key
+
+
+@pytest.mark.parametrize("cfg", [
+    ProtocolConfig(rounds=10, n_max=2),
+    dataclasses.replace(PNS_CFG, rounds=10),
+    ProtocolConfig(variant="b92", rounds=10),
+], ids=["two-way", "bb84-pns", "b92"])
+def test_nonpositive_jobs_are_refused(cfg):
+    attack = pns_attack if cfg.variant == "bb84" else identity_attack
+    for jobs in (0, -2):
+        with pytest.raises(ValueError) as raised:
+            protocol.run(cfg, attack(), jobs=jobs)
+        assert str(raised.value) == f"jobs must be at least 1, not {jobs}"
 
 
 class WalkFault(Exception):
@@ -503,8 +560,8 @@ def coin_walk():
 def walk_within(*args, **kwargs):
     """``kernels._walk(*args, **kwargs)`` on a thread of its own that must
     end within a minute, so that a walk that never returns, such as one
-    whose fold's turn loses a wake-up, fails the test; its result, or its
-    exception raised here."""
+    left joining a thread that never ends, fails the test; its result, or
+    its exception raised here."""
     done = {}
 
     def run():
@@ -553,101 +610,27 @@ def test_worker_error_is_raised_in_the_calling_thread(monkeypatch, jobs):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("jobs", [2, 3])
-def test_fold_error_stops_the_workers(monkeypatch, jobs):
-    # the fold raises on block 1 once the calling thread has walked block
-    # jobs, its second, whose fold must wait for its turn
+def test_thread_that_will_not_start_is_raised(monkeypatch):
+    # thread 2 of 3 cannot start; the walk raises that error once thread 1
+    # is joined
     plan, fields = coin_walk()
-    block = block_finder(5, LONG_ROUNDS)
-    walk_chain = kernels._walk_chain
-    waiting = threading.Event()
-
-    def spy_chain(plan, raw):
-        piece = walk_chain(plan, raw)
-        if block(raw) == jobs:
-            waiting.set()
-        return piece
-
-    folded = []
-
-    def fold(piece):
-        folded.append(piece.size)
-        if len(folded) == 2:
-            assert waiting.wait(timeout=30)
-            raise WalkFault("fold")
-        return piece
-
-    monkeypatch.setattr(kernels, "_walk_chain", spy_chain)
-    before = threading.active_count()
-    with pytest.raises(WalkFault, match="fold"):
-        walk_within(plan, fields, 5, LONG_ROUNDS, jobs, False, fold)
-    assert folded == [kernels.BLOCK, kernels.BLOCK]
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("fold", [None, lambda piece: piece],
-                         ids=["no-fold", "fold"])
-def test_thread_that_will_not_start_is_raised(monkeypatch, fold):
-    # thread 2 of 3 cannot start, with a fold once thread 1 waits for the
-    # turn of block 0; the walk raises that error once thread 1 is joined
-    plan, fields = coin_walk()
-    started, waiting = [], threading.Event()
-
-    class Watched(threading.Condition):
-        def wait(self, timeout=None):
-            # set under the lock, which the failed start must take
-            waiting.set()
-            return super().wait(timeout)
+    started = []
 
     class Unstartable(threading.Thread):
         def start(self):
             started.append(self)
             if len(started) == 2:
-                assert fold is None or waiting.wait(timeout=30)
                 raise RuntimeError("can't start new thread")
             super().start()
 
     # only the walk's threads: walk_within's own starts as usual
-    monkeypatch.setattr(kernels, "threading", types.SimpleNamespace(
-        Condition=Watched, Thread=Unstartable))
+    monkeypatch.setattr(kernels, "threading",
+                        types.SimpleNamespace(Thread=Unstartable))
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="can't start"):
-        walk_within(plan, fields, 5, LONG_ROUNDS, 3, True, fold)
+        walk_within(plan, fields, 5, LONG_ROUNDS, 3, True)
     assert len(started) == 2 and not started[0].is_alive()
     assert threading.active_count() == before
-
-
-def test_blocks_fold_in_round_order_on_the_thread_that_walked_them(
-        monkeypatch):
-    plan, fields = coin_walk()
-    block = block_finder(5, LONG_ROUNDS)
-    walk_chain = kernels._walk_chain
-    walked, last, folds = {}, {}, []
-
-    def spy_chain(plan, raw):
-        walker, b = threading.current_thread(), block(raw)
-        walked[b], last[walker] = walker, b
-        return walk_chain(plan, raw)
-
-    def fold(piece):
-        walker = threading.current_thread()
-        folds.append((last[walker], walker))
-        return piece
-
-    monkeypatch.setattr(kernels, "_walk_chain", spy_chain)
-    # three threads on fewer cores, switched often, so that turns interleave
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        codes, counts, _ = walk_within(plan, fields, 5, LONG_ROUNDS, 3, True,
-                                       fold)
-    finally:
-        sys.setswitchinterval(interval)
-    blocks = len(range(0, LONG_ROUNDS, kernels.BLOCK))
-    assert [b for b, _walker in folds] == list(range(blocks))
-    assert all(walker is walked[b] for b, walker in folds)
-    assert len({walker for _b, walker in folds}) == 3
-    assert np.array_equal(counts, np.bincount(codes, minlength=counts.size))
 
 
 @pytest.mark.parametrize("cfg", [
@@ -803,7 +786,7 @@ def law_cases():
 
 @pytest.mark.parametrize("cfg,mk", law_cases())
 def test_sampled_leaves_follow_the_exact_law(cfg, mk):
-    # bb84-pns walks without its quota fold, so its law is the pre-quota one
+    # bb84-pns walks without its quota, so its law is the pre-quota one
     plan, fields = walk_chain(cfg, mk())
     law = oracles.plan_law(plan)
     assert law.size == next(iter(fields.values())).size

@@ -8,8 +8,9 @@ must peak below ``PEAK_MB``; materialising the run's uniforms alone would
 take 320 MB, and its leaves 4 MB.  Four times the rounds may add no more
 than ``GROWTH_MB`` to the peak.
 
-A 4,000,000-round BB84 run under the splitting attack, whose quota is
-folded over the blocks in round order, must peak below ``PEAK_MB`` too.
+A 4,000,000-round BB84 run under the splitting attack, whose quota walks
+spans of blocks in round order until it is met, must peak below
+``PEAK_MB`` too.
 
 A run with ``--round-log always`` keeps its codes and renders its round
 log a step of rounds at a time, each step written to the file before the
@@ -82,7 +83,7 @@ def test_large_two_way_run_stays_small(unlogged_peak_kb):
 
 
 def test_large_bb84_pns_run_stays_small(tmp_path):
-    # the splitting quota is folded over blocks walked on two threads; the
+    # the splitting quota walks spans of two blocks on two threads; the
     # bundled expectations are absolute counts for 1e6 rounds, so they go
     text = (SCENARIOS / "bb84-pns.scn").read_text("utf-8")
     scenario = tmp_path / "bb84-pns.scn"

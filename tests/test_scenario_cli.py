@@ -725,8 +725,11 @@ class TestCli:
         ("rounds = 300\n[protocol]\n", "File contains no section headers."),
         ("[protocol]\nrounds = 300\nrounds\n",
          "Source contains parsing errors"),
+        ("[DEFAULT]\nrounds = 300\n[protocol]\nn_max = 2\n",
+         "unknown section [DEFAULT]"),
+        ("[DEFAULT]\nrounds = 300\n", "unknown section [DEFAULT]"),
     ], ids=["repeated-key", "repeated-section", "no-section-header",
-            "not-a-key"])
+            "not-a-key", "default-above-protocol", "default-alone"])
     def test_malformed_file_exits_two(self, tmp_path, capsys, text, message):
         path = write(tmp_path, text)
         out = tmp_path / "out"
