@@ -53,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="machine report format")
     run_p.add_argument("--jobs", type=int, default=1,
                        help="threads, the calling one included, that walk "
-                            "blocks of rounds")
+                            "blocks of rounds, at most one per CPU the "
+                            "process may use")
     run_p.add_argument("--round-log", choices=("auto", "always", "never"),
                        default="auto", help="per-round records in the report")
 
@@ -94,8 +95,10 @@ def _cmd_run(args) -> int:
               f"in the file-system encoding {sys.getfilesystemencoding()!r}",
               file=sys.stderr)
         return EXIT_CONFIG
-    if any(sep and sep in scenario.name for sep in (os.sep, os.altsep)):
-        # a path would put the report files outside --out-dir
+    if (any(sep and sep in scenario.name for sep in (os.sep, os.altsep))
+            or any(c < " " or c == "\x7f" for c in scenario.name)):
+        # a path would put the report files outside --out-dir, and a control
+        # character, a newline or NUL among them, has no place in a file name
         print(f"error: {scenario.path}: scenario name {scenario.name!r} "
               f"must be a plain file name", file=sys.stderr)
         return EXIT_CONFIG

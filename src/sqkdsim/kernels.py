@@ -1,31 +1,33 @@
 """Monte-Carlo plan walker: a vectorized walk of rounds down a chain of
 categorical stages.
 
-A caller lays out one round as a chain of ``(slot, stage)`` steps.  A
-stage holds one row per parent with the cumulative probabilities of its
-branches, and reads the round's draw ``slot``; a round with uniform ``x``
-takes the first branch whose cumulative value exceeds ``x``, or the row's
-last branch.  The branch it takes is its parent row at the next stage, so
-a walk is a chain of picks with no index maps between them.  ``_split``
-builds such a chain path by path: a level gives each path so far a row of
-a table, a coin (``_coin``; branch 0 on a hit) or one certain branch, and
-the path's fields move to the level's branches.
+A caller lays out one round as a chain of ``(slot, level)`` steps.  A
+level is its float rows ``(off, cum)``: one row per parent with the
+cumulative probabilities of its branches.  It reads the round's draw
+``slot``; a round with uniform ``x`` takes the first branch whose
+cumulative value exceeds ``x``, or the row's last branch.  The branch it
+takes is its parent row at the next level, so a walk is a chain of picks
+with no index maps between them.  ``_split`` lays out such a chain path by
+path: a level gives each path so far a row of a table, a coin (``_coin``;
+branch 0 on a hit) or one certain branch, and the path's fields move to
+the level's branches.
 
 Rows are non-decreasing, so that branch is the row start plus the number
-of the row's thresholds that ``x`` has passed.  Each stage is therefore
-walked as a threshold matrix, one column per parent padded with a value
-no draw reaches: a pick over a whole block of rounds is a few
+of the row's thresholds that ``x`` has passed.  Each level is therefore
+walked as a stage, a threshold matrix with one column per parent padded
+with a value no draw reaches: a pick over a whole block of rounds is a few
 gather-compare-add passes, with no per-parent masks and no sorting.
 
-At set-up ``_chain`` folds a stage whose rows all have one branch, a
+At set-up ``_chain`` alone compiles the levels into stages, for the rows
+a walk can reach, and folds a stage whose rows all have one branch, a
 constant coin among them, into the rows of the next stage or into the
 leaves, so a block draws only where a stage needs a draw.  A stage whose
 thresholds take a few distinct values counts the values a word exceeds,
 with no gather; the counts of such stages form one mixed-radix byte per
 round, by which the next stage's rows and the leaves are numbered.  A
 round's outcome is its leaf: the walk index left after the last step,
-which names the round's whole path.  ``_leaves`` gives each path field's
-value at each leaf.
+which names the round's whole path, and ``_chain`` gives each path
+field's value at each leaf.
 
 Rounds are walked in fixed blocks of ``BLOCK`` rounds on ``jobs``
 threads, the calling thread among them, each running the same loop:
@@ -47,8 +49,8 @@ first word and ``Philox.advance`` moves it past the other threads' blocks.
 The walk compares raw 64-bit words with integers:
 ``Generator.random`` would make the uniform ``u = (raw >> 11) * 2**-53``
 of a draw ``raw``, and ``round_uniforms`` returns those doubles for
-reference walks.  Every probability ``p`` is turned once into the word
-threshold ``K = ceil(p * 2**53)`` (``word_thresholds``), so
+reference walks.  ``_chain`` turns every probability ``p`` once into the
+word threshold ``K = ceil(p * 2**53)`` (``word_thresholds``), so
 ``raw >> 11 >= K`` exactly when ``u >= p``, and then into the raw threshold
 ``T = K * 2**11 - 1``, so ``raw > T`` exactly when ``raw >> 11 >= K``.  A
 threshold with ``K = 0`` is passed by every word and is counted into its
@@ -115,52 +117,37 @@ def word_thresholds(p) -> np.ndarray:
     return np.ceil(np.clip(p, 0.0, 1.0) * WORD_ONE).astype(np.uint64)
 
 
-def raw_thresholds(K: np.ndarray) -> np.ndarray:
-    """Raw thresholds ``T = K * 2**11 - 1`` of word thresholds
-    ``0 < K <= 2**53``: a raw word ``r`` has ``r > T`` exactly when
-    ``r >> 11 >= K``.  ``K = 2**53`` gives ``RAW_MAX``."""
-    # uint64 arrays wrap: 2**53 << 11 is 0, and 0 - 1 is RAW_MAX
-    K = np.asarray(K, dtype=np.uint64)
-    return (K << np.uint64(RAW_SHIFT)) - np.uint64(1)
-
-
 @dataclass
 class Stage:
     """One categorical stage as a threshold matrix over raw words.
 
     A round at parent ``p`` with raw word ``x`` takes branch
-    ``start[p] + #{j : x > thresholds[j, p]}``.  Column ``p`` holds the raw
-    thresholds of all but the last cumulative value of row ``p``, padded
-    with ``RAW_MAX``, which no word exceeds; a value that every word passes
-    (word threshold 0) is counted into ``start[p]`` instead.  A stage of
-    depth 0 needs no draw: each parent's branch is its start.
+    ``start[p] + #{j : x > thresholds[j, p]}``.  Column ``p`` holds the
+    sorted raw thresholds of all but the last cumulative value of row
+    ``p``, padded with ``RAW_MAX``, which no word exceeds; a value that
+    every word passes (word threshold 0) is counted into ``start[p]``
+    instead.  A stage of depth 0 needs no draw: each parent's branch is its
+    start.
     """
     start: np.ndarray        # (parents,) intp
     thresholds: np.ndarray   # (depth, parents) uint64
     branches: int            # branches over all rows
 
     @classmethod
-    def from_rows(cls, off: np.ndarray, cum: np.ndarray) -> "Stage":
-        start = np.asarray(off[:-1], dtype=np.intp)
-        widths = np.diff(off)
-        depth = int(widths.max(initial=1)) - 1
-        p = np.full((depth, start.size), np.inf)
-        for j in range(depth):
-            has = widths - 1 > j
-            p[j, has] = cum[start[has] + j]
-        K = word_thresholds(p)
-        passed = K == 0
-        K[passed] = WORD_ONE
-        return cls(start + passed.sum(axis=0), raw_thresholds(K),
+    def of(cls, off: np.ndarray, cum: np.ndarray, rows: np.ndarray) -> "Stage":
+        """The stage whose parent ``i`` is row ``rows[i]`` of the level
+        ``(off, cum)``, dropping the threshold rows that no word passes."""
+        off = np.asarray(off, dtype=np.intp)
+        start, widths = off[rows], np.diff(off)[rows]
+        j = np.arange(int(widths.max(initial=1)) - 1)[:, None]
+        has = j < widths - 1
+        K = word_thresholds(np.where(has, cum[np.where(has, start + j, 0)],
+                                     np.inf))
+        # raw > K * 2**11 - 1 exactly when raw >> 11 >= K; uint64 wraps, so
+        # K = 0 and K = 2**53 both give RAW_MAX
+        T = np.sort((K << np.uint64(RAW_SHIFT)) - np.uint64(1), axis=0)
+        return cls(start + (K == 0).sum(axis=0), T[(T < RAW_MAX).any(axis=1)],
                    int(off[-1]))
-
-    def columns(self, parents: np.ndarray) -> "Stage":
-        """The stage whose row ``i`` is this stage's row ``parents[i]``,
-        with each column's thresholds sorted and the rows that no word can
-        pass dropped."""
-        thresholds = np.sort(self.thresholds[:, parents], axis=0)
-        keep = (thresholds < RAW_MAX).any(axis=1)
-        return Stage(self.start[parents], thresholds[keep], self.branches)
 
     def pick(self, x: np.ndarray, parent: np.ndarray) -> np.ndarray:
         """Branch index of each raw word in ``x`` at its parent row."""
@@ -170,50 +157,42 @@ class Stage:
         return k
 
 
-def _chain(steps):
-    """The draws of a walk of ``(slot, stage)`` steps, and the path of each
-    walk index.
+def _chain(steps, **fields: np.ndarray):
+    """The draws of a walk of ``(slot, (off, cum))`` steps, and each record
+    field of ``fields``, given per path, at each leaf.
 
-    Each stage's rows are the branches of the stage before it, and the
-    first stage has one row.  A block keeps one walk index per round, and
+    Each level's rows are the branches of the level before it, and the
+    first level has one row.  A block keeps one walk index per round, and
     the index left after the last step is the round's leaf.  A stage of
     depth 0 needs no draw: it is folded into the rows of the next stage, or
     into the leaves.  A stage whose thresholds take few distinct values
-    (its levels) counts the levels a word passes, with no gather: the walk
-    index becomes ``index * (levels + 1) + count``, a mixed-radix number
-    small enough for one byte.  Any other stage gathers its thresholds by
-    the walk index, which becomes the branch.  Returns the steps that draw,
-    and the last stage's branch at each leaf.
+    counts the values a word passes, with no gather: the walk index becomes
+    ``index * (values + 1) + count``, a mixed-radix number small enough for
+    one byte.  Any other stage gathers its thresholds by the walk index,
+    which becomes the branch.
     """
     plan = []
     branch = np.zeros(1, dtype=np.intp)   # the branch at each walk index
-    for slot, stage in steps:
-        stage = stage.columns(branch)
+    for slot, (off, cum) in steps:
+        stage = Stage.of(off, cum, branch)
         depth = stage.thresholds.shape[0]
         if depth == 0:
             branch = stage.start
             continue
         # distinct thresholds by sort, as np.unique would import numpy.ma
-        levels = np.sort(stage.thresholds[stage.thresholds < RAW_MAX])
-        levels = levels[np.diff(levels, prepend=RAW_MAX) != 0]
+        values = np.sort(stage.thresholds[stage.thresholds < RAW_MAX])
+        values = values[np.diff(values, prepend=RAW_MAX) != 0]
         # a gathered row costs a gather, a compare and an add per round, a
-        # counted level one compare and a byte add
-        if levels.size <= 3 * depth and branch.size * (levels.size + 1) < 256:
-            passed = (stage.thresholds[:, :, None] <= levels).sum(axis=0)
+        # counted value one compare and a byte add
+        if values.size <= 3 * depth and branch.size * (values.size + 1) < 256:
+            passed = (stage.thresholds[:, :, None] <= values).sum(axis=0)
             branch = (stage.start[:, None]
                       + np.pad(passed, ((0, 0), (1, 0)))).ravel()
-            plan.append((slot, levels))
+            plan.append((slot, values))
         else:
             plan.append((slot, stage))
             branch = np.arange(stage.branches)
-    return plan, branch
-
-
-def _leaves(steps, **fields: np.ndarray):
-    """The draws of a walk of ``steps`` (see ``_chain``), and each record
-    field of ``fields``, given per path, at each leaf."""
-    plan, path = _chain(steps)
-    return plan, {name: values[path] for name, values in fields.items()}
+    return plan, {name: v[branch] for name, v in fields.items()}
 
 
 def _walk_chain(plan, raw: np.ndarray) -> np.ndarray:
@@ -226,8 +205,8 @@ def _walk_chain(plan, raw: np.ndarray) -> np.ndarray:
             k = step.pick(x, k.astype(np.intp, copy=False))
         else:
             k *= step.size + 1
-            for level in step:
-                np.greater(x, level, out=passed)
+            for value in step:
+                np.greater(x, value, out=passed)
                 np.add(k, passed.view(np.uint8), out=k)
     return k
 
@@ -297,10 +276,11 @@ def _coin(p: float) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _split(f: Dict[str, np.ndarray], off: np.ndarray, cum: np.ndarray, rows,
-           **payload) -> Stage:
-    """The level that gives each path its row ``rows`` of ``(off, cum)``,
-    copied as it is.  ``f``, each field's value per path, moves to the
-    level's branches and gains ``payload``, fields by table branch."""
+           **payload) -> Tuple[np.ndarray, np.ndarray]:
+    """The level, offsets and cumulative values, that gives each path its
+    row ``rows`` of ``(off, cum)``, copied as it is.  ``f``, each field's
+    value per path, moves to the level's branches and gains ``payload``,
+    fields by table branch."""
     rows = np.broadcast_to(np.asarray(rows, dtype=np.intp),
                            max((v.size for v in f.values()), default=1))
     widths = np.diff(off)[rows]
@@ -309,4 +289,4 @@ def _split(f: Dict[str, np.ndarray], off: np.ndarray, cum: np.ndarray, rows,
     taken = (off[rows] - first)[parent] + np.arange(parent.size)
     f.update({name: values[parent] for name, values in f.items()})
     f.update({name: np.asarray(v)[taken] for name, v in payload.items()})
-    return Stage.from_rows(np.append(first, parent.size), cum[taken])
+    return np.append(first, parent.size), cum[taken]

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -76,8 +77,8 @@ from .joint import (
 )
 from .kernels import (
     BLOCK,
+    _chain,
     _coin,
-    _leaves,
     _split,
     _walk,
     Walk,
@@ -444,7 +445,7 @@ def _ca_chain(tab: CaTables):
                             pattern=tab.bob_pat)))
     steps.append((9, _split(f, *_coin(tab.test_fraction), 0, test=[1, 0, 0])))
     # readout is -1 on CTRL rounds
-    return _leaves(
+    return _chain(
         steps, emit=f["emit"], action=f["action"], readout=f["readout"],
         basis=f["basis"], pattern=f["pattern"],
         test=f["test"] & f["action"] & (f["basis"] == 0) & (f["kind"] == 0),
@@ -702,7 +703,7 @@ def _bb84_chain(tab: Bb84Tables):
         np.append(tab.meas_cum, 1.0),
         np.where(f["m"] > 0, rows, tab.meas_off.size - 1),
         pattern=np.append(tab.meas_pat, 0))))
-    return _leaves(
+    return _chain(
         steps, bit=f["bit"], basis=f["basis"], pulse_size=f["size"],
         forwarded=f["forwarded"], bob_basis=f["bob_basis"],
         pattern=f["pattern"],
@@ -848,7 +849,7 @@ def _b92_chain(tab: B92Tables):
     steps.append((5, _split(f, *conclusive, (f["arrived"] == 0)
                             | (f["bob_basis"] == f["bit"]),
                             conclusive=[1, 0, 0])))
-    return _leaves(
+    return _chain(
         steps, bit=f["bit"], arrived=f["arrived"], bob_basis=f["bob_basis"],
         conclusive=f["conclusive"],
         bob_bit=np.where(f["conclusive"] == 1, 1 - f["bob_basis"], -1),
@@ -897,6 +898,13 @@ def _b92_aggregate(config: ProtocolConfig, tables: B92Tables,
 # the run driver
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run(config: ProtocolConfig, attack: AttackSpec,
         jobs: int = 1, keep_codes: bool = False) -> RunReport:
     """Monte-Carlo run of the configured variant.
@@ -904,7 +912,9 @@ def run(config: ProtocolConfig, attack: AttackSpec,
     The variant's builder validates the config and evaluates the branch
     tables, its walker samples the rounds, and its aggregator turns the
     histogram of leaves into the report.  The report holds per-round
-    codes only if ``keep_codes``.
+    codes only if ``keep_codes``.  The walk takes at most ``jobs`` threads,
+    and no more than the CPUs the process may run on: more would only add
+    memory.
     """
     # module globals looked up per call, so a rebound name is the one run
     if config.variant == BB84:
@@ -914,8 +924,8 @@ def run(config: ProtocolConfig, attack: AttackSpec,
     else:
         build, walk, aggregate = build_ca_tables, simulate_ca, _ca_aggregate
     tables, meta = build(config, attack)
-    codes, w, fields = walk(tables, config.rng_seed, config.rounds, jobs=jobs,
-                            keep_codes=keep_codes)
+    codes, w, fields = walk(tables, config.rng_seed, config.rounds,
+                            jobs=min(jobs, _cpus()), keep_codes=keep_codes)
     metrics, categories, fields = aggregate(config, tables, meta, w, fields)
     return RunReport(variant=config.variant, rounds=int(w.sum()),
                      seed=config.rng_seed, metrics=metrics,

@@ -636,7 +636,7 @@ def plan_law(plan) -> np.ndarray:
     ``kernels._chain``: the mass of each walk index, carried through the
     steps.  Branch ``c`` of a row takes ``P(pass c-1) - P(pass c)`` of the
     row's mass, over its sorted thresholds; a ``Stage`` row's branch is its
-    start plus ``c``, a counted step's is ``index * (levels + 1) + c``.
+    start plus ``c``, a counted step's is ``index * (values + 1) + c``.
     Padded thresholds are passed by no word, so their branches take none."""
     mass = np.ones(1)
     for _slot, step in plan:
@@ -652,6 +652,23 @@ def plan_law(plan) -> np.ndarray:
         taken = share > 0
         mass = np.bincount(branch[taken], weights=(share * mass)[taken],
                            minlength=step.branches)
+    return mass
+
+
+def path_law(steps) -> np.ndarray:
+    """Probability of each path of a chain of ``(slot, (off, cum))`` levels,
+    the float rows that ``kernels._chain`` compiles: each level's branch
+    probabilities multiplied down the paths.  A branch takes its cumulative
+    value less the one before it in its row, values clipped to [0, 1], and
+    a row's last branch takes the rest of 1, as the walk does."""
+    mass = np.ones(1)
+    for _slot, (off, cum) in steps:
+        assert mass.size == off.size - 1
+        share = np.empty(off[-1])
+        for lo, hi in zip(off[:-1], off[1:]):
+            share[lo:hi] = np.diff(np.clip(cum[lo:hi - 1], 0.0, 1.0),
+                                   prepend=0.0, append=1.0)
+        mass = np.repeat(mass, np.diff(off)) * share
     return mass
 
 

@@ -114,6 +114,14 @@ CA_CASES = [
 ]
 
 
+@pytest.fixture
+def many_cpus(monkeypatch):
+    """``protocol.run`` caps its jobs at the CPUs the process may use; a
+    test of 3 or 7 jobs lifts the cap, so that it starts that many threads
+    on any machine."""
+    monkeypatch.setattr(protocol, "_cpus", lambda: 8)
+
+
 @pytest.mark.parametrize("name,cfg,mk", CA_CASES, ids=[c[0] for c in CA_CASES])
 def test_two_way_matches_reference_walk(name, cfg, mk):
     assert_matches_reference(cfg, mk)
@@ -126,6 +134,7 @@ def test_bb84_matches_reference_walk():
         assert_matches_reference(cfg, attack)
 
 
+@pytest.mark.usefixtures("many_cpus")
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_bb84_lossless_hits_match_reference_walk(jobs):
     """Without loss most rounds reach Bob, a third of them as two-photon
@@ -149,6 +158,7 @@ def test_b92_matches_reference_walk():
 BLOCKED_ROUNDS = 3 * kernels.BLOCK + 17
 
 
+@pytest.mark.usefixtures("many_cpus")
 @pytest.mark.parametrize("jobs", [2, 3, 7])
 def test_worker_count_does_not_change_results(jobs):
     cfg = ProtocolConfig(rounds=BLOCKED_ROUNDS, rng_seed=29, transmission=0.6,
@@ -179,6 +189,7 @@ FOLD_CASES = [
 ]
 
 
+@pytest.mark.usefixtures("many_cpus")
 @pytest.mark.parametrize("jobs", [1, 3])
 @pytest.mark.parametrize("name,cfg,mk", FOLD_CASES,
                          ids=[c[0] for c in FOLD_CASES])
@@ -393,6 +404,7 @@ def test_two_way_levels_chain(name, cfg, mk):
         assert np.max(np.abs(cum[off[1:] - 1] - 1.0)) <= 1e-12
 
 
+@pytest.mark.usefixtures("many_cpus")
 @pytest.mark.parametrize("rounds", [1, 7])
 def test_tiny_runs_match_reference_walk(rounds):
     cfg = ProtocolConfig(rounds=rounds, rng_seed=32, transmission=0.6,
@@ -423,6 +435,7 @@ def pns_references():
             for name, cfg in PNS_CASES.items()}
 
 
+@pytest.mark.usefixtures("many_cpus")
 @pytest.mark.parametrize("jobs", [1, 3, 7])
 def test_bb84_quota_carries_across_blocks(jobs, pns_references):
     for name, cfg in PNS_CASES.items():
@@ -454,6 +467,7 @@ def block_finder(seed, n):
     return lambda raw: first[raw[0].tobytes()]
 
 
+@pytest.mark.usefixtures("many_cpus")
 def test_bb84_quota_folds_blocks_walked_on_threads(monkeypatch):
     # under the splitting attack at 3 jobs the quota, met in the third
     # block, walks one span of 3 blocks, block t on thread t, the calling
@@ -543,6 +557,47 @@ def test_nonpositive_jobs_are_refused(cfg):
         assert str(raised.value) == f"jobs must be at least 1, not {jobs}"
 
 
+def test_jobs_are_capped_at_the_cpus(monkeypatch):
+    """On 2 CPUs a run at 64 jobs walks as one at 2 jobs: a two-way run of
+    5 blocks starts one thread beside the calling one, and BB84 under the
+    splitting quota walks spans of 2 blocks; both give the 1-job output."""
+    monkeypatch.setattr(protocol, "_cpus", lambda: 2)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(kernels, "threading",
+                        types.SimpleNamespace(Thread=Counted))
+    cfg = ProtocolConfig(rounds=5 * kernels.BLOCK, rng_seed=49,
+                         transmission=0.6, n_max=2)
+    base = run(cfg, identity_attack(), jobs=1, keep_codes=True)
+    assert not started
+    assert_identical(base, run(cfg, identity_attack(), jobs=64,
+                               keep_codes=True))
+    assert len(started) == 1
+
+    cfg = PNS_CASES["third-block"]
+    base = run(cfg, pns_attack())
+    spans = []
+    walk = protocol._walk
+
+    def spy_walk(plan, fields, seed, n, jobs, keep_codes, lo=0):
+        spans.append((lo, n, jobs))
+        return walk(plan, fields, seed, n, jobs, keep_codes, lo)
+
+    monkeypatch.setattr(protocol, "_walk", spy_walk)
+    capped = run(cfg, pns_attack(), jobs=64)
+    # the quota is met in the third block, so in the second span
+    assert spans == [(0, 2 * kernels.BLOCK, 2),
+                     (2 * kernels.BLOCK, cfg.rounds, 2),
+                     (cfg.rounds, cfg.rounds, 2)]
+    assert capped.metrics == base.metrics
+    assert capped.categories == base.categories
+
+
 class WalkFault(Exception):
     pass
 
@@ -553,8 +608,7 @@ LONG_ROUNDS = 12 * kernels.BLOCK + 5
 
 def coin_walk():
     """The plan and fields of a walk of one coin."""
-    coin = kernels.Stage.from_rows(*kernels._coin(0.3))
-    return kernels._leaves([(0, coin)], leaf=np.arange(3))
+    return kernels._chain([(0, kernels._coin(0.3))], leaf=np.arange(3))
 
 
 def walk_within(*args, **kwargs):
@@ -706,25 +760,27 @@ def test_word_thresholds_are_exact():
         assert int(kernels.word_thresholds(p)) == K
         # row 0 leads with a branch of probability 0, which the stage counts
         # into the row's start; row 1 is [0, p), [p, 1)
-        stage = kernels.Stage.from_rows(np.array([0, 3, 5]),
-                                        np.array([0.0, p, 1.0, p, 1.0]))
+        stage = kernels.Stage.of(np.array([0, 3, 5]),
+                                 np.array([0.0, p, 1.0, p, 1.0]),
+                                 np.array([0, 1]))
         assert np.array_equal(stage.pick(raw, np.zeros(raw.size, np.intp)),
                               1 + passes), K
         assert np.array_equal(stage.pick(raw, np.ones(raw.size, np.intp)),
                               3 + passes), K
-        one_row = kernels.Stage.from_rows(np.array([0, 3]),
-                                          np.array([0.0, p, 1.0]))
-        assert np.array_equal(one_row.pick(raw, np.zeros(raw.size, np.intp)),
+        one_row = np.array([0, 3]), np.array([0.0, p, 1.0])
+        stage = kernels.Stage.of(*one_row, np.array([0]))
+        assert np.array_equal(stage.pick(raw, np.zeros(raw.size, np.intp)),
                               1 + passes), K
         # a walk counts the thresholds a word passes, or folds the stage
-        plan, path = kernels._chain([(0, one_row)])
-        assert np.array_equal(path[kernels._walk_chain(plan, raw[:, None])],
-                              1 + passes), K
+        plan, leaves = kernels._chain([(0, one_row)], path=np.arange(3))
+        assert np.array_equal(
+            leaves["path"][kernels._walk_chain(plan, raw[:, None])],
+            1 + passes), K
         # a coin u < p hits on branch 0, and folds into a constant when K
         # is 0 or 2**53
-        coin = kernels.Stage.from_rows(*kernels._coin(p))
-        plan, path = kernels._chain([(0, coin)])
-        branch = path[kernels._walk_chain(plan, raw[:, None])]
+        plan, leaves = kernels._chain([(0, kernels._coin(p))],
+                                      path=np.arange(3))
+        branch = leaves["path"][kernels._walk_chain(plan, raw[:, None])]
         assert np.array_equal(branch == 0, ~passes), K
         assert (len(plan) == 0) == (K in (0, word_one)), K
         if K == half:
@@ -736,8 +792,7 @@ def test_nan_threshold_raises():
     with pytest.raises(ValueError, match="NaN"):
         kernels.word_thresholds(np.nan)
     with pytest.raises(ValueError, match="NaN"):
-        kernels.Stage.from_rows(np.array([0, 3]),
-                                np.array([0.2, np.nan, 1.0]))
+        kernels._chain([(0, (np.array([0, 3]), np.array([0.2, np.nan, 1.0])))])
 
 
 def test_walk_draws_whole_blocks(monkeypatch):
@@ -782,6 +837,23 @@ def law_cases():
         cases.append(pytest.param(ProtocolConfig(n_max=4), dense,
                                   id=f"dense-attack-{seed}"))
     return cases
+
+
+@pytest.mark.parametrize("cfg,mk", law_cases())
+def test_compiled_thresholds_follow_the_float_rows(monkeypatch, cfg, mk):
+    """The law of the compiled plan, summed over the leaves of each path,
+    is the law of the levels' float rows to within the thresholds'
+    rounding of each probability to a multiple of 2**-53."""
+    steps = []
+    chain = kernels._chain
+    monkeypatch.setattr(protocol, "_chain", lambda levels, **fields: (
+        steps.extend(levels) or chain(levels, **fields)))
+    walk_chain(cfg, mk())
+    law = oracles.path_law(steps)
+    plan, leaves = kernels._chain(steps, path=np.arange(law.size))
+    compiled = np.bincount(leaves["path"], weights=oracles.plan_law(plan),
+                           minlength=law.size)
+    assert np.abs(compiled - law).max() <= 1e-15
 
 
 @pytest.mark.parametrize("cfg,mk", law_cases())

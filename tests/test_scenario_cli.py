@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 import sqkdsim
-from sqkdsim import cli, verify
+from sqkdsim import cli, protocol, verify
 from sqkdsim.attacks import ProbeChannelMap, constrained_random_attack
 from sqkdsim.fock import TruncationError
 from sqkdsim.joint import ChannelBasis
@@ -324,7 +324,10 @@ class TestCli:
         text = report.read_text()
         assert "[metrics]" in text and "[rounds]" in text
 
-    def test_reports_are_byte_identical_across_runs_and_jobs(self, tmp_path):
+    def test_reports_are_byte_identical_across_runs_and_jobs(
+            self, tmp_path, monkeypatch):
+        # 4 jobs start 4 threads whatever the machine's CPUs
+        monkeypatch.setattr(protocol, "_cpus", lambda: 8)
         blobs = []
         for sub, jobs in (("a", "1"), ("b", "1"), ("c", "4")):
             out = tmp_path / sub
@@ -599,9 +602,12 @@ class TestCli:
             "", f"error: {path}: {message.format(odd=odd)}\n")
         assert not out.exists()
 
-    def test_bb84_pns_report_does_not_depend_on_jobs(self, tmp_path):
+    def test_bb84_pns_report_does_not_depend_on_jobs(self, tmp_path,
+                                                     monkeypatch):
         # the quota is met in the run's eighth block, so the fold crosses it
-        # in the middle of the walk; the bundled expectations are left out
+        # in the middle of the walk; the bundled expectations are left out,
+        # and 7 jobs walk spans of 7 blocks whatever the machine's CPUs
+        monkeypatch.setattr(protocol, "_cpus", lambda: 8)
         text = (SCENARIOS / "bb84-pns.scn").read_text("utf-8")
         path = write(tmp_path, text.split("[expectations]", 1)[0])
         blobs = []
@@ -698,16 +704,22 @@ class TestCli:
         assert "Traceback" not in captured.err + captured.out
         assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
-    @pytest.mark.parametrize("name", ["../escaped", "sub/x", "absolute"])
+    @pytest.mark.parametrize("name", [
+        "../escaped", "sub/x", "absolute",
+        pytest.param("evil\n  [metrics]", id="newline"),
+        pytest.param("a\0b", id="nul"),
+        pytest.param("del\x7f", id="del")])
     def test_name_with_a_path_exits_two(self, tmp_path, capsys, name):
         """The report files are named after the scenario inside
-        ``--out-dir``, so a name that is a path is refused before the
-        run."""
+        ``--out-dir``, so a name that is a path, or holds a control
+        character, is refused before the run."""
         if name == "absolute":
             name = str(tmp_path / "elsewhere")
         path = write(tmp_path, "\n".join([
             "[scenario]", f"name = {name}",
             "[protocol]", "rounds = 300", "n_max = 2", ""]))
+        # configparser reads an indented line as the value's next line
+        name = name.replace("\n  ", "\n")
         out = tmp_path / "out"
         assert cli.main(["run", path, "--out-dir", str(out)]) == 2
         captured = capsys.readouterr()
