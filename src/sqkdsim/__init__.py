@@ -33,7 +33,6 @@ from .analysis import (
     b92_conclusive_prob,
     check_constraints,
     eve_leakage,
-    lemma_verify,
     pns_feasibility,
 )
 from .protocol import (
@@ -64,7 +63,6 @@ __all__ = [
     "eve_leakage",
     "general_attack",
     "identity_attack",
-    "lemma_verify",
     "list_attacks",
     "load_scenario",
     "make_basis_state",

@@ -3,26 +3,23 @@
 Everything here is computed from amplitudes, never by sampling: the
 undetectability statements are exact, and tolerances only absorb float
 error.  Monte-Carlo estimates of the same quantities live in the protocol
-runners.
+runners, and the random-attack checks of the undetectability lemma in
+``verify``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .fock import Occupation, X, Z, make_basis_state, parity_state
+from .fock import Occupation, X, Z, make_basis_state
 from .joint import JointState, Pattern, THRESHOLD
-from .attacks import AttackDomainError, AttackSpec, constrained_random_attack
+from .attacks import AttackDomainError, AttackSpec
 
 EXACT_TOL = 1e-10
-#: ``lemma_verify``'s slack on the forward fidelity (``>= 1 - tol``), the
-#: single-photon click prediction and the parity decomposition
-FIDELITY_TOL, PREDICTION_TOL, DECOMPOSITION_TOL = 1e-9, 1e-9, 1e-12
-PROBE_DIMS = (1, 2, 3, 4)  # ``lemma_verify``'s trials take them in turn
 
 
 @dataclass
@@ -178,131 +175,6 @@ def eve_leakage(attack: AttackSpec, n_max: int = 3) -> LeakageReport:
     fid = min(fid, 1.0)
     return LeakageReport(conditional_fidelity=fid,
                          trace_distance=math.sqrt(max(0.0, 1.0 - fid * fid)))
-
-
-@dataclass
-class LemmaSummary:
-    """Outcome of the numerical two-sided undetectability verification.
-
-    ``checks`` holds each of the lemma's conditions once, as ``(name,
-    passed, detail)``, and ``passed`` is whether all of them hold.
-    """
-    forward_max_minus_prob: float = 0.0
-    forward_min_fidelity: float = 1.0
-    converse_min_minus_prob: float = math.inf
-    single_photon_prediction_max_err: float = 0.0
-    decomposition_max_err: float = 0.0
-    passed: bool = False
-    failures: List[str] = field(default_factory=list)
-    checks: List[Tuple[str, bool, str]] = field(default_factory=list)
-
-
-def lemma_verify(n_max: int = 3, trials: int = 200, seed: int = 0
-                 ) -> LemmaSummary:
-    """Two-sided check of the reflection-round undetectability criterion.
-
-    Forward: attacks built to satisfy every constraint never produce a
-    minus-mode click and leak nothing.  Converse: attacks breaking exactly
-    one constraint always produce a strictly positive minus-click
-    probability, equal to half the squared probe mismatch for the
-    single-photon case.  Also re-derives the even/odd split of an n-photon
-    return component numerically.
-    """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2 to exercise every rule")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, not {trials}")
-    summary = LemmaSummary()
-
-    for t in range(trials):
-        d = PROBE_DIMS[t % len(PROBE_DIMS)]
-        attack = constrained_random_attack(seed * 1_000_003 + t, probe_dim=d,
-                                           n_max=n_max)
-        report = check_constraints(attack, n_max=n_max)
-        summary.forward_max_minus_prob = max(summary.forward_max_minus_prob,
-                                             report.bob_minus_click_prob)
-        leak = eve_leakage(attack, n_max=n_max)
-        if leak.conditional_fidelity is None:
-            summary.failures.append(f"forward trial {t}: leakage {leak.detail}")
-        else:
-            summary.forward_min_fidelity = min(summary.forward_min_fidelity,
-                                               leak.conditional_fidelity)
-
-    # a forward trial whose leakage is undefined leaves the fidelity alone
-    leaks = list(summary.failures)
-
-    levels = list(range(2, n_max + 1))
-    for t in range(trials):
-        d = PROBE_DIMS[t % len(PROBE_DIMS)]
-        if t % 2 == 0:
-            attack = constrained_random_attack(
-                seed * 2_000_003 + t, probe_dim=d, n_max=n_max,
-                violation="single-photon-mismatch")
-        else:
-            attack = constrained_random_attack(
-                seed * 2_000_003 + t, probe_dim=d, n_max=n_max,
-                violation="multi-photon-return",
-                violation_level=levels[(t // 2) % len(levels)])
-        report = check_constraints(attack, n_max=n_max)
-        summary.converse_min_minus_prob = min(summary.converse_min_minus_prob,
-                                              report.bob_minus_click_prob)
-        if report.bob_minus_click_prob <= EXACT_TOL:
-            summary.failures.append(
-                f"converse trial {t}: violating attack stayed invisible")
-        if t % 2 == 0:
-            predicted = report.bit_probe_distance ** 2 / 2.0
-            err = abs(report.bob_minus_click_prob - predicted)
-            summary.single_photon_prediction_max_err = max(
-                summary.single_photon_prediction_max_err, err)
-
-    summary.decomposition_max_err = _parity_decomposition_error(n_max, seed)
-
-    fidelity = f"min fidelity {summary.forward_min_fidelity:.12f}"
-    summary.checks = [
-        ("forward-no-minus-clicks",
-         summary.forward_max_minus_prob <= EXACT_TOL,
-         f"{trials} attacks, max prob "
-         f"{summary.forward_max_minus_prob:.2e}"),
-        ("forward-zero-leakage",
-         not leaks and summary.forward_min_fidelity >= 1.0 - FIDELITY_TOL,
-         f"{fidelity}; {leaks[0]}" if leaks else fidelity),
-        # a converse failure is a trial at or below EXACT_TOL: counted here
-        ("converse-always-visible",
-         summary.converse_min_minus_prob > EXACT_TOL,
-         f"{trials} attacks, min prob "
-         f"{summary.converse_min_minus_prob:.2e}"),
-        ("single-photon-click-magnitude",
-         summary.single_photon_prediction_max_err <= PREDICTION_TOL,
-         f"max |observed - mismatch^2/2| = "
-         f"{summary.single_photon_prediction_max_err:.2e}"),
-        ("parity-decomposition",
-         summary.decomposition_max_err <= DECOMPOSITION_TOL,
-         f"max residual {summary.decomposition_max_err:.2e}"),
-    ]
-    summary.passed = all(passed for _name, passed, _detail in summary.checks)
-    return summary
-
-
-def _parity_decomposition_error(n_max: int, seed: int) -> float:
-    """Numerical check that an n-photon return splits over the parity states.
-
-    For probe vectors A, B:  A|0,n> + B|n,0>  equals
-    [(A+B)/sqrt(2)] (|0,n>+|n,0>)/sqrt(2) + [(A-B)/sqrt(2)] (|0,n>-|n,0>)/sqrt(2).
-    """
-    rng = np.random.default_rng(seed + 11)
-    d = 4
-    worst = 0.0
-    for n in range(2, n_max + 1):
-        a = rng.normal(size=d) + 1j * rng.normal(size=d)
-        b = rng.normal(size=d) + 1j * rng.normal(size=d)
-        r = 1.0 / math.sqrt(2.0)
-
-        lhs = (np.outer(a, make_basis_state((0, n), Z, n_max))
-               + np.outer(b, make_basis_state((n, 0), Z, n_max)))
-        rhs = (np.outer((a + b) * r, parity_state(n, "even", Z, n_max))
-               + np.outer((a - b) * r, parity_state(n, "odd", Z, n_max)))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
 
 
 def b92_conclusive_prob(overlap: float) -> float:

@@ -178,6 +178,9 @@ def render_csv(report: RunReport, scenario_name: str,
     """CSV-like row files: (suffix, the file's pieces in order) per file,
     ``rounds.csv`` last when the run kept its codes."""
     metrics = ["metric,value"]
+    if "," in scenario_name or '"' in scenario_name:
+        # quoted as RFC 4180 has it; a name holds no CR or LF
+        scenario_name = '"' + scenario_name.replace('"', '""') + '"'
     metrics.append(f"scenario,{scenario_name}")
     metrics.append(f"variant,{report.variant}")
     metrics.append(f"rounds,{report.rounds}")

@@ -16,8 +16,13 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from . import analysis, fock
+from .attacks import constrained_random_attack
 
 SUITES = ("fock", "lemma", "thresholds", "all")
+#: the lemma suite's slack on the forward fidelity (``>= 1 - tol``), the
+#: single-photon click prediction and the parity decomposition
+FIDELITY_TOL, PREDICTION_TOL, DECOMPOSITION_TOL = 1e-9, 1e-9, 1e-12
+PROBE_DIMS = (1, 2, 3, 4)  # the lemma suite's trials take them in turn
 
 
 @dataclass
@@ -83,10 +88,92 @@ def run_fock(seed: int) -> List[CheckResult]:
     return results
 
 
-def run_lemma(seed: int, trials: int = 200) -> List[CheckResult]:
-    summary = analysis.lemma_verify(n_max=4, trials=trials, seed=seed)
-    return [CheckResult("lemma", name, passed, detail)
-            for name, passed, detail in summary.checks]
+def run_lemma(seed: int, trials: int = 200, n_max: int = 4
+              ) -> List[CheckResult]:
+    """Two-sided check of the reflection-round undetectability criterion.
+
+    Forward: attacks built to satisfy every constraint never produce a
+    minus-mode click and leak nothing.  Converse: attacks breaking exactly
+    one constraint always produce a strictly positive minus-click
+    probability, equal to half the squared probe mismatch for the
+    single-photon case.  Also re-derives the even/odd split of an n-photon
+    return component numerically.
+    """
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2 to exercise every rule")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
+
+    max_minus, min_fidelity, leak = 0.0, 1.0, ""
+    for t in range(trials):
+        attack = constrained_random_attack(
+            seed * 1_000_003 + t, probe_dim=PROBE_DIMS[t % len(PROBE_DIMS)],
+            n_max=n_max)
+        max_minus = max(max_minus, analysis.check_constraints(
+            attack, n_max=n_max).bob_minus_click_prob)
+        report = analysis.eve_leakage(attack, n_max=n_max)
+        # an undefined leakage leaves the fidelity alone; the first one fails
+        if report.conditional_fidelity is not None:
+            min_fidelity = min(min_fidelity, report.conditional_fidelity)
+        elif not leak:
+            leak = f"; forward trial {t}: leakage {report.detail}"
+
+    levels = range(2, n_max + 1)
+    min_minus, max_err = math.inf, 0.0
+    for t in range(trials):
+        violation = ({"violation": "single-photon-mismatch"} if t % 2 == 0
+                     else {"violation": "multi-photon-return",
+                           "violation_level": levels[(t // 2) % len(levels)]})
+        attack = constrained_random_attack(
+            seed * 2_000_003 + t, probe_dim=PROBE_DIMS[t % len(PROBE_DIMS)],
+            n_max=n_max, **violation)
+        report = analysis.check_constraints(attack, n_max=n_max)
+        min_minus = min(min_minus, report.bob_minus_click_prob)
+        if t % 2 == 0:
+            max_err = max(max_err, abs(report.bob_minus_click_prob
+                                       - report.bit_probe_distance ** 2 / 2.0))
+
+    residual = _parity_decomposition_error(n_max, seed)
+    return [
+        CheckResult("lemma", "forward-no-minus-clicks",
+                    max_minus <= analysis.EXACT_TOL,
+                    f"{trials} attacks, max prob {max_minus:.2e}"),
+        CheckResult("lemma", "forward-zero-leakage",
+                    not leak and min_fidelity >= 1.0 - FIDELITY_TOL,
+                    f"min fidelity {min_fidelity:.12f}{leak}"),
+        CheckResult("lemma", "converse-always-visible",
+                    min_minus > analysis.EXACT_TOL,
+                    f"{trials} attacks, min prob {min_minus:.2e}"),
+        CheckResult("lemma", "single-photon-click-magnitude",
+                    max_err <= PREDICTION_TOL,
+                    f"max |observed - mismatch^2/2| = {max_err:.2e}"),
+        CheckResult("lemma", "parity-decomposition",
+                    residual <= DECOMPOSITION_TOL,
+                    f"max residual {residual:.2e}"),
+    ]
+
+
+def _parity_decomposition_error(n_max: int, seed: int) -> float:
+    """Numerical check that an n-photon return splits over the parity states.
+
+    For probe vectors A, B:  A|0,n> + B|n,0>  equals
+    [(A+B)/sqrt(2)] |even> + [(A-B)/sqrt(2)] |odd>, where
+    |even>, |odd> = (|0,n> +- |n,0>)/sqrt(2).
+    """
+    rng = np.random.default_rng(seed + 11)
+    r = 1.0 / math.sqrt(2.0)
+    worst = 0.0
+    for n in range(2, n_max + 1):
+        a = rng.normal(size=4) + 1j * rng.normal(size=4)
+        b = rng.normal(size=4) + 1j * rng.normal(size=4)
+        zero_n, n_zero = (fock.make_basis_state(occ, fock.Z, n_max)
+                          for occ in ((0, n), (n, 0)))
+        even, odd = (fock.parity_state(n, parity, fock.Z, n_max)
+                     for parity in ("even", "odd"))
+        lhs = np.outer(a, zero_n) + np.outer(b, n_zero)
+        rhs = np.outer((a + b) * r, even) + np.outer((a - b) * r, odd)
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
 
 
 def run_thresholds(seed: int) -> List[CheckResult]:

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
-from sqkdsim import analysis
+from sqkdsim import analysis, verify
 from sqkdsim.analysis import (
     b92_breakable,
     b92_conclusive_prob,
     b92_povm_breakable,
     check_constraints,
     eve_leakage,
-    lemma_verify,
     pns_feasibility,
 )
 from sqkdsim.attacks import (
@@ -174,18 +173,27 @@ class TestEveLeakage:
 
 
 class TestLemmaVerify:
+    """``verify``'s lemma suite drives the exact checks above at other photon
+    caps than the CLI's 4."""
+
     @pytest.mark.parametrize("n_max", [3, 4, 5])
     def test_forward_and_converse(self, n_max):
-        summary = lemma_verify(n_max=n_max, trials=40, seed=n_max)
-        assert summary.passed, summary.failures
-        assert summary.forward_max_minus_prob <= 1e-10
-        assert summary.converse_min_minus_prob > 1e-10
-        assert summary.single_photon_prediction_max_err <= 1e-9
-        assert summary.decomposition_max_err <= 1e-12
+        rows = verify.run_lemma(seed=n_max, trials=40, n_max=n_max)
+        assert [row.name for row in rows] == [
+            "forward-no-minus-clicks", "forward-zero-leakage",
+            "converse-always-visible", "single-photon-click-magnitude",
+            "parity-decomposition"]
+        assert all(row.passed for row in rows), rows
 
     def test_rejects_tiny_cap(self):
-        with pytest.raises(ValueError):
-            lemma_verify(n_max=1, trials=1, seed=0)
+        with pytest.raises(ValueError,
+                           match="^n_max must be at least 2 to exercise"):
+            verify.run_lemma(0, trials=1, n_max=1)
+
+    def test_rejects_no_trials(self):
+        with pytest.raises(ValueError,
+                           match="^trials must be at least 1, not 0$"):
+            verify.run_lemma(0, trials=0)
 
 
 class TestThresholds:

@@ -366,6 +366,14 @@ def test_apply_matches_per_column_reference(case):
             assert abs(got.get(key, 0j) - want.get(key, 0j)) <= 1e-12
 
 
+def test_rules_refuse_a_key_both_rewritten_and_passed_through():
+    key = (0, (1, 0))
+    with pytest.raises(ValueError, match=re.escape(
+            "key (0, (1, 0)) both rewritten and passed through")):
+        ProbeChannelMap.from_occupation_rules(
+            {key: [(1, (1, 0), 1.0)]}, identity_keys=[key])
+
+
 def test_dense_map_applies_like_explicit_identity_domain():
     spec, n_max = APPLY_CASES["haar-dim-60"]()
     pairs = _apply_inputs(spec, n_max)
@@ -432,6 +440,13 @@ class TestConstrainedRandom:
             constrained_random_attack(1, 4, n_max=3,
                                       violation="multi-photon-return",
                                       violation_level=7)
+
+    @pytest.mark.parametrize("probe_dim,n_max,message", [
+        (0, 3, "probe dimension must be at least 1"),
+        (4, 0, "photon cap must be at least 1")])
+    def test_rejects_empty_probe_or_cap(self, probe_dim, n_max, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            constrained_random_attack(1, probe_dim, n_max=n_max)
 
 
 class TestUsd:

@@ -141,6 +141,9 @@ class TestXExpansion:
             x_expansion(2, 0)
         with pytest.raises(TruncationError):
             x_expansion(9, 1, n_max=6)
+        with pytest.raises(ValueError, match="^photon number must be "
+                           "non-negative$"):
+            x_expansion(-1, 1)
 
 
 class TestBasisChange:

@@ -872,3 +872,62 @@ def test_sampled_leaves_follow_the_exact_law(cfg, mk):
                                             / (LAW_ROUNDS * law[seen])))
     df = np.count_nonzero(law) - 1
     assert g <= df + 6 * math.sqrt(2 * df), (g, df)
+
+
+#: rounds and seeds of each quota's check of BB84's leaf counts
+QUOTA_ROUNDS, QUOTA_SEEDS = 250_000, range(1, 41)
+
+
+def excess_moments(n, q, quota):
+    """``E[B]``, ``Var B`` and ``Var K`` of the rounds the splitter blocks,
+    ``B = (T - Q)+``, and forwards, ``K = min(T, Q) = Q - D``, for
+    ``T ~ Bin(n, q)`` two-photon rounds and ``D = (Q - T)+``.  Both read
+    ``E[D]`` and ``E[D^2]``, sums over ``t < Q`` only: ``B D = 0``, so
+    ``E[B^2] = E[(T - Q)^2] - E[D^2]``."""
+    def pmf(t):
+        return math.exp(math.lgamma(n + 1) - math.lgamma(t + 1)
+                        - math.lgamma(n - t + 1) + t * math.log(q)
+                        + (n - t) * math.log1p(-q))
+    d1 = math.fsum((quota - t) * pmf(t) for t in range(quota))
+    d2 = math.fsum((quota - t) ** 2 * pmf(t) for t in range(quota))
+    mean = n * q - quota + d1
+    var = n * q * (1 - q) - d2 - 2 * (n * q - quota) * d1 - d1 * d1
+    return mean, var, d2 - d1 * d1
+
+
+@pytest.mark.parametrize("at", ["1199", "n q"])
+def test_bb84_quota_counts_follow_the_closed_form(at):
+    """BB84's leaf counts under the splitting quota are not i.i.d. rounds,
+    yet their mean is closed: ``E[h] = n p + E[B] (blocked(p_F) - p_F)``,
+    with ``p`` the quota-free law, ``q`` its forwarded mass and ``p_F`` the
+    law given a forwarded round.  Given ``T``, the forwarded rounds kept
+    and blocked are ``Bin(K, p_F)`` and ``Bin(B, p_F)`` per leaf, which
+    gives each count's variance.  Over 40 seeds each leaf's mean count is
+    within 4.5 sigma of its expectation; the 2 x 64 z-scores of a correct
+    walk all stay there but for a chance of about 1e-3."""
+    scenario = load_scenario(str(SCENARIOS / "bb84-pns.scn"))
+    tab, _meta = protocol.build_bb84_tables(scenario.config,
+                                            scenario.build_attack())
+    plan, fields = protocol._bb84_chain(tab)
+    n, p = QUOTA_ROUNDS, oracles.plan_law(plan)
+    forwarded = np.flatnonzero(fields["forwarded"] == 1)
+    q = math.fsum(p[forwarded])
+    p_f = p[forwarded] / q
+    quota = 1199 if at == "1199" else round(n * q)
+    blocked, var_b, var_k = excess_moments(n, q, quota)
+    kept = n * q - blocked
+
+    expected = np.append(n * p, np.zeros(forwarded.size))
+    expected[forwarded] -= blocked * p_f
+    expected[p.size:] += blocked * p_f
+    var = np.append(n * p * (1 - p),
+                    blocked * p_f * (1 - p_f) + p_f ** 2 * var_b)
+    var[forwarded] = kept * p_f * (1 - p_f) + p_f ** 2 * var_k
+    assert np.allclose(expected[forwarded], kept * p_f, rtol=1e-12)
+
+    tab = dataclasses.replace(tab, quota=quota)
+    counts = np.array([protocol.simulate_bb84(tab, seed, n)[1]
+                       for seed in QUOTA_SEEDS])
+    assert (counts.sum(axis=1) == n).all()
+    z = (counts.mean(axis=0) - expected) / np.sqrt(var / len(QUOTA_SEEDS))
+    assert np.abs(z).max() <= 4.5, z

@@ -73,6 +73,12 @@ class TestAliceOps:
         branches = {pat: p for pat, p, _r in alice_sift(j)}
         assert branches[(1, 1)] == pytest.approx(0.5)
 
+    def test_sift_rejects_unknown_policy(self):
+        j = JointState.from_product(0, make_basis_state((0, 1), X, 2), 1)
+        with pytest.raises(ConfigError,
+                           match="^unknown residual policy 'nope'$"):
+            alice_sift(j, policy="nope")
+
 
 class TestAggregate:
     """The one evaluator of leaf masks, on a synthetic histogram."""

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import errno
 import os
@@ -168,6 +169,38 @@ class TestScenarioEncoding:
         assert proc.returncode == 2
         assert proc.stderr.decode().startswith("error: scenario name ")
         assert b"Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_undecodable_scenario_is_refused_in_process(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "case.scn"
+        path.write_bytes(b"[protocol]\n# \xff\xfe\nrounds = 300\n")
+        message = (f"{path}: 'utf-8' codec can't decode byte 0xff in "
+                   "position 13: invalid start byte")
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(str(path))
+        assert str(info.value) == message
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_unencodable_name_is_refused_in_process(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def fsencode(name):
+            raise UnicodeEncodeError("ascii", name, 0, 1, "not ascii")
+
+        path = write(tmp_path, "\n".join([
+            "[scenario]", "name = α-test",
+            "[protocol]", "rounds = 300", "n_max = 2", ""]))
+        monkeypatch.setattr(os, "fsencode", fsencode)
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: scenario name 'α-test' cannot name a file in the "
+            f"file-system encoding {sys.getfilesystemencoding()!r}\n")
+        assert captured.out == ""
         assert not out.exists()
 
 
@@ -422,6 +455,23 @@ class TestCli:
             assert set(files["α-test"]) == {
                 "NAME.metrics.csv", "NAME.comparison.csv", "NAME.rounds.csv",
                 "NAME.summary.txt"}
+
+    def test_csv_name_is_one_field(self, tmp_path, capsys):
+        """A name that holds a comma and quotes is one field of
+        ``metrics.csv``, quoted as RFC 4180 has it."""
+        name = 'a,b "c"'
+        path = write(tmp_path, "\n".join([
+            "[scenario]", f"name = {name}",
+            "[protocol]", "rounds = 300", "n_max = 2", ""]))
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--format", "csv",
+                         "--out-dir", str(out)]) == 0
+        assert name in capsys.readouterr().out
+        with open(out / f"{name}.metrics.csv", newline="",
+                  encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert rows[:2] == [["metric", "value"], ["scenario", name]]
+        assert {len(row) for row in rows} == {2}
 
     def test_runs_leave_numpy_ma_unimported(self, tmp_path):
         """``numpy.ma`` costs 15-19 ms to import (``np.unique`` does), and
@@ -799,8 +849,25 @@ class TestCli:
     def test_verify_all(self, capsys):
         # the lemma suite drives attack maps and joint states hardest
         assert cli.main(["verify", "all"]) == 0
-        out = capsys.readouterr().out
-        assert "14/14 checks passed" in out
+        # labels only: the lemma numbers depend on the platform's LAPACK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[:-1]] == [
+            ["[pass]", label] for label in (
+                "fock:expansion-rows-vs-corpus",
+                "fock:basis-change-vs-corpus",
+                "fock:double-transform-involution",
+                "lemma:forward-no-minus-clicks",
+                "lemma:forward-zero-leakage",
+                "lemma:converse-always-visible",
+                "lemma:single-photon-click-magnitude",
+                "lemma:parity-decomposition",
+                "thresholds:pulsed-source-expected-count",
+                "thresholds:splitting-threshold-ratio",
+                "thresholds:splitting-flips-at-equality",
+                "thresholds:two-state-conclusive-probability",
+                "thresholds:two-state-loss-threshold",
+                "thresholds:generalized-measurement-threshold")]
+        assert lines[-1] == "14/14 checks passed"
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_verify_lemma_without_trials_exits_two(self, capsys, trials):
@@ -821,27 +888,29 @@ class TestCli:
         assert captured.err == "error: seed must be non-negative, not -1\n"
         assert captured.out == ""
 
+    def test_unknown_suite_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            verify.run_suite("nope", 0)
+        assert str(info.value) == (
+            "unknown suite 'nope'; choose from "
+            "('fock', 'lemma', 'thresholds', 'all')")
+
     def test_verify_lemma_fails_on_undefined_leakage(self, monkeypatch,
                                                      capsys):
         # an undefined leakage leaves the forward fidelity at 1.0, so only
-        # the summary's failures show it
+        # the note of its first trial fails the row
         from sqkdsim import analysis
 
         def rows():
-            """The CLI rows, which pass exactly when the summary does."""
-            summary = analysis.lemma_verify(n_max=4, trials=4)
-            rows = verify.run_lemma(0, trials=4)
-            assert summary.passed == all(row.passed for row in rows)
-            return {row.name: row for row in rows}
+            return {row.name: row for row in verify.run_lemma(0, trials=4)}
 
         undefined = analysis.LeakageReport(None, None,
                                            detail="no pure probe states")
         monkeypatch.setattr(analysis, "eve_leakage",
                             lambda attack, n_max: undefined)
-        assert not analysis.lemma_verify(n_max=4, trials=4).passed
-        row = rows()["forward-zero-leakage"]
-        assert not row.passed
-        assert row.detail.endswith(
+        failed = {name: row for name, row in rows().items() if not row.passed}
+        assert list(failed) == ["forward-zero-leakage"]
+        assert failed["forward-zero-leakage"].detail.endswith(
             "; forward trial 0: leakage no pure probe states")
         assert cli.main(["verify", "lemma", "--trials", "4"]) == 1
         out = capsys.readouterr().out
