@@ -14,13 +14,13 @@ values; the attack checked its maps when it was built), a walker
 (``simulate_*``) and an aggregator.  The walker lays its tables out as a
 chain of stages (``_ca_chain``, ``_bb84_chain``, ``_b92_chain``), path by
 path with the ``kernels`` plan walker's ``_split`` and ``_coin``, and
-walks it.  It returns the number of rounds at each leaf of its walk, each
-record field's value per leaf, and one leaf per round when the caller
-keeps them (``keep_codes``, for a round log).  Every category and metric
-is a count, or a ratio of counts, of the rounds at a set of leaves, so
-each aggregator only declares leaf masks over the record fields: its
-categories, keyed by name, and its metric rows.  ``_aggregate`` alone
-weights them by the histogram.
+walks it.  It returns the number of rounds at each leaf, each record
+field's value per leaf, and one leaf per round when the caller keeps them
+(``keep_codes``, for a round log); a leaf may hold rounds never walked
+(``simulate_bb84``).  Every category and metric is a count, or a ratio of
+counts, of the rounds at a set of leaves, so each aggregator only declares
+leaf masks over the record fields: its categories, keyed by name, and its
+metric rows.  ``_aggregate`` alone weights them by the histogram.
 
 Slots, the stage of each chain that reads each of a round's
 ``kernels.SLOTS`` draws (``-``: unused):
@@ -714,11 +714,12 @@ def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
                   keep_codes: bool = False) -> Walk:
     """Leaves of ``rounds`` BB84 rounds, or None unless ``keep_codes``,
     their histogram and the record fields per leaf.  The splitter forwards
-    the first ``quota`` two-photon pulses of the run and blocks later ones:
-    each forwarded leaf has a twin appended to the leaves, with nothing
-    forwarded, no click and no bit for Eve.  The quota is BB84's own loop
-    over spans of ``jobs`` blocks in round order until it is met; kept
-    leaves are walked at once and then go through it a block at a time."""
+    the first ``quota`` two-photon pulses and blocks later ones: each
+    forwarded leaf has a twin appended, with nothing forwarded, no click
+    and no bit for Eve.  Kept leaves are walked at once and go through the
+    quota a block at a time; else spans of ``jobs`` blocks are walked until
+    it is met, and as no blocked pulse clicks, one leaf after the twins,
+    blocked too and -1 in the fields not drawn, holds the later rounds."""
     plan, fields = _bb84_chain(tab)
     if tab.attack != 1:
         return _walk(plan, fields, seed, rounds, jobs, keep_codes)
@@ -729,7 +730,8 @@ def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
     blocked[twins] = forwarded.size + np.arange(twins.size)
     fields = {name: np.append(values, values[twins])
               for name, values in fields.items()}
-    for name, value in (("forwarded", 0), ("pattern", 0), ("evebit", -1)):
+    unsent = {"forwarded": 0, "pattern": 0, "evebit": -1}
+    for name, value in unsent.items():
         fields[name][forwarded.size:] = value
     w, taken = np.zeros(fields["forwarded"].size, dtype=np.int64), 0
 
@@ -756,9 +758,9 @@ def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
         hi = min(rounds, lo + jobs * BLOCK)
         apply_quota(_walk(plan, fields, seed, hi, jobs, True, lo)[0])
         lo = hi
-    _codes, rest, fields = _walk(plan, fields, seed, rounds, jobs, False, lo)
-    w[blocked] += rest[:forwarded.size]
-    return None, w, fields
+    return None, np.append(w, rounds - lo), {
+        name: np.append(values, unsent.get(name, -1)).astype(values.dtype)
+        for name, values in fields.items()}
 
 
 def _bb84_aggregate(config: ProtocolConfig, tables: Bb84Tables,

@@ -459,6 +459,62 @@ def test_bb84_quota_carries_across_blocks(jobs, pns_references):
         assert bare.categories == report.categories, name
 
 
+BUNDLED_PNS = load_scenario(str(SCENARIOS / "bb84-pns.scn")).config
+
+#: BB84 under the splitter: the bundled scenario with either detector, and
+#: source and transmission points from a weak lossy source to a lossless
+#: one and a dark channel
+PNS_POINTS = {
+    "bundled": BUNDLED_PNS,
+    "bundled-counter": dataclasses.replace(BUNDLED_PNS,
+                                           detector_model="counter"),
+    "weak": dataclasses.replace(PNS_CFG, source_stats=(0.8, 0.15, 0.05),
+                                transmission=0.05),
+    "lossless-counter": dataclasses.replace(
+        PNS_CFG, source_stats=(0.2, 0.5, 0.3), transmission=1.0,
+        detector_model="counter"),
+    "dark": dataclasses.replace(PNS_CFG, source_stats=(0.5, 0.0, 0.5),
+                                transmission=0.0),
+}
+
+
+@pytest.mark.parametrize("cfg", PNS_POINTS.values(), ids=PNS_POINTS)
+def test_bb84_blocked_rounds_never_click(cfg):
+    """A run that keeps no codes stops walking after the span that meets
+    the splitter's quota and counts the later rounds at one leaf: exact
+    only while a blocked round cannot click.  Every leaf a blocked round
+    can take, each leaf not forwarded and each twin, has no pattern,
+    nothing forwarded and no bit for Eve, and the aggregator counts a round
+    there as one at that unwalked leaf."""
+    tables, meta = protocol.build_bb84_tables(cfg, pns_attack())
+    _plan, leaves = protocol._bb84_chain(tables)
+    size = leaves["forwarded"].size
+    _codes, _counts, fields = protocol.simulate_bb84(
+        tables, cfg.rng_seed, 1, keep_codes=True)
+    blocked = np.append(np.flatnonzero(leaves["forwarded"] != 1),
+                        np.arange(size, fields["pattern"].size))
+    for name, value in (("pattern", 0), ("forwarded", 0), ("evebit", -1)):
+        assert (fields[name][blocked] == value).all(), name
+    # a quota of 0 walks nothing: the one round is at the unwalked leaf
+    _codes, tail, tail_fields = protocol.simulate_bb84(
+        dataclasses.replace(tables, quota=0), cfg.rng_seed, 1)
+    assert tail[-1] == 1 == tail.sum()
+    assert {name: int(values[-1]) for name, values in tail_fields.items()} \
+        == {"bit": -1, "basis": -1, "pulse_size": -1, "forwarded": 0,
+            "bob_basis": -1, "pattern": 0, "evebit": -1}
+    for name, values in tail_fields.items():
+        assert np.array_equal(values[:-1], fields[name]), name
+        assert values.dtype == fields[name].dtype, name
+    unwalked = protocol._bb84_aggregate(cfg, tables, meta, tail,
+                                        tail_fields)[:2]
+    assert unwalked[1]["no_click"] == 1
+    for leaf in blocked:
+        w = np.zeros(fields["pattern"].size, dtype=np.int64)
+        w[leaf] = 1
+        assert protocol._bb84_aggregate(cfg, tables, meta, w,
+                                        fields)[:2] == unwalked, leaf
+
+
 def block_finder(seed, n):
     """The block index of a block's raw words, read from its first round's
     words."""
@@ -471,8 +527,9 @@ def block_finder(seed, n):
 def test_bb84_quota_folds_blocks_walked_on_threads(monkeypatch):
     # under the splitting attack at 3 jobs the quota, met in the third
     # block, walks one span of 3 blocks, block t on thread t, the calling
-    # thread being thread 0, then the last block with no codes; a run that
-    # keeps its codes walks every round at once and takes them in order
+    # thread being thread 0, and counts the last block's rounds unwalked; a
+    # run that keeps its codes walks every round at once, the last block on
+    # the calling thread, and takes them in order
     cfg = PNS_CASES["third-block"]
     base = protocol.run(cfg, pns_attack(), keep_codes=True)
     block = block_finder(cfg.rng_seed, cfg.rounds)
@@ -492,16 +549,19 @@ def test_bb84_quota_folds_blocks_walked_on_threads(monkeypatch):
     monkeypatch.setattr(protocol, "_walk", spy_walk)
     report = protocol.run(cfg, pns_attack(), jobs=3)
     caller = threading.current_thread()
-    assert spans == [(0, 3 * kernels.BLOCK, True),
-                     (3 * kernels.BLOCK, cfg.rounds, False)]
-    assert sorted(walked) == [0, 1, 2, 3]
-    assert walked[0] is caller and walked[3] is caller
+    assert spans == [(0, 3 * kernels.BLOCK, True)]
+    assert sorted(walked) == [0, 1, 2]
+    assert walked[0] is caller
     assert len({caller, walked[1], walked[2]}) == 3
     assert report.metrics == base.metrics
     assert report.categories == base.categories
     spans.clear()
+    walked.clear()
     report = protocol.run(cfg, pns_attack(), jobs=3, keep_codes=True)
     assert spans == [(0, cfg.rounds, True)]
+    assert sorted(walked) == [0, 1, 2, 3]
+    assert walked[0] is caller and walked[3] is caller
+    assert len({caller, walked[1], walked[2]}) == 3
     assert np.array_equal(report.codes, base.codes)
     assert report.metrics == base.metrics
 
@@ -509,9 +569,11 @@ def test_bb84_quota_folds_blocks_walked_on_threads(monkeypatch):
 @pytest.mark.parametrize("edge", ["first-block", "first-span", "one"])
 def test_bb84_quota_edges_match_reference_fold(edge):
     """Codes and histogram of a quota met at a span's edge or at once, at
-    1, 2 and 3 jobs with and without kept codes, are those of the
-    reference fold of the quota-free leaves, whose records are the
-    reference walk's."""
+    1, 2 and 3 jobs, are those of the reference fold of the quota-free
+    leaves, whose records are the reference walk's.  A run that keeps no
+    codes counts the reference fold's rounds up to the end of the span
+    that meets the quota, and the rounds after it at one leaf appended
+    after the twins, with the kept run's fields before it."""
     cfg = PNS_CFG
     tab, _meta = protocol.build_bb84_tables(cfg, pns_attack())
     plan, leaves = protocol._bb84_chain(tab)
@@ -527,17 +589,23 @@ def test_bb84_quota_edges_match_reference_fold(edge):
     assert 0 < quota < two[-1]
     tab = dataclasses.replace(tab, quota=quota)
     expected = oracles.bb84_quota(free, forwarded, quota)
-    histogram = np.bincount(expected,
-                            minlength=forwarded.size + forwarded.sum())
+    size = forwarded.size + forwarded.sum()
+    reached = int(np.argmax(two >= quota)) + 1
     for jobs in (1, 2, 3):
-        for keep_codes in (False, True):
-            codes, counts, fields = protocol.simulate_bb84(
-                tab, cfg.rng_seed, cfg.rounds, jobs, keep_codes)
-            assert np.array_equal(counts, histogram), (jobs, keep_codes)
-            if keep_codes:
-                assert np.array_equal(codes, expected), jobs
-            else:
-                assert codes is None
+        codes, counts, fields = protocol.simulate_bb84(
+            tab, cfg.rng_seed, cfg.rounds, jobs, True)
+        assert np.array_equal(codes, expected), jobs
+        assert np.array_equal(counts, np.bincount(expected, minlength=size))
+        # the walk ends with the span of jobs blocks that meets the quota
+        span = jobs * kernels.BLOCK
+        lo = min(cfg.rounds, -(-reached // span) * span)
+        bare, bare_counts, bare_fields = protocol.simulate_bb84(
+            tab, cfg.rng_seed, cfg.rounds, jobs, False)
+        assert bare is None
+        assert np.array_equal(bare_counts, np.append(
+            np.bincount(expected[:lo], minlength=size), cfg.rounds - lo)), jobs
+        for key, value in fields.items():
+            assert np.array_equal(bare_fields[key][:size], value), key
     rec = oracles.bb84_walk(tab, kernels.round_uniforms(cfg.rng_seed, 0,
                                                         cfg.rounds))
     for key, value in rec.items():
@@ -592,8 +660,7 @@ def test_jobs_are_capped_at_the_cpus(monkeypatch):
     capped = run(cfg, pns_attack(), jobs=64)
     # the quota is met in the third block, so in the second span
     assert spans == [(0, 2 * kernels.BLOCK, 2),
-                     (2 * kernels.BLOCK, cfg.rounds, 2),
-                     (cfg.rounds, cfg.rounds, 2)]
+                     (2 * kernels.BLOCK, cfg.rounds, 2)]
     assert capped.metrics == base.metrics
     assert capped.categories == base.categories
 
@@ -926,7 +993,9 @@ def test_bb84_quota_counts_follow_the_closed_form(at):
     assert np.allclose(expected[forwarded], kept * p_f, rtol=1e-12)
 
     tab = dataclasses.replace(tab, quota=quota)
-    counts = np.array([protocol.simulate_bb84(tab, seed, n)[1]
+    # kept codes walk every round, so each leaf keeps its own count
+    counts = np.array([protocol.simulate_bb84(tab, seed, n,
+                                              keep_codes=True)[1]
                        for seed in QUOTA_SEEDS])
     assert (counts.sum(axis=1) == n).all()
     z = (counts.mean(axis=0) - expected) / np.sqrt(var / len(QUOTA_SEEDS))

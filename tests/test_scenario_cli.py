@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 import sqkdsim
-from sqkdsim import cli, protocol, verify
+from sqkdsim import cli, kernels, protocol, verify
 from sqkdsim.attacks import ProbeChannelMap, constrained_random_attack
 from sqkdsim.fock import TruncationError
 from sqkdsim.joint import ChannelBasis
@@ -317,6 +317,23 @@ RUNS_ON = {
     "tagging": ("classical-alice-full",),
     "constrained-random": TWO_WAY,
     "general": TWO_WAY,
+}
+
+
+#: rounds of the unlogged BB84-PNS runs checked against logged ones: one,
+#: a block but one, a block and one, and three blocks and five
+TAIL_ROUNDS = [1, kernels.BLOCK - 1, kernels.BLOCK + 1, 3 * kernels.BLOCK + 5]
+
+#: the splitter's quota in each such run, from its two-photon pulses up to
+#: each round ``two`` and the last round of its first span ``edge``: none,
+#: met mid-span, met at the span's last two-photon pulse, at the next
+#: span's first, and never met
+TAIL_QUOTAS = {
+    "zero": lambda two, edge: 0,
+    "mid-span": lambda two, edge: int(two[edge // 2]),
+    "span-end": lambda two, edge: int(two[edge]),
+    "next-span": lambda two, edge: int(two[edge]) + 1,
+    "never": lambda two, edge: int(two[-1]) + 1,
 }
 
 
@@ -667,6 +684,55 @@ class TestCli:
                              "--jobs", jobs]) == 0
             blobs.append((out / "bb84-pns.report.txt").read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize("quota", TAIL_QUOTAS)
+    @pytest.mark.parametrize("rounds", TAIL_ROUNDS)
+    def test_unlogged_bb84_pns_run_reports_the_logged_one(
+            self, tmp_path, monkeypatch, rounds, quota):
+        # a run without a round log stops walking after the span of jobs
+        # blocks that meets the splitter's quota and counts the rest; it
+        # writes the logged run's files but the round log, and its text
+        # report is the logged one up to the round log
+        monkeypatch.setattr(protocol, "_cpus", lambda: 8)
+        path = scenario_path("bb84-pns.scn")
+        scenario = load_scenario(path)
+        cfg = dataclasses.replace(scenario.config, rounds=rounds)
+        build = protocol.build_bb84_tables
+        tables, _meta = build(cfg, scenario.build_attack())
+        plan, leaves = protocol._bb84_chain(tables)
+        free = kernels._walk(plan, leaves, cfg.rng_seed, rounds, 1, True)[0]
+        two = np.cumsum(leaves["forwarded"][free] == 1)
+        for jobs in (1, 2, 3):
+            pinned = TAIL_QUOTAS[quota](
+                two, min(rounds, jobs * kernels.BLOCK) - 1)
+
+            def build_pinned(config, attack):
+                tables, meta = build(config, attack)
+                return (dataclasses.replace(tables, quota=pinned),
+                        {**meta, "pns_quota": pinned})
+
+            monkeypatch.setattr(protocol, "build_bb84_tables", build_pinned)
+            files, codes = {}, {}
+            for log in ("always", "never"):
+                out = tmp_path / f"{jobs}-{log}"
+                for fmt in ("text", "csv"):
+                    codes[log, fmt] = cli.main([
+                        "run", path, "--rounds", str(rounds), "--jobs",
+                        str(jobs), "--round-log", log, "--format", fmt,
+                        "--out-dir", str(out)])
+                files[log] = {f.name: f.read_bytes() for f in out.iterdir()}
+            assert codes["always", "text"] == codes["never", "text"] \
+                == codes["always", "csv"] == codes["never", "csv"]
+            logged, bare = files["always"], files["never"]
+            assert sorted(bare) == sorted(
+                name for name in logged if name != "bb84-pns.rounds.csv")
+            assert "bb84-pns.comparison.csv" in bare
+            for name, blob in bare.items():
+                if name == "bb84-pns.report.txt":
+                    assert logged[name].startswith(blob), (jobs, name)
+                    assert b"[rounds]" in logged[name][len(blob):]
+                else:
+                    assert logged[name] == blob, (jobs, name)
 
     def test_readme_scenario_example_runs(self, tmp_path):
         # the README's example keeps to the keys the loader takes
