@@ -135,6 +135,9 @@ class ProtocolConfig:
             raise ConfigError(f"unknown protocol variant {self.variant!r}")
         if self.rounds < 1:
             raise ConfigError("rounds must be positive")
+        if not 0 <= self.rng_seed < 2 ** 64:  # Philox's key: one 64-bit word
+            raise ConfigError(
+                f"seed must lie in [0, 2**64), not {self.rng_seed}")
         p0, p1, p2 = self.source_stats
         # written so that a NaN fails it
         if not (min(p0, p1, p2) >= 0 and abs(p0 + p1 + p2 - 1.0) <= 1e-12):
@@ -716,51 +719,38 @@ def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
     their histogram and the record fields per leaf.  The splitter forwards
     the first ``quota`` two-photon pulses and blocks later ones: each
     forwarded leaf has a twin appended, with nothing forwarded, no click
-    and no bit for Eve.  Kept leaves are walked at once and go through the
-    quota a block at a time; else spans of ``jobs`` blocks are walked until
-    it is met, and as no blocked pulse clicks, one leaf after the twins,
-    blocked too and -1 in the fields not drawn, holds the later rounds."""
+    and no bit for Eve, and after the twins one tail leaf, blocked too and
+    -1 in the fields not drawn.  Spans of ``jobs`` blocks are walked in
+    round order, each forwarded round past the quota going to its twin.  As
+    no blocked pulse clicks, a run that keeps no codes stops after the span
+    that meets the quota and counts the later rounds at the tail leaf."""
     plan, fields = _bb84_chain(tab)
     if tab.attack != 1:
         return _walk(plan, fields, seed, rounds, jobs, keep_codes)
     forwarded = fields["forwarded"] == 1
     twins = np.flatnonzero(forwarded)
     blocked = np.arange(forwarded.size, dtype=np.min_scalar_type(
-        forwarded.size + twins.size - 1))  # as _walk's codes: a byte a round
+        forwarded.size + twins.size))  # as _walk's codes: a byte a round
     blocked[twins] = forwarded.size + np.arange(twins.size)
-    fields = {name: np.append(values, values[twins])
-              for name, values in fields.items()}
-    unsent = {"forwarded": 0, "pattern": 0, "evebit": -1}
-    for name, value in unsent.items():
+    fields = {name: np.append(values, [*values[twins], -1]).astype(
+        values.dtype) for name, values in fields.items()}
+    for name, value in (("forwarded", 0), ("pattern", 0), ("evebit", -1)):
         fields[name][forwarded.size:] = value
-    w, taken = np.zeros(fields["forwarded"].size, dtype=np.int64), 0
-
-    def apply_quota(leaf: np.ndarray) -> np.ndarray:
-        """Next rounds' leaves under the splitter's rule, counted in ``w``."""
-        nonlocal taken
-        if taken >= tab.quota:
-            leaf = blocked.take(leaf)
-        else:
-            two = forwarded.take(leaf)
-            order = taken + np.cumsum(two)
-            taken = int(order[-1])
-            leaf = np.where(two & (order > tab.quota), blocked[leaf], leaf)
-        w[:] += np.bincount(leaf, minlength=w.size)
-        return leaf
-
-    if keep_codes:
-        codes, _w, fields = _walk(plan, fields, seed, rounds, jobs, True)
-        for lo in range(0, rounds, BLOCK):
-            codes[lo:lo + BLOCK] = apply_quota(codes[lo:lo + BLOCK])
-        return codes, w, fields
-    lo = 0
-    while lo < rounds and taken < tab.quota:
+    w = np.zeros(forwarded.size + twins.size + 1, dtype=np.int64)
+    codes = np.empty(rounds, dtype=blocked.dtype) if keep_codes else None
+    lo = taken = 0
+    while lo < rounds and (keep_codes or taken < tab.quota):
         hi = min(rounds, lo + jobs * BLOCK)
-        apply_quota(_walk(plan, fields, seed, hi, jobs, True, lo)[0])
+        leaf = _walk(plan, fields, seed, hi, jobs, True, lo)[0]
+        order = taken + np.cumsum(forwarded.take(leaf))
+        taken = int(order[-1])
+        leaf = np.where(order > tab.quota, blocked.take(leaf), leaf)
+        w += np.bincount(leaf, minlength=w.size)
+        if keep_codes:
+            codes[lo:hi] = leaf
         lo = hi
-    return None, np.append(w, rounds - lo), {
-        name: np.append(values, unsent.get(name, -1)).astype(values.dtype)
-        for name, values in fields.items()}
+    w[-1] = rounds - lo
+    return codes, w, fields
 
 
 def _bb84_aggregate(config: ProtocolConfig, tables: Bb84Tables,

@@ -33,6 +33,16 @@ class CheckResult:
     detail: str = ""
 
 
+def _bounded(suite: str, name: str, what: str, residual: float,
+             bound: float) -> CheckResult:
+    """The check ``residual <= bound``, printed against the bound: a residual
+    of a few ulps moves with the BLAS kernel and the Python version's
+    ``sum``, so its value is printed only past the bound."""
+    passed = residual <= bound
+    shown = f"<= {bound:.0e}" if passed else f"{residual:.2e} > {bound:.0e}"
+    return CheckResult(suite, name, passed, f"{what} {shown}")
+
+
 def load_corpus() -> List[Tuple[int, int, int, float]]:
     """Rows (n, sign, k, coefficient) from the packaged exact table."""
     rows = []
@@ -54,9 +64,9 @@ def run_fock(seed: int) -> List[CheckResult]:
     worst = 0.0
     for n, sign, k, coeff in corpus:
         worst = max(worst, abs(fock.x_expansion(n, sign)[k] - coeff))
-    results.append(CheckResult(
-        "fock", "expansion-rows-vs-corpus", worst <= 1e-12,
-        f"{len(corpus)} rows, max deviation {worst:.2e}"))
+    results.append(_bounded("fock", "expansion-rows-vs-corpus",
+                            f"{len(corpus)} rows, max deviation", worst,
+                            1e-12))
 
     worst = 0.0
     for n, sign, k, coeff in corpus:
@@ -64,9 +74,8 @@ def run_fock(seed: int) -> List[CheckResult]:
         state = fock.make_basis_state(occ, fock.X, n_max=6)
         amp = complex(state[fock.channel_basis(6).index[(k, n - k)]])
         worst = max(worst, abs(amp - coeff))
-    results.append(CheckResult(
-        "fock", "basis-change-vs-corpus", worst <= 1e-12,
-        f"max deviation {worst:.2e}"))
+    results.append(_bounded("fock", "basis-change-vs-corpus",
+                            "max deviation", worst, 1e-12))
 
     rng = np.random.default_rng(seed)
     had = fock.channel_basis(6).hadamard
@@ -82,9 +91,8 @@ def run_fock(seed: int) -> List[CheckResult]:
         state = fock.floored((1.0 / norm) * state)
         back = fock.floored(fock.floored(state @ had) @ had)
         worst = max(worst, float(np.linalg.norm(back - state)))
-    results.append(CheckResult(
-        "fock", "double-transform-involution", worst <= 1e-10,
-        f"50 random states, max residual {worst:.2e}"))
+    results.append(_bounded("fock", "double-transform-involution",
+                            "50 random states, max residual", worst, 1e-10))
     return results
 
 
@@ -135,21 +143,18 @@ def run_lemma(seed: int, trials: int = 200, n_max: int = 4
 
     residual = _parity_decomposition_error(n_max, seed)
     return [
-        CheckResult("lemma", "forward-no-minus-clicks",
-                    max_minus <= analysis.EXACT_TOL,
-                    f"{trials} attacks, max prob {max_minus:.2e}"),
+        _bounded("lemma", "forward-no-minus-clicks",
+                 f"{trials} attacks, max prob", max_minus, analysis.EXACT_TOL),
         CheckResult("lemma", "forward-zero-leakage",
                     not leak and min_fidelity >= 1.0 - FIDELITY_TOL,
                     f"min fidelity {min_fidelity:.12f}{leak}"),
         CheckResult("lemma", "converse-always-visible",
                     min_minus > analysis.EXACT_TOL,
                     f"{trials} attacks, min prob {min_minus:.2e}"),
-        CheckResult("lemma", "single-photon-click-magnitude",
-                    max_err <= PREDICTION_TOL,
-                    f"max |observed - mismatch^2/2| = {max_err:.2e}"),
-        CheckResult("lemma", "parity-decomposition",
-                    residual <= DECOMPOSITION_TOL,
-                    f"max residual {residual:.2e}"),
+        _bounded("lemma", "single-photon-click-magnitude",
+                 "max |observed - mismatch^2/2|", max_err, PREDICTION_TOL),
+        _bounded("lemma", "parity-decomposition", "max residual", residual,
+                 DECOMPOSITION_TOL),
     ]
 
 

@@ -6,8 +6,11 @@ walks on two threads, which must not change a byte).  The SHA-256 of
 each report is pinned below.  A change that moves a hash changes what the
 simulator outputs and is a bug until explained.
 
-A seeded Haar `general` attack, written to matrix files, is pinned the same
-way (text report only).
+A seeded Haar `general` attack is pinned the same way (text report only).
+Its two dim-12 maps are read from ``tests/data/general-haar-*.mat``, written
+once from ``oracles.haar_unitary(np.random.default_rng(4), 12)``: the QR
+that draws them differs in its last bits between BLAS kernels, so a pin on
+a fresh draw would pin the kernel too.
 
 Bundled scenarios embed a round log only up to 20000 rounds, so one scenario
 of each protocol is also pinned with ``--round-log always`` at 131073
@@ -28,13 +31,12 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from oracles import haar_unitary, write_matrix
 from sqkdsim import cli
 
 SCENARIOS = resources.files("sqkdsim") / "scenarios"
+DATA = Path(__file__).resolve().parent / "data"
 
 #: scenario -> (text report hash, CSV reports hash)
 GOLDEN = {
@@ -165,13 +167,10 @@ return_file = {returning}
 def general_report_hash(out_dir: Path) -> str:
     """SHA-256 of the text report of a dim-12 Haar `general` attack run."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(4)
-    files = {}
-    for leg in ("outbound", "returning"):
-        files[leg] = out_dir / f"{leg}.mat"
-        write_matrix(files[leg], haar_unitary(rng, 2 * 6), header=leg)
     scn = out_dir / "general-haar.scn"
-    scn.write_text(GENERAL_SCENARIO.format(**files), encoding="utf-8")
+    scn.write_text(GENERAL_SCENARIO.format(**{
+        leg: DATA / f"general-haar-{leg}.mat"
+        for leg in ("outbound", "returning")}), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["run", str(scn), "--out-dir", str(out_dir)])
     assert code == cli.EXIT_OK, code

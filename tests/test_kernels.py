@@ -303,8 +303,10 @@ def test_block_edges_match_reference_walk(pns_references):
 def test_bb84_twins_are_the_forwarded_leaves():
     """Under the splitting quota each forwarded leaf has one blocked twin
     appended to the leaves: the same bit, bases and pulse size, with
-    nothing forwarded, no click and no bit for Eve.  Rounds land on the
-    twins only past the quota."""
+    nothing forwarded, no click and no bit for Eve.  One tail leaf follows
+    the twins, blocked too and -1 in the fields not drawn; a run that keeps
+    its codes walks every round, so the tail holds none.  Rounds land on
+    the twins only past the quota."""
     cfg = PNS_CASES["third-block"]
     tables, _meta = protocol.build_bb84_tables(cfg, pns_attack())
     _plan, leaves = protocol._bb84_chain(tables)
@@ -312,13 +314,16 @@ def test_bb84_twins_are_the_forwarded_leaves():
         tables, cfg.rng_seed, cfg.rounds, keep_codes=True)
     size = leaves["forwarded"].size
     forwarded = np.flatnonzero(leaves["forwarded"] == 1)
-    assert forwarded.size > 0 and counts.size == size + forwarded.size
+    assert forwarded.size > 0 and counts.size == size + forwarded.size + 1
+    assert counts[-1] == 0
+    assert np.array_equal(counts, np.bincount(codes, minlength=counts.size))
     blocked = {"forwarded": 0, "pattern": 0, "evebit": -1}
     for name, values in leaves.items():
         assert np.array_equal(fields[name][:size], values), name
         twin = values[forwarded] if name not in blocked else blocked[name]
-        assert np.array_equal(fields[name][size:],
+        assert np.array_equal(fields[name][size:-1],
                               np.broadcast_to(twin, forwarded.size)), name
+        assert fields[name][-1] == blocked.get(name, -1), name
     two = np.cumsum(fields["pulse_size"][codes] == 2)
     assert np.array_equal(codes >= size,
                           (fields["pulse_size"][codes] == 2)
@@ -459,6 +464,30 @@ def test_bb84_quota_carries_across_blocks(jobs, pns_references):
         assert bare.categories == report.categories, name
 
 
+@pytest.mark.usefixtures("many_cpus")
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("name", PNS_CASES)
+def test_bb84_runs_have_the_same_leaves_with_or_without_codes(name, jobs):
+    """A BB84 run under the splitter has the same leaves whether or not it
+    keeps its codes: the walked leaves, their twins and the tail leaf, so
+    the same record fields per leaf, metrics and categories.  The kept
+    run's histogram counts its kept codes."""
+    cfg = PNS_CASES[name]
+    logged = protocol.run(cfg, pns_attack(), jobs=jobs, keep_codes=True)
+    bare = protocol.run(cfg, pns_attack(), jobs=jobs)
+    assert list(bare.code_fields) == list(logged.code_fields)
+    for key, values in logged.code_fields.items():
+        assert np.array_equal(bare.code_fields[key], values), key
+        assert bare.code_fields[key].dtype == values.dtype, key
+    assert bare.metrics == logged.metrics
+    assert bare.categories == logged.categories
+    tab, _meta = protocol.build_bb84_tables(cfg, pns_attack())
+    codes, counts, _fields = protocol.simulate_bb84(tab, cfg.rng_seed,
+                                                    cfg.rounds, jobs, True)
+    assert np.array_equal(codes, logged.codes)
+    assert np.array_equal(np.bincount(codes, minlength=counts.size), counts)
+
+
 BUNDLED_PNS = load_scenario(str(SCENARIOS / "bb84-pns.scn")).config
 
 #: BB84 under the splitter: the bundled scenario with either detector, and
@@ -495,7 +524,8 @@ def test_bb84_blocked_rounds_never_click(cfg):
                         np.arange(size, fields["pattern"].size))
     for name, value in (("pattern", 0), ("forwarded", 0), ("evebit", -1)):
         assert (fields[name][blocked] == value).all(), name
-    # a quota of 0 walks nothing: the one round is at the unwalked leaf
+    # a quota of 0 walks nothing: the one round is at the unwalked leaf,
+    # and the run has the kept run's leaves
     _codes, tail, tail_fields = protocol.simulate_bb84(
         dataclasses.replace(tables, quota=0), cfg.rng_seed, 1)
     assert tail[-1] == 1 == tail.sum()
@@ -503,7 +533,7 @@ def test_bb84_blocked_rounds_never_click(cfg):
         == {"bit": -1, "basis": -1, "pulse_size": -1, "forwarded": 0,
             "bob_basis": -1, "pattern": 0, "evebit": -1}
     for name, values in tail_fields.items():
-        assert np.array_equal(values[:-1], fields[name]), name
+        assert np.array_equal(values, fields[name]), name
         assert values.dtype == fields[name].dtype, name
     unwalked = protocol._bb84_aggregate(cfg, tables, meta, tail,
                                         tail_fields)[:2]
@@ -528,8 +558,8 @@ def test_bb84_quota_folds_blocks_walked_on_threads(monkeypatch):
     # under the splitting attack at 3 jobs the quota, met in the third
     # block, walks one span of 3 blocks, block t on thread t, the calling
     # thread being thread 0, and counts the last block's rounds unwalked; a
-    # run that keeps its codes walks every round at once, the last block on
-    # the calling thread, and takes them in order
+    # run that keeps its codes walks the same span and then the span of the
+    # last block, alone on the calling thread
     cfg = PNS_CASES["third-block"]
     base = protocol.run(cfg, pns_attack(), keep_codes=True)
     block = block_finder(cfg.rng_seed, cfg.rounds)
@@ -558,7 +588,8 @@ def test_bb84_quota_folds_blocks_walked_on_threads(monkeypatch):
     spans.clear()
     walked.clear()
     report = protocol.run(cfg, pns_attack(), jobs=3, keep_codes=True)
-    assert spans == [(0, cfg.rounds, True)]
+    assert spans == [(0, 3 * kernels.BLOCK, True),
+                     (3 * kernels.BLOCK, cfg.rounds, True)]
     assert sorted(walked) == [0, 1, 2, 3]
     assert walked[0] is caller and walked[3] is caller
     assert len({caller, walked[1], walked[2]}) == 3
@@ -572,8 +603,9 @@ def test_bb84_quota_edges_match_reference_fold(edge):
     1, 2 and 3 jobs, are those of the reference fold of the quota-free
     leaves, whose records are the reference walk's.  A run that keeps no
     codes counts the reference fold's rounds up to the end of the span
-    that meets the quota, and the rounds after it at one leaf appended
-    after the twins, with the kept run's fields before it."""
+    that meets the quota, and the rounds after it at the tail leaf after
+    the twins, which holds no round of the kept run; both have the same
+    fields."""
     cfg = PNS_CFG
     tab, _meta = protocol.build_bb84_tables(cfg, pns_attack())
     plan, leaves = protocol._bb84_chain(tab)
@@ -589,23 +621,25 @@ def test_bb84_quota_edges_match_reference_fold(edge):
     assert 0 < quota < two[-1]
     tab = dataclasses.replace(tab, quota=quota)
     expected = oracles.bb84_quota(free, forwarded, quota)
-    size = forwarded.size + forwarded.sum()
+    size = forwarded.size + forwarded.sum() + 1
     reached = int(np.argmax(two >= quota)) + 1
     for jobs in (1, 2, 3):
         codes, counts, fields = protocol.simulate_bb84(
             tab, cfg.rng_seed, cfg.rounds, jobs, True)
         assert np.array_equal(codes, expected), jobs
         assert np.array_equal(counts, np.bincount(expected, minlength=size))
+        assert counts[-1] == 0
         # the walk ends with the span of jobs blocks that meets the quota
         span = jobs * kernels.BLOCK
         lo = min(cfg.rounds, -(-reached // span) * span)
         bare, bare_counts, bare_fields = protocol.simulate_bb84(
             tab, cfg.rng_seed, cfg.rounds, jobs, False)
         assert bare is None
-        assert np.array_equal(bare_counts, np.append(
-            np.bincount(expected[:lo], minlength=size), cfg.rounds - lo)), jobs
+        walked = np.bincount(expected[:lo], minlength=size)
+        walked[-1] = cfg.rounds - lo
+        assert np.array_equal(bare_counts, walked), jobs
         for key, value in fields.items():
-            assert np.array_equal(bare_fields[key][:size], value), key
+            assert np.array_equal(bare_fields[key], value), key
     rec = oracles.bb84_walk(tab, kernels.round_uniforms(cfg.rng_seed, 0,
                                                         cfg.rounds))
     for key, value in rec.items():
@@ -993,10 +1027,13 @@ def test_bb84_quota_counts_follow_the_closed_form(at):
     assert np.allclose(expected[forwarded], kept * p_f, rtol=1e-12)
 
     tab = dataclasses.replace(tab, quota=quota)
-    # kept codes walk every round, so each leaf keeps its own count
+    # kept codes walk every round, so each walked leaf keeps its own count
+    # and the tail leaf, which holds the rounds never walked, holds none
     counts = np.array([protocol.simulate_bb84(tab, seed, n,
                                               keep_codes=True)[1]
                        for seed in QUOTA_SEEDS])
+    assert (counts[:, -1] == 0).all()
+    counts = counts[:, :-1]
     assert (counts.sum(axis=1) == n).all()
     z = (counts.mean(axis=0) - expected) / np.sqrt(var / len(QUOTA_SEEDS))
     assert np.abs(z).max() <= 4.5, z

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import errno
+import math
 import os
 import subprocess
 import sys
@@ -125,6 +126,19 @@ class TestScenarioParsing:
     def test_missing_file(self):
         with pytest.raises(ScenarioError):
             load_scenario("/nonexistent/nowhere.scn")
+
+    def test_seed_must_fit_philox_key(self, tmp_path):
+        # Philox keys its stream with one 64-bit word, so a seed outside
+        # [0, 2**64) would walk as another seed
+        for seed in (0, 2 ** 64 - 1):
+            path = write(tmp_path, f"[scenario]\nseed = {seed}\n")
+            assert load_scenario(path).config.rng_seed == seed
+        for seed in (-1, 2 ** 64, 2 ** 70):
+            path = write(tmp_path, f"[scenario]\nseed = {seed}\n")
+            with pytest.raises(ScenarioError) as info:
+                load_scenario(path)
+            assert str(info.value) == (
+                f"{path}: seed must lie in [0, 2**64), not {seed}")
 
 
 class TestScenarioEncoding:
@@ -395,6 +409,30 @@ class TestCli:
         a = (tmp_path / "x" / "classical-alice-ideal.report.txt").read_bytes()
         b = (tmp_path / "y" / "classical-alice-ideal.report.txt").read_bytes()
         assert a != b
+
+    def test_seed_override_outside_philox_key_exits_two(self, tmp_path,
+                                                         capsys):
+        # both ends of [0, 2**64) run and walk differently; past them the
+        # run is refused before a report is written
+        path = scenario_path("classical-alice-ideal.scn")
+        blobs = []
+        for seed in (0, 2 ** 64 - 1):
+            out = tmp_path / str(seed)
+            assert cli.main(["run", path, "--seed", str(seed), "--rounds",
+                             "100", "--out-dir", str(out)]) == 0
+            lines = (out / "classical-alice-ideal.report.txt").read_text(
+                "utf-8").splitlines()
+            assert f"seed = {seed}" in lines
+            blobs.append([line for line in lines if line != f"seed = {seed}"])
+        assert blobs[0] != blobs[1]
+        capsys.readouterr()
+        for seed in (-1, 2 ** 64, 2 ** 70):
+            out = tmp_path / "refused"
+            assert cli.main(["run", path, "--seed", str(seed),
+                             "--out-dir", str(out)]) == 2
+            assert capsys.readouterr() == (
+                "", f"error: seed must lie in [0, 2**64), not {seed}\n")
+            assert not out.exists()
 
     def test_rounds_override(self, tmp_path):
         code = cli.main(["run", scenario_path("classical-alice-ideal.scn"),
@@ -913,27 +951,52 @@ class TestCli:
         assert cli.main(["verify", "fock", "--seed", "3"]) == 0
 
     def test_verify_all(self, capsys):
-        # the lemma suite drives attack maps and joint states hardest
+        # the lemma suite drives attack maps and joint states hardest; each
+        # residual of a few ulps prints against its bound, so the text is
+        # the same whatever the BLAS kernel or the Python version
         assert cli.main(["verify", "all"]) == 0
-        # labels only: the lemma numbers depend on the platform's LAPACK
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split()[:2] for line in lines[:-1]] == [
-            ["[pass]", label] for label in (
-                "fock:expansion-rows-vs-corpus",
-                "fock:basis-change-vs-corpus",
-                "fock:double-transform-involution",
-                "lemma:forward-no-minus-clicks",
-                "lemma:forward-zero-leakage",
-                "lemma:converse-always-visible",
-                "lemma:single-photon-click-magnitude",
-                "lemma:parity-decomposition",
-                "thresholds:pulsed-source-expected-count",
-                "thresholds:splitting-threshold-ratio",
-                "thresholds:splitting-flips-at-equality",
-                "thresholds:two-state-conclusive-probability",
-                "thresholds:two-state-loss-threshold",
-                "thresholds:generalized-measurement-threshold")]
-        assert lines[-1] == "14/14 checks passed"
+        rows = [
+            ("fock:expansion-rows-vs-corpus",
+             "56 rows, max deviation <= 1e-12"),
+            ("fock:basis-change-vs-corpus",
+             "max deviation <= 1e-12"),
+            ("fock:double-transform-involution",
+             "50 random states, max residual <= 1e-10"),
+            ("lemma:forward-no-minus-clicks",
+             "200 attacks, max prob <= 1e-10"),
+            ("lemma:forward-zero-leakage",
+             "min fidelity 1.000000000000"),
+            ("lemma:converse-always-visible",
+             "200 attacks, min prob 5.28e-05"),
+            ("lemma:single-photon-click-magnitude",
+             "max |observed - mismatch^2/2| <= 1e-09"),
+            ("lemma:parity-decomposition",
+             "max residual <= 1e-12"),
+            ("thresholds:pulsed-source-expected-count",
+             "expected count 1199.0000000000005"),
+            ("thresholds:splitting-threshold-ratio",
+             "ratio 0.01020304050607081, feasible True"),
+            ("thresholds:splitting-flips-at-equality",
+             "at ratio 2.0: True; just below: False"),
+            ("thresholds:two-state-conclusive-probability",
+             "checked overlaps 0, 0.5, 0.8"),
+            ("thresholds:two-state-loss-threshold",
+             "breakable iff lossrate >= (1+overlap^2)/2"),
+            ("thresholds:generalized-measurement-threshold",
+             "breakable iff lossrate >= overlap"),
+        ]
+        width = max(len(label) for label, _detail in rows)
+        assert capsys.readouterr().out.splitlines() == [
+            f"[pass] {label:<{width}}  {detail}" for label, detail in rows
+        ] + ["14/14 checks passed"]
+
+    def test_verify_prints_a_residual_past_its_bound(self):
+        assert verify._bounded("s", "n", "max residual", 1e-10, 1e-10) \
+            == verify.CheckResult("s", "n", True, "max residual <= 1e-10")
+        for residual, shown in ((3e-9, "3.00e-09"), (math.nan, "nan")):
+            assert verify._bounded("s", "n", "max residual", residual,
+                                   1e-10) == verify.CheckResult(
+                "s", "n", False, f"max residual {shown} > 1e-10")
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_verify_lemma_without_trials_exits_two(self, capsys, trials):
