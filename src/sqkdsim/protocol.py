@@ -721,9 +721,11 @@ def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
     forwarded leaf has a twin appended, with nothing forwarded, no click
     and no bit for Eve, and after the twins one tail leaf, blocked too and
     -1 in the fields not drawn.  Spans of ``jobs`` blocks are walked in
-    round order, each forwarded round past the quota going to its twin.  As
-    no blocked pulse clicks, a run that keeps no codes stops after the span
-    that meets the quota and counts the later rounds at the tail leaf."""
+    round order, each forwarded round past the quota going to its twin: a
+    span within the quota adds the walk's histogram as it is, and only a
+    span that reaches past it is folded round by round.  As no blocked
+    pulse clicks, a run that keeps no codes stops after the span that meets
+    the quota and counts the later rounds at the tail leaf."""
     plan, fields = _bb84_chain(tab)
     if tab.attack != 1:
         return _walk(plan, fields, seed, rounds, jobs, keep_codes)
@@ -741,11 +743,14 @@ def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
     lo = taken = 0
     while lo < rounds and (keep_codes or taken < tab.quota):
         hi = min(rounds, lo + jobs * BLOCK)
-        leaf = _walk(plan, fields, seed, hi, jobs, True, lo)[0]
-        order = taken + np.cumsum(forwarded.take(leaf))
-        taken = int(order[-1])
-        leaf = np.where(order > tab.quota, blocked.take(leaf), leaf)
-        w += np.bincount(leaf, minlength=w.size)
+        leaf, counts, _ = _walk(plan, fields, seed, hi, jobs, True, lo)
+        span = int(counts[:forwarded.size] @ forwarded)
+        if taken + span > tab.quota:
+            order = taken + np.cumsum(forwarded.take(leaf))
+            leaf = np.where(order > tab.quota, blocked.take(leaf), leaf)
+            counts = np.bincount(leaf, minlength=w.size)
+        w += counts
+        taken += span
         if keep_codes:
             codes[lo:hi] = leaf
         lo = hi

@@ -20,6 +20,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sqkdsim import kernels, protocol
@@ -597,53 +599,124 @@ def test_bb84_quota_folds_blocks_walked_on_threads(monkeypatch):
     assert report.metrics == base.metrics
 
 
-@pytest.mark.parametrize("edge", ["first-block", "first-span", "one"])
-def test_bb84_quota_edges_match_reference_fold(edge):
-    """Codes and histogram of a quota met at a span's edge or at once, at
-    1, 2 and 3 jobs, are those of the reference fold of the quota-free
-    leaves, whose records are the reference walk's.  A run that keeps no
-    codes counts the reference fold's rounds up to the end of the span
-    that meets the quota, and the rounds after it at the tail leaf after
-    the twins, which holds no round of the kept run; both have the same
-    fields."""
-    cfg = PNS_CFG
-    tab, _meta = protocol.build_bb84_tables(cfg, pns_attack())
+@pytest.fixture(scope="module")
+def pns_free():
+    """PNS_CFG's tables, the leaves of its walk without a quota, each
+    leaf's forwarded flag and the run's forwarded rounds so far."""
+    tab, _meta = protocol.build_bb84_tables(PNS_CFG, pns_attack())
     plan, leaves = protocol._bb84_chain(tab)
     forwarded = leaves["forwarded"] == 1
-    free, _counts, _fields = kernels._walk(plan, leaves, cfg.rng_seed,
-                                           cfg.rounds, 1, True)
-    two = np.cumsum(forwarded[free])
+    free, _counts, _fields = kernels._walk(plan, leaves, PNS_CFG.rng_seed,
+                                           PNS_CFG.rounds, 1, True)
+    return tab, free, forwarded, np.cumsum(forwarded[free])
+
+
+def assert_quota_matches_reference_fold(pns_free, quota, jobs):
+    """Codes and histogram of PNS_CFG's run under ``quota`` at ``jobs``
+    are those of the reference fold of the quota-free leaves.  A run that
+    keeps no codes counts the reference fold's rounds up to the end of the
+    span that meets the quota, none for a quota of 0 and all for one never
+    met, and the rounds after it at the tail leaf after the twins, which
+    holds no round of the kept run; both have the same fields.  Returns
+    the reference fold and the fields."""
+    tab, free, forwarded, two = pns_free
+    rounds = PNS_CFG.rounds
+    tab = dataclasses.replace(tab, quota=quota)
+    expected = oracles.bb84_quota(free, forwarded, quota)
+    size = forwarded.size + forwarded.sum() + 1
+    codes, counts, fields = protocol.simulate_bb84(
+        tab, PNS_CFG.rng_seed, rounds, jobs, True)
+    assert np.array_equal(codes, expected), jobs
+    assert np.array_equal(counts, np.bincount(expected, minlength=size))
+    assert counts[-1] == 0
+    # the walk ends with the span of jobs blocks that meets the quota
+    reached = int(np.searchsorted(two, quota)) + 1 if quota else 0
+    span = jobs * kernels.BLOCK
+    lo = min(rounds, -(-reached // span) * span)
+    bare, bare_counts, bare_fields = protocol.simulate_bb84(
+        tab, PNS_CFG.rng_seed, rounds, jobs, False)
+    assert bare is None
+    walked = np.bincount(expected[:lo], minlength=size)
+    walked[-1] = rounds - lo
+    assert np.array_equal(bare_counts, walked), jobs
+    for key, value in fields.items():
+        assert np.array_equal(bare_fields[key], value), key
+    return expected, fields
+
+
+@pytest.mark.parametrize("edge", ["first-block", "first-span", "one"])
+def test_bb84_quota_edges_match_reference_fold(edge, pns_free):
+    """A quota met at a span's edge or at once matches the reference fold
+    at 1, 2 and 3 jobs, whose records are the reference walk's."""
+    tab, _free, _forwarded, two = pns_free
     # the quota is met at the end of the first block, at the end of the
     # first span at two jobs, or at the run's first two-photon pulse
     met = {"first-block": kernels.BLOCK, "first-span": 2 * kernels.BLOCK,
            "one": int(np.argmax(two > 0)) + 1}[edge]
     quota = int(two[met - 1])
     assert 0 < quota < two[-1]
-    tab = dataclasses.replace(tab, quota=quota)
-    expected = oracles.bb84_quota(free, forwarded, quota)
-    size = forwarded.size + forwarded.sum() + 1
-    reached = int(np.argmax(two >= quota)) + 1
     for jobs in (1, 2, 3):
-        codes, counts, fields = protocol.simulate_bb84(
-            tab, cfg.rng_seed, cfg.rounds, jobs, True)
-        assert np.array_equal(codes, expected), jobs
-        assert np.array_equal(counts, np.bincount(expected, minlength=size))
-        assert counts[-1] == 0
-        # the walk ends with the span of jobs blocks that meets the quota
-        span = jobs * kernels.BLOCK
-        lo = min(cfg.rounds, -(-reached // span) * span)
-        bare, bare_counts, bare_fields = protocol.simulate_bb84(
-            tab, cfg.rng_seed, cfg.rounds, jobs, False)
-        assert bare is None
-        walked = np.bincount(expected[:lo], minlength=size)
-        walked[-1] = cfg.rounds - lo
-        assert np.array_equal(bare_counts, walked), jobs
-        for key, value in fields.items():
-            assert np.array_equal(bare_fields[key], value), key
-    rec = oracles.bb84_walk(tab, kernels.round_uniforms(cfg.rng_seed, 0,
-                                                        cfg.rounds))
+        expected, fields = assert_quota_matches_reference_fold(
+            pns_free, quota, jobs)
+    rec = oracles.bb84_walk(dataclasses.replace(tab, quota=quota),
+                            kernels.round_uniforms(PNS_CFG.rng_seed, 0,
+                                                   PNS_CFG.rounds))
     for key, value in rec.items():
         assert np.array_equal(fields[key][expected], value), key
+
+
+@given(data=st.data(), jobs=st.sampled_from([1, 2, 3]))
+@settings(deadline=None, derandomize=True)
+def test_bb84_quota_at_any_round_matches_reference_fold(data, jobs, pns_free):
+    """The quota may be met at any round, or never: every quota from 0 to
+    one past the run's two-photon pulses matches the reference fold, also
+    one that a block's last round meets, or misses by one."""
+    two = pns_free[3]
+    ends = two[np.arange(kernels.BLOCK, PNS_CFG.rounds, kernels.BLOCK) - 1]
+    edges = sorted({int(q) + d for q in ends for d in (-1, 0, 1)})
+    quota = data.draw(st.integers(0, int(two[-1]) + 1) | st.sampled_from(edges),
+                      label="quota")
+    assert_quota_matches_reference_fold(pns_free, quota, jobs)
+
+
+@pytest.mark.parametrize("name", ["third-block", "unmet"])
+def test_bb84_quota_folds_only_spans_past_it(name, monkeypatch):
+    """A span whose forwarded rounds stay within the quota adds the walk's
+    histogram as it is; only a span that reaches past the quota is folded
+    round by round.  At one job a run without codes folds only the span
+    that meets the quota, a kept run that span and every span after it,
+    and a run whose quota is never met no span."""
+    cfg = PNS_CASES[name]
+    base = protocol.run(cfg, pns_attack(), keep_codes=True)
+    spans, folded = [], []
+    walk, cumsum = protocol._walk, np.cumsum
+
+    def spy_walk(plan, fields, seed, n, jobs, keep_codes, lo=0):
+        spans.append((lo, n))
+        return walk(plan, fields, seed, n, jobs, keep_codes, lo)
+
+    def spy_cumsum(a, *args, **kwargs):
+        # the fold's running count of a span's forwarded rounds
+        if spans and np.size(a) == spans[-1][1] - spans[-1][0]:
+            folded.append(spans[-1])
+        return cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "_walk", spy_walk)
+    monkeypatch.setattr(np, "cumsum", spy_cumsum)
+    ends = [(lo, min(cfg.rounds, lo + kernels.BLOCK))
+            for lo in range(0, cfg.rounds, kernels.BLOCK)]
+    for keep_codes in (False, True):
+        spans.clear()
+        folded.clear()
+        report = protocol.run(cfg, pns_attack(), keep_codes=keep_codes)
+        assert report.metrics == base.metrics
+        assert report.categories == base.categories
+        if name == "unmet":
+            assert spans == ends and not folded
+        elif keep_codes:
+            assert spans == ends and folded == ends[2:]
+        else:
+            assert spans == ends[:3] and folded == ends[2:3]
 
 
 @pytest.mark.parametrize("cfg", [
