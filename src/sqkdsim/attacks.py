@@ -132,7 +132,8 @@ class ProbeChannelMap:
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match probe_dim x channel "
                 f"dim = {probe_dim} x {channel.dim} = {dim}")
-        image = np.where(np.abs(matrix) > AMPLITUDE_FLOOR, matrix, 0.0)
+        # a copy, as np.asarray may return the caller's matrix
+        image = floored(matrix.copy())
         return cls(None, image.reshape(probe_dim, channel.dim, dim))
 
     def isometry_defect(self) -> float:
@@ -323,7 +324,7 @@ def usd_attack_b92() -> AttackSpec:
 def general_attack(outbound_matrix: np.ndarray, return_matrix: np.ndarray,
                    probe_dim: int, n_max: int) -> AttackSpec:
     """User-supplied dense maps over the full probe x channel basis."""
-    channel = ChannelBasis(n_max)
+    channel = channel_basis(n_max)
     return AttackSpec(
         name="general",
         outbound=ProbeChannelMap.from_dense(outbound_matrix, probe_dim, channel),
@@ -391,13 +392,11 @@ def constrained_random_attack(seed: int, probe_dim: int = 4, n_max: int = 3,
         entries at or below the amplitude floor dropped."""
         col = np.zeros((d, basis.dim), dtype=np.complex128)
         for occ, vec in parts.items():
-            col[:, basis.index[occ]] = np.where(
-                np.abs(vec) > AMPLITUDE_FLOOR, vec, 0.0)
-        return col
+            col[:, basis.index[occ]] = vec
+        return floored(col)
 
     def norm(col: np.ndarray) -> float:
-        # summed occupation by occupation, probe index fastest
-        return math.sqrt(sum(abs(a) ** 2 for a in col.T.ravel().tolist()))
+        return math.sqrt(JointState(col).norm_sq())
 
     r = 1.0 / math.sqrt(2.0)
     plus = column({(0, 1): np.eye(1, d)[0] * r, (1, 0): np.eye(1, d)[0] * r})

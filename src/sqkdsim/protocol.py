@@ -520,8 +520,7 @@ def _aggregate(w: np.ndarray, rec: Dict[str, np.ndarray],
     return metrics, counts, {**rec, "category": cat}
 
 
-def _ca_aggregate(config: ProtocolConfig, tables: CaTables,
-                  meta: Dict[str, float], w: np.ndarray,
+def _ca_aggregate(tables: CaTables, meta: Dict[str, float], w: np.ndarray,
                   rec: Dict[str, np.ndarray]) -> Aggregate:
     """Two-way categories and metrics as leaf masks over the record
     fields ``rec``, evaluated at the rounds ``w`` per leaf."""
@@ -585,14 +584,14 @@ def _ca_aggregate(config: ProtocolConfig, tables: CaTables,
         ("eve_guess_success", guessed & (guess == action), guessed, None),
         ("eve_known_fraction", good & (rec["evebit"] == a_bit), good, 0.0),
     ]
-    if config.cross_basis_fraction > 0.0:
+    if tables.cross_fraction > 0.0:
         rows += [
             ("cross_ctrl_rounds", cats["cross_ctrl_z"]),
             ("cross_ctrl_double", cats["cross_ctrl_z"] & b_double),
             ("cross_sift_rounds", cats["cross_sift_x"]),
             ("cross_sift_double", cats["cross_sift_x"] & b_double),
         ]
-    if config.extra_state_fraction > 0.0:
+    if tables.emission_kind.any():
         rows += [
             ("extra_test_rounds",
              cats["extra_test_ok"] | cats["extra_test_error"]),
@@ -616,8 +615,8 @@ class Bb84Tables:
     Bob per pulse size, and Bob's patterns per node ``(m, bit, basis,
     bob_basis)`` of the pulse as Eve's outbound map leaves it."""
     size_cum: np.ndarray         # (3,) cumulative pulse-size probabilities
-    attack: int                  # 1 when the splitting attack is active
-    quota: int                   # two-photon pulses the splitter forwards
+    quota: Optional[int]         # two-photon pulses the splitter forwards,
+                                 # None without the splitter
     loss_off: np.ndarray         # (3+1,), row per pulse size
     loss_cum: np.ndarray
     loss_m: np.ndarray           # photons that reach Bob per branch
@@ -674,8 +673,7 @@ def build_bb84_tables(config: ProtocolConfig, attack: AttackSpec
 
     tables = Bb84Tables(
         size_cum=np.array([p0, p0 + p1, 1.0]),
-        attack=1 if pns else 0,
-        quota=quota,
+        quota=quota if pns else None,
         loss_off=loss_off,
         loss_cum=loss_cum,
         loss_m=loss_m,
@@ -699,7 +697,7 @@ def _bb84_chain(tab: Bb84Tables):
         steps.append((slot, _split(f, *_coin(0.5), 0, **{field: [0, 1, 0]})))
     steps.append((3, _split(f, tab.loss_off, tab.loss_cum, f["size"],
                             m=tab.loss_m)))
-    f["forwarded"] = ((f["m"] > 0) * tab.attack).astype(np.int8)
+    f["forwarded"] = ((f["m"] > 0) & (tab.quota is not None)).astype(np.int8)
     rows = (f["m"] - 1) * 8 + f["bit"] * 4 + f["basis"] * 2 + f["bob_basis"]
     steps.append((5, _split(
         f, np.append(tab.meas_off, tab.meas_off[-1] + 1),
@@ -727,7 +725,7 @@ def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
     pulse clicks, a run that keeps no codes stops after the span that meets
     the quota and counts the later rounds at the tail leaf."""
     plan, fields = _bb84_chain(tab)
-    if tab.attack != 1:
+    if tab.quota is None:
         return _walk(plan, fields, seed, rounds, jobs, keep_codes)
     forwarded = fields["forwarded"] == 1
     twins = np.flatnonzero(forwarded)
@@ -758,9 +756,8 @@ def simulate_bb84(tab: Bb84Tables, seed: int, rounds: int, jobs: int = 1,
     return codes, w, fields
 
 
-def _bb84_aggregate(config: ProtocolConfig, tables: Bb84Tables,
-                    meta: Dict[str, float], w: np.ndarray,
-                    rec: Dict[str, np.ndarray]) -> Aggregate:
+def _bb84_aggregate(tables: Bb84Tables, meta: Dict[str, float],
+                    w: np.ndarray, rec: Dict[str, np.ndarray]) -> Aggregate:
     """BB84 categories and metrics as leaf masks over the record fields
     ``rec``, evaluated at the rounds ``w`` per leaf."""
     pattern = rec["pattern"]
@@ -783,14 +780,13 @@ def _bb84_aggregate(config: ProtocolConfig, tables: Bb84Tables,
         ("eve_known_fraction", sifted & (rec["evebit"] == bit), sifted, 0.0),
         *meta.items(),
     ]
-    if tables.attack == 1:
-        rows.append(("pns_forwarded", rec["forwarded"] == 1))
-    metrics, counts, fields = _aggregate(w, rec, cats, rows, meta)
-    if tables.attack == 1:
+    if tables.quota is not None:
         # the splitter forwards two-photon pulses until the quota is met
-        metrics["pns_quota_met"] = (
-            1.0 if metrics["pns_forwarded"] >= tables.quota else 0.0)
-    return metrics, counts, fields
+        forwarded = rec["forwarded"] == 1
+        met = int(w[forwarded].sum()) >= tables.quota
+        rows += [("pns_forwarded", forwarded),
+                 ("pns_quota_met", 1.0 if met else 0.0)]
+    return _aggregate(w, rec, cats, rows, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -860,9 +856,8 @@ def simulate_b92(tab: B92Tables, seed: int, rounds: int, jobs: int = 1,
     return _walk(*_b92_chain(tab), seed, rounds, jobs, keep_codes)
 
 
-def _b92_aggregate(config: ProtocolConfig, tables: B92Tables,
-                   meta: Dict[str, float], w: np.ndarray,
-                   rec: Dict[str, np.ndarray]) -> Aggregate:
+def _b92_aggregate(tables: B92Tables, meta: Dict[str, float],
+                   w: np.ndarray, rec: Dict[str, np.ndarray]) -> Aggregate:
     """Two-state categories and metrics as leaf masks over the record
     fields ``rec``, evaluated at the rounds ``w`` per leaf; the
     conclusive-measurement intercept hides in loss."""
@@ -923,7 +918,7 @@ def run(config: ProtocolConfig, attack: AttackSpec,
     tables, meta = build(config, attack)
     codes, w, fields = walk(tables, config.rng_seed, config.rounds,
                             jobs=min(jobs, _cpus()), keep_codes=keep_codes)
-    metrics, categories, fields = aggregate(config, tables, meta, w, fields)
+    metrics, categories, fields = aggregate(tables, meta, w, fields)
     return RunReport(variant=config.variant, rounds=int(w.sum()),
                      seed=config.rng_seed, metrics=metrics,
                      categories=categories, codes=codes, code_fields=fields)

@@ -197,7 +197,7 @@ def bb84_walk(tab, u):
         size = _scan([0, 3], t["size_cum"], 0, ui[2])
         evebit = -1
         forwarded = 0
-        if t["attack"] == 1:
+        if t["quota"] is not None:
             # the splitter's rule by hand: a forwarded pulse reads Bob's
             # one-photon rows, where the engine reads the split pulse's
             m = 0
@@ -407,7 +407,7 @@ def bb84_aggregate(config, tables, meta, rec):
         "eve_known_fraction": known / n_sift if n_sift else 0.0,
     }
     metrics.update(meta)
-    if tables.attack == 1:
+    if tables.quota is not None:
         metrics["pns_forwarded"] = int(rec["forwarded"].sum())
         metrics["pns_quota_met"] = (
             1.0 if int((rec["pulse_size"] == 2).sum()) >= tables.quota

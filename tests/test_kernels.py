@@ -537,13 +537,12 @@ def test_bb84_blocked_rounds_never_click(cfg):
     for name, values in tail_fields.items():
         assert np.array_equal(values, fields[name]), name
         assert values.dtype == fields[name].dtype, name
-    unwalked = protocol._bb84_aggregate(cfg, tables, meta, tail,
-                                        tail_fields)[:2]
+    unwalked = protocol._bb84_aggregate(tables, meta, tail, tail_fields)[:2]
     assert unwalked[1]["no_click"] == 1
     for leaf in blocked:
         w = np.zeros(fields["pattern"].size, dtype=np.int64)
         w[leaf] = 1
-        assert protocol._bb84_aggregate(cfg, tables, meta, w,
+        assert protocol._bb84_aggregate(tables, meta, w,
                                         fields)[:2] == unwalked, leaf
 
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import errno
+import hashlib
 import math
 import os
 import subprocess
@@ -29,6 +30,8 @@ from sqkdsim.scenario import (
 )
 
 SCENARIOS = resources.files("sqkdsim") / "scenarios"
+BUNDLED = sorted(p.name for p in SCENARIOS.iterdir()
+                 if p.name.endswith(".scn"))
 
 
 def scenario_path(name: str) -> str:
@@ -401,6 +404,51 @@ class TestCli:
             blobs.append((out / "classical-alice-ideal.report.txt").read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
+    @pytest.mark.parametrize("name,seed", [(name, None) for name in BUNDLED]
+                             + [("bb84-pns.scn", s) for s in range(2, 7)])
+    def test_runs_alike_at_any_jobs_and_round_log(self, tmp_path, monkeypatch,
+                                                  name, seed):
+        """Each bundled scenario at its own seed, and ``bb84-pns`` at seeds
+        2-6, each of which puts the splitter's quota at another round of a
+        span, meets its expectations at every ``--jobs``, ``--format`` and
+        ``--round-log``.  Each logged run writes the files of the one-job
+        logged run byte for byte, the summary among them.  Each run without
+        a round log writes the same files but ``rounds.csv``, its text
+        report a byte prefix of the logged one: BB84 under the splitter
+        then walks only up to the span that meets its quota."""
+        # 2, 3 and 64 jobs start 2, 3 and 8 threads whatever the machine's
+        # CPUs; the extra seeds run at 1, 2 and 3 jobs as text only
+        monkeypatch.setattr(protocol, "_cpus", lambda: 8)
+        jobs, formats = ((1, 2, 3, 64), ("text", "csv")) if seed is None \
+            else ((1, 2, 3), ("text",))
+        seeded = [] if seed is None else ["--seed", str(seed)]
+
+        def files(fmt, n, log):
+            out = tmp_path / f"{fmt}-{n}-{log}"
+            assert cli.main(["run", scenario_path(name), *seeded, "--jobs",
+                             str(n), "--format", fmt, "--round-log", log,
+                             "--out-dir", str(out)]) == 0, (fmt, n, log)
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def digests(blobs):
+            return {key: hashlib.sha256(blob).hexdigest()
+                    for key, blob in blobs.items()}
+
+        for fmt in formats:
+            logged = files(fmt, 1, "always")
+            for n in jobs[1:]:
+                assert digests(files(fmt, n, "always")) == digests(logged), \
+                    (fmt, n)
+            for n in jobs:
+                bare = files(fmt, n, "never")
+                assert sorted(bare) == sorted(
+                    key for key in logged if not key.endswith(".rounds.csv"))
+                # the logged files, the report cut to the unlogged one's size
+                cut = {key: logged[key][:len(blob)]
+                       if key.endswith(".report.txt") else logged[key]
+                       for key, blob in bare.items()}
+                assert digests(bare) == digests(cut), (fmt, n)
+
     def test_seed_override_changes_rounds(self, tmp_path):
         cli.main(["run", scenario_path("classical-alice-ideal.scn"),
                   "--out-dir", str(tmp_path / "x")])
@@ -542,8 +590,7 @@ class TestCli:
             "             if m.split('.')[:2] in (['numpy', 'ma'],",
             "                                     ['concurrent', 'futures'])),",
             "      file=sys.stderr, end='')"])
-        paths = sorted(str(p) for p in SCENARIOS.iterdir()
-                       if p.name.endswith(".scn"))
+        paths = [scenario_path(name) for name in BUNDLED]
         proc = run_fresh([str(tmp_path)] + paths, code=code)
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stderr == b"[]"
@@ -922,10 +969,13 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_attacks_list_and_describe(self, capsys):
+        # every listed attack is described
         assert cli.main(["attacks", "list"]) == 0
-        out = capsys.readouterr().out
-        assert "tagging" in out and "constrained-random" in out
-        assert cli.main(["attacks", "describe", "usd-b92"]) == 0
+        names = capsys.readouterr().out.split()
+        assert names == list(ATTACKS)
+        for name in names:
+            assert cli.main(["attacks", "describe", name]) == 0
+            assert capsys.readouterr().out == describe_attack(name) + "\n"
         assert cli.main(["attacks", "describe", "unknown"]) == 2
 
     def test_verify_thresholds(self, capsys):
