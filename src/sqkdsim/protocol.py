@@ -86,14 +86,13 @@ from .kernels import (
 )
 
 CLASSICAL_ALICE_FULL = "classical-alice-full"
-CLASSICAL_ALICE_LIMITED = "classical-alice-limited"
 BB84 = "bb84"
 B92 = "b92"
 
 REFLECT = "reflect-occupation"
 MEASURE_RESEND = "measure-resend"
 
-TWO_WAY = (CLASSICAL_ALICE_FULL, CLASSICAL_ALICE_LIMITED)
+TWO_WAY = (CLASSICAL_ALICE_FULL,)
 VARIANTS = (*TWO_WAY, BB84, B92)
 
 
@@ -104,7 +103,7 @@ class ConfigError(ValueError):
 def check_runs_on(attack: AttackSpec, variant: str) -> None:
     """Refuse ``attack`` on a variant it has no form for: the splitter runs
     on BB84 only, the intercept on B92 only, an attack with no map and no
-    strategy on every variant, and any other on the two-way variants."""
+    strategy on every variant, and any other on the two-way variant."""
     variants = {PnsStrategy: (BB84,), UsdStrategy: (B92,)}.get(
         type(attack.strategy), TWO_WAY if attack.lossless_channel else VARIANTS)
     if variant not in variants:
@@ -132,7 +131,8 @@ class ProtocolConfig:
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown protocol variant {self.variant!r}")
+            raise ConfigError(f"unknown protocol variant {self.variant!r}; "
+                              f"choose from {', '.join(VARIANTS)}")
         if self.rounds < 1:
             raise ConfigError("rounds must be positive")
         if not 0 <= self.rng_seed < 2 ** 64:  # Philox's key: one 64-bit word
@@ -159,14 +159,9 @@ class ProtocolConfig:
             raise ConfigError("signal-state overlap must lie in [0, 1)")
         if self.n_max < 1:
             raise ConfigError("photon cap must be at least 1")
-        if self.variant == CLASSICAL_ALICE_LIMITED and p2 > 0:
-            raise ConfigError("the loss-only variant has no multi-photon pulses")
         if (self.variant in (CLASSICAL_ALICE_FULL, BB84) and p2 > 0
                 and self.n_max < 2):
             raise ConfigError("two-photon pulses need a photon cap of at least 2")
-
-    def channel_n_max(self) -> int:
-        return 1 if self.variant == CLASSICAL_ALICE_LIMITED else self.n_max
 
 
 @dataclass
@@ -255,7 +250,7 @@ def _level(nodes: Iterable, branches: Callable[..., Iterable[tuple]]) -> tuple:
 def _emissions(config: ProtocolConfig) -> List[Tuple[float, np.ndarray, int]]:
     """(probability, pulse z vector, kind) per emission; kind 0 is an x
     pulse, 1 and 2 the extra z states of bit 0 and 1."""
-    n_max = config.channel_n_max()
+    n_max = config.n_max
     p0, p1, p2 = config.source_stats
     extra = config.extra_state_fraction
     out = [(p * (1.0 - extra), make_basis_state((0, size), X, n_max), 0)
@@ -315,7 +310,7 @@ def build_ca_tables(config: ProtocolConfig, attack: AttackSpec
     """
     config.validate()
     check_runs_on(attack, config.variant)
-    n_max = config.channel_n_max()
+    n_max = config.n_max
     model = config.detector_model
     lossy = not attack.lossless_channel
     f = config.transmission

@@ -77,7 +77,7 @@ ATTACKS: Dict[str, Attack] = {
         "Eve does nothing: both passes are the identity, the channel keeps "
         "its natural loss, and no information leaks."),
     "pns": Attack(
-        lambda config: attacks_mod.pns_attack(n_max=config.channel_n_max()),
+        lambda config: attacks_mod.pns_attack(n_max=config.n_max),
         {},
         "Nondemolition splitting of two-photon pulses: Eve keeps one photon "
         "in a matching mode of her own two-mode register and forwards the "
@@ -96,7 +96,7 @@ ATTACKS: Dict[str, Attack] = {
         "rate reaches (1+overlap^2)/2, for the signal-state overlap "
         "[protocol] b92_overlap."),
     "tagging": Attack(
-        lambda config: attacks_mod.tagging_attack(config.channel_n_max()),
+        lambda config: attacks_mod.tagging_attack(config.n_max),
         {},
         "Photon-number tag: the outbound pulse is replaced by "
         "(|0,2>+|2,0>)/sqrt(2); the return map folds the tag back into a "
@@ -106,7 +106,7 @@ ATTACKS: Dict[str, Attack] = {
         "though it yields no key information either way."),
     "constrained-random": Attack(
         lambda config, **values: attacks_mod.constrained_random_attack(
-            n_max=config.channel_n_max(), **values),
+            n_max=config.n_max, **values),
         {"seed": Key(int, FromConfig("the scenario's seed + 1",
                                      lambda config: config.rng_seed + 1)),
          "probe_dim": Key(_positive_int, 4),
@@ -123,7 +123,7 @@ ATTACKS: Dict[str, Attack] = {
             attacks_mod.general_attack(
                 attacks_mod.load_matrix_file(outbound_file),
                 attacks_mod.load_matrix_file(return_file),
-                probe_dim=probe_dim, n_max=config.channel_n_max()),
+                probe_dim=probe_dim, n_max=config.n_max),
         {"probe_dim": Key(_positive_int), "outbound_file": Key(str),
          "return_file": Key(str)},
         "User-supplied dense outbound/return maps over probe x channel, "

@@ -364,7 +364,7 @@ def ca_aggregate(config, attack, tables, alice_11, rec):
         metrics["extra_test_errors"] = counts["extra_test_error"]
 
     try:
-        leak = analysis.eve_leakage(attack, n_max=config.channel_n_max())
+        leak = analysis.eve_leakage(attack, n_max=config.n_max)
         if leak.conditional_fidelity is not None:
             metrics["eve_fidelity"] = leak.conditional_fidelity
             metrics["eve_trace_distance"] = leak.trace_distance

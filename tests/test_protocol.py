@@ -153,24 +153,24 @@ class TestRunProtocolIdeal:
         assert abs(rep.metrics["loss_fraction"] - p_loss) <= \
             three_sigma_binomial(p_loss, cfg.rounds)
 
+    # the limited tests run the paper's loss-only setting: single photons
+    # on a channel capped at one photon
     def test_limited_variant_runs(self):
-        cfg = ProtocolConfig(variant="classical-alice-limited", rounds=2_000,
-                             transmission=0.8, rng_seed=4)
+        cfg = ProtocolConfig(rounds=2_000, transmission=0.8, rng_seed=4,
+                             n_max=1)
         rep = run(cfg, identity_attack())
         assert rep.metrics["ctrl_errors"] == 0
         assert rep.metrics["test_errors"] == 0
 
     def test_limited_variant_rejects_multiphoton_attack(self):
-        cfg = ProtocolConfig(variant="classical-alice-limited", rounds=100,
-                             rng_seed=4)
+        cfg = ProtocolConfig(rounds=100, rng_seed=4, n_max=1)
         with pytest.raises(TruncationError):
             run(cfg, tagging_attack())
 
     def test_limited_variant_constrained_attack_invisible(self):
         # the loss-only statement: attacks confined to the one-photon space
         # that respect the rules trigger nothing and learn nothing
-        cfg = ProtocolConfig(variant="classical-alice-limited", rounds=20_000,
-                             rng_seed=45)
+        cfg = ProtocolConfig(rounds=20_000, rng_seed=45, n_max=1)
         attack = constrained_random_attack(31, probe_dim=3, n_max=1)
         rep = run(cfg, attack)
         assert rep.metrics["ctrl_errors"] == 0
@@ -517,11 +517,12 @@ class TestBb84Rows:
 
 
 class TestDispatchAndValidation:
-    @pytest.mark.parametrize("variant", [
-        "classical-alice-full", "classical-alice-limited", "bb84", "b92"])
-    def test_run_dispatches_by_variant(self, variant):
+    @pytest.mark.parametrize("variant,n_max", [
+        pytest.param(variant, 2, id=variant) for variant in VARIANTS] + [
+        pytest.param("classical-alice-full", 1, id="loss-only")])
+    def test_run_dispatches_by_variant(self, variant, n_max):
         cfg = ProtocolConfig(variant=variant, rounds=500, rng_seed=20,
-                             transmission=0.5, n_max=2)
+                             transmission=0.5, n_max=n_max)
         rep = run(cfg, identity_attack())
         assert (rep.variant, rep.rounds, rep.seed) == (variant, 500, 20)
         assert sum(rep.categories.values()) == 500
@@ -569,9 +570,6 @@ class TestDispatchAndValidation:
             ProtocolConfig(variant="e91").validate()
         with pytest.raises(ConfigError):
             ProtocolConfig(rounds=0).validate()
-        with pytest.raises(ConfigError):
-            ProtocolConfig(variant="classical-alice-limited",
-                           source_stats=(0.5, 0.3, 0.2)).validate()
         for variant in ("classical-alice-full", "bb84"):
             with pytest.raises(ConfigError, match="^two-photon pulses need a "
                                                   "photon cap of at least 2$"):

@@ -325,8 +325,13 @@ class TestExpectations:
         assert rows[0].passed and rows[0].deviation_sigmas == 0.0
 
 
-#: the variants each attack runs on; the two-photon tag needs a photon cap
-#: of 2, which the loss-only variant's channel does not have
+#: (variant, photon cap) per case: every variant at a cap of 2, and the
+#: paper's loss-only setting, the two-way variant at a cap of 1
+CASES = [pytest.param(variant, 2, id=variant) for variant in VARIANTS] + [
+    pytest.param("classical-alice-full", 1, id="loss-only")]
+
+#: the variants each attack runs on; the two-photon tag also needs a
+#: photon cap of 2, so the loss-only setting refuses it
 RUNS_ON = {
     "identity": VARIANTS,
     "pns": ("bb84",),
@@ -355,31 +360,47 @@ TAIL_QUOTAS = {
 
 
 class TestCli:
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant,n_max", CASES)
     @pytest.mark.parametrize("name", list(ATTACKS))
     def test_every_attack_on_every_variant(self, tmp_path, capsys, name,
-                                           variant):
+                                           variant, n_max):
         lines = ["[protocol]", f"variant = {variant}", "rounds = 200",
-                 "n_max = 2", "[attack]", f"name = {name}"]
+                 f"n_max = {n_max}", "[attack]", f"name = {name}"]
         if name == "general":
-            cap = ProtocolConfig(variant=variant, n_max=2).channel_n_max()
             rng = np.random.default_rng(1)
             lines.append("probe_dim = 1")
             for leg in ("outbound", "return"):
                 mat = tmp_path / f"{leg}.mat"
                 oracles.write_matrix(
-                    mat, oracles.haar_unitary(rng, ChannelBasis(cap).dim))
+                    mat, oracles.haar_unitary(rng, ChannelBasis(n_max).dim))
                 lines.append(f"{leg}_file = {mat}")
         path = write(tmp_path, "\n".join(lines) + "\n")
         code = cli.main(["run", path, "--out-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
-        if variant in RUNS_ON[name]:
+        if variant in RUNS_ON[name] and (name, n_max) != ("tagging", 1):
             assert (code, err) == (0, "")
         else:
             # one line that names the file, and no traceback
             assert code == 2
             assert err.startswith(f"error: {path}: [attack]: ")
             assert err.count("\n") == 1
+
+    def test_removed_variant_is_unknown(self, tmp_path, capsys):
+        # the loss-only setting is classical-alice-full at n_max = 1
+        path = write(tmp_path, "[protocol]\nvariant = classical-alice-limited"
+                               "\nrounds = 200\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: unknown protocol variant "
+            "'classical-alice-limited'; choose from classical-alice-full, "
+            "bb84, b92\n")
+        assert not out.exists()
+
+    def test_every_variant_has_a_bundled_scenario(self):
+        shipped = {load_scenario(scenario_path(name)).config.variant
+                   for name in BUNDLED}
+        assert set(VARIANTS) <= shipped
 
     def test_run_writes_reports_and_passes(self, tmp_path):
         code = cli.main(["run", scenario_path("classical-alice-ideal.scn"),
