@@ -31,9 +31,9 @@ field's value at each leaf.
 
 Rounds are walked in fixed blocks of ``BLOCK`` rounds on ``jobs``
 threads, the calling thread among them, each running the same loop:
-thread ``t`` draws blocks ``t``, ``t + jobs``, ... from one stream, walks
-each to its leaves (numpy drops the interpreter lock inside its loops),
-keeps them if asked and adds their histogram to its own row of counts.
+thread ``t`` draws blocks ``t``, ``t + jobs``, ..., walks each to its
+leaves (numpy drops the interpreter lock inside its loops), keeps them if
+asked and adds their histogram to its own row of counts.
 No thread waits for another; the caller joins them.  A walk may start at
 any round, so BB84's splitting quota walks spans in round order.  A
 thread holds one block at a time, so memory stays O(jobs * BLOCK) whatever
@@ -44,9 +44,9 @@ Randomness: draw ``(i, j)`` is the ``(i * SLOTS + j)``-th 64-bit word of the
 Philox-4x64 stream keyed by the run seed, so round ``i`` owns a fixed
 counter block and records do not depend on blocks or thread counts.  The
 stream is counter-based (Salmon et al., "Parallel random numbers: as easy
-as 1, 2, 3", SC'11), so a thread starts its stream at its first block's
-first word and ``Philox.advance`` moves it past the other threads' blocks.
-The walk compares raw 64-bit words with integers:
+as 1, 2, 3", SC'11), so each block builds its own stream at its first
+round's counter step, and its words depend only on the seed and that
+round.  The walk compares raw 64-bit words with integers:
 ``Generator.random`` would make the uniform ``u = (raw >> 11) * 2**-53``
 of a draw ``raw``, and ``round_uniforms`` returns those doubles for
 reference walks.  ``_chain`` turns every probability ``p`` once into the
@@ -88,17 +88,17 @@ RAW_MAX = np.uint64(2 ** 64 - 1)
 
 def _stream(seed: int, lo: int) -> np.random.Philox:
     """Bit generator whose next word is round ``lo``'s first."""
-    bits = np.random.Philox(key=np.uint64(int(seed) % 2 ** 64))
     # one Philox-4x64 counter step yields four words
-    bits.advance(SLOTS * lo // 4)
+    bits = np.random.Philox(key=np.uint64(int(seed) % 2 ** 64),
+                            counter=SLOTS * lo // 4)
     bits.random_raw(SLOTS * lo % 4)
     return bits
 
 
-def _draw(bits: np.random.Philox, rounds: int) -> np.ndarray:
-    """The next ``rounds`` rows of raw words: ``raw >> 11`` times ``2**-53``
-    is the uniform that ``Generator.random`` makes of the same draw."""
-    return bits.random_raw((rounds, SLOTS))
+def _draw(seed: int, lo: int, rounds: int) -> np.ndarray:
+    """Raw words of rounds [lo, lo + rounds), a row each: ``raw >> 11``
+    times ``2**-53`` is the uniform ``Generator.random`` makes of it."""
+    return _stream(seed, lo).random_raw((rounds, SLOTS))
 
 
 def round_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
@@ -221,10 +221,11 @@ def _walk(plan, fields: Dict[str, np.ndarray], seed: int, n: int, jobs: int,
     """Walk rounds [lo, n) of ``plan``, whose record fields per leaf are
     ``fields``, in blocks of at most BLOCK rounds on up to ``jobs``
     threads, the calling thread being thread 0: thread ``t`` walks blocks
-    ``t``, ``t + jobs``, ... from one stream, keeps their leaves if asked
-    (row ``i - lo`` is round ``i``'s) and counts them in its own row.  The
-    first exception of a thread, or of a start, stops the others at their
-    next block and is raised here once every started thread is joined."""
+    ``t``, ``t + jobs``, ..., each from its own stream, keeps their leaves
+    if asked (row ``i - lo`` is round ``i``'s) and counts them in its own
+    row.  The first exception of a thread, or of a start, stops the others
+    at their next block and is raised here once every started thread is
+    joined."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     leaves = next(iter(fields.values())).size
@@ -237,15 +238,12 @@ def _walk(plan, fields: Dict[str, np.ndarray], seed: int, n: int, jobs: int,
 
     def work(t: int) -> None:
         try:
-            bits = _stream(seed, lo + t * BLOCK)
             for start in starts[t::jobs]:
                 if errors:
                     return
                 # no name holds the words, so they are freed once walked
-                piece = _walk_chain(plan, _draw(bits, min(BLOCK, n - start)))
-                # past the other threads' blocks: exact, as a block's BLOCK *
-                # SLOTS words are whole Philox counter steps of four words
-                bits.advance(SLOTS * BLOCK * (jobs - 1) // 4)
+                piece = _walk_chain(
+                    plan, _draw(seed, start, min(BLOCK, n - start)))
                 if codes is not None:
                     codes[start - lo:start - lo + piece.size] = piece
                 counts[t] += np.bincount(piece, minlength=leaves)

@@ -116,14 +116,6 @@ CA_CASES = [
 ]
 
 
-@pytest.fixture
-def many_cpus(monkeypatch):
-    """``protocol.run`` caps its jobs at the CPUs the process may use; a
-    test of 3 or 7 jobs lifts the cap, so that it starts that many threads
-    on any machine."""
-    monkeypatch.setattr(protocol, "_cpus", lambda: 8)
-
-
 @pytest.mark.parametrize("name,cfg,mk", CA_CASES, ids=[c[0] for c in CA_CASES])
 def test_two_way_matches_reference_walk(name, cfg, mk):
     assert_matches_reference(cfg, mk)
@@ -549,7 +541,7 @@ def test_bb84_blocked_rounds_never_click(cfg):
 def block_finder(seed, n):
     """The block index of a block's raw words, read from its first round's
     words."""
-    first = {kernels._draw(kernels._stream(seed, lo), 1)[0].tobytes(): b
+    first = {kernels._draw(seed, lo, 1)[0].tobytes(): b
              for b, lo in enumerate(range(0, n, kernels.BLOCK))}
     return lambda raw: first[raw[0].tobytes()]
 
@@ -894,10 +886,19 @@ def test_uniforms_are_a_pure_function_of_seed():
     # the walk's raw words are the same draws: raw >> 11 is the word k of
     # the double k * 2**-53
     for lo in starts:
-        raw = kernels._draw(kernels._stream(123, lo), 20)
+        raw = kernels._draw(123, lo, 20)
         words = raw >> np.uint64(kernels.RAW_SHIFT)
         assert np.array_equal(words * 2.0 ** -kernels.WORD_BITS,
                               full[lo:lo + 20]), lo
+    # each window's words are those of one stream keyed at round 0 and
+    # moved on to round lo by Philox.advance, also far past full: at the
+    # last full block of a 4e6-round run, and past round 2**40
+    for lo in (*starts, 244 * kernels.BLOCK, 2 ** 40 + 1):
+        bits = np.random.Philox(key=np.uint64(123))
+        bits.advance(kernels.SLOTS * lo // 4)
+        bits.random_raw(kernels.SLOTS * lo % 4)
+        assert np.array_equal(kernels._draw(123, lo, 20),
+                              bits.random_raw((20, kernels.SLOTS))), lo
 
 
 def test_word_thresholds_are_exact():

@@ -153,21 +153,21 @@ class TestRunProtocolIdeal:
         assert abs(rep.metrics["loss_fraction"] - p_loss) <= \
             three_sigma_binomial(p_loss, cfg.rounds)
 
-    # the limited tests run the paper's loss-only setting: single photons
-    # on a channel capped at one photon
-    def test_limited_variant_runs(self):
+    # the loss-only tests run the paper's loss-only setting, n_max = 1:
+    # single photons on a channel capped at one photon
+    def test_loss_only_setting_runs(self):
         cfg = ProtocolConfig(rounds=2_000, transmission=0.8, rng_seed=4,
                              n_max=1)
         rep = run(cfg, identity_attack())
         assert rep.metrics["ctrl_errors"] == 0
         assert rep.metrics["test_errors"] == 0
 
-    def test_limited_variant_rejects_multiphoton_attack(self):
+    def test_loss_only_setting_rejects_multiphoton_attack(self):
         cfg = ProtocolConfig(rounds=100, rng_seed=4, n_max=1)
         with pytest.raises(TruncationError):
             run(cfg, tagging_attack())
 
-    def test_limited_variant_constrained_attack_invisible(self):
+    def test_loss_only_setting_constrained_attack_invisible(self):
         # the loss-only statement: attacks confined to the one-photon space
         # that respect the rules trigger nothing and learn nothing
         cfg = ProtocolConfig(rounds=20_000, rng_seed=45, n_max=1)

@@ -412,10 +412,9 @@ class TestCli:
         text = report.read_text()
         assert "[metrics]" in text and "[rounds]" in text
 
-    def test_reports_are_byte_identical_across_runs_and_jobs(
-            self, tmp_path, monkeypatch):
+    @pytest.mark.usefixtures("many_cpus")
+    def test_reports_are_byte_identical_across_runs_and_jobs(self, tmp_path):
         # 4 jobs start 4 threads whatever the machine's CPUs
-        monkeypatch.setattr(protocol, "_cpus", lambda: 8)
         blobs = []
         for sub, jobs in (("a", "1"), ("b", "1"), ("c", "4")):
             out = tmp_path / sub
@@ -425,10 +424,10 @@ class TestCli:
             blobs.append((out / "classical-alice-ideal.report.txt").read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
+    @pytest.mark.usefixtures("many_cpus")
     @pytest.mark.parametrize("name,seed", [(name, None) for name in BUNDLED]
                              + [("bb84-pns.scn", s) for s in range(2, 7)])
-    def test_runs_alike_at_any_jobs_and_round_log(self, tmp_path, monkeypatch,
-                                                  name, seed):
+    def test_runs_alike_at_any_jobs_and_round_log(self, tmp_path, name, seed):
         """Each bundled scenario at its own seed, and ``bb84-pns`` at seeds
         2-6, each of which puts the splitter's quota at another round of a
         span, meets its expectations at every ``--jobs``, ``--format`` and
@@ -439,7 +438,6 @@ class TestCli:
         then walks only up to the span that meets its quota."""
         # 2, 3 and 64 jobs start 2, 3 and 8 threads whatever the machine's
         # CPUs; the extra seeds run at 1, 2 and 3 jobs as text only
-        monkeypatch.setattr(protocol, "_cpus", lambda: 8)
         jobs, formats = ((1, 2, 3, 64), ("text", "csv")) if seed is None \
             else ((1, 2, 3), ("text",))
         seeded = [] if seed is None else ["--seed", str(seed)]
@@ -775,12 +773,11 @@ class TestCli:
             "", f"error: {path}: {message.format(odd=odd)}\n")
         assert not out.exists()
 
-    def test_bb84_pns_report_does_not_depend_on_jobs(self, tmp_path,
-                                                     monkeypatch):
+    @pytest.mark.usefixtures("many_cpus")
+    def test_bb84_pns_report_does_not_depend_on_jobs(self, tmp_path):
         # the quota is met in the run's eighth block, so the fold crosses it
         # in the middle of the walk; the bundled expectations are left out,
         # and 7 jobs walk spans of 7 blocks whatever the machine's CPUs
-        monkeypatch.setattr(protocol, "_cpus", lambda: 8)
         text = (SCENARIOS / "bb84-pns.scn").read_text("utf-8")
         path = write(tmp_path, text.split("[expectations]", 1)[0])
         blobs = []
@@ -791,6 +788,7 @@ class TestCli:
             blobs.append((out / "bb84-pns.report.txt").read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
+    @pytest.mark.usefixtures("many_cpus")
     @pytest.mark.parametrize("quota", TAIL_QUOTAS)
     @pytest.mark.parametrize("rounds", TAIL_ROUNDS)
     def test_unlogged_bb84_pns_run_reports_the_logged_one(
@@ -799,7 +797,6 @@ class TestCli:
         # blocks that meets the splitter's quota and counts the rest; it
         # writes the logged run's files but the round log, and its text
         # report is the logged one up to the round log
-        monkeypatch.setattr(protocol, "_cpus", lambda: 8)
         path = scenario_path("bb84-pns.scn")
         scenario = load_scenario(path)
         cfg = dataclasses.replace(scenario.config, rounds=rounds)
