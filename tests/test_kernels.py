@@ -891,8 +891,8 @@ def test_uniforms_are_a_pure_function_of_seed():
         assert np.array_equal(words * 2.0 ** -kernels.WORD_BITS,
                               full[lo:lo + 20]), lo
     # each window's words are those of one stream keyed at round 0 and
-    # moved on to round lo by Philox.advance, also far past full: at the
-    # last full block of a 4e6-round run, and past round 2**40
+    # moved on to round lo by Philox.advance, also far beyond full's rounds:
+    # at the last full block of a 4e6-round run, and past round 2**40
     for lo in (*starts, 244 * kernels.BLOCK, 2 ** 40 + 1):
         bits = np.random.Philox(key=np.uint64(123))
         bits.advance(kernels.SLOTS * lo // 4)
